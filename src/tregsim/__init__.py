@@ -12,16 +12,14 @@ from .array_sim import (ArrayConfig, CellState, FraResult, Mode, TempArray,
                         WaveformSpec)
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
-                      Resistor, Series, delta_vbe, heater_power, i_ctat,
-                      i_ptat, sensor_current, vbe)
-from .errors import (CalibrationError, ConfigurationError, DomainError,
-                     FitError)
+                      Resistor, Series, delta_vbe, i_ctat, i_ptat, vbe)
+from .errors import ConfigurationError, DomainError, FitError
 from .madc import (MadcConfig, MadcConversion, TemperatureMap, convert,
                    convert_signed, digitize_temperature, quantize_coeff,
                    snr_test)
 from .pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                   transfer_function_response, velocity_response)
 from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
-from .thermal import ThermalGrid, fit_defaults, step
+from .thermal import fit_defaults
 
 __version__ = "0.1.0"

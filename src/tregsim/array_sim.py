@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DomainError
 from .madc import (CROSSING_GUARD, MadcConfig, MadcConversion, TemperatureMap,
                    convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
-from .pwm import PwmConfig, duty_of_code, sample_tap_delays
+from .pwm import PwmConfig, duty_of_code
 
 
 class Mode(Enum):
@@ -68,8 +68,6 @@ class CellState:
     cal_preload: int
     cal_ok: bool
     pid_state: PidState
-    pwm_code: int
-    pwm_taps: np.ndarray
     sensor: object = None
 
 
@@ -93,7 +91,6 @@ class ArrayConfig:
     sigma_r1: float = 0.01
     sigma_r2: float = 0.01
     sigma_mirror: float = 0.005
-    pwm_mismatch: bool = False
     cal_range: tuple = (-64, 64)
     cal_temperature: float = 50.0
 
@@ -136,7 +133,7 @@ class _Channel:
         arr = self.array
         cell = self.cell
         r, c = cell.index
-        t_k = arr.grid.temp[r, c] + 273.15
+        t_k = arr.temp[r, c] + 273.15
         scale = arr.cfg.madc.pid_charge_scale
         # the loaded calibration word scales with the coefficient: the
         # trim is a relative gain correction of the charge phase
@@ -168,6 +165,9 @@ class TempArray:
             cfg.c_th = c_th if cfg.c_th is None else cfg.c_th
             cfg.g_amb = g_amb if cfg.g_amb is None else cfg.g_amb
             cfg.g_lat = g_lat if cfg.g_lat is None else cfg.g_lat
+        thermal.check_plant(cfg.c_th, cfg.g_amb, cfg.g_lat, cfg.thermal_dt)
+        self._substeps = _whole_multiple(cfg.pid_ts, cfg.thermal_dt,
+                                         "PID period", "thermal step")
 
         self.seed = seed
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -209,18 +209,13 @@ class TempArray:
                     cfg.bjt, cfg.current_source, rng,
                     sigma_vbe=cfg.sigma_vbe, sigma_r1=cfg.sigma_r1,
                     sigma_r2=cfg.sigma_r2, sigma_mirror=cfg.sigma_mirror)
-                taps = sample_tap_delays(cfg.pwm, rng) if cfg.pwm_mismatch else None
                 row.append(CellState(index=(r, c), mode=Mode.TEMP_REG,
                                      bjt=bjt_i, current_source=cs_i,
                                      cal_preload=0, cal_ok=True,
-                                     pid_state=PidState(), pwm_code=0,
-                                     pwm_taps=taps))
+                                     pid_state=PidState()))
             self.cells.append(row)
 
-        self.grid = thermal.ThermalGrid(rows=cfg.rows, cols=cfg.cols,
-                                        c_th=cfg.c_th, g_lat=cfg.g_lat,
-                                        g_amb=cfg.g_amb, t_ambient=cfg.t_ambient,
-                                        dt=cfg.thermal_dt)
+        self.temp = np.full((cfg.rows, cfg.cols), cfg.t_ambient, dtype=float)
         self._sat_since = np.full((cfg.rows, cfg.cols), np.nan)
         self._time = 0.0
 
@@ -253,12 +248,12 @@ class TempArray:
 
     def force_temperature(self, t_c):
         """Clamp the whole plant to a uniform temperature (external heater)."""
-        self.grid.temp = np.full((self.cfg.rows, self.cfg.cols), float(t_c))
+        self.temp = np.full((self.cfg.rows, self.cfg.cols), float(t_c))
 
     def _measure_count(self, cell, rng=None, n_avg=1):
         """Plain-mode temperature conversion; n_avg > 1 averages repeats."""
         r, c = cell.index
-        t_k = self.grid.temp[r, c] + 273.15
+        t_k = self.temp[r, c] + 273.15
         rng = self._reg_rng[r][c] if rng is None else rng
         n_chg = self.cfg.madc.n1_counts - cell.cal_preload
         i_in = i_ctat(cell.current_source, cell.bjt, t_k)
@@ -269,15 +264,6 @@ class TempArray:
         n2, _ = discharge_counts(self.cfg.madc, np.full(n_avg, n_chg),
                                  i_in, i_ref, rng=rng)
         return min(int(round(n2.mean())), self.cfg.madc.counter_max)
-
-    @property
-    def channel_gain(self):
-        """Plain-mode channel gain in counts per ampere at unit reference.
-
-        counts = n1 * i_in / i_ref, so the gain for a given reference is
-        n1_counts / i_ref.
-        """
-        return self.cfg.madc.n1_counts
 
     # -- calibration -----------------------------------------------------
 
@@ -329,14 +315,13 @@ class TempArray:
             sp = np.full((cfg.rows, cfg.cols), float(sp))
         if np.any(sp < 20.0) or np.any(sp > 90.0):
             raise DomainError("setpoints outside [20, 90] degC")
+        n_cycles = _whole_multiple(duration, cfg.pid_ts, "duration", "PID period")
 
         for cell in self.iter_cells():
             cell.pid_state.load_setpoint(sp[cell.index], self.pid_coeffs,
                                          self.temp_map, cell.cal_preload,
                                          cfg.madc.pid_charge_scale)
 
-        n_cycles = int(round(duration / cfg.pid_ts))
-        nsub = int(round(cfg.pid_ts / cfg.thermal_dt))
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
                                t_true=np.empty(shape), t_meas=np.empty(shape),
@@ -353,11 +338,10 @@ class TempArray:
                 if trace_conversions:
                     chan.trace, chan.cycle = trace, k
                 u = pid_cycle(cell.pid_state, self.pid_coeffs, chan)
-                cell.pwm_code = u
                 # measurement conversion in the cycle's idle slack
                 t_read = float(self.temp_map.read_temperature(
                     self._measure_count(cell)))
-                duty = 0.0 if u == 0 else duty_of_code(cfg.pwm, u, cell.pwm_taps)
+                duty = 0.0 if u == 0 else duty_of_code(cfg.pwm, u)
                 duties[r, c] = duty
                 powers[r, c] = duty * cfg.heater.p_max
                 out.u[k, r, c] = u
@@ -373,11 +357,11 @@ class TempArray:
                 else:
                     self._sat_since[r, c] = np.nan
 
-            temp = self.grid.temp
-            for _ in range(nsub):
+            temp = self.temp
+            for _ in range(self._substeps):
                 temp = thermal.step_temps(temp, powers, cfg.c_th, cfg.g_lat,
                                           cfg.g_amb, cfg.t_ambient, cfg.thermal_dt)
-            self.grid.temp = temp
+            self.temp = temp
             self._time += cfg.pid_ts
             out.time[k] = self._time
             out.setpoint[k] = sp
@@ -431,7 +415,7 @@ class TempArray:
         cell = self._mode_cell(index, Mode.CPA)
         r, c = index
         rng = self._meas_rng[r][c]
-        temp_c = self.grid.temp[r, c]
+        temp_c = self.temp[r, c]
         times = np.arange(int(duration / sample_period)) * sample_period
         currents = np.array([cell.sensor.current(wave.v_low, t, temp_c) for t in times])
         counts = _digitize_bipolar(self.cfg.madc, currents, i_ref, rng)
@@ -444,7 +428,7 @@ class TempArray:
         cell = self._mode_cell(index, Mode.CV)
         r, c = index
         rng = self._meas_rng[r][c]
-        temp_c = self.grid.temp[r, c]
+        temp_c = self.temp[r, c]
         n_half = max(1, int(round((wave.v_high - wave.v_low)
                                   / (wave.scan_rate * sample_period))))
         up = wave.v_low + (wave.v_high - wave.v_low) * np.arange(n_half + 1) / n_half
@@ -529,6 +513,17 @@ class TempArray:
         z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
         return FraResult(freq=f_act, z_real=z.real, z_imag=z.imag,
                          n_periods_integrated=n_periods)
+
+
+def _whole_multiple(total, unit, what, unit_name):
+    """total/unit as an int; rejects a ratio that is not a whole number >= 1."""
+    ratio = total / unit
+    n = int(round(ratio))
+    # relative tolerance for the representation error of the two floats
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ConfigurationError(
+            f"{what} {total:g} s is not a whole number of {unit_name}s ({unit:g} s)")
+    return n
 
 
 def _digitize_bipolar(cfg, currents, i_ref, rng):

@@ -2,14 +2,15 @@
 
 Usage: sim CONFIG [--out DIR] [--seed N] [--list]
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error.
+2 usage or configuration error, including a config value outside the
+model's domain.
 """
 
 import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .experiments import list_experiments, run_experiment
 
 
@@ -41,7 +42,7 @@ def main(argv=None):
 
     try:
         checks = run_experiment(settings, outdir)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

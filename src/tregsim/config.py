@@ -16,8 +16,7 @@ SCHEMA = {
     "devices": {
         "vg0": 1.156, "n_proc": 4.0, "t_ref": 300.0, "vbe_at_tref": 0.7,
         "r1": 1.5e6, "r2": 1.0e5, "mirror_ratio": 10.0,
-        "bias_current_ratio": 3.0, "alpha": 0.18, "chopper_on": True,
-        "p_max": 0.27,
+        "bias_current_ratio": 3.0, "alpha": 0.18, "p_max": 0.27,
     },
     "mismatch": {
         "sigma_vbe": 1e-3, "sigma_r1": 0.01, "sigma_r2": 0.01,
@@ -25,7 +24,7 @@ SCHEMA = {
     },
     "thermal": {"c_th": None, "g_amb": None, "g_lat": None, "dt": 1e-3},
     "madc": {
-        "n_bits": 9, "f_clk": 10e6, "t_rd_counts": 16, "c_int": 30e-12,
+        "n_bits": 9, "f_clk": 10e6, "c_int": 30e-12,
         "v_full": 1.0, "pid_charge_scale": 8, "conversion_noise_counts": 0.3,
     },
     "pid": {"ts": 4.0, "kp": None, "ki": None, "kd": None},
@@ -71,8 +70,6 @@ def _parse_value(raw, default, path):
         try:
             return float(raw)
         except ValueError:
-            if default is None and path != "experiment.seed":
-                raise ConfigurationError(f"{path}: expected a number, got {raw!r}")
             raise ConfigurationError(f"{path}: expected a number, got {raw!r}")
     return raw
 

@@ -15,10 +15,6 @@ from .errors import ConfigurationError, DomainError
 K_BOLTZMANN = 1.380649e-23    # J/K
 Q_ELECTRON = 1.602176634e-19  # C
 
-# Integrated input-referred current-source noise, by chopper state.
-NOISE_RMS_CHOPPER_OFF = 0.11e-12
-NOISE_RMS_CHOPPER_ON = 0.06e-12
-
 
 def thermal_voltage(t):
     """kT/q in volts; t in kelvin."""
@@ -69,8 +65,6 @@ class CurrentSourceParams:
     trim_code: int = 0
     trim_step: float = 500.0   # ohm per LSB
     trim_bias: float = 1e-6    # A through the trim resistor
-    chopper_on: bool = True
-    noise_rms: float = None    # A; None resolves from chopper_on
 
     def __post_init__(self):
         if self.r1 <= 0 or self.r2 <= 0:
@@ -83,12 +77,6 @@ class CurrentSourceParams:
             raise ConfigurationError("trim_code must fit 6 bits")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
-
-    @property
-    def resolved_noise_rms(self):
-        if self.noise_rms is not None:
-            return self.noise_rms
-        return NOISE_RMS_CHOPPER_ON if self.chopper_on else NOISE_RMS_CHOPPER_OFF
 
 
 @dataclass(frozen=True)
@@ -132,41 +120,19 @@ def delta_vbe(params, t):
     return v if v.ndim else float(v)
 
 
-def _maybe_noise(value, sigma, rng):
-    if rng is None or sigma <= 0:
-        return value
-    return value + rng.normal(0.0, sigma, size=np.shape(value)) if np.shape(value) \
-        else value + rng.normal(0.0, sigma)
-
-
-def i_ctat(params, bjt, t, rng=None):
+def i_ctat(params, bjt, t):
     """CTAT output current: trimmed vbe across r1, mirrored down.
 
-    Monotonically decreasing in t.  Passing a generator adds the
-    integrated input-referred noise (chopper-dependent sigma).
+    Monotonically decreasing in t.  Noise is added by the converter
+    (`madc.conversion_noise_counts`), not here.
     """
     v_trim = vbe(bjt, t) + params.trim_bias * params.trim_code * params.trim_step
-    i = v_trim / params.r1 / params.mirror_ratio
-    return _maybe_noise(i, params.resolved_noise_rms, rng)
+    return v_trim / params.r1 / params.mirror_ratio
 
 
-def i_ptat(params, t, rng=None):
+def i_ptat(params, t):
     """PTAT output current alpha*delta_vbe/r2; linear through the origin in t."""
-    i = params.alpha * delta_vbe(params, t) / params.r2
-    return _maybe_noise(i, params.resolved_noise_rms, rng)
-
-
-def heater_power(params, duty):
-    """Cycle-averaged heater power for a duty fraction.
-
-    The PWM period is around four orders of magnitude below the thermal
-    time constants, so per-pulse ripple is ignored.
-    """
-    duty = np.asarray(duty, dtype=float)
-    if np.any(duty < 0) or np.any(duty > 1):
-        raise DomainError("duty must lie in [0, 1]")
-    p = duty * params.p_max
-    return p if p.ndim else float(p)
+    return params.alpha * delta_vbe(params, t) / params.r2
 
 
 def sample_cell_mismatch(bjt, cs, rng, sigma_vbe=1e-3, sigma_r1=0.01,
@@ -356,10 +322,3 @@ def gaussian_peak_response(conductance=2e-7, peak_current=5e-8,
         return conductance * v + peak_current * math.exp(-((v - peak_v) ** 2)
                                                          / (2.0 * peak_width ** 2))
     return response
-
-
-def sensor_current(model, v_applied, t_now, temp_c):
-    """Dispatch to the attached front-end model; see the model classes."""
-    if not hasattr(model, "current"):
-        raise ConfigurationError(f"not a sensor front end: {model!r}")
-    return model.current(v_applied, t_now, temp_c)

@@ -9,9 +9,5 @@ class ConfigurationError(ValueError):
     """Parameters are inconsistent with the block's operating constraints."""
 
 
-class CalibrationError(ConfigurationError):
-    """One-point calibration could not bring the channel on target."""
-
-
 class FitError(ConfigurationError):
     """Plant parameter fitting received infeasible constraints."""

@@ -3,6 +3,7 @@ onto CSV outputs plus machine-checkable pass/fail summaries."""
 
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,7 @@ def check_true(name, flag):
     return CheckResult(name, 1.0 if flag else 0.0, "== 1", bool(flag))
 
 
-def build_array(settings, seed=None, pwm_mismatch=False, conversion_noise=None,
-                rows=None, cols=None):
+def build_array(settings, seed=None, conversion_noise=None):
     """Assemble an ArrayConfig / TempArray from validated settings."""
     dev = settings["devices"]
     mm = settings["mismatch"]
@@ -71,20 +71,18 @@ def build_array(settings, seed=None, pwm_mismatch=False, conversion_noise=None,
     ar = settings["array"]
     noise = md["conversion_noise_counts"] if conversion_noise is None else conversion_noise
     cfg = ArrayConfig(
-        rows=int(ar["rows"] if rows is None else rows),
-        cols=int(ar["cols"] if cols is None else cols),
+        rows=int(ar["rows"]),
+        cols=int(ar["cols"]),
         t_ambient=ar["t_ambient"],
         bjt=BjtParams(vg0=dev["vg0"], n_proc=dev["n_proc"], t_ref=dev["t_ref"],
                       vbe_at_tref=dev["vbe_at_tref"],
                       mismatch_sigma_vbe=mm["sigma_vbe"]),
         current_source=CurrentSourceParams(
             r1=dev["r1"], r2=dev["r2"], mirror_ratio=dev["mirror_ratio"],
-            bias_current_ratio=dev["bias_current_ratio"], alpha=dev["alpha"],
-            chopper_on=dev["chopper_on"]),
+            bias_current_ratio=dev["bias_current_ratio"], alpha=dev["alpha"]),
         heater=HeaterParams(p_max=dev["p_max"]),
         madc=MadcConfig(n_bits=int(md["n_bits"]), f_clk=md["f_clk"],
-                        t_rd_counts=int(md["t_rd_counts"]), c_int=md["c_int"],
-                        v_full=md["v_full"],
+                        c_int=md["c_int"], v_full=md["v_full"],
                         pid_charge_scale=int(md["pid_charge_scale"]),
                         conversion_noise_counts=noise),
         pwm=PwmConfig(duty_min=pw["duty_min"], duty_max=pw["duty_max"],
@@ -97,7 +95,6 @@ def build_array(settings, seed=None, pwm_mismatch=False, conversion_noise=None,
                     settings["pid"]["kd"] or 0.0)),
         sigma_vbe=mm["sigma_vbe"], sigma_r1=mm["sigma_r1"],
         sigma_r2=mm["sigma_r2"], sigma_mirror=mm["sigma_mirror"],
-        pwm_mismatch=pwm_mismatch,
     )
     seed = settings["experiment"]["seed"] if seed is None else seed
     return TempArray(cfg, seed=seed)
@@ -272,7 +269,7 @@ def exp_regulation_steps(settings, outdir):
               [(time[k], spt[k], mean_t[k], t_true[k].min(), t_true[k].max(),
                 t_meas[k].mean(), u[k].mean()) for k in range(time.size)])
     with open(os.path.join(outdir, "final_field.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(thermal_field_rows(array.grid.temp)) + "\n")
+        fh.write("\n".join(thermal_field_rows(array.temp)) + "\n")
     if trace_on:
         rows = [t for r in results for t in r.conv_trace]
         write_csv(os.path.join(outdir, "pid_trace.csv"),
@@ -550,14 +547,32 @@ def list_experiments():
     return "\n".join(lines) + "\n"
 
 
+def _outermost_missing_dir(path):
+    """The outermost directory on `path` that does not exist yet, or None."""
+    path = os.path.abspath(path)
+    missing = None
+    while not os.path.exists(path):
+        missing, path = path, os.path.dirname(path)
+    return missing
+
+
 def run_experiment(settings, outdir):
-    """Run the configured experiment; write its CSVs plus summary.csv."""
+    """Run the configured experiment; write its CSVs plus summary.csv.
+
+    A run that raises removes the directories it created for its outputs.
+    """
     name = settings["experiment"]["name"]
     if name not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {name!r}")
+    created = _outermost_missing_dir(outdir)
     os.makedirs(outdir, exist_ok=True)
-    checks = EXPERIMENTS[name][0](settings, outdir)
-    write_csv(os.path.join(outdir, "summary.csv"),
-              ["check", "value", "bound", "passed"],
-              [(c.name, c.value, c.bound, c.passed) for c in checks])
+    try:
+        checks = EXPERIMENTS[name][0](settings, outdir)
+        write_csv(os.path.join(outdir, "summary.csv"),
+                  ["check", "value", "bound", "passed"],
+                  [(c.name, c.value, c.bound, c.passed) for c in checks])
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     return checks

@@ -27,7 +27,6 @@ class MadcConfig:
     n_bits: int = 9
     f_clk: float = 10e6
     n1_counts: int = None        # full-scale charge count; default 2**n_bits
-    t_rd_counts: int = 16        # hold interval between phases
     c_int: float = 30e-12        # integration capacitance
     v_full: float = 1.0          # integrator full scale
     pid_charge_scale: int = 8    # charge-window stretch for the loop's error conversions
@@ -37,8 +36,6 @@ class MadcConfig:
     def __post_init__(self):
         if self.n1_counts is None:
             object.__setattr__(self, "n1_counts", 2 ** self.n_bits)
-        if self.t_rd_counts < 1:
-            raise ConfigurationError("t_rd_counts must be >= 1")
         if self.c_int <= 0 or self.v_full <= 0 or self.f_clk <= 0:
             raise ConfigurationError("c_int, v_full, f_clk must be positive")
         if self.pid_charge_scale < 1:
@@ -131,7 +128,7 @@ def convert(cfg, conv, i_in, i_ref, rng=None, n1_counts=None):
     """Run one dual-slope conversion, filling the result fields.
 
     Charge phase: round(coeff_mag*n1) - cal_preload clocks integrating
-    i_in.  Hold t_rd_counts.  Discharge with i_ref until the comparator
+    i_in.  Discharge with i_ref until the comparator
     crossing; the measured count is floor(n_charge*i_in/i_ref).  The
     output is target_preload - coeff_sign*n_discharge, clamped to the
     counter range with the saturated flag set on clamp or clip.

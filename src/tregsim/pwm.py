@@ -17,7 +17,6 @@ class PwmConfig:
     n_bits: int = 12
     counter_bits: int = 7
     ring_taps: int = 32
-    clk: float = 2.5e6            # counter-equivalent input clock (descriptive)
     duty_min: float = 0.04
     duty_max: float = 0.96
     tap_mismatch_sigma: float = 0.018  # fraction of the nominal tap delay

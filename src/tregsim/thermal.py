@@ -2,53 +2,28 @@
 
 Each cell is one node with heat capacity c_th, conductance g_amb to the
 ambient/solution bath, lateral conductance g_lat to its orthogonal
-neighbors, and heater power injection.  Integration is forward Euler with
-an explicit stability bound.
+neighbors, and heater power injection.  `step_temps` is the one stepper:
+a forward-Euler step on a plain temperature array.  It does no checking;
+`check_plant` validates the parameters and the step against the explicit
+stability bound once, when the array is built.
 """
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, FitError
 
 
-@dataclass
-class ThermalGrid:
-    rows: int = 9
-    cols: int = 6
-    c_th: float = 0.054120
-    g_lat: float = 2 * 0.27 / 65.0
-    g_amb: float = 0.27 / 65.0
-    t_ambient: float = 25.0
-    dt: float = 1e-3
-    temp: np.ndarray = None
-    forced: np.ndarray = None       # bool mask: nodes clamped to forced_temp
-    forced_temp: np.ndarray = None
-
-    def __post_init__(self):
-        # g_lat may be zero: decoupled cells are a supported configuration
-        if self.c_th <= 0 or self.g_lat < 0 or self.g_amb <= 0:
-            raise ConfigurationError("c_th and g_amb must be positive, g_lat >= 0")
-        if self.temp is None:
-            self.temp = np.full((self.rows, self.cols), self.t_ambient, dtype=float)
-        else:
-            self.temp = np.asarray(self.temp, dtype=float)
-            if self.temp.shape != (self.rows, self.cols):
-                raise ConfigurationError("temp shape does not match grid")
-        if self.dt > self.stability_limit:
-            raise ConfigurationError(
-                f"dt={self.dt} exceeds stability bound {self.stability_limit:.6g}")
-
-    @property
-    def stability_limit(self):
-        return self.c_th / (4.0 * self.g_lat + self.g_amb)
-
-    @property
-    def time_constant(self):
-        """Isolated-node time constant c_th/g_amb."""
-        return self.c_th / self.g_amb
+def check_plant(c_th, g_amb, g_lat, dt):
+    """Reject plant parameters the forward-Euler stepper cannot integrate."""
+    # g_lat may be zero: decoupled cells are a supported configuration
+    if c_th <= 0 or g_lat < 0 or g_amb <= 0:
+        raise ConfigurationError("c_th and g_amb must be positive, g_lat >= 0")
+    limit = c_th / (4.0 * g_lat + g_amb)
+    if not 0 < dt <= limit:
+        raise ConfigurationError(
+            f"dt={dt} outside the stability bound (0, {limit:.6g}]")
 
 
 def _lateral_flux(temp, g_lat):
@@ -62,36 +37,15 @@ def _lateral_flux(temp, g_lat):
                     + padded[1:-1, :-2] + padded[1:-1, 2:] - 4.0 * temp)
 
 
-def step(grid, heater_powers, dt=None):
-    """One forward-Euler step; returns a new grid.
+def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
+               forced=None, forced_temp=None):
+    """One forward-Euler step; returns the new temperature array.
 
     Energy balance per node:
         c_th * dT/dt = P - g_amb*(T - T_amb) - sum_neighbors g_lat*(T - T_j)
-    Edge-padding makes boundary nodes exchange heat only with the
-    neighbors they actually have.  Forced nodes are clamped afterwards.
-    """
-    dt = grid.dt if dt is None else dt
-    if dt > grid.stability_limit:
-        raise ConfigurationError(
-            f"dt={dt} exceeds stability bound {grid.stability_limit:.6g}")
-    p = np.asarray(heater_powers, dtype=float)
-    if p.shape != grid.temp.shape:
-        raise ConfigurationError("heater_powers shape does not match grid")
-    if np.any(p < 0):
-        raise ConfigurationError("heater powers must be non-negative")
-    t = grid.temp
-    flux = p - grid.g_amb * (t - grid.t_ambient) + _lateral_flux(t, grid.g_lat)
-    new_temp = t + (dt / grid.c_th) * flux
-    if grid.forced is not None:
-        new_temp = np.where(grid.forced, grid.forced_temp, new_temp)
-    return replace(grid, temp=new_temp)
-
-
-def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
-               forced=None, forced_temp=None):
-    """Raw-array variant of step() used in simulation hot loops.
-
-    Identical arithmetic to step(); no validation.
+    Edge padding makes boundary nodes exchange heat only with the
+    neighbors they actually have.  Nodes where the `forced` mask is set
+    are clamped to `forced_temp` afterwards.
     """
     new_temp = temp + (dt / c_th) * (heater_powers - g_amb * (temp - t_ambient)
                                      + _lateral_flux(temp, g_lat))

@@ -115,7 +115,7 @@ def test_gradient_map_regulates_despite_coupling():
     arr.calibrate_one_point()
     sp = np.tile(np.linspace(40.0, 70.0, arr.cfg.cols), (arr.cfg.rows, 1))
     arr.run_regulation(sp, 60.0)
-    res = arr.run_regulation(sp, 30.0)
+    res = arr.run_regulation(sp, 32.0)
     err = res.t_true[-5:].mean(axis=0) - sp
     assert np.abs(err).max() <= 0.75
 
@@ -138,6 +138,19 @@ def test_doubled_kp_still_stable():
     tail = res.t_true[-10:, 0, 0] - 45.0
     assert np.abs(tail).max() <= 1.0  # converged, no sustained oscillation
     assert res.t_true.max() < 90.0
+
+
+def test_pid_period_must_be_whole_thermal_steps():
+    # 4.0005 s would run 4000 plant steps while the clock moved 4.0005 s
+    with pytest.raises(ConfigurationError, match="thermal step"):
+        small_array(pid_ts=4.0005)
+
+
+def test_regulation_duration_must_be_whole_cycles():
+    arr = quiet_array()
+    with pytest.raises(ConfigurationError, match="PID period"):
+        arr.run_regulation(45.0, 42.0)
+    assert arr.run_regulation(45.0, 8.0).time.size == 2
 
 
 def test_three_conversions_per_cycle_from_trace():

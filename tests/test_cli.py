@@ -48,20 +48,51 @@ def test_run_experiment_writes_outputs(tmp_path, capsys):
         assert sum(1 for _ in fh) == 4097  # header + 4096 codes
 
 
-def test_malformed_key_rejected_without_outputs(tmp_path):
+@pytest.mark.parametrize("key, value", [
+    ("pwm.dooty_min", "0.04"),
+    # keys that once existed but changed no output
+    ("madc.t_rd_counts", "16"),
+    ("devices.chopper_on", "true"),
+])
+def test_malformed_key_rejected_without_outputs(tmp_path, key, value):
     out = tmp_path / "out"
+    section, name = key.split(".")
     cfg = write_config(tmp_path / "bad.cfg", """
 [experiment]
 name = pwm_sweep
 seed = 1
 
-[pwm]
-dooty_min = 0.04
+[%s]
+%s = %s
 
 [output]
 dir = %s
-""" % out)
+""" % (section, name, value, out))
     assert main([cfg]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("regulation_steps", "regulation.setpoints", "95"),
+    ("fra_sweep", "is_mode.f_hi", "20000"),
+])
+def test_domain_error_exits_2_without_outputs(tmp_path, capsys, experiment,
+                                              key, value):
+    out = tmp_path / "out"
+    section, name = key.split(".")
+    cfg = write_config(tmp_path / "domain.cfg", """
+[experiment]
+name = %s
+seed = 1
+
+[%s]
+%s = %s
+
+[output]
+dir = %s
+""" % (experiment, section, name, value, out / "run"))
+    assert main([cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
 
