@@ -168,6 +168,9 @@ class TempArray:
         thermal.check_plant(cfg.c_th, cfg.g_amb, cfg.g_lat, cfg.thermal_dt)
         self._substeps = _whole_multiple(cfg.pid_ts, cfg.thermal_dt,
                                          "PID period", "thermal step")
+        # per-cycle plant map, built on the first regulation run: most
+        # arrays (sensing, calibration sweeps) never regulate
+        self._cycle_map = None
 
         self.seed = seed
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -305,9 +308,10 @@ class TempArray:
         """Regulate toward a setpoint map for a duration; returns traces.
 
         Setpoints are Celsius, scalar or per-cell.  PID cycles, the PWM
-        duty update, and the plant substeps interleave on the global
-        clock; cell state persists across calls so consecutive calls
-        build a schedule.
+        duty update, and the plant advance interleave on the global
+        clock: each cycle's duty is held while the plant advances one
+        PID period.  Cell state persists across calls so consecutive
+        calls build a schedule.
         """
         cfg = self.cfg
         sp = np.asarray(setpoint_map, dtype=float)
@@ -328,6 +332,11 @@ class TempArray:
                                u=np.empty(shape, dtype=int), duty=np.empty(shape),
                                warnings=[], conv_trace=[] if trace_conversions else None)
         trace = out.conv_trace
+        if self._cycle_map is None:
+            self._cycle_map = thermal.cycle_map(
+                self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
+                cfg.thermal_dt, self._substeps)
+        a, b = self._cycle_map
         powers = np.zeros((cfg.rows, cfg.cols))
         duties = np.zeros((cfg.rows, cfg.cols))
 
@@ -357,15 +366,14 @@ class TempArray:
                 else:
                     self._sat_since[r, c] = np.nan
 
-            temp = self.temp
-            for _ in range(self._substeps):
-                temp = thermal.step_temps(temp, powers, cfg.c_th, cfg.g_lat,
-                                          cfg.g_amb, cfg.t_ambient, cfg.thermal_dt)
-            self.temp = temp
+            # the duty is held over the cycle, so its thermal.dt substeps
+            # compose exactly into one affine map
+            rise = a @ (self.temp - cfg.t_ambient).ravel() + b @ powers.ravel()
+            self.temp = cfg.t_ambient + rise.reshape(self.temp.shape)
             self._time += cfg.pid_ts
             out.time[k] = self._time
             out.setpoint[k] = sp
-            out.t_true[k] = temp
+            out.t_true[k] = self.temp
             out.duty[k] = duties
         return out
 

@@ -5,6 +5,7 @@ rejected with its full path.  Values keep the types of their defaults.
 """
 
 import configparser
+import math
 
 from .errors import ConfigurationError
 
@@ -58,9 +59,12 @@ def _parse_value(raw, default, path):
         raise ConfigurationError(f"{path}: expected a boolean, got {raw!r}")
     if isinstance(default, list):
         try:
-            return [float(x) for x in raw.replace(",", " ").split()]
+            values = [float(x) for x in raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigurationError(f"{path}: expected numbers, got {raw!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigurationError(f"{path}: expected finite numbers, got {raw!r}")
+        return values
     if isinstance(default, int) and not isinstance(default, bool):
         try:
             return int(raw)
@@ -68,9 +72,12 @@ def _parse_value(raw, default, path):
             raise ConfigurationError(f"{path}: expected an integer, got {raw!r}")
     if isinstance(default, float) or default is None:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigurationError(f"{path}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{path}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -5,7 +5,9 @@ ambient/solution bath, lateral conductance g_lat to its orthogonal
 neighbors, and heater power injection.  `step_temps` is the one stepper:
 a forward-Euler step on a plain temperature array.  It does no checking;
 `check_plant` validates the parameters and the step against the explicit
-stability bound once, when the array is built.
+stability bound once, when the array is built.  `cycle_map` composes the
+stepper over a held-power PID cycle into one affine map, which the array
+applies once per cycle.
 """
 
 import math
@@ -29,12 +31,15 @@ def check_plant(c_th, g_amb, g_lat, dt):
 def _lateral_flux(temp, g_lat):
     """Sum of g_lat*(T_j - T_i) over orthogonal neighbors.
 
-    Edge padding clones the boundary value, so the phantom neighbors
-    contribute exactly zero flux.
+    Works on the last two axes, so a stack of fields is stepped at once.
+    Each neighbor array repeats the boundary row or column at the edge:
+    the phantom neighbors contribute exactly zero flux.
     """
-    padded = np.pad(temp, 1, mode="edge")
-    return g_lat * (padded[:-2, 1:-1] + padded[2:, 1:-1]
-                    + padded[1:-1, :-2] + padded[1:-1, 2:] - 4.0 * temp)
+    up = np.concatenate((temp[..., :1, :], temp[..., :-1, :]), axis=-2)
+    down = np.concatenate((temp[..., 1:, :], temp[..., -1:, :]), axis=-2)
+    left = np.concatenate((temp[..., :1], temp[..., :-1]), axis=-1)
+    right = np.concatenate((temp[..., 1:], temp[..., -1:]), axis=-1)
+    return g_lat * (up + down + left + right - 4.0 * temp)
 
 
 def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
@@ -43,7 +48,7 @@ def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
 
     Energy balance per node:
         c_th * dT/dt = P - g_amb*(T - T_amb) - sum_neighbors g_lat*(T - T_j)
-    Edge padding makes boundary nodes exchange heat only with the
+    Edge clamping makes boundary nodes exchange heat only with the
     neighbors they actually have.  Nodes where the `forced` mask is set
     are clamped to `forced_temp` afterwards.
     """
@@ -52,6 +57,36 @@ def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
     if forced is not None:
         new_temp = np.where(forced, forced_temp, new_temp)
     return new_temp
+
+
+def cycle_map(shape, c_th, g_lat, g_amb, dt, n_steps):
+    """Exact n-step map of `step_temps` under held heater power.
+
+    Returns matrices (a, b) over the row-major flattened field such that
+    n_steps forward-Euler steps with power P held take T_0 to T_n with
+        T_n - T_amb = a @ (T_0 - T_amb) + b @ P
+    up to rounding.  One step is affine in (T - T_amb, P), so its two
+    matrices are read off the stepper itself by stepping unit fields at
+    zero ambient.  The n-step map is composed from them by repeated
+    squaring, with matrix products only: with g_lat = 0 every product
+    then stays diagonal and exact, so decoupled cells advance
+    bit-identically to single-cell arrays.
+    """
+    n = math.prod(shape)
+    unit = np.eye(n).reshape(n, *shape)
+    # (pa, pb) maps the next 2**k steps, (a, b) the steps taken so far;
+    # running (a, b) and then (pa, pb) is (pa @ a, pa @ b + pb)
+    pa = step_temps(unit, 0.0, c_th, g_lat, g_amb, 0.0, dt).reshape(n, n).T
+    pb = step_temps(np.zeros_like(unit), unit, c_th, g_lat, g_amb, 0.0,
+                    dt).reshape(n, n).T
+    a, b = np.eye(n), np.zeros((n, n))
+    while n_steps:
+        if n_steps & 1:
+            a, b = pa @ a, pa @ b + pb
+        n_steps >>= 1
+        if n_steps:
+            pa, pb = pa @ pa, pa @ pb + pb
+    return a, b
 
 
 def field_csv_rows(temp):

@@ -96,6 +96,31 @@ dir = %s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("regulation.plateau_s", "nan"),
+    ("regulation.plateau_s", "inf"),
+    ("regulation.setpoints", "nan 45"),
+])
+def test_non_finite_number_exits_2_without_outputs(tmp_path, capsys, key,
+                                                   value):
+    out = tmp_path / "out"
+    section, name = key.split(".")
+    cfg = write_config(tmp_path / "nonfinite.cfg", """
+[experiment]
+name = regulation_steps
+seed = 1
+
+[%s]
+%s = %s
+
+[output]
+dir = %s
+""" % (section, name, value, out))
+    assert main([cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_section_and_missing_seed(tmp_path):
     cfg = write_config(tmp_path / "c1.cfg", "[wat]\nx = 1\n")
     with pytest.raises(ConfigurationError, match=r"\[wat\]"):

@@ -5,7 +5,8 @@ import pytest
 
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.errors import ConfigurationError, FitError
-from tregsim.thermal import check_plant, fit_defaults, step_temps
+from tregsim.thermal import (_lateral_flux, check_plant, cycle_map,
+                             fit_defaults, step_temps)
 
 C_TH, G_AMB, G_LAT = fit_defaults()
 DT = 1e-3
@@ -80,6 +81,50 @@ def test_mirror_symmetry_exact():
     # vertical mirror too
     t3 = advance(ambient(4, 5), p[::-1, :], n=50)
     assert np.array_equal(t1[::-1, :], t3)
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (1, 1), (3, 3), (4, 5), (1, 7),
+                                   (2, 2)])
+def test_lateral_flux_matches_edge_padding(shape):
+    temp = 25.0 + 30.0 * np.random.default_rng(9).random(shape)
+    padded = np.pad(temp, 1, mode="edge")
+    ref = G_LAT * (padded[:-2, 1:-1] + padded[2:, 1:-1]
+                   + padded[1:-1, :-2] + padded[1:-1, 2:] - 4.0 * temp)
+    assert np.array_equal(_lateral_flux(temp, G_LAT), ref)
+
+
+def apply_map(cmap, temp, p, t_ambient=25.0):
+    a, b = cmap
+    rise = a @ (temp - t_ambient).ravel() + b @ p.ravel()
+    return t_ambient + rise.reshape(temp.shape)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4000])
+def test_cycle_map_matches_stepper(n):
+    rng = np.random.default_rng(10)
+    temp = 25.0 + 40.0 * rng.random((9, 6))
+    p = 0.27 * rng.random((9, 6))
+    mapped = apply_map(cycle_map((9, 6), C_TH, G_LAT, G_AMB, DT, n), temp, p)
+    assert np.abs(mapped - advance(temp, p, n=n)).max() <= 1e-9
+
+
+def test_cycle_map_decoupled_cells_match_single_cell():
+    rng = np.random.default_rng(11)
+    temp = 25.0 + 40.0 * rng.random((2, 3))
+    p = 0.27 * rng.random((2, 3))
+    full = apply_map(cycle_map((2, 3), C_TH, 0.0, G_AMB, DT, 4000), temp, p)
+    solo_map = cycle_map((1, 1), C_TH, 0.0, G_AMB, DT, 4000)
+    for r in range(2):
+        for c in range(3):
+            solo = apply_map(solo_map, temp[r:r + 1, c:c + 1],
+                             p[r:r + 1, c:c + 1])
+            assert np.array_equal(full[r:r + 1, c:c + 1], solo)
+
+
+def test_cycle_map_keeps_ambient_at_zero_power():
+    cmap = cycle_map((9, 6), C_TH, G_LAT, G_AMB, DT, 4000)
+    out = apply_map(cmap, ambient(9, 6), np.zeros((9, 6)))
+    assert np.array_equal(out, ambient(9, 6))
 
 
 def test_stability_bound_enforced():
