@@ -17,7 +17,7 @@ from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       network_transient_currents, sample_cell_mismatch)
 from .errors import ConfigurationError, DomainError
 from .madc import (CROSSING_GUARD, MadcConfig, MadcConversion, TemperatureMap,
-                   convert, convert_signed, discharge_counts)
+                   channel_noise, convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
@@ -121,19 +121,25 @@ class CharacterizeResult:
 
 
 class _Channel:
-    """Per-cell converter view handed to the PID cycle."""
+    """Converter view of one cell handed to the PID cycle.
 
-    def __init__(self, array, cell):
+    i_in and i_ref hold every cell's front-end currents for the current
+    cycle (see TempArray.front_end_currents); cell selects the one whose
+    slots are converted.
+    """
+
+    def __init__(self, array, trace):
         self.array = array
-        self.cell = cell
-        self.trace = None
+        self.trace = trace
         self.cycle = None
+        self.i_in = None
+        self.i_ref = None
+        self.cell = None
 
     def error_conversion(self, slot, coeff_mag, target_preload):
         arr = self.array
         cell = self.cell
         r, c = cell.index
-        t_k = arr.temp[r, c] + 273.15
         scale = arr.cfg.madc.pid_charge_scale
         # the loaded calibration word scales with the coefficient: the
         # trim is a relative gain correction of the charge phase
@@ -142,9 +148,7 @@ class _Channel:
                               cal_preload=cal,
                               target_preload=target_preload,
                               subtract_from_target=True)
-        convert(arr.cfg.madc, conv,
-                i_ctat(cell.current_source, cell.bjt, t_k),
-                i_ptat(cell.current_source, t_k),
+        convert(arr.cfg.madc, conv, self.i_in[r, c], self.i_ref[r, c],
                 rng=arr._reg_rng[r][c],
                 n1_counts=arr.cfg.madc.pid_n1_counts)
         if self.trace is not None:
@@ -159,6 +163,9 @@ class TempArray:
     def __init__(self, cfg=None, seed=0, cell_seed_sequences=None):
         self.cfg = cfg if cfg is not None else ArrayConfig()
         cfg = self.cfg
+        if cfg.rows < 1 or cfg.cols < 1:
+            raise ConfigurationError(
+                f"array.rows and array.cols must be >= 1, got {cfg.rows} x {cfg.cols}")
         if cfg.c_th is None or cfg.g_amb is None or cfg.g_lat is None:
             c_th, g_amb, g_lat = thermal.fit_defaults(
                 target_rise=65.0, p_at_target=cfg.heater.p_max, step_time=10.0)
@@ -253,20 +260,54 @@ class TempArray:
         """Clamp the whole plant to a uniform temperature (external heater)."""
         self.temp = np.full((self.cfg.rows, self.cfg.cols), float(t_c))
 
-    def _measure_count(self, cell, rng=None, n_avg=1):
-        """Plain-mode temperature conversion; n_avg > 1 averages repeats."""
-        r, c = cell.index
-        t_k = self.temp[r, c] + 273.15
-        rng = self._reg_rng[r][c] if rng is None else rng
-        n_chg = self.cfg.madc.n1_counts - cell.cal_preload
-        i_in = i_ctat(cell.current_source, cell.bjt, t_k)
-        i_ref = i_ptat(cell.current_source, t_k)
-        if n_avg == 1:
-            n2, _ = discharge_counts(self.cfg.madc, n_chg, i_in, i_ref, rng=rng)
-            return min(n2, self.cfg.madc.counter_max)
-        n2, _ = discharge_counts(self.cfg.madc, np.full(n_avg, n_chg),
-                                 i_in, i_ref, rng=rng)
-        return min(int(round(n2.mean())), self.cfg.madc.counter_max)
+    def front_end_currents(self, t_c):
+        """CTAT and PTAT currents of every cell at t_c (Celsius).
+
+        t_c broadcasts against (rows, cols): a plant field, one
+        temperature for all cells, or a sweep shaped (n, 1, 1) that puts
+        every cell at each temperature in turn.  The cells' mismatched
+        device parameters are gathered afresh on each call, so a cell
+        whose devices were replaced reads with its new ones; a cell
+        differs from the configured devices only in the drawn mismatch
+        (vbe offset, r1, r2, mirror ratio).
+        """
+        cells = [cell for row in self.cells for cell in row]
+        shape = (self.cfg.rows, self.cfg.cols)
+
+        def gather(values):
+            return np.reshape(values, shape)
+
+        bjt = replace(self.cfg.bjt, vbe_offset=gather(
+            [cell.bjt.vbe_offset for cell in cells]))
+        cs = replace(self.cfg.current_source,
+                     r1=gather([cell.current_source.r1 for cell in cells]),
+                     r2=gather([cell.current_source.r2 for cell in cells]),
+                     mirror_ratio=gather([cell.current_source.mirror_ratio
+                                          for cell in cells]))
+        t_k = np.asarray(t_c, dtype=float) + 273.15
+        return i_ctat(cs, bjt, t_k), i_ptat(cs, t_k)
+
+    def read_counts(self, currents=None, n_avg=1):
+        """Plain-mode temperature conversion of every cell at once.
+
+        currents is a (i_ctat, i_ptat) pair from front_end_currents,
+        shaped (..., rows, cols); by default the front end at the plant
+        field.  Each count is the mean of n_avg conversions, rounded and
+        clamped to the counter.  Every cell draws its noise in one call
+        on its own stream, in the order the conversions run.
+        """
+        cfg = self.cfg.madc
+        i_in, i_ref = self.front_end_currents(self.temp) if currents is None else currents
+        lead = np.shape(i_in)[:-2]
+        n_chg = cfg.n1_counts - np.array(
+            [[cell.cal_preload for cell in row] for row in self.cells])
+        draws = [channel_noise(cfg, rng, lead + (n_avg,))
+                 for row in self._reg_rng for rng in row]
+        noise = None if draws[0] is None else np.stack(draws, axis=-2).reshape(
+            lead + (self.cfg.rows, self.cfg.cols, n_avg))
+        n2, _ = discharge_counts(cfg, n_chg[..., None], i_in[..., None],
+                                 i_ref[..., None], noise)
+        return np.minimum(np.round(n2.mean(axis=-1)), cfg.counter_max).astype(int)
 
     # -- calibration -----------------------------------------------------
 
@@ -283,13 +324,12 @@ class TempArray:
         lo, hi = self.cfg.cal_range
         cals = np.arange(lo, hi)
         failures = []
-        t_k = t_known + 273.15
+        i_in, i_ref = self.front_end_currents(t_known)
+        ratio = i_in / i_ref
         for cell in self.iter_cells():
             r, c = cell.index
             rng = self._reg_rng[r][c]
-            ratio = (i_ctat(cell.current_source, cell.bjt, t_k)
-                     / i_ptat(cell.current_source, t_k))
-            x = (self.cfg.madc.n1_counts - cals) * ratio
+            x = (self.cfg.madc.n1_counts - cals) * ratio[r, c]
             noise = self.cfg.madc.conversion_noise_counts
             draws = x[None, :] + noise * rng.standard_normal((n_avg, cals.size))
             mean_counts = np.floor(draws + CROSSING_GUARD).mean(axis=0)
@@ -340,21 +380,20 @@ class TempArray:
         powers = np.zeros((cfg.rows, cfg.cols))
         duties = np.zeros((cfg.rows, cfg.cols))
 
+        chan = _Channel(self, trace)
         for k in range(n_cycles):
+            # the field is constant within a cycle: one front-end
+            # evaluation serves the three error slots and the measurement
+            chan.cycle = k
+            chan.i_in, chan.i_ref = self.front_end_currents(self.temp)
             for cell in self.iter_cells():
                 r, c = cell.index
-                chan = _Channel(self, cell)
-                if trace_conversions:
-                    chan.trace, chan.cycle = trace, k
+                chan.cell = cell
                 u = pid_cycle(cell.pid_state, self.pid_coeffs, chan)
-                # measurement conversion in the cycle's idle slack
-                t_read = float(self.temp_map.read_temperature(
-                    self._measure_count(cell)))
                 duty = 0.0 if u == 0 else duty_of_code(cfg.pwm, u)
                 duties[r, c] = duty
                 powers[r, c] = duty * cfg.heater.p_max
                 out.u[k, r, c] = u
-                out.t_meas[k, r, c] = t_read
                 # persistent-saturation warning
                 if cell.pid_state.saturated:
                     if math.isnan(self._sat_since[r, c]):
@@ -365,6 +404,10 @@ class TempArray:
                         self._sat_since[r, c] = self._time
                 else:
                     self._sat_since[r, c] = np.nan
+            # measurement conversion in the cycle's idle slack, after each
+            # cell's error slots on its stream
+            out.t_meas[k] = self.temp_map.read_temperature(
+                self.read_counts((chan.i_in, chan.i_ref)))
 
             # the duty is held over the cycle, so its thermal.dt substeps
             # compose exactly into one affine map
@@ -388,12 +431,9 @@ class TempArray:
         residuals expressed in counts and in Celsius.
         """
         t_values = np.arange(20.0, 91.0) if t_values is None else np.asarray(t_values, dtype=float)
-        n_cells = self.cfg.rows * self.cfg.cols
-        counts = np.empty((n_cells, t_values.size))
-        for j, t_c in enumerate(t_values):
-            self.force_temperature(t_c)
-            for i, cell in enumerate(self.iter_cells()):
-                counts[i, j] = self._measure_count(cell, n_avg=n_avg)
+        sweep = self.front_end_currents(t_values[:, None, None])
+        counts = self.read_counts(sweep, n_avg=n_avg).reshape(t_values.size, -1).T
+        self.force_temperature(t_values[-1])
         t_read = self.temp_map.read_temperature(counts)
         map_error = t_read - t_values[None, :]
         a = np.vstack([t_values, np.ones_like(t_values)]).T
@@ -510,7 +550,8 @@ class TempArray:
             counts = np.zeros(w)
             scaled = np.abs(table[live]) * cfg.n1_counts
             n2, _ = discharge_counts(run_cfg, np.round(scaled),
-                                     np.abs(i_t[live]), i_ref, rng=rng)
+                                     np.abs(i_t[live]), i_ref,
+                                     channel_noise(run_cfg, rng, scaled.shape))
             counts[live] = np.sign(table[live]) * np.sign(i_t[live]) * n2
             sums.append(counts.sum() * i_ref / cfg.n1_counts)
             mats.append((np.dot(table, np.sin(theta)), np.dot(table, np.cos(theta))))

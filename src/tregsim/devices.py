@@ -27,8 +27,9 @@ class BjtParams:
 
     vg0 is the bandgap voltage extrapolated to 0 K, n_proc the process
     curvature constant, and vbe_at_tref anchors the curve at t_ref.
-    vbe_offset is the realized per-instance offset (drawn once per cell);
-    mismatch_sigma_vbe is the 1-sigma used when drawing it.
+    vbe_offset is the realized per-instance offset (drawn once per cell,
+    or an array holding one per cell); mismatch_sigma_vbe is the 1-sigma
+    used when drawing it.
     """
 
     vg0: float = 1.156
@@ -55,6 +56,7 @@ class CurrentSourceParams:
     divided down by mirror_ratio.  r2 converts the scaled delta-vbe of a
     pair biased at bias_current_ratio to the PTAT current, scaled by
     alpha.  The 6-bit trim adds trim_bias*trim_code*trim_step volts.
+    r1, r2 and mirror_ratio may be arrays holding one value per cell.
     """
 
     r1: float = 1.5e6
@@ -67,9 +69,9 @@ class CurrentSourceParams:
     trim_bias: float = 1e-6    # A through the trim resistor
 
     def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:
+        if np.any(self.r1 <= 0) or np.any(self.r2 <= 0):
             raise ConfigurationError("r1 and r2 must be positive")
-        if self.mirror_ratio < 1.0:
+        if np.any(self.mirror_ratio < 1.0):
             raise ConfigurationError("mirror_ratio must be >= 1")
         if self.bias_current_ratio <= 1.0:
             raise ConfigurationError("bias_current_ratio must be > 1")

@@ -100,13 +100,39 @@ def build_array(settings, seed=None, conversion_noise=None):
     return TempArray(cfg, seed=seed)
 
 
+def _positive_count(settings, key):
+    """The integer setting section.key, rejected unless it is at least 1."""
+    section, name = key.split(".")
+    n = int(settings[section][name])
+    if n < 1:
+        raise ConfigurationError(f"{key} must be >= 1, got {n}")
+    return n
+
+
 # --------------------------------------------------------------------------
 # sensing characterization
 
+def _sweep_temperatures(settings):
+    """The characterization sweep t_lo..t_hi (inclusive) in steps of t_step."""
+    ch = settings["characterize"]
+    if not ch["t_step"] > 0:
+        raise ConfigurationError(
+            f"characterize.t_step must be positive, got {ch['t_step']!r}")
+    if not ch["t_lo"] < ch["t_hi"]:
+        raise ConfigurationError(
+            f"characterize.t_lo ({ch['t_lo']!r}) must be below "
+            f"characterize.t_hi ({ch['t_hi']!r})")
+    t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
+    if t_values.size < 2:
+        raise ConfigurationError(
+            f"characterize.t_step {ch['t_step']!r} leaves fewer than two sweep "
+            f"points between characterize.t_lo and characterize.t_hi")
+    return t_values
+
+
 def exp_characterize_sensor(settings, outdir):
     """Single-die transfer sweep: counts vs temperature, map errors, line fit."""
-    ch = settings["characterize"]
-    t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
+    t_values = _sweep_temperatures(settings)
     array = build_array(settings)
     array.calibrate_one_point()
     res = array.characterize_sensor(t_values)
@@ -134,10 +160,10 @@ def exp_characterize_sensor(settings, outdir):
 
 def exp_die_error_sweep(settings, outdir):
     """Seven fresh-mismatch dies, one-point calibrated, swept 20-90 degC."""
-    ch = settings["characterize"]
-    t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
+    t_values = _sweep_temperatures(settings)
+    n_dies = _positive_count(settings, "characterize.n_dies")
     seed = settings["experiment"]["seed"]
-    die_seeds = np.random.SeedSequence(seed).spawn(int(ch["n_dies"]))
+    die_seeds = np.random.SeedSequence(seed).spawn(n_dies)
     rows = []
     checks = []
     for d, dseed in enumerate(die_seeds):
@@ -158,15 +184,15 @@ def exp_channel_spread(settings, outdir):
     """54 calibrated channels forced to one temperature, over several seeds."""
     sp = settings["spread"]
     t_force = sp["t_force"]
-    seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(int(sp["n_seeds"]))
+    n_seeds = _positive_count(settings, "spread.n_seeds")
+    seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_seeds)
     rows = []
     checks = []
     for s, sseed in enumerate(seeds):
         array = build_array(settings, seed=sseed)
         array.calibrate_one_point(t_known=t_force)
         array.force_temperature(t_force)
-        reads = np.array([float(array.temp_map.read_temperature(
-            array._measure_count(cell))) for cell in array.iter_cells()])
+        reads = array.temp_map.read_temperature(array.read_counts()).ravel()
         for i, t in enumerate(reads):
             rows.append((s, i, t))
         checks.append(check_in(f"seed{s}_mean_c", float(reads.mean()),

@@ -40,6 +40,10 @@ class MadcConfig:
             raise ConfigurationError("c_int, v_full, f_clk must be positive")
         if self.pid_charge_scale < 1:
             raise ConfigurationError("pid_charge_scale must be >= 1")
+        if self.conversion_noise_counts < 0:
+            raise ConfigurationError(
+                "madc.conversion_noise_counts must be >= 0, got "
+                f"{self.conversion_noise_counts!r}")
 
     @property
     def counter_max(self):
@@ -97,13 +101,26 @@ def _check_coeff(coeff_mag):
         raise ConfigurationError("coeff_mag must sit on the 7-bit grid")
 
 
-def discharge_counts(cfg, n_charge, i_in, i_ref, rng=None):
+def channel_noise(cfg, rng, shape):
+    """Input-referred channel noise of a batch of conversions, in counts.
+
+    None without a stream or on a noiseless channel; otherwise one draw
+    of the given shape.  A batch of n draws equals n single draws, so a
+    stream's sequence does not depend on how its conversions are batched.
+    """
+    if rng is None or cfg.conversion_noise_counts == 0:
+        return None
+    return rng.normal(0.0, cfg.conversion_noise_counts, size=shape)
+
+
+def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     """Discharge-phase count for a charge phase of n_charge clocks.
 
     The counter advances while the integrator has not crossed baseline:
     the latched value is floor(n_charge * i_in / i_ref), with boundary-
     exact charges resolving as crossed (see CROSSING_GUARD).  Clips at
-    the integrator full scale.  Accepts scalars or arrays.
+    the integrator full scale.  noise (counts, see channel_noise) is added
+    to the held charge before the floor.  Accepts scalars or arrays.
     """
     x = np.asarray(n_charge, dtype=float) * (np.asarray(i_in, dtype=float)
                                              / np.asarray(i_ref, dtype=float))
@@ -116,8 +133,8 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, rng=None):
     q_in = np.asarray(n_charge, dtype=float) * np.asarray(i_in, dtype=float) / cfg.f_clk
     clipped = q_in > q_max
     x = np.where(clipped, q_max * cfg.f_clk / np.asarray(i_ref, dtype=float), x)
-    if rng is not None and cfg.conversion_noise_counts > 0:
-        x = x + rng.normal(0.0, cfg.conversion_noise_counts, size=np.shape(x))
+    if noise is not None:
+        x = x + noise
     n2 = np.floor(x + CROSSING_GUARD).astype(int)
     if n2.ndim:
         return n2, clipped
@@ -142,7 +159,8 @@ def convert(cfg, conv, i_in, i_ref, rng=None, n1_counts=None):
     n_charge = int(round(conv.coeff_mag * n1)) - conv.cal_preload
     if n_charge <= 0:
         raise ConfigurationError("calibration preload leaves no charge phase")
-    n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref, rng=rng)
+    n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref,
+                                   channel_noise(cfg, rng, ()))
     if conv.subtract_from_target:
         raw = conv.target_preload - conv.coeff_sign * n2
     else:
@@ -173,19 +191,12 @@ def convert_signed(cfg, i_in, i_ref, coeff_mag=1.0, cal_preload=0, rng=None,
     if i_ref <= 0:
         raise DomainError("reference current must be positive")
     i_in = np.asarray(i_in, dtype=float)
-    n2, clipped = discharge_counts(cfg, n_charge, np.abs(i_in), i_ref, rng=rng)
+    n2, clipped = discharge_counts(cfg, n_charge, np.abs(i_in), i_ref,
+                                   channel_noise(cfg, rng, i_in.shape))
     out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max)
     if out.ndim:
         return out
     return int(out)
-
-
-def digitize_temperature(cfg, bjt, current_source, t_true_k, cal_preload=0, rng=None):
-    """Plain-mode conversion of the CTAT/PTAT pair; monotone decreasing in t."""
-    conv = MadcConversion(coeff_mag=1.0, coeff_sign=1, cal_preload=cal_preload)
-    convert(cfg, conv, i_ctat(current_source, bjt, t_true_k),
-            i_ptat(current_source, t_true_k), rng=rng)
-    return conv.out_count
 
 
 class TemperatureMap:

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ import pytest
 from tregsim.array_sim import ArrayConfig, Mode, TempArray, WaveformSpec
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              ImpedanceSensor, Parallel, PhSensor, Resistor,
-                             Series)
+                             Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.madc import MadcConfig
+from tregsim.madc import MadcConfig, discharge_counts
 
 
 def small_array(rows=2, cols=2, seed=1, **kw):
@@ -44,7 +45,7 @@ def test_r1_mismatch_restores_nominal_count():
     arr.calibrate_one_point(t_known=50.0)
     assert cell.cal_preload < 0
     arr.force_temperature(50.0)
-    count = arr._measure_count(cell)
+    count = arr.read_counts()[0, 0]
     assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 1.0
 
 
@@ -62,8 +63,7 @@ def test_channel_spread_after_calibration():
     arr = TempArray(ArrayConfig(), seed=42)
     arr.calibrate_one_point(t_known=50.0)
     arr.force_temperature(50.0)
-    reads = np.array([float(arr.temp_map.read_temperature(arr._measure_count(c)))
-                      for c in arr.iter_cells()])
+    reads = arr.temp_map.read_temperature(arr.read_counts()).ravel()
     assert abs(reads.mean() - 50.0) <= 0.3
     assert reads.std() <= 0.25
 
@@ -78,6 +78,47 @@ def test_characterize_monotone_and_accurate():
     assert np.abs(res.die_mean_error).max() <= 0.5
     # the straight-line fit shows the curvature honestly
     assert res.fit_resid_celsius.max() > 1.0
+
+
+def test_characterize_matches_per_cell_scalar_readout():
+    # the array readout converts every cell and sweep point in one batch;
+    # each cell must still see its own devices and its own noise stream,
+    # drawn point by point as a scalar conversion loop would
+    arr = small_array(rows=3, cols=2, seed=8)
+    arr.calibrate_one_point()
+    cfg = arr.cfg.madc
+    assert cfg.conversion_noise_counts > 0 and arr.cfg.sigma_r1 > 0
+    rngs = {cell.index: copy.deepcopy(arr._reg_rng[cell.index[0]][cell.index[1]])
+            for cell in arr.iter_cells()}
+    t_values = np.arange(20.0, 91.0, 7.0)
+    n_avg = 4
+    res = arr.characterize_sensor(t_values, n_avg=n_avg)
+
+    expect = np.empty((6, t_values.size))
+    for i, cell in enumerate(arr.iter_cells()):
+        rng = rngs[cell.index]
+        for j, t_c in enumerate(t_values):
+            t_k = t_c + 273.15
+            noise = rng.normal(0.0, cfg.conversion_noise_counts, size=n_avg)
+            n2, _ = discharge_counts(cfg, np.full(n_avg, cfg.n1_counts - cell.cal_preload),
+                                     i_ctat(cell.current_source, cell.bjt, t_k),
+                                     i_ptat(cell.current_source, t_k), noise)
+            expect[i, j] = min(int(round(n2.mean())), cfg.counter_max)
+    assert np.array_equal(res.counts, expect)
+    assert np.all(arr.temp == t_values[-1])
+
+
+def test_replaced_current_source_changes_readout():
+    # device parameters are gathered at each readout, not cached at build
+    arr = quiet_array(rows=2, cols=1)
+    arr.force_temperature(50.0)
+    before = arr.read_counts()
+    cell = arr.cell(0, 0)
+    cell.current_source = replace(cell.current_source,
+                                  r1=cell.current_source.r1 * 1.05)
+    after = arr.read_counts()
+    assert after[0, 0] < before[0, 0]
+    assert after[1, 0] == before[1, 0]
 
 
 # -- regulation ---------------------------------------------------------------

@@ -121,6 +121,37 @@ dir = %s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, settings, key", [
+    ("characterize_sensor", {"characterize": "t_step = 0"}, "characterize.t_step"),
+    ("characterize_sensor", {"characterize": "t_step = -1"}, "characterize.t_step"),
+    ("die_error_sweep", {"characterize": "t_lo = 90\nt_hi = 20"},
+     "characterize.t_lo"),
+    ("characterize_sensor", {"characterize": "t_hi = 21\nt_step = 5"},
+     "characterize.t_step"),
+    ("die_error_sweep", {"characterize": "n_dies = 0"}, "characterize.n_dies"),
+    ("channel_spread", {"spread": "n_seeds = 0"}, "spread.n_seeds"),
+    ("characterize_sensor", {"array": "rows = 0"}, "array.rows"),
+    ("channel_spread", {"array": "cols = 0"}, "array.cols"),
+    ("characterize_sensor", {"madc": "conversion_noise_counts = -1"},
+     "madc.conversion_noise_counts"),
+])
+def test_degenerate_sweep_or_count_exits_2_without_outputs(
+        tmp_path, capsys, experiment, settings, key):
+    out = tmp_path / "out"
+    sections = "".join(f"\n[{sec}]\n{body}\n" for sec, body in settings.items())
+    cfg = write_config(tmp_path / "degenerate.cfg", """
+[experiment]
+name = %s
+seed = 1
+%s
+[output]
+dir = %s
+""" % (experiment, sections, out))
+    assert main([cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_section_and_missing_seed(tmp_path):
     cfg = write_config(tmp_path / "c1.cfg", "[wat]\nx = 1\n")
     with pytest.raises(ConfigurationError, match=r"\[wat\]"):

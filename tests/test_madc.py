@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import BjtParams, CurrentSourceParams
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import madc_oracle_reference, madc_oracle_slow
 from tregsim.madc import (MadcConfig, MadcConversion, TemperatureMap, convert,
-                          convert_signed, digitize_temperature, quantize_coeff,
-                          snr_test)
+                          convert_signed, quantize_coeff, snr_test)
 
 CFG = MadcConfig(conversion_noise_counts=0.0)
 QUIET = CFG
@@ -124,10 +124,18 @@ def test_invalid_inputs():
         quantize_coeff(1.5)
 
 
+def nominal_counts(t_c):
+    """Plain-mode counts of a noiseless, mismatch-free 1x1 array at each t_c."""
+    arr = TempArray(ArrayConfig(rows=1, cols=1, bjt=BJT, current_source=CS,
+                                madc=QUIET, sigma_vbe=0.0, sigma_r1=0.0,
+                                sigma_r2=0.0, sigma_mirror=0.0))
+    sweep = np.asarray(t_c, dtype=float)[:, None, None]
+    return arr.read_counts(arr.front_end_currents(sweep))[:, 0, 0]
+
+
 def test_digitize_temperature_monotone():
     prev = None
-    for t_c in range(20, 95, 5):
-        count = digitize_temperature(QUIET, BJT, CS, t_c + 273.15)
+    for count in nominal_counts(range(20, 95, 5)):
         if prev is not None:
             assert count < prev
         prev = count
@@ -137,8 +145,8 @@ def test_design_map_readback_accuracy():
     # nominal cell read through the design map stays within half an LSB
     # of truth plus interpolation error over the full sweep
     tm = TemperatureMap(QUIET, BJT, CS)
-    for t_c in np.arange(20.0, 90.5, 0.5):
-        count = digitize_temperature(QUIET, BJT, CS, t_c + 273.15)
+    t_values = np.arange(20.0, 90.5, 0.5)
+    for t_c, count in zip(t_values, nominal_counts(t_values)):
         err = float(tm.read_temperature(count)) - t_c
         assert abs(err) < 0.5
 
