@@ -56,7 +56,6 @@ class FraResult:
     freq: float
     z_real: float
     z_imag: float
-    n_periods_integrated: int
 
 
 @dataclass
@@ -507,6 +506,9 @@ class TempArray:
         rng = self._meas_rng[r][c]
         if int(n_periods) != n_periods or n_periods < 1:
             raise ConfigurationError("n_periods must be a positive integer")
+        if not amplitude > 0:
+            raise ConfigurationError(
+                f"is_mode.amplitude must be positive, got {amplitude!r}")
         results = []
         for f_req in np.atleast_1d(freqs):
             if not (0.1 <= f_req <= 10e3):
@@ -535,33 +537,37 @@ class TempArray:
         run_cfg = replace(cfg, c_int=max(cfg.c_int,
                                          1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
 
-        w = m * n_periods
-        dt_conv = cfg.slot_clocks / cfg.f_clk
+        # theta repeats every m conversions and each window spans
+        # n_periods * m of them, so the tables, their projections and the
+        # response are computed on one period.  Noise is still drawn per
+        # sample, one row per period in window order; without it the one
+        # period's counts stand for every period.
+        t_k = np.arange(m) * (cfg.slot_clocks / cfg.f_clk)
+        theta = 2.0 * math.pi * f_act * t_k
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        i_t = cell.sensor.currents_at(t_k)
         sums = []
         mats = []
-        for widx, table_fn in enumerate((np.sin, np.cos)):
-            t_k = (widx * w + np.arange(w)) * dt_conv
-            theta = 2.0 * math.pi * f_act * t_k
-            table = np.round(table_fn(theta) * 128) / 128.0
+        for basis in (sin_t, cos_t):
+            table = np.round(basis * 128) / 128.0
             live = table != 0.0
-            i_t = cell.sensor.currents_at(t_k)
             if noise_rms:
-                i_t = i_t + noise_rms * rng.standard_normal(w)
-            counts = np.zeros(w)
-            scaled = np.abs(table[live]) * cfg.n1_counts
-            n2, _ = discharge_counts(run_cfg, np.round(scaled),
-                                     np.abs(i_t[live]), i_ref,
-                                     channel_noise(run_cfg, rng, scaled.shape))
-            counts[live] = np.sign(table[live]) * np.sign(i_t[live]) * n2
-            sums.append(counts.sum() * i_ref / cfg.n1_counts)
-            mats.append((np.dot(table, np.sin(theta)), np.dot(table, np.cos(theta))))
+                i_w = (i_t + noise_rms * rng.standard_normal((n_periods, m)))[:, live]
+            else:
+                i_w = i_t[None, live]
+            n2, _ = discharge_counts(run_cfg, np.round(np.abs(table[live]) * cfg.n1_counts),
+                                     np.abs(i_w), i_ref,
+                                     channel_noise(run_cfg, rng, (n_periods, i_w.shape[1])))
+            counts = np.sign(table[live]) * np.sign(i_w) * n2
+            # whole counts: the sum over rows, scaled to n_periods, is exact
+            sums.append(counts.sum() * (n_periods // counts.shape[0]) * i_ref / cfg.n1_counts)
+            mats.append((n_periods * np.dot(table, sin_t), n_periods * np.dot(table, cos_t)))
         a = np.array(mats)
         rhs = np.array(sums)
         sol = np.linalg.solve(a, rhs)       # [i_m cos(phi), i_m sin(phi)]
         i_phasor = complex(sol[0], sol[1])
         z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
-        return FraResult(freq=f_act, z_real=z.real, z_imag=z.imag,
-                         n_periods_integrated=n_periods)
+        return FraResult(freq=f_act, z_real=z.real, z_imag=z.imag)
 
 
 def _whole_multiple(total, unit, what, unit_name):

@@ -12,7 +12,7 @@ from .array_sim import ArrayConfig, Mode, TempArray, WaveformSpec
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, gaussian_peak_response)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .madc import MadcConfig, MadcConversion, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
@@ -70,6 +70,12 @@ def build_array(settings, seed=None, conversion_noise=None):
     pw = settings["pwm"]
     ar = settings["array"]
     noise = md["conversion_noise_counts"] if conversion_noise is None else conversion_noise
+    pid = settings["pid"]
+    unset = [f"pid.{k}" for k in ("kp", "ki", "kd") if pid[k] is None]
+    if 0 < len(unset) < 3:
+        raise ConfigurationError(
+            f"{', '.join(unset)} unset: give all three of pid.kp, pid.ki and "
+            "pid.kd, or none for the default tuning")
     cfg = ArrayConfig(
         rows=int(ar["rows"]),
         cols=int(ar["cols"]),
@@ -90,9 +96,7 @@ def build_array(settings, seed=None, conversion_noise=None):
         c_th=th["c_th"], g_amb=th["g_amb"], g_lat=th["g_lat"],
         thermal_dt=th["dt"],
         pid_ts=settings["pid"]["ts"],
-        pid_gains=(None if settings["pid"]["kp"] is None else
-                   (settings["pid"]["kp"], settings["pid"]["ki"] or 0.0,
-                    settings["pid"]["kd"] or 0.0)),
+        pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]),
         sigma_vbe=mm["sigma_vbe"], sigma_r1=mm["sigma_r1"],
         sigma_r2=mm["sigma_r2"], sigma_mirror=mm["sigma_mirror"],
     )
@@ -122,6 +126,10 @@ def _sweep_temperatures(settings):
         raise ConfigurationError(
             f"characterize.t_lo ({ch['t_lo']!r}) must be below "
             f"characterize.t_hi ({ch['t_hi']!r})")
+    for key in ("t_lo", "t_hi"):
+        if not 20.0 <= ch[key] <= 90.0:
+            raise DomainError(
+                f"characterize.{key} {ch[key]!r} outside [20, 90] degC")
     t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
     if t_values.size < 2:
         raise ConfigurationError(
@@ -424,19 +432,31 @@ def _fra_networks():
     ]
 
 
+def _fra_frequencies(settings):
+    """The IS sweep f_lo..f_hi, points_per_decade per decade (log-spaced)."""
+    ism = settings["is_mode"]
+    per_decade = _positive_count(settings, "is_mode.points_per_decade")
+    if not 0.0 < ism["f_lo"] <= ism["f_hi"]:
+        raise ConfigurationError(
+            f"is_mode.f_lo ({ism['f_lo']!r}) must be positive and not above "
+            f"is_mode.f_hi ({ism['f_hi']!r})")
+    n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
+    n_pts = int(round(n_dec * per_decade)) + 1
+    return ism["f_lo"] * 10.0 ** (np.arange(n_pts) / per_decade)
+
+
 def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
     ism = settings["is_mode"]
-    n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
-    n_pts = int(round(n_dec * ism["points_per_decade"])) + 1
-    freqs = ism["f_lo"] * 10.0 ** (np.arange(n_pts) / ism["points_per_decade"])
+    freqs = _fra_frequencies(settings)
+    n_periods = _positive_count(settings, "is_mode.n_periods")
     array = build_array(settings, conversion_noise=0.0)
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
     for name, net in _fra_networks():
         array.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
-        results = array.run_is((0, 0), freqs, n_periods=int(ism["n_periods"]),
+        results = array.run_is((0, 0), freqs, n_periods=n_periods,
                                amplitude=ism["amplitude"])
         for res in results:
             z_ref = net.impedance(res.freq)

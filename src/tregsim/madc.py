@@ -227,9 +227,6 @@ class TemperatureMap:
         """Continuous (pre-quantization) nominal count at t_c (Celsius)."""
         return np.interp(t_c, self._t_grid, self._counts)
 
-    def nominal_count(self, t_c):
-        return int(math.floor(self.counts_cont(t_c) + CROSSING_GUARD))
-
     def read_temperature(self, count):
         """Invert the design map with half-count centering."""
         return np.interp(np.asarray(count, dtype=float) + 0.5, self._c_asc, self._t_asc)

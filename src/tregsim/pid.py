@@ -95,10 +95,6 @@ class PidCoefficients:
         """Coefficient magnitudes handed to the converter, in (0, 1]."""
         return tuple(abs(q) / COEFF_LEVELS for q in self.mantissas)
 
-    @property
-    def quantization_step(self):
-        return 2.0 ** self.exponent / COEFF_LEVELS
-
     def coefficient_errors(self):
         qc = self.quantized
         return tuple(abs(c - q) for c, q in zip((self.c0, self.c1, self.c2), qc))

@@ -10,7 +10,7 @@ from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              ImpedanceSensor, Parallel, PhSensor, Resistor,
                              Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.madc import MadcConfig, discharge_counts
+from tregsim.madc import MadcConfig, channel_noise, discharge_counts
 
 
 def small_array(rows=2, cols=2, seed=1, **kw):
@@ -385,6 +385,72 @@ def test_is_noise_variance_halves_with_periods():
         var[n_per] = np.var(vals)
     ratio = var[2] / var[4]
     assert 1.2 <= ratio <= 3.5
+
+
+def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms):
+    """Reference FRA point: digitizes every sample of both windows."""
+    cfg = arr.cfg.madc
+    f_conv = cfg.conversion_rate
+    if f_req <= f_conv / 8.0:
+        m = int(round(f_conv / f_req))
+        cycles_per_window = 1
+    else:
+        m = 64
+        cycles_per_window = max(1, int(round(f_req * m / f_conv)))
+        while math.gcd(cycles_per_window, m) != 1:
+            cycles_per_window += 1
+    f_act = cycles_per_window * f_conv / m
+    cell.sensor.prepare_sinusoid(f_act, amplitude)
+    i_ref = max(cell.sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+    run_cfg = replace(cfg, c_int=max(cfg.c_int,
+                                     1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
+    w = m * n_periods
+    dt_conv = cfg.slot_clocks / cfg.f_clk
+    sums = []
+    mats = []
+    for widx, table_fn in enumerate((np.sin, np.cos)):
+        t_k = (widx * w + np.arange(w)) * dt_conv
+        theta = 2.0 * math.pi * f_act * t_k
+        table = np.round(table_fn(theta) * 128) / 128.0
+        live = table != 0.0
+        i_t = cell.sensor.currents_at(t_k)
+        if noise_rms:
+            i_t = i_t + noise_rms * rng.standard_normal(w)
+        counts = np.zeros(w)
+        scaled = np.abs(table[live]) * cfg.n1_counts
+        n2, _ = discharge_counts(run_cfg, np.round(scaled), np.abs(i_t[live]), i_ref,
+                                 channel_noise(run_cfg, rng, scaled.shape))
+        counts[live] = np.sign(table[live]) * np.sign(i_t[live]) * n2
+        sums.append(counts.sum() * i_ref / cfg.n1_counts)
+        mats.append((np.dot(table, np.sin(theta)), np.dot(table, np.cos(theta))))
+    sol = np.linalg.solve(np.array(mats), np.array(sums))
+    i_phasor = complex(sol[0], sol[1])
+    return f_act, amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
+
+
+@pytest.mark.parametrize("noise, noise_rms, rel", [
+    (0.0, None, 1e-12),
+    (0.3, 3e-9, 1e-9),
+])
+def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
+    # low frequencies snap to one sine cycle per period, high ones to
+    # several cycles in 64 conversions; both must match the per-sample
+    # computation and consume each stream exactly as it did
+    freqs = [1.59, 50.0, 2000.0, 7000.0]
+    arr = quiet_array(seed=5, noise=noise)
+    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),
+                                                          Capacitor(1e-6)))))
+    cell = arr.cell(0, 0)
+    start = arr._meas_rng[0][0]
+    ref_rng = copy.deepcopy(start)
+    arr._meas_rng[0][0] = copy.deepcopy(start)
+    results = arr.run_is((0, 0), freqs, noise_rms=noise_rms)
+    for f_req, res in zip(freqs, results):
+        f_act, z_ref = per_sample_fra_point(arr, cell, f_req, 4, 0.01, ref_rng,
+                                            noise_rms)
+        assert res.freq == f_act
+        assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
+    assert arr._meas_rng[0][0].standard_normal() == ref_rng.standard_normal()
 
 
 def test_waveform_validation():

@@ -134,6 +134,19 @@ dir = %s
     ("channel_spread", {"array": "cols = 0"}, "array.cols"),
     ("characterize_sensor", {"madc": "conversion_noise_counts = -1"},
      "madc.conversion_noise_counts"),
+    ("fra_sweep", {"is_mode": "f_lo = 100\nf_hi = 10"}, "is_mode.f_lo"),
+    ("fra_sweep", {"is_mode": "f_lo = 0"}, "is_mode.f_lo"),
+    ("fra_sweep", {"is_mode": "amplitude = 0"}, "is_mode.amplitude"),
+    ("fra_sweep", {"is_mode": "amplitude = -0.01"}, "is_mode.amplitude"),
+    ("fra_sweep", {"is_mode": "points_per_decade = 0"},
+     "is_mode.points_per_decade"),
+    ("fra_sweep", {"is_mode": "n_periods = 0"}, "is_mode.n_periods"),
+    ("characterize_sensor", {"characterize": "t_hi = 94.5"},
+     "characterize.t_hi"),
+    ("die_error_sweep", {"characterize": "t_lo = 15"}, "characterize.t_lo"),
+    # a partial PID tuning was silently replaced by the default one
+    ("regulation_steps", {"pid": "ki = 50\nkd = 30"}, "pid.kp"),
+    ("regulation_steps", {"pid": "kp = 20"}, "pid.ki"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tregsim.madc import MadcConversion
+from tregsim.madc import COEFF_LEVELS, MadcConversion
 from tregsim.pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                          quantization_deviation_bound,
                          transfer_function_response, velocity_response)
@@ -60,7 +60,7 @@ def test_coefficient_normalization():
         assert 0.0 <= mag <= 1.0
     qc = coeffs.quantized
     for c, q in zip((coeffs.c0, coeffs.c1, coeffs.c2), qc):
-        assert abs(c - q) <= coeffs.quantization_step / 2 + 1e-12
+        assert abs(c - q) <= 2.0 ** coeffs.exponent / COEFF_LEVELS / 2 + 1e-12
 
 
 class StubChannel:
