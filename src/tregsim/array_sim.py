@@ -16,8 +16,8 @@ from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       ImpedanceSensor, PhSensor, i_ctat, i_ptat,
                       network_transient_currents, sample_cell_mismatch)
 from .errors import ConfigurationError, DomainError
-from .madc import (CROSSING_GUARD, MadcConfig, MadcConversion, TemperatureMap,
-                   channel_noise, convert, convert_signed, discharge_counts)
+from .madc import (MadcConfig, MadcConversion, TemperatureMap, channel_noise,
+                   convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
@@ -62,10 +62,6 @@ class FraResult:
 class CellState:
     index: tuple
     mode: Mode
-    bjt: BjtParams
-    current_source: CurrentSourceParams
-    cal_preload: int
-    cal_ok: bool
     pid_state: PidState
     sensor: object = None
 
@@ -137,12 +133,11 @@ class _Channel:
 
     def error_conversion(self, slot, coeff_mag, target_preload):
         arr = self.array
-        cell = self.cell
-        r, c = cell.index
+        r, c = self.cell.index
         scale = arr.cfg.madc.pid_charge_scale
         # the loaded calibration word scales with the coefficient: the
         # trim is a relative gain correction of the charge phase
-        cal = round(coeff_mag * cell.cal_preload * scale)
+        cal = round(coeff_mag * arr.cal_preload[r, c] * scale)
         conv = MadcConversion(coeff_mag=coeff_mag, coeff_sign=1,
                               cal_preload=cal,
                               target_preload=target_preload,
@@ -165,6 +160,10 @@ class TempArray:
         if cfg.rows < 1 or cfg.cols < 1:
             raise ConfigurationError(
                 f"array.rows and array.cols must be >= 1, got {cfg.rows} x {cfg.cols}")
+        for key in ("sigma_vbe", "sigma_r1", "sigma_r2", "sigma_mirror"):
+            if getattr(cfg, key) < 0:
+                raise ConfigurationError(
+                    f"mismatch.{key} must be >= 0, got {getattr(cfg, key)!r}")
         if cfg.c_th is None or cfg.g_amb is None or cfg.g_lat is None:
             c_th, g_amb, g_lat = thermal.fit_defaults(
                 target_rise=65.0, p_at_target=cfg.heater.p_max, step_time=10.0)
@@ -201,6 +200,11 @@ class TempArray:
             *gains, cfg.pid_ts,
             counts_per_kelvin=self.temp_map.pid_counts_per_kelvin())
 
+        # realized devices and calibration words, one value per cell
+        shape = (cfg.rows, cfg.cols)
+        vbe_offset, r1, r2, mirror_ratio = (np.empty(shape) for _ in range(4))
+        self.cal_preload = np.zeros(shape, dtype=int)
+        self.cal_ok = np.ones(shape, dtype=bool)
         self.cells = []
         for r in range(cfg.rows):
             row = []
@@ -218,20 +222,21 @@ class TempArray:
                     cfg.bjt, cfg.current_source, rng,
                     sigma_vbe=cfg.sigma_vbe, sigma_r1=cfg.sigma_r1,
                     sigma_r2=cfg.sigma_r2, sigma_mirror=cfg.sigma_mirror)
+                vbe_offset[r, c] = bjt_i.vbe_offset
+                r1[r, c], r2[r, c] = cs_i.r1, cs_i.r2
+                mirror_ratio[r, c] = cs_i.mirror_ratio
                 row.append(CellState(index=(r, c), mode=Mode.TEMP_REG,
-                                     bjt=bjt_i, current_source=cs_i,
-                                     cal_preload=0, cal_ok=True,
                                      pid_state=PidState()))
             self.cells.append(row)
+        self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
+        self.current_source = replace(cfg.current_source, r1=r1, r2=r2,
+                                      mirror_ratio=mirror_ratio)
 
-        self.temp = np.full((cfg.rows, cfg.cols), cfg.t_ambient, dtype=float)
-        self._sat_since = np.full((cfg.rows, cfg.cols), np.nan)
+        self.temp = np.full(shape, cfg.t_ambient, dtype=float)
+        self._sat_since = np.full(shape, np.nan)
         self._time = 0.0
 
     # -- helpers ---------------------------------------------------------
-
-    def cell(self, r, c):
-        return self.cells[r][c]
 
     def iter_cells(self):
         for row in self.cells:
@@ -264,27 +269,13 @@ class TempArray:
 
         t_c broadcasts against (rows, cols): a plant field, one
         temperature for all cells, or a sweep shaped (n, 1, 1) that puts
-        every cell at each temperature in turn.  The cells' mismatched
-        device parameters are gathered afresh on each call, so a cell
-        whose devices were replaced reads with its new ones; a cell
-        differs from the configured devices only in the drawn mismatch
+        every cell at each temperature in turn.  self.bjt and
+        self.current_source hold each cell's realized devices as
+        (rows, cols) arrays: the configured ones plus the drawn mismatch
         (vbe offset, r1, r2, mirror ratio).
         """
-        cells = [cell for row in self.cells for cell in row]
-        shape = (self.cfg.rows, self.cfg.cols)
-
-        def gather(values):
-            return np.reshape(values, shape)
-
-        bjt = replace(self.cfg.bjt, vbe_offset=gather(
-            [cell.bjt.vbe_offset for cell in cells]))
-        cs = replace(self.cfg.current_source,
-                     r1=gather([cell.current_source.r1 for cell in cells]),
-                     r2=gather([cell.current_source.r2 for cell in cells]),
-                     mirror_ratio=gather([cell.current_source.mirror_ratio
-                                          for cell in cells]))
         t_k = np.asarray(t_c, dtype=float) + 273.15
-        return i_ctat(cs, bjt, t_k), i_ptat(cs, t_k)
+        return i_ctat(self.current_source, self.bjt, t_k), i_ptat(self.current_source, t_k)
 
     def read_counts(self, currents=None, n_avg=1):
         """Plain-mode temperature conversion of every cell at once.
@@ -298,8 +289,7 @@ class TempArray:
         cfg = self.cfg.madc
         i_in, i_ref = self.front_end_currents(self.temp) if currents is None else currents
         lead = np.shape(i_in)[:-2]
-        n_chg = cfg.n1_counts - np.array(
-            [[cell.cal_preload for cell in row] for row in self.cells])
+        n_chg = cfg.n1_counts - self.cal_preload
         draws = [channel_noise(cfg, rng, lead + (n_avg,))
                  for row in self._reg_rng for rng in row]
         noise = None if draws[0] is None else np.stack(draws, axis=-2).reshape(
@@ -313,32 +303,33 @@ class TempArray:
     def calibrate_one_point(self, t_known=None, n_avg=8):
         """One-point calibration of every cell at a known temperature.
 
-        Sweeps the preload candidates, averages a few noisy conversions
-        per candidate, and stores the preload whose centered count best
-        matches the nominal design-map count at t_known.  Returns the
-        list of cells whose required preload fell outside the range.
+        Converts every preload candidate n_avg times per cell through the
+        shared converter, and stores in self.cal_preload the preload
+        whose mean centered count best matches the nominal design-map
+        count at t_known.  Returns the list of cells whose required
+        preload fell outside the range.
         """
+        cfg = self.cfg.madc
         t_known = self.cfg.cal_temperature if t_known is None else t_known
         target = self.temp_map.counts_cont(t_known)
         lo, hi = self.cfg.cal_range
         cals = np.arange(lo, hi)
+        # candidates as one row: a noiseless call averages that row, not them
+        n_chg = (cfg.n1_counts - cals)[None, :]
         failures = []
         i_in, i_ref = self.front_end_currents(t_known)
-        ratio = i_in / i_ref
-        for cell in self.iter_cells():
-            r, c = cell.index
-            rng = self._reg_rng[r][c]
-            x = (self.cfg.madc.n1_counts - cals) * ratio[r, c]
-            noise = self.cfg.madc.conversion_noise_counts
-            draws = x[None, :] + noise * rng.standard_normal((n_avg, cals.size))
-            mean_counts = np.floor(draws + CROSSING_GUARD).mean(axis=0)
-            best = int(np.argmin(np.abs(mean_counts + 0.5 - target)))
-            cell.cal_preload = int(cals[best])
+        for r, c in np.ndindex(i_in.shape):
+            # one cell at a time keeps the peak memory of a calibration flat
+            n2, _ = discharge_counts(cfg, n_chg, i_in[r, c], i_ref[r, c],
+                                     channel_noise(cfg, self._reg_rng[r][c],
+                                                   (n_avg, cals.size)))
+            best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
+            self.cal_preload[r, c] = cals[best]
             # a best fit at the edge of the range means the true optimum
             # may lie outside: report it
-            cell.cal_ok = 0 < best < cals.size - 1
-            if not cell.cal_ok:
-                failures.append(cell.index)
+            self.cal_ok[r, c] = 0 < best < cals.size - 1
+            if not self.cal_ok[r, c]:
+                failures.append((r, c))
         return failures
 
     # -- temperature regulation ------------------------------------------
@@ -361,8 +352,8 @@ class TempArray:
         n_cycles = _whole_multiple(duration, cfg.pid_ts, "duration", "PID period")
 
         for cell in self.iter_cells():
-            cell.pid_state.load_setpoint(sp[cell.index], self.pid_coeffs,
-                                         self.temp_map, cell.cal_preload,
+            cell.pid_state.load_setpoint(sp[cell.index], self.pid_coeffs, self.temp_map,
+                                         int(self.cal_preload[cell.index]),
                                          cfg.madc.pid_charge_scale)
 
         shape = (n_cycles, cfg.rows, cfg.cols)
@@ -465,7 +456,7 @@ class TempArray:
         temp_c = self.temp[r, c]
         times = np.arange(int(duration / sample_period)) * sample_period
         currents = np.array([cell.sensor.current(wave.v_low, t, temp_c) for t in times])
-        counts = _digitize_bipolar(self.cfg.madc, currents, i_ref, rng)
+        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref, rng=rng)
         return times, counts, counts * (i_ref / self.cfg.madc.n1_counts)
 
     def run_cv(self, index, wave, sample_period=0.01, i_ref=None):
@@ -489,7 +480,7 @@ class TempArray:
                                  for vk, t in zip(v, times)])
         if i_ref is None:
             i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
-        counts = _digitize_bipolar(self.cfg.madc, currents, i_ref, rng)
+        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref, rng=rng)
         return v, counts * (i_ref / self.cfg.madc.n1_counts)
 
     def run_is(self, index, freqs, n_periods=4, amplitude=0.01, noise_rms=None):
@@ -534,8 +525,7 @@ class TempArray:
         # range the reference so peak counts sit well inside the counter
         i_peak = cell.sensor._i_mag
         i_ref = max(i_peak, 1e-15) * cfg.n1_counts / 380.0
-        run_cfg = replace(cfg, c_int=max(cfg.c_int,
-                                         1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
+        run_cfg = _ranged(cfg, i_ref)
 
         # theta repeats every m conversions and each window spans
         # n_periods * m of them, so the tables, their projections and the
@@ -581,8 +571,7 @@ def _whole_multiple(total, unit, what, unit_name):
     return n
 
 
-def _digitize_bipolar(cfg, currents, i_ref, rng):
-    # integration-cap range setting so full-scale inputs do not clip
-    run_cfg = replace(cfg, c_int=max(cfg.c_int,
-                                     1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
-    return convert_signed(run_cfg, currents, i_ref, rng=rng)
+def _ranged(cfg, i_ref):
+    """cfg with the integration cap ranged so full-scale inputs do not clip."""
+    return replace(cfg, c_int=max(cfg.c_int,
+                                  1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))

@@ -28,15 +28,13 @@ class BjtParams:
     vg0 is the bandgap voltage extrapolated to 0 K, n_proc the process
     curvature constant, and vbe_at_tref anchors the curve at t_ref.
     vbe_offset is the realized per-instance offset (drawn once per cell,
-    or an array holding one per cell); mismatch_sigma_vbe is the 1-sigma
-    used when drawing it.
+    or an array holding one per cell).
     """
 
     vg0: float = 1.156
     n_proc: float = 4.0
     t_ref: float = 300.0
     vbe_at_tref: float = 0.7
-    mismatch_sigma_vbe: float = 1e-3
     vbe_offset: float = 0.0
 
     def __post_init__(self):
@@ -69,9 +67,9 @@ class CurrentSourceParams:
     trim_bias: float = 1e-6    # A through the trim resistor
 
     def __post_init__(self):
-        if np.any(self.r1 <= 0) or np.any(self.r2 <= 0):
+        if np.asarray(self.r1).min() <= 0 or np.asarray(self.r2).min() <= 0:
             raise ConfigurationError("r1 and r2 must be positive")
-        if np.any(self.mirror_ratio < 1.0):
+        if np.asarray(self.mirror_ratio).min() < 1.0:
             raise ConfigurationError("mirror_ratio must be >= 1")
         if self.bias_current_ratio <= 1.0:
             raise ConfigurationError("bias_current_ratio must be > 1")
@@ -145,8 +143,7 @@ def sample_cell_mismatch(bjt, cs, rng, sigma_vbe=1e-3, sigma_r1=0.01,
     The draw order is fixed so a cell's parameters depend only on its
     own stream position.
     """
-    bjt_i = replace(bjt, vbe_offset=rng.normal(0.0, sigma_vbe),
-                    mismatch_sigma_vbe=sigma_vbe)
+    bjt_i = replace(bjt, vbe_offset=rng.normal(0.0, sigma_vbe))
     cs_i = replace(cs,
                    r1=cs.r1 * (1.0 + rng.normal(0.0, sigma_r1)),
                    r2=cs.r2 * (1.0 + rng.normal(0.0, sigma_r2)),

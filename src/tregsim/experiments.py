@@ -81,8 +81,7 @@ def build_array(settings, seed=None, conversion_noise=None):
         cols=int(ar["cols"]),
         t_ambient=ar["t_ambient"],
         bjt=BjtParams(vg0=dev["vg0"], n_proc=dev["n_proc"], t_ref=dev["t_ref"],
-                      vbe_at_tref=dev["vbe_at_tref"],
-                      mismatch_sigma_vbe=mm["sigma_vbe"]),
+                      vbe_at_tref=dev["vbe_at_tref"]),
         current_source=CurrentSourceParams(
             r1=dev["r1"], r2=dev["r2"], mirror_ratio=dev["mirror_ratio"],
             bias_current_ratio=dev["bias_current_ratio"], alpha=dev["alpha"]),
@@ -104,13 +103,22 @@ def build_array(settings, seed=None, conversion_noise=None):
     return TempArray(cfg, seed=seed)
 
 
-def _positive_count(settings, key):
-    """The integer setting section.key, rejected unless it is at least 1."""
+def _count(settings, key, least=1):
+    """The integer setting section.key, rejected below least."""
     section, name = key.split(".")
     n = int(settings[section][name])
-    if n < 1:
-        raise ConfigurationError(f"{key} must be >= 1, got {n}")
+    if n < least:
+        raise ConfigurationError(f"{key} must be >= {least}, got {n}")
     return n
+
+
+def _temperature(settings, key):
+    """The setting section.key, rejected outside the setpoint domain [20, 90] degC."""
+    section, name = key.split(".")
+    t_c = settings[section][name]
+    if not 20.0 <= t_c <= 90.0:
+        raise DomainError(f"{key} {t_c!r} outside [20, 90] degC")
+    return t_c
 
 
 # --------------------------------------------------------------------------
@@ -126,10 +134,8 @@ def _sweep_temperatures(settings):
         raise ConfigurationError(
             f"characterize.t_lo ({ch['t_lo']!r}) must be below "
             f"characterize.t_hi ({ch['t_hi']!r})")
-    for key in ("t_lo", "t_hi"):
-        if not 20.0 <= ch[key] <= 90.0:
-            raise DomainError(
-                f"characterize.{key} {ch[key]!r} outside [20, 90] degC")
+    for key in ("characterize.t_lo", "characterize.t_hi"):
+        _temperature(settings, key)
     t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
     if t_values.size < 2:
         raise ConfigurationError(
@@ -169,7 +175,7 @@ def exp_characterize_sensor(settings, outdir):
 def exp_die_error_sweep(settings, outdir):
     """Seven fresh-mismatch dies, one-point calibrated, swept 20-90 degC."""
     t_values = _sweep_temperatures(settings)
-    n_dies = _positive_count(settings, "characterize.n_dies")
+    n_dies = _count(settings, "characterize.n_dies")
     seed = settings["experiment"]["seed"]
     die_seeds = np.random.SeedSequence(seed).spawn(n_dies)
     rows = []
@@ -190,9 +196,8 @@ def exp_die_error_sweep(settings, outdir):
 
 def exp_channel_spread(settings, outdir):
     """54 calibrated channels forced to one temperature, over several seeds."""
-    sp = settings["spread"]
-    t_force = sp["t_force"]
-    n_seeds = _positive_count(settings, "spread.n_seeds")
+    t_force = _temperature(settings, "spread.t_force")
+    n_seeds = _count(settings, "spread.n_seeds")
     seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_seeds)
     rows = []
     checks = []
@@ -284,6 +289,8 @@ def exp_regulation_steps(settings, outdir):
     """Closed-loop setpoint schedule on the fitted plant."""
     reg = settings["regulation"]
     trace_on = bool(reg["trace_conversions"])
+    if not reg["setpoints"]:
+        raise ConfigurationError("regulation.setpoints must list at least one setpoint")
     array = build_array(settings)
     array.calibrate_one_point()
     results = []
@@ -348,7 +355,7 @@ def madc_oracle_slow(n_charge, p_in, p_ref):
 
 def exp_madc_oracle(settings, outdir):
     """Randomized equivalence of convert() against the integer oracle."""
-    n_draws = int(settings["oracle"]["n_draws"])
+    n_draws = _count(settings, "oracle.n_draws")
     rng = np.random.default_rng(settings["experiment"]["seed"])
     cfg = MadcConfig(c_int=1e-6, conversion_noise_counts=0.0)
     scale = 2.0 ** -40
@@ -392,8 +399,8 @@ def exp_madc_oracle(settings, outdir):
 
 def exp_pid_oracle(settings, outdir):
     """Velocity recurrence vs direct transfer-function simulation."""
-    n_tuples = int(settings["oracle"]["n_tuples"])
-    n_steps = int(settings["oracle"]["n_steps"])
+    n_tuples = _count(settings, "oracle.n_tuples")
+    n_steps = _count(settings, "oracle.n_steps")
     rng = np.random.default_rng(settings["experiment"]["seed"])
     rows = []
     checks = []
@@ -435,7 +442,7 @@ def _fra_networks():
 def _fra_frequencies(settings):
     """The IS sweep f_lo..f_hi, points_per_decade per decade (log-spaced)."""
     ism = settings["is_mode"]
-    per_decade = _positive_count(settings, "is_mode.points_per_decade")
+    per_decade = _count(settings, "is_mode.points_per_decade")
     if not 0.0 < ism["f_lo"] <= ism["f_hi"]:
         raise ConfigurationError(
             f"is_mode.f_lo ({ism['f_lo']!r}) must be positive and not above "
@@ -449,7 +456,7 @@ def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
     ism = settings["is_mode"]
     freqs = _fra_frequencies(settings)
-    n_periods = _positive_count(settings, "is_mode.n_periods")
+    n_periods = _count(settings, "is_mode.n_periods")
     array = build_array(settings, conversion_noise=0.0)
     rows = []
     worst_mag = 0.0
@@ -485,7 +492,8 @@ def exp_cpa_ph(settings, outdir):
     array.set_mode((0, 0), Mode.CPA, sensor)
     array.force_temperature(25.0)
     wave = WaveformSpec(kind="constant", v_low=0.3)
-    phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], int(cpa["ph_steps"]))
+    # the slope is a straight-line fit: it needs two points
+    phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
@@ -551,9 +559,11 @@ def exp_cv_scan(settings, outdir):
 def exp_snr_test(settings, outdir):
     """Quantization-limited SNR of a full-scale digitized sine."""
     sn = settings["snr"]
+    if not sn["freq"] > 0:
+        raise ConfigurationError(f"snr.freq must be positive, got {sn['freq']!r}")
     cfg = MadcConfig(c_int=3e-9, conversion_noise_counts=0.0)
     snr = snr_test(cfg, freq=sn["freq"], amplitude=sn["amplitude"],
-                   i_ref=sn["amplitude"], n_samples=int(sn["n_samples"]))
+                   i_ref=sn["amplitude"], n_samples=_count(settings, "snr.n_samples", 2))
     write_csv(os.path.join(outdir, "snr.csv"),
               ["freq_hz", "amplitude_a", "snr_db"],
               [(sn["freq"], sn["amplitude"], snr)])

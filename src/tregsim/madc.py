@@ -122,17 +122,17 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     the integrator full scale.  noise (counts, see channel_noise) is added
     to the held charge before the floor.  Accepts scalars or arrays.
     """
-    x = np.asarray(n_charge, dtype=float) * (np.asarray(i_in, dtype=float)
-                                             / np.asarray(i_ref, dtype=float))
+    n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
+    x = n_charge * (i_in / i_ref)
     if cfg.hd2_fraction:
         # single-ended integrator curvature: fractional second-order term
         # referred to the full-scale count
         x = x * (1.0 + cfg.hd2_fraction * x / cfg.n1_counts)
     # integrator clip: the held charge cannot exceed c_int*v_full
     q_max = cfg.c_int * cfg.v_full
-    q_in = np.asarray(n_charge, dtype=float) * np.asarray(i_in, dtype=float) / cfg.f_clk
-    clipped = q_in > q_max
-    x = np.where(clipped, q_max * cfg.f_clk / np.asarray(i_ref, dtype=float), x)
+    clipped = n_charge * i_in / cfg.f_clk > q_max
+    if clipped.any():
+        x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
     if noise is not None:
         x = x + noise
     n2 = np.floor(x + CROSSING_GUARD).astype(int)

@@ -27,6 +27,9 @@ class PwmConfig:
             raise ConfigurationError("counter laps x ring taps must equal 2**n_bits")
         if not (0.0 <= self.duty_min < self.duty_max <= 1.0):
             raise ConfigurationError("require 0 <= duty_min < duty_max <= 1")
+        if self.tap_mismatch_sigma < 0:
+            raise ConfigurationError(
+                f"pwm.tap_mismatch_sigma must be >= 0, got {self.tap_mismatch_sigma!r}")
 
     @property
     def codes(self):

@@ -31,7 +31,7 @@ def quiet_array(rows=1, cols=1, seed=1, noise=0.0, **kw):
 def test_nominal_cell_calibrates_to_zero():
     arr = quiet_array()
     arr.calibrate_one_point()
-    assert arr.cell(0, 0).cal_preload == 0
+    assert arr.cal_preload[0, 0] == 0
 
 
 def test_r1_mismatch_restores_nominal_count():
@@ -39,11 +39,9 @@ def test_r1_mismatch_restores_nominal_count():
     # extended: the stored preload is negative, and the calibrated count
     # returns to the nominal one within 1 LSB
     arr = quiet_array()
-    cell = arr.cell(0, 0)
-    cell.current_source = replace(cell.current_source,
-                                  r1=cell.current_source.r1 * 1.01)
+    arr.current_source.r1[0, 0] *= 1.01
     arr.calibrate_one_point(t_known=50.0)
-    assert cell.cal_preload < 0
+    assert arr.cal_preload[0, 0] < 0
     arr.force_temperature(50.0)
     count = arr.read_counts()[0, 0]
     assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 1.0
@@ -51,12 +49,24 @@ def test_r1_mismatch_restores_nominal_count():
 
 def test_calibration_failure_reported_when_out_of_range():
     arr = quiet_array()
-    cell = arr.cell(0, 0)
-    cell.current_source = replace(cell.current_source,
-                                  r1=cell.current_source.r1 * 1.5)
+    arr.current_source.r1[0, 0] *= 1.5
     failures = arr.calibrate_one_point()
     assert (0, 0) in failures
-    assert not cell.cal_ok
+    assert not arr.cal_ok[0, 0]
+
+
+@pytest.mark.parametrize("hd2", [0.01, 0.02])
+def test_calibration_matches_converter_under_integrator_curvature(hd2):
+    # calibration converts through the same converter as the readout, so
+    # the integrator's second-order term is trimmed out with the gain
+    cfg = ArrayConfig(rows=1, cols=1,
+                      madc=MadcConfig(conversion_noise_counts=0.0, hd2_fraction=hd2),
+                      sigma_vbe=0.0, sigma_r1=0.0, sigma_r2=0.0, sigma_mirror=0.0)
+    arr = TempArray(cfg, seed=1)
+    arr.calibrate_one_point(t_known=50.0)
+    arr.force_temperature(50.0)
+    count = arr.read_counts()[0, 0]
+    assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 0.5
 
 
 def test_channel_spread_after_calibration():
@@ -97,25 +107,29 @@ def test_characterize_matches_per_cell_scalar_readout():
     expect = np.empty((6, t_values.size))
     for i, cell in enumerate(arr.iter_cells()):
         rng = rngs[cell.index]
+        # this cell's realized devices as scalar parameter sets
+        bjt = replace(arr.bjt, vbe_offset=arr.bjt.vbe_offset[cell.index])
+        cs = replace(arr.current_source, r1=arr.current_source.r1[cell.index],
+                     r2=arr.current_source.r2[cell.index],
+                     mirror_ratio=arr.current_source.mirror_ratio[cell.index])
         for j, t_c in enumerate(t_values):
             t_k = t_c + 273.15
             noise = rng.normal(0.0, cfg.conversion_noise_counts, size=n_avg)
-            n2, _ = discharge_counts(cfg, np.full(n_avg, cfg.n1_counts - cell.cal_preload),
-                                     i_ctat(cell.current_source, cell.bjt, t_k),
-                                     i_ptat(cell.current_source, t_k), noise)
+            n2, _ = discharge_counts(cfg, np.full(n_avg, cfg.n1_counts
+                                                  - arr.cal_preload[cell.index]),
+                                     i_ctat(cs, bjt, t_k), i_ptat(cs, t_k), noise)
             expect[i, j] = min(int(round(n2.mean())), cfg.counter_max)
     assert np.array_equal(res.counts, expect)
     assert np.all(arr.temp == t_values[-1])
 
 
 def test_replaced_current_source_changes_readout():
-    # device parameters are gathered at each readout, not cached at build
+    # the readout uses the array-held devices as they are at the call:
+    # changing one cell's r1 moves that cell's count and no other
     arr = quiet_array(rows=2, cols=1)
     arr.force_temperature(50.0)
     before = arr.read_counts()
-    cell = arr.cell(0, 0)
-    cell.current_source = replace(cell.current_source,
-                                  r1=cell.current_source.r1 * 1.05)
+    arr.current_source.r1[0, 0] *= 1.05
     after = arr.read_counts()
     assert after[0, 0] < before[0, 0]
     assert after[1, 0] == before[1, 0]
@@ -275,11 +289,11 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr = quiet_array(seed=4, noise=0.3)
     arr.calibrate_one_point()
     arr.run_regulation(40.0, 20.0)
-    cell = arr.cell(0, 0)
-    cal, u, bank = cell.cal_preload, cell.pid_state.u_prev, [list(b) for b in cell.pid_state.bank]
+    cell = arr.cells[0][0]
+    cal, u, bank = arr.cal_preload[0, 0], cell.pid_state.u_prev, [list(b) for b in cell.pid_state.bank]
     arr.set_mode((0, 0), Mode.CPA, PhSensor())
     arr.set_mode((0, 0), Mode.TEMP_REG)
-    assert cell.cal_preload == cal
+    assert arr.cal_preload[0, 0] == cal
     assert cell.pid_state.u_prev == u
     assert [list(b) for b in cell.pid_state.bank] == bank
 
@@ -440,7 +454,7 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
     arr = quiet_array(seed=5, noise=noise)
     arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),
                                                           Capacitor(1e-6)))))
-    cell = arr.cell(0, 0)
+    cell = arr.cells[0][0]
     start = arr._meas_rng[0][0]
     ref_rng = copy.deepcopy(start)
     arr._meas_rng[0][0] = copy.deepcopy(start)

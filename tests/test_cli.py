@@ -147,6 +147,17 @@ dir = %s
     # a partial PID tuning was silently replaced by the default one
     ("regulation_steps", {"pid": "ki = 50\nkd = 30"}, "pid.kp"),
     ("regulation_steps", {"pid": "kp = 20"}, "pid.ki"),
+    # a straight-line fit needs two pH points
+    ("cpa_ph", {"cpa": "ph_steps = 1"}, "cpa.ph_steps"),
+    ("snr_test", {"snr": "n_samples = 1"}, "snr.n_samples"),
+    ("snr_test", {"snr": "freq = -15"}, "snr.freq"),
+    ("madc_oracle", {"oracle": "n_draws = 0"}, "oracle.n_draws"),
+    ("pid_oracle", {"oracle": "n_tuples = 0"}, "oracle.n_tuples"),
+    ("pid_oracle", {"oracle": "n_steps = 0"}, "oracle.n_steps"),
+    ("regulation_steps", {"regulation": "setpoints ="}, "regulation.setpoints"),
+    ("pwm_sweep", {"pwm": "tap_mismatch_sigma = -1"}, "pwm.tap_mismatch_sigma"),
+    ("channel_spread", {"spread": "t_force = 95"}, "spread.t_force"),
+    ("die_error_sweep", {"mismatch": "sigma_r1 = -0.01"}, "mismatch.sigma_r1"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import BjtParams, CurrentSourceParams
@@ -70,6 +72,30 @@ def test_oracle_equivalence_random_draws():
         expect = madc_oracle_reference(4 * k - cal, p_in, p_ref, sign, preload,
                                        cfg.counter_max)
         assert conv.out_count == expect
+
+
+@st.composite
+def rational_conversions(draw):
+    """One oracle draw: integer currents (scaled by SCALE), coefficient,
+    calibration and target preloads, and the coefficient sign."""
+    p_ref = draw(st.integers(1, 999_999))
+    p_in = draw(st.integers(1, min(2 * p_ref, 1_000_000)))
+    k = draw(st.integers(1, 128))
+    cal = draw(st.integers(-64, 4 * k - 1))
+    preload = draw(st.integers(0, 600))
+    sign = draw(st.sampled_from((1, -1)))
+    return p_in, p_ref, k, cal, preload, sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_conversions())
+def test_convert_equals_oracle_on_any_rational_currents(draw):
+    p_in, p_ref, k, cal, preload, sign = draw
+    cfg = MadcConfig(c_int=1e-6, conversion_noise_counts=0.0)
+    conv = run(p_in * SCALE, p_ref * SCALE, coeff=k / 128.0, cal=cal,
+               preload=preload, sign=sign, subtract=True, cfg=cfg)
+    assert conv.out_count == madc_oracle_reference(4 * k - cal, p_in, p_ref, sign,
+                                                   preload, cfg.counter_max)
 
 
 def test_slow_oracle_agrees_with_reference():

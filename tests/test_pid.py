@@ -153,3 +153,57 @@ def test_default_tuning_properties():
     assert all(q != 0 for q in coeffs.mantissas)
     # rail guard: scaled coefficient keeps products linear past 11 degC
     assert coeffs.magnitudes[0] * 19.2 <= 11.5
+
+
+@pytest.mark.parametrize("exponent, mantissas", [
+    (2, (90, -60, 5)),
+    (0, (127, -127, 0)),       # a zero tap is skipped: no conversion, no product
+    (-1, (0, 100, -20)),
+    (-3, (40, -35, 3)),
+])
+def test_pid_cycle_matches_integer_model(exponent, mantissas):
+    # random measured counts through the integer bank, sigma-delta and
+    # clamp path, against
+    #   u(k) = clamp(u(k-1) + 2**e * (s0 p0(k) + s1 p1(k-1) + s2 p2(k-2)))
+    # with the floor taken for e < 0 and each product clamped to +-127
+    rng = np.random.default_rng(31 + exponent)
+    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, exponent, *mantissas)
+    signs = [1 if q >= 0 else -1 for q in mantissas]
+    active = [n for n in range(3) if mantissas[n] != 0]
+    measured = {}
+
+    def n2_of(slot, mag, preload):
+        assert mag == abs(mantissas[slot]) / COEFF_LEVELS
+        n2 = preload + int(rng.integers(-160, 161))
+        measured[slot] = (preload, n2)
+        return n2
+
+    chan = StubChannel(n2_of)
+    st = PidState(u_prev=2000)
+    st.target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
+    target_x = list(st.target_x)
+    n_cycles = 400
+    u = 2000
+    p1 = p2 = [0, 0, 0]                 # products of cycles k-1 and k-2
+    preloads = {n: [] for n in active}
+    saturated = 0
+    for _ in range(n_cycles):
+        measured.clear()
+        got = pid_cycle(st, coeffs, chan)
+        assert sorted(measured) == active
+        p = [0, 0, 0]
+        for n, (preload, n2) in measured.items():
+            preloads[n].append(preload)
+            p[n] = max(-127, min(127, n2 - preload))
+        inc = signs[0] * p[0] + signs[1] * p1[1] + signs[2] * p2[2]
+        inc = inc * 2 ** exponent if exponent >= 0 else inc // 2 ** -exponent
+        raw = u + inc
+        u = max(0, min(4095, raw))
+        assert got == u
+        assert st.saturated == (u != raw or any(abs(x) == 127 for x in p))
+        saturated += st.saturated
+        p1, p2 = p, p1
+    assert 0 < saturated < n_cycles
+    # the dithered preloads average to each tap's target
+    for n in active:
+        assert abs(np.mean(preloads[n]) - target_x[n]) < 1.0 / n_cycles
