@@ -14,8 +14,8 @@ from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, delta_vbe, i_ctat, i_ptat, vbe)
 from .errors import ConfigurationError, DomainError, FitError
-from .madc import (MadcConfig, MadcConversion, TemperatureMap, convert,
-                   convert_signed, quantize_coeff, snr_test)
+from .madc import (MadcConfig, TemperatureMap, convert, convert_signed,
+                   snr_test)
 from .pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                   transfer_function_response, velocity_response)
 from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays

@@ -14,10 +14,10 @@ import numpy as np
 from . import thermal
 from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       ImpedanceSensor, PhSensor, i_ctat, i_ptat,
-                      network_transient_currents, sample_cell_mismatch)
+                      network_transient_currents)
 from .errors import ConfigurationError, DomainError
-from .madc import (MadcConfig, MadcConversion, TemperatureMap, channel_noise,
-                   convert, convert_signed, discharge_counts)
+from .madc import (MadcConfig, TemperatureMap, channel_noise, convert,
+                   convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
@@ -31,24 +31,20 @@ class Mode(Enum):
 
 @dataclass
 class WaveformSpec:
-    """Interrogation waveform: constant level, cyclic ramp, or sinusoid."""
+    """Interrogation waveform: constant level or cyclic ramp."""
 
     kind: str = "constant"
     v_low: float = 0.0
     v_high: float = 0.0
     scan_rate: float = 0.1
-    freq: float = 15.0
-    amplitude: float = 0.01
     cycles: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp_cyclic", "sinusoid"):
+        if self.kind not in ("constant", "ramp_cyclic"):
             raise ConfigurationError(f"unknown waveform kind {self.kind!r}")
         if self.kind == "ramp_cyclic":
             if not (self.v_low < self.v_high) or self.scan_rate <= 0:
                 raise ConfigurationError("ramp needs v_low < v_high and scan_rate > 0")
-        if self.kind == "sinusoid" and not (0.1 <= self.freq <= 10e3):
-            raise ConfigurationError("sinusoid frequency outside [0.1 Hz, 10 kHz]")
 
 
 @dataclass(frozen=True)
@@ -115,42 +111,6 @@ class CharacterizeResult:
     fit_resid_celsius: np.ndarray
 
 
-class _Channel:
-    """Converter view of one cell handed to the PID cycle.
-
-    i_in and i_ref hold every cell's front-end currents for the current
-    cycle (see TempArray.front_end_currents); cell selects the one whose
-    slots are converted.
-    """
-
-    def __init__(self, array, trace):
-        self.array = array
-        self.trace = trace
-        self.cycle = None
-        self.i_in = None
-        self.i_ref = None
-        self.cell = None
-
-    def error_conversion(self, slot, coeff_mag, target_preload):
-        arr = self.array
-        r, c = self.cell.index
-        scale = arr.cfg.madc.pid_charge_scale
-        # the loaded calibration word scales with the coefficient: the
-        # trim is a relative gain correction of the charge phase
-        cal = round(coeff_mag * arr.cal_preload[r, c] * scale)
-        conv = MadcConversion(coeff_mag=coeff_mag, coeff_sign=1,
-                              cal_preload=cal,
-                              target_preload=target_preload,
-                              subtract_from_target=True)
-        convert(arr.cfg.madc, conv, self.i_in[r, c], self.i_ref[r, c],
-                rng=arr._reg_rng[r][c],
-                n1_counts=arr.cfg.madc.pid_n1_counts)
-        if self.trace is not None:
-            self.trace.append((self.cycle, r, c, slot, coeff_mag, target_preload,
-                               conv.n_charge, conv.n_discharge, -conv.out_count))
-        return conv
-
-
 class TempArray:
     """A rows x cols array of regulated cells on a shared thermal grid."""
 
@@ -171,6 +131,13 @@ class TempArray:
             cfg.g_amb = g_amb if cfg.g_amb is None else cfg.g_amb
             cfg.g_lat = g_lat if cfg.g_lat is None else cfg.g_lat
         thermal.check_plant(cfg.c_th, cfg.g_amb, cfg.g_lat, cfg.thermal_dt)
+        # the calibration word is a counter preload: a full scale at or
+        # below the largest one leaves calibration no charge phase
+        if cfg.madc.counter_max <= cfg.cal_range[1] - 1:
+            raise ConfigurationError(
+                f"madc.n_bits {cfg.madc.n_bits} gives a full scale of "
+                f"{cfg.madc.counter_max} counts, not above the largest "
+                f"calibration preload {cfg.cal_range[1] - 1}")
         self._substeps = _whole_multiple(cfg.pid_ts, cfg.thermal_dt,
                                          "PID period", "thermal step")
         # per-cycle plant map, built on the first regulation run: most
@@ -202,6 +169,7 @@ class TempArray:
 
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
+        cs = cfg.current_source
         vbe_offset, r1, r2, mirror_ratio = (np.empty(shape) for _ in range(4))
         self.cal_preload = np.zeros(shape, dtype=int)
         self.cal_ok = np.ones(shape, dtype=bool)
@@ -218,19 +186,19 @@ class TempArray:
                 rng = np.random.default_rng(reg_ss)
                 self._reg_rng[r][c] = rng
                 self._meas_rng[r][c] = np.random.default_rng(meas_ss)
-                bjt_i, cs_i = sample_cell_mismatch(
-                    cfg.bjt, cfg.current_source, rng,
-                    sigma_vbe=cfg.sigma_vbe, sigma_r1=cfg.sigma_r1,
-                    sigma_r2=cfg.sigma_r2, sigma_mirror=cfg.sigma_mirror)
-                vbe_offset[r, c] = bjt_i.vbe_offset
-                r1[r, c], r2[r, c] = cs_i.r1, cs_i.r2
-                mirror_ratio[r, c] = cs_i.mirror_ratio
+                # Gaussian mismatch in a fixed draw order: absolute on
+                # vbe, relative on r1, r2 and the mirror ratio
+                vbe_offset[r, c] = rng.normal(0.0, cfg.sigma_vbe)
+                r1[r, c] = cs.r1 * (1.0 + rng.normal(0.0, cfg.sigma_r1))
+                r2[r, c] = cs.r2 * (1.0 + rng.normal(0.0, cfg.sigma_r2))
+                mirror_ratio[r, c] = cs.mirror_ratio * (
+                    1.0 + rng.normal(0.0, cfg.sigma_mirror))
                 row.append(CellState(index=(r, c), mode=Mode.TEMP_REG,
                                      pid_state=PidState()))
             self.cells.append(row)
         self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
-        self.current_source = replace(cfg.current_source, r1=r1, r2=r2,
-                                      mirror_ratio=mirror_ratio)
+        # rejects a draw with r1 or r2 <= 0 or a mirror ratio below 1
+        self.current_source = replace(cs, r1=r1, r2=r2, mirror_ratio=mirror_ratio)
 
         self.temp = np.full(shape, cfg.t_ambient, dtype=float)
         self._sat_since = np.full(shape, np.nan)
@@ -367,37 +335,51 @@ class TempArray:
                 self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
                 cfg.thermal_dt, self._substeps)
         a, b = self._cycle_map
-        powers = np.zeros((cfg.rows, cfg.cols))
-        duties = np.zeros((cfg.rows, cfg.cols))
+        madc = cfg.madc
+        scale = madc.pid_charge_scale
 
-        chan = _Channel(self, trace)
+        def measure(slot, coeff_mag, target_preload):
+            # one error conversion of the loop's current cell (r, c) in
+            # cycle k, on the cycle's front-end currents.  The loaded
+            # calibration word scales with the coefficient: the trim is a
+            # relative gain correction of the charge phase
+            conv = convert(madc, i_in[r, c], i_ref[r, c], coeff_mag,
+                           round(coeff_mag * self.cal_preload[r, c] * scale),
+                           target_preload, rng=self._reg_rng[r][c],
+                           n1_counts=madc.pid_n1_counts)
+            if trace is not None:
+                trace.append((k, r, c, slot, coeff_mag, target_preload,
+                              conv.n_charge, conv.n_discharge, -conv.out_count))
+            return conv.out_count
+
+        grid = (cfg.rows, cfg.cols)
+        saturated = np.empty(grid, dtype=bool)
         for k in range(n_cycles):
             # the field is constant within a cycle: one front-end
             # evaluation serves the three error slots and the measurement
-            chan.cycle = k
-            chan.i_in, chan.i_ref = self.front_end_currents(self.temp)
+            i_in, i_ref = self.front_end_currents(self.temp)
+            u = out.u[k]
             for cell in self.iter_cells():
                 r, c = cell.index
-                chan.cell = cell
-                u = pid_cycle(cell.pid_state, self.pid_coeffs, chan)
-                duty = 0.0 if u == 0 else duty_of_code(cfg.pwm, u)
-                duties[r, c] = duty
-                powers[r, c] = duty * cfg.heater.p_max
-                out.u[k, r, c] = u
-                # persistent-saturation warning
-                if cell.pid_state.saturated:
-                    if math.isnan(self._sat_since[r, c]):
-                        self._sat_since[r, c] = self._time
-                    elif self._time - self._sat_since[r, c] > 10.0:
-                        out.warnings.append((cell.index, self._sat_since[r, c],
-                                             self._time))
-                        self._sat_since[r, c] = self._time
-                else:
-                    self._sat_since[r, c] = np.nan
+                u[r, c] = pid_cycle(cell.pid_state, self.pid_coeffs, measure)
+                saturated[r, c] = cell.pid_state.saturated
+            # code 0 is the heater off, not the PWM's minimum duty
+            on = u > 0
+            duties = np.zeros(grid)
+            duties[on] = duty_of_code(cfg.pwm, u[on])
+            powers = duties * cfg.heater.p_max
+            # persistent-saturation warning: a cell saturated for more
+            # than 10 s warns, and its saturated run restarts
+            since = self._sat_since
+            due = saturated & (self._time - since > 10.0)
+            for index in zip(*(ix.tolist() for ix in np.nonzero(due))):
+                out.warnings.append((index, since[index], self._time))
+            since[due | (saturated & np.isnan(since))] = self._time
+            since[~saturated] = np.nan
             # measurement conversion in the cycle's idle slack, after each
             # cell's error slots on its stream
             out.t_meas[k] = self.temp_map.read_temperature(
-                self.read_counts((chan.i_in, chan.i_ref)))
+                self.read_counts((i_in, i_ref)))
 
             # the duty is held over the cycle, so its thermal.dt substeps
             # compose exactly into one affine map

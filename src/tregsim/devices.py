@@ -1,12 +1,13 @@
 """Temperature-dependent device models.
 
 Covers the bipolar junctions used for sensing, the CTAT/PTAT current
-sources (with trim and per-instance mismatch), the in-cell heater, and the
-pluggable sensor front-end models used by the measurement modes.
+sources (with trim; per-instance parameters may be arrays), the in-cell
+heater, and the pluggable sensor front-end models used by the measurement
+modes.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,22 +134,6 @@ def i_ctat(params, bjt, t):
 def i_ptat(params, t):
     """PTAT output current alpha*delta_vbe/r2; linear through the origin in t."""
     return params.alpha * delta_vbe(params, t) / params.r2
-
-
-def sample_cell_mismatch(bjt, cs, rng, sigma_vbe=1e-3, sigma_r1=0.01,
-                         sigma_r2=0.01, sigma_mirror=0.005):
-    """Draw one cell's realized device parameters.
-
-    Gaussian offsets: absolute on vbe, relative on r1/r2/mirror_ratio.
-    The draw order is fixed so a cell's parameters depend only on its
-    own stream position.
-    """
-    bjt_i = replace(bjt, vbe_offset=rng.normal(0.0, sigma_vbe))
-    cs_i = replace(cs,
-                   r1=cs.r1 * (1.0 + rng.normal(0.0, sigma_r1)),
-                   r2=cs.r2 * (1.0 + rng.normal(0.0, sigma_r2)),
-                   mirror_ratio=cs.mirror_ratio * (1.0 + rng.normal(0.0, sigma_mirror)))
-    return bjt_i, cs_i
 
 
 # --------------------------------------------------------------------------
@@ -288,11 +273,6 @@ class ImpedanceSensor:
         self._freq = freq
         self._i_mag = amplitude / abs(z)
         self._i_phase = -math.atan2(z.imag, z.real)
-
-    def current(self, v_applied, t_now, temp_c):
-        if self._freq is None:
-            raise ConfigurationError("call prepare_sinusoid before sampling")
-        return self._i_mag * math.sin(2.0 * math.pi * self._freq * t_now + self._i_phase)
 
     def currents_at(self, times):
         if self._freq is None:

@@ -13,7 +13,7 @@ from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, gaussian_peak_response)
 from .errors import ConfigurationError, DomainError
-from .madc import MadcConfig, MadcConversion, convert, snr_test
+from .madc import MadcConfig, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
 from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
@@ -376,11 +376,8 @@ def exp_madc_oracle(settings, outdir):
         if n_charge <= 0:
             continue
         n_checked += 1
-        conv = MadcConversion(coeff_mag=coeff, coeff_sign=int(sign[i]),
-                              cal_preload=int(cal[i]),
-                              target_preload=int(preload[i]),
-                              subtract_from_target=True)
-        convert(cfg, conv, float(p_in[i]) * scale, float(p_ref[i]) * scale)
+        conv = convert(cfg, float(p_in[i]) * scale, float(p_ref[i]) * scale,
+                       coeff, int(cal[i]), int(preload[i]), int(sign[i]))
         expect = madc_oracle_reference(n_charge, int(p_in[i]), int(p_ref[i]),
                                        int(sign[i]), int(preload[i]),
                                        cfg.counter_max)

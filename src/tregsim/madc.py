@@ -8,6 +8,7 @@ One instance is shared by the temperature loop and all measurement modes.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,35 +64,13 @@ class MadcConfig:
         return self.n1_counts * self.pid_charge_scale
 
 
-@dataclass
-class MadcConversion:
-    """One conversion: inputs on the left, results filled in by convert().
+class Conversion(NamedTuple):
+    """Result of one conversion (see convert)."""
 
-    In plain digitization mode the counter counts up from zero during
-    discharge and out_count is the discharge count itself.  With
-    subtract_from_target set (the control loop's error mode) the counter
-    is loaded with target_preload and counts down, so
-    out_count = target_preload - coeff_sign * n_discharge.
-    """
-
-    coeff_mag: float = 1.0
-    coeff_sign: int = 1
-    cal_preload: int = 0
-    target_preload: int = 0
-    subtract_from_target: bool = False
-    out_count: int = None
-    n_charge: int = None
-    n_discharge: int = None
-    saturated: bool = False
-    clipped: bool = False
-
-
-def quantize_coeff(x):
-    """Round a magnitude in (0, 1] onto the 7-bit grid k/128."""
-    if not (0.0 < x <= 1.0):
-        raise ConfigurationError("coefficient magnitude must lie in (0, 1]")
-    k = int(round(x * COEFF_LEVELS))
-    return max(k, 1) / COEFF_LEVELS
+    out_count: int
+    n_charge: int
+    n_discharge: int
+    saturated: bool
 
 
 def _check_coeff(coeff_mag):
@@ -141,57 +120,46 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     return int(n2), bool(clipped)
 
 
-def convert(cfg, conv, i_in, i_ref, rng=None, n1_counts=None):
-    """Run one dual-slope conversion, filling the result fields.
+def convert(cfg, i_in, i_ref, coeff_mag, cal_preload, target_preload,
+            coeff_sign=1, rng=None, n1_counts=None):
+    """Run one dual-slope conversion.
 
     Charge phase: round(coeff_mag*n1) - cal_preload clocks integrating
-    i_in.  Discharge with i_ref until the comparator
-    crossing; the measured count is floor(n_charge*i_in/i_ref).  The
-    output is target_preload - coeff_sign*n_discharge, clamped to the
-    counter range with the saturated flag set on clamp or clip.
+    i_in.  Discharge with i_ref until the comparator crossing; the
+    measured count is n_discharge = floor(n_charge*i_in/i_ref).  The
+    counter is loaded with target_preload and counts down, so the output
+    is target_preload - coeff_sign*n_discharge, clamped to the counter
+    range; saturated is set on clamp or integrator clip.  Plain
+    digitization is target_preload=0, coeff_sign=-1.
     """
-    _check_coeff(conv.coeff_mag)
-    if conv.coeff_sign not in (-1, 1):
+    _check_coeff(coeff_mag)
+    if coeff_sign not in (-1, 1):
         raise ConfigurationError("coeff_sign must be +1 or -1")
     if i_in <= 0 or i_ref <= 0:
         raise DomainError("currents must be positive (use convert_signed for bipolar)")
     n1 = cfg.n1_counts if n1_counts is None else n1_counts
-    n_charge = int(round(conv.coeff_mag * n1)) - conv.cal_preload
+    n_charge = int(round(coeff_mag * n1)) - cal_preload
     if n_charge <= 0:
         raise ConfigurationError("calibration preload leaves no charge phase")
     n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref,
                                    channel_noise(cfg, rng, ()))
-    if conv.subtract_from_target:
-        raw = conv.target_preload - conv.coeff_sign * n2
-    else:
-        raw = n2
+    raw = target_preload - coeff_sign * n2
     bound = cfg.counter_max
     out = max(-bound, min(bound, raw))
-    conv.n_charge = n_charge
-    conv.n_discharge = n2
-    conv.out_count = out
-    conv.clipped = clipped
-    conv.saturated = clipped or (out != raw)
-    return conv
+    return Conversion(out, n_charge, n2, clipped or out != raw)
 
 
-def convert_signed(cfg, i_in, i_ref, coeff_mag=1.0, cal_preload=0, rng=None,
-                   n1_counts=None):
-    """Plain bidirectional digitization: sign(i_in)*floor(n_chg*|i_in|/i_ref).
+def convert_signed(cfg, i_in, i_ref, rng=None):
+    """Plain bidirectional digitization: sign(i_in)*floor(n1*|i_in|/i_ref).
 
     The front-end current conveyor sources and sinks, so measurement
     modes see signed counts.  Accepts scalar or array i_in; clamps to the
     counter range.
     """
-    _check_coeff(coeff_mag)
-    n1 = cfg.n1_counts if n1_counts is None else n1_counts
-    n_charge = int(round(coeff_mag * n1)) - cal_preload
-    if n_charge <= 0:
-        raise ConfigurationError("calibration preload leaves no charge phase")
     if i_ref <= 0:
         raise DomainError("reference current must be positive")
     i_in = np.asarray(i_in, dtype=float)
-    n2, clipped = discharge_counts(cfg, n_charge, np.abs(i_in), i_ref,
+    n2, clipped = discharge_counts(cfg, cfg.n1_counts, np.abs(i_in), i_ref,
                                    channel_noise(cfg, rng, i_in.shape))
     out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max)
     if out.ndim:

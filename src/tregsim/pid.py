@@ -133,14 +133,15 @@ class PidState:
         self.sd_accum = [0.0, 0.0, 0.0]
 
 
-def pid_cycle(state, coeffs, channel):
+def pid_cycle(state, coeffs, measure):
     """Run one controller cycle: three conversions, bank update, accumulate.
 
-    channel.error_conversion(coeff_mag, target_preload) must perform one
-    dual-slope conversion against the temperature-sensing currents and
-    return the conversion record.  The banked product is the measured
-    count minus the target preload (counts fall with temperature, so a
-    cold cell yields positive products), saturating at the 8-bit store.
+    measure(slot, coeff_mag, target_preload) must perform one dual-slope
+    conversion against the temperature-sensing currents and return its
+    output count, target_preload - n_discharge.  The banked product is
+    the measured count minus the target preload (counts fall with
+    temperature, so a cold cell yields positive products), saturating at
+    the 8-bit store.
     Accumulation applies coefficient signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
     """
@@ -158,8 +159,7 @@ def pid_cycle(state, coeffs, channel):
             preload = base + 1
         else:
             preload = base
-        conv = channel.error_conversion(n, mags[n], preload)
-        p = -conv.out_count  # measured-minus-target ordering
+        p = -measure(n, mags[n], preload)  # measured-minus-target ordering
         products[n] = max(-PRODUCT_LIMIT, min(PRODUCT_LIMIT, p))
 
     increment = (signs[0] * products[0]
@@ -177,8 +177,7 @@ def pid_cycle(state, coeffs, channel):
     return u
 
 
-def default_tuning(c_th, g_amb, p_max, counts_per_kelvin, ts, lam=None,
-                   duty_codes=DUTY_CODE_MAX + 1):
+def default_tuning(c_th, g_amb, p_max, counts_per_kelvin, ts):
     """Gains for the fitted first-order plant.
 
     Discrete lambda tuning: with plant pole a = exp(-ts/tau) and target
@@ -189,11 +188,10 @@ def default_tuning(c_th, g_amb, p_max, counts_per_kelvin, ts, lam=None,
     lightly damped.
     """
     tau = c_th / g_amb
-    if lam is None:
-        lam = tau / 3.0
+    lam = tau / 3.0
     a = math.exp(-ts / tau)
     p = math.exp(-ts / lam)
-    b = (p_max / (duty_codes * g_amb)) * (1.0 - a) * counts_per_kelvin
+    b = (p_max / ((DUTY_CODE_MAX + 1) * g_amb)) * (1.0 - a) * counts_per_kelvin
     c0 = (1.0 - p) / b
     c1 = -a * c0
     exp = _shared_exponent((c0, c1, 0.0), counts_per_kelvin)

@@ -7,8 +7,8 @@ import pytest
 
 from tregsim.array_sim import ArrayConfig, Mode, TempArray, WaveformSpec
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
-                             ImpedanceSensor, Parallel, PhSensor, Resistor,
-                             Series, i_ctat, i_ptat)
+                             HeaterParams, ImpedanceSensor, Parallel, PhSensor,
+                             Resistor, Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.madc import MadcConfig, channel_noise, discharge_counts
 
@@ -45,6 +45,14 @@ def test_r1_mismatch_restores_nominal_count():
     arr.force_temperature(50.0)
     count = arr.read_counts()[0, 0]
     assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 1.0
+
+
+def test_full_scale_must_exceed_largest_calibration_preload():
+    # the largest preload of cal_range (-64, 64) is 63
+    with pytest.raises(ConfigurationError, match="madc.n_bits"):
+        TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=5)))
+    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=6)))
+    assert arr.cfg.madc.counter_max == 64
 
 
 def test_calibration_failure_reported_when_out_of_range():
@@ -162,6 +170,30 @@ def test_regulation_uniform_step_settles():
     err = res.t_true[-5:].mean(axis=0) - 45.0
     assert np.abs(err).max() <= 0.5
     assert not res.warnings
+
+
+def test_persistent_saturation_warnings():
+    # a weak heater cannot reach 90 and 85 degC: those cells stay
+    # saturated and warn every 12 s, the first 4 s cycle past the 10 s
+    # limit; two neighbours saturate later, and saturation carries on
+    # into the next call.  Each cycle's warnings are in row-major order.
+    arr = small_array(rows=2, cols=3, seed=3, heater=HeaterParams(p_max=0.1))
+    arr.calibrate_one_point()
+    sp = np.full((2, 3), 40.0)
+    sp[0, 1], sp[1, 2] = 90.0, 85.0
+    first = arr.run_regulation(sp, 60.0)
+    assert first.warnings == [
+        ((0, 1), 0.0, 12.0), ((1, 2), 0.0, 12.0),
+        ((0, 1), 12.0, 24.0), ((1, 2), 12.0, 24.0),
+        ((0, 1), 24.0, 36.0), ((1, 2), 24.0, 36.0),
+        ((0, 2), 28.0, 40.0), ((1, 1), 28.0, 40.0),
+        ((0, 1), 36.0, 48.0), ((1, 2), 36.0, 48.0),
+        ((0, 2), 40.0, 52.0), ((1, 1), 40.0, 52.0),
+    ]
+    second = arr.run_regulation(40.0, 20.0)
+    assert second.warnings == [((0, 0), 48.0, 60.0), ((1, 2), 48.0, 60.0)]
+    for index, _, _ in first.warnings + second.warnings:
+        assert all(type(i) is int for i in index)
 
 
 def test_gradient_map_regulates_despite_coupling():
@@ -471,6 +503,6 @@ def test_waveform_validation():
     with pytest.raises(ConfigurationError):
         WaveformSpec(kind="ramp_cyclic", v_low=0.5, v_high=0.0, scan_rate=0.1)
     with pytest.raises(ConfigurationError):
-        WaveformSpec(kind="sinusoid", freq=0.01)
+        WaveformSpec(kind="sinusoid")
     with pytest.raises(ConfigurationError):
         WaveformSpec(kind="sawtooth")

@@ -158,6 +158,10 @@ dir = %s
     ("pwm_sweep", {"pwm": "tap_mismatch_sigma = -1"}, "pwm.tap_mismatch_sigma"),
     ("channel_spread", {"spread": "t_force = 95"}, "spread.t_force"),
     ("die_error_sweep", {"mismatch": "sigma_r1 = -0.01"}, "mismatch.sigma_r1"),
+    # a full scale at or below the largest calibration preload (63)
+    ("characterize_sensor", {"madc": "n_bits = 0"}, "madc.n_bits"),
+    ("regulation_steps", {"madc": "n_bits = 3"}, "madc.n_bits"),
+    ("regulation_steps", {"madc": "n_bits = 5"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

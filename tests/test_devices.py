@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import (BjtParams, Capacitor, CurrentSourceParams,
                              HeaterParams, ImpedanceSensor, PhSensor,
-                             Resistor, Series, delta_vbe, i_ctat, i_ptat,
-                             sample_cell_mismatch, vbe)
+                             Resistor, Series, delta_vbe, i_ctat, i_ptat, vbe)
 from tregsim.errors import ConfigurationError, DomainError
 
 BJT = BjtParams()
@@ -78,11 +79,14 @@ def test_i_ptat_nominal_value_and_scaling():
 
 def test_monotonicity_over_mismatch_draws():
     # vbe strictly decreasing, delta_vbe strictly increasing on [293, 363]
-    # for parameter draws within 3 sigma
-    rng = np.random.default_rng(7)
+    # for parameter draws within 3 sigma: the 25 cells of a 5x5 array
+    arr = TempArray(ArrayConfig(rows=5, cols=5), seed=7)
     t = np.linspace(293.0, 363.0, 141)
-    for _ in range(25):
-        bjt_i, cs_i = sample_cell_mismatch(BJT, CS, rng)
+    for r, c in np.ndindex(5, 5):
+        bjt_i = replace(arr.bjt, vbe_offset=arr.bjt.vbe_offset[r, c])
+        cs_i = replace(arr.current_source, r1=arr.current_source.r1[r, c],
+                       r2=arr.current_source.r2[r, c],
+                       mirror_ratio=arr.current_source.mirror_ratio[r, c])
         v = vbe(bjt_i, t)
         assert np.all(np.diff(v) < 0)
         assert np.all(np.diff(delta_vbe(cs_i, t)) > 0)
@@ -129,4 +133,4 @@ def test_impedance_sensor_sinusoid_amplitude():
 def test_sensor_mode_errors():
     s = ImpedanceSensor(Series((Resistor(1e3),)))
     with pytest.raises(ConfigurationError):
-        s.current(0.1, 0.0, 25.0)  # sinusoid not prepared
+        s.currents_at(0.0)  # sinusoid not prepared

@@ -9,8 +9,8 @@ from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import BjtParams, CurrentSourceParams
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import madc_oracle_reference, madc_oracle_slow
-from tregsim.madc import (MadcConfig, MadcConversion, TemperatureMap, convert,
-                          convert_signed, quantize_coeff, snr_test)
+from tregsim.madc import (MadcConfig, TemperatureMap, convert, convert_signed,
+                          discharge_counts, snr_test)
 
 CFG = MadcConfig(conversion_noise_counts=0.0)
 QUIET = CFG
@@ -19,11 +19,10 @@ CS = CurrentSourceParams()
 SCALE = 2.0 ** -40
 
 
-def run(i_in, i_ref, coeff=1.0, cal=0, preload=0, sign=1, subtract=False, cfg=None):
-    conv = MadcConversion(coeff_mag=coeff, coeff_sign=sign, cal_preload=cal,
-                          target_preload=preload, subtract_from_target=subtract)
-    convert(cfg or QUIET, conv, i_in, i_ref)
-    return conv
+def run(i_in, i_ref, coeff=1.0, cal=0, preload=0, sign=-1, cfg=None):
+    """One noiseless conversion.  The defaults, preload 0 and sign -1, are
+    plain digitization: the output is the discharge count."""
+    return convert(cfg or QUIET, i_in, i_ref, coeff, cal, preload, sign)
 
 
 def test_unity_ratio_full_scale():
@@ -36,7 +35,7 @@ def test_half_coefficient_halves_count():
 
 def test_preload_subtraction():
     # N2 = 500: floor(512 * 500.5/512) with exact binary currents
-    conv = run(500.5 * SCALE, 512 * SCALE, preload=512, sign=1, subtract=True)
+    conv = run(500.5 * SCALE, 512 * SCALE, preload=512, sign=1)
     assert conv.n_discharge == 500
     assert conv.out_count == 12
 
@@ -44,8 +43,7 @@ def test_preload_subtraction():
 def test_subtraction_is_pure_counter_arithmetic():
     for preload in (0, 17, 150):
         for sign in (1, -1):
-            conv = run(300 * SCALE, 512 * SCALE, preload=preload, sign=sign,
-                       subtract=True)
+            conv = run(300 * SCALE, 512 * SCALE, preload=preload, sign=sign)
             assert conv.out_count == preload - sign * conv.n_discharge
             assert not conv.saturated
 
@@ -68,7 +66,7 @@ def test_oracle_equivalence_random_draws():
         preload = int(rng.integers(0, 601))
         sign = 1 if rng.random() < 0.5 else -1
         conv = run(p_in * SCALE, p_ref * SCALE, coeff=k / 128.0, cal=cal,
-                   preload=preload, sign=sign, subtract=True, cfg=cfg)
+                   preload=preload, sign=sign, cfg=cfg)
         expect = madc_oracle_reference(4 * k - cal, p_in, p_ref, sign, preload,
                                        cfg.counter_max)
         assert conv.out_count == expect
@@ -93,7 +91,7 @@ def test_convert_equals_oracle_on_any_rational_currents(draw):
     p_in, p_ref, k, cal, preload, sign = draw
     cfg = MadcConfig(c_int=1e-6, conversion_noise_counts=0.0)
     conv = run(p_in * SCALE, p_ref * SCALE, coeff=k / 128.0, cal=cal,
-               preload=preload, sign=sign, subtract=True, cfg=cfg)
+               preload=preload, sign=sign, cfg=cfg)
     assert conv.out_count == madc_oracle_reference(4 * k - cal, p_in, p_ref, sign,
                                                    preload, cfg.counter_max)
 
@@ -108,11 +106,12 @@ def test_slow_oracle_agrees_with_reference():
 
 
 def test_multiplication_property():
-    # coeff a*b equals coeff a post-scaled by b within 2 LSB
+    # coeff a*b equals coeff a post-scaled by b within 2 LSB; a and a*b
+    # sit on the 7-bit grid
     i_in, i_ref = 3.3e-8, 5.0e-8
     for a, b in [(0.5, 0.25), (0.75, 0.5), (0.25, 0.5)]:
-        direct = run(i_in, i_ref, coeff=quantize_coeff(a * b)).out_count
-        scaled = b * run(i_in, i_ref, coeff=quantize_coeff(a)).out_count
+        direct = run(i_in, i_ref, coeff=a * b).out_count
+        scaled = b * run(i_in, i_ref, coeff=a).out_count
         assert abs(direct - scaled) <= 2.0
 
 
@@ -128,7 +127,8 @@ def test_linearity_versus_input():
 def test_integrator_clip_sets_flags():
     cfg = MadcConfig(c_int=1e-12, conversion_noise_counts=0.0)
     conv = run(4e-7, 4e-7, cfg=cfg)
-    assert conv.clipped and conv.saturated
+    _, clipped = discharge_counts(cfg, conv.n_charge, 4e-7, 4e-7)
+    assert clipped and conv.saturated
     # clip holds the charge at c_int*v_full
     assert conv.out_count == math.floor(1e-12 * 1.0 * 1e7 / 4e-7 + 1e-9)
 
@@ -146,8 +146,6 @@ def test_invalid_inputs():
         run(1e-8, 1e-7, coeff=1.0 / 128, cal=10)  # charge phase consumed
     with pytest.raises(DomainError):
         run(-1e-8, 1e-7)
-    with pytest.raises(ConfigurationError):
-        quantize_coeff(1.5)
 
 
 def nominal_counts(t_c):
@@ -192,9 +190,7 @@ def test_design_map_linear_fit_residual_reported():
 def test_hd2_term_default_off_and_effective():
     dist = MadcConfig(conversion_noise_counts=0.0, hd2_fraction=0.01)
     clean = run(3e-7, 4e-7).out_count
-    bent = MadcConversion()
-    from tregsim.madc import convert as _conv
-    _conv(dist, bent, 3e-7, 4e-7)
+    bent = run(3e-7, 4e-7, cfg=dist)
     # 1 percent of full scale at 3/4 scale: ~ +2.9 counts
     assert bent.out_count - clean == pytest.approx(0.01 * clean * clean / 512, abs=1.5)
 

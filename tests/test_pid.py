@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tregsim.madc import COEFF_LEVELS, MadcConversion
+from tregsim.madc import COEFF_LEVELS
 from tregsim.pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                          quantization_deviation_bound,
                          transfer_function_response, velocity_response)
@@ -63,21 +63,16 @@ def test_coefficient_normalization():
         assert abs(c - q) <= 2.0 ** coeffs.exponent / COEFF_LEVELS / 2 + 1e-12
 
 
-class StubChannel:
+class StubMeasure:
     """Error conversions with a programmable measured count per tap."""
 
     def __init__(self, n2_of_preload):
         self.n2_of_preload = n2_of_preload
         self.calls = []
 
-    def error_conversion(self, slot, coeff_mag, target_preload):
+    def __call__(self, slot, coeff_mag, target_preload):
         self.calls.append((slot, coeff_mag, target_preload))
-        n2 = self.n2_of_preload(slot, coeff_mag, target_preload)
-        return MadcConversion(coeff_mag=coeff_mag, coeff_sign=1,
-                              target_preload=target_preload,
-                              subtract_from_target=True,
-                              out_count=target_preload - n2,
-                              n_charge=0, n_discharge=n2)
+        return target_preload - self.n2_of_preload(slot, coeff_mag, target_preload)
 
 
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
@@ -90,10 +85,10 @@ def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
 def test_zero_error_leaves_actuation_unchanged():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
     # measured count always equals the loaded target: e == 0
-    chan = StubChannel(lambda slot, mag, preload: preload)
+    measure = StubMeasure(lambda slot, mag, preload: preload)
     st = make_state(coeffs, x=(1000.0, 800.0, 60.0))
     for _ in range(3):
-        u = pid_cycle(st, coeffs, chan)
+        u = pid_cycle(st, coeffs, measure)
         assert u == 1000
     assert not st.saturated
 
@@ -102,45 +97,45 @@ def test_cold_start_increases_actuation():
     # measured count above target (counts fall with temperature, so the
     # cell is below setpoint): positive kp must push the duty up
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    chan = StubChannel(lambda slot, mag, preload: preload + 20)
+    measure = StubMeasure(lambda slot, mag, preload: preload + 20)
     st = make_state(coeffs)
     st.u_prev = 0
-    u = pid_cycle(st, coeffs, chan)
+    u = pid_cycle(st, coeffs, measure)
     assert u > 0
 
 
 def test_actuation_clamps_and_flags():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    chan = StubChannel(lambda slot, mag, preload: preload + 10000)
+    measure = StubMeasure(lambda slot, mag, preload: preload + 10000)
     st = make_state(coeffs)
     st.u_prev = 4000
-    u = pid_cycle(st, coeffs, chan)
+    u = pid_cycle(st, coeffs, measure)
     assert u == 4095
     assert st.saturated
-    chan2 = StubChannel(lambda slot, mag, preload: max(preload - 10000, 0))
+    measure2 = StubMeasure(lambda slot, mag, preload: max(preload - 10000, 0))
     st2 = make_state(coeffs)
     st2.u_prev = 10
     # drain the bank with three cold cycles
     for _ in range(3):
-        u2 = pid_cycle(st2, coeffs, chan2)
+        u2 = pid_cycle(st2, coeffs, measure2)
     assert u2 == 0
 
 
 def test_bank_products_saturate_at_8bit_range():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    chan = StubChannel(lambda slot, mag, preload: preload + 100000)
+    measure = StubMeasure(lambda slot, mag, preload: preload + 100000)
     st = make_state(coeffs)
-    pid_cycle(st, coeffs, chan)
+    pid_cycle(st, coeffs, measure)
     assert all(p <= 127 for p in st.bank[0])
 
 
 def test_three_conversions_per_cycle_in_slot_order():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    chan = StubChannel(lambda slot, mag, preload: preload)
+    measure = StubMeasure(lambda slot, mag, preload: preload)
     st = make_state(coeffs)
-    pid_cycle(st, coeffs, chan)
-    assert [c[0] for c in chan.calls] == [0, 1, 2]
-    assert [c[1] for c in chan.calls] == list(coeffs.magnitudes)
+    pid_cycle(st, coeffs, measure)
+    assert [c[0] for c in measure.calls] == [0, 1, 2]
+    assert [c[1] for c in measure.calls] == list(coeffs.magnitudes)
 
 
 def test_default_tuning_properties():
@@ -178,7 +173,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
         measured[slot] = (preload, n2)
         return n2
 
-    chan = StubChannel(n2_of)
+    measure = StubMeasure(n2_of)
     st = PidState(u_prev=2000)
     st.target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
     target_x = list(st.target_x)
@@ -189,7 +184,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
     saturated = 0
     for _ in range(n_cycles):
         measured.clear()
-        got = pid_cycle(st, coeffs, chan)
+        got = pid_cycle(st, coeffs, measure)
         assert sorted(measured) == active
         p = [0, 0, 0]
         for n, (preload, n2) in measured.items():
