@@ -58,7 +58,6 @@ class FraResult:
 class CellState:
     index: tuple
     mode: Mode
-    pid_state: PidState
     sensor: object = None
 
 
@@ -155,7 +154,10 @@ class TempArray:
             children = list(cell_seed_sequences)
         self._cell_ss = children
         self._reg_rng = [[None] * cfg.cols for _ in range(cfg.rows)]
-        self._meas_rng = [[None] * cfg.cols for _ in range(cfg.rows)]
+        # measurement streams are built on first use: most arrays never
+        # run CPA, CV or IS
+        self._meas_rng = [_MeasurementStreams(children[r * cfg.cols:(r + 1) * cfg.cols])
+                          for r in range(cfg.rows)]
 
         self.temp_map = TemperatureMap(cfg.madc, cfg.bjt, cfg.current_source)
         if cfg.pid_gains is None:
@@ -177,15 +179,8 @@ class TempArray:
         for r in range(cfg.rows):
             row = []
             for c in range(cfg.cols):
-                child = children[r * cfg.cols + c]
-                # stateless derivation: reconstructible from the child key
-                reg_ss = np.random.SeedSequence(entropy=child.entropy,
-                                                spawn_key=(*child.spawn_key, 0))
-                meas_ss = np.random.SeedSequence(entropy=child.entropy,
-                                                 spawn_key=(*child.spawn_key, 1))
-                rng = np.random.default_rng(reg_ss)
+                rng = _cell_stream(children[r * cfg.cols + c], 0)
                 self._reg_rng[r][c] = rng
-                self._meas_rng[r][c] = np.random.default_rng(meas_ss)
                 # Gaussian mismatch in a fixed draw order: absolute on
                 # vbe, relative on r1, r2 and the mirror ratio
                 vbe_offset[r, c] = rng.normal(0.0, cfg.sigma_vbe)
@@ -193,13 +188,14 @@ class TempArray:
                 r2[r, c] = cs.r2 * (1.0 + rng.normal(0.0, cfg.sigma_r2))
                 mirror_ratio[r, c] = cs.mirror_ratio * (
                     1.0 + rng.normal(0.0, cfg.sigma_mirror))
-                row.append(CellState(index=(r, c), mode=Mode.TEMP_REG,
-                                     pid_state=PidState()))
+                row.append(CellState(index=(r, c), mode=Mode.TEMP_REG))
             self.cells.append(row)
         self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
         # rejects a draw with r1 or r2 <= 0 or a mirror ratio below 1
         self.current_source = replace(cs, r1=r1, r2=r2, mirror_ratio=mirror_ratio)
 
+        # loop state of every cell, kept across regulation calls
+        self.pid_state = PidState(np.zeros(shape, dtype=int))
         self.temp = np.full(shape, cfg.t_ambient, dtype=float)
         self._sat_since = np.full(shape, np.nan)
         self._time = 0.0
@@ -245,23 +241,36 @@ class TempArray:
         t_k = np.asarray(t_c, dtype=float) + 273.15
         return i_ctat(self.current_source, self.bjt, t_k), i_ptat(self.current_source, t_k)
 
-    def read_counts(self, currents=None, n_avg=1):
+    def _cell_noise(self, shape):
+        """Channel noise of every cell, shaped shape + (rows, cols).
+
+        Each cell draws its whole block in one call on its own stream,
+        in C order over shape; None on a noiseless channel.
+        """
+        cfg = self.cfg
+        if cfg.madc.conversion_noise_counts == 0:
+            return None
+        draws = [channel_noise(cfg.madc, rng, shape) for row in self._reg_rng for rng in row]
+        return np.stack(draws, axis=-1).reshape(shape + (cfg.rows, cfg.cols))
+
+    def read_counts(self, currents=None, n_avg=1, noise=None):
         """Plain-mode temperature conversion of every cell at once.
 
         currents is a (i_ctat, i_ptat) pair from front_end_currents,
         shaped (..., rows, cols); by default the front end at the plant
         field.  Each count is the mean of n_avg conversions, rounded and
-        clamped to the counter.  Every cell draws its noise in one call
-        on its own stream, in the order the conversions run.
+        clamped to the counter.  noise (counts, shaped (..., rows, cols,
+        n_avg)) is the channel noise of the conversions; by default every
+        cell draws it in one call on its own stream, in the order the
+        conversions run.
         """
         cfg = self.cfg.madc
         i_in, i_ref = self.front_end_currents(self.temp) if currents is None else currents
-        lead = np.shape(i_in)[:-2]
+        if noise is None:
+            noise = self._cell_noise(np.shape(i_in)[:-2] + (n_avg,))
+            if noise is not None:
+                noise = np.moveaxis(noise, -3, -1)
         n_chg = cfg.n1_counts - self.cal_preload
-        draws = [channel_noise(cfg, rng, lead + (n_avg,))
-                 for row in self._reg_rng for rng in row]
-        noise = None if draws[0] is None else np.stack(draws, axis=-2).reshape(
-            lead + (self.cfg.rows, self.cfg.cols, n_avg))
         n2, _ = discharge_counts(cfg, n_chg[..., None], i_in[..., None],
                                  i_ref[..., None], noise)
         return np.minimum(np.round(n2.mean(axis=-1)), cfg.counter_max).astype(int)
@@ -318,51 +327,53 @@ class TempArray:
         if np.any(sp < 20.0) or np.any(sp > 90.0):
             raise DomainError("setpoints outside [20, 90] degC")
         n_cycles = _whole_multiple(duration, cfg.pid_ts, "duration", "PID period")
-
-        for cell in self.iter_cells():
-            cell.pid_state.load_setpoint(sp[cell.index], self.pid_coeffs, self.temp_map,
-                                         int(self.cal_preload[cell.index]),
-                                         cfg.madc.pid_charge_scale)
+        madc = cfg.madc
+        coeffs = self.pid_coeffs
+        state = self.pid_state
+        state.load_setpoint(sp, coeffs, self.temp_map, self.cal_preload,
+                            madc.pid_charge_scale)
 
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
                                t_true=np.empty(shape), t_meas=np.empty(shape),
                                u=np.empty(shape, dtype=int), duty=np.empty(shape),
                                warnings=[], conv_trace=[] if trace_conversions else None)
-        trace = out.conv_trace
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(
                 self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
                 cfg.thermal_dt, self._substeps)
         a, b = self._cycle_map
-        madc = cfg.madc
-        scale = madc.pid_charge_scale
+
+        # every cell's cycle converts its active slots, then its
+        # measurement, each drawing noise on the cell's own stream: one
+        # column per conversion, in that order
+        active = [n for n in range(3) if coeffs.mantissas[n] != 0]
+        column = {n: j for j, n in enumerate(active)}
+        noise = self._cell_noise((n_cycles, len(active) + 1))
+        # the loaded calibration word scales with the coefficient: the
+        # trim is a relative gain correction of the charge phase
+        cal_words = {n: np.round(coeffs.magnitudes[n] * self.cal_preload
+                                 * madc.pid_charge_scale).astype(int) for n in active}
+        slots = []
 
         def measure(slot, coeff_mag, target_preload):
-            # one error conversion of the loop's current cell (r, c) in
-            # cycle k, on the cycle's front-end currents.  The loaded
-            # calibration word scales with the coefficient: the trim is a
-            # relative gain correction of the charge phase
-            conv = convert(madc, i_in[r, c], i_ref[r, c], coeff_mag,
-                           round(coeff_mag * self.cal_preload[r, c] * scale),
-                           target_preload, rng=self._reg_rng[r][c],
+            # one error conversion of every cell in cycle k, on the
+            # cycle's front-end currents
+            conv = convert(madc, i_in, i_ref, coeff_mag, cal_words[slot], target_preload,
+                           noise=None if noise is None else noise[k, column[slot]],
                            n1_counts=madc.pid_n1_counts)
-            if trace is not None:
-                trace.append((k, r, c, slot, coeff_mag, target_preload,
-                              conv.n_charge, conv.n_discharge, -conv.out_count))
+            slots.append((slot, coeff_mag, target_preload, conv))
             return conv.out_count
 
         grid = (cfg.rows, cfg.cols)
-        saturated = np.empty(grid, dtype=bool)
         for k in range(n_cycles):
             # the field is constant within a cycle: one front-end
-            # evaluation serves the three error slots and the measurement
+            # evaluation serves the error slots and the measurement
             i_in, i_ref = self.front_end_currents(self.temp)
-            u = out.u[k]
-            for cell in self.iter_cells():
-                r, c = cell.index
-                u[r, c] = pid_cycle(cell.pid_state, self.pid_coeffs, measure)
-                saturated[r, c] = cell.pid_state.saturated
+            slots.clear()
+            u = out.u[k] = pid_cycle(state, coeffs, measure)
+            if out.conv_trace is not None:
+                _trace_rows(out.conv_trace, k, slots)
             # code 0 is the heater off, not the PWM's minimum duty
             on = u > 0
             duties = np.zeros(grid)
@@ -370,6 +381,7 @@ class TempArray:
             powers = duties * cfg.heater.p_max
             # persistent-saturation warning: a cell saturated for more
             # than 10 s warns, and its saturated run restarts
+            saturated = state.saturated_cells
             since = self._sat_since
             due = saturated & (self._time - since > 10.0)
             for index in zip(*(ix.tolist() for ix in np.nonzero(due))):
@@ -378,8 +390,8 @@ class TempArray:
             since[~saturated] = np.nan
             # measurement conversion in the cycle's idle slack, after each
             # cell's error slots on its stream
-            out.t_meas[k] = self.temp_map.read_temperature(
-                self.read_counts((i_in, i_ref)))
+            out.t_meas[k] = self.temp_map.read_temperature(self.read_counts(
+                (i_in, i_ref), noise=None if noise is None else noise[k, -1, ..., None]))
 
             # the duty is held over the cycle, so its thermal.dt substeps
             # compose exactly into one affine map
@@ -542,6 +554,21 @@ class TempArray:
         return FraResult(freq=f_act, z_real=z.real, z_imag=z.imag)
 
 
+def _trace_rows(trace, k, slots):
+    """Append cycle k's error conversions to trace in (row, col, slot) order.
+
+    slots lists (slot, coeff_mag, target_preload, conversion) in slot
+    order; each row is (cycle, row, col, slot, coeff_mag, preload,
+    n_charge, n2, product).
+    """
+    fields = np.stack([np.stack((pre, conv.n_charge, conv.n_discharge, -conv.out_count),
+                                axis=-1) for _, _, pre, conv in slots], axis=-2)
+    for (r, c, j), row in zip(np.ndindex(fields.shape[:-1]),
+                              fields.reshape(-1, 4).tolist()):
+        slot, mag = slots[j][:2]
+        trace.append((k, r, c, slot, mag, *row))
+
+
 def _whole_multiple(total, unit, what, unit_name):
     """total/unit as an int; rejects a ratio that is not a whole number >= 1."""
     ratio = total / unit
@@ -551,6 +578,30 @@ def _whole_multiple(total, unit, what, unit_name):
         raise ConfigurationError(
             f"{what} {total:g} s is not a whole number of {unit_name}s ({unit:g} s)")
     return n
+
+
+def _cell_stream(child, word):
+    """Generator `word` of a cell, derived statelessly from its seed key."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=child.entropy, spawn_key=(*child.spawn_key, word)))
+
+
+class _MeasurementStreams(list):
+    """One row of measurement generators, each derived on first access.
+
+    Item c is _cell_stream(seeds[c], 1); since the derivation is
+    stateless, a late build gives the same stream as an early one.
+    """
+
+    def __init__(self, seeds):
+        super().__init__([None] * len(seeds))
+        self._seeds = seeds
+
+    def __getitem__(self, c):
+        rng = super().__getitem__(c)
+        if rng is None:
+            rng = self[c] = _cell_stream(self._seeds[c], 1)
+        return rng
 
 
 def _ranged(cfg, i_ref):

@@ -4,6 +4,7 @@ onto CSV outputs plus machine-checkable pass/fail summaries."""
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,18 @@ from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
 from .thermal import field_csv_rows as thermal_field_rows
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     value: float
     bound: str
     passed: bool
+
+    def __post_init__(self):
+        # callers may keep the checks of many runs: equal names and
+        # bounds share one string
+        object.__setattr__(self, "name", sys.intern(self.name))
+        object.__setattr__(self, "bound", sys.intern(self.bound))
 
 
 def _fmt(x):
@@ -333,15 +340,15 @@ def exp_regulation_steps(settings, outdir):
 # converter and controller oracles
 
 def madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, counter_max):
-    """Exact integer model of one conversion on rational currents.
+    """Exact integer model of conversions on rational currents.
 
     Counts whole discharge clocks while the integrated charge remains
     non-negative, then applies the preload subtraction and the counter
-    clamp.  Pure integer arithmetic throughout.
+    clamp.  Pure integer arithmetic throughout, on ints or integer arrays.
     """
     n2 = (n_charge * p_in) // p_ref
     raw = preload - sign * n2
-    return max(-counter_max, min(counter_max, raw))
+    return np.clip(raw, -counter_max, counter_max)
 
 
 def madc_oracle_slow(n_charge, p_in, p_ref):
@@ -368,23 +375,19 @@ def exp_madc_oracle(settings, outdir):
     preload = rng.integers(0, 601, n_draws)
     sign = np.where(rng.random(n_draws) < 0.5, 1, -1)
 
-    mismatches = []
-    n_checked = 0
-    for i in range(n_draws):
-        coeff = int(k[i]) / 128.0
-        n_charge = round(coeff * cfg.n1_counts) - int(cal[i])
-        if n_charge <= 0:
-            continue
-        n_checked += 1
-        conv = convert(cfg, float(p_in[i]) * scale, float(p_ref[i]) * scale,
-                       coeff, int(cal[i]), int(preload[i]), int(sign[i]))
-        expect = madc_oracle_reference(n_charge, int(p_in[i]), int(p_ref[i]),
-                                       int(sign[i]), int(preload[i]),
-                                       cfg.counter_max)
-        if conv.out_count != expect:
-            mismatches.append((i, int(p_in[i]), int(p_ref[i]), int(k[i]),
-                               int(cal[i]), int(preload[i]), int(sign[i]),
-                               conv.out_count, expect))
+    # every draw with a charge phase, in one batch of conversions
+    coeff = k / 128.0
+    n_charge = np.round(coeff * cfg.n1_counts).astype(int) - cal
+    drawn = np.flatnonzero(n_charge > 0)
+    n_checked = drawn.size
+    got = convert(cfg, p_in[drawn] * scale, p_ref[drawn] * scale, coeff[drawn],
+                  cal[drawn], preload[drawn], sign[drawn]).out_count
+    expect = madc_oracle_reference(n_charge[drawn], p_in[drawn], p_ref[drawn],
+                                   sign[drawn], preload[drawn], cfg.counter_max)
+    bad = np.flatnonzero(got != expect)
+    mismatches = list(zip(*(v[bad].tolist() for v in (
+        drawn, p_in[drawn], p_ref[drawn], k[drawn], cal[drawn], preload[drawn],
+        sign[drawn], got, expect))))
     write_csv(os.path.join(outdir, "madc_oracle_mismatches.csv"),
               ["draw", "p_in", "p_ref", "coeff_k", "cal", "preload", "sign",
                "got", "expected"], mismatches)

@@ -65,18 +65,24 @@ class MadcConfig:
 
 
 class Conversion(NamedTuple):
-    """Result of one conversion (see convert)."""
+    """Result of a batch of conversions (see convert).
 
-    out_count: int
-    n_charge: int
-    n_discharge: int
-    saturated: bool
+    out_count, n_charge and n_discharge have the broadcast shape of the
+    inputs (plain ints for scalar inputs); saturated is the number of
+    conversions that clamped or clipped.
+    """
+
+    out_count: object
+    n_charge: object
+    n_discharge: object
+    saturated: int
 
 
 def _check_coeff(coeff_mag):
-    if not (0.0 < coeff_mag <= 1.0):
+    mag = np.asarray(coeff_mag, dtype=float)
+    if not ((0.0 < mag) & (mag <= 1.0)).all():
         raise ConfigurationError("coeff_mag must lie in (0, 1]")
-    if abs(coeff_mag * COEFF_LEVELS - round(coeff_mag * COEFF_LEVELS)) > 1e-9:
+    if (np.abs(mag * COEFF_LEVELS - np.round(mag * COEFF_LEVELS)) > 1e-9).any():
         raise ConfigurationError("coeff_mag must sit on the 7-bit grid")
 
 
@@ -121,32 +127,36 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
 
 
 def convert(cfg, i_in, i_ref, coeff_mag, cal_preload, target_preload,
-            coeff_sign=1, rng=None, n1_counts=None):
-    """Run one dual-slope conversion.
+            coeff_sign=1, noise=None, n1_counts=None):
+    """Run dual-slope conversions, one per element of the broadcast inputs.
 
     Charge phase: round(coeff_mag*n1) - cal_preload clocks integrating
     i_in.  Discharge with i_ref until the comparator crossing; the
-    measured count is n_discharge = floor(n_charge*i_in/i_ref).  The
+    measured count is n_discharge = floor(n_charge*i_in/i_ref), with
+    noise (counts, see channel_noise) added to the held charge.  The
     counter is loaded with target_preload and counts down, so the output
     is target_preload - coeff_sign*n_discharge, clamped to the counter
-    range; saturated is set on clamp or integrator clip.  Plain
-    digitization is target_preload=0, coeff_sign=-1.
+    range; a conversion saturates on clamp or integrator clip.  Plain
+    digitization is target_preload=0, coeff_sign=-1.  Every argument
+    after cfg may be an array.
     """
     _check_coeff(coeff_mag)
-    if coeff_sign not in (-1, 1):
+    if (np.abs(coeff_sign) != 1).any():
         raise ConfigurationError("coeff_sign must be +1 or -1")
-    if i_in <= 0 or i_ref <= 0:
+    if (np.asarray(i_in) <= 0).any() or (np.asarray(i_ref) <= 0).any():
         raise DomainError("currents must be positive (use convert_signed for bipolar)")
     n1 = cfg.n1_counts if n1_counts is None else n1_counts
-    n_charge = int(round(coeff_mag * n1)) - cal_preload
-    if n_charge <= 0:
+    n_charge = np.round(np.multiply(coeff_mag, n1)).astype(int) - cal_preload
+    if (n_charge <= 0).any():
         raise ConfigurationError("calibration preload leaves no charge phase")
-    n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref,
-                                   channel_noise(cfg, rng, ()))
-    raw = target_preload - coeff_sign * n2
+    n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref, noise)
+    raw = target_preload - np.multiply(coeff_sign, n2)
     bound = cfg.counter_max
-    out = max(-bound, min(bound, raw))
-    return Conversion(out, n_charge, n2, clipped or out != raw)
+    out = np.minimum(np.maximum(raw, -bound), bound)
+    saturated = int(np.count_nonzero(clipped | (out != raw)))
+    if out.ndim:
+        return Conversion(out, n_charge, n2, saturated)
+    return Conversion(int(out), int(n_charge), int(n2), saturated)
 
 
 def convert_signed(cfg, i_in, i_ref, rng=None):

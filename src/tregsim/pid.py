@@ -7,7 +7,7 @@ sums into the 12-bit duty code.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,21 +102,41 @@ class PidCoefficients:
 
 @dataclass
 class PidState:
-    """Loop state: banked products, previous actuation, setpoint scaling."""
+    """Loop state of one cell or of a whole array of cells.
 
-    u_prev: int = 0
-    bank: list = field(default_factory=lambda: [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    setpoint_celsius: float = None
-    target_x: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    sd_accum: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    saturated: bool = False
+    u_prev sets the cell shape: () for one cell, (rows, cols) for an
+    array.  bank[i, n] holds tap n's products of cycle k - i; target_x
+    and sd_accum hold one value per tap.  After each cycle
+    saturated_cells marks the cells whose actuation clamped or whose
+    product saturated, and saturated counts them.
+    """
+
+    u_prev: np.ndarray = 0
+    bank: np.ndarray = None
+    target_x: np.ndarray = None
+    sd_accum: np.ndarray = None
+    saturated_cells: np.ndarray = None
+    saturated: int = 0
+
+    def __post_init__(self):
+        self.u_prev = np.array(self.u_prev, dtype=int)
+        shape = self.u_prev.shape
+        if self.bank is None:
+            self.bank = np.zeros((3, 3) + shape, dtype=int)
+        if self.target_x is None:
+            self.target_x = np.zeros((3,) + shape)
+        if self.sd_accum is None:
+            self.sd_accum = np.zeros((3,) + shape)
+        if self.saturated_cells is None:
+            self.saturated_cells = np.zeros(shape, dtype=bool)
 
     def load_setpoint(self, t_set_c, coeffs, temp_map, cal_preload, charge_scale):
-        """Express a Celsius setpoint as per-tap target values.
+        """Express Celsius setpoints as per-tap target values.
 
-        The target must live on each tap's own charge scale: the loaded
-        calibration word scales with the coefficient (a relative gain
-        trim), so the expected discharge count at the setpoint is
+        t_set_c and cal_preload hold one value per cell.  The target must
+        live on each tap's own charge scale: the loaded calibration word
+        scales with the coefficient (a relative gain trim), so the
+        expected discharge count at the setpoint is
         (round(|c_n|*n1_pid) - round(|c_n|*cal*scale)) * r_set with r_set
         estimated from the design curve and the cell's stored
         calibration.  Half a count is subtracted so the floor of the
@@ -124,55 +144,56 @@ class PidState:
         sigma-delta dithered across cycles by pid_cycle.
         """
         n1 = temp_map.cfg.n1_counts
+        cal_preload = np.asarray(cal_preload)
         r_set = temp_map.counts_cont(t_set_c) / (n1 - cal_preload)
-        self.setpoint_celsius = t_set_c
-        for n, mag in enumerate(coeffs.magnitudes):
-            g = round(mag * n1 * charge_scale)
-            cal_n = round(mag * cal_preload * charge_scale)
-            self.target_x[n] = (g - cal_n) * r_set - 0.5
-        self.sd_accum = [0.0, 0.0, 0.0]
+        self.target_x = np.array([
+            (round(mag * n1 * charge_scale) - np.round(mag * cal_preload * charge_scale))
+            * r_set - 0.5
+            for mag in coeffs.magnitudes])
+        self.sd_accum = np.zeros_like(self.target_x)
 
 
 def pid_cycle(state, coeffs, measure):
-    """Run one controller cycle: three conversions, bank update, accumulate.
+    """Run one controller cycle of every cell: conversions, bank, accumulate.
 
-    measure(slot, coeff_mag, target_preload) must perform one dual-slope
-    conversion against the temperature-sensing currents and return its
-    output count, target_preload - n_discharge.  The banked product is
-    the measured count minus the target preload (counts fall with
-    temperature, so a cold cell yields positive products), saturating at
-    the 8-bit store.
+    Each active tap n makes one call measure(n, coeff_mag, target_preload)
+    with the preloads of all cells, shaped like state.u_prev; it must
+    perform one dual-slope conversion per cell against the
+    temperature-sensing currents and return the output counts,
+    target_preload - n_discharge.  The banked product is the measured
+    count minus the target preload (counts fall with temperature, so a
+    cold cell yields positive products), saturating at the 8-bit store.
     Accumulation applies coefficient signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
     """
     mags = coeffs.magnitudes
     signs = coeffs.signs
-    products = [0, 0, 0]
+    target_x = np.asarray(state.target_x, dtype=float)
+    sd_accum = np.array(state.sd_accum, dtype=float)
+    products = np.zeros(target_x.shape, dtype=int)
     for n in range(3):
         if coeffs.mantissas[n] == 0:
             continue
-        base = math.floor(state.target_x[n])
-        frac = state.target_x[n] - base
-        state.sd_accum[n] += frac
-        if state.sd_accum[n] >= 1.0:
-            state.sd_accum[n] -= 1.0
-            preload = base + 1
-        else:
-            preload = base
+        base = np.floor(target_x[n])
+        sd_accum[n] += target_x[n] - base
+        carry = sd_accum[n] >= 1.0
+        sd_accum[n] -= carry
+        preload = base.astype(int) + carry
         p = -measure(n, mags[n], preload)  # measured-minus-target ordering
-        products[n] = max(-PRODUCT_LIMIT, min(PRODUCT_LIMIT, p))
+        products[n] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
 
-    increment = (signs[0] * products[0]
-                 + signs[1] * state.bank[0][1]
-                 + signs[2] * state.bank[1][2])
+    bank = state.bank
+    increment = signs[0] * products[0] + signs[1] * bank[0, 1] + signs[2] * bank[1, 2]
     if coeffs.exponent >= 0:
         increment = increment * (2 ** coeffs.exponent)
     else:
-        increment = math.floor(increment * 2.0 ** coeffs.exponent)
+        increment = np.floor(increment * 2.0 ** coeffs.exponent).astype(int)
     raw = state.u_prev + increment
-    u = max(0, min(DUTY_CODE_MAX, raw))
-    state.saturated = (u != raw) or any(abs(p) >= PRODUCT_LIMIT for p in products)
-    state.bank = [products, state.bank[0], state.bank[1]]
+    u = np.minimum(np.maximum(raw, 0), DUTY_CODE_MAX)
+    state.saturated_cells = (u != raw) | (np.abs(products) >= PRODUCT_LIMIT).any(axis=0)
+    state.saturated = int(np.count_nonzero(state.saturated_cells))
+    state.bank = np.stack([products, bank[0], bank[1]])
+    state.sd_accum = sd_accum
     state.u_prev = u
     return u
 

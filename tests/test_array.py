@@ -10,7 +10,9 @@ from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                              Resistor, Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.madc import MadcConfig, channel_noise, discharge_counts
+from tregsim.madc import MadcConfig, channel_noise, convert, discharge_counts
+from tregsim.pwm import duty_of_code
+from tregsim.thermal import cycle_map
 
 
 def small_array(rows=2, cols=2, seed=1, **kw):
@@ -301,6 +303,101 @@ def test_zero_lateral_coupling_matches_independent_cells():
             assert np.array_equal(res.t_true[:, r, c], sres.t_true[:, 0, 0])
 
 
+def scalar_regulation(arr, sp, duration):
+    """run_regulation of a fresh array, one cell and one conversion at a time.
+
+    Each cell runs the count-domain PID on Python scalars: sigma-delta
+    preloads, one convert call and one noise draw per active slot, then
+    its plain measurement conversion, all on its own stream.  Returns
+    u, t_meas, t_true, warnings and the conversion trace.
+    """
+    cfg, madc, coeffs = arr.cfg, arr.cfg.madc, arr.pid_coeffs
+    n1, scale = madc.n1_counts, madc.pid_charge_scale
+    n_cycles = int(round(duration / cfg.pid_ts))
+    cells = list(np.ndindex(sp.shape))
+    cal = {rc: int(arr.cal_preload[rc]) for rc in cells}
+    target, sd, bank, u_prev, since = {}, {}, {}, {}, {}
+    for rc in cells:
+        r_set = arr.temp_map.counts_cont(sp[rc]) / (n1 - cal[rc])
+        target[rc] = [(round(m * n1 * scale) - round(m * cal[rc] * scale)) * r_set - 0.5
+                      for m in coeffs.magnitudes]
+        sd[rc], bank[rc], u_prev[rc], since[rc] = [0.0] * 3, [[0] * 3] * 3, 0, None
+    a, b = cycle_map(sp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb, cfg.thermal_dt,
+                     int(round(cfg.pid_ts / cfg.thermal_dt)))
+    temp, now = arr.temp.copy(), 0.0
+    u, t_meas, t_true = (np.empty((n_cycles,) + sp.shape) for _ in range(3))
+    warnings, trace = [], []
+    for k in range(n_cycles):
+        i_in, i_ref = arr.front_end_currents(temp)
+        powers = np.zeros(sp.shape)
+        for rc in cells:
+            rng = arr._reg_rng[rc[0]][rc[1]]
+            products = [0, 0, 0]
+            for n, mag in enumerate(coeffs.magnitudes):
+                if coeffs.mantissas[n] == 0:
+                    continue
+                base = math.floor(target[rc][n])
+                sd[rc][n] += target[rc][n] - base
+                preload = base + (sd[rc][n] >= 1.0)
+                sd[rc][n] -= sd[rc][n] >= 1.0
+                conv = convert(madc, i_in[rc], i_ref[rc], mag,
+                               round(mag * cal[rc] * scale), preload,
+                               noise=channel_noise(madc, rng, ()),
+                               n1_counts=madc.pid_n1_counts)
+                trace.append((k, *rc, n, mag, preload, conv.n_charge,
+                              conv.n_discharge, -conv.out_count))
+                products[n] = max(-127, min(127, -conv.out_count))
+            s0, s1, s2 = coeffs.signs
+            inc = s0 * products[0] + s1 * bank[rc][0][1] + s2 * bank[rc][1][2]
+            inc = (inc * 2 ** coeffs.exponent if coeffs.exponent >= 0
+                   else math.floor(inc * 2.0 ** coeffs.exponent))
+            raw = u_prev[rc] + inc
+            u[k][rc] = u_prev[rc] = max(0, min(4095, raw))
+            bank[rc] = [products, bank[rc][0], bank[rc][1]]
+            if u_prev[rc] > 0:
+                powers[rc] = duty_of_code(cfg.pwm, u_prev[rc]) * cfg.heater.p_max
+            if u_prev[rc] != raw or any(abs(p) >= 127 for p in products):
+                if since[rc] is None:
+                    since[rc] = now
+                elif now - since[rc] > 10.0:
+                    warnings.append((rc, since[rc], now))
+                    since[rc] = now
+            else:
+                since[rc] = None
+            n2, _ = discharge_counts(madc, n1 - cal[rc], i_in[rc], i_ref[rc],
+                                     channel_noise(madc, rng, ()))
+            t_meas[k][rc] = arr.temp_map.read_temperature(min(round(n2), madc.counter_max))
+        rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
+        temp = cfg.t_ambient + rise.reshape(temp.shape)
+        now += cfg.pid_ts
+        t_true[k] = temp
+    return u, t_meas, t_true, warnings, trace
+
+
+def test_regulation_matches_per_cell_scalar_loop():
+    # the loop converts every cell of a slot in one call and runs one
+    # array-valued PID cycle; it must match a per-cell scalar loop under
+    # mismatch and noise, with a zero tap (kd = 0) and a saturating cell
+    base = small_array(rows=3, cols=2, seed=6)
+    gains = (base.pid_coeffs.kp, base.pid_coeffs.ki, 0.0)
+    arr = small_array(rows=3, cols=2, seed=6, pid_gains=gains,
+                      heater=HeaterParams(p_max=0.1))
+    assert arr.pid_coeffs.mantissas[2] == 0 and 0 not in arr.pid_coeffs.mantissas[:2]
+    assert arr.cfg.madc.conversion_noise_counts > 0 and arr.cfg.sigma_r1 > 0
+    arr.calibrate_one_point()
+    sp = np.full((3, 2), 40.0)
+    sp[1, 0] = 90.0
+    ref = copy.deepcopy(arr)
+    res = arr.run_regulation(sp, 48.0, trace_conversions=True)
+    u, t_meas, t_true, warnings, trace = scalar_regulation(ref, sp, 48.0)
+    assert np.array_equal(res.u, u)
+    assert np.array_equal(res.t_meas, t_meas)
+    assert np.array_equal(res.t_true, t_true)
+    assert res.warnings == warnings and len(warnings) >= 2
+    assert len(res.conv_trace) == 12 * 6 * 2
+    assert np.array_equal(res.conv_trace, trace)
+
+
 def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
@@ -321,13 +418,13 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr = quiet_array(seed=4, noise=0.3)
     arr.calibrate_one_point()
     arr.run_regulation(40.0, 20.0)
-    cell = arr.cells[0][0]
-    cal, u, bank = arr.cal_preload[0, 0], cell.pid_state.u_prev, [list(b) for b in cell.pid_state.bank]
+    state = arr.pid_state
+    cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
     arr.set_mode((0, 0), Mode.CPA, PhSensor())
     arr.set_mode((0, 0), Mode.TEMP_REG)
     assert arr.cal_preload[0, 0] == cal
-    assert cell.pid_state.u_prev == u
-    assert [list(b) for b in cell.pid_state.bank] == bank
+    assert np.array_equal(arr.pid_state.u_prev, u)
+    assert np.array_equal(arr.pid_state.bank, bank)
 
 
 def test_thermal_field_csv_format():
