@@ -8,6 +8,7 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,8 @@ class TempArray:
         # per-cycle plant map, built on the first regulation run: most
         # arrays (sensing, calibration sweeps) never regulate
         self._cycle_map = None
+        # tables of the last FRA grid point, as (key, _FraTables)
+        self._fra_memo = None
 
         self.seed = seed
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -172,7 +175,7 @@ class TempArray:
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
         cs = cfg.current_source
-        vbe_offset, r1, r2, mirror_ratio = (np.empty(shape) for _ in range(4))
+        gauss = np.empty((4,) + shape)
         self.cal_preload = np.zeros(shape, dtype=int)
         self.cal_ok = np.ones(shape, dtype=bool)
         self.cells = []
@@ -181,18 +184,19 @@ class TempArray:
             for c in range(cfg.cols):
                 rng = _cell_stream(children[r * cfg.cols + c], 0)
                 self._reg_rng[r][c] = rng
-                # Gaussian mismatch in a fixed draw order: absolute on
-                # vbe, relative on r1, r2 and the mirror ratio
-                vbe_offset[r, c] = rng.normal(0.0, cfg.sigma_vbe)
-                r1[r, c] = cs.r1 * (1.0 + rng.normal(0.0, cfg.sigma_r1))
-                r2[r, c] = cs.r2 * (1.0 + rng.normal(0.0, cfg.sigma_r2))
-                mirror_ratio[r, c] = cs.mirror_ratio * (
-                    1.0 + rng.normal(0.0, cfg.sigma_mirror))
+                # Gaussian mismatch in one call, in a fixed draw order:
+                # absolute on vbe, relative on r1, r2 and the mirror ratio
+                gauss[:, r, c] = rng.standard_normal(4)
                 row.append(CellState(index=(r, c), mode=Mode.TEMP_REG))
             self.cells.append(row)
+        # scaled as Generator.normal(0.0, sigma) scales its draw, so a
+        # zero sigma gives +0.0
+        sigmas = np.array([cfg.sigma_vbe, cfg.sigma_r1, cfg.sigma_r2, cfg.sigma_mirror])
+        vbe_offset, d_r1, d_r2, d_mirror = 0.0 + sigmas[:, None, None] * gauss
         self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
         # rejects a draw with r1 or r2 <= 0 or a mirror ratio below 1
-        self.current_source = replace(cs, r1=r1, r2=r2, mirror_ratio=mirror_ratio)
+        self.current_source = replace(cs, r1=cs.r1 * (1.0 + d_r1), r2=cs.r2 * (1.0 + d_r2),
+                                      mirror_ratio=cs.mirror_ratio * (1.0 + d_mirror))
 
         # loop state of every cell, kept across regulation calls
         self.pid_state = PidState(np.zeros(shape, dtype=int))
@@ -494,15 +498,62 @@ class TempArray:
         if not amplitude > 0:
             raise ConfigurationError(
                 f"is_mode.amplitude must be positive, got {amplitude!r}")
-        results = []
-        for f_req in np.atleast_1d(freqs):
+        freqs = np.atleast_1d(freqs)
+        f_act = []
+        mats = np.empty((freqs.size, 2, 2))
+        sums = np.empty((freqs.size, 2))
+        for i, f_req in enumerate(freqs):
             if not (0.1 <= f_req <= 10e3):
                 raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
-            results.append(self._fra_point(cell, float(f_req), int(n_periods),
-                                           amplitude, rng, noise_rms))
+            f, mats[i], sums[i] = self._fra_point(cell, float(f_req), int(n_periods),
+                                                  amplitude, rng, noise_rms)
+            f_act.append(f)
+        # every point's 2x2 system at once: [i_m cos(phi), i_m sin(phi)]
+        sol = np.linalg.solve(mats, sums[..., None])[..., 0]
+        results = []
+        for f, (re, im) in zip(f_act, sol.tolist()):
+            i_phasor = complex(re, im)
+            z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
+            results.append(FraResult(freq=f, z_real=z.real, z_imag=z.imag))
         return results
 
+    def _fra_tables(self, m, cycles_per_window):
+        """The sine/cosine tables of one grid point, shared by every sensor.
+
+        A grid point is m conversions per period holding
+        cycles_per_window sine cycles.  Returns _FraTables: the actual
+        frequency, the conversion times of one period, per basis (sine,
+        cosine) the live mask, charge counts and sign of the 7-bit table,
+        and the projections of both tables on both bases for one period.
+        Only the last grid point is kept: a sweep that measures every
+        sensor at one frequency before the next builds each point once.
+        """
+        key = (m, cycles_per_window)
+        if self._fra_memo is not None and self._fra_memo[0] == key:
+            return self._fra_memo[1]
+        cfg = self.cfg.madc
+        f_act = cycles_per_window * cfg.conversion_rate / m
+        t_k = np.arange(m) * (cfg.slot_clocks / cfg.f_clk)
+        theta = 2.0 * math.pi * f_act * t_k
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        bases = []
+        proj = []
+        for basis in (sin_t, cos_t):
+            table = np.round(basis * 128) / 128.0
+            live = table != 0.0
+            coeffs = table[live]
+            bases.append((live, np.round(np.abs(coeffs) * cfg.n1_counts), np.sign(coeffs)))
+            proj.append((np.dot(table, sin_t), np.dot(table, cos_t)))
+        tables = _FraTables(f_act, t_k, bases, np.array(proj))
+        self._fra_memo = (key, tables)
+        return tables
+
     def _fra_point(self, cell, f_req, n_periods, amplitude, rng, noise_rms):
+        """One frequency on one cell: (actual frequency, 2x2 matrix, sums).
+
+        The response projected on the sine and cosine tables solves the
+        2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
+        """
         cfg = self.cfg.madc
         f_conv = cfg.conversion_rate
         if f_req <= f_conv / 8.0:
@@ -513,8 +564,8 @@ class TempArray:
             cycles_per_window = max(1, int(round(f_req * m / f_conv)))
             while math.gcd(cycles_per_window, m) != 1:
                 cycles_per_window += 1
-        f_act = cycles_per_window * f_conv / m
-        cell.sensor.prepare_sinusoid(f_act, amplitude)
+        tables = self._fra_tables(m, cycles_per_window)
+        cell.sensor.prepare_sinusoid(tables.f_act, amplitude)
 
         # range the reference so peak counts sit well inside the counter
         i_peak = cell.sensor._i_mag
@@ -526,32 +577,28 @@ class TempArray:
         # response are computed on one period.  Noise is still drawn per
         # sample, one row per period in window order; without it the one
         # period's counts stand for every period.
-        t_k = np.arange(m) * (cfg.slot_clocks / cfg.f_clk)
-        theta = 2.0 * math.pi * f_act * t_k
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        i_t = cell.sensor.currents_at(t_k)
+        i_t = cell.sensor.currents_at(tables.t_k)
         sums = []
-        mats = []
-        for basis in (sin_t, cos_t):
-            table = np.round(basis * 128) / 128.0
-            live = table != 0.0
+        for live, charge, sign in tables.bases:
             if noise_rms:
                 i_w = (i_t + noise_rms * rng.standard_normal((n_periods, m)))[:, live]
             else:
-                i_w = i_t[None, live]
-            n2, _ = discharge_counts(run_cfg, np.round(np.abs(table[live]) * cfg.n1_counts),
-                                     np.abs(i_w), i_ref,
+                i_w = i_t[live][None]
+            n2, _ = discharge_counts(run_cfg, charge, np.abs(i_w), i_ref,
                                      channel_noise(run_cfg, rng, (n_periods, i_w.shape[1])))
-            counts = np.sign(table[live]) * np.sign(i_w) * n2
+            counts = sign * np.sign(i_w) * n2
             # whole counts: the sum over rows, scaled to n_periods, is exact
             sums.append(counts.sum() * (n_periods // counts.shape[0]) * i_ref / cfg.n1_counts)
-            mats.append((n_periods * np.dot(table, sin_t), n_periods * np.dot(table, cos_t)))
-        a = np.array(mats)
-        rhs = np.array(sums)
-        sol = np.linalg.solve(a, rhs)       # [i_m cos(phi), i_m sin(phi)]
-        i_phasor = complex(sol[0], sol[1])
-        z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
-        return FraResult(freq=f_act, z_real=z.real, z_imag=z.imag)
+        return tables.f_act, n_periods * tables.proj, sums
+
+
+class _FraTables(NamedTuple):
+    """Tables of one FRA grid point; see TempArray._fra_tables."""
+
+    f_act: float
+    t_k: np.ndarray
+    bases: list                   # (live, charge, sign) per basis: sine, cosine
+    proj: np.ndarray              # rows: tables; columns: sine, cosine
 
 
 def _trace_rows(trace, k, slots):

@@ -119,13 +119,19 @@ def _count(settings, key, least=1):
     return n
 
 
+def _in_domain(settings, key, lo, hi, unit):
+    """The setting section.key, rejected if it, or any item of a list, lies outside [lo, hi]."""
+    section, name = key.split(".")
+    value = settings[section][name]
+    for v in value if isinstance(value, list) else [value]:
+        if not lo <= v <= hi:
+            raise DomainError(f"{key} {v!r} outside [{lo:g}, {hi:g}] {unit}")
+    return value
+
+
 def _temperature(settings, key):
     """The setting section.key, rejected outside the setpoint domain [20, 90] degC."""
-    section, name = key.split(".")
-    t_c = settings[section][name]
-    if not 20.0 <= t_c <= 90.0:
-        raise DomainError(f"{key} {t_c!r} outside [20, 90] degC")
-    return t_c
+    return _in_domain(settings, key, 20.0, 90.0, "degC")
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +304,7 @@ def exp_regulation_steps(settings, outdir):
     trace_on = bool(reg["trace_conversions"])
     if not reg["setpoints"]:
         raise ConfigurationError("regulation.setpoints must list at least one setpoint")
+    _temperature(settings, "regulation.setpoints")
     array = build_array(settings)
     array.calibrate_one_point()
     results = []
@@ -440,16 +447,25 @@ def _fra_networks():
 
 
 def _fra_frequencies(settings):
-    """The IS sweep f_lo..f_hi, points_per_decade per decade (log-spaced)."""
+    """The IS sweep from f_lo, points_per_decade per decade (log-spaced), up to f_hi.
+
+    Both ends must lie in the IS range [0.1 Hz, 10 kHz]; no point lies
+    above f_hi.
+    """
     ism = settings["is_mode"]
     per_decade = _count(settings, "is_mode.points_per_decade")
     if not 0.0 < ism["f_lo"] <= ism["f_hi"]:
         raise ConfigurationError(
             f"is_mode.f_lo ({ism['f_lo']!r}) must be positive and not above "
             f"is_mode.f_hi ({ism['f_hi']!r})")
+    for key in ("is_mode.f_lo", "is_mode.f_hi"):
+        _in_domain(settings, key, 0.1, 10e3, "Hz")
+    # the last whole step at or below f_hi; the tolerance keeps a span of
+    # whole decades from losing its end point to rounding
     n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
-    n_pts = int(round(n_dec * per_decade)) + 1
-    return ism["f_lo"] * 10.0 ** (np.arange(n_pts) / per_decade)
+    n_pts = math.floor(n_dec * per_decade + 1e-9) + 1
+    freqs = ism["f_lo"] * 10.0 ** (np.arange(n_pts) / per_decade)
+    return np.minimum(freqs, ism["f_hi"])
 
 
 def exp_fra_sweep(settings, outdir):
@@ -458,14 +474,20 @@ def exp_fra_sweep(settings, outdir):
     freqs = _fra_frequencies(settings)
     n_periods = _count(settings, "is_mode.n_periods")
     array = build_array(settings, conversion_noise=0.0)
+    networks = _fra_networks()
+    sensors = [ImpedanceSensor(net) for _, net in networks]
+    # frequency-major: each grid point's tables serve both networks
+    results = [[] for _ in networks]
+    for f in freqs:
+        for sensor, res in zip(sensors, results):
+            array.set_mode((0, 0), Mode.IS, sensor)
+            res += array.run_is((0, 0), [f], n_periods=n_periods,
+                                amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
-    for name, net in _fra_networks():
-        array.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
-        results = array.run_is((0, 0), freqs, n_periods=n_periods,
-                               amplitude=ism["amplitude"])
-        for res in results:
+    for (name, net), net_results in zip(networks, results):
+        for res in net_results:
             z_ref = net.impedance(res.freq)
             z_est = complex(res.z_real, res.z_imag)
             mag_err = abs(abs(z_est) - abs(z_ref)) / abs(z_ref)

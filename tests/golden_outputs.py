@@ -1,13 +1,18 @@
 """Golden outputs of every experiment, and the comparison against them.
 
     PYTHONPATH=src python tests/golden_outputs.py    # rewrite tests/golden/
+    PYTHONPATH=src python tests/golden_outputs.py --compare DIR
 
 Each experiment runs at schema defaults on SEED with the conversion trace
 on, and writes its CSVs into tests/golden/<experiment>/.  The golden
 files change only through this script; a change that moves them lists
-each changed file with its largest deviation.
+each changed file with its largest deviation.  --compare prints that
+list for DIR, laid out as write_all writes it (one directory per
+experiment): each file whose bytes differ from the golden one, with its
+largest relative deviation, and nothing when every file matches.
 """
 
+import argparse
 import copy
 import math
 import os
@@ -58,12 +63,14 @@ def _cell_matches(got, want):
     return math.isclose(g, w, rel_tol=FLOAT_REL_TOL, abs_tol=0.0)
 
 
+def _cells(path):
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines()]
+
+
 def compare_file(got_path, want_path):
     """Descriptions of the cells where two CSV files differ (empty if none)."""
-    with open(got_path) as fh:
-        got = [line.split(",") for line in fh.read().splitlines()]
-    with open(want_path) as fh:
-        want = [line.split(",") for line in fh.read().splitlines()]
+    got, want = _cells(got_path), _cells(want_path)
     if len(got) != len(want):
         return [f"{len(got)} lines, golden has {len(want)}"]
     diffs = []
@@ -77,13 +84,72 @@ def compare_file(got_path, want_path):
     return diffs
 
 
-def main():
+def max_deviation(got_path, want_path):
+    """Largest relative deviation of a CSV file's cells from the golden file's.
+
+    Differing numbers deviate by |got - want| / |want|, or by |got| where
+    the golden value is 0.  A different line or cell count, a differing
+    cell that is not a number on both sides, or a nan against a number
+    deviates by inf.
+    """
+    got, want = _cells(got_path), _cells(want_path)
+    if len(got) != len(want):
+        return math.inf
+    worst = 0.0
+    for g_row, w_row in zip(got, want):
+        if len(g_row) != len(w_row):
+            return math.inf
+        for g, w in zip(g_row, w_row):
+            if g == w:
+                continue
+            if not (_parses(g, float) and _parses(w, float)):
+                return math.inf
+            g, w = float(g), float(w)
+            dev = abs(g - w) / abs(w) if w else abs(g)
+            worst = max(worst, math.inf if math.isnan(dev) else dev)
+    return worst
+
+
+def _files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, files in os.walk(root) for f in files}
+
+
+def compare_dir(outdir):
+    """One line per file of outdir or tests/golden/ whose bytes differ."""
+    got, want = _files(outdir), _files(GOLDEN_DIR)
+    lines = []
+    for rel in sorted(got | want):
+        if rel not in want:
+            lines.append(f"{rel}: not in the golden files")
+        elif rel not in got:
+            lines.append(f"{rel}: missing")
+        else:
+            got_path, want_path = os.path.join(outdir, rel), os.path.join(GOLDEN_DIR, rel)
+            with open(got_path, "rb") as g, open(want_path, "rb") as w:
+                if g.read() == w.read():
+                    continue
+            lines.append(f"{rel}: largest relative deviation "
+                         f"{max_deviation(got_path, want_path):.3g}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", metavar="DIR",
+                        help="report the files under DIR that differ from the golden ones")
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        lines = compare_dir(args.compare)
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        return 1 if lines else 0
     if os.path.isdir(GOLDEN_DIR):
         shutil.rmtree(GOLDEN_DIR)
     write_all(GOLDEN_DIR)
     n = sum(len(files) for _, _, files in os.walk(GOLDEN_DIR))
     sys.stdout.write(f"wrote {n} files under {GOLDEN_DIR}\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -57,6 +57,28 @@ def test_full_scale_must_exceed_largest_calibration_preload():
     assert arr.cfg.madc.counter_max == 64
 
 
+@pytest.mark.parametrize("sigmas", [(1e-3, 0.01, 0.01, 0.005), (0.0, 0.02, 0.0, 0.0)])
+def test_mismatch_matches_four_scalar_draws_per_cell(sigmas):
+    # each cell draws its mismatch on its own stream in the order vbe,
+    # r1, r2, mirror ratio, as four scalar Generator.normal draws would;
+    # a zero sigma gives +0.0, and the stream is left where they leave it
+    cfg = ArrayConfig(rows=3, cols=2, sigma_vbe=sigmas[0], sigma_r1=sigmas[1],
+                      sigma_r2=sigmas[2], sigma_mirror=sigmas[3])
+    arr = TempArray(cfg, seed=11)
+    cs = cfg.current_source
+    for r, c in np.ndindex(3, 2):
+        child = arr._cell_ss[r * 2 + c]
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=child.entropy, spawn_key=(*child.spawn_key, 0)))
+        vbe, d1, d2, dm = (rng.normal(0.0, s) for s in sigmas)
+        got = (arr.bjt.vbe_offset[r, c], arr.current_source.r1[r, c],
+               arr.current_source.r2[r, c], arr.current_source.mirror_ratio[r, c])
+        want = (vbe, cs.r1 * (1.0 + d1), cs.r2 * (1.0 + d2), cs.mirror_ratio * (1.0 + dm))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got == want
+        assert arr._reg_rng[r][c].standard_normal() == rng.standard_normal()
+
+
 def test_calibration_failure_reported_when_out_of_range():
     arr = quiet_array()
     arr.current_source.r1[0, 0] *= 1.5
@@ -594,6 +616,33 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
     assert arr._meas_rng[0][0].standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("f_a, f_b, hit", [
+    (50.0, 50.0, True),
+    # both snap to m = 64, with 27 and 67 cycles: a memo keyed by m alone
+    # would hand the second point the first one's tables
+    (2000.0, 5000.0, False),
+])
+def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, hit):
+    # array x measures network A on cell (0, 0) at f_a, then network B on
+    # cell (0, 1) at f_b; array y, on the same seed, measures only the
+    # latter.  B's result and cell (0, 1)'s stream must not depend on
+    # which tables were kept from A's point.
+    net_a = Series((Resistor(100e3), Capacitor(1e-6)))
+    net_b = Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))
+    x = quiet_array(cols=2, seed=4, noise=0.3)
+    y = quiet_array(cols=2, seed=4, noise=0.3)
+    x.set_mode((0, 0), Mode.IS, ImpedanceSensor(net_a))
+    x.run_is((0, 0), [f_a], noise_rms=3e-9)
+    kept = x._fra_memo[1]
+    results = []
+    for arr in (x, y):
+        arr.set_mode((0, 1), Mode.IS, ImpedanceSensor(net_b))
+        results.append(arr.run_is((0, 1), [f_b], noise_rms=3e-9))
+    assert (x._fra_memo[1] is kept) is hit
+    assert results[0] == results[1]
+    assert x._meas_rng[0][1].standard_normal() == y._meas_rng[0][1].standard_normal()
 
 
 def test_waveform_validation():

@@ -1,11 +1,14 @@
+import copy
 import os
 
+import numpy as np
 import pytest
 
 from tregsim.cli import main
 from tregsim.config import SCHEMA, load_config
 from tregsim.errors import ConfigurationError
-from tregsim.experiments import EXPERIMENTS, list_experiments
+from tregsim.experiments import (EXPERIMENTS, _fra_frequencies,
+                                 list_experiments)
 
 
 def write_config(path, body):
@@ -75,6 +78,7 @@ dir = %s
 @pytest.mark.parametrize("experiment, key, value", [
     ("regulation_steps", "regulation.setpoints", "95"),
     ("fra_sweep", "is_mode.f_hi", "20000"),
+    ("fra_sweep", "is_mode.f_lo", "0.05"),
 ])
 def test_domain_error_exits_2_without_outputs(tmp_path, capsys, experiment,
                                               key, value):
@@ -92,8 +96,32 @@ seed = 1
 dir = %s
 """ % (experiment, section, name, value, out / "run"))
     assert main([cfg]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("f_lo, f_hi, per_decade, n_pts", [
+    (0.1, 1e4, 10, 51),       # the default grid
+    (0.11, 9999.0, 10, 50),   # the next point would be 11 kHz
+    (0.1, 9600.0, 10, 50),    # the next point would be 10 kHz
+    (1.0, 1000.0, 3, 10),
+    (0.3, 3000.0, 4, 17),
+    (0.5, 0.5, 7, 1),
+    (0.14, 1400.0, 1, 5),     # 0.14 * 10.0 ** 4 rounds to 1400.0000000000002
+    (0.14, 1.4, 1, 2),        # log10(1.4 / 0.14) rounds to 0.9999999999999999
+])
+def test_fra_grid_stays_inside_f_lo_f_hi(f_lo, f_hi, per_decade, n_pts):
+    settings = copy.deepcopy(SCHEMA)
+    settings["is_mode"].update(f_lo=f_lo, f_hi=f_hi, points_per_decade=per_decade)
+    freqs = _fra_frequencies(settings)
+    steps = f_lo * 10.0 ** (np.arange(n_pts) / per_decade)
+    assert np.array_equal(freqs[:-1], steps[:-1])
+    assert freqs[-1] == pytest.approx(steps[-1], rel=1e-15)
+    assert freqs.max() <= f_hi
+    # the grid ends at the last whole step at or below f_hi
+    assert f_lo * 10.0 ** (n_pts / per_decade) > f_hi
 
 
 @pytest.mark.parametrize("key, value", [

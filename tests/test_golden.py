@@ -1,20 +1,18 @@
 """Every experiment's outputs against the committed golden files."""
 
 import os
+import shutil
 
 import pytest
 
-from golden_outputs import (GOLDEN_DIR, _cell_matches, compare_file,
-                            write_all)
+from golden_outputs import (GOLDEN_DIR, _cell_matches, _files, compare_file,
+                            main, write_all)
 
 
 def test_outputs_match_golden_files(tmp_path):
     write_all(str(tmp_path))
-    got = {os.path.relpath(os.path.join(d, f), tmp_path)
-           for d, _, files in os.walk(tmp_path) for f in files}
-    want = {os.path.relpath(os.path.join(d, f), GOLDEN_DIR)
-            for d, _, files in os.walk(GOLDEN_DIR) for f in files}
-    assert got == want
+    want = _files(GOLDEN_DIR)
+    assert _files(tmp_path) == want
     diffs = {}
     for rel in sorted(want):
         found = compare_file(os.path.join(tmp_path, rel), os.path.join(GOLDEN_DIR, rel))
@@ -38,3 +36,23 @@ def test_outputs_match_golden_files(tmp_path):
 ])
 def test_golden_cell_comparison(got, want, same):
     assert _cell_matches(got, want) is same
+
+
+def test_compare_reports_each_differing_file(tmp_path, capsys):
+    copy_dir = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, copy_dir)
+    assert main(["--compare", str(copy_dir)]) == 0
+    assert capsys.readouterr().out == ""
+    # nudge one float cell of one file by 1e-6 relative
+    path = copy_dir / "fra_sweep" / "fra_sweep.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[2] = repr(float(cells[2]) * (1.0 + 1e-6))
+    lines[1] = ",".join(cells)
+    path.write_text("".join(lines))
+    assert main(["--compare", str(copy_dir)]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert len(report) == 1
+    name, deviation = report[0].split(": largest relative deviation ")
+    assert name == os.path.join("fra_sweep", "fra_sweep.csv")
+    assert float(deviation) == pytest.approx(1e-6, rel=1e-3)
