@@ -17,8 +17,8 @@ from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       ImpedanceSensor, PhSensor, i_ctat, i_ptat,
                       network_transient_currents)
 from .errors import ConfigurationError, DomainError
-from .madc import (MadcConfig, TemperatureMap, channel_noise, convert,
-                   convert_signed, discharge_counts)
+from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
+                   convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
@@ -150,7 +150,10 @@ class TempArray:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._root_ss = ss
         if cell_seed_sequences is None:
-            children = ss.spawn(cfg.rows * cfg.cols)
+            # the children that ss.spawn gives a fresh sequence, derived
+            # without spawning from ss: one sequence always builds one array
+            children = [np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i))
+                        for i in range(cfg.rows * cfg.cols)]
         else:
             if len(cell_seed_sequences) != cfg.rows * cfg.cols:
                 raise ConfigurationError("one seed sequence per cell required")
@@ -498,20 +501,13 @@ class TempArray:
         if not amplitude > 0:
             raise ConfigurationError(
                 f"is_mode.amplitude must be positive, got {amplitude!r}")
-        freqs = np.atleast_1d(freqs)
-        f_act = []
-        mats = np.empty((freqs.size, 2, 2))
-        sums = np.empty((freqs.size, 2))
-        for i, f_req in enumerate(freqs):
+        results = []
+        for f_req in np.atleast_1d(freqs):
             if not (0.1 <= f_req <= 10e3):
                 raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
-            f, mats[i], sums[i] = self._fra_point(cell, float(f_req), int(n_periods),
-                                                  amplitude, rng, noise_rms)
-            f_act.append(f)
-        # every point's 2x2 system at once: [i_m cos(phi), i_m sin(phi)]
-        sol = np.linalg.solve(mats, sums[..., None])[..., 0]
-        results = []
-        for f, (re, im) in zip(f_act, sol.tolist()):
+            f, mat, sums = self._fra_point(cell, float(f_req), int(n_periods),
+                                           amplitude, rng, noise_rms)
+            re, im = _solve_2x2(mat, sums)
             i_phasor = complex(re, im)
             z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
             results.append(FraResult(freq=f, z_real=z.real, z_imag=z.imag))
@@ -522,9 +518,11 @@ class TempArray:
 
         A grid point is m conversions per period holding
         cycles_per_window sine cycles.  Returns _FraTables: the actual
-        frequency, the conversion times of one period, per basis (sine,
-        cosine) the live mask, charge counts and sign of the 7-bit table,
-        and the projections of both tables on both bases for one period.
+        frequency, the sine and cosine of the excitation phase at the
+        conversions of one period, per basis (sine, cosine) the charge
+        counts and sign of the 7-bit table at every conversion, and the
+        projections of both tables on both bases for one period.  A slot
+        whose coefficient rounds to zero has zero charge, so it counts 0.
         Only the last grid point is kept: a sweep that measures every
         sensor at one frequency before the next builds each point once.
         """
@@ -533,18 +531,22 @@ class TempArray:
             return self._fra_memo[1]
         cfg = self.cfg.madc
         f_act = cycles_per_window * cfg.conversion_rate / m
-        t_k = np.arange(m) * (cfg.slot_clocks / cfg.f_clk)
-        theta = 2.0 * math.pi * f_act * t_k
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        bases = []
-        proj = []
-        for basis in (sin_t, cos_t):
-            table = np.round(basis * 128) / 128.0
-            live = table != 0.0
-            coeffs = table[live]
-            bases.append((live, np.round(np.abs(coeffs) * cfg.n1_counts), np.sign(coeffs)))
-            proj.append((np.dot(table, sin_t), np.dot(table, cos_t)))
-        tables = _FraTables(f_act, t_k, bases, np.array(proj))
+        theta = np.arange(m, dtype=float)
+        theta *= cfg.slot_clocks / cfg.f_clk
+        theta *= 2.0 * math.pi * f_act
+        basis = np.empty((2, m))
+        np.sin(theta, out=basis[0])
+        np.cos(theta, out=basis[1])
+        # both 7-bit tables are q / COEFF_LEVELS, rounded once from the
+        # samples.  Scaling by a power of two commutes with rounding, so
+        # the projections and charges taken from q scale exactly.
+        q = basis * COEFF_LEVELS
+        np.round(q, out=q)
+        proj = np.array([(np.dot(row, basis[0]), np.dot(row, basis[1])) for row in q])
+        charge = np.abs(q)
+        charge *= cfg.n1_counts / COEFF_LEVELS
+        np.round(charge, out=charge)
+        tables = _FraTables(f_act, basis, charge, np.sign(q), proj / COEFF_LEVELS)
         self._fra_memo = (key, tables)
         return tables
 
@@ -575,30 +577,51 @@ class TempArray:
         # theta repeats every m conversions and each window spans
         # n_periods * m of them, so the tables, their projections and the
         # response are computed on one period.  Noise is still drawn per
-        # sample, one row per period in window order; without it the one
-        # period's counts stand for every period.
-        i_t = cell.sensor.currents_at(tables.t_k)
-        sums = []
-        for live, charge, sign in tables.bases:
+        # sample, one row per period in window order, basis by basis as
+        # the windows run: each basis's front-end noise, then its channel
+        # noise at its live slots only.  Without noise the one period's
+        # counts stand for every period.
+        i_t = cell.sensor.response(*tables.basis)
+        front = []
+        chan = np.zeros((2, n_periods, m)) if run_cfg.conversion_noise_counts else None
+        for b, sign in enumerate(tables.sign):
             if noise_rms:
-                i_w = (i_t + noise_rms * rng.standard_normal((n_periods, m)))[:, live]
-            else:
-                i_w = i_t[live][None]
-            n2, _ = discharge_counts(run_cfg, charge, np.abs(i_w), i_ref,
-                                     channel_noise(run_cfg, rng, (n_periods, i_w.shape[1])))
-            counts = sign * np.sign(i_w) * n2
-            # whole counts: the sum over rows, scaled to n_periods, is exact
-            sums.append(counts.sum() * (n_periods // counts.shape[0]) * i_ref / cfg.n1_counts)
-        return tables.f_act, n_periods * tables.proj, sums
+                front.append(noise_rms * rng.standard_normal((n_periods, m)))
+            if chan is not None:
+                live = sign != 0
+                draws = channel_noise(run_cfg, rng, (n_periods, np.count_nonzero(live)))
+                # a mask over every row, not a column index: numpy's fast path
+                chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
+        i_w = (i_t + np.stack(front)) if front else i_t
+        # both bases in one batch: charge rows (2, 1, m) against the
+        # response, (m,) or (2, n_periods, m)
+        sign_i = np.sign(i_w)
+        n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_w, out=i_w),
+                                 i_ref, chan)
+        # whole counts: their signed sum over rows, scaled to n_periods, is exact
+        counts = sign_i * n2
+        scale = n_periods // counts.shape[1]
+        sums = [total * scale * i_ref / cfg.n1_counts
+                for total in (counts @ tables.sign[..., None]).sum(axis=(1, 2)).tolist()]
+        return tables.f_act, (n_periods * tables.proj).tolist(), sums
 
 
 class _FraTables(NamedTuple):
     """Tables of one FRA grid point; see TempArray._fra_tables."""
 
     f_act: float
-    t_k: np.ndarray
-    bases: list                   # (live, charge, sign) per basis: sine, cosine
+    basis: np.ndarray             # rows: sin(theta), cos(theta) over one period
+    charge: np.ndarray            # rows: sine, cosine table; 0 at a dead slot
+    sign: np.ndarray              # rows: sine, cosine table; 0 at a dead slot
     proj: np.ndarray              # rows: tables; columns: sine, cosine
+
+
+def _solve_2x2(mat, rhs):
+    """x with mat @ x = rhs for one 2x2 system, by Cramer's rule."""
+    (a, b), (c, d) = mat
+    s, t = rhs
+    det = a * d - b * c
+    return (d * s - b * t) / det, (a * t - c * s) / det
 
 
 def _trace_rows(trace, k, slots):

@@ -274,10 +274,19 @@ class ImpedanceSensor:
         self._i_mag = amplitude / abs(z)
         self._i_phase = -math.atan2(z.imag, z.real)
 
-    def currents_at(self, times):
+    def response(self, sin_t, cos_t):
+        """Current at excitation phases theta, given sin(theta) and cos(theta).
+
+        i_m*sin(theta + phi) by angle addition, so a caller that holds the
+        excitation's samples pays no further transcendental pass.
+        """
         if self._freq is None:
             raise ConfigurationError("call prepare_sinusoid before sampling")
-        return self._i_mag * np.sin(2.0 * math.pi * self._freq * np.asarray(times) + self._i_phase)
+        i_cos = self._i_mag * math.cos(self._i_phase)
+        i_sin = self._i_mag * math.sin(self._i_phase)
+        i = i_cos * sin_t
+        i += i_sin * cos_t
+        return i
 
 
 @dataclass

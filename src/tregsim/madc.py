@@ -120,10 +120,11 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
         x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
     if noise is not None:
         x = x + noise
-    n2 = np.floor(x + CROSSING_GUARD).astype(int)
-    if n2.ndim:
-        return n2, clipped
-    return int(n2), bool(clipped)
+    if not x.ndim:
+        return int(np.floor(x + CROSSING_GUARD)), bool(clipped)
+    # x is this call's own temporary: guard and floor it in place
+    x += CROSSING_GUARD
+    return np.floor(x, out=x).astype(int), clipped
 
 
 def convert(cfg, i_in, i_ref, coeff_mag, cal_preload, target_preload,

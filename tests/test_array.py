@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tregsim.array_sim import ArrayConfig, Mode, TempArray, WaveformSpec
+from tregsim.array_sim import ArrayConfig, Mode, TempArray, WaveformSpec, _solve_2x2
+from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                              Resistor, Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
+from tregsim.experiments import _fra_frequencies
 from tregsim.madc import MadcConfig, channel_noise, convert, discharge_counts
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
@@ -77,6 +79,24 @@ def test_mismatch_matches_four_scalar_draws_per_cell(sigmas):
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert got == want
         assert arr._reg_rng[r][c].standard_normal() == rng.standard_normal()
+
+
+def test_one_seed_sequence_builds_equal_arrays_without_spawning():
+    # each cell's key is derived from the sequence without spawning from
+    # it: two builds from one sequence are equal, equal to a build from
+    # its integer seed, and leave the caller's sequence unspawned
+    ss = np.random.SeedSequence(11)
+    arrays = [TempArray(ArrayConfig(rows=3, cols=2), seed=s) for s in (ss, ss, 11)]
+    assert ss.n_children_spawned == 0
+    states = []
+    for arr in arrays:
+        cs = arr.current_source
+        streams = [(arr._reg_rng[r][c].standard_normal(),
+                    arr._meas_rng[r][c].standard_normal())
+                   for r, c in np.ndindex(3, 2)]
+        states.append((arr.bjt.vbe_offset.tolist(), cs.r1.tolist(), cs.r2.tolist(),
+                       cs.mirror_ratio.tolist(), streams))
+    assert states[0] == states[1] == states[2]
 
 
 def test_calibration_failure_reported_when_out_of_range():
@@ -578,7 +598,7 @@ def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms)
         theta = 2.0 * math.pi * f_act * t_k
         table = np.round(table_fn(theta) * 128) / 128.0
         live = table != 0.0
-        i_t = cell.sensor.currents_at(t_k)
+        i_t = cell.sensor._i_mag * np.sin(theta + cell.sensor._i_phase)
         if noise_rms:
             i_t = i_t + noise_rms * rng.standard_normal(w)
         counts = np.zeros(w)
@@ -593,6 +613,10 @@ def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms)
     return f_act, amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
 
 
+def default_fra_grid():
+    return _fra_frequencies(copy.deepcopy(SCHEMA))
+
+
 @pytest.mark.parametrize("noise, noise_rms, rel", [
     (0.0, None, 1e-12),
     (0.3, 3e-9, 1e-9),
@@ -600,8 +624,12 @@ def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms)
 def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
     # low frequencies snap to one sine cycle per period, high ones to
     # several cycles in 64 conversions; both must match the per-sample
-    # computation and consume each stream exactly as it did
-    freqs = [1.59, 50.0, 2000.0, 7000.0]
+    # computation and consume each stream exactly as it did.  The
+    # default grid's ends are included: 0.1 Hz (m = 48828), its last
+    # one-cycle point below f_conv / 8, and 10 kHz.
+    grid = default_fra_grid()
+    last_one_cycle = grid[grid <= MadcConfig().conversion_rate / 8.0][-1]
+    freqs = [grid[0], 1.59, 50.0, last_one_cycle, 2000.0, 7000.0, grid[-1]]
     arr = quiet_array(seed=5, noise=noise)
     arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),
                                                           Capacitor(1e-6)))))
@@ -616,6 +644,27 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
     assert arr._meas_rng[0][0].standard_normal() == ref_rng.standard_normal()
+
+
+def test_is_closed_form_solve_matches_linalg():
+    # the 2x2 systems of the default sweep, one per (network, grid point),
+    # on its 51 projection matrices
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    arr = quiet_array()
+    cell = arr.cells[0][0]
+    mats, sums = [], []
+    for f in default_fra_grid():
+        for net in nets:
+            arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
+            _, mat, rhs = arr._fra_point(cell, float(f), 4, 0.01, None, None)
+            mats.append(mat)
+            sums.append(rhs)
+    assert len({tuple(map(tuple, mat)) for mat in mats}) == 51
+    want = np.linalg.solve(np.array(mats), np.array(sums)[..., None])[..., 0]
+    got = np.array([_solve_2x2(mat, rhs) for mat, rhs in zip(mats, sums)])
+    err = np.linalg.norm(got - want, axis=-1)
+    assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
 
 
 @pytest.mark.parametrize("f_a, f_b, hit", [

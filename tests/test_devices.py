@@ -125,12 +125,12 @@ def test_impedance_sensor_sinusoid_amplitude():
                                    rel=1e-12)
     s = ImpedanceSensor(net)
     s.prepare_sinusoid(1000.0, 0.05)
-    t = np.linspace(0.0, 5e-3, 20001)
-    i_peak = np.abs(s.currents_at(t)).max()
+    theta = 2 * math.pi * 1000.0 * np.linspace(0.0, 5e-3, 20001)
+    i_peak = np.abs(s.response(np.sin(theta), np.cos(theta))).max()
     assert i_peak == pytest.approx(0.05 / abs(z), rel=1e-4)
 
 
 def test_sensor_mode_errors():
     s = ImpedanceSensor(Series((Resistor(1e3),)))
     with pytest.raises(ConfigurationError):
-        s.currents_at(0.0)  # sinusoid not prepared
+        s.response(0.0, 1.0)  # sinusoid not prepared

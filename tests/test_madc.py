@@ -56,8 +56,11 @@ def test_cal_preload_shift():
 
 
 def test_oracle_equivalence_random_draws():
+    # 20000 draws, made one at a time as scalars, then converted in one
+    # array-valued call and checked element by element
     rng = np.random.default_rng(123)
     cfg = MadcConfig(c_int=1e-6, conversion_noise_counts=0.0)
+    draws = []
     for _ in range(20000):
         p_ref = int(rng.integers(1, 1_000_000))
         p_in = int(min(rng.integers(1, 2 * p_ref + 1), 1_000_000))
@@ -65,11 +68,13 @@ def test_oracle_equivalence_random_draws():
         cal = int(min(rng.integers(-64, 64), 4 * k - 1))
         preload = int(rng.integers(0, 601))
         sign = 1 if rng.random() < 0.5 else -1
-        conv = run(p_in * SCALE, p_ref * SCALE, coeff=k / 128.0, cal=cal,
-                   preload=preload, sign=sign, cfg=cfg)
-        expect = madc_oracle_reference(4 * k - cal, p_in, p_ref, sign, preload,
-                                       cfg.counter_max)
-        assert conv.out_count == expect
+        draws.append((p_ref, p_in, k, cal, preload, sign))
+    p_ref, p_in, k, cal, preload, sign = np.array(draws).T
+    conv = run(p_in * SCALE, p_ref * SCALE, coeff=k / 128.0, cal=cal,
+               preload=preload, sign=sign, cfg=cfg)
+    expect = madc_oracle_reference(4 * k - cal, p_in, p_ref, sign, preload,
+                                   cfg.counter_max)
+    np.testing.assert_array_equal(conv.out_count, expect)
 
 
 @st.composite
