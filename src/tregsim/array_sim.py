@@ -150,9 +150,10 @@ class TempArray:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._root_ss = ss
         if cell_seed_sequences is None:
-            # the children that ss.spawn gives a fresh sequence, derived
-            # without spawning from ss: one sequence always builds one array
-            children = [np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i))
+            # the keys of the children that ss.spawn gives a fresh
+            # sequence, derived without spawning from ss: one sequence
+            # always builds one array
+            children = [_CellKey(ss.entropy, (*ss.spawn_key, i))
                         for i in range(cfg.rows * cfg.cols)]
         else:
             if len(cell_seed_sequences) != cfg.rows * cfg.cols:
@@ -252,31 +253,37 @@ class TempArray:
         """Channel noise of every cell, shaped shape + (rows, cols).
 
         Each cell draws its whole block in one call on its own stream,
-        in C order over shape; None on a noiseless channel.
+        in C order over shape, as channel_noise would; None on a
+        noiseless channel.  The result is a view of a cells-first
+        buffer, (rows, cols) + shape, in which each block is contiguous.
         """
-        cfg = self.cfg
-        if cfg.madc.conversion_noise_counts == 0:
+        sigma = self.cfg.madc.conversion_noise_counts
+        if sigma == 0:
             return None
-        draws = [channel_noise(cfg.madc, rng, shape) for row in self._reg_rng for rng in row]
-        return np.stack(draws, axis=-1).reshape(shape + (cfg.rows, cfg.cols))
+        buf = np.empty((self.cfg.rows, self.cfg.cols) + shape)
+        for r, row in enumerate(self._reg_rng):
+            for c, rng in enumerate(row):
+                rng.standard_normal(out=buf[r, c])
+        # scaled as Generator.normal(0.0, sigma) scales its draw
+        buf *= sigma
+        buf += 0.0
+        return np.moveaxis(buf, (0, 1), (-2, -1))
 
-    def read_counts(self, currents=None, n_avg=1, noise=None):
+    def read_counts(self, currents=None, n_avg=1):
         """Plain-mode temperature conversion of every cell at once.
 
         currents is a (i_ctat, i_ptat) pair from front_end_currents,
         shaped (..., rows, cols); by default the front end at the plant
         field.  Each count is the mean of n_avg conversions, rounded and
-        clamped to the counter.  noise (counts, shaped (..., rows, cols,
-        n_avg)) is the channel noise of the conversions; by default every
-        cell draws it in one call on its own stream, in the order the
+        clamped to the counter.  Every cell draws the channel noise of
+        its conversions in one call on its own stream, in the order the
         conversions run.
         """
         cfg = self.cfg.madc
         i_in, i_ref = self.front_end_currents(self.temp) if currents is None else currents
-        if noise is None:
-            noise = self._cell_noise(np.shape(i_in)[:-2] + (n_avg,))
-            if noise is not None:
-                noise = np.moveaxis(noise, -3, -1)
+        noise = self._cell_noise(np.shape(i_in)[:-2] + (n_avg,))
+        if noise is not None:
+            noise = np.moveaxis(noise, -3, -1)
         n_chg = cfg.n1_counts - self.cal_preload
         n2, _ = discharge_counts(cfg, n_chg[..., None], i_in[..., None],
                                  i_ref[..., None], noise)
@@ -288,33 +295,32 @@ class TempArray:
         """One-point calibration of every cell at a known temperature.
 
         Converts every preload candidate n_avg times per cell through the
-        shared converter, and stores in self.cal_preload the preload
-        whose mean centered count best matches the nominal design-map
-        count at t_known.  Returns the list of cells whose required
-        preload fell outside the range.
+        shared converter, all cells in one batch, and stores in
+        self.cal_preload the preload whose mean centered count best
+        matches the nominal design-map count at t_known.  Returns the
+        list of cells, in row-major order, whose required preload fell
+        outside the range.
         """
         cfg = self.cfg.madc
         t_known = self.cfg.cal_temperature if t_known is None else t_known
         target = self.temp_map.counts_cont(t_known)
         lo, hi = self.cfg.cal_range
         cals = np.arange(lo, hi)
-        # candidates as one row: a noiseless call averages that row, not them
-        n_chg = (cfg.n1_counts - cals)[None, :]
-        failures = []
         i_in, i_ref = self.front_end_currents(t_known)
-        for r, c in np.ndindex(i_in.shape):
-            # one cell at a time keeps the peak memory of a calibration flat
-            n2, _ = discharge_counts(cfg, n_chg, i_in[r, c], i_ref[r, c],
-                                     channel_noise(cfg, self._reg_rng[r][c],
-                                                   (n_avg, cals.size)))
-            best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
-            self.cal_preload[r, c] = cals[best]
-            # a best fit at the edge of the range means the true optimum
-            # may lie outside: report it
-            self.cal_ok[r, c] = 0 < best < cals.size - 1
-            if not self.cal_ok[r, c]:
-                failures.append((r, c))
-        return failures
+        # (rows, cols, n_avg, candidates), each cell's noise block in the
+        # order one cell's (n_avg, candidates) draw gives it; a noiseless
+        # batch has one conversion per candidate, and averages that
+        noise = self._cell_noise((n_avg, cals.size))
+        if noise is not None:
+            noise = np.moveaxis(noise, (-2, -1), (0, 1))
+        n2, _ = discharge_counts(cfg, cfg.n1_counts - cals, i_in[..., None, None],
+                                 i_ref[..., None, None], noise)
+        best = np.argmin(np.abs(n2.mean(axis=-2) + 0.5 - target), axis=-1)
+        self.cal_preload[...] = cals[best]
+        # a best fit at the edge of the range means the true optimum
+        # may lie outside: report it
+        self.cal_ok[...] = (0 < best) & (best < cals.size - 1)
+        return [tuple(index) for index in np.argwhere(~self.cal_ok).tolist()]
 
     # -- temperature regulation ------------------------------------------
 
@@ -351,36 +357,43 @@ class TempArray:
                 cfg.thermal_dt, self._substeps)
         a, b = self._cycle_map
 
-        # every cell's cycle converts its active slots, then its
-        # measurement, each drawing noise on the cell's own stream: one
-        # column per conversion, in that order
+        # every cell's cycle is one converter batch: its active slots,
+        # then its plain measurement, one row each in that order.  The
+        # columns give each row's coefficient magnitude, sign and
+        # full-scale charge count; the measurement is a unit-coefficient
+        # conversion with preload 0 and sign -1, so it counts n2.
         active = [n for n in range(3) if coeffs.mantissas[n] != 0]
-        column = {n: j for j, n in enumerate(active)}
-        noise = self._cell_noise((n_cycles, len(active) + 1))
+        slot_mags = [coeffs.magnitudes[n] for n in active]
+        mags = np.array(slot_mags + [1.0])[:, None, None]
+        signs = np.array([1] * len(active) + [-1])[:, None, None]
+        n1 = np.array([madc.pid_n1_counts] * len(active) + [madc.n1_counts])[:, None, None]
         # the loaded calibration word scales with the coefficient: the
         # trim is a relative gain correction of the charge phase
-        cal_words = {n: np.round(coeffs.magnitudes[n] * self.cal_preload
-                                 * madc.pid_charge_scale).astype(int) for n in active}
-        slots = []
+        cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
+                              .astype(int) for mag in slot_mags] + [self.cal_preload])
+        targets = np.zeros_like(cal_words)
+        # each cell draws the run's noise in one call on its own stream,
+        # in the order its conversions run
+        noise = self._cell_noise((n_cycles, len(active) + 1))
+        conv = None
 
-        def measure(slot, coeff_mag, target_preload):
-            # one error conversion of every cell in cycle k, on the
-            # cycle's front-end currents
-            conv = convert(madc, i_in, i_ref, coeff_mag, cal_words[slot], target_preload,
-                           noise=None if noise is None else noise[k, column[slot]],
-                           n1_counts=madc.pid_n1_counts)
-            slots.append((slot, coeff_mag, target_preload, conv))
-            return conv.out_count
+        def measure(preloads):
+            # every conversion of every cell in cycle k, on the cycle's
+            # front-end currents
+            nonlocal conv
+            targets[:-1] = preloads
+            conv = convert(madc, i_in, i_ref, mags, cal_words, targets, coeff_sign=signs,
+                           noise=None if noise is None else noise[k], n1_counts=n1)
+            return conv.out_count[:-1]
 
         grid = (cfg.rows, cfg.cols)
         for k in range(n_cycles):
             # the field is constant within a cycle: one front-end
-            # evaluation serves the error slots and the measurement
+            # evaluation serves the whole batch
             i_in, i_ref = self.front_end_currents(self.temp)
-            slots.clear()
             u = out.u[k] = pid_cycle(state, coeffs, measure)
             if out.conv_trace is not None:
-                _trace_rows(out.conv_trace, k, slots)
+                _trace_rows(out.conv_trace, k, active, slot_mags, targets, conv)
             # code 0 is the heater off, not the PWM's minimum duty
             on = u > 0
             duties = np.zeros(grid)
@@ -395,10 +408,7 @@ class TempArray:
                 out.warnings.append((index, since[index], self._time))
             since[due | (saturated & np.isnan(since))] = self._time
             since[~saturated] = np.nan
-            # measurement conversion in the cycle's idle slack, after each
-            # cell's error slots on its stream
-            out.t_meas[k] = self.temp_map.read_temperature(self.read_counts(
-                (i_in, i_ref), noise=None if noise is None else noise[k, -1, ..., None]))
+            out.t_meas[k] = self.temp_map.read_temperature(conv.out_count[-1])
 
             # the duty is held over the cycle, so its thermal.dt substeps
             # compose exactly into one affine map
@@ -624,19 +634,21 @@ def _solve_2x2(mat, rhs):
     return (d * s - b * t) / det, (a * t - c * s) / det
 
 
-def _trace_rows(trace, k, slots):
+def _trace_rows(trace, k, slots, mags, targets, conv):
     """Append cycle k's error conversions to trace in (row, col, slot) order.
 
-    slots lists (slot, coeff_mag, target_preload, conversion) in slot
-    order; each row is (cycle, row, col, slot, coeff_mag, preload,
-    n_charge, n2, product).
+    slots and mags list the active slots and their coefficient
+    magnitudes; targets and conv hold the cycle's batch, whose first
+    len(slots) rows are the error conversions.  Each row is (cycle, row,
+    col, slot, coeff_mag, preload, n_charge, n2, product).
     """
-    fields = np.stack([np.stack((pre, conv.n_charge, conv.n_discharge, -conv.out_count),
-                                axis=-1) for _, _, pre, conv in slots], axis=-2)
+    n = len(slots)
+    fields = np.stack((targets[:n], conv.n_charge[:n], conv.n_discharge[:n],
+                       -conv.out_count[:n]), axis=-1)
+    fields = np.moveaxis(fields, 0, -2)
     for (r, c, j), row in zip(np.ndindex(fields.shape[:-1]),
                               fields.reshape(-1, 4).tolist()):
-        slot, mag = slots[j][:2]
-        trace.append((k, r, c, slot, mag, *row))
+        trace.append((k, r, c, slots[j], mags[j], *row))
 
 
 def _whole_multiple(total, unit, what, unit_name):
@@ -650,8 +662,18 @@ def _whole_multiple(total, unit, what, unit_name):
     return n
 
 
+class _CellKey(NamedTuple):
+    """A cell's seed key: the entropy and spawn key of its SeedSequence."""
+
+    entropy: object
+    spawn_key: tuple
+
+
 def _cell_stream(child, word):
-    """Generator `word` of a cell, derived statelessly from its seed key."""
+    """Generator `word` of a cell, derived statelessly from its seed key.
+
+    child is a _CellKey or a SeedSequence.
+    """
     return np.random.default_rng(np.random.SeedSequence(
         entropy=child.entropy, spawn_key=(*child.spawn_key, word)))
 

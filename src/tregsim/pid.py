@@ -156,31 +156,31 @@ class PidState:
 def pid_cycle(state, coeffs, measure):
     """Run one controller cycle of every cell: conversions, bank, accumulate.
 
-    Each active tap n makes one call measure(n, coeff_mag, target_preload)
-    with the preloads of all cells, shaped like state.u_prev; it must
-    perform one dual-slope conversion per cell against the
-    temperature-sensing currents and return the output counts,
-    target_preload - n_discharge.  The banked product is the measured
-    count minus the target preload (counts fall with temperature, so a
-    cold cell yields positive products), saturating at the 8-bit store.
-    Accumulation applies coefficient signs and the shared exponent:
+    The sigma-delta preloads of the active taps (nonzero mantissa) go to
+    one call measure(preloads) per cycle, stacked in slot order and
+    shaped (n_active,) + state.u_prev.shape, empty with no active tap.
+    It must perform one dual-slope conversion per tap and cell, with the
+    tap's coefficient magnitude, against the temperature-sensing
+    currents, and return the output counts, preloads - n_discharge, in
+    the same shape.  The banked product is the measured count minus the
+    target preload (counts fall with temperature, so a cold cell yields
+    positive products), saturating at the 8-bit store.  Accumulation
+    applies coefficient signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
     """
-    mags = coeffs.magnitudes
     signs = coeffs.signs
     target_x = np.asarray(state.target_x, dtype=float)
     sd_accum = np.array(state.sd_accum, dtype=float)
     products = np.zeros(target_x.shape, dtype=int)
-    for n in range(3):
-        if coeffs.mantissas[n] == 0:
-            continue
-        base = np.floor(target_x[n])
-        sd_accum[n] += target_x[n] - base
-        carry = sd_accum[n] >= 1.0
-        sd_accum[n] -= carry
-        preload = base.astype(int) + carry
-        p = -measure(n, mags[n], preload)  # measured-minus-target ordering
-        products[n] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
+    active = [n for n in range(3) if coeffs.mantissas[n] != 0]
+    target = target_x[active]
+    base = np.floor(target)
+    acc = sd_accum[active] + (target - base)
+    carry = acc >= 1.0
+    acc -= carry
+    sd_accum[active] = acc
+    p = -measure(base.astype(int) + carry)  # measured-minus-target ordering
+    products[active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
 
     bank = state.bank
     increment = signs[0] * products[0] + signs[1] * bank[0, 1] + signs[2] * bank[1, 2]

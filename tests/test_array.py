@@ -107,6 +107,49 @@ def test_calibration_failure_reported_when_out_of_range():
     assert not arr.cal_ok[0, 0]
 
 
+def per_cell_calibration(arr, t_known, n_avg=8):
+    """calibrate_one_point one cell at a time: per cell in row-major order,
+    one channel_noise draw on its own stream and one discharge_counts
+    call.  Returns the preloads, cal_ok and the failures."""
+    madc = arr.cfg.madc
+    target = arr.temp_map.counts_cont(t_known)
+    cals = np.arange(*arr.cfg.cal_range)
+    i_in, i_ref = arr.front_end_currents(t_known)
+    preload = np.zeros(i_in.shape, dtype=int)
+    ok = np.ones(i_in.shape, dtype=bool)
+    failures = []
+    for r, c in np.ndindex(i_in.shape):
+        noise = channel_noise(madc, arr._reg_rng[r][c], (n_avg, cals.size))
+        n2, _ = discharge_counts(madc, (madc.n1_counts - cals)[None, :],
+                                 i_in[r, c], i_ref[r, c], noise)
+        best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
+        preload[r, c] = cals[best]
+        ok[r, c] = 0 < best < cals.size - 1
+        if not ok[r, c]:
+            failures.append((r, c))
+    return preload, ok, failures
+
+
+@pytest.mark.parametrize("noise", [0.3, 0.0])
+def test_calibration_matches_per_cell_reference(noise):
+    # the batched calibration converts every cell at once; each cell
+    # must still draw its block on its own stream, and the edge hits
+    # come back in row-major order
+    arr = small_array(rows=3, cols=2, seed=9, madc=MadcConfig(conversion_noise_counts=noise))
+    assert arr.cfg.sigma_r1 > 0
+    arr.current_source.r1[0, 1] *= 1.5      # needs a preload below the range
+    arr.current_source.r1[2, 0] *= 0.7      # and one above it
+    ref = copy.deepcopy(arr)
+    failures = arr.calibrate_one_point()
+    preload, ok, ref_failures = per_cell_calibration(ref, arr.cfg.cal_temperature)
+    assert ref_failures == [(0, 1), (2, 0)]
+    assert failures == ref_failures
+    assert np.array_equal(arr.cal_preload, preload)
+    assert np.array_equal(arr.cal_ok, ok)
+    for r, c in np.ndindex(3, 2):
+        assert arr._reg_rng[r][c].standard_normal() == ref._reg_rng[r][c].standard_normal()
+
+
 @pytest.mark.parametrize("hd2", [0.01, 0.02])
 def test_calibration_matches_converter_under_integrator_curvature(hd2):
     # calibration converts through the same converter as the readout, so
@@ -351,7 +394,8 @@ def scalar_regulation(arr, sp, duration):
     Each cell runs the count-domain PID on Python scalars: sigma-delta
     preloads, one convert call and one noise draw per active slot, then
     its plain measurement conversion, all on its own stream.  Returns
-    u, t_meas, t_true, warnings and the conversion trace.
+    u, t_meas, t_true, duty, time, setpoint, warnings and the conversion
+    trace.
     """
     cfg, madc, coeffs = arr.cfg, arr.cfg.madc, arr.pid_coeffs
     n1, scale = madc.n1_counts, madc.pid_charge_scale
@@ -367,7 +411,8 @@ def scalar_regulation(arr, sp, duration):
     a, b = cycle_map(sp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb, cfg.thermal_dt,
                      int(round(cfg.pid_ts / cfg.thermal_dt)))
     temp, now = arr.temp.copy(), 0.0
-    u, t_meas, t_true = (np.empty((n_cycles,) + sp.shape) for _ in range(3))
+    u, t_meas, t_true, duty, setpoint = (np.empty((n_cycles,) + sp.shape) for _ in range(5))
+    time = np.empty(n_cycles)
     warnings, trace = [], []
     for k in range(n_cycles):
         i_in, i_ref = arr.front_end_currents(temp)
@@ -396,8 +441,8 @@ def scalar_regulation(arr, sp, duration):
             raw = u_prev[rc] + inc
             u[k][rc] = u_prev[rc] = max(0, min(4095, raw))
             bank[rc] = [products, bank[rc][0], bank[rc][1]]
-            if u_prev[rc] > 0:
-                powers[rc] = duty_of_code(cfg.pwm, u_prev[rc]) * cfg.heater.p_max
+            duty[k][rc] = duty_of_code(cfg.pwm, u_prev[rc]) if u_prev[rc] > 0 else 0.0
+            powers[rc] = duty[k][rc] * cfg.heater.p_max
             if u_prev[rc] != raw or any(abs(p) >= 127 for p in products):
                 if since[rc] is None:
                     since[rc] = now
@@ -412,8 +457,8 @@ def scalar_regulation(arr, sp, duration):
         rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
         temp = cfg.t_ambient + rise.reshape(temp.shape)
         now += cfg.pid_ts
-        t_true[k] = temp
-    return u, t_meas, t_true, warnings, trace
+        t_true[k], time[k], setpoint[k] = temp, now, sp
+    return u, t_meas, t_true, duty, time, setpoint, warnings, trace
 
 
 def test_regulation_matches_per_cell_scalar_loop():
@@ -431,13 +476,26 @@ def test_regulation_matches_per_cell_scalar_loop():
     sp[1, 0] = 90.0
     ref = copy.deepcopy(arr)
     res = arr.run_regulation(sp, 48.0, trace_conversions=True)
-    u, t_meas, t_true, warnings, trace = scalar_regulation(ref, sp, 48.0)
+    u, t_meas, t_true, duty, time, setpoint, warnings, trace = scalar_regulation(ref, sp, 48.0)
     assert np.array_equal(res.u, u)
     assert np.array_equal(res.t_meas, t_meas)
     assert np.array_equal(res.t_true, t_true)
+    assert np.array_equal(res.duty, duty)
+    assert np.array_equal(res.time, time)
+    assert np.array_equal(res.setpoint, setpoint)
     assert res.warnings == warnings and len(warnings) >= 2
     assert len(res.conv_trace) == 12 * 6 * 2
     assert np.array_equal(res.conv_trace, trace)
+
+
+def test_null_controller_still_measures_every_cycle():
+    # with no active tap a cycle's batch is the plain measurement alone
+    arr = quiet_array(seed=3, pid_gains=(0.0, 0.0, 0.0))
+    assert arr.pid_coeffs.mantissas == (0, 0, 0)
+    arr.calibrate_one_point()
+    res = arr.run_regulation(40.0, 20.0, trace_conversions=True)
+    assert np.all(res.u == 0) and res.conv_trace == []
+    assert np.all(np.abs(res.t_meas - 25.0) <= 0.5)
 
 
 def test_measurement_does_not_perturb_regulation():

@@ -64,15 +64,20 @@ def test_coefficient_normalization():
 
 
 class StubMeasure:
-    """Error conversions with a programmable measured count per tap."""
+    """A cycle's batched error conversions, with a programmable measured
+    count per tap: row j of the preloads belongs to the j-th active slot."""
 
-    def __init__(self, n2_of_preload):
+    def __init__(self, coeffs, n2_of_preload):
+        self.slots = [n for n in range(3) if coeffs.mantissas[n] != 0]
+        self.mags = [coeffs.magnitudes[n] for n in self.slots]
         self.n2_of_preload = n2_of_preload
-        self.calls = []
+        self.calls = []     # per call: (slot, coeff_mag, preload) of each row
 
-    def __call__(self, slot, coeff_mag, target_preload):
-        self.calls.append((slot, coeff_mag, target_preload))
-        return target_preload - self.n2_of_preload(slot, coeff_mag, target_preload)
+    def __call__(self, preloads):
+        assert len(preloads) == len(self.slots)
+        rows = list(zip(self.slots, self.mags, preloads.tolist()))
+        self.calls.append(rows)
+        return preloads - np.array([self.n2_of_preload(*row) for row in rows], dtype=int)
 
 
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
@@ -85,7 +90,7 @@ def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
 def test_zero_error_leaves_actuation_unchanged():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
     # measured count always equals the loaded target: e == 0
-    measure = StubMeasure(lambda slot, mag, preload: preload)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload)
     st = make_state(coeffs, x=(1000.0, 800.0, 60.0))
     for _ in range(3):
         u = pid_cycle(st, coeffs, measure)
@@ -97,7 +102,7 @@ def test_cold_start_increases_actuation():
     # measured count above target (counts fall with temperature, so the
     # cell is below setpoint): positive kp must push the duty up
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    measure = StubMeasure(lambda slot, mag, preload: preload + 20)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 20)
     st = make_state(coeffs)
     st.u_prev = 0
     u = pid_cycle(st, coeffs, measure)
@@ -106,13 +111,13 @@ def test_cold_start_increases_actuation():
 
 def test_actuation_clamps_and_flags():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    measure = StubMeasure(lambda slot, mag, preload: preload + 10000)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 10000)
     st = make_state(coeffs)
     st.u_prev = 4000
     u = pid_cycle(st, coeffs, measure)
     assert u == 4095
     assert st.saturated
-    measure2 = StubMeasure(lambda slot, mag, preload: max(preload - 10000, 0))
+    measure2 = StubMeasure(coeffs, lambda slot, mag, preload: max(preload - 10000, 0))
     st2 = make_state(coeffs)
     st2.u_prev = 10
     # drain the bank with three cold cycles
@@ -123,19 +128,23 @@ def test_actuation_clamps_and_flags():
 
 def test_bank_products_saturate_at_8bit_range():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    measure = StubMeasure(lambda slot, mag, preload: preload + 100000)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 100000)
     st = make_state(coeffs)
     pid_cycle(st, coeffs, measure)
     assert all(p <= 127 for p in st.bank[0])
 
 
 def test_three_conversions_per_cycle_in_slot_order():
+    # one measure call per cycle, its preloads stacked in slot order:
+    # each row is its own tap's target, floor(x_n) on a fresh accumulator
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
-    measure = StubMeasure(lambda slot, mag, preload: preload)
-    st = make_state(coeffs)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload)
+    st = make_state(coeffs, x=(1000.0, 800.0, 60.0))
     pid_cycle(st, coeffs, measure)
-    assert [c[0] for c in measure.calls] == [0, 1, 2]
-    assert [c[1] for c in measure.calls] == list(coeffs.magnitudes)
+    (call,) = measure.calls
+    assert [c[0] for c in call] == [0, 1, 2]
+    assert [c[1] for c in call] == list(coeffs.magnitudes)
+    assert [c[2] for c in call] == [1000, 800, 60]
 
 
 def test_default_tuning_properties():
@@ -173,7 +182,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
         measured[slot] = (preload, n2)
         return n2
 
-    measure = StubMeasure(n2_of)
+    measure = StubMeasure(coeffs, n2_of)
     st = PidState(u_prev=2000)
     st.target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
     target_x = list(st.target_x)

@@ -30,8 +30,11 @@ def test_equilibrium_at_ambient():
 
 
 def test_single_node_converges_to_power_over_conductance():
+    # 12 time constants of steps, composed by cycle_map, which
+    # test_cycle_map_matches_stepper ties to the stepper
     p = np.array([[0.27]])
-    temp = advance(ambient(1, 1), p, n=int(12 * (C_TH / G_AMB) / DT))
+    n = int(12 * (C_TH / G_AMB) / DT)
+    temp = apply_map(cycle_map((1, 1), C_TH, G_LAT, G_AMB, DT, n), ambient(1, 1), p)
     assert temp[0, 0] == pytest.approx(25.0 + 0.27 / G_AMB, abs=0.01)
 
 
