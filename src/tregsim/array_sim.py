@@ -22,6 +22,10 @@ from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
+# Longest IS period, in conversions: a grid point's tables and converter
+# batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
+MAX_FRA_PERIOD = 2 ** 20
+
 
 class Mode(Enum):
     CPA = "cpa"
@@ -541,22 +545,39 @@ class TempArray:
             return self._fra_memo[1]
         cfg = self.cfg.madc
         f_act = cycles_per_window * cfg.conversion_rate / m
-        theta = np.arange(m, dtype=float)
-        theta *= cfg.slot_clocks / cfg.f_clk
-        theta *= 2.0 * math.pi * f_act
-        basis = np.empty((2, m))
-        np.sin(theta, out=basis[0])
-        np.cos(theta, out=basis[1])
+        # one sine cycle of m phases 2*pi*j/m, evaluated for j < ceil(m/2)
+        # and completed by the antiperiod x[j + m/2] = -x[j] (even m) or
+        # the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd m)
+        h = (m + 1) // 2
+        cycle = np.empty((2, m))
+        theta = np.arange(h, dtype=float)
+        theta *= 2.0 * math.pi
+        theta /= m
+        np.sin(theta, out=cycle[0, :h])
+        np.cos(theta, out=cycle[1, :h])
+        if m % 2:
+            np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
+            cycle[1, h:] = cycle[1, h - 1:0:-1]
+        else:
+            np.negative(cycle[:, :h], out=cycle[:, h:])
         # both 7-bit tables are q / COEFF_LEVELS, rounded once from the
         # samples.  Scaling by a power of two commutes with rounding, so
-        # the projections and charges taken from q scale exactly.
-        q = basis * COEFF_LEVELS
+        # the projections and charges taken from q scale exactly, and
+        # rounding half to even keeps the antiperiod and the mirror.
+        q = cycle * COEFF_LEVELS
         np.round(q, out=q)
-        proj = np.array([(np.dot(row, basis[0]), np.dot(row, basis[1])) for row in q])
+        # a period's projections do not depend on the order of its phases
+        proj = q @ cycle.T
+        proj /= COEFF_LEVELS
+        if cycles_per_window > 1:
+            # conversion k sits at phase (cycles_per_window * k) % m
+            phase = np.arange(m) * cycles_per_window % m
+            cycle = cycle[:, phase]
+            q = q[:, phase]
         charge = np.abs(q)
         charge *= cfg.n1_counts / COEFF_LEVELS
         np.round(charge, out=charge)
-        tables = _FraTables(f_act, basis, charge, np.sign(q), proj / COEFF_LEVELS)
+        tables = _FraTables(f_act, cycle, charge, np.sign(q), proj)
         self._fra_memo = (key, tables)
         return tables
 
@@ -567,15 +588,7 @@ class TempArray:
         2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
         """
         cfg = self.cfg.madc
-        f_conv = cfg.conversion_rate
-        if f_req <= f_conv / 8.0:
-            m = int(round(f_conv / f_req))
-            cycles_per_window = 1
-        else:
-            m = 64
-            cycles_per_window = max(1, int(round(f_req * m / f_conv)))
-            while math.gcd(cycles_per_window, m) != 1:
-                cycles_per_window += 1
+        m, cycles_per_window = _fra_grid_point(cfg, f_req)
         tables = self._fra_tables(m, cycles_per_window)
         cell.sensor.prepare_sinusoid(tables.f_act, amplitude)
 
@@ -590,11 +603,16 @@ class TempArray:
         # sample, one row per period in window order, basis by basis as
         # the windows run: each basis's front-end noise, then its channel
         # noise at its live slots only.  Without noise the one period's
-        # counts stand for every period.
-        i_t = cell.sensor.response(*tables.basis)
+        # counts stand for every period, and an even period's first half
+        # for both halves: the antiperiodic tables negate the second
+        # half's response and table signs exactly and repeat its counts.
+        fold = m % 2 == 0 and not noise_rms and not run_cfg.conversion_noise_counts
+        n = m // 2 if fold else m
+        basis, charge, table_sign = (t[:, :n] for t in (tables.basis, tables.charge, tables.sign))
+        i_t = cell.sensor.response(*basis)
         front = []
         chan = np.zeros((2, n_periods, m)) if run_cfg.conversion_noise_counts else None
-        for b, sign in enumerate(tables.sign):
+        for b, sign in enumerate(table_sign):
             if noise_rms:
                 front.append(noise_rms * rng.standard_normal((n_periods, m)))
             if chan is not None:
@@ -603,16 +621,17 @@ class TempArray:
                 # a mask over every row, not a column index: numpy's fast path
                 chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
         i_w = (i_t + np.stack(front)) if front else i_t
-        # both bases in one batch: charge rows (2, 1, m) against the
-        # response, (m,) or (2, n_periods, m)
+        # both bases in one batch: charge rows (2, 1, n) against the
+        # response, (n,) or (2, n_periods, m)
         sign_i = np.sign(i_w)
-        n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_w, out=i_w),
+        n2, _ = discharge_counts(run_cfg, charge[:, None], np.abs(i_w, out=i_w),
                                  i_ref, chan)
-        # whole counts: their signed sum over rows, scaled to n_periods, is exact
+        # whole counts: their signed sum over rows, scaled to n_periods
+        # whole periods, is exact
         counts = sign_i * n2
-        scale = n_periods // counts.shape[1]
+        scale = n_periods // counts.shape[1] * (m // n)
         sums = [total * scale * i_ref / cfg.n1_counts
-                for total in (counts @ tables.sign[..., None]).sum(axis=(1, 2)).tolist()]
+                for total in (counts @ table_sign[..., None]).sum(axis=(1, 2)).tolist()]
         return tables.f_act, (n_periods * tables.proj).tolist(), sums
 
 
@@ -697,6 +716,33 @@ class _MeasurementStreams(list):
 
 
 def _ranged(cfg, i_ref):
-    """cfg with the integration cap ranged so full-scale inputs do not clip."""
-    return replace(cfg, c_int=max(cfg.c_int,
-                                  1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
+    """cfg with the integration cap ranged so full-scale inputs do not clip.
+
+    cfg itself when its cap already suffices.
+    """
+    c_int = 1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full
+    return cfg if cfg.c_int >= c_int else replace(cfg, c_int=c_int)
+
+
+def _fra_grid_point(cfg, f_req):
+    """(m, cycles_per_window): the IS grid point f_req snaps to.
+
+    Up to an eighth of the conversion rate, a period is m conversions
+    holding one sine cycle; above, 64 conversions hold an odd number of
+    cycles.  Rejects a period longer than MAX_FRA_PERIOD conversions.
+    """
+    f_conv = cfg.conversion_rate
+    if f_req > f_conv / 8.0:
+        m = 64
+        cycles_per_window = max(1, int(round(f_req * m / f_conv)))
+        while math.gcd(cycles_per_window, m) != 1:
+            cycles_per_window += 1
+        return m, cycles_per_window
+    m = int(round(f_conv / f_req))
+    if m > MAX_FRA_PERIOD:
+        raise ConfigurationError(
+            f"an IS period at {f_req:g} Hz takes {m} conversions, more than "
+            f"{MAX_FRA_PERIOD}: madc.f_clk ({cfg.f_clk:g}) and madc.n_bits "
+            f"({cfg.n_bits}) set {f_conv:g} conversions/s; lower them or "
+            "raise is_mode.f_lo")
+    return m, 1

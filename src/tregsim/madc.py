@@ -106,6 +106,8 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     exact charges resolving as crossed (see CROSSING_GUARD).  Clips at
     the integrator full scale.  noise (counts, see channel_noise) is added
     to the held charge before the floor.  Accepts scalars or arrays.
+    Returns (count, clipped); clipped is False when nothing can clip, and
+    otherwise a mask of the inputs' broadcast shape.
     """
     n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
     x = n_charge * (i_in / i_ref)
@@ -113,11 +115,15 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
         # single-ended integrator curvature: fractional second-order term
         # referred to the full-scale count
         x = x * (1.0 + cfg.hd2_fraction * x / cfg.n1_counts)
-    # integrator clip: the held charge cannot exceed c_int*v_full
+    # integrator clip: the held charge cannot exceed c_int*v_full.  Rounding
+    # is monotone, so no element clips when the largest magnitudes do not,
+    # and the element-wise test runs only when they would
     q_max = cfg.c_int * cfg.v_full
-    clipped = n_charge * i_in / cfg.f_clk > q_max
-    if clipped.any():
-        x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
+    clipped = False
+    if x.size and abs(n_charge).max() * abs(i_in).max() / cfg.f_clk > q_max:
+        clipped = n_charge * i_in / cfg.f_clk > q_max
+        if clipped.any():
+            x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
     if noise is not None:
         x = x + noise
     if not x.ndim:

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tregsim.array_sim import ArrayConfig, Mode, TempArray, WaveformSpec, _solve_2x2
+from tregsim import array_sim
+from tregsim.array_sim import (MAX_FRA_PERIOD, ArrayConfig, Mode, TempArray, WaveformSpec,
+                               _fra_grid_point, _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              HeaterParams, ImpedanceSensor, Parallel, PhSensor,
@@ -706,7 +708,7 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
 
 def test_is_closed_form_solve_matches_linalg():
     # the 2x2 systems of the default sweep, one per (network, grid point),
-    # on its 51 projection matrices
+    # on its 39 projection matrices: the 13 points with m = 64 share one
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     arr = quiet_array()
@@ -718,11 +720,103 @@ def test_is_closed_form_solve_matches_linalg():
             _, mat, rhs = arr._fra_point(cell, float(f), 4, 0.01, None, None)
             mats.append(mat)
             sums.append(rhs)
-    assert len({tuple(map(tuple, mat)) for mat in mats}) == 51
+    assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
     want = np.linalg.solve(np.array(mats), np.array(sums)[..., None])[..., 0]
     got = np.array([_solve_2x2(mat, rhs) for mat, rhs in zip(mats, sums)])
     err = np.linalg.norm(got - want, axis=-1)
     assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
+
+
+def test_is_half_cycle_tables_match_direct_evaluation():
+    # every default grid point: the charge and sign tables equal those
+    # rounded from a direct full-period evaluation, and the basis agrees
+    # with it within a few ulp.  The identities that complete the cycle
+    # hold bit for bit in conversion order: the antiperiod for even m
+    # (m = 64 with an odd cycle count included), the mirror for odd m.
+    arr = quiet_array()
+    cfg = arr.cfg.madc
+    bits = lambda a: a.view(np.int64)
+    for f in default_fra_grid():
+        m, c = _fra_grid_point(cfg, float(f))
+        tables = arr._fra_tables(m, c)
+        theta = 2 * np.pi * ((c * np.arange(m)) % m) / m
+        direct = np.stack((np.sin(theta), np.cos(theta)))
+        q = np.round(direct * 128)
+        assert np.array_equal(tables.sign, np.sign(q))
+        assert np.array_equal(tables.charge, np.round(np.abs(q) * cfg.n1_counts / 128))
+        # a direct phase near 2*pi carries that angle's rounding
+        np.testing.assert_allclose(tables.basis, direct, rtol=0,
+                                   atol=4 * np.spacing(2 * np.pi))
+        if m % 2 == 0:
+            h = m // 2
+            assert np.array_equal(bits(tables.basis[:, h:]), bits(-tables.basis[:, :h]))
+            assert np.array_equal(tables.charge[:, h:], tables.charge[:, :h])
+            assert np.array_equal(tables.sign[:, h:], -tables.sign[:, :h])
+        else:
+            # conversion m - j mirrors conversion j, for j = 1 .. m - 1
+            mirror = m - np.arange(1, m)
+            basis, charge, sign = (t[:, 1:] for t in (tables.basis, tables.charge, tables.sign))
+            assert np.array_equal(bits(tables.basis[0, mirror]), bits(-basis[0]))
+            assert np.array_equal(bits(tables.basis[1, mirror]), bits(basis[1]))
+            assert np.array_equal(tables.charge[:, mirror], charge)
+            assert np.array_equal(tables.sign[:, mirror], sign * [[-1], [1]])
+
+
+@pytest.mark.parametrize("net", [
+    Series((Resistor(100e3), Capacitor(1e-6))),
+    Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)),
+])
+def test_is_folded_sums_equal_full_period_conversion(net):
+    # a noiseless even period converts only its first half; its sums must
+    # equal, exactly, one discharge_counts call over the whole period on
+    # the same tables through the ranged config
+    arr = quiet_array()
+    cfg = arr.cfg.madc
+    cell = arr.cells[0][0]
+    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
+    for f in default_fra_grid():
+        _, _, sums = arr._fra_point(cell, float(f), 4, 0.01, None, None)
+        tables = arr._fra_tables(*_fra_grid_point(cfg, float(f)))
+        i_ref = max(cell.sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+        i_t = cell.sensor.response(*tables.basis)
+        n2, _ = discharge_counts(_ranged(cfg, i_ref), tables.charge, np.abs(i_t), i_ref)
+        totals = (np.sign(i_t) * n2 * tables.sign).sum(axis=1).tolist()
+        assert sums == [t * 4 * i_ref / cfg.n1_counts for t in totals]
+
+
+@pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
+@pytest.mark.parametrize("noise, noise_rms", [(0.0, None), (0.3, None), (0.0, 3e-9)])
+def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise, noise_rms):
+    # any noise converts, and draws for, every sample of every period
+    sizes = []
+
+    def spy(*args, **kwargs):
+        n2, clipped = discharge_counts(*args, **kwargs)
+        sizes.append(n2.size)
+        return n2, clipped
+
+    monkeypatch.setattr(array_sim, "discharge_counts", spy)
+    arr = quiet_array(noise=noise)
+    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),))))
+    ref = copy.deepcopy(arr._meas_rng[0][0])
+    arr.run_is((0, 0), [f_req], n_periods=4, noise_rms=noise_rms)
+    noisy = noise or noise_rms
+    assert sizes == [2 * 4 * m if noisy else m]
+    live = np.count_nonzero(arr._fra_memo[1].sign)
+    ref.standard_normal(2 * 4 * m if noise_rms else 4 * live if noise else 0)
+    assert arr._meas_rng[0][0].standard_normal() == ref.standard_normal()
+
+
+def test_is_period_bound():
+    # the longest period passes; one conversion more is rejected before
+    # any table is built, naming the keys that set it
+    cfg = MadcConfig()
+    f_longest = cfg.conversion_rate / MAX_FRA_PERIOD
+    assert _fra_grid_point(cfg, f_longest) == (MAX_FRA_PERIOD, 1)
+    with pytest.raises(ConfigurationError) as err:
+        _fra_grid_point(cfg, cfg.conversion_rate / (MAX_FRA_PERIOD + 1))
+    for key in ("madc.f_clk", "madc.n_bits", "is_mode.f_lo"):
+        assert key in str(err.value)
 
 
 @pytest.mark.parametrize("f_a, f_b, hit", [

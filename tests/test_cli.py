@@ -1,5 +1,6 @@
 import copy
 import os
+import time
 
 import numpy as np
 import pytest
@@ -99,6 +100,30 @@ dir = %s
     err = capsys.readouterr().err
     assert "config error:" in err
     assert key in err
+    assert not out.exists()
+
+
+def test_over_long_is_period_exits_2_quickly_without_outputs(tmp_path, capsys):
+    # at f_clk = 1e10 the 0.1 Hz point would take one 48.8M-conversion
+    # period; it is rejected before any table is built
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "long.cfg", """
+[experiment]
+name = fra_sweep
+seed = 1
+
+[madc]
+f_clk = 1e10
+
+[output]
+dir = %s
+""" % (out / "run"))
+    start = time.perf_counter()
+    assert main([cfg]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    for key in ("madc.f_clk", "madc.n_bits", "is_mode.f_lo"):
+        assert key in err
     assert not out.exists()
 
 

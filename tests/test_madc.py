@@ -9,8 +9,8 @@ from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import BjtParams, CurrentSourceParams
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import madc_oracle_reference, madc_oracle_slow
-from tregsim.madc import (MadcConfig, TemperatureMap, convert, convert_signed,
-                          discharge_counts, snr_test)
+from tregsim.madc import (CROSSING_GUARD, MadcConfig, TemperatureMap, convert,
+                          convert_signed, discharge_counts, snr_test)
 
 CFG = MadcConfig(conversion_noise_counts=0.0)
 QUIET = CFG
@@ -136,6 +136,45 @@ def test_integrator_clip_sets_flags():
     assert clipped and conv.saturated
     # clip holds the charge at c_int*v_full
     assert conv.out_count == math.floor(1e-12 * 1.0 * 1e7 / 4e-7 + 1e-9)
+
+
+# powers of two throughout, so a product n_charge * i_in / f_clk can land
+# exactly on the clip threshold c_int * v_full = 2**-35
+POW2 = MadcConfig(f_clk=2.0 ** 23, c_int=2.0 ** -35, conversion_noise_counts=0.0)
+AT_CLIP = 2.0 ** -21    # 512 clocks at this current hold exactly c_int * v_full
+
+
+def _one_clip_batch():
+    n_charge = np.array([512.0, 256.0, 128.0])[:, None, None]
+    i_in = np.full((1, 200, 300), AT_CLIP / 4)
+    i_in[0, 123, 45] = np.nextafter(AT_CLIP, 1.0)
+    return n_charge, i_in
+
+
+@pytest.mark.parametrize("n_charge, i_in, n_clipped", [
+    # a (3, 200, 300) batch in which only 512 clocks of one current clip
+    (*_one_clip_batch(), 1),
+    # the largest product sits exactly at the threshold: the rule is strict
+    (np.array([512.0, 511.0]), np.array([AT_CLIP, AT_CLIP]), 0),
+    (512.0, np.nextafter(AT_CLIP, 1.0), 1),
+    # signed inputs: the largest product comes from two negative extremes,
+    # which a bound on the largest values alone would miss
+    (np.array([-512.0, 3.0, -1.0]), np.array([-2.0 * AT_CLIP, AT_CLIP, 4.0 * AT_CLIP]), 1),
+    # the largest magnitudes sit on different elements: nothing clips
+    (np.array([-512.0, 1.0]), np.array([AT_CLIP / 1024, -2.0 * AT_CLIP]), 0),
+    (np.array([]), np.array([]), 0),
+])
+def test_clip_bound_matches_elementwise_rule(n_charge, i_in, n_clipped):
+    i_ref = AT_CLIP / 2
+    n2, clipped = discharge_counts(POW2, n_charge, i_in, i_ref)
+    q_max = POW2.c_int * POW2.v_full
+    want = np.asarray(n_charge) * i_in / POW2.f_clk > q_max
+    assert np.count_nonzero(want) == n_clipped
+    # convert and the benchmark's tracer OR the mask with the clamp mask
+    assert np.shape(clipped | (n2 > POW2.counter_max)) == np.shape(n2)
+    assert np.array_equal(np.broadcast_to(clipped, np.shape(n2)), want)
+    x = np.where(want, q_max * POW2.f_clk / i_ref, n_charge * (i_in / i_ref))
+    assert np.array_equal(n2, np.floor(x + CROSSING_GUARD))
 
 
 def test_counter_saturation_clamps():
