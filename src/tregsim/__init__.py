@@ -8,8 +8,7 @@ hybrid PWM.  The same channel serves the amperometric measurement modes
 (constant-potential, voltammetry, impedance spectroscopy).
 """
 
-from .array_sim import (ArrayConfig, CellState, FraResult, Mode, TempArray,
-                        WaveformSpec)
+from .array_sim import ArrayConfig, FraResult, TempArray, WaveformSpec
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, delta_vbe, i_ctat, i_ptat, vbe)

@@ -7,16 +7,16 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import thermal
+from .config import SCHEMA, setting
 from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       ImpedanceSensor, PhSensor, i_ctat, i_ptat,
                       network_transient_currents)
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
                    convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
@@ -26,30 +26,32 @@ from .pwm import PwmConfig, duty_of_code
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
 
+# one-point calibration tries the preloads range(*CAL_RANGE), at
+# CAL_TEMPERATURE degC unless the caller names another temperature
+CAL_RANGE = (-64, 64)
+CAL_TEMPERATURE = 50.0
 
-class Mode(Enum):
-    CPA = "cpa"
-    CV = "cv"
-    IS = "is"
-    TEMP_REG = "temp_reg"
+_IS = SCHEMA["is_mode"]
 
 
 @dataclass
 class WaveformSpec:
-    """Interrogation waveform: constant level or cyclic ramp."""
+    """Interrogation waveform: constant level v_low, or a cyclic ramp
+    between v_low and v_high at scan_rate (V/s)."""
 
     kind: str = "constant"
-    v_low: float = 0.0
-    v_high: float = 0.0
-    scan_rate: float = 0.1
+    v_low: float = setting("cv.v_low")
+    v_high: float = setting("cv.v_high")
+    scan_rate: float = setting("cv.scan_rate")
     cycles: int = 1
 
     def __post_init__(self):
         if self.kind not in ("constant", "ramp_cyclic"):
             raise ConfigurationError(f"unknown waveform kind {self.kind!r}")
         if self.kind == "ramp_cyclic":
-            if not (self.v_low < self.v_high) or self.scan_rate <= 0:
-                raise ConfigurationError("ramp needs v_low < v_high and scan_rate > 0")
+            require(self.v_low < self.v_high, "cv.v_low", f"below cv.v_high ({self.v_high!r})",
+                    self.v_low)
+            require(self.scan_rate > 0, "cv.scan_rate", "positive", self.scan_rate)
 
 
 @dataclass(frozen=True)
@@ -60,34 +62,52 @@ class FraResult:
 
 
 @dataclass
-class CellState:
-    index: tuple
-    mode: Mode
-    sensor: object = None
-
-
-@dataclass
 class ArrayConfig:
-    rows: int = 9
-    cols: int = 6
-    t_ambient: float = 25.0
+    """The array's settings, checked when built.
+
+    A plant parameter left None is fitted by thermal.fit_defaults;
+    substeps is the number of thermal steps per PID period.
+    """
+
+    rows: int = setting("array.rows")
+    cols: int = setting("array.cols")
+    t_ambient: float = setting("array.t_ambient")
     bjt: BjtParams = field(default_factory=BjtParams)
     current_source: CurrentSourceParams = field(default_factory=CurrentSourceParams)
     heater: HeaterParams = field(default_factory=HeaterParams)
     madc: MadcConfig = field(default_factory=MadcConfig)
     pwm: PwmConfig = field(default_factory=PwmConfig)
-    c_th: float = None            # None: fit_defaults()
-    g_amb: float = None
-    g_lat: float = None
-    thermal_dt: float = 1e-3
-    pid_ts: float = 4.0
+    c_th: float = setting("thermal.c_th")
+    g_amb: float = setting("thermal.g_amb")
+    g_lat: float = setting("thermal.g_lat")
+    thermal_dt: float = setting("thermal.dt")
+    pid_ts: float = setting("pid.ts")
     pid_gains: tuple = None       # (kp, ki, kd); None: default_tuning
-    sigma_vbe: float = 1e-3
-    sigma_r1: float = 0.01
-    sigma_r2: float = 0.01
-    sigma_mirror: float = 0.005
-    cal_range: tuple = (-64, 64)
-    cal_temperature: float = 50.0
+    sigma_vbe: float = setting("mismatch.sigma_vbe")
+    sigma_r1: float = setting("mismatch.sigma_r1")
+    sigma_r2: float = setting("mismatch.sigma_r2")
+    sigma_mirror: float = setting("mismatch.sigma_mirror")
+    substeps: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key in ("rows", "cols"):
+            require(getattr(self, key) >= 1, f"array.{key}", ">= 1", getattr(self, key))
+        for key in ("sigma_vbe", "sigma_r1", "sigma_r2", "sigma_mirror"):
+            require(getattr(self, key) >= 0, f"mismatch.{key}", ">= 0", getattr(self, key))
+        fit = thermal.fit_defaults(target_rise=65.0, p_at_target=self.heater.p_max,
+                                   step_time=10.0)
+        for key, value in zip(("c_th", "g_amb", "g_lat"), fit):
+            if getattr(self, key) is None:
+                setattr(self, key, value)
+        thermal.check_plant(self.c_th, self.g_amb, self.g_lat, self.thermal_dt)
+        # the calibration word is a counter preload: a full scale at or
+        # below the largest one leaves calibration no charge phase
+        largest = CAL_RANGE[1] - 1
+        require(self.madc.counter_max > largest, "madc.n_bits",
+                f">= {largest.bit_length()}, for a full scale 2**n_bits above the "
+                f"largest calibration preload {largest}", self.madc.n_bits)
+        self.substeps = _whole_multiple(self.pid_ts, self.thermal_dt, "pid.ts",
+                                        "thermal step", "thermal.dt")
 
 
 @dataclass
@@ -121,38 +141,13 @@ class TempArray:
     def __init__(self, cfg=None, seed=0, cell_seed_sequences=None):
         self.cfg = cfg if cfg is not None else ArrayConfig()
         cfg = self.cfg
-        if cfg.rows < 1 or cfg.cols < 1:
-            raise ConfigurationError(
-                f"array.rows and array.cols must be >= 1, got {cfg.rows} x {cfg.cols}")
-        for key in ("sigma_vbe", "sigma_r1", "sigma_r2", "sigma_mirror"):
-            if getattr(cfg, key) < 0:
-                raise ConfigurationError(
-                    f"mismatch.{key} must be >= 0, got {getattr(cfg, key)!r}")
-        if cfg.c_th is None or cfg.g_amb is None or cfg.g_lat is None:
-            c_th, g_amb, g_lat = thermal.fit_defaults(
-                target_rise=65.0, p_at_target=cfg.heater.p_max, step_time=10.0)
-            cfg.c_th = c_th if cfg.c_th is None else cfg.c_th
-            cfg.g_amb = g_amb if cfg.g_amb is None else cfg.g_amb
-            cfg.g_lat = g_lat if cfg.g_lat is None else cfg.g_lat
-        thermal.check_plant(cfg.c_th, cfg.g_amb, cfg.g_lat, cfg.thermal_dt)
-        # the calibration word is a counter preload: a full scale at or
-        # below the largest one leaves calibration no charge phase
-        if cfg.madc.counter_max <= cfg.cal_range[1] - 1:
-            raise ConfigurationError(
-                f"madc.n_bits {cfg.madc.n_bits} gives a full scale of "
-                f"{cfg.madc.counter_max} counts, not above the largest "
-                f"calibration preload {cfg.cal_range[1] - 1}")
-        self._substeps = _whole_multiple(cfg.pid_ts, cfg.thermal_dt,
-                                         "PID period", "thermal step")
         # per-cycle plant map, built on the first regulation run: most
         # arrays (sensing, calibration sweeps) never regulate
         self._cycle_map = None
         # tables of the last FRA grid point, as (key, _FraTables)
         self._fra_memo = None
 
-        self.seed = seed
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._root_ss = ss
         if cell_seed_sequences is None:
             # the keys of the children that ss.spawn gives a fresh
             # sequence, derived without spawning from ss: one sequence
@@ -165,10 +160,9 @@ class TempArray:
             children = list(cell_seed_sequences)
         self._cell_ss = children
         self._reg_rng = [[None] * cfg.cols for _ in range(cfg.rows)]
-        # measurement streams are built on first use: most arrays never
-        # run CPA, CV or IS
-        self._meas_rng = [_MeasurementStreams(children[r * cfg.cols:(r + 1) * cfg.cols])
-                          for r in range(cfg.rows)]
+        # measurement streams by cell index, built on first use (see
+        # _meas_stream): most arrays never run CPA, CV or IS
+        self._meas_rng = {}
 
         self.temp_map = TemperatureMap(cfg.madc, cfg.bjt, cfg.current_source)
         if cfg.pid_gains is None:
@@ -186,17 +180,13 @@ class TempArray:
         gauss = np.empty((4,) + shape)
         self.cal_preload = np.zeros(shape, dtype=int)
         self.cal_ok = np.ones(shape, dtype=bool)
-        self.cells = []
         for r in range(cfg.rows):
-            row = []
             for c in range(cfg.cols):
                 rng = _cell_stream(children[r * cfg.cols + c], 0)
                 self._reg_rng[r][c] = rng
                 # Gaussian mismatch in one call, in a fixed draw order:
                 # absolute on vbe, relative on r1, r2 and the mirror ratio
                 gauss[:, r, c] = rng.standard_normal(4)
-                row.append(CellState(index=(r, c), mode=Mode.TEMP_REG))
-            self.cells.append(row)
         # scaled as Generator.normal(0.0, sigma) scales its draw, so a
         # zero sigma gives +0.0
         sigmas = np.array([cfg.sigma_vbe, cfg.sigma_r1, cfg.sigma_r2, cfg.sigma_mirror])
@@ -214,27 +204,18 @@ class TempArray:
 
     # -- helpers ---------------------------------------------------------
 
-    def iter_cells(self):
-        for row in self.cells:
-            yield from row
+    def _meas_stream(self, index):
+        """The measurement stream of cell index: word 1 of its seed key.
 
-    def single_cell_array(self, r, c):
-        """A 1x1 array reusing this cell's seed stream (for decoupled runs)."""
-        sub = replace(self.cfg, rows=1, cols=1)
-        sub.c_th, sub.g_amb, sub.g_lat = self.cfg.c_th, self.cfg.g_amb, self.cfg.g_lat
-        child = self._cell_ss[r * self.cfg.cols + c]
-        return TempArray(sub, seed=self.seed, cell_seed_sequences=[child])
-
-    def set_mode(self, index, mode, sensor=None):
-        cell = self.cells[index[0]][index[1]]
-        if mode in (Mode.CPA, Mode.CV, Mode.IS):
-            wanted = {Mode.CPA: PhSensor, Mode.CV: (CvSensor, ImpedanceSensor),
-                      Mode.IS: ImpedanceSensor}[mode]
-            model = sensor if sensor is not None else cell.sensor
-            if not isinstance(model, wanted):
-                raise ConfigurationError(f"mode {mode.value} needs a matching sensor model")
-            cell.sensor = model
-        cell.mode = mode
+        The derivation is stateless, so a late build gives the same
+        stream as an early one.
+        """
+        index = tuple(index)
+        rng = self._meas_rng.get(index)
+        if rng is None:
+            r, c = index
+            rng = self._meas_rng[index] = _cell_stream(self._cell_ss[r * self.cfg.cols + c], 1)
+        return rng
 
     def force_temperature(self, t_c):
         """Clamp the whole plant to a uniform temperature (external heater)."""
@@ -306,10 +287,9 @@ class TempArray:
         outside the range.
         """
         cfg = self.cfg.madc
-        t_known = self.cfg.cal_temperature if t_known is None else t_known
+        t_known = CAL_TEMPERATURE if t_known is None else t_known
         target = self.temp_map.counts_cont(t_known)
-        lo, hi = self.cfg.cal_range
-        cals = np.arange(lo, hi)
+        cals = np.arange(*CAL_RANGE)
         i_in, i_ref = self.front_end_currents(t_known)
         # (rows, cols, n_avg, candidates), each cell's noise block in the
         # order one cell's (n_avg, candidates) draw gives it; a noiseless
@@ -343,7 +323,8 @@ class TempArray:
             sp = np.full((cfg.rows, cfg.cols), float(sp))
         if np.any(sp < 20.0) or np.any(sp > 90.0):
             raise DomainError("setpoints outside [20, 90] degC")
-        n_cycles = _whole_multiple(duration, cfg.pid_ts, "duration", "PID period")
+        n_cycles = _whole_multiple(duration, cfg.pid_ts, "regulation.plateau_s",
+                                   "PID period", "pid.ts")
         madc = cfg.madc
         coeffs = self.pid_coeffs
         state = self.pid_state
@@ -358,7 +339,7 @@ class TempArray:
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(
                 self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
-                cfg.thermal_dt, self._substeps)
+                cfg.thermal_dt, cfg.substeps)
         a, b = self._cycle_map
 
         # every cell's cycle is one converter batch: its active slots,
@@ -427,7 +408,7 @@ class TempArray:
 
     # -- characterization --------------------------------------------------
 
-    def characterize_sensor(self, t_values=None, n_avg=4):
+    def characterize_sensor(self, t_values, n_avg=4):
         """Transfer table over a forced temperature sweep, per cell.
 
         Static characterization averages a few conversions per point.
@@ -435,7 +416,7 @@ class TempArray:
         per-cell straight-line fit of counts versus temperature with its
         residuals expressed in counts and in Celsius.
         """
-        t_values = np.arange(20.0, 91.0) if t_values is None else np.asarray(t_values, dtype=float)
+        t_values = np.asarray(t_values, dtype=float)
         sweep = self.front_end_currents(t_values[:, None, None])
         counts = self.read_counts(sweep, n_avg=n_avg).reshape(t_values.size, -1).T
         self.force_temperature(t_values[-1])
@@ -455,51 +436,49 @@ class TempArray:
 
     # -- measurement modes -------------------------------------------------
 
-    def _mode_cell(self, index, mode):
-        cell = self.cells[index[0]][index[1]]
-        if cell.mode is not mode:
-            raise ConfigurationError(f"cell {index} is not in {mode.value} mode")
-        return cell
+    # Each measurement runs one sensor model on cell index (a (row, col)
+    # tuple), at that cell's plant temperature and on its measurement
+    # stream.
 
-    def run_cpa(self, index, wave, duration, sample_period=0.01, i_ref=4e-9):
-        """Constant-potential trace: counts and reconstructed current vs time."""
+    def run_cpa(self, index, sensor, wave, duration, sample_period=0.01, i_ref=4e-9):
+        """Constant-potential trace of a PhSensor: counts and reconstructed current vs time."""
         if wave.kind != "constant":
             raise ConfigurationError("CPA needs a constant waveform")
-        cell = self._mode_cell(index, Mode.CPA)
-        r, c = index
-        rng = self._meas_rng[r][c]
-        temp_c = self.temp[r, c]
+        _check_sensor("CPA", sensor, PhSensor)
+        temp_c = self.temp[index]
         times = np.arange(int(duration / sample_period)) * sample_period
-        currents = np.array([cell.sensor.current(wave.v_low, t, temp_c) for t in times])
-        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref, rng=rng)
+        currents = np.array([sensor.current(wave.v_low, t, temp_c) for t in times])
+        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
+                                rng=self._meas_stream(index))
         return times, counts, counts * (i_ref / self.cfg.madc.n1_counts)
 
-    def run_cv(self, index, wave, sample_period=0.01, i_ref=None):
-        """Cyclic voltammogram: (applied voltage, reconstructed current) pairs."""
+    def run_cv(self, index, sensor, wave, sample_period=0.01, i_ref=None):
+        """Cyclic voltammogram of a CvSensor or ImpedanceSensor:
+        (applied voltage, reconstructed current) pairs."""
         if wave.kind != "ramp_cyclic":
             raise ConfigurationError("CV needs a ramp_cyclic waveform")
-        cell = self._mode_cell(index, Mode.CV)
-        r, c = index
-        rng = self._meas_rng[r][c]
-        temp_c = self.temp[r, c]
+        _check_sensor("CV", sensor, CvSensor, ImpedanceSensor)
+        temp_c = self.temp[index]
         n_half = max(1, int(round((wave.v_high - wave.v_low)
                                   / (wave.scan_rate * sample_period))))
         up = wave.v_low + (wave.v_high - wave.v_low) * np.arange(n_half + 1) / n_half
         v_cycle = np.concatenate([up, up[-2::-1]])
         v = np.tile(v_cycle, wave.cycles)
         times = np.arange(v.size) * sample_period
-        if isinstance(cell.sensor, ImpedanceSensor):
-            currents = network_transient_currents(cell.sensor.network, v, sample_period)
+        if isinstance(sensor, ImpedanceSensor):
+            currents = network_transient_currents(sensor.network, v, sample_period)
         else:
-            currents = np.array([cell.sensor.current(vk, t, temp_c)
-                                 for vk, t in zip(v, times)])
+            currents = np.array([sensor.current(vk, t, temp_c) for vk, t in zip(v, times)])
         if i_ref is None:
             i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
-        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref, rng=rng)
+        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
+                                rng=self._meas_stream(index))
         return v, counts * (i_ref / self.cfg.madc.n1_counts)
 
-    def run_is(self, index, freqs, n_periods=4, amplitude=0.01, noise_rms=None):
-        """Impedance spectrum via the converter's multiply-accumulate.
+    def run_is(self, index, sensor, freqs, n_periods=_IS["n_periods"],
+               amplitude=_IS["amplitude"], noise_rms=None):
+        """Impedance spectrum of an ImpedanceSensor via the converter's
+        multiply-accumulate; a list of FraResult, one per frequency.
 
         For each frequency the interrogation snaps onto the conversion
         grid (integer conversions per effective period), the response is
@@ -507,19 +486,16 @@ class TempArray:
         integer number of periods, and the accumulated sums are scaled
         into the complex impedance.
         """
-        cell = self._mode_cell(index, Mode.IS)
-        r, c = index
-        rng = self._meas_rng[r][c]
-        if int(n_periods) != n_periods or n_periods < 1:
-            raise ConfigurationError("n_periods must be a positive integer")
-        if not amplitude > 0:
-            raise ConfigurationError(
-                f"is_mode.amplitude must be positive, got {amplitude!r}")
+        _check_sensor("IS", sensor, ImpedanceSensor)
+        require(int(n_periods) == n_periods and n_periods >= 1, "is_mode.n_periods",
+                "a positive integer", n_periods)
+        require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
+        rng = self._meas_stream(index)
         results = []
         for f_req in np.atleast_1d(freqs):
             if not (0.1 <= f_req <= 10e3):
                 raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
-            f, mat, sums = self._fra_point(cell, float(f_req), int(n_periods),
+            f, mat, sums = self._fra_point(sensor, float(f_req), int(n_periods),
                                            amplitude, rng, noise_rms)
             re, im = _solve_2x2(mat, sums)
             i_phasor = complex(re, im)
@@ -581,8 +557,8 @@ class TempArray:
         self._fra_memo = (key, tables)
         return tables
 
-    def _fra_point(self, cell, f_req, n_periods, amplitude, rng, noise_rms):
-        """One frequency on one cell: (actual frequency, 2x2 matrix, sums).
+    def _fra_point(self, sensor, f_req, n_periods, amplitude, rng, noise_rms):
+        """One frequency on one sensor: (actual frequency, 2x2 matrix, sums).
 
         The response projected on the sine and cosine tables solves the
         2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
@@ -590,10 +566,10 @@ class TempArray:
         cfg = self.cfg.madc
         m, cycles_per_window = _fra_grid_point(cfg, f_req)
         tables = self._fra_tables(m, cycles_per_window)
-        cell.sensor.prepare_sinusoid(tables.f_act, amplitude)
+        sensor.prepare_sinusoid(tables.f_act, amplitude)
 
         # range the reference so peak counts sit well inside the counter
-        i_peak = cell.sensor._i_mag
+        i_peak = sensor._i_mag
         i_ref = max(i_peak, 1e-15) * cfg.n1_counts / 380.0
         run_cfg = _ranged(cfg, i_ref)
 
@@ -609,7 +585,7 @@ class TempArray:
         fold = m % 2 == 0 and not noise_rms and not run_cfg.conversion_noise_counts
         n = m // 2 if fold else m
         basis, charge, table_sign = (t[:, :n] for t in (tables.basis, tables.charge, tables.sign))
-        i_t = cell.sensor.response(*basis)
+        i_t = sensor.response(*basis)
         front = []
         chan = np.zeros((2, n_periods, m)) if run_cfg.conversion_noise_counts else None
         for b, sign in enumerate(table_sign):
@@ -670,15 +646,25 @@ def _trace_rows(trace, k, slots, mags, targets, conv):
         trace.append((k, r, c, slots[j], mags[j], *row))
 
 
-def _whole_multiple(total, unit, what, unit_name):
-    """total/unit as an int; rejects a ratio that is not a whole number >= 1."""
+def _whole_multiple(total, unit, key, unit_name, unit_key):
+    """total/unit as an int; rejects a ratio that is not a whole number >= 1.
+
+    key and unit_key name the settings of total and unit.
+    """
     ratio = total / unit
     n = int(round(ratio))
     # relative tolerance for the representation error of the two floats
-    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
-        raise ConfigurationError(
-            f"{what} {total:g} s is not a whole number of {unit_name}s ({unit:g} s)")
+    require(n >= 1 and abs(ratio - n) <= 1e-9 * ratio, key,
+            f"a whole number of {unit_name}s {unit_key} ({unit:g} s)", total)
     return n
+
+
+def _check_sensor(mode, sensor, *models):
+    """Reject a sensor that is not one of the models mode measures."""
+    if not isinstance(sensor, models):
+        raise ConfigurationError(
+            f"{mode} needs a {' or '.join(m.__name__ for m in models)}, "
+            f"got {type(sensor).__name__}")
 
 
 class _CellKey(NamedTuple):
@@ -695,24 +681,6 @@ def _cell_stream(child, word):
     """
     return np.random.default_rng(np.random.SeedSequence(
         entropy=child.entropy, spawn_key=(*child.spawn_key, word)))
-
-
-class _MeasurementStreams(list):
-    """One row of measurement generators, each derived on first access.
-
-    Item c is _cell_stream(seeds[c], 1); since the derivation is
-    stateless, a late build gives the same stream as an early one.
-    """
-
-    def __init__(self, seeds):
-        super().__init__([None] * len(seeds))
-        self._seeds = seeds
-
-    def __getitem__(self, c):
-        rng = super().__getitem__(c)
-        if rng is None:
-            rng = self[c] = _cell_stream(self._seeds[c], 1)
-        return rng
 
 
 def _ranged(cfg, i_ref):

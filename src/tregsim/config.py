@@ -2,10 +2,14 @@
 
 INI-style sections with a strict schema: any key not listed below is
 rejected with its full path.  Values keep the types of their defaults.
+SCHEMA is the only place a default is written: a model dataclass field
+that a key sets is declared with `setting`, which takes its default from
+here, and `from_settings` builds the dataclass from loaded settings.
 """
 
 import configparser
 import math
+from dataclasses import field, fields
 
 from .errors import ConfigurationError
 
@@ -47,6 +51,19 @@ STOCHASTIC_EXPERIMENTS = {
     "characterize_sensor", "die_error_sweep", "channel_spread", "pwm_sweep",
     "madc_oracle", "pid_oracle", "regulation_steps",
 }
+
+
+def setting(key):
+    """A dataclass field set by the config key "section.name", with its default."""
+    section, name = key.split(".")
+    return field(default=SCHEMA[section][name], metadata={"key": (section, name)})
+
+
+def from_settings(cls, settings, **given):
+    """A cls built from the settings of its `setting` fields; `given` fills the rest."""
+    values = {f.name: settings[f.metadata["key"][0]][f.metadata["key"][1]]
+              for f in fields(cls) if "key" in f.metadata}
+    return cls(**values, **given)
 
 
 def _parse_value(raw, default, path):

@@ -1,7 +1,7 @@
 """Temperature-dependent device models.
 
 Covers the bipolar junctions used for sensing, the CTAT/PTAT current
-sources (with trim; per-instance parameters may be arrays), the in-cell
+sources (per-instance parameters may be arrays), the in-cell
 heater, and the pluggable sensor front-end models used by the measurement
 modes.
 """
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .config import setting
+from .errors import ConfigurationError, DomainError, require
 
 K_BOLTZMANN = 1.380649e-23    # J/K
 Q_ELECTRON = 1.602176634e-19  # C
@@ -32,61 +33,54 @@ class BjtParams:
     or an array holding one per cell).
     """
 
-    vg0: float = 1.156
-    n_proc: float = 4.0
-    t_ref: float = 300.0
-    vbe_at_tref: float = 0.7
+    vg0: float = setting("devices.vg0")
+    n_proc: float = setting("devices.n_proc")
+    t_ref: float = setting("devices.t_ref")
+    vbe_at_tref: float = setting("devices.vbe_at_tref")
     vbe_offset: float = 0.0
 
     def __post_init__(self):
-        if not (self.vg0 > self.vbe_at_tref > 0):
-            raise ConfigurationError("require vg0 > vbe_at_tref > 0")
-        if not (200.0 <= self.t_ref <= 400.0):
-            raise ConfigurationError("t_ref outside [200 K, 400 K]")
-        if self.n_proc <= 0:
-            raise ConfigurationError("n_proc must be positive")
+        require(self.vbe_at_tref > 0, "devices.vbe_at_tref", "positive", self.vbe_at_tref)
+        require(self.vg0 > self.vbe_at_tref, "devices.vg0",
+                f"above devices.vbe_at_tref ({self.vbe_at_tref!r})", self.vg0)
+        require(200.0 <= self.t_ref <= 400.0, "devices.t_ref", "in [200 K, 400 K]", self.t_ref)
+        require(self.n_proc > 0, "devices.n_proc", "positive", self.n_proc)
 
 
 @dataclass(frozen=True)
 class CurrentSourceParams:
     """CTAT/PTAT current source parameters.
 
-    r1 converts the (trimmed) base-emitter voltage to the CTAT current,
-    divided down by mirror_ratio.  r2 converts the scaled delta-vbe of a
-    pair biased at bias_current_ratio to the PTAT current, scaled by
-    alpha.  The 6-bit trim adds trim_bias*trim_code*trim_step volts.
+    r1 converts the base-emitter voltage to the CTAT current, divided
+    down by mirror_ratio.  r2 converts the scaled delta-vbe of a pair
+    biased at bias_current_ratio to the PTAT current, scaled by alpha.
     r1, r2 and mirror_ratio may be arrays holding one value per cell.
     """
 
-    r1: float = 1.5e6
-    r2: float = 1.0e5
-    mirror_ratio: float = 10.0
-    bias_current_ratio: float = 3.0
-    alpha: float = 0.18
-    trim_code: int = 0
-    trim_step: float = 500.0   # ohm per LSB
-    trim_bias: float = 1e-6    # A through the trim resistor
+    r1: float = setting("devices.r1")
+    r2: float = setting("devices.r2")
+    mirror_ratio: float = setting("devices.mirror_ratio")
+    bias_current_ratio: float = setting("devices.bias_current_ratio")
+    alpha: float = setting("devices.alpha")
 
     def __post_init__(self):
-        if np.asarray(self.r1).min() <= 0 or np.asarray(self.r2).min() <= 0:
-            raise ConfigurationError("r1 and r2 must be positive")
-        if np.asarray(self.mirror_ratio).min() < 1.0:
-            raise ConfigurationError("mirror_ratio must be >= 1")
-        if self.bias_current_ratio <= 1.0:
-            raise ConfigurationError("bias_current_ratio must be > 1")
-        if not (0 <= self.trim_code < 64):
-            raise ConfigurationError("trim_code must fit 6 bits")
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        # per-cell values include the drawn mismatch: report the worst cell
+        for key in ("r1", "r2"):
+            worst = float(np.min(getattr(self, key)))
+            require(worst > 0, f"devices.{key}", "positive", worst)
+        worst = float(np.min(self.mirror_ratio))
+        require(worst >= 1.0, "devices.mirror_ratio", ">= 1", worst)
+        require(self.bias_current_ratio > 1.0, "devices.bias_current_ratio", "> 1",
+                self.bias_current_ratio)
+        require(self.alpha > 0, "devices.alpha", "positive", self.alpha)
 
 
 @dataclass(frozen=True)
 class HeaterParams:
-    p_max: float = 0.27  # W at duty = 1
+    p_max: float = setting("devices.p_max")  # W at duty = 1
 
     def __post_init__(self):
-        if self.p_max <= 0:
-            raise ConfigurationError("p_max must be positive")
+        require(self.p_max > 0, "devices.p_max", "positive", self.p_max)
 
 
 def vbe(params, t, ic_ratio_to_ref=1.0):
@@ -122,13 +116,12 @@ def delta_vbe(params, t):
 
 
 def i_ctat(params, bjt, t):
-    """CTAT output current: trimmed vbe across r1, mirrored down.
+    """CTAT output current: vbe across r1, mirrored down.
 
     Monotonically decreasing in t.  Noise is added by the converter
     (`madc.conversion_noise_counts`), not here.
     """
-    v_trim = vbe(bjt, t) + params.trim_bias * params.trim_code * params.trim_step
-    return v_trim / params.r1 / params.mirror_ratio
+    return vbe(bjt, t) / params.r1 / params.mirror_ratio
 
 
 def i_ptat(params, t):

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the check that raises them."""
 
 
 class DomainError(ValueError):
@@ -11,3 +11,9 @@ class ConfigurationError(ValueError):
 
 class FitError(ConfigurationError):
     """Plant parameter fitting received infeasible constraints."""
+
+
+def require(ok, key, rule, value):
+    """Reject the setting `key` ("section.name") unless ok: "key must be rule, got value"."""
+    if not ok:
+        raise ConfigurationError(f"{key} must be {rule}, got {value!r}")

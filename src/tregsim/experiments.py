@@ -5,11 +5,12 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_sim import ArrayConfig, Mode, TempArray, WaveformSpec
+from .array_sim import ArrayConfig, TempArray, WaveformSpec
+from .config import from_settings
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, gaussian_peak_response)
@@ -17,7 +18,8 @@ from .errors import ConfigurationError, DomainError
 from .madc import MadcConfig, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
-from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
+from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
+                  sample_tap_delays)
 from .thermal import field_csv_rows as thermal_field_rows
 
 
@@ -68,46 +70,33 @@ def check_true(name, flag):
     return CheckResult(name, 1.0 if flag else 0.0, "== 1", bool(flag))
 
 
-def build_array(settings, seed=None, conversion_noise=None):
-    """Assemble an ArrayConfig / TempArray from validated settings."""
-    dev = settings["devices"]
-    mm = settings["mismatch"]
-    th = settings["thermal"]
-    md = settings["madc"]
-    pw = settings["pwm"]
-    ar = settings["array"]
-    noise = md["conversion_noise_counts"] if conversion_noise is None else conversion_noise
+def build_array(settings, seed=None, conversion_noise=None, one_cell=False):
+    """The configured TempArray, built from validated settings.
+
+    seed and conversion_noise, when given, replace the configured ones.
+    one_cell builds cell (0, 0) alone, on the seed key it has in the
+    configured array, after checking the configured shape: for
+    experiments that measure only that cell.
+    """
     pid = settings["pid"]
     unset = [f"pid.{k}" for k in ("kp", "ki", "kd") if pid[k] is None]
     if 0 < len(unset) < 3:
         raise ConfigurationError(
             f"{', '.join(unset)} unset: give all three of pid.kp, pid.ki and "
             "pid.kd, or none for the default tuning")
-    cfg = ArrayConfig(
-        rows=int(ar["rows"]),
-        cols=int(ar["cols"]),
-        t_ambient=ar["t_ambient"],
-        bjt=BjtParams(vg0=dev["vg0"], n_proc=dev["n_proc"], t_ref=dev["t_ref"],
-                      vbe_at_tref=dev["vbe_at_tref"]),
-        current_source=CurrentSourceParams(
-            r1=dev["r1"], r2=dev["r2"], mirror_ratio=dev["mirror_ratio"],
-            bias_current_ratio=dev["bias_current_ratio"], alpha=dev["alpha"]),
-        heater=HeaterParams(p_max=dev["p_max"]),
-        madc=MadcConfig(n_bits=int(md["n_bits"]), f_clk=md["f_clk"],
-                        c_int=md["c_int"], v_full=md["v_full"],
-                        pid_charge_scale=int(md["pid_charge_scale"]),
-                        conversion_noise_counts=noise),
-        pwm=PwmConfig(duty_min=pw["duty_min"], duty_max=pw["duty_max"],
-                      tap_mismatch_sigma=pw["tap_mismatch_sigma"]),
-        c_th=th["c_th"], g_amb=th["g_amb"], g_lat=th["g_lat"],
-        thermal_dt=th["dt"],
-        pid_ts=settings["pid"]["ts"],
-        pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]),
-        sigma_vbe=mm["sigma_vbe"], sigma_r1=mm["sigma_r1"],
-        sigma_r2=mm["sigma_r2"], sigma_mirror=mm["sigma_mirror"],
-    )
-    seed = settings["experiment"]["seed"] if seed is None else seed
-    return TempArray(cfg, seed=seed)
+    madc = from_settings(MadcConfig, settings)
+    if conversion_noise is not None:
+        madc = replace(madc, conversion_noise_counts=conversion_noise)
+    cfg = from_settings(
+        ArrayConfig, settings,
+        bjt=from_settings(BjtParams, settings),
+        current_source=from_settings(CurrentSourceParams, settings),
+        heater=from_settings(HeaterParams, settings),
+        madc=madc, pwm=from_settings(PwmConfig, settings),
+        pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
+    if one_cell:
+        cfg = replace(cfg, rows=1, cols=1)
+    return TempArray(cfg, seed=settings["experiment"]["seed"] if seed is None else seed)
 
 
 def _count(settings, key, least=1):
@@ -165,9 +154,9 @@ def exp_characterize_sensor(settings, outdir):
     res = array.characterize_sensor(t_values)
 
     rows = []
-    for i, cell in enumerate(array.iter_cells()):
+    for i, (r, c) in enumerate(np.ndindex(array.temp.shape)):
         for j, t in enumerate(t_values):
-            rows.append((i, cell.index[0], cell.index[1], t, int(res.counts[i, j]),
+            rows.append((i, r, c, t, int(res.counts[i, j]),
                          res.t_read[i, j], res.map_error[i, j]))
     write_csv(os.path.join(outdir, "transfer.csv"),
               ["cell", "row", "col", "t_true_c", "count", "t_read_c", "error_c"], rows)
@@ -234,10 +223,8 @@ def exp_channel_spread(settings, outdir):
 
 def exp_pwm_sweep(settings, outdir):
     """Full 4096-code duty transfer, nominal and with seeded tap mismatch."""
-    pw = settings["pwm"]
-    cfg = PwmConfig(duty_min=pw["duty_min"], duty_max=pw["duty_max"],
-                    tap_mismatch_sigma=pw["tap_mismatch_sigma"])
-    codes = np.arange(cfg.codes)
+    cfg = from_settings(PwmConfig, settings)
+    codes = np.arange(CODES)
     nominal = duty_of_code(cfg, codes)
     rng = np.random.default_rng(settings["experiment"]["seed"])
     taps = sample_tap_delays(cfg, rng)
@@ -246,19 +233,19 @@ def exp_pwm_sweep(settings, outdir):
               ["code", "duty_nominal", "duty_mismatch"],
               list(zip(codes.tolist(), nominal, mismatched)))
 
-    in_band = (codes / cfg.codes >= cfg.duty_min) & (codes / cfg.codes <= cfg.duty_max)
-    lin_err = np.abs(nominal[in_band] - codes[in_band] / cfg.codes)
+    in_band = (codes / CODES >= cfg.duty_min) & (codes / CODES <= cfg.duty_max)
+    lin_err = np.abs(nominal[in_band] - codes[in_band] / CODES)
     mis_err = np.abs(mismatched - nominal)
-    train_lo = pulse_train(cfg, 2048, cfg.period)
-    train_hi = pulse_train(cfg, 2049, cfg.period)
+    train_lo = pulse_train(cfg, 2048, PERIOD)
+    train_hi = pulse_train(cfg, 2049, PERIOD)
     step = (train_hi[0, 1] - train_hi[0, 0]) - (train_lo[0, 1] - train_lo[0, 0])
     checks = [
-        check_le("nominal_linearity_error_lsb", float(lin_err.max() * cfg.codes), 1.0),
-        check_true("all_codes_swept", nominal.size == cfg.codes),
+        check_le("nominal_linearity_error_lsb", float(lin_err.max() * CODES), 1.0),
+        check_true("all_codes_swept", nominal.size == CODES),
         CheckResult("min_high_time_step_s", step, "== 1e-07",
-                    bool(abs(step - cfg.cell_time) < 1e-12)),
+                    bool(abs(step - CELL_TIME) < 1e-12)),
         check_le("duty_at_code0", float(duty_of_code(cfg, 0)), cfg.duty_min),
-        check_ge("duty_at_full_code", float(duty_of_code(cfg, cfg.codes - 1)),
+        check_ge("duty_at_full_code", float(duty_of_code(cfg, CODES - 1)),
                  cfg.duty_max),
         check_le("mismatch_max_error_frac", float(mis_err.max()), 0.0082),
     ]
@@ -473,15 +460,14 @@ def exp_fra_sweep(settings, outdir):
     ism = settings["is_mode"]
     freqs = _fra_frequencies(settings)
     n_periods = _count(settings, "is_mode.n_periods")
-    array = build_array(settings, conversion_noise=0.0)
+    array = build_array(settings, conversion_noise=0.0, one_cell=True)
     networks = _fra_networks()
     sensors = [ImpedanceSensor(net) for _, net in networks]
     # frequency-major: each grid point's tables serve both networks
     results = [[] for _ in networks]
     for f in freqs:
         for sensor, res in zip(sensors, results):
-            array.set_mode((0, 0), Mode.IS, sensor)
-            res += array.run_is((0, 0), [f], n_periods=n_periods,
+            res += array.run_is((0, 0), sensor, [f], n_periods=n_periods,
                                 amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
@@ -509,9 +495,8 @@ def exp_fra_sweep(settings, outdir):
 def exp_cpa_ph(settings, outdir):
     """pH transfer in constant-potential mode, plus thermal derating."""
     cpa = settings["cpa"]
-    array = build_array(settings, conversion_noise=0.0)
+    array = build_array(settings, conversion_noise=0.0, one_cell=True)
     sensor = PhSensor()
-    array.set_mode((0, 0), Mode.CPA, sensor)
     array.force_temperature(25.0)
     wave = WaveformSpec(kind="constant", v_low=0.3)
     # the slope is a straight-line fit: it needs two points
@@ -519,7 +504,7 @@ def exp_cpa_ph(settings, outdir):
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
-        _, _, i_est = array.run_cpa((0, 0), wave, duration=0.2)
+        _, _, i_est = array.run_cpa((0, 0), sensor, wave, duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
               list(zip(phs, currents)))
@@ -527,9 +512,9 @@ def exp_cpa_ph(settings, outdir):
 
     sensor.ph = 8.0
     array.force_temperature(25.0)
-    _, _, i25 = array.run_cpa((0, 0), wave, duration=0.2)
+    _, _, i25 = array.run_cpa((0, 0), sensor, wave, duration=0.2)
     array.force_temperature(35.0)
-    _, _, i35 = array.run_cpa((0, 0), wave, duration=0.2)
+    _, _, i35 = array.run_cpa((0, 0), sensor, wave, duration=0.2)
     derate = float(np.mean(i35) / np.mean(i25))
     return [
         check_in("slope_a_per_ph", slope, 1.71e-9, 1.89e-9),
@@ -540,19 +525,17 @@ def exp_cpa_ph(settings, outdir):
 def exp_cv_scan(settings, outdir):
     """Voltammetry signal chain: ohmic recovery and peak localization."""
     cv = settings["cv"]
-    array = build_array(settings, conversion_noise=0.0)
-    wave = WaveformSpec(kind="ramp_cyclic", v_low=cv["v_low"], v_high=cv["v_high"],
-                        scan_rate=cv["scan_rate"], cycles=1)
+    array = build_array(settings, conversion_noise=0.0, one_cell=True)
+    wave = from_settings(WaveformSpec, settings, kind="ramp_cyclic")
 
     r_test = 1e6
-    array.set_mode((0, 0), Mode.CV, CvSensor(lambda v, t: v / r_test))
-    v, i_est = array.run_cv((0, 0), wave)
+    ohmic = CvSensor(lambda v, t: v / r_test)
+    v, i_est = array.run_cv((0, 0), ohmic, wave)
     i_ref = 1.25 * max(np.abs(v / r_test).max(), 1e-12)
     lsb = i_ref / array.cfg.madc.n1_counts
     ohmic_err = float(np.abs(i_est - v / r_test).max())
 
-    array.set_mode((0, 0), Mode.CV, CvSensor(gaussian_peak_response()))
-    v2, i2 = array.run_cv((0, 0), wave)
+    v2, i2 = array.run_cv((0, 0), CvSensor(gaussian_peak_response()), wave)
     span = cv["v_high"] - cv["v_low"]
     tails = (v2 > cv["v_high"] - 0.15 * span) | (v2 < cv["v_low"] + 0.15 * span)
     baseline = np.polyfit(v2[tails], i2[tails], 1)
@@ -563,10 +546,7 @@ def exp_cv_scan(settings, outdir):
     v_peak = float(-quad[1] / (2 * quad[0]))
     step_v = cv["scan_rate"] * 0.01
 
-    rev = WaveformSpec(kind="ramp_cyclic", v_low=cv["v_low"], v_high=cv["v_high"],
-                       scan_rate=cv["scan_rate"], cycles=1)
-    array.set_mode((0, 0), Mode.CV, CvSensor(lambda v, t: v / r_test))
-    v3, i3 = array.run_cv((0, 0), rev)
+    v3, i3 = array.run_cv((0, 0), ohmic, wave)
     mirror_exact = bool(np.array_equal(sorted(zip(v, i_est)), sorted(zip(v3, i3))))
 
     write_csv(os.path.join(outdir, "cv_scan.csv"), ["v", "i_a"],

@@ -12,8 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import SCHEMA, setting
 from .devices import i_ctat, i_ptat
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require
 
 # Comparator crossing guard, in counts.  The discharge comparator resolves
 # a boundary-exact crossing as crossed; anything closer to the boundary
@@ -25,26 +26,27 @@ COEFF_LEVELS = 128  # 7-bit coefficient magnitude
 
 @dataclass(frozen=True)
 class MadcConfig:
-    n_bits: int = 9
-    f_clk: float = 10e6
-    n1_counts: int = None        # full-scale charge count; default 2**n_bits
-    c_int: float = 30e-12        # integration capacitance
-    v_full: float = 1.0          # integrator full scale
-    pid_charge_scale: int = 8    # charge-window stretch for the loop's error conversions
-    conversion_noise_counts: float = 0.3  # input-referred channel noise per conversion
-    hd2_fraction: float = 0.0    # second-order integrator distortion at full scale
+    n_bits: int = setting("madc.n_bits")
+    f_clk: float = setting("madc.f_clk")
+    c_int: float = setting("madc.c_int")        # integration capacitance
+    v_full: float = setting("madc.v_full")      # integrator full scale
+    # charge-window stretch for the loop's error conversions
+    pid_charge_scale: int = setting("madc.pid_charge_scale")
+    # input-referred channel noise per conversion
+    conversion_noise_counts: float = setting("madc.conversion_noise_counts")
 
     def __post_init__(self):
-        if self.n1_counts is None:
-            object.__setattr__(self, "n1_counts", 2 ** self.n_bits)
-        if self.c_int <= 0 or self.v_full <= 0 or self.f_clk <= 0:
-            raise ConfigurationError("c_int, v_full, f_clk must be positive")
-        if self.pid_charge_scale < 1:
-            raise ConfigurationError("pid_charge_scale must be >= 1")
-        if self.conversion_noise_counts < 0:
-            raise ConfigurationError(
-                "madc.conversion_noise_counts must be >= 0, got "
-                f"{self.conversion_noise_counts!r}")
+        for key in ("f_clk", "c_int", "v_full"):
+            require(getattr(self, key) > 0, f"madc.{key}", "positive", getattr(self, key))
+        require(self.pid_charge_scale >= 1, "madc.pid_charge_scale", ">= 1",
+                self.pid_charge_scale)
+        require(self.conversion_noise_counts >= 0, "madc.conversion_noise_counts", ">= 0",
+                self.conversion_noise_counts)
+
+    @property
+    def n1_counts(self):
+        """Full-scale charge count of a unit-coefficient conversion."""
+        return 2 ** self.n_bits
 
     @property
     def counter_max(self):
@@ -111,10 +113,6 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     """
     n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
     x = n_charge * (i_in / i_ref)
-    if cfg.hd2_fraction:
-        # single-ended integrator curvature: fractional second-order term
-        # referred to the full-scale count
-        x = x * (1.0 + cfg.hd2_fraction * x / cfg.n1_counts)
     # integrator clip: the held charge cannot exceed c_int*v_full.  Rounding
     # is monotone, so no element clips when the largest magnitudes do not,
     # and the element-wise test runs only when they would
@@ -225,8 +223,11 @@ class TemperatureMap:
         return self.counts_per_kelvin(t_c) * self.cfg.pid_charge_scale
 
 
-def snr_test(cfg, freq=15.0, amplitude=400e-9, i_ref=400e-9, n_samples=16384,
-             noise_rms=0.0, seed=0):
+_SNR = SCHEMA["snr"]
+
+
+def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], i_ref=_SNR["amplitude"],
+             n_samples=_SNR["n_samples"], noise_rms=0.0, seed=0):
     """SNR of a digitized full-scale sine, in dB.
 
     Samples the sine at the conversion-slot rate, digitizes with unit
@@ -237,10 +238,11 @@ def snr_test(cfg, freq=15.0, amplitude=400e-9, i_ref=400e-9, n_samples=16384,
     added to the input samples.
     """
     if amplitude <= 0:
-        raise DomainError("zero-amplitude input has no defined SNR")
+        raise DomainError(f"snr.amplitude must be positive, got {amplitude!r}: "
+                          "a zero-amplitude input has no defined SNR")
     fs = cfg.conversion_rate
-    if fs < 10 * freq:
-        raise ConfigurationError("conversion rate below 10x signal frequency")
+    require(fs >= 10 * freq, "snr.freq", f"at most a tenth of the conversion rate {fs:g} Hz",
+            freq)
     cycles = int(round(freq / fs * n_samples)) | 1
     freq = cycles * fs / n_samples
     t = np.arange(n_samples) / fs
@@ -270,5 +272,6 @@ def snr_test(cfg, freq=15.0, amplitude=400e-9, i_ref=400e-9, n_samples=16384,
         mask[lo:hb + guard + 1] = False
     p_noise = spec[mask].sum()
     if p_noise <= 0:
-        raise DomainError("noise power vanished; window too short")
+        raise DomainError(f"snr.n_samples {n_samples} is too short a window: "
+                          "no noise power is left")
     return 10.0 * math.log10(p_signal / p_noise)

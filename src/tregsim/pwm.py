@@ -9,41 +9,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .config import setting
+from .errors import ConfigurationError, DomainError, require
+
+# the PWM geometry: 2**COUNTER_BITS laps of a RING_TAPS-cell ring make
+# CODES duty steps of CELL_TIME each, over a PERIOD fixed by the code width
+N_BITS = 12
+COUNTER_BITS = 7
+RING_TAPS = 32
+CELL_TIME = 1e-7      # delay per ring cell: the duty resolution
+CODES = 2 ** N_BITS
+PERIOD = CODES * CELL_TIME
 
 
 @dataclass(frozen=True)
 class PwmConfig:
-    n_bits: int = 12
-    counter_bits: int = 7
-    ring_taps: int = 32
-    duty_min: float = 0.04
-    duty_max: float = 0.96
-    tap_mismatch_sigma: float = 0.018  # fraction of the nominal tap delay
-    cell_time: float = 1e-7       # delay per ring cell: the duty resolution
+    duty_min: float = setting("pwm.duty_min")
+    duty_max: float = setting("pwm.duty_max")
+    # fraction of the nominal tap delay
+    tap_mismatch_sigma: float = setting("pwm.tap_mismatch_sigma")
 
     def __post_init__(self):
-        if 2 ** self.counter_bits * self.ring_taps != 2 ** self.n_bits:
-            raise ConfigurationError("counter laps x ring taps must equal 2**n_bits")
-        if not (0.0 <= self.duty_min < self.duty_max <= 1.0):
-            raise ConfigurationError("require 0 <= duty_min < duty_max <= 1")
-        if self.tap_mismatch_sigma < 0:
-            raise ConfigurationError(
-                f"pwm.tap_mismatch_sigma must be >= 0, got {self.tap_mismatch_sigma!r}")
-
-    @property
-    def codes(self):
-        return 2 ** self.n_bits
-
-    @property
-    def period(self):
-        return self.codes * self.cell_time
+        require(self.duty_min >= 0.0, "pwm.duty_min", ">= 0", self.duty_min)
+        require(self.duty_min < self.duty_max <= 1.0, "pwm.duty_max",
+                f"in (pwm.duty_min ({self.duty_min!r}), 1]", self.duty_max)
+        require(self.tap_mismatch_sigma >= 0, "pwm.tap_mismatch_sigma", ">= 0",
+                self.tap_mismatch_sigma)
 
 
 def sample_tap_delays(cfg, rng):
     """Draw the per-stage ring delays for one instance (static per run)."""
-    return cfg.cell_time * (1.0 + rng.normal(0.0, cfg.tap_mismatch_sigma,
-                                             size=cfg.ring_taps))
+    return CELL_TIME * (1.0 + rng.normal(0.0, cfg.tap_mismatch_sigma, size=RING_TAPS))
 
 
 def duty_of_code(cfg, code, tap_delays=None):
@@ -55,17 +51,17 @@ def duty_of_code(cfg, code, tap_delays=None):
     scalar or array codes.
     """
     code = np.asarray(code)
-    if np.any(code < 0) or np.any(code >= cfg.codes):
+    if np.any(code < 0) or np.any(code >= CODES):
         raise DomainError("code outside the 12-bit range")
     if tap_delays is None:
-        duty = code / cfg.codes
+        duty = code / CODES
     else:
         lap = tap_delays.sum()
         partial = np.concatenate(([0.0], np.cumsum(tap_delays)))
-        n_c = code >> (cfg.n_bits - cfg.counter_bits)
-        n_d = code & (cfg.ring_taps - 1)
+        n_c = code >> (N_BITS - COUNTER_BITS)
+        n_d = code & (RING_TAPS - 1)
         high = n_c * lap + partial[n_d]
-        duty = high / cfg.period
+        duty = high / PERIOD
     duty = np.clip(duty, cfg.duty_min, cfg.duty_max)
     if duty.ndim:
         return duty
@@ -78,10 +74,10 @@ def pulse_train(cfg, code, horizon, tap_delays=None):
     Returns an (n, 2) array of (rise, fall) pairs.  High times are
     quantized to the ring-cell resolution.
     """
-    if horizon < cfg.period:
+    if horizon < PERIOD:
         raise ConfigurationError("horizon shorter than one PWM period")
     duty = duty_of_code(cfg, code, tap_delays)
-    high = round(duty * cfg.codes) * cfg.cell_time
-    n = int(horizon / cfg.period)
-    rises = np.arange(n) * cfg.period
+    high = round(duty * CODES) * CELL_TIME
+    n = int(horizon / PERIOD)
+    rises = np.arange(n) * PERIOD
     return np.column_stack((rises, rises + high))

@@ -14,18 +14,19 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, FitError
+from .config import SCHEMA
+from .errors import FitError, require
 
 
 def check_plant(c_th, g_amb, g_lat, dt):
     """Reject plant parameters the forward-Euler stepper cannot integrate."""
+    require(c_th > 0, "thermal.c_th", "positive", c_th)
+    require(g_amb > 0, "thermal.g_amb", "positive", g_amb)
     # g_lat may be zero: decoupled cells are a supported configuration
-    if c_th <= 0 or g_lat < 0 or g_amb <= 0:
-        raise ConfigurationError("c_th and g_amb must be positive, g_lat >= 0")
+    require(g_lat >= 0, "thermal.g_lat", ">= 0", g_lat)
     limit = c_th / (4.0 * g_lat + g_amb)
-    if not 0 < dt <= limit:
-        raise ConfigurationError(
-            f"dt={dt} outside the stability bound (0, {limit:.6g}]")
+    require(0 < dt <= limit, "thermal.dt",
+            f"within the stability bound (0, {limit:.6g}] s", dt)
 
 
 def _lateral_flux(temp, g_lat):
@@ -42,21 +43,16 @@ def _lateral_flux(temp, g_lat):
     return g_lat * (up + down + left + right - 4.0 * temp)
 
 
-def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt,
-               forced=None, forced_temp=None):
+def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt):
     """One forward-Euler step; returns the new temperature array.
 
     Energy balance per node:
         c_th * dT/dt = P - g_amb*(T - T_amb) - sum_neighbors g_lat*(T - T_j)
     Edge clamping makes boundary nodes exchange heat only with the
-    neighbors they actually have.  Nodes where the `forced` mask is set
-    are clamped to `forced_temp` afterwards.
+    neighbors they actually have.
     """
-    new_temp = temp + (dt / c_th) * (heater_powers - g_amb * (temp - t_ambient)
-                                     + _lateral_flux(temp, g_lat))
-    if forced is not None:
-        new_temp = np.where(forced, forced_temp, new_temp)
-    return new_temp
+    return temp + (dt / c_th) * (heater_powers - g_amb * (temp - t_ambient)
+                                 + _lateral_flux(temp, g_lat))
 
 
 def cycle_map(shape, c_th, g_lat, g_amb, dt, n_steps):
@@ -94,7 +90,7 @@ def field_csv_rows(temp):
     return [",".join(f"{x:.6f}" for x in row) for row in np.asarray(temp)]
 
 
-def fit_defaults(target_rise=65.0, p_at_target=0.27, step_time=10.0):
+def fit_defaults(target_rise=65.0, p_at_target=SCHEMA["devices"]["p_max"], step_time=10.0):
     """Fit (c_th, g_amb, g_lat) to the observed plant behavior.
 
     g_amb follows from the steady-state rise of an isolated node at full

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tregsim import array_sim
-from tregsim.array_sim import (MAX_FRA_PERIOD, ArrayConfig, Mode, TempArray, WaveformSpec,
-                               _fra_grid_point, _ranged, _solve_2x2)
+from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
+                               TempArray, WaveformSpec, _fra_grid_point, _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              HeaterParams, ImpedanceSensor, Parallel, PhSensor,
@@ -94,7 +94,7 @@ def test_one_seed_sequence_builds_equal_arrays_without_spawning():
     for arr in arrays:
         cs = arr.current_source
         streams = [(arr._reg_rng[r][c].standard_normal(),
-                    arr._meas_rng[r][c].standard_normal())
+                    arr._meas_stream((r, c)).standard_normal())
                    for r, c in np.ndindex(3, 2)]
         states.append((arr.bjt.vbe_offset.tolist(), cs.r1.tolist(), cs.r2.tolist(),
                        cs.mirror_ratio.tolist(), streams))
@@ -115,7 +115,7 @@ def per_cell_calibration(arr, t_known, n_avg=8):
     call.  Returns the preloads, cal_ok and the failures."""
     madc = arr.cfg.madc
     target = arr.temp_map.counts_cont(t_known)
-    cals = np.arange(*arr.cfg.cal_range)
+    cals = np.arange(*CAL_RANGE)
     i_in, i_ref = arr.front_end_currents(t_known)
     preload = np.zeros(i_in.shape, dtype=int)
     ok = np.ones(i_in.shape, dtype=bool)
@@ -143,27 +143,13 @@ def test_calibration_matches_per_cell_reference(noise):
     arr.current_source.r1[2, 0] *= 0.7      # and one above it
     ref = copy.deepcopy(arr)
     failures = arr.calibrate_one_point()
-    preload, ok, ref_failures = per_cell_calibration(ref, arr.cfg.cal_temperature)
+    preload, ok, ref_failures = per_cell_calibration(ref, CAL_TEMPERATURE)
     assert ref_failures == [(0, 1), (2, 0)]
     assert failures == ref_failures
     assert np.array_equal(arr.cal_preload, preload)
     assert np.array_equal(arr.cal_ok, ok)
     for r, c in np.ndindex(3, 2):
         assert arr._reg_rng[r][c].standard_normal() == ref._reg_rng[r][c].standard_normal()
-
-
-@pytest.mark.parametrize("hd2", [0.01, 0.02])
-def test_calibration_matches_converter_under_integrator_curvature(hd2):
-    # calibration converts through the same converter as the readout, so
-    # the integrator's second-order term is trimmed out with the gain
-    cfg = ArrayConfig(rows=1, cols=1,
-                      madc=MadcConfig(conversion_noise_counts=0.0, hd2_fraction=hd2),
-                      sigma_vbe=0.0, sigma_r1=0.0, sigma_r2=0.0, sigma_mirror=0.0)
-    arr = TempArray(cfg, seed=1)
-    arr.calibrate_one_point(t_known=50.0)
-    arr.force_temperature(50.0)
-    count = arr.read_counts()[0, 0]
-    assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 0.5
 
 
 def test_channel_spread_after_calibration():
@@ -195,25 +181,25 @@ def test_characterize_matches_per_cell_scalar_readout():
     arr.calibrate_one_point()
     cfg = arr.cfg.madc
     assert cfg.conversion_noise_counts > 0 and arr.cfg.sigma_r1 > 0
-    rngs = {cell.index: copy.deepcopy(arr._reg_rng[cell.index[0]][cell.index[1]])
-            for cell in arr.iter_cells()}
+    rngs = {index: copy.deepcopy(arr._reg_rng[index[0]][index[1]])
+            for index in np.ndindex(3, 2)}
     t_values = np.arange(20.0, 91.0, 7.0)
     n_avg = 4
     res = arr.characterize_sensor(t_values, n_avg=n_avg)
 
     expect = np.empty((6, t_values.size))
-    for i, cell in enumerate(arr.iter_cells()):
-        rng = rngs[cell.index]
+    for i, index in enumerate(np.ndindex(3, 2)):
+        rng = rngs[index]
         # this cell's realized devices as scalar parameter sets
-        bjt = replace(arr.bjt, vbe_offset=arr.bjt.vbe_offset[cell.index])
-        cs = replace(arr.current_source, r1=arr.current_source.r1[cell.index],
-                     r2=arr.current_source.r2[cell.index],
-                     mirror_ratio=arr.current_source.mirror_ratio[cell.index])
+        bjt = replace(arr.bjt, vbe_offset=arr.bjt.vbe_offset[index])
+        cs = replace(arr.current_source, r1=arr.current_source.r1[index],
+                     r2=arr.current_source.r2[index],
+                     mirror_ratio=arr.current_source.mirror_ratio[index])
         for j, t_c in enumerate(t_values):
             t_k = t_c + 273.15
             noise = rng.normal(0.0, cfg.conversion_noise_counts, size=n_avg)
             n2, _ = discharge_counts(cfg, np.full(n_avg, cfg.n1_counts
-                                                  - arr.cal_preload[cell.index]),
+                                                  - arr.cal_preload[index]),
                                      i_ctat(cs, bjt, t_k), i_ptat(cs, t_k), noise)
             expect[i, j] = min(int(round(n2.mean())), cfg.counter_max)
     assert np.array_equal(res.counts, expect)
@@ -377,13 +363,19 @@ def test_determinism_same_seed_same_u():
     assert np.array_equal(a.t_true, b.t_true)
 
 
+def single_cell_array(full, r, c):
+    """A 1x1 array on cell (r, c)'s seed key in full (for decoupled runs)."""
+    sub = replace(full.cfg, rows=1, cols=1)
+    return TempArray(sub, cell_seed_sequences=[full._cell_ss[r * full.cfg.cols + c]])
+
+
 def test_zero_lateral_coupling_matches_independent_cells():
     full = small_array(seed=19, g_lat=0.0)
     full.calibrate_one_point()
     res = full.run_regulation(48.0, 20.0)
     for r in range(2):
         for c in range(2):
-            solo = full.single_cell_array(r, c)
+            solo = single_cell_array(full, r, c)
             solo.calibrate_one_point()
             sres = solo.run_regulation(48.0, 20.0)
             assert np.array_equal(res.u[:, r, c], sres.u[:, 0, 0])
@@ -504,9 +496,7 @@ def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
     first = a1.run_regulation(40.0, 20.0)
-    a1.set_mode((0, 0), Mode.CPA, PhSensor())
-    a1.run_cpa((0, 0), WaveformSpec(kind="constant", v_low=0.3), 0.5)
-    a1.set_mode((0, 0), Mode.TEMP_REG)
+    a1.run_cpa((0, 0), PhSensor(), WaveformSpec(kind="constant", v_low=0.3), 0.5)
     second = a1.run_regulation(40.0, 20.0)
 
     b = quiet_array(seed=23)
@@ -522,8 +512,7 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr.run_regulation(40.0, 20.0)
     state = arr.pid_state
     cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
-    arr.set_mode((0, 0), Mode.CPA, PhSensor())
-    arr.set_mode((0, 0), Mode.TEMP_REG)
+    arr.run_cpa((0, 0), PhSensor(), WaveformSpec(kind="constant", v_low=0.3), 0.2)
     assert arr.cal_preload[0, 0] == cal
     assert np.array_equal(arr.pid_state.u_prev, u)
     assert np.array_equal(arr.pid_state.bank, bank)
@@ -538,13 +527,13 @@ def test_thermal_field_csv_format():
 def test_mode_model_mismatch_rejected():
     arr = quiet_array()
     with pytest.raises(ConfigurationError):
-        arr.set_mode((0, 0), Mode.CPA, CvSensor(lambda v, t: 0.0))
+        arr.run_cpa((0, 0), CvSensor(lambda v, t: 0.0),
+                    WaveformSpec(kind="constant", v_low=0.3), 0.2)
     with pytest.raises(ConfigurationError):
-        arr.set_mode((0, 0), Mode.IS, PhSensor())
-    arr.set_mode((0, 0), Mode.CPA, PhSensor())
+        arr.run_is((0, 0), PhSensor(), [10.0])
     with pytest.raises(ConfigurationError):
-        arr.run_cv((0, 0), WaveformSpec(kind="ramp_cyclic", v_low=-0.7,
-                                        v_high=0.0, scan_rate=0.1))
+        arr.run_cv((0, 0), PhSensor(), WaveformSpec(kind="ramp_cyclic", v_low=-0.7,
+                                                    v_high=0.0, scan_rate=0.1))
 
 
 # -- measurement modes --------------------------------------------------------
@@ -552,24 +541,22 @@ def test_mode_model_mismatch_rejected():
 def test_cpa_ph_step_response():
     arr = quiet_array(seed=2)
     sensor = PhSensor()
-    arr.set_mode((0, 0), Mode.CPA, sensor)
     arr.force_temperature(25.0)
     wave = WaveformSpec(kind="constant", v_low=0.3)
     sensor.ph = 7.0
-    _, counts0, _ = arr.run_cpa((0, 0), wave, 0.2)
+    _, counts0, _ = arr.run_cpa((0, 0), sensor, wave, 0.2)
     assert np.all(counts0 == 0)
     sensor.ph = 8.0
-    _, _, i_est = arr.run_cpa((0, 0), wave, 0.2)
+    _, _, i_est = arr.run_cpa((0, 0), sensor, wave, 0.2)
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
 def test_cv_ohmic_line_within_one_lsb():
     arr = quiet_array(seed=2)
     r_test = 1e6
-    arr.set_mode((0, 0), Mode.CV, CvSensor(lambda v, t: v / r_test))
     wave = WaveformSpec(kind="ramp_cyclic", v_low=-0.7, v_high=0.0,
                         scan_rate=0.1, cycles=1)
-    v, i_est = arr.run_cv((0, 0), wave)
+    v, i_est = arr.run_cv((0, 0), CvSensor(lambda v, t: v / r_test), wave)
     i_ref = 1.25 * np.abs(v / r_test).max()
     lsb = i_ref / arr.cfg.madc.n1_counts
     assert np.abs(i_est - v / r_test).max() <= lsb * (1 + 1e-9)
@@ -578,17 +565,16 @@ def test_cv_ohmic_line_within_one_lsb():
 def test_cv_network_time_stepping():
     arr = quiet_array(seed=2)
     net = Series((Resistor(1e6), Capacitor(1e-3)))  # slow RC, nearly ohmic
-    arr.set_mode((0, 0), Mode.CV, ImpedanceSensor(net))
     wave = WaveformSpec(kind="ramp_cyclic", v_low=-0.2, v_high=0.0,
                         scan_rate=0.1, cycles=1)
-    v, i_est = arr.run_cv((0, 0), wave)
+    v, i_est = arr.run_cv((0, 0), ImpedanceSensor(net), wave)
     assert np.isfinite(i_est).all()
 
 
 def test_is_pure_resistor():
     arr = quiet_array(seed=2)
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(4.7e5),))))
-    for res in arr.run_is((0, 0), [1.0, 100.0, 5000.0]):
+    for res in arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(4.7e5),))),
+                          [1.0, 100.0, 5000.0]):
         assert res.z_real == pytest.approx(4.7e5, rel=0.02)
         assert abs(res.z_imag) <= 0.02 * 4.7e5
 
@@ -596,8 +582,7 @@ def test_is_pure_resistor():
 def test_is_series_rc_against_analytic():
     arr = quiet_array(seed=2)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
-    for res in arr.run_is((0, 0), [0.1, 1.59, 40.0, 2000.0]):
+    for res in arr.run_is((0, 0), ImpedanceSensor(net), [0.1, 1.59, 40.0, 2000.0]):
         z_ref = net.impedance(res.freq)
         z_est = complex(res.z_real, res.z_imag)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
@@ -607,11 +592,11 @@ def test_is_series_rc_against_analytic():
 
 def test_is_frequency_domain_checked():
     arr = quiet_array(seed=2)
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(1e5),))))
+    sensor = ImpedanceSensor(Series((Resistor(1e5),)))
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), [0.01])
+        arr.run_is((0, 0), sensor, [0.01])
     with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), [10.0], n_periods=1.5)
+        arr.run_is((0, 0), sensor, [10.0], n_periods=1.5)
 
 
 def test_is_noise_variance_halves_with_periods():
@@ -623,8 +608,7 @@ def test_is_noise_variance_halves_with_periods():
         vals = []
         for seed in range(10):
             arr = quiet_array(seed=seed)
-            arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
-            res = arr.run_is((0, 0), [50.0], n_periods=n_per,
+            res = arr.run_is((0, 0), ImpedanceSensor(net), [50.0], n_periods=n_per,
                              noise_rms=3e-9)[0]
             vals.append(res.z_real)
         var[n_per] = np.var(vals)
@@ -632,7 +616,7 @@ def test_is_noise_variance_halves_with_periods():
     assert 1.2 <= ratio <= 3.5
 
 
-def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms):
+def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng, noise_rms):
     """Reference FRA point: digitizes every sample of both windows."""
     cfg = arr.cfg.madc
     f_conv = cfg.conversion_rate
@@ -645,8 +629,8 @@ def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms)
         while math.gcd(cycles_per_window, m) != 1:
             cycles_per_window += 1
     f_act = cycles_per_window * f_conv / m
-    cell.sensor.prepare_sinusoid(f_act, amplitude)
-    i_ref = max(cell.sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+    sensor.prepare_sinusoid(f_act, amplitude)
+    i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
     run_cfg = replace(cfg, c_int=max(cfg.c_int,
                                      1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
     w = m * n_periods
@@ -658,7 +642,7 @@ def per_sample_fra_point(arr, cell, f_req, n_periods, amplitude, rng, noise_rms)
         theta = 2.0 * math.pi * f_act * t_k
         table = np.round(table_fn(theta) * 128) / 128.0
         live = table != 0.0
-        i_t = cell.sensor._i_mag * np.sin(theta + cell.sensor._i_phase)
+        i_t = sensor._i_mag * np.sin(theta + sensor._i_phase)
         if noise_rms:
             i_t = i_t + noise_rms * rng.standard_normal(w)
         counts = np.zeros(w)
@@ -691,19 +675,17 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
     last_one_cycle = grid[grid <= MadcConfig().conversion_rate / 8.0][-1]
     freqs = [grid[0], 1.59, 50.0, last_one_cycle, 2000.0, 7000.0, grid[-1]]
     arr = quiet_array(seed=5, noise=noise)
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),
-                                                          Capacitor(1e-6)))))
-    cell = arr.cells[0][0]
-    start = arr._meas_rng[0][0]
+    sensor = ImpedanceSensor(Series((Resistor(100e3), Capacitor(1e-6))))
+    start = arr._meas_stream((0, 0))
     ref_rng = copy.deepcopy(start)
-    arr._meas_rng[0][0] = copy.deepcopy(start)
-    results = arr.run_is((0, 0), freqs, noise_rms=noise_rms)
+    arr._meas_rng[(0, 0)] = copy.deepcopy(start)
+    results = arr.run_is((0, 0), sensor, freqs, noise_rms=noise_rms)
     for f_req, res in zip(freqs, results):
-        f_act, z_ref = per_sample_fra_point(arr, cell, f_req, 4, 0.01, ref_rng,
+        f_act, z_ref = per_sample_fra_point(arr, sensor, f_req, 4, 0.01, ref_rng,
                                             noise_rms)
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
-    assert arr._meas_rng[0][0].standard_normal() == ref_rng.standard_normal()
+    assert arr._meas_stream((0, 0)).standard_normal() == ref_rng.standard_normal()
 
 
 def test_is_closed_form_solve_matches_linalg():
@@ -712,12 +694,10 @@ def test_is_closed_form_solve_matches_linalg():
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     arr = quiet_array()
-    cell = arr.cells[0][0]
     mats, sums = [], []
     for f in default_fra_grid():
         for net in nets:
-            arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
-            _, mat, rhs = arr._fra_point(cell, float(f), 4, 0.01, None, None)
+            _, mat, rhs = arr._fra_point(ImpedanceSensor(net), float(f), 4, 0.01, None, None)
             mats.append(mat)
             sums.append(rhs)
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
@@ -772,13 +752,12 @@ def test_is_folded_sums_equal_full_period_conversion(net):
     # the same tables through the ranged config
     arr = quiet_array()
     cfg = arr.cfg.madc
-    cell = arr.cells[0][0]
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(net))
+    sensor = ImpedanceSensor(net)
     for f in default_fra_grid():
-        _, _, sums = arr._fra_point(cell, float(f), 4, 0.01, None, None)
+        _, _, sums = arr._fra_point(sensor, float(f), 4, 0.01, None, None)
         tables = arr._fra_tables(*_fra_grid_point(cfg, float(f)))
-        i_ref = max(cell.sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
-        i_t = cell.sensor.response(*tables.basis)
+        i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+        i_t = sensor.response(*tables.basis)
         n2, _ = discharge_counts(_ranged(cfg, i_ref), tables.charge, np.abs(i_t), i_ref)
         totals = (np.sign(i_t) * n2 * tables.sign).sum(axis=1).tolist()
         assert sums == [t * 4 * i_ref / cfg.n1_counts for t in totals]
@@ -797,14 +776,14 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise, noise_rms):
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
-    arr.set_mode((0, 0), Mode.IS, ImpedanceSensor(Series((Resistor(100e3),))))
-    ref = copy.deepcopy(arr._meas_rng[0][0])
-    arr.run_is((0, 0), [f_req], n_periods=4, noise_rms=noise_rms)
+    ref = copy.deepcopy(arr._meas_stream((0, 0)))
+    arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(100e3),))), [f_req], n_periods=4,
+               noise_rms=noise_rms)
     noisy = noise or noise_rms
     assert sizes == [2 * 4 * m if noisy else m]
     live = np.count_nonzero(arr._fra_memo[1].sign)
     ref.standard_normal(2 * 4 * m if noise_rms else 4 * live if noise else 0)
-    assert arr._meas_rng[0][0].standard_normal() == ref.standard_normal()
+    assert arr._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
 
 
 def test_is_period_bound():
@@ -834,16 +813,14 @@ def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, hit):
     net_b = Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))
     x = quiet_array(cols=2, seed=4, noise=0.3)
     y = quiet_array(cols=2, seed=4, noise=0.3)
-    x.set_mode((0, 0), Mode.IS, ImpedanceSensor(net_a))
-    x.run_is((0, 0), [f_a], noise_rms=3e-9)
+    x.run_is((0, 0), ImpedanceSensor(net_a), [f_a], noise_rms=3e-9)
     kept = x._fra_memo[1]
     results = []
     for arr in (x, y):
-        arr.set_mode((0, 1), Mode.IS, ImpedanceSensor(net_b))
-        results.append(arr.run_is((0, 1), [f_b], noise_rms=3e-9))
+        results.append(arr.run_is((0, 1), ImpedanceSensor(net_b), [f_b], noise_rms=3e-9))
     assert (x._fra_memo[1] is kept) is hit
     assert results[0] == results[1]
-    assert x._meas_rng[0][1].standard_normal() == y._meas_rng[0][1].standard_normal()
+    assert x._meas_stream((0, 1)).standard_normal() == y._meas_stream((0, 1)).standard_normal()
 
 
 def test_waveform_validation():

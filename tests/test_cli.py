@@ -282,3 +282,46 @@ def test_defaults_complete():
                ("characterize_sensor", "die_error_sweep", "pwm_sweep",
                 "regulation_steps", "channel_spread", "madc_oracle",
                 "pid_oracle", "fra_sweep", "cpa_ph", "cv_scan", "snr_test"))
+
+
+# the experiment that checks each numeric key: a cheap one that reads it,
+# by section.key or else by section.  cpa_ph builds the array, so it reads
+# every key that build_array reads.
+KEY_EXPERIMENTS = {
+    "array": "cpa_ph", "devices": "cpa_ph", "mismatch": "cpa_ph",
+    "thermal": "cpa_ph", "madc": "cpa_ph", "pid": "cpa_ph", "pwm": "cpa_ph",
+    "regulation": "regulation_steps", "is_mode": "fra_sweep", "cpa": "cpa_ph",
+    "cv": "cv_scan", "snr": "snr_test", "oracle.n_draws": "madc_oracle",
+    "oracle": "pid_oracle", "spread": "channel_spread",
+    "characterize.n_dies": "die_error_sweep", "characterize": "characterize_sensor",
+}
+NUMERIC_KEYS = [f"{section}.{name}" for section, keys in SCHEMA.items()
+                if section != "experiment" for name, default in keys.items()
+                if default is None or type(default) in (int, float)]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_numeric_key_at_zero_and_minus_one_exits_cleanly(tmp_path, capsys, key):
+    # 0 and -1 run, fail a check, or exit 2 with a message that names the
+    # key and no output directory left; never a traceback
+    section, name = key.split(".")
+    experiment = KEY_EXPERIMENTS.get(key, KEY_EXPERIMENTS[section])
+    for value in ("0", "-1"):
+        out = tmp_path / value / "out"
+        cfg = write_config(tmp_path / "key.cfg", """
+[experiment]
+name = %s
+seed = 1
+
+[%s]
+%s = %s
+
+[output]
+dir = %s
+""" % (experiment, section, name, value, out))
+        code = main([cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert key in err, (value, err)
+            assert not out.exists()

@@ -56,14 +56,6 @@ def test_i_ctat_nominal_value():
     assert i_ctat(CS, BJT, 300.0) == pytest.approx(4.666666666666667e-08, rel=1e-12)
 
 
-def test_i_ctat_trim_monotone():
-    prev = -1.0
-    for code in range(0, 64, 7):
-        cur = i_ctat(CurrentSourceParams(trim_code=code), BJT, 320.0)
-        assert cur > prev
-        prev = cur
-
-
 def test_i_ctat_decreases_with_temperature():
     assert i_ctat(CS, BJT, 360.0) < i_ctat(CS, BJT, 300.0)
 
@@ -99,8 +91,6 @@ def test_outputs_reproducible_with_same_seed():
 def test_param_validation():
     with pytest.raises(ConfigurationError):
         BjtParams(vg0=0.5)  # below vbe_at_tref
-    with pytest.raises(ConfigurationError):
-        CurrentSourceParams(trim_code=64)
     with pytest.raises(ConfigurationError):
         CurrentSourceParams(bias_current_ratio=1.0)
     with pytest.raises(ConfigurationError):

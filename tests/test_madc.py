@@ -231,14 +231,6 @@ def test_design_map_linear_fit_residual_reported():
     assert 1.0 < np.max(np.abs(resid) / slope) < 4.0
 
 
-def test_hd2_term_default_off_and_effective():
-    dist = MadcConfig(conversion_noise_counts=0.0, hd2_fraction=0.01)
-    clean = run(3e-7, 4e-7).out_count
-    bent = run(3e-7, 4e-7, cfg=dist)
-    # 1 percent of full scale at 3/4 scale: ~ +2.9 counts
-    assert bent.out_count - clean == pytest.approx(0.01 * clean * clean / 512, abs=1.5)
-
-
 def test_snr_quantization_limited():
     cfg = MadcConfig(c_int=3e-9, conversion_noise_counts=0.0)
     assert snr_test(cfg) >= 56.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
+from tregsim.pwm import PERIOD, PwmConfig, duty_of_code, pulse_train, sample_tap_delays
 
 CFG = PwmConfig()
 
@@ -34,19 +34,19 @@ def test_out_of_range_code():
 
 
 def test_pulse_train_midscale():
-    train = pulse_train(CFG, 2048, 10 * CFG.period)
+    train = pulse_train(CFG, 2048, 10 * PERIOD)
     assert train.shape == (10, 2)
     high = train[0, 1] - train[0, 0]
     assert high == pytest.approx(204.8e-6, rel=1e-12)
     # period constant and independent of code
-    assert np.allclose(np.diff(train[:, 0]), CFG.period)
-    train2 = pulse_train(CFG, 731, 10 * CFG.period)
-    assert np.allclose(np.diff(train2[:, 0]), CFG.period)
+    assert np.allclose(np.diff(train[:, 0]), PERIOD)
+    train2 = pulse_train(CFG, 731, 10 * PERIOD)
+    assert np.allclose(np.diff(train2[:, 0]), PERIOD)
 
 
 def test_adjacent_code_step_is_cell_time():
-    a = pulse_train(CFG, 2048, CFG.period)
-    b = pulse_train(CFG, 2049, CFG.period)
+    a = pulse_train(CFG, 2048, PERIOD)
+    b = pulse_train(CFG, 2049, PERIOD)
     step = (b[0, 1] - b[0, 0]) - (a[0, 1] - a[0, 0])
     assert step == pytest.approx(0.1e-6, rel=1e-9)
 
@@ -54,14 +54,14 @@ def test_adjacent_code_step_is_cell_time():
 def test_cycle_average_equals_duty():
     for code in (300, 2048, 3900):
         duty = duty_of_code(CFG, code)
-        train = pulse_train(CFG, code, 5 * CFG.period)
-        avg = (train[:, 1] - train[:, 0]).sum() / (5 * CFG.period)
+        train = pulse_train(CFG, code, 5 * PERIOD)
+        avg = (train[:, 1] - train[:, 0]).sum() / (5 * PERIOD)
         assert avg == pytest.approx(duty, abs=1e-12)
 
 
 def test_horizon_shorter_than_period():
     with pytest.raises(ConfigurationError):
-        pulse_train(CFG, 100, CFG.period / 2)
+        pulse_train(CFG, 100, PERIOD / 2)
 
 
 def test_mismatch_bounded_for_default_sigma():
@@ -80,7 +80,5 @@ def test_mismatch_bounded_for_default_sigma():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        PwmConfig(counter_bits=6)  # 64 laps x 32 taps != 4096
     with pytest.raises(ConfigurationError):
         PwmConfig(duty_min=0.5, duty_max=0.4)
