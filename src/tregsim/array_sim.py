@@ -5,6 +5,7 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 (CPA, CV, IS), one-point calibration, and the characterization sweeps.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -147,19 +148,24 @@ class TempArray:
         # tables of the last FRA grid point, as (key, _FraTables)
         self._fra_memo = None
 
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # each cell's seed key and its regulation stream, word 0 of that
+        # key, in row-major order
+        n_cells = cfg.rows * cfg.cols
         if cell_seed_sequences is None:
+            ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
             # the keys of the children that ss.spawn gives a fresh
             # sequence, derived without spawning from ss: one sequence
-            # always builds one array
-            children = [_CellKey(ss.entropy, (*ss.spawn_key, i))
-                        for i in range(cfg.rows * cfg.cols)]
+            # always builds one array.  Every cell's stream comes from
+            # one stream_seeds pass over the tails (cell, 0).
+            self._cell_ss = [_CellKey(ss.entropy, (*ss.spawn_key, i)) for i in range(n_cells)]
+            tails = np.zeros((n_cells, 2), dtype=np.uint64)
+            tails[:, 0] = np.arange(n_cells)
+            self._reg_rng = _streams(ss.entropy, ss.spawn_key, tails)
         else:
-            if len(cell_seed_sequences) != cfg.rows * cfg.cols:
+            if len(cell_seed_sequences) != n_cells:
                 raise ConfigurationError("one seed sequence per cell required")
-            children = list(cell_seed_sequences)
-        self._cell_ss = children
-        self._reg_rng = [[None] * cfg.cols for _ in range(cfg.rows)]
+            self._cell_ss = list(cell_seed_sequences)
+            self._reg_rng = [_cell_stream(child, 0) for child in self._cell_ss]
         # measurement streams by cell index, built on first use (see
         # _meas_stream): most arrays never run CPA, CV or IS
         self._meas_rng = {}
@@ -177,20 +183,19 @@ class TempArray:
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
         cs = cfg.current_source
-        gauss = np.empty((4,) + shape)
         self.cal_preload = np.zeros(shape, dtype=int)
         self.cal_ok = np.ones(shape, dtype=bool)
-        for r in range(cfg.rows):
-            for c in range(cfg.cols):
-                rng = _cell_stream(children[r * cfg.cols + c], 0)
-                self._reg_rng[r][c] = rng
-                # Gaussian mismatch in one call, in a fixed draw order:
-                # absolute on vbe, relative on r1, r2 and the mirror ratio
-                gauss[:, r, c] = rng.standard_normal(4)
+        # each cell's Gaussian mismatch in one call on its stream, in a
+        # fixed draw order: absolute on vbe, relative on r1, r2 and the
+        # mirror ratio
+        gauss = np.empty((n_cells, 4))
+        for rng, draws in zip(self._reg_rng, gauss):
+            rng.standard_normal(out=draws)
         # scaled as Generator.normal(0.0, sigma) scales its draw, so a
         # zero sigma gives +0.0
         sigmas = np.array([cfg.sigma_vbe, cfg.sigma_r1, cfg.sigma_r2, cfg.sigma_mirror])
-        vbe_offset, d_r1, d_r2, d_mirror = 0.0 + sigmas[:, None, None] * gauss
+        vbe_offset, d_r1, d_r2, d_mirror = 0.0 + sigmas[:, None, None] * gauss.T.reshape(
+            (4,) + shape)
         self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
         # rejects a draw with r1 or r2 <= 0 or a mirror ratio below 1
         self.current_source = replace(cs, r1=cs.r1 * (1.0 + d_r1), r2=cs.r2 * (1.0 + d_r2),
@@ -240,19 +245,20 @@ class TempArray:
         Each cell draws its whole block in one call on its own stream,
         in C order over shape, as channel_noise would; None on a
         noiseless channel.  The result is a view of a cells-first
-        buffer, (rows, cols) + shape, in which each block is contiguous.
+        buffer, (rows * cols,) + shape with the cells in row-major
+        order, in which each block is contiguous.
         """
         sigma = self.cfg.madc.conversion_noise_counts
         if sigma == 0:
             return None
-        buf = np.empty((self.cfg.rows, self.cfg.cols) + shape)
-        for r, row in enumerate(self._reg_rng):
-            for c, rng in enumerate(row):
-                rng.standard_normal(out=buf[r, c])
+        buf = np.empty((len(self._reg_rng),) + shape)
+        for rng, block in zip(self._reg_rng, buf):
+            rng.standard_normal(out=block)
         # scaled as Generator.normal(0.0, sigma) scales its draw
         buf *= sigma
         buf += 0.0
-        return np.moveaxis(buf, (0, 1), (-2, -1))
+        return np.moveaxis(buf.reshape((self.cfg.rows, self.cfg.cols) + shape),
+                           (0, 1), (-2, -1))
 
     def read_counts(self, currents=None, n_avg=1):
         """Plain-mode temperature conversion of every cell at once.
@@ -679,8 +685,135 @@ def _cell_stream(child, word):
 
     child is a _CellKey or a SeedSequence.
     """
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=child.entropy, spawn_key=(*child.spawn_key, word)))
+    return _streams(child.entropy, child.spawn_key, [[word]])[0]
+
+
+def _streams(entropy, spawn_key, tails):
+    """One Generator per row of tails, each from its stream_seeds words.
+
+    Each equals np.random.default_rng(SeedSequence(entropy,
+    spawn_key=(*spawn_key, *tail))), draw for draw.
+    """
+    # registered here, not at import: numpy imports numpy.random on first
+    # use, and loading it with this module raised the peak RSS of
+    # `bench/run.py --workload impedance` by about 0.6 MB (numpy 2.4.6).
+    # Registering again is a no-op.
+    np.random.bit_generator.ISeedSequence.register(_StreamSeed)
+    return [np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+            for words in stream_seeds(entropy, spawn_key, tails)]
+
+
+class _StreamSeed:
+    """The seed sequence of one stream: hands PCG64 its four seed words.
+
+    A numpy ISeedSequence, registered as one by _streams.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly these
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a stream seed holds four np.uint64 words")
+        return self.words
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, hashmix and mix on it, and the hash constants
+# INIT_A * MULT_A**k and INIT_B * MULT_B**k
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
+
+@functools.cache
+def _hash_constants(init, mult, n):
+    """init * mult**k modulo 2**32 for k = 0 .. n: as ints, and as a
+    uint64 column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out), np.array(out, dtype=np.uint64)[:, None]
+
+
+# generate_state(4, np.uint64) hashes the pool twice over into eight
+# 32-bit words: the constants before and after each step, shaped (2, 4, 1)
+_GEN_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)[1]
+_GEN_BEFORE = _GEN_CONSTANTS[:-1].reshape(2, _POOL, 1)
+_GEN_AFTER = _GEN_CONSTANTS[1:].reshape(2, _POOL, 1)
+
+
+def _hashmix(value, before, after):
+    """numpy's hashmix of value with the hash constant before and after
+    its step: on ints, or on uint64 arrays holding 32-bit words."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's mix of two 32-bit words, on ints or uint64 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _uint32_words(x):
+    """The 32-bit words SeedSequence makes of an entropy or a spawn key:
+    an int's words low first (one for 0), a sequence's items in turn."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _MASK32]
+        while x > _MASK32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    return [word for item in x for word in _uint32_words(item)]
+
+
+def stream_seeds(entropy, spawn_key, tails):
+    """PCG64 seed words of many streams of one seed key, in one pass.
+
+    Row i of the result, four uint64 words, equals
+    np.random.SeedSequence(entropy, spawn_key=(*spawn_key, *tails[i]))
+    .generate_state(4, np.uint64).  tails is (streams, k), k >= 1, each
+    entry below 2**32: a cell index, a stream word.  The hash's constant
+    sequence does not depend on the data, so the words that every
+    stream shares (the entropy, zero-padded to the pool, then the spawn
+    key) are mixed once as ints, and each tail column is mixed into the
+    whole pool as one uint64 array step, the pool's four words a column
+    against the streams.
+    """
+    tails = np.asarray(tails, dtype=np.uint64)
+    words = _uint32_words(entropy)
+    # a spawned sequence pads its entropy to the pool with zeros
+    words += [0] * (_POOL - len(words))
+    words += _uint32_words(spawn_key)
+    # one hashmix per pool word, one per ordered pair of pool words, then
+    # one per pool word for each later word
+    n_late = len(words) - _POOL + tails.shape[1]
+    consts, const_column = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + n_late))
+    pool = [_hashmix(w, consts[k], consts[k + 1]) for k, w in enumerate(words[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k], consts[k + 1]))
+                k += 1
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(w, consts[k], consts[k + 1]))
+            k += 1
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    for w in tails.T:
+        pool = _mix(pool, _hashmix(w, const_column[k:k + _POOL], const_column[k + 1:k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(pool, _GEN_BEFORE, _GEN_AFTER)
+    # per stream, the eight words in turn, paired low word first, as
+    # generate_state pairs them
+    return (state.transpose(2, 0, 1).astype("<u4", order="C").view("<u8").reshape(-1, 4)
+            .astype(np.uint64, copy=False))
 
 
 def _ranged(cfg, i_ref):

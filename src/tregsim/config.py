@@ -60,10 +60,12 @@ def setting(key):
 
 
 def from_settings(cls, settings, **given):
-    """A cls built from the settings of its `setting` fields; `given` fills the rest."""
+    """A cls built from the settings of its `setting` fields; `given` fills
+    the rest and replaces any setting it names."""
     values = {f.name: settings[f.metadata["key"][0]][f.metadata["key"][1]]
               for f in fields(cls) if "key" in f.metadata}
-    return cls(**values, **given)
+    values.update(given)
+    return cls(**values)
 
 
 def _parse_value(raw, default, path):

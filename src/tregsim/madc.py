@@ -36,6 +36,7 @@ class MadcConfig:
     conversion_noise_counts: float = setting("madc.conversion_noise_counts")
 
     def __post_init__(self):
+        require(self.n_bits >= 1, "madc.n_bits", ">= 1", self.n_bits)
         for key in ("f_clk", "c_int", "v_full"):
             require(getattr(self, key) > 0, f"madc.{key}", "positive", getattr(self, key))
         require(self.pid_charge_scale >= 1, "madc.pid_charge_scale", ">= 1",

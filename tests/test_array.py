@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_mismatch_matches_four_scalar_draws_per_cell(sigmas):
         want = (vbe, cs.r1 * (1.0 + d1), cs.r2 * (1.0 + d2), cs.mirror_ratio * (1.0 + dm))
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert got == want
-        assert arr._reg_rng[r][c].standard_normal() == rng.standard_normal()
+        assert arr._reg_rng[r * 2 + c].standard_normal() == rng.standard_normal()
 
 
 def test_one_seed_sequence_builds_equal_arrays_without_spawning():
@@ -93,12 +94,52 @@ def test_one_seed_sequence_builds_equal_arrays_without_spawning():
     states = []
     for arr in arrays:
         cs = arr.current_source
-        streams = [(arr._reg_rng[r][c].standard_normal(),
+        streams = [(arr._reg_rng[r * 2 + c].standard_normal(),
                     arr._meas_stream((r, c)).standard_normal())
                    for r, c in np.ndindex(3, 2)]
         states.append((arr.bjt.vbe_offset.tolist(), cs.r1.tolist(), cs.r2.tolist(),
                        cs.mirror_ratio.tolist(), streams))
     assert states[0] == states[1] == states[2]
+
+
+def seed_sequence_stream(entropy, spawn_key):
+    """The reference stream: numpy's SeedSequence and default_rng."""
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return ss.generate_state(4, np.uint64), np.random.default_rng(ss)
+
+
+@pytest.mark.parametrize("entropy", [0, 2**32 - 1, 2**32, 2**64 + 5, [7, 2**40, 3], 2**160 + 9])
+@pytest.mark.parametrize("prefix", [(), (4,), (4, 2**33), (1, 2, 3)])
+def test_stream_seeds_match_seed_sequence(entropy, prefix):
+    # every stream's seed words and first 100 normals equal those of
+    # numpy's SeedSequence on the same key: cell indices 0-5 and the
+    # last one below 2**32, each with words 0 and 1.  The entropies
+    # take one to six 32-bit words, so the pool is padded, filled, and
+    # overrun.  The hash raises no warning on any key.
+    tails = [(i, word) for i in (*range(6), 2**32 - 1) for word in (0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = array_sim.stream_seeds(entropy, prefix, tails)
+        streams = array_sim._streams(entropy, prefix, tails)
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(tails), 4)
+    for tail, words, rng in zip(tails, seeds, streams):
+        want_words, want_rng = seed_sequence_stream(entropy, (*prefix, *tail))
+        assert np.array_equal(words, want_words)
+        assert np.array_equal(rng.standard_normal(100), want_rng.standard_normal(100))
+
+
+def test_given_seed_sequences_stream_as_seed_sequence():
+    # a cell's given sequence, bare or spawned, streams its regulation
+    # draws on word 0 of its key and its measurements on word 1
+    given = [np.random.SeedSequence(5), np.random.SeedSequence(2**32, spawn_key=(1, 2**35, 3))]
+    arr = TempArray(ArrayConfig(rows=1, cols=2), cell_seed_sequences=given)
+    for c, ss in enumerate(given):
+        _, reg = seed_sequence_stream(ss.entropy, (*ss.spawn_key, 0))
+        _, meas = seed_sequence_stream(ss.entropy, (*ss.spawn_key, 1))
+        reg.standard_normal(4)      # the cell's mismatch draws
+        assert np.array_equal(arr._reg_rng[c].standard_normal(100), reg.standard_normal(100))
+        assert np.array_equal(arr._meas_stream((0, c)).standard_normal(100),
+                              meas.standard_normal(100))
 
 
 def test_calibration_failure_reported_when_out_of_range():
@@ -121,7 +162,7 @@ def per_cell_calibration(arr, t_known, n_avg=8):
     ok = np.ones(i_in.shape, dtype=bool)
     failures = []
     for r, c in np.ndindex(i_in.shape):
-        noise = channel_noise(madc, arr._reg_rng[r][c], (n_avg, cals.size))
+        noise = channel_noise(madc, arr._reg_rng[r * i_in.shape[1] + c], (n_avg, cals.size))
         n2, _ = discharge_counts(madc, (madc.n1_counts - cals)[None, :],
                                  i_in[r, c], i_ref[r, c], noise)
         best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
@@ -149,7 +190,7 @@ def test_calibration_matches_per_cell_reference(noise):
     assert np.array_equal(arr.cal_preload, preload)
     assert np.array_equal(arr.cal_ok, ok)
     for r, c in np.ndindex(3, 2):
-        assert arr._reg_rng[r][c].standard_normal() == ref._reg_rng[r][c].standard_normal()
+        assert arr._reg_rng[r * 2 + c].standard_normal() == ref._reg_rng[r * 2 + c].standard_normal()
 
 
 def test_channel_spread_after_calibration():
@@ -181,8 +222,8 @@ def test_characterize_matches_per_cell_scalar_readout():
     arr.calibrate_one_point()
     cfg = arr.cfg.madc
     assert cfg.conversion_noise_counts > 0 and arr.cfg.sigma_r1 > 0
-    rngs = {index: copy.deepcopy(arr._reg_rng[index[0]][index[1]])
-            for index in np.ndindex(3, 2)}
+    rngs = {index: copy.deepcopy(arr._reg_rng[i])
+            for i, index in enumerate(np.ndindex(3, 2))}
     t_values = np.arange(20.0, 91.0, 7.0)
     n_avg = 4
     res = arr.characterize_sensor(t_values, n_avg=n_avg)
@@ -412,7 +453,7 @@ def scalar_regulation(arr, sp, duration):
         i_in, i_ref = arr.front_end_currents(temp)
         powers = np.zeros(sp.shape)
         for rc in cells:
-            rng = arr._reg_rng[rc[0]][rc[1]]
+            rng = arr._reg_rng[rc[0] * sp.shape[1] + rc[1]]
             products = [0, 0, 0]
             for n, mag in enumerate(coeffs.magnitudes):
                 if coeffs.mantissas[n] == 0:

@@ -215,6 +215,10 @@ dir = %s
     ("characterize_sensor", {"madc": "n_bits = 0"}, "madc.n_bits"),
     ("regulation_steps", {"madc": "n_bits = 3"}, "madc.n_bits"),
     ("regulation_steps", {"madc": "n_bits = 5"}, "madc.n_bits"),
+    # the experiments that convert without an array read the madc section
+    ("snr_test", {"madc": "n_bits = -1"}, "madc.n_bits"),
+    ("madc_oracle", {"madc": "n_bits = 0"}, "madc.n_bits"),
+    ("snr_test", {"madc": "f_clk = 0"}, "madc.f_clk"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

@@ -1,0 +1,80 @@
+import copy
+import math
+
+import numpy as np
+import pytest
+
+from tregsim.array_sim import ArrayConfig, TempArray, WaveformSpec
+from tregsim.config import SCHEMA
+from tregsim.devices import CvSensor
+from tregsim.experiments import (_fmt, _format_cell, reverse_scan_mirrors,
+                                 run_experiment, write_csv)
+from tregsim.madc import MadcConfig
+
+
+FORMAT_CASES = [
+    (True, "1"), (False, "0"), (np.bool_(True), "1"), (np.bool_(False), "0"),
+    (7, "7"), (-3, "-3"), (2**70, str(2**70)), (np.int64(-12), "-12"),
+    (0.1, "0.1"), (1e-300, "1e-300"), (np.float64(2.5e-9), "2.5e-09"),
+    (-0.0, "-0.0"), (np.float64(-0.0), "-0.0"), (math.nan, "nan"),
+    (np.float64(math.nan), "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    ("series_rc", "series_rc"),
+]
+
+
+@pytest.mark.parametrize("value, text", FORMAT_CASES)
+def test_format_cell_follows_fmt_rules(value, text):
+    # the type-keyed formatter writes what _fmt writes: a bool as 0/1,
+    # never as an int, an integer in decimal, a float by its repr
+    assert _fmt(value) == text
+    assert _format_cell(value) == text
+
+
+def test_write_csv_writes_fmt_cells(tmp_path):
+    rows = [[value for value, _ in FORMAT_CASES], [np.float32(0.1), np.uint8(3), None]]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b"], rows)
+    want = "a,b\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    assert path.read_text() == want
+
+
+def run_at(tmp_path, name, keys=None):
+    """run_experiment of name at the schema defaults and seed 1, with the
+    settings that keys gives by "section.key"; its checks and output directory."""
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"].update(name=name, seed=1)
+    for key, value in (keys or {}).items():
+        section, field = key.split(".")
+        settings[section][field] = value
+    outdir = tmp_path / f"{name}{len(list(tmp_path.iterdir()))}"
+    return run_experiment(settings, str(outdir)), outdir
+
+
+def test_snr_test_runs_the_configured_converter(tmp_path):
+    # a bit more resolution is about 6 dB more quantization-limited SNR
+    checks, base = run_at(tmp_path, "snr_test")
+    checks10, finer = run_at(tmp_path, "snr_test", {"madc.n_bits": 10})
+    assert (base / "snr.csv").read_text() != (finer / "snr.csv").read_text()
+    assert 5.5 < checks10[0].value - checks[0].value < 6.5
+
+
+def test_madc_oracle_runs_the_configured_converter(tmp_path):
+    # a one-bit converter leaves most draws without a charge phase
+    checks, _ = run_at(tmp_path, "madc_oracle", {"oracle.n_draws": 1000})
+    assert all(c.passed for c in checks)
+    checks, _ = run_at(tmp_path, "madc_oracle", {"oracle.n_draws": 1000, "madc.n_bits": 1})
+    assert not checks[0].passed
+
+
+def test_reverse_scan_mirrors_needs_a_voltage_only_sensor():
+    # a noiseless channel, as cv_scan builds it
+    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(conversion_noise_counts=0.0)))
+    wave = WaveformSpec(kind="ramp_cyclic")
+    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6), wave)
+    assert reverse_scan_mirrors(v, i)
+    # a current that drifts with time differs between the sweeps
+    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6 + 1e-8 * t), wave)
+    assert not reverse_scan_mirrors(v, i)
+    # a truncated down-sweep cannot retrace the up-sweep
+    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6), wave)
+    assert not reverse_scan_mirrors(v[:-1], i[:-1])
