@@ -19,7 +19,7 @@ from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
                       network_transient_currents)
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
-                   convert, convert_signed, discharge_counts)
+                   charge_phase, convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 
@@ -139,7 +139,7 @@ class CharacterizeResult:
 class TempArray:
     """A rows x cols array of regulated cells on a shared thermal grid."""
 
-    def __init__(self, cfg=None, seed=0, cell_seed_sequences=None):
+    def __init__(self, cfg=None, seed=0):
         self.cfg = cfg if cfg is not None else ArrayConfig()
         cfg = self.cfg
         # per-cycle plant map, built on the first regulation run: most
@@ -148,24 +148,18 @@ class TempArray:
         # tables of the last FRA grid point, as (key, _FraTables)
         self._fra_memo = None
 
-        # each cell's seed key and its regulation stream, word 0 of that
-        # key, in row-major order
+        # cell i's seed key is (entropy, (*spawn_key, i)): the key of the
+        # i-th child that ss.spawn gives a fresh sequence, derived without
+        # spawning from ss, so one sequence always builds one array.  Its
+        # regulation stream is word 0 of that key; every cell's comes
+        # from one stream_seeds pass over the tails (cell, 0), in
+        # row-major order.
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        self._seed_key = (ss.entropy, ss.spawn_key)
         n_cells = cfg.rows * cfg.cols
-        if cell_seed_sequences is None:
-            ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-            # the keys of the children that ss.spawn gives a fresh
-            # sequence, derived without spawning from ss: one sequence
-            # always builds one array.  Every cell's stream comes from
-            # one stream_seeds pass over the tails (cell, 0).
-            self._cell_ss = [_CellKey(ss.entropy, (*ss.spawn_key, i)) for i in range(n_cells)]
-            tails = np.zeros((n_cells, 2), dtype=np.uint64)
-            tails[:, 0] = np.arange(n_cells)
-            self._reg_rng = _streams(ss.entropy, ss.spawn_key, tails)
-        else:
-            if len(cell_seed_sequences) != n_cells:
-                raise ConfigurationError("one seed sequence per cell required")
-            self._cell_ss = list(cell_seed_sequences)
-            self._reg_rng = [_cell_stream(child, 0) for child in self._cell_ss]
+        tails = np.zeros((n_cells, 2), dtype=np.uint64)
+        tails[:, 0] = np.arange(n_cells)
+        self._reg_rng = _streams(*self._seed_key, tails)
         # measurement streams by cell index, built on first use (see
         # _meas_stream): most arrays never run CPA, CV or IS
         self._meas_rng = {}
@@ -219,7 +213,8 @@ class TempArray:
         rng = self._meas_rng.get(index)
         if rng is None:
             r, c = index
-            rng = self._meas_rng[index] = _cell_stream(self._cell_ss[r * self.cfg.cols + c], 1)
+            rng = self._meas_rng[index] = _streams(*self._seed_key,
+                                                   [[r * self.cfg.cols + c, 1]])[0]
         return rng
 
     def force_temperature(self, t_c):
@@ -340,8 +335,9 @@ class TempArray:
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
                                t_true=np.empty(shape), t_meas=np.empty(shape),
-                               u=np.empty(shape, dtype=int), duty=np.empty(shape),
+                               u=np.empty(shape, dtype=int), duty=np.zeros(shape),
                                warnings=[], conv_trace=[] if trace_conversions else None)
+        out.setpoint[...] = sp
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(
                 self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
@@ -352,8 +348,10 @@ class TempArray:
         # then its plain measurement, one row each in that order.  The
         # columns give each row's coefficient magnitude, sign and
         # full-scale charge count; the measurement is a unit-coefficient
-        # conversion with preload 0 and sign -1, so it counts n2.
-        active = [n for n in range(3) if coeffs.mantissas[n] != 0]
+        # conversion with preload 0 and sign -1, so it counts n2.  They
+        # and the calibration words are fixed for the run, so the charge
+        # phase is checked and derived once.
+        active = state.active
         slot_mags = [coeffs.magnitudes[n] for n in active]
         mags = np.array(slot_mags + [1.0])[:, None, None]
         signs = np.array([1] * len(active) + [-1])[:, None, None]
@@ -362,6 +360,7 @@ class TempArray:
         # trim is a relative gain correction of the charge phase
         cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
                               .astype(int) for mag in slot_mags] + [self.cal_preload])
+        charge = charge_phase(madc, mags, cal_words, signs, n1)
         targets = np.zeros_like(cal_words)
         # each cell draws the run's noise in one call on its own stream,
         # in the order its conversions run
@@ -373,43 +372,46 @@ class TempArray:
             # front-end currents
             nonlocal conv
             targets[:-1] = preloads
-            conv = convert(madc, i_in, i_ref, mags, cal_words, targets, coeff_sign=signs,
-                           noise=None if noise is None else noise[k], n1_counts=n1)
+            conv = convert(madc, i_in, i_ref, charge, targets,
+                           None if noise is None else noise[k])
             return conv.out_count[:-1]
 
-        grid = (cfg.rows, cfg.cols)
-        for k in range(n_cycles):
-            # the field is constant within a cycle: one front-end
-            # evaluation serves the whole batch
-            i_in, i_ref = self.front_end_currents(self.temp)
-            u = out.u[k] = pid_cycle(state, coeffs, measure)
-            if out.conv_trace is not None:
-                _trace_rows(out.conv_trace, k, active, slot_mags, targets, conv)
-            # code 0 is the heater off, not the PWM's minimum duty
-            on = u > 0
-            duties = np.zeros(grid)
-            duties[on] = duty_of_code(cfg.pwm, u[on])
-            powers = duties * cfg.heater.p_max
-            # persistent-saturation warning: a cell saturated for more
-            # than 10 s warns, and its saturated run restarts
-            saturated = state.saturated_cells
-            since = self._sat_since
-            due = saturated & (self._time - since > 10.0)
-            for index in zip(*(ix.tolist() for ix in np.nonzero(due))):
-                out.warnings.append((index, since[index], self._time))
-            since[due | (saturated & np.isnan(since))] = self._time
-            since[~saturated] = np.nan
-            out.t_meas[k] = self.temp_map.read_temperature(conv.out_count[-1])
+        since = self._sat_since
+        temp, now = self.temp, self._time
+        try:
+            for k in range(n_cycles):
+                # the field is constant within a cycle: one front-end
+                # evaluation serves the whole batch
+                i_in, i_ref = self.front_end_currents(temp)
+                u = out.u[k] = pid_cycle(state, coeffs, measure)
+                if out.conv_trace is not None:
+                    _trace_rows(out.conv_trace, k, active, slot_mags, targets, conv)
+                # code 0 is the heater off, not the PWM's minimum duty
+                on = u > 0
+                duties = out.duty[k]
+                duties[on] = duty_of_code(cfg.pwm, u[on])
+                # persistent-saturation warning: a cell saturated for more
+                # than 10 s warns, and its saturated run restarts
+                if state.saturated:
+                    saturated = state.saturated_cells
+                    due = saturated & (now - since > 10.0)
+                    for index in zip(*(ix.tolist() for ix in np.nonzero(due))):
+                        out.warnings.append((index, since[index], now))
+                    since[due | (saturated & np.isnan(since))] = now
+                    since[~saturated] = np.nan
+                else:
+                    since.fill(np.nan)
+                out.t_meas[k] = self.temp_map.read_temperature(conv.out_count[-1])
 
-            # the duty is held over the cycle, so its thermal.dt substeps
-            # compose exactly into one affine map
-            rise = a @ (self.temp - cfg.t_ambient).ravel() + b @ powers.ravel()
-            self.temp = cfg.t_ambient + rise.reshape(self.temp.shape)
-            self._time += cfg.pid_ts
-            out.time[k] = self._time
-            out.setpoint[k] = sp
-            out.t_true[k] = self.temp
-            out.duty[k] = duties
+                # the duty is held over the cycle, so its thermal.dt substeps
+                # compose exactly into one affine map
+                rise = (a @ (temp - cfg.t_ambient).ravel()
+                        + b @ (duties * cfg.heater.p_max).ravel())
+                temp = out.t_true[k] = cfg.t_ambient + rise.reshape(temp.shape)
+                now += cfg.pid_ts
+                out.time[k] = now
+        finally:
+            self.temp, self._time = temp, now
         return out
 
     # -- characterization --------------------------------------------------
@@ -671,21 +673,6 @@ def _check_sensor(mode, sensor, *models):
         raise ConfigurationError(
             f"{mode} needs a {' or '.join(m.__name__ for m in models)}, "
             f"got {type(sensor).__name__}")
-
-
-class _CellKey(NamedTuple):
-    """A cell's seed key: the entropy and spawn key of its SeedSequence."""
-
-    entropy: object
-    spawn_key: tuple
-
-
-def _cell_stream(child, word):
-    """Generator `word` of a cell, derived statelessly from its seed key.
-
-    child is a _CellKey or a SeedSequence.
-    """
-    return _streams(child.entropy, child.spawn_key, [[word]])[0]
 
 
 def _streams(entropy, spawn_key, tails):

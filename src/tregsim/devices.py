@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import setting
-from .errors import ConfigurationError, DomainError, require
+from .errors import ConfigurationError, DomainError, greatest, least, require
 
 K_BOLTZMANN = 1.380649e-23    # J/K
 Q_ELECTRON = 1.602176634e-19  # C
@@ -92,9 +92,9 @@ def vbe(params, t, ic_ratio_to_ref=1.0):
     Strictly decreasing in t for nominal silicon parameters.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 250.0) or np.any(t > 400.0):
+    if least(t) < 250.0 or greatest(t) > 400.0:
         raise DomainError("temperature outside [250 K, 400 K]")
-    if np.any(np.asarray(ic_ratio_to_ref) <= 0):
+    if least(ic_ratio_to_ref) <= 0:
         raise DomainError("ic_ratio_to_ref must be positive")
     vt = thermal_voltage(t)
     v = (params.vg0 * (1.0 - t / params.t_ref)
@@ -109,7 +109,7 @@ def delta_vbe(params, t):
     """Difference of two base-emitter voltages biased at the configured
     collector-current ratio: exactly proportional to absolute temperature."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if least(t) <= 0:
         raise DomainError("temperature must be positive")
     v = thermal_voltage(t) * math.log(params.bias_current_ratio)
     return v if v.ndim else float(v)

@@ -9,13 +9,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_sim import ArrayConfig, TempArray, WaveformSpec
+from .array_sim import ArrayConfig, TempArray, WaveformSpec, _ranged
 from .config import from_settings
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, gaussian_peak_response)
 from .errors import ConfigurationError, DomainError
-from .madc import MadcConfig, convert, snr_test
+from .madc import MadcConfig, charge_phase, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
 from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
@@ -356,22 +356,13 @@ def madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, counter_max):
     return np.clip(raw, -counter_max, counter_max)
 
 
-def madc_oracle_slow(n_charge, p_in, p_ref):
-    """Clock-by-clock discharge count; independent of the closed form."""
-    q = n_charge * p_in
-    n2 = 0
-    while (n2 + 1) * p_ref <= q:
-        n2 += 1
-    return n2
-
-
 def exp_madc_oracle(settings, outdir):
     """Randomized equivalence of convert() against the integer oracle."""
     n_draws = _count(settings, "oracle.n_draws")
     rng = np.random.default_rng(settings["experiment"]["seed"])
-    # the configured converter, with an integrator cap far above any
-    # draw's charge (the integer oracle models no clip) and without
-    # channel noise (the oracle is exact)
+    # the configured converter without channel noise (the oracle is
+    # exact), and with an integrator cap above every draw's charge (the
+    # integer oracle models no clip)
     cfg = from_settings(MadcConfig, settings, c_int=1e-6, conversion_noise_counts=0.0)
     scale = 2.0 ** -40
 
@@ -388,8 +379,14 @@ def exp_madc_oracle(settings, outdir):
     n_charge = np.round(coeff * cfg.n1_counts).astype(int) - cal
     drawn = np.flatnonzero(n_charge > 0)
     n_checked = drawn.size
-    got = convert(cfg, p_in[drawn] * scale, p_ref[drawn] * scale, coeff[drawn],
-                  cal[drawn], preload[drawn], sign[drawn]).out_count
+    i_in = p_in[drawn] * scale
+    # 1e-6 F holds every draw's charge at the default clock.  A slower
+    # clock integrates longer: _ranged raises the cap then, as for the
+    # measurement modes, with the largest draw's charge as full scale
+    cfg = _ranged(cfg, np.max(n_charge[drawn] * i_in, initial=0.0) / cfg.n1_counts)
+    got = convert(cfg, i_in, p_ref[drawn] * scale,
+                  charge_phase(cfg, coeff[drawn], cal[drawn], sign[drawn]),
+                  preload[drawn]).out_count
     expect = madc_oracle_reference(n_charge[drawn], p_in[drawn], p_ref[drawn],
                                    sign[drawn], preload[drawn], cfg.counter_max)
     bad = np.flatnonzero(got != expect)

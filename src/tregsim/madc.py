@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import SCHEMA, setting
 from .devices import i_ctat, i_ptat
-from .errors import ConfigurationError, DomainError, require
+from .errors import ConfigurationError, DomainError, least, require
 
 # Comparator crossing guard, in counts.  The discharge comparator resolves
 # a boundary-exact crossing as crossed; anything closer to the boundary
@@ -67,6 +67,14 @@ class MadcConfig:
         return self.n1_counts * self.pid_charge_scale
 
 
+class ChargePhase(NamedTuple):
+    """A batch's checked charge phase (see charge_phase): n_charge > 0
+    clocks per conversion, and sign, +1 or -1, the counter's direction."""
+
+    n_charge: object
+    sign: object
+
+
 class Conversion(NamedTuple):
     """Result of a batch of conversions (see convert).
 
@@ -79,14 +87,6 @@ class Conversion(NamedTuple):
     n_charge: object
     n_discharge: object
     saturated: int
-
-
-def _check_coeff(coeff_mag):
-    mag = np.asarray(coeff_mag, dtype=float)
-    if not ((0.0 < mag) & (mag <= 1.0)).all():
-        raise ConfigurationError("coeff_mag must lie in (0, 1]")
-    if (np.abs(mag * COEFF_LEVELS - np.round(mag * COEFF_LEVELS)) > 1e-9).any():
-        raise ConfigurationError("coeff_mag must sit on the 7-bit grid")
 
 
 def channel_noise(cfg, rng, shape):
@@ -132,31 +132,46 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     return np.floor(x, out=x).astype(int), clipped
 
 
-def convert(cfg, i_in, i_ref, coeff_mag, cal_preload, target_preload,
-            coeff_sign=1, noise=None, n1_counts=None):
-    """Run dual-slope conversions, one per element of the broadcast inputs.
+def charge_phase(cfg, coeff_mag, cal_preload, coeff_sign=1, n1_counts=None):
+    """The checked charge phase of conversions: round(coeff_mag*n1) - cal_preload clocks.
 
-    Charge phase: round(coeff_mag*n1) - cal_preload clocks integrating
-    i_in.  Discharge with i_ref until the comparator crossing; the
-    measured count is n_discharge = floor(n_charge*i_in/i_ref), with
-    noise (counts, see channel_noise) added to the held charge.  The
-    counter is loaded with target_preload and counts down, so the output
-    is target_preload - coeff_sign*n_discharge, clamped to the counter
-    range; a conversion saturates on clamp or integrator clip.  Plain
-    digitization is target_preload=0, coeff_sign=-1.  Every argument
-    after cfg may be an array.
+    coeff_mag must sit on the 7-bit grid in (0, 1], coeff_sign be +1 or
+    -1, and cal_preload leave a charge phase; n1 is n1_counts, by default
+    cfg.n1_counts.  Every argument after cfg may be an array.  A run that
+    holds them fixed derives the phase once for all its convert calls.
     """
-    _check_coeff(coeff_mag)
+    mag = np.asarray(coeff_mag, dtype=float)
+    if not ((0.0 < mag) & (mag <= 1.0)).all():
+        raise ConfigurationError("coeff_mag must lie in (0, 1]")
+    if (np.abs(mag * COEFF_LEVELS - np.round(mag * COEFF_LEVELS)) > 1e-9).any():
+        raise ConfigurationError("coeff_mag must sit on the 7-bit grid")
     if (np.abs(coeff_sign) != 1).any():
         raise ConfigurationError("coeff_sign must be +1 or -1")
-    if (np.asarray(i_in) <= 0).any() or (np.asarray(i_ref) <= 0).any():
-        raise DomainError("currents must be positive (use convert_signed for bipolar)")
     n1 = cfg.n1_counts if n1_counts is None else n1_counts
     n_charge = np.round(np.multiply(coeff_mag, n1)).astype(int) - cal_preload
     if (n_charge <= 0).any():
         raise ConfigurationError("calibration preload leaves no charge phase")
+    return ChargePhase(n_charge, coeff_sign)
+
+
+def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
+    """Run dual-slope conversions, one per element of the broadcast inputs.
+
+    The charge phase integrates i_in for charge.n_charge clocks.
+    Discharge with i_ref until the comparator crossing; the measured
+    count is n_discharge = floor(n_charge*i_in/i_ref), with noise
+    (counts, see channel_noise) added to the held charge.  The counter
+    is loaded with target_preload and counts down, so the output is
+    target_preload - sign*n_discharge, clamped to the counter range; a
+    conversion saturates on clamp or integrator clip.  Plain
+    digitization is target_preload=0, sign -1.  i_in, i_ref,
+    target_preload and noise may be arrays.
+    """
+    if least(i_in) <= 0 or least(i_ref) <= 0:
+        raise DomainError("currents must be positive (use convert_signed for bipolar)")
+    n_charge = charge.n_charge
     n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref, noise)
-    raw = target_preload - np.multiply(coeff_sign, n2)
+    raw = target_preload - np.multiply(charge.sign, n2)
     bound = cfg.counter_max
     out = np.minimum(np.maximum(raw, -bound), bound)
     saturated = int(np.count_nonzero(clipped | (out != raw)))

@@ -7,7 +7,7 @@ sums into the 12-bit duty code.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,30 +105,40 @@ class PidState:
     """Loop state of one cell or of a whole array of cells.
 
     u_prev sets the cell shape: () for one cell, (rows, cols) for an
-    array.  bank[i, n] holds tap n's products of cycle k - i; target_x
-    and sd_accum hold one value per tap.  After each cycle
+    array.  bank[i, n] holds tap n's products of cycle k - i.
+    set_targets derives what every cycle reuses from the per-tap
+    targets: the active taps (nonzero mantissa), and each active tap's
+    target split into its whole part and the fraction that its
+    sigma-delta accumulator, a row of sd_accum, sums.  After each cycle
     saturated_cells marks the cells whose actuation clamped or whose
     product saturated, and saturated counts them.
     """
 
     u_prev: np.ndarray = 0
     bank: np.ndarray = None
-    target_x: np.ndarray = None
     sd_accum: np.ndarray = None
     saturated_cells: np.ndarray = None
     saturated: int = 0
+    active: list = field(default=None, init=False, repr=False)
+    target_whole: np.ndarray = field(default=None, init=False, repr=False)
+    target_frac: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.u_prev = np.array(self.u_prev, dtype=int)
         shape = self.u_prev.shape
         if self.bank is None:
             self.bank = np.zeros((3, 3) + shape, dtype=int)
-        if self.target_x is None:
-            self.target_x = np.zeros((3,) + shape)
-        if self.sd_accum is None:
-            self.sd_accum = np.zeros((3,) + shape)
         if self.saturated_cells is None:
             self.saturated_cells = np.zeros(shape, dtype=bool)
+
+    def set_targets(self, target_x, coeffs):
+        """Load one target value per tap, (3,) + cell shape, and restart the dither."""
+        self.active = [n for n in range(3) if coeffs.mantissas[n] != 0]
+        target = np.asarray(target_x, dtype=float)[self.active]
+        whole = np.floor(target)
+        self.target_whole = whole.astype(int)
+        self.target_frac = target - whole
+        self.sd_accum = np.zeros_like(target)
 
     def load_setpoint(self, t_set_c, coeffs, temp_map, cal_preload, charge_scale):
         """Express Celsius setpoints as per-tap target values.
@@ -146,11 +156,10 @@ class PidState:
         n1 = temp_map.cfg.n1_counts
         cal_preload = np.asarray(cal_preload)
         r_set = temp_map.counts_cont(t_set_c) / (n1 - cal_preload)
-        self.target_x = np.array([
+        self.set_targets([
             (round(mag * n1 * charge_scale) - np.round(mag * cal_preload * charge_scale))
             * r_set - 0.5
-            for mag in coeffs.magnitudes])
-        self.sd_accum = np.zeros_like(self.target_x)
+            for mag in coeffs.magnitudes], coeffs)
 
 
 def pid_cycle(state, coeffs, measure):
@@ -167,33 +176,28 @@ def pid_cycle(state, coeffs, measure):
     positive products), saturating at the 8-bit store.  Accumulation
     applies coefficient signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
+    state must hold targets loaded by set_targets for coeffs.
     """
-    signs = coeffs.signs
-    target_x = np.asarray(state.target_x, dtype=float)
-    sd_accum = np.array(state.sd_accum, dtype=float)
-    products = np.zeros(target_x.shape, dtype=int)
-    active = [n for n in range(3) if coeffs.mantissas[n] != 0]
-    target = target_x[active]
-    base = np.floor(target)
-    acc = sd_accum[active] + (target - base)
-    carry = acc >= 1.0
-    acc -= carry
-    sd_accum[active] = acc
-    p = -measure(base.astype(int) + carry)  # measured-minus-target ordering
-    products[active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
-
+    sd_accum = state.sd_accum
+    sd_accum += state.target_frac
+    carry = sd_accum >= 1.0
+    sd_accum -= carry
+    p = -measure(state.target_whole + carry)  # measured-minus-target ordering
+    # the bank moves one cycle on: row i takes the products of cycle k - i
     bank = state.bank
-    increment = signs[0] * products[0] + signs[1] * bank[0, 1] + signs[2] * bank[1, 2]
-    if coeffs.exponent >= 0:
-        increment = increment * (2 ** coeffs.exponent)
-    else:
-        increment = np.floor(increment * 2.0 ** coeffs.exponent).astype(int)
+    bank[1:] = bank[:-1]
+    products = bank[0]
+    products[...] = 0
+    products[state.active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
+
+    signs, exp = coeffs.signs, coeffs.exponent
+    increment = signs[0] * products[0] + signs[1] * bank[1, 1] + signs[2] * bank[2, 2]
+    # scaled by 2**exp in integers: a right shift floors
+    increment = increment << exp if exp >= 0 else increment >> -exp
     raw = state.u_prev + increment
     u = np.minimum(np.maximum(raw, 0), DUTY_CODE_MAX)
     state.saturated_cells = (u != raw) | (np.abs(products) >= PRODUCT_LIMIT).any(axis=0)
     state.saturated = int(np.count_nonzero(state.saturated_cells))
-    state.bank = np.stack([products, bank[0], bank[1]])
-    state.sd_accum = sd_accum
     state.u_prev = u
     return u
 
@@ -228,7 +232,8 @@ def velocity_response(c0, c1, c2, errors, u0=0.0):
     u = np.empty(len(errors))
     e1 = e2 = 0.0
     prev = u0
-    for k, e in enumerate(errors):
+    # Python floats: the same double arithmetic as numpy scalars, faster
+    for k, e in enumerate(np.asarray(errors, dtype=float).tolist()):
         prev = prev + c0 * e + c1 * e1 + c2 * e2
         e2, e1 = e1, e
         u[k] = prev
@@ -245,7 +250,7 @@ def transfer_function_response(kp, ki, kd, ts, errors):
     u = np.empty(len(errors))
     ui = 0.0
     e_prev = 0.0
-    for k, e in enumerate(errors):
+    for k, e in enumerate(np.asarray(errors, dtype=float).tolist()):
         ui = ui + ki * ts / 2.0 * (e + e_prev)
         ud = kd / ts * (e - e_prev)
         u[k] = kp * e + ui + ud

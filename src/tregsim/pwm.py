@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import setting
-from .errors import ConfigurationError, DomainError, require
+from .errors import ConfigurationError, DomainError, greatest, least, require
 
 # the PWM geometry: 2**COUNTER_BITS laps of a RING_TAPS-cell ring make
 # CODES duty steps of CELL_TIME each, over a PERIOD fixed by the code width
@@ -51,7 +51,7 @@ def duty_of_code(cfg, code, tap_delays=None):
     scalar or array codes.
     """
     code = np.asarray(code)
-    if np.any(code < 0) or np.any(code >= CODES):
+    if least(code) < 0 or greatest(code) >= CODES:
         raise DomainError("code outside the 12-bit range")
     if tap_delays is None:
         duty = code / CODES

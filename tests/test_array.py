@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              Resistor, Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import _fra_frequencies
-from tregsim.madc import MadcConfig, channel_noise, convert, discharge_counts
+from tregsim.madc import MadcConfig, channel_noise, charge_phase, convert, discharge_counts
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
 
@@ -72,9 +73,9 @@ def test_mismatch_matches_four_scalar_draws_per_cell(sigmas):
     arr = TempArray(cfg, seed=11)
     cs = cfg.current_source
     for r, c in np.ndindex(3, 2):
-        child = arr._cell_ss[r * 2 + c]
+        entropy, spawn_key = arr._seed_key
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=child.entropy, spawn_key=(*child.spawn_key, 0)))
+            entropy=entropy, spawn_key=(*spawn_key, r * 2 + c, 0)))
         vbe, d1, d2, dm = (rng.normal(0.0, s) for s in sigmas)
         got = (arr.bjt.vbe_offset[r, c], arr.current_source.r1[r, c],
                arr.current_source.r2[r, c], arr.current_source.mirror_ratio[r, c])
@@ -129,17 +130,18 @@ def test_stream_seeds_match_seed_sequence(entropy, prefix):
 
 
 def test_given_seed_sequences_stream_as_seed_sequence():
-    # a cell's given sequence, bare or spawned, streams its regulation
-    # draws on word 0 of its key and its measurements on word 1
-    given = [np.random.SeedSequence(5), np.random.SeedSequence(2**32, spawn_key=(1, 2**35, 3))]
-    arr = TempArray(ArrayConfig(rows=1, cols=2), cell_seed_sequences=given)
-    for c, ss in enumerate(given):
-        _, reg = seed_sequence_stream(ss.entropy, (*ss.spawn_key, 0))
-        _, meas = seed_sequence_stream(ss.entropy, (*ss.spawn_key, 1))
-        reg.standard_normal(4)      # the cell's mismatch draws
-        assert np.array_equal(arr._reg_rng[c].standard_normal(100), reg.standard_normal(100))
-        assert np.array_equal(arr._meas_stream((0, c)).standard_normal(100),
-                              meas.standard_normal(100))
+    # on a given sequence, bare or spawned, cell c streams its regulation
+    # draws on word 0 of its key (*spawn_key, c) and its measurements on
+    # word 1
+    for ss in (np.random.SeedSequence(5), np.random.SeedSequence(2**32, spawn_key=(1, 2**35, 3))):
+        arr = TempArray(ArrayConfig(rows=1, cols=2), seed=ss)
+        for c in range(2):
+            _, reg = seed_sequence_stream(ss.entropy, (*ss.spawn_key, c, 0))
+            _, meas = seed_sequence_stream(ss.entropy, (*ss.spawn_key, c, 1))
+            reg.standard_normal(4)      # the cell's mismatch draws
+            assert np.array_equal(arr._reg_rng[c].standard_normal(100), reg.standard_normal(100))
+            assert np.array_equal(arr._meas_stream((0, c)).standard_normal(100),
+                                  meas.standard_normal(100))
 
 
 def test_calibration_failure_reported_when_out_of_range():
@@ -279,6 +281,20 @@ def test_regulation_setpoint_domain():
         arr.run_regulation(95.0, 4.0)
 
 
+def test_plant_leaving_the_sensor_range_mid_run_raises():
+    # inverted gains on a weak ambient path heat cells set below ambient
+    # without bound: the cycle after the field passes 400 K raises, and
+    # the array keeps the field and clock of its last whole cycle
+    gains = small_array(rows=1, cols=2, g_amb=1e-3).pid_coeffs
+    arr = small_array(rows=1, cols=2, g_amb=1e-3,
+                      pid_gains=(-gains.kp, -gains.ki, -gains.kd))
+    arr.calibrate_one_point()
+    with pytest.raises(DomainError, match=re.escape("temperature outside [250 K, 400 K]")):
+        arr.run_regulation(20.0, 400.0)
+    assert arr.temp.max() + 273.15 > 400.0
+    assert 0.0 < arr._time < 400.0 and arr._time % arr.cfg.pid_ts == 0.0
+
+
 def test_regulation_uniform_step_settles():
     arr = small_array(seed=11)
     arr.calibrate_one_point()
@@ -310,6 +326,24 @@ def test_persistent_saturation_warnings():
     assert second.warnings == [((0, 0), 48.0, 60.0), ((1, 2), 48.0, 60.0)]
     for index, _, _ in first.warnings + second.warnings:
         assert all(type(i) is int for i in index)
+
+
+def test_saturation_timer_restarts_after_a_cycle_with_no_saturated_cell(monkeypatch):
+    # a cell's saturated run restarts when it unsaturates, also in a cycle
+    # in which no cell is saturated and the timer pass only clears
+    script = iter([True, True, False, True, True, True, True, True])
+    real = array_sim.pid_cycle
+
+    def scripted(state, coeffs, measure):
+        u = real(state, coeffs, measure)
+        state.saturated_cells = np.full(u.shape, next(script))
+        state.saturated = int(np.count_nonzero(state.saturated_cells))
+        return u
+
+    monkeypatch.setattr(array_sim, "pid_cycle", scripted)
+    arr = quiet_array()
+    arr.calibrate_one_point()
+    assert arr.run_regulation(40.0, 32.0).warnings == [((0, 0), 12.0, 24.0)]
 
 
 def test_gradient_map_regulates_despite_coupling():
@@ -405,22 +439,28 @@ def test_determinism_same_seed_same_u():
 
 
 def single_cell_array(full, r, c):
-    """A 1x1 array on cell (r, c)'s seed key in full (for decoupled runs)."""
-    sub = replace(full.cfg, rows=1, cols=1)
-    return TempArray(sub, cell_seed_sequences=[full._cell_ss[r * full.cfg.cols + c]])
+    """A 1x1 array running cell (r, c) of a freshly built full: that
+    cell's realized devices and a copy of its regulation stream."""
+    solo = TempArray(replace(full.cfg, rows=1, cols=1))
+    at = np.s_[r:r + 1, c:c + 1]
+    cs = full.current_source
+    solo.bjt = replace(full.bjt, vbe_offset=full.bjt.vbe_offset[at])
+    solo.current_source = replace(cs, r1=cs.r1[at], r2=cs.r2[at],
+                                  mirror_ratio=cs.mirror_ratio[at])
+    solo._reg_rng = [copy.deepcopy(full._reg_rng[r * full.cfg.cols + c])]
+    return solo
 
 
 def test_zero_lateral_coupling_matches_independent_cells():
     full = small_array(seed=19, g_lat=0.0)
+    solos = {(r, c): single_cell_array(full, r, c) for r, c in np.ndindex(2, 2)}
     full.calibrate_one_point()
     res = full.run_regulation(48.0, 20.0)
-    for r in range(2):
-        for c in range(2):
-            solo = single_cell_array(full, r, c)
-            solo.calibrate_one_point()
-            sres = solo.run_regulation(48.0, 20.0)
-            assert np.array_equal(res.u[:, r, c], sres.u[:, 0, 0])
-            assert np.array_equal(res.t_true[:, r, c], sres.t_true[:, 0, 0])
+    for (r, c), solo in solos.items():
+        solo.calibrate_one_point()
+        sres = solo.run_regulation(48.0, 20.0)
+        assert np.array_equal(res.u[:, r, c], sres.u[:, 0, 0])
+        assert np.array_equal(res.t_true[:, r, c], sres.t_true[:, 0, 0])
 
 
 def scalar_regulation(arr, sp, duration):
@@ -462,10 +502,10 @@ def scalar_regulation(arr, sp, duration):
                 sd[rc][n] += target[rc][n] - base
                 preload = base + (sd[rc][n] >= 1.0)
                 sd[rc][n] -= sd[rc][n] >= 1.0
-                conv = convert(madc, i_in[rc], i_ref[rc], mag,
-                               round(mag * cal[rc] * scale), preload,
-                               noise=channel_noise(madc, rng, ()),
-                               n1_counts=madc.pid_n1_counts)
+                charge = charge_phase(madc, mag, round(mag * cal[rc] * scale),
+                                      n1_counts=madc.pid_n1_counts)
+                conv = convert(madc, i_in[rc], i_ref[rc], charge, preload,
+                               noise=channel_noise(madc, rng, ()))
                 trace.append((k, *rc, n, mag, preload, conv.n_charge,
                               conv.n_discharge, -conv.out_count))
                 products[n] = max(-127, min(127, -conv.out_count))

@@ -237,6 +237,30 @@ dir = %s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("f_clk", [1, 12])
+def test_madc_oracle_holds_at_a_slow_clock(tmp_path, f_clk):
+    # a slow clock integrates each draw's charge for longer: a fixed
+    # 1e-6 F cap clipped, and the clip-free oracle counted the clips as
+    # mismatches (1728 of 2000 at 1 Hz)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "slow.cfg", f"""
+[experiment]
+name = madc_oracle
+seed = 20260809
+
+[madc]
+f_clk = {f_clk}
+
+[oracle]
+n_draws = 2000
+
+[output]
+dir = {out}
+""")
+    assert main([cfg]) == 0
+    assert (out / "madc_oracle_mismatches.csv").read_text().count("\n") == 1
+
+
 def test_unknown_section_and_missing_seed(tmp_path):
     cfg = write_config(tmp_path / "c1.cfg", "[wat]\nx = 1\n")
     with pytest.raises(ConfigurationError, match=r"\[wat\]"):

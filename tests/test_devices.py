@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,21 @@ def test_vbe_domain_checks():
         vbe(BJT, 450.0)
     with pytest.raises(DomainError):
         vbe(BJT, 300.0, ic_ratio_to_ref=0.0)
+
+
+def test_range_checks_skip_nan_and_pass_empty():
+    # as np.any did: a NaN element fails every comparison, so only another
+    # element out of range raises, and an empty field passes
+    assert vbe(BJT, np.array([])).shape == (0,)
+    v = vbe(BJT, np.array([np.nan, 300.0]))
+    assert np.isnan(v[0]) and v[1] == vbe(BJT, 300.0)
+    for t in (200.0, 450.0):
+        with pytest.raises(DomainError, match=re.escape("temperature outside [250 K, 400 K]")):
+            vbe(BJT, np.array([np.nan, t]))
+    with pytest.raises(DomainError, match="ic_ratio_to_ref must be positive"):
+        vbe(BJT, 300.0, ic_ratio_to_ref=np.array([np.nan, 0.0]))
+    with pytest.raises(DomainError, match="temperature must be positive"):
+        delta_vbe(CS, np.array([np.nan, 0.0]))
 
 
 def test_delta_vbe_value_and_linearity():

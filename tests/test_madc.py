@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.devices import BjtParams, CurrentSourceParams
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.experiments import madc_oracle_reference, madc_oracle_slow
-from tregsim.madc import (CROSSING_GUARD, MadcConfig, TemperatureMap, convert,
-                          convert_signed, discharge_counts, snr_test)
+from tregsim.experiments import madc_oracle_reference
+from tregsim.madc import (CROSSING_GUARD, MadcConfig, TemperatureMap, charge_phase,
+                          convert, convert_signed, discharge_counts, snr_test)
 
 CFG = MadcConfig(conversion_noise_counts=0.0)
 QUIET = CFG
@@ -22,7 +23,8 @@ SCALE = 2.0 ** -40
 def run(i_in, i_ref, coeff=1.0, cal=0, preload=0, sign=-1, cfg=None):
     """One noiseless conversion.  The defaults, preload 0 and sign -1, are
     plain digitization: the output is the discharge count."""
-    return convert(cfg or QUIET, i_in, i_ref, coeff, cal, preload, sign)
+    cfg = cfg or QUIET
+    return convert(cfg, i_in, i_ref, charge_phase(cfg, coeff, cal, sign), preload)
 
 
 def test_unity_ratio_full_scale():
@@ -99,6 +101,15 @@ def test_convert_equals_oracle_on_any_rational_currents(draw):
                preload=preload, sign=sign, cfg=cfg)
     assert conv.out_count == madc_oracle_reference(4 * k - cal, p_in, p_ref, sign,
                                                    preload, cfg.counter_max)
+
+
+def madc_oracle_slow(n_charge, p_in, p_ref):
+    """Clock-by-clock discharge count; independent of the closed form."""
+    q = n_charge * p_in
+    n2 = 0
+    while (n2 + 1) * p_ref <= q:
+        n2 += 1
+    return n2
 
 
 def test_slow_oracle_agrees_with_reference():
@@ -181,6 +192,44 @@ def test_counter_saturation_clamps():
     conv = run(3e-7, 1e-9)  # ratio far beyond the counter range
     assert conv.saturated
     assert conv.out_count == QUIET.counter_max
+
+
+@pytest.mark.parametrize("coeff, cal, sign, message", [
+    (0.3, 0, -1, "coeff_mag must sit on the 7-bit grid"),
+    (0.0, 0, -1, "coeff_mag must lie in (0, 1]"),
+    (0.5, 0, 2, "coeff_sign must be +1 or -1"),
+    (0.5, 0, -2, "coeff_sign must be +1 or -1"),
+    (1.0 / 128, 10, -1, "calibration preload leaves no charge phase"),
+])
+def test_charge_phase_rejects_as_convert_did(coeff, cal, sign, message):
+    # the checks run once per charge phase, with the exception type and
+    # message convert raised: for one conversion, and for one bad row of
+    # a loop-shaped (rows, cells) column batch
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        charge_phase(QUIET, coeff, cal, sign)
+    cals = np.zeros((2, 2, 3), dtype=int)
+    cals[1] = cal
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        charge_phase(QUIET, np.array([0.5, coeff])[:, None, None], cals,
+                     np.array([-1, sign])[:, None, None])
+
+
+@pytest.mark.parametrize("i_in, i_ref", [
+    (-1e-8, 1e-7), (0.0, 1e-7), (1e-8, 0.0), (1e-8, -1e-7),
+    (np.array([1e-8, np.nan, -1e-8]), 1e-7),
+])
+def test_convert_rejects_a_non_positive_current(i_in, i_ref):
+    # checked on every call: the currents change from cycle to cycle
+    charge = charge_phase(QUIET, 1.0, 0, -1)
+    with pytest.raises(DomainError, match=re.escape(
+            "currents must be positive (use convert_signed for bipolar)")):
+        convert(QUIET, i_in, i_ref, charge, 0)
+
+
+def test_convert_runs_an_empty_batch():
+    charge = charge_phase(QUIET, np.ones(0), np.zeros(0, dtype=int), -1)
+    conv = convert(QUIET, np.ones(0), 1e-7, charge, 0)
+    assert conv.out_count.shape == (0,) and conv.saturated == 0
 
 
 def test_invalid_inputs():

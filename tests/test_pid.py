@@ -82,8 +82,7 @@ class StubMeasure:
 
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
     st = PidState(u_prev=1000)
-    st.target_x = list(x)
-    st.sd_accum = [0.0, 0.0, 0.0]
+    st.set_targets(x, coeffs)
     return st
 
 
@@ -132,6 +131,17 @@ def test_bank_products_saturate_at_8bit_range():
     st = make_state(coeffs)
     pid_cycle(st, coeffs, measure)
     assert all(p <= 127 for p in st.bank[0])
+
+
+def test_idle_tap_banks_zero_products():
+    # a zero-mantissa tap converts nothing and banks 0, whatever the bank held
+    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 127, -127, 0)
+    st = PidState(u_prev=100, bank=np.full((3, 3), 5))
+    st.set_targets((1000.0, 800.0, 60.0), coeffs)
+    measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 3)
+    for _ in range(3):
+        pid_cycle(st, coeffs, measure)
+    assert not st.bank[:, 2].any()
 
 
 def test_three_conversions_per_cycle_in_slot_order():
@@ -184,8 +194,8 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
 
     measure = StubMeasure(coeffs, n2_of)
     st = PidState(u_prev=2000)
-    st.target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
-    target_x = list(st.target_x)
+    target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
+    st.set_targets(target_x, coeffs)
     n_cycles = 400
     u = 2000
     p1 = p2 = [0, 0, 0]                 # products of cycles k-1 and k-2

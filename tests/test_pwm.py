@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def test_out_of_range_code():
         duty_of_code(CFG, 4096)
     with pytest.raises(DomainError):
         duty_of_code(CFG, -1)
+
+
+def test_code_range_check_on_empty_and_nan_codes():
+    # a cycle with every heater off converts no code; a NaN code fails no
+    # range comparison, so only another code out of range raises
+    assert duty_of_code(CFG, np.array([], dtype=int)).shape == (0,)
+    assert np.isnan(duty_of_code(CFG, np.array([np.nan, 2048.0]))[0])
+    for bad in (-1.0, 4096.0):
+        with pytest.raises(DomainError, match=re.escape("code outside the 12-bit range")):
+            duty_of_code(CFG, np.array([np.nan, bad]))
 
 
 def test_pulse_train_midscale():
