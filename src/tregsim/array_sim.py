@@ -120,7 +120,7 @@ class RegulationResult:
     u: np.ndarray
     duty: np.ndarray
     warnings: list
-    conv_trace: list              # (cycle, row, col, slot, coeff_mag, preload, n_charge, n2, product)
+    conv_trace: dict              # None, or named 1-D columns (see run_regulation)
 
 
 @dataclass
@@ -316,7 +316,10 @@ class TempArray:
         duty update, and the plant advance interleave on the global
         clock: each cycle's duty is held while the plant advances one
         PID period.  Cell state persists across calls so consecutive
-        calls build a schedule.
+        calls build a schedule.  With trace_conversions, the result's
+        conv_trace holds every error conversion as 1-D columns in
+        (cycle, row, col, slot) order, keyed by pid_trace.csv's header;
+        otherwise it is None.
         """
         cfg = self.cfg
         sp = np.asarray(setpoint_map, dtype=float)
@@ -336,7 +339,7 @@ class TempArray:
         out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
                                t_true=np.empty(shape), t_meas=np.empty(shape),
                                u=np.empty(shape, dtype=int), duty=np.zeros(shape),
-                               warnings=[], conv_trace=[] if trace_conversions else None)
+                               warnings=[], conv_trace=None)
         out.setpoint[...] = sp
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(
@@ -366,6 +369,10 @@ class TempArray:
         # in the order its conversions run
         noise = self._cell_noise((n_cycles, len(active) + 1))
         conv = None
+        # each cycle's preloads, discharge counts and products of its
+        # error conversions
+        traced = (np.empty((n_cycles, 3, len(active)) + sp.shape, dtype=int)
+                  if trace_conversions else None)
 
         def measure(preloads):
             # every conversion of every cell in cycle k, on the cycle's
@@ -384,8 +391,8 @@ class TempArray:
                 # evaluation serves the whole batch
                 i_in, i_ref = self.front_end_currents(temp)
                 u = out.u[k] = pid_cycle(state, coeffs, measure)
-                if out.conv_trace is not None:
-                    _trace_rows(out.conv_trace, k, active, slot_mags, targets, conv)
+                if traced is not None:
+                    traced[k] = targets[:-1], conv.n_discharge[:-1], -conv.out_count[:-1]
                 # code 0 is the heater off, not the PWM's minimum duty
                 on = u > 0
                 duties = out.duty[k]
@@ -412,6 +419,15 @@ class TempArray:
                 out.time[k] = now
         finally:
             self.temp, self._time = temp, now
+        if traced is not None:
+            # one row per error conversion; j indexes the active slots
+            cycle, row, col, j = np.indices((n_cycles,) + sp.shape + (len(active),)).reshape(4, -1)
+            preload, n2, product = traced[cycle, :, j, row, col].T
+            out.conv_trace = {
+                "cycle": cycle, "row": row, "col": col,
+                "slot": np.array(active, dtype=int)[j], "coeff_mag": mags[j, 0, 0],
+                "target_preload": preload, "n_charge": charge.n_charge[j, row, col],
+                "n_discharge": n2, "product": product}
         return out
 
     # -- characterization --------------------------------------------------
@@ -484,7 +500,7 @@ class TempArray:
         return v, counts * (i_ref / self.cfg.madc.n1_counts)
 
     def run_is(self, index, sensor, freqs, n_periods=_IS["n_periods"],
-               amplitude=_IS["amplitude"], noise_rms=None):
+               amplitude=_IS["amplitude"]):
         """Impedance spectrum of an ImpedanceSensor via the converter's
         multiply-accumulate; a list of FraResult, one per frequency.
 
@@ -504,7 +520,7 @@ class TempArray:
             if not (0.1 <= f_req <= 10e3):
                 raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
             f, mat, sums = self._fra_point(sensor, float(f_req), int(n_periods),
-                                           amplitude, rng, noise_rms)
+                                           amplitude, rng)
             re, im = _solve_2x2(mat, sums)
             i_phasor = complex(re, im)
             z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
@@ -565,7 +581,7 @@ class TempArray:
         self._fra_memo = (key, tables)
         return tables
 
-    def _fra_point(self, sensor, f_req, n_periods, amplitude, rng, noise_rms):
+    def _fra_point(self, sensor, f_req, n_periods, amplitude, rng):
         """One frequency on one sensor: (actual frequency, 2x2 matrix, sums).
 
         The response projected on the sine and cosine tables solves the
@@ -583,32 +599,29 @@ class TempArray:
 
         # theta repeats every m conversions and each window spans
         # n_periods * m of them, so the tables, their projections and the
-        # response are computed on one period.  Noise is still drawn per
-        # sample, one row per period in window order, basis by basis as
-        # the windows run: each basis's front-end noise, then its channel
-        # noise at its live slots only.  Without noise the one period's
-        # counts stand for every period, and an even period's first half
-        # for both halves: the antiperiodic tables negate the second
-        # half's response and table signs exactly and repeat its counts.
-        fold = m % 2 == 0 and not noise_rms and not run_cfg.conversion_noise_counts
-        n = m // 2 if fold else m
+        # response are computed on one period.  Channel noise is still
+        # drawn per sample, one row per period in window order, basis by
+        # basis as the windows run, at each basis's live slots only.
+        # Without noise the one period's counts stand for every period,
+        # and an even period's first half for both halves: the
+        # antiperiodic tables negate the second half's response and table
+        # signs exactly and repeat its counts.
+        noisy = run_cfg.conversion_noise_counts != 0
+        n = m // 2 if m % 2 == 0 and not noisy else m
         basis, charge, table_sign = (t[:, :n] for t in (tables.basis, tables.charge, tables.sign))
         i_t = sensor.response(*basis)
-        front = []
-        chan = np.zeros((2, n_periods, m)) if run_cfg.conversion_noise_counts else None
-        for b, sign in enumerate(table_sign):
-            if noise_rms:
-                front.append(noise_rms * rng.standard_normal((n_periods, m)))
-            if chan is not None:
+        chan = None
+        if noisy:
+            chan = np.zeros((2, n_periods, m))
+            for b, sign in enumerate(table_sign):
                 live = sign != 0
                 draws = channel_noise(run_cfg, rng, (n_periods, np.count_nonzero(live)))
                 # a mask over every row, not a column index: numpy's fast path
                 chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
-        i_w = (i_t + np.stack(front)) if front else i_t
         # both bases in one batch: charge rows (2, 1, n) against the
-        # response, (n,) or (2, n_periods, m)
-        sign_i = np.sign(i_w)
-        n2, _ = discharge_counts(run_cfg, charge[:, None], np.abs(i_w, out=i_w),
+        # response, (n,), and the noise, if any, (2, n_periods, m)
+        sign_i = np.sign(i_t)
+        n2, _ = discharge_counts(run_cfg, charge[:, None], np.abs(i_t, out=i_t),
                                  i_ref, chan)
         # whole counts: their signed sum over rows, scaled to n_periods
         # whole periods, is exact
@@ -635,23 +648,6 @@ def _solve_2x2(mat, rhs):
     s, t = rhs
     det = a * d - b * c
     return (d * s - b * t) / det, (a * t - c * s) / det
-
-
-def _trace_rows(trace, k, slots, mags, targets, conv):
-    """Append cycle k's error conversions to trace in (row, col, slot) order.
-
-    slots and mags list the active slots and their coefficient
-    magnitudes; targets and conv hold the cycle's batch, whose first
-    len(slots) rows are the error conversions.  Each row is (cycle, row,
-    col, slot, coeff_mag, preload, n_charge, n2, product).
-    """
-    n = len(slots)
-    fields = np.stack((targets[:n], conv.n_charge[:n], conv.n_discharge[:n],
-                       -conv.out_count[:n]), axis=-1)
-    fields = np.moveaxis(fields, 0, -2)
-    for (r, c, j), row in zip(np.ndindex(fields.shape[:-1]),
-                              fields.reshape(-1, 4).tolist()):
-        trace.append((k, r, c, slots[j], mags[j], *row))
 
 
 def _whole_multiple(total, unit, key, unit_name, unit_key):

@@ -83,24 +83,21 @@ class HeaterParams:
         require(self.p_max > 0, "devices.p_max", "positive", self.p_max)
 
 
-def vbe(params, t, ic_ratio_to_ref=1.0):
-    """Base-emitter voltage at temperature t (kelvin).
+def vbe(params, t):
+    """Base-emitter voltage at temperature t (kelvin), at the
+    reference-point bias.
 
-    Four-term model: linear extrapolation between vg0 and the anchor
-    point, process-curvature log term, and a bias-dependent log term for
-    collector currents that deviate from the reference-point bias.
-    Strictly decreasing in t for nominal silicon parameters.
+    Linear extrapolation between vg0 and the anchor point, a
+    process-curvature log term and params.vbe_offset.  Strictly
+    decreasing in t for nominal silicon parameters.
     """
     t = np.asarray(t, dtype=float)
     if least(t) < 250.0 or greatest(t) > 400.0:
         raise DomainError("temperature outside [250 K, 400 K]")
-    if least(ic_ratio_to_ref) <= 0:
-        raise DomainError("ic_ratio_to_ref must be positive")
     vt = thermal_voltage(t)
     v = (params.vg0 * (1.0 - t / params.t_ref)
          + (t / params.t_ref) * params.vbe_at_tref
          - params.n_proc * vt * np.log(t / params.t_ref)
-         + vt * np.log(ic_ratio_to_ref)
          + params.vbe_offset)
     return v if v.ndim else float(v)
 

@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
 from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
                   sample_tap_delays)
-from .thermal import field_csv_rows as thermal_field_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,22 +47,37 @@ def _fmt(x):
     return str(x)
 
 
-# the formatter of each common cell type, equal to _fmt on it; a bool is
-# not an int here, so it falls back to _fmt
-_FORMATTERS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__,
-               str: str}
+def _column_text(column):
+    """The CSV text of each item of a column.
+
+    An array is formatted once by its dtype, over .tolist(): a bool as
+    1/0, an integer by int.__repr__, a float by float.__repr__.  Any
+    other column goes through _fmt item by item.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return list(map(float.__repr__, column.tolist()))
+    # int.__repr__ writes a bool as 1 or 0
+    if kind in ("b", "i", "u"):
+        return list(map(int.__repr__, column.tolist()))
+    return [_fmt(x) for x in column]
 
 
-def _format_cell(x):
-    """_fmt(x), looked up by the exact type of x."""
-    return _FORMATTERS.get(type(x), _fmt)(x)
-
-
-def write_csv(path, header, rows):
+def write_csv(path, header, *columns):
+    """Write equal-length columns under a header that names each once."""
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([_format_cell(x) for x in row]) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_field(path, temp):
+    """A temperature field as CSV rows without a header: row-major,
+    Celsius, 6 decimals."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(",".join(f"{x:.6f}" for x in row) + "\n" for row in temp.tolist()))
 
 
 def check_le(name, value, bound):
@@ -164,18 +179,18 @@ def exp_characterize_sensor(settings, outdir):
     array.calibrate_one_point()
     res = array.characterize_sensor(t_values)
 
-    rows = []
-    for i, (r, c) in enumerate(np.ndindex(array.temp.shape)):
-        for j, t in enumerate(t_values):
-            rows.append((i, r, c, t, int(res.counts[i, j]),
-                         res.t_read[i, j], res.map_error[i, j]))
+    # one row per cell and sweep point, cell-major
+    cells = np.arange(res.counts.shape[0])
+    cell = np.repeat(cells, t_values.size)
     write_csv(os.path.join(outdir, "transfer.csv"),
-              ["cell", "row", "col", "t_true_c", "count", "t_read_c", "error_c"], rows)
+              ["cell", "row", "col", "t_true_c", "count", "t_read_c", "error_c"],
+              cell, *np.divmod(cell, array.cfg.cols), np.tile(t_values, cells.size),
+              res.counts.ravel(), res.t_read.ravel(), res.map_error.ravel())
     write_csv(os.path.join(outdir, "linear_fit.csv"),
               ["cell", "slope_counts_per_c", "intercept_counts",
                "max_resid_counts", "max_resid_c"],
-              [(i, res.fit_slope[i], res.fit_intercept[i], res.fit_resid_counts[i],
-                res.fit_resid_celsius[i]) for i in range(res.counts.shape[0])])
+              cells, res.fit_slope, res.fit_intercept, res.fit_resid_counts,
+              res.fit_resid_celsius)
 
     mono = bool(np.all(np.diff(res.counts, axis=1) < 0))
     checks = [
@@ -191,19 +206,19 @@ def exp_die_error_sweep(settings, outdir):
     n_dies = _count(settings, "characterize.n_dies")
     seed = settings["experiment"]["seed"]
     die_seeds = np.random.SeedSequence(seed).spawn(n_dies)
-    rows = []
+    errors = []
     checks = []
     for d, dseed in enumerate(die_seeds):
         array = build_array(settings, seed=dseed)
         failures = array.calibrate_one_point()
         res = array.characterize_sensor(t_values)
-        for j, t in enumerate(t_values):
-            rows.append((d, t, res.die_mean_error[j]))
+        errors.append(res.die_mean_error)
         checks.append(check_le(f"die{d}_max_abs_error_c",
                                float(np.abs(res.die_mean_error).max()), 0.5))
         checks.append(check_true(f"die{d}_all_cells_calibrated", not failures))
     write_csv(os.path.join(outdir, "die_errors.csv"),
-              ["die", "t_true_c", "mean_error_c"], rows)
+              ["die", "t_true_c", "mean_error_c"], np.repeat(np.arange(n_dies), t_values.size),
+              np.tile(t_values, n_dies), np.concatenate(errors))
     return checks
 
 
@@ -212,20 +227,20 @@ def exp_channel_spread(settings, outdir):
     t_force = _temperature(settings, "spread.t_force")
     n_seeds = _count(settings, "spread.n_seeds")
     seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_seeds)
-    rows = []
+    reads_by_seed = []
     checks = []
     for s, sseed in enumerate(seeds):
         array = build_array(settings, seed=sseed)
         array.calibrate_one_point(t_known=t_force)
         array.force_temperature(t_force)
         reads = array.temp_map.read_temperature(array.read_counts()).ravel()
-        for i, t in enumerate(reads):
-            rows.append((s, i, t))
+        reads_by_seed.append(reads)
         checks.append(check_in(f"seed{s}_mean_c", float(reads.mean()),
                                t_force - 0.3, t_force + 0.3))
         checks.append(check_le(f"seed{s}_sigma_c", float(reads.std()), 0.25))
     write_csv(os.path.join(outdir, "channel_spread.csv"),
-              ["seed", "cell", "t_read_c"], rows)
+              ["seed", "cell", "t_read_c"], np.repeat(np.arange(n_seeds), reads.size),
+              np.tile(np.arange(reads.size), n_seeds), np.concatenate(reads_by_seed))
     return checks
 
 
@@ -241,8 +256,7 @@ def exp_pwm_sweep(settings, outdir):
     taps = sample_tap_delays(cfg, rng)
     mismatched = duty_of_code(cfg, codes, taps)
     write_csv(os.path.join(outdir, "pwm_transfer.csv"),
-              ["code", "duty_nominal", "duty_mismatch"],
-              list(zip(codes.tolist(), nominal, mismatched)))
+              ["code", "duty_nominal", "duty_mismatch"], codes, nominal, mismatched)
 
     in_band = (codes / CODES >= cfg.duty_min) & (codes / CODES <= cfg.duty_max)
     lin_err = np.abs(nominal[in_band] - codes[in_band] / CODES)
@@ -266,34 +280,29 @@ def exp_pwm_sweep(settings, outdir):
 # --------------------------------------------------------------------------
 # regulation
 
-def plateau_metrics(time, t_mean, setpoint, ts):
-    """Per-plateau rise/settle metrics on the array temperature trace.
+def plateau_metrics(time, t_mean, sp, ts):
+    """Rise/settle metrics of one plateau at setpoint sp, on its cycle end
+    times and array mean temperatures.
 
     rise5 is the time from crossing (setpoint - 5) to the final entry
     into the +-0.75 band; steady-state error is the mean error over the
     last quarter of the plateau.
     """
-    metrics = []
-    for sp in dict.fromkeys(setpoint.tolist()):
-        seg = setpoint == sp
-        tt = time[seg] - time[seg][0] + ts
-        T = t_mean[seg]
-        err = T - sp
-        bad = np.where(np.abs(err) > 0.75)[0]
-        t_settle = tt[bad[-1]] + ts if bad.size else tt[0]
-        idx5 = np.where(T >= sp - 5.0)[0]
-        t5 = tt[idx5[0]] if idx5.size else math.inf
-        ss = err[int(err.size * 0.75):]
-        post = err[tt >= min(t_settle, tt[-1])]
-        metrics.append({
-            "setpoint": sp,
-            "rise5_s": float(t_settle - t5),
-            "ss_error_c": float(ss.mean()),
-            "inst_error_c": float(np.abs(post).max()) if post.size else math.nan,
-            "overshoot_c": float(err.max()),
-            "settled": bool(t_settle < tt[-1]),
-        })
-    return metrics
+    tt = time - time[0] + ts
+    err = t_mean - sp
+    bad = np.where(np.abs(err) > 0.75)[0]
+    t_settle = tt[bad[-1]] + ts if bad.size else tt[0]
+    idx5 = np.where(t_mean >= sp - 5.0)[0]
+    t5 = tt[idx5[0]] if idx5.size else math.inf
+    ss = err[int(err.size * 0.75):]
+    post = err[tt >= min(t_settle, tt[-1])]
+    return {
+        "rise5_s": float(t_settle - t5),
+        "ss_error_c": float(ss.mean()),
+        "inst_error_c": float(np.abs(post).max()) if post.size else math.nan,
+        "overshoot_c": float(err.max()),
+        "settled": bool(t_settle < tt[-1]),
+    }
 
 
 def exp_regulation_steps(settings, outdir):
@@ -314,24 +323,28 @@ def exp_regulation_steps(settings, outdir):
     t_true = np.concatenate([r.t_true for r in results])
     t_meas = np.concatenate([r.t_meas for r in results])
     u = np.concatenate([r.u for r in results])
-    mean_t = t_true.mean(axis=(1, 2))
 
+    cells = (1, 2)
     write_csv(os.path.join(outdir, "regulation.csv"),
               ["t_s", "setpoint_c", "mean_t_c", "min_t_c", "max_t_c",
                "mean_t_meas_c", "mean_u"],
-              [(time[k], spt[k], mean_t[k], t_true[k].min(), t_true[k].max(),
-                t_meas[k].mean(), u[k].mean()) for k in range(time.size)])
-    with open(os.path.join(outdir, "final_field.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(thermal_field_rows(array.temp)) + "\n")
+              time, spt, t_true.mean(axis=cells), t_true.min(axis=cells),
+              t_true.max(axis=cells), t_meas.mean(axis=cells), u.mean(axis=cells))
+    write_field(os.path.join(outdir, "final_field.csv"), array.temp)
     if trace_on:
-        rows = [t for r in results for t in r.conv_trace]
-        write_csv(os.path.join(outdir, "pid_trace.csv"),
-                  ["cycle", "row", "col", "slot", "coeff_mag", "target_preload",
-                   "n_charge", "n_discharge", "product"], rows)
+        header = list(results[0].conv_trace)
+        write_csv(os.path.join(outdir, "pid_trace.csv"), header,
+                  *(np.concatenate([r.conv_trace[key] for r in results]) for key in header))
 
     checks = []
-    for m in plateau_metrics(time, mean_t, spt, settings["pid"]["ts"]):
-        tag = f"sp{m['setpoint']:g}"
+    # a setpoint the schedule returns to is checked on each of its
+    # plateaus, the second under sp<setpoint>_2 and so on
+    tags = Counter()
+    for sp, res in zip(reg["setpoints"], results):
+        m = plateau_metrics(res.time, res.t_true.mean(axis=cells), sp, settings["pid"]["ts"])
+        tag = f"sp{sp:g}"
+        tags[tag] += 1
+        tag += f"_{tags[tag]}" if tags[tag] > 1 else ""
         checks.append(check_in(f"{tag}_rise5_s", m["rise5_s"], 7.0, 13.0))
         checks.append(check_le(f"{tag}_ss_abs_error_c", abs(m["ss_error_c"]), 0.5))
         checks.append(check_le(f"{tag}_inst_error_c", m["inst_error_c"], 0.75))
@@ -390,15 +403,14 @@ def exp_madc_oracle(settings, outdir):
     expect = madc_oracle_reference(n_charge[drawn], p_in[drawn], p_ref[drawn],
                                    sign[drawn], preload[drawn], cfg.counter_max)
     bad = np.flatnonzero(got != expect)
-    mismatches = list(zip(*(v[bad].tolist() for v in (
-        drawn, p_in[drawn], p_ref[drawn], k[drawn], cal[drawn], preload[drawn],
-        sign[drawn], got, expect))))
     write_csv(os.path.join(outdir, "madc_oracle_mismatches.csv"),
               ["draw", "p_in", "p_ref", "coeff_k", "cal", "preload", "sign",
-               "got", "expected"], mismatches)
+               "got", "expected"],
+              *(v[bad] for v in (drawn, p_in[drawn], p_ref[drawn], k[drawn], cal[drawn],
+                                 preload[drawn], sign[drawn], got, expect)))
     return [
         check_ge("draws_checked", n_checked, n_draws),
-        check_le("mismatches", len(mismatches), 0),
+        check_le("mismatches", bad.size, 0),
     ]
 
 
@@ -425,12 +437,11 @@ def exp_pid_oracle(settings, outdir):
         bound = quantization_deviation_bound(coeffs, errors)
         quant_dev = np.abs(u_quant - u_ref)
         ok = bool(np.all(quant_dev <= bound)) and exact_dev <= exact_tol
-        rows.append((i, kp, ki, kd, ts, exact_dev, float(quant_dev.max()),
-                     float(bound[-1])))
+        rows.append((i, kp, ki, kd, ts, exact_dev, float(quant_dev.max()), float(bound[-1])))
         checks.append(check_true(f"tuple{i}_within_bound", ok))
     write_csv(os.path.join(outdir, "pid_oracle.csv"),
               ["tuple", "kp", "ki", "kd", "ts", "exact_dev", "quant_dev_max",
-               "bound_final"], rows)
+               "bound_final"], *map(np.array, zip(*rows)))
     return checks
 
 
@@ -494,9 +505,10 @@ def exp_fra_sweep(settings, outdir):
             worst_phase = max(worst_phase, abs(dphase))
             rows.append((name, res.freq, res.z_real, res.z_imag,
                          z_ref.real, z_ref.imag, mag_err * 100.0, dphase))
+    names, *numbers = zip(*rows)
     write_csv(os.path.join(outdir, "fra_sweep.csv"),
               ["network", "freq_hz", "z_real", "z_imag", "z_real_ref",
-               "z_imag_ref", "mag_err_pct", "phase_err_deg"], rows)
+               "z_imag_ref", "mag_err_pct", "phase_err_deg"], names, *map(np.array, numbers))
     return [
         check_le("max_mag_error_pct", worst_mag * 100.0, 2.0),
         check_le("max_phase_error_deg", worst_phase, 2.0),
@@ -518,7 +530,7 @@ def exp_cpa_ph(settings, outdir):
         _, _, i_est = array.run_cpa((0, 0), sensor, wave, duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
-              list(zip(phs, currents)))
+              phs, np.array(currents))
     slope = float(np.polyfit(phs, currents, 1)[0])
 
     sensor.ph = 8.0
@@ -568,8 +580,7 @@ def exp_cv_scan(settings, outdir):
     v_peak = float(-quad[1] / (2 * quad[0]))
     step_v = cv["scan_rate"] * 0.01
 
-    write_csv(os.path.join(outdir, "cv_scan.csv"), ["v", "i_a"],
-              list(zip(v2, i2)))
+    write_csv(os.path.join(outdir, "cv_scan.csv"), ["v", "i_a"], v2, i2)
     return [
         check_le("ohmic_error_a", ohmic_err, lsb * (1 + 1e-9)),
         check_le("peak_position_error_v", abs(v_peak - (-0.35)), step_v),
@@ -589,8 +600,7 @@ def exp_snr_test(settings, outdir):
     snr = snr_test(cfg, freq=sn["freq"], amplitude=sn["amplitude"],
                    i_ref=sn["amplitude"], n_samples=_count(settings, "snr.n_samples", 2))
     write_csv(os.path.join(outdir, "snr.csv"),
-              ["freq_hz", "amplitude_a", "snr_db"],
-              [(sn["freq"], sn["amplitude"], snr)])
+              ["freq_hz", "amplitude_a", "snr_db"], [sn["freq"]], [sn["amplitude"]], [snr])
     return [check_ge("snr_db", snr, 56.0)]
 
 
@@ -649,8 +659,9 @@ def run_experiment(settings, outdir):
     try:
         checks = EXPERIMENTS[name][0](settings, outdir)
         write_csv(os.path.join(outdir, "summary.csv"),
-                  ["check", "value", "bound", "passed"],
-                  [(c.name, c.value, c.bound, c.passed) for c in checks])
+                  ["check", "value", "bound", "passed"], [c.name for c in checks],
+                  [c.value for c in checks], [c.bound for c in checks],
+                  [c.passed for c in checks])
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

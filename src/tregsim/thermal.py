@@ -85,11 +85,6 @@ def cycle_map(shape, c_th, g_lat, g_amb, dt, n_steps):
     return a, b
 
 
-def field_csv_rows(temp):
-    """Temperature field as CSV rows: row-major, Celsius, 6 decimals."""
-    return [",".join(f"{x:.6f}" for x in row) for row in np.asarray(temp)]
-
-
 def fit_defaults(target_rise=65.0, p_at_target=SCHEMA["devices"]["p_max"], step_time=10.0):
     """Fit (c_th, g_amb, g_lat) to the observed plant behavior.
 

@@ -394,7 +394,7 @@ def test_three_conversions_per_cycle_from_trace():
     arr = small_array(seed=9)
     arr.calibrate_one_point()
     res = arr.run_regulation(40.0, 20.0, trace_conversions=True)
-    trace = res.conv_trace
+    trace = zip(*res.conv_trace.values())
     by_cell_cycle = {}
     for (cycle, r, c, slot, mag, preload, n_chg, n2, product) in trace:
         by_cell_cycle.setdefault((cycle, r, c), []).append(slot)
@@ -416,7 +416,7 @@ def test_quantized_products_track_float_shadow():
     scale = arr.cfg.madc.pid_charge_scale
     r_set = tm.counts_cont(45.0) / tm.cfg.n1_counts
     n_cycles = res.time.size
-    for (cycle, r, c, slot, mag, preload, n_chg, n2, product) in res.conv_trace:
+    for (cycle, r, c, slot, mag, preload, n_chg, n2, product) in zip(*res.conv_trace.values()):
         if cycle >= n_cycles - 1:
             break
         t_cycle_start = res.t_true[cycle - 1, r, c] if cycle else arr.cfg.t_ambient
@@ -559,8 +559,9 @@ def test_regulation_matches_per_cell_scalar_loop():
     assert np.array_equal(res.time, time)
     assert np.array_equal(res.setpoint, setpoint)
     assert res.warnings == warnings and len(warnings) >= 2
-    assert len(res.conv_trace) == 12 * 6 * 2
-    assert np.array_equal(res.conv_trace, trace)
+    rows = list(zip(*res.conv_trace.values()))
+    assert len(rows) == 12 * 6 * 2
+    assert np.array_equal(rows, trace)
 
 
 def test_null_controller_still_measures_every_cycle():
@@ -569,7 +570,7 @@ def test_null_controller_still_measures_every_cycle():
     assert arr.pid_coeffs.mantissas == (0, 0, 0)
     arr.calibrate_one_point()
     res = arr.run_regulation(40.0, 20.0, trace_conversions=True)
-    assert np.all(res.u == 0) and res.conv_trace == []
+    assert np.all(res.u == 0) and list(zip(*res.conv_trace.values())) == []
     assert np.all(np.abs(res.t_meas - 25.0) <= 0.5)
 
 
@@ -599,10 +600,11 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     assert np.array_equal(arr.pid_state.bank, bank)
 
 
-def test_thermal_field_csv_format():
-    from tregsim.thermal import field_csv_rows
-    rows = field_csv_rows(np.array([[25.0, 30.123456789], [40.5, 55.0]]))
-    assert rows == ["25.000000,30.123457", "40.500000,55.000000"]
+def test_thermal_field_csv_format(tmp_path):
+    from tregsim.experiments import write_field
+    path = tmp_path / "final_field.csv"
+    write_field(path, np.array([[25.0, 30.123456789], [40.5, 55.0]]))
+    assert path.read_text().splitlines() == ["25.000000,30.123457", "40.500000,55.000000"]
 
 
 def test_mode_model_mismatch_rejected():
@@ -682,22 +684,22 @@ def test_is_frequency_domain_checked():
 
 def test_is_noise_variance_halves_with_periods():
     # doubling the integration periods halves the variance of the
-    # impedance estimate under front-end noise
+    # impedance estimate under channel noise of a count rms, which
+    # dithers the quantization
     net = Series((Resistor(2e5),))
     var = {}
     for n_per in (2, 4):
         vals = []
         for seed in range(10):
-            arr = quiet_array(seed=seed)
-            res = arr.run_is((0, 0), ImpedanceSensor(net), [50.0], n_periods=n_per,
-                             noise_rms=3e-9)[0]
+            arr = quiet_array(seed=seed, noise=1.0)
+            res = arr.run_is((0, 0), ImpedanceSensor(net), [50.0], n_periods=n_per)[0]
             vals.append(res.z_real)
         var[n_per] = np.var(vals)
     ratio = var[2] / var[4]
     assert 1.2 <= ratio <= 3.5
 
 
-def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng, noise_rms):
+def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng):
     """Reference FRA point: digitizes every sample of both windows."""
     cfg = arr.cfg.madc
     f_conv = cfg.conversion_rate
@@ -724,8 +726,6 @@ def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng, noise_rm
         table = np.round(table_fn(theta) * 128) / 128.0
         live = table != 0.0
         i_t = sensor._i_mag * np.sin(theta + sensor._i_phase)
-        if noise_rms:
-            i_t = i_t + noise_rms * rng.standard_normal(w)
         counts = np.zeros(w)
         scaled = np.abs(table[live]) * cfg.n1_counts
         n2, _ = discharge_counts(run_cfg, np.round(scaled), np.abs(i_t[live]), i_ref,
@@ -742,11 +742,8 @@ def default_fra_grid():
     return _fra_frequencies(copy.deepcopy(SCHEMA))
 
 
-@pytest.mark.parametrize("noise, noise_rms, rel", [
-    (0.0, None, 1e-12),
-    (0.3, 3e-9, 1e-9),
-])
-def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
+@pytest.mark.parametrize("noise, rel", [(0.0, 1e-12), (0.3, 1e-9)])
+def test_is_one_period_fold_matches_per_sample(noise, rel):
     # low frequencies snap to one sine cycle per period, high ones to
     # several cycles in 64 conversions; both must match the per-sample
     # computation and consume each stream exactly as it did.  The
@@ -760,10 +757,9 @@ def test_is_one_period_fold_matches_per_sample(noise, noise_rms, rel):
     start = arr._meas_stream((0, 0))
     ref_rng = copy.deepcopy(start)
     arr._meas_rng[(0, 0)] = copy.deepcopy(start)
-    results = arr.run_is((0, 0), sensor, freqs, noise_rms=noise_rms)
+    results = arr.run_is((0, 0), sensor, freqs)
     for f_req, res in zip(freqs, results):
-        f_act, z_ref = per_sample_fra_point(arr, sensor, f_req, 4, 0.01, ref_rng,
-                                            noise_rms)
+        f_act, z_ref = per_sample_fra_point(arr, sensor, f_req, 4, 0.01, ref_rng)
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
     assert arr._meas_stream((0, 0)).standard_normal() == ref_rng.standard_normal()
@@ -778,7 +774,7 @@ def test_is_closed_form_solve_matches_linalg():
     mats, sums = [], []
     for f in default_fra_grid():
         for net in nets:
-            _, mat, rhs = arr._fra_point(ImpedanceSensor(net), float(f), 4, 0.01, None, None)
+            _, mat, rhs = arr._fra_point(ImpedanceSensor(net), float(f), 4, 0.01, None)
             mats.append(mat)
             sums.append(rhs)
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
@@ -835,7 +831,7 @@ def test_is_folded_sums_equal_full_period_conversion(net):
     cfg = arr.cfg.madc
     sensor = ImpedanceSensor(net)
     for f in default_fra_grid():
-        _, _, sums = arr._fra_point(sensor, float(f), 4, 0.01, None, None)
+        _, _, sums = arr._fra_point(sensor, float(f), 4, 0.01, None)
         tables = arr._fra_tables(*_fra_grid_point(cfg, float(f)))
         i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
         i_t = sensor.response(*tables.basis)
@@ -845,9 +841,10 @@ def test_is_folded_sums_equal_full_period_conversion(net):
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
-@pytest.mark.parametrize("noise, noise_rms", [(0.0, None), (0.3, None), (0.0, 3e-9)])
-def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise, noise_rms):
-    # any noise converts, and draws for, every sample of every period
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
+    # channel noise converts every sample of every period, and draws for
+    # every live one
     sizes = []
 
     def spy(*args, **kwargs):
@@ -858,12 +855,10 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise, noise_rms):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
     ref = copy.deepcopy(arr._meas_stream((0, 0)))
-    arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(100e3),))), [f_req], n_periods=4,
-               noise_rms=noise_rms)
-    noisy = noise or noise_rms
-    assert sizes == [2 * 4 * m if noisy else m]
+    arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(100e3),))), [f_req], n_periods=4)
+    assert sizes == [2 * 4 * m if noise else m]
     live = np.count_nonzero(arr._fra_memo[1].sign)
-    ref.standard_normal(2 * 4 * m if noise_rms else 4 * live if noise else 0)
+    ref.standard_normal(4 * live if noise else 0)
     assert arr._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
 
 
@@ -894,11 +889,11 @@ def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, hit):
     net_b = Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))
     x = quiet_array(cols=2, seed=4, noise=0.3)
     y = quiet_array(cols=2, seed=4, noise=0.3)
-    x.run_is((0, 0), ImpedanceSensor(net_a), [f_a], noise_rms=3e-9)
+    x.run_is((0, 0), ImpedanceSensor(net_a), [f_a])
     kept = x._fra_memo[1]
     results = []
     for arr in (x, y):
-        results.append(arr.run_is((0, 1), ImpedanceSensor(net_b), [f_b], noise_rms=3e-9))
+        results.append(arr.run_is((0, 1), ImpedanceSensor(net_b), [f_b]))
     assert (x._fra_memo[1] is kept) is hit
     assert results[0] == results[1]
     assert x._meas_stream((0, 1)).standard_normal() == y._meas_stream((0, 1)).standard_normal()

@@ -5,13 +5,16 @@ reads counts off their arguments and results.  A change to those calls
 that breaks `bench/run.py --trace 1`, or makes it miscount, fails here.
 """
 
+import copy
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
 from tregsim.array_sim import ArrayConfig, TempArray
+from tregsim.config import SCHEMA
 from tregsim.devices import HeaterParams
+from tregsim.experiments import run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,7 +33,7 @@ def saturated_cycles(results, coeffs):
     products = np.zeros(u.shape + (3,), dtype=int)
     offset = 0
     for res in results:
-        for k, r, c, slot, *_, product in res.conv_trace:
+        for k, r, c, slot, *_, product in zip(*res.conv_trace.values()):
             products[offset + k, r, c, slot] = max(-127, min(127, product))
         offset += res.u.shape[0]
     s0, s1, s2 = coeffs.signs
@@ -64,7 +67,7 @@ def test_tracer_counts_equal_model_totals():
     # calibration and measurement stay in range and nothing clips at the
     # integrator here: the converter saturates only where a loop
     # conversion's counter clamps, output != preload - n2
-    trace = np.array([row for r in results for row in r.conv_trace])
+    trace = np.array([row for r in results for row in zip(*r.conv_trace.values())])
     assert metrics["madc.saturated"] == np.count_nonzero(-trace[:, 8] != trace[:, 5] - trace[:, 7])
     pwm = arr.cfg.pwm
     u = np.concatenate([r.u for r in results])
@@ -74,3 +77,21 @@ def test_tracer_counts_equal_model_totals():
     # the counts the per-cell loop gave on this schedule
     assert (metrics["pid.saturated_cycles"], metrics["madc.saturated"],
             metrics["pwm.clamp_hits"]) == (57, 2, 11)
+
+
+def test_tracer_counts_every_csv_row(tmp_path):
+    # the tracer counts a write_csv call's rows as the length of its
+    # first column, the third positional argument
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"]["name"] = "regulation_steps"
+    settings["regulation"]["trace_conversions"] = True
+    with tracing.instrument(tracer):
+        run_experiment(settings, str(tmp_path))
+    metrics = tracer.layer_metrics(tracer.run_id, 0.0)
+    # final_field.csv has no header and does not go through write_csv
+    written = {name: len((tmp_path / name).read_text().splitlines()) - 1
+               for name in ("regulation.csv", "pid_trace.csv", "summary.csv")}
+    assert written == {"regulation.csv": 40, "pid_trace.csv": 6480, "summary.csv": 17}
+    assert metrics["experiments.csv_rows"] == sum(written.values()) == 6537

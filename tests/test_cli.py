@@ -261,6 +261,20 @@ dir = {out}
     assert (out / "madc_oracle_mismatches.csv").read_text().count("\n") == 1
 
 
+def test_schedule_that_returns_to_a_setpoint_checks_each_plateau(tmp_path):
+    # 35 45 35: the second 35 degC plateau gets its own four checks; the
+    # two 35 degC plateaus once merged into one, with a 92 s rise time
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "regulation_return.cfg")
+    out = tmp_path / "out"
+    assert main([cfg, "--out", str(out)]) == 0
+    names = [line.split(",")[0]
+             for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert len(names) == 13 == len(set(names))
+    assert names[8:12] == ["sp35_2_rise5_s", "sp35_2_ss_abs_error_c",
+                           "sp35_2_inst_error_c", "sp35_2_settled"]
+
+
 def test_unknown_section_and_missing_seed(tmp_path):
     cfg = write_config(tmp_path / "c1.cfg", "[wat]\nx = 1\n")
     with pytest.raises(ConfigurationError, match=r"\[wat\]"):

@@ -16,7 +16,7 @@ CS = CurrentSourceParams()
 
 
 def test_vbe_at_reference_is_anchor():
-    assert vbe(BJT, 300.0, ic_ratio_to_ref=1.0) == pytest.approx(0.7, abs=1e-15)
+    assert vbe(BJT, 300.0) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_vbe_slope_near_300k():
@@ -27,21 +27,11 @@ def test_vbe_slope_near_300k():
     assert -22e-3 <= diff <= -18e-3  # roughly -2 mV/K
 
 
-def test_vbe_bias_ratio_term():
-    # the bias-dependent term adds vt*ln(ratio)
-    import tregsim.devices as dev
-    vt = dev.K_BOLTZMANN * 320.0 / dev.Q_ELECTRON
-    got = vbe(BJT, 320.0, ic_ratio_to_ref=2.0) - vbe(BJT, 320.0)
-    assert got == pytest.approx(vt * math.log(2.0), rel=1e-12)
-
-
 def test_vbe_domain_checks():
     with pytest.raises(DomainError):
         vbe(BJT, 200.0)
     with pytest.raises(DomainError):
         vbe(BJT, 450.0)
-    with pytest.raises(DomainError):
-        vbe(BJT, 300.0, ic_ratio_to_ref=0.0)
 
 
 def test_range_checks_skip_nan_and_pass_empty():
@@ -53,8 +43,6 @@ def test_range_checks_skip_nan_and_pass_empty():
     for t in (200.0, 450.0):
         with pytest.raises(DomainError, match=re.escape("temperature outside [250 K, 400 K]")):
             vbe(BJT, np.array([np.nan, t]))
-    with pytest.raises(DomainError, match="ic_ratio_to_ref must be positive"):
-        vbe(BJT, 300.0, ic_ratio_to_ref=np.array([np.nan, 0.0]))
     with pytest.raises(DomainError, match="temperature must be positive"):
         delta_vbe(CS, np.array([np.nan, 0.0]))
 

@@ -7,8 +7,7 @@ import pytest
 from tregsim.array_sim import ArrayConfig, TempArray, WaveformSpec
 from tregsim.config import SCHEMA
 from tregsim.devices import CvSensor
-from tregsim.experiments import (_fmt, _format_cell, reverse_scan_mirrors,
-                                 run_experiment, write_csv)
+from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
 from tregsim.madc import MadcConfig
 
 
@@ -23,19 +22,42 @@ FORMAT_CASES = [
 
 
 @pytest.mark.parametrize("value, text", FORMAT_CASES)
-def test_format_cell_follows_fmt_rules(value, text):
-    # the type-keyed formatter writes what _fmt writes: a bool as 0/1,
-    # never as an int, an integer in decimal, a float by its repr
+def test_format_cell_follows_fmt_rules(value, text, tmp_path):
+    # the column writer writes what _fmt writes: a bool as 0/1, never as
+    # an int, an integer in decimal, a float by its repr.  A list column
+    # goes through _fmt; an array column is formatted by its dtype
     assert _fmt(value) == text
-    assert _format_cell(value) == text
+    path = tmp_path / "cell.csv"
+    columns = [[value]]
+    if np.array([value]).dtype.kind in ("b", "i", "f"):
+        columns.append(np.array([value]))
+    for column in columns:
+        write_csv(path, ["a"], column)
+        assert path.read_text() == f"a\n{text}\n"
 
 
 def test_write_csv_writes_fmt_cells(tmp_path):
-    rows = [[value for value, _ in FORMAT_CASES], [np.float32(0.1), np.uint8(3), None]]
+    # one row per item, columns in header order; an array of a dtype
+    # without its own formatter goes through _fmt
+    columns = [[value for value, _ in FORMAT_CASES], np.arange(len(FORMAT_CASES), dtype=np.uint8),
+               np.full(len(FORMAT_CASES), 0.1, dtype=np.float32),
+               np.full(len(FORMAT_CASES), None)]
     path = tmp_path / "cells.csv"
-    write_csv(path, ["a", "b"], rows)
-    want = "a,b\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    write_csv(path, ["a", "b", "c", "d"], *columns)
+    want = "a,b,c,d\n" + "".join(",".join(_fmt(x) for x in row) + "\n"
+                                  for row in zip(*columns))
     assert path.read_text() == want
+
+
+def test_write_csv_rejects_mismatched_columns(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], np.arange(3), [1, 2])
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], np.arange(3))
+    with pytest.raises(ValueError):
+        write_csv(path, ["a"], np.arange(3), np.arange(3))
+    assert not path.exists()
 
 
 def run_at(tmp_path, name, keys=None):

@@ -288,10 +288,3 @@ def test_snr_quantization_limited():
 def test_snr_zero_amplitude_rejected():
     with pytest.raises(DomainError):
         snr_test(QUIET, amplitude=0.0)
-
-
-def test_snr_degrades_monotonically_with_noise():
-    cfg = MadcConfig(c_int=3e-9, conversion_noise_counts=0.0)
-    values = [snr_test(cfg, noise_rms=nr, seed=5)
-              for nr in (0.5e-9, 2e-9, 8e-9)]
-    assert values[0] > values[1] > values[2]
