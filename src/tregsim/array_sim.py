@@ -5,7 +5,6 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 (CPA, CV, IS), one-point calibration, and the characterization sweeps.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -22,6 +21,7 @@ from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
                    charge_phase, convert, convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
+from .streams import generators
 
 # Longest IS period, in conversions: a grid point's tables and converter
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
@@ -145,21 +145,19 @@ class TempArray:
         # per-cycle plant map, built on the first regulation run: most
         # arrays (sensing, calibration sweeps) never regulate
         self._cycle_map = None
-        # tables of the last FRA grid point, as (key, _FraTables)
-        self._fra_memo = None
 
         # cell i's seed key is (entropy, (*spawn_key, i)): the key of the
         # i-th child that ss.spawn gives a fresh sequence, derived without
         # spawning from ss, so one sequence always builds one array.  Its
         # regulation stream is word 0 of that key; every cell's comes
-        # from one stream_seeds pass over the tails (cell, 0), in
+        # from one streams.stream_seeds pass over the tails (cell, 0), in
         # row-major order.
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._seed_key = (ss.entropy, ss.spawn_key)
         n_cells = cfg.rows * cfg.cols
         tails = np.zeros((n_cells, 2), dtype=np.uint64)
         tails[:, 0] = np.arange(n_cells)
-        self._reg_rng = _streams(*self._seed_key, tails)
+        self._reg_rng = generators(*self._seed_key, tails)
         # measurement streams by cell index, built on first use (see
         # _meas_stream): most arrays never run CPA, CV or IS
         self._meas_rng = {}
@@ -213,8 +211,8 @@ class TempArray:
         rng = self._meas_rng.get(index)
         if rng is None:
             r, c = index
-            rng = self._meas_rng[index] = _streams(*self._seed_key,
-                                                   [[r * self.cfg.cols + c, 1]])[0]
+            rng = self._meas_rng[index] = generators(*self._seed_key,
+                                                     [[r * self.cfg.cols + c, 1]])[0]
         return rng
 
     def force_temperature(self, t_c):
@@ -499,147 +497,145 @@ class TempArray:
                                 rng=self._meas_stream(index))
         return v, counts * (i_ref / self.cfg.madc.n1_counts)
 
-    def run_is(self, index, sensor, freqs, n_periods=_IS["n_periods"],
+    def run_is(self, index, sensors, freqs, n_periods=_IS["n_periods"],
                amplitude=_IS["amplitude"]):
-        """Impedance spectrum of an ImpedanceSensor via the converter's
-        multiply-accumulate; a list of FraResult, one per frequency.
+        """Impedance spectra of ImpedanceSensors via the converter's
+        multiply-accumulate; one flat list of FraResult, sensor-major.
 
-        For each frequency the interrogation snaps onto the conversion
-        grid (integer conversions per effective period), the response is
-        digitized while multiplied by 7-bit sine/cosine tables over an
-        integer number of periods, and the accumulated sums are scaled
-        into the complex impedance.
+        Every frequency snaps onto the conversion grid (integer
+        conversions per period) and is checked before any table is
+        built.  Each grid point's 7-bit sine/cosine tables are built once,
+        into one reused workspace, and digitize every sensor in turn over
+        whole periods; the sums scale into the complex impedance.
         """
-        _check_sensor("IS", sensor, ImpedanceSensor)
+        for sensor in sensors:
+            _check_sensor("IS", sensor, ImpedanceSensor)
         require(int(n_periods) == n_periods and n_periods >= 1, "is_mode.n_periods",
                 "a positive integer", n_periods)
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
+        cfg = self.cfg.madc
+        freqs = np.array(freqs, dtype=float, ndmin=1)
+        if not ((0.1 <= freqs) & (freqs <= 10e3)).all():
+            raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
+        points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
+        # without noise, an even period's first half stands for both
+        # halves (see _fra_point)
+        noisy = cfg.conversion_noise_counts != 0
+        work = np.empty(_FRA_WORK * max((m for m, _ in points), default=0))
         rng = self._meas_stream(index)
-        results = []
-        for f_req in np.atleast_1d(freqs):
-            if not (0.1 <= f_req <= 10e3):
-                raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
-            f, mat, sums = self._fra_point(sensor, float(f_req), int(n_periods),
-                                           amplitude, rng)
-            re, im = _solve_2x2(mat, sums)
-            i_phasor = complex(re, im)
-            z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
-            results.append(FraResult(freq=f, z_real=z.real, z_imag=z.imag))
-        return results
+        results = [[] for _ in sensors]
+        for m, cycles_per_window in points:
+            n = m // 2 if m % 2 == 0 and not noisy else m
+            tables = _fra_tables(cfg, m, cycles_per_window, n, work)
+            for sensor, res in zip(sensors, results):
+                mat, sums = _fra_point(cfg, sensor, tables, int(n_periods), amplitude, rng)
+                i_phasor = complex(*_solve_2x2(mat, sums))
+                z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
+                res.append(FraResult(freq=tables.f_act, z_real=z.real, z_imag=z.imag))
+        return [r for res in results for r in res]
 
-    def _fra_tables(self, m, cycles_per_window):
-        """The sine/cosine tables of one grid point, shared by every sensor.
 
-        A grid point is m conversions per period holding
-        cycles_per_window sine cycles.  Returns _FraTables: the actual
-        frequency, the sine and cosine of the excitation phase at the
-        conversions of one period, per basis (sine, cosine) the charge
-        counts and sign of the 7-bit table at every conversion, and the
-        projections of both tables on both bases for one period.  A slot
-        whose coefficient rounds to zero has zero charge, so it counts 0.
-        Only the last grid point is kept: a sweep that measures every
-        sensor at one frequency before the next builds each point once.
-        """
-        key = (m, cycles_per_window)
-        if self._fra_memo is not None and self._fra_memo[0] == key:
-            return self._fra_memo[1]
-        cfg = self.cfg.madc
-        f_act = cycles_per_window * cfg.conversion_rate / m
-        # one sine cycle of m phases 2*pi*j/m, evaluated for j < ceil(m/2)
-        # and completed by the antiperiod x[j + m/2] = -x[j] (even m) or
-        # the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd m)
-        h = (m + 1) // 2
-        cycle = np.empty((2, m))
-        theta = np.arange(h, dtype=float)
-        theta *= 2.0 * math.pi
-        theta /= m
-        np.sin(theta, out=cycle[0, :h])
-        np.cos(theta, out=cycle[1, :h])
-        if m % 2:
-            np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
-            cycle[1, h:] = cycle[1, h - 1:0:-1]
-        else:
-            np.negative(cycle[:, :h], out=cycle[:, h:])
-        # both 7-bit tables are q / COEFF_LEVELS, rounded once from the
-        # samples.  Scaling by a power of two commutes with rounding, so
-        # the projections and charges taken from q scale exactly, and
-        # rounding half to even keeps the antiperiod and the mirror.
-        q = cycle * COEFF_LEVELS
-        np.round(q, out=q)
-        # a period's projections do not depend on the order of its phases
-        proj = q @ cycle.T
-        proj /= COEFF_LEVELS
-        if cycles_per_window > 1:
-            # conversion k sits at phase (cycles_per_window * k) % m
-            phase = np.arange(m) * cycles_per_window % m
-            cycle = cycle[:, phase]
-            q = q[:, phase]
-        charge = np.abs(q)
-        charge *= cfg.n1_counts / COEFF_LEVELS
-        np.round(charge, out=charge)
-        tables = _FraTables(f_act, cycle, charge, np.sign(q), proj)
-        self._fra_memo = (key, tables)
-        return tables
-
-    def _fra_point(self, sensor, f_req, n_periods, amplitude, rng):
-        """One frequency on one sensor: (actual frequency, 2x2 matrix, sums).
-
-        The response projected on the sine and cosine tables solves the
-        2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
-        """
-        cfg = self.cfg.madc
-        m, cycles_per_window = _fra_grid_point(cfg, f_req)
-        tables = self._fra_tables(m, cycles_per_window)
-        sensor.prepare_sinusoid(tables.f_act, amplitude)
-
-        # range the reference so peak counts sit well inside the counter
-        i_peak = sensor._i_mag
-        i_ref = max(i_peak, 1e-15) * cfg.n1_counts / 380.0
-        run_cfg = _ranged(cfg, i_ref)
-
-        # theta repeats every m conversions and each window spans
-        # n_periods * m of them, so the tables, their projections and the
-        # response are computed on one period.  Channel noise is still
-        # drawn per sample, one row per period in window order, basis by
-        # basis as the windows run, at each basis's live slots only.
-        # Without noise the one period's counts stand for every period,
-        # and an even period's first half for both halves: the
-        # antiperiodic tables negate the second half's response and table
-        # signs exactly and repeat its counts.
-        noisy = run_cfg.conversion_noise_counts != 0
-        n = m // 2 if m % 2 == 0 and not noisy else m
-        basis, charge, table_sign = (t[:, :n] for t in (tables.basis, tables.charge, tables.sign))
-        i_t = sensor.response(*basis)
-        chan = None
-        if noisy:
-            chan = np.zeros((2, n_periods, m))
-            for b, sign in enumerate(table_sign):
-                live = sign != 0
-                draws = channel_noise(run_cfg, rng, (n_periods, np.count_nonzero(live)))
-                # a mask over every row, not a column index: numpy's fast path
-                chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
-        # both bases in one batch: charge rows (2, 1, n) against the
-        # response, (n,), and the noise, if any, (2, n_periods, m)
-        sign_i = np.sign(i_t)
-        n2, _ = discharge_counts(run_cfg, charge[:, None], np.abs(i_t, out=i_t),
-                                 i_ref, chan)
-        # whole counts: their signed sum over rows, scaled to n_periods
-        # whole periods, is exact
-        counts = sign_i * n2
-        scale = n_periods // counts.shape[1] * (m // n)
-        sums = [total * scale * i_ref / cfg.n1_counts
-                for total in (counts @ table_sign[..., None]).sum(axis=(1, 2)).tolist()]
-        return tables.f_act, (n_periods * tables.proj).tolist(), sums
+# IS workspace floats per conversion of the longest period (see _fra_tables)
+_FRA_WORK = 8
 
 
 class _FraTables(NamedTuple):
-    """Tables of one FRA grid point; see TempArray._fra_tables."""
+    """Tables of one FRA grid point (see _fra_tables)."""
 
     f_act: float
-    basis: np.ndarray             # rows: sin(theta), cos(theta) over one period
+    m: int                        # conversions per period
+    basis: np.ndarray             # rows: sin(theta), cos(theta) at the converted phases
     charge: np.ndarray            # rows: sine, cosine table; 0 at a dead slot
     sign: np.ndarray              # rows: sine, cosine table; 0 at a dead slot
     proj: np.ndarray              # rows: tables; columns: sine, cosine
+
+
+def _fra_tables(cfg, m, cycles_per_window, n, work):
+    """The _FraTables of a grid point of m conversions per period holding
+    cycles_per_window sine cycles, of which the first n are converted.
+
+    They are built into four (2, m) slots at the front of work, a flat
+    float buffer of at least _FRA_WORK * m values, and stay valid until
+    the next build.  A slot whose coefficient rounds to zero has zero
+    charge, so it counts 0.  The projections span the whole period.
+    """
+    f_act = cycles_per_window * cfg.conversion_rate / m
+    slots = work[:_FRA_WORK * m].reshape(4, 2 * m)
+    cycle, q = (slot.reshape(2, m) for slot in slots[:2])
+    # one sine cycle of m phases 2*pi*j/m, evaluated for j < ceil(m/2)
+    # and completed by the antiperiod x[j + m/2] = -x[j] (even m) or
+    # the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd m).  The
+    # phases sit in the cosine row until the cosine overwrites them.
+    h = (m + 1) // 2
+    theta = np.multiply(np.arange(h), 2.0 * math.pi, out=cycle[1, :h])
+    theta /= m
+    np.sin(theta, out=cycle[0, :h])
+    np.cos(theta, out=theta)
+    if m % 2:
+        np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
+        cycle[1, h:] = cycle[1, h - 1:0:-1]
+    else:
+        np.negative(cycle[:, :h], out=cycle[:, h:])
+    # both 7-bit tables are q / COEFF_LEVELS, rounded once from the
+    # samples.  Scaling by a power of two commutes with rounding, so
+    # the projections and charges taken from q scale exactly, and
+    # rounding half to even keeps the antiperiod and the mirror.
+    np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
+    # a period's projections do not depend on the order of its phases
+    proj = q @ cycle.T
+    proj /= COEFF_LEVELS
+    # conversion k sits at phase (cycles_per_window * k) % m; a point of
+    # several cycles has m = 64, so its reordered copies are small
+    phase = slice(n) if cycles_per_window == 1 else np.arange(n) * cycles_per_window % m
+    basis, q = cycle[:, phase], q[:, phase]
+    charge, sign = (slot[:2 * n].reshape(2, n) for slot in slots[2:])
+    np.abs(q, out=charge)
+    charge *= cfg.n1_counts / COEFF_LEVELS
+    np.round(charge, out=charge)
+    np.sign(q, out=sign)
+    return _FraTables(f_act, m, basis, charge, sign, proj)
+
+
+def _fra_point(cfg, sensor, tables, n_periods, amplitude, rng):
+    """One grid point on one sensor: (2x2 matrix, sums).
+
+    The response projected on the sine and cosine tables solves the
+    2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
+    """
+    sensor.prepare_sinusoid(tables.f_act, amplitude)
+    # range the reference so peak counts sit well inside the counter
+    i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+    run_cfg = _ranged(cfg, i_ref)
+
+    # theta repeats every m conversions, so the response is computed on
+    # one period.  Channel noise is still drawn per sample, one row per
+    # period in window order, basis by basis, at each basis's live slots
+    # only.  Without noise the one period's counts stand for every
+    # period, and an even period's first half for both halves: the
+    # antiperiodic tables negate the second half's response and table
+    # signs exactly and repeat its counts.
+    m, n = tables.m, tables.sign.shape[1]
+    i_t = sensor.response(*tables.basis)
+    chan = None
+    if run_cfg.conversion_noise_counts != 0:
+        chan = np.zeros((2, n_periods, m))
+        for b, sign in enumerate(tables.sign):
+            live = sign != 0
+            draws = channel_noise(run_cfg, rng, (n_periods, np.count_nonzero(live)))
+            # a mask over every row, not a column index: numpy's fast path
+            chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
+    # both bases in one batch: charge rows (2, 1, n) against the
+    # response, (n,), and the noise, if any, (2, n_periods, m)
+    sign_i = np.sign(i_t)
+    n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_t, out=i_t),
+                             i_ref, chan)
+    # whole counts: their signed sum over rows, scaled to n_periods
+    # whole periods, is exact
+    counts = sign_i * n2
+    scale = n_periods // counts.shape[1] * (m // n)
+    sums = [total * scale * i_ref / cfg.n1_counts
+            for total in (counts @ tables.sign[..., None]).sum(axis=(1, 2)).tolist()]
+    return (n_periods * tables.proj).tolist(), sums
 
 
 def _solve_2x2(mat, rhs):
@@ -669,134 +665,6 @@ def _check_sensor(mode, sensor, *models):
         raise ConfigurationError(
             f"{mode} needs a {' or '.join(m.__name__ for m in models)}, "
             f"got {type(sensor).__name__}")
-
-
-def _streams(entropy, spawn_key, tails):
-    """One Generator per row of tails, each from its stream_seeds words.
-
-    Each equals np.random.default_rng(SeedSequence(entropy,
-    spawn_key=(*spawn_key, *tail))), draw for draw.
-    """
-    # registered here, not at import: numpy imports numpy.random on first
-    # use, and loading it with this module raised the peak RSS of
-    # `bench/run.py --workload impedance` by about 0.6 MB (numpy 2.4.6).
-    # Registering again is a no-op.
-    np.random.bit_generator.ISeedSequence.register(_StreamSeed)
-    return [np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-            for words in stream_seeds(entropy, spawn_key, tails)]
-
-
-class _StreamSeed:
-    """The seed sequence of one stream: hands PCG64 its four seed words.
-
-    A numpy ISeedSequence, registered as one by _streams.
-    """
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly these
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("a stream seed holds four np.uint64 words")
-        return self.words
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
-# four 32-bit words, hashmix and mix on it, and the hash constants
-# INIT_A * MULT_A**k and INIT_B * MULT_B**k
-_POOL = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
-_MASK32 = 0xFFFFFFFF
-
-
-@functools.cache
-def _hash_constants(init, mult, n):
-    """init * mult**k modulo 2**32 for k = 0 .. n: as ints, and as a
-    uint64 column."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return tuple(out), np.array(out, dtype=np.uint64)[:, None]
-
-
-# generate_state(4, np.uint64) hashes the pool twice over into eight
-# 32-bit words: the constants before and after each step, shaped (2, 4, 1)
-_GEN_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)[1]
-_GEN_BEFORE = _GEN_CONSTANTS[:-1].reshape(2, _POOL, 1)
-_GEN_AFTER = _GEN_CONSTANTS[1:].reshape(2, _POOL, 1)
-
-
-def _hashmix(value, before, after):
-    """numpy's hashmix of value with the hash constant before and after
-    its step: on ints, or on uint64 arrays holding 32-bit words."""
-    value = (value ^ before) * after & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """numpy's mix of two 32-bit words, on ints or uint64 arrays."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _uint32_words(x):
-    """The 32-bit words SeedSequence makes of an entropy or a spawn key:
-    an int's words low first (one for 0), a sequence's items in turn."""
-    if isinstance(x, (int, np.integer)):
-        x = int(x)
-        words = [x & _MASK32]
-        while x > _MASK32:
-            x >>= 32
-            words.append(x & _MASK32)
-        return words
-    return [word for item in x for word in _uint32_words(item)]
-
-
-def stream_seeds(entropy, spawn_key, tails):
-    """PCG64 seed words of many streams of one seed key, in one pass.
-
-    Row i of the result, four uint64 words, equals
-    np.random.SeedSequence(entropy, spawn_key=(*spawn_key, *tails[i]))
-    .generate_state(4, np.uint64).  tails is (streams, k), k >= 1, each
-    entry below 2**32: a cell index, a stream word.  The hash's constant
-    sequence does not depend on the data, so the words that every
-    stream shares (the entropy, zero-padded to the pool, then the spawn
-    key) are mixed once as ints, and each tail column is mixed into the
-    whole pool as one uint64 array step, the pool's four words a column
-    against the streams.
-    """
-    tails = np.asarray(tails, dtype=np.uint64)
-    words = _uint32_words(entropy)
-    # a spawned sequence pads its entropy to the pool with zeros
-    words += [0] * (_POOL - len(words))
-    words += _uint32_words(spawn_key)
-    # one hashmix per pool word, one per ordered pair of pool words, then
-    # one per pool word for each later word
-    n_late = len(words) - _POOL + tails.shape[1]
-    consts, const_column = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + n_late))
-    pool = [_hashmix(w, consts[k], consts[k + 1]) for k, w in enumerate(words[:_POOL])]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k], consts[k + 1]))
-                k += 1
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(w, consts[k], consts[k + 1]))
-            k += 1
-    pool = np.array(pool, dtype=np.uint64)[:, None]
-    for w in tails.T:
-        pool = _mix(pool, _hashmix(w, const_column[k:k + _POOL], const_column[k + 1:k + _POOL + 1]))
-        k += _POOL
-    state = _hashmix(pool, _GEN_BEFORE, _GEN_AFTER)
-    # per stream, the eight words in turn, paired low word first, as
-    # generate_state pairs them
-    return (state.transpose(2, 0, 1).astype("<u4", order="C").view("<u8").reshape(-1, 4)
-            .astype(np.uint64, copy=False))
 
 
 def _ranged(cfg, i_ref):

@@ -15,7 +15,7 @@ from .config import from_settings
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
                       HeaterParams, ImpedanceSensor, Parallel, PhSensor,
                       Resistor, Series, gaussian_peak_response)
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require
 from .madc import MadcConfig, charge_phase, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
@@ -300,7 +300,6 @@ def plateau_metrics(time, t_mean, sp, ts):
         "rise5_s": float(t_settle - t5),
         "ss_error_c": float(ss.mean()),
         "inst_error_c": float(np.abs(post).max()) if post.size else math.nan,
-        "overshoot_c": float(err.max()),
         "settled": bool(t_settle < tt[-1]),
     }
 
@@ -357,6 +356,9 @@ def exp_regulation_steps(settings, outdir):
 # --------------------------------------------------------------------------
 # converter and controller oracles
 
+MADC_ORACLE_MAX_BITS = 21   # the widest converter madc_oracle checks exactly
+
+
 def madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, counter_max):
     """Exact integer model of conversions on rational currents.
 
@@ -377,39 +379,40 @@ def exp_madc_oracle(settings, outdir):
     # exact), and with an integrator cap above every draw's charge (the
     # integer oracle models no clip)
     cfg = from_settings(MadcConfig, settings, c_int=1e-6, conversion_noise_counts=0.0)
+    # a draw counts up to 2 * (2**n_bits + 64) in float64, with an error
+    # below the 1e-9-count crossing guard only up to 21 bits
+    top = MADC_ORACLE_MAX_BITS
+    require(cfg.n_bits <= top, "madc.n_bits", f"<= {top} for madc_oracle", cfg.n_bits)
     scale = 2.0 ** -40
 
     p_ref = rng.integers(1, 1_000_000, n_draws)
     p_in = np.minimum(rng.integers(1, 2 * p_ref + 1), 1_000_000)
     k = rng.integers(1, 129, n_draws)
-    # keep the charge phase positive: the preload may not consume it
-    cal = np.minimum(rng.integers(-64, 64, n_draws), 4 * k - 1)
+    coeff = k / 128.0
+    n_full = np.round(coeff * cfg.n1_counts).astype(int)
+    # keep the charge phase positive at any n_bits: the preload may not
+    # consume it
+    cal = np.minimum(rng.integers(-64, 64, n_draws), n_full - 1)
     preload = rng.integers(0, 601, n_draws)
     sign = np.where(rng.random(n_draws) < 0.5, 1, -1)
 
-    # every draw with a charge phase, in one batch of conversions
-    coeff = k / 128.0
-    n_charge = np.round(coeff * cfg.n1_counts).astype(int) - cal
-    drawn = np.flatnonzero(n_charge > 0)
-    n_checked = drawn.size
-    i_in = p_in[drawn] * scale
+    # every draw in one batch of conversions
+    n_charge = n_full - cal
+    i_in = p_in * scale
     # 1e-6 F holds every draw's charge at the default clock.  A slower
     # clock integrates longer: _ranged raises the cap then, as for the
     # measurement modes, with the largest draw's charge as full scale
-    cfg = _ranged(cfg, np.max(n_charge[drawn] * i_in, initial=0.0) / cfg.n1_counts)
-    got = convert(cfg, i_in, p_ref[drawn] * scale,
-                  charge_phase(cfg, coeff[drawn], cal[drawn], sign[drawn]),
-                  preload[drawn]).out_count
-    expect = madc_oracle_reference(n_charge[drawn], p_in[drawn], p_ref[drawn],
-                                   sign[drawn], preload[drawn], cfg.counter_max)
+    cfg = _ranged(cfg, np.max(n_charge * i_in) / cfg.n1_counts)
+    got = convert(cfg, i_in, p_ref * scale, charge_phase(cfg, coeff, cal, sign),
+                  preload).out_count
+    expect = madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, cfg.counter_max)
     bad = np.flatnonzero(got != expect)
     write_csv(os.path.join(outdir, "madc_oracle_mismatches.csv"),
               ["draw", "p_in", "p_ref", "coeff_k", "cal", "preload", "sign",
                "got", "expected"],
-              *(v[bad] for v in (drawn, p_in[drawn], p_ref[drawn], k[drawn], cal[drawn],
-                                 preload[drawn], sign[drawn], got, expect)))
+              bad, *(v[bad] for v in (p_in, p_ref, k, cal, preload, sign, got, expect)))
     return [
-        check_ge("draws_checked", n_checked, n_draws),
+        check_ge("draws_checked", got.size, n_draws),
         check_le("mismatches", bad.size, 0),
     ]
 
@@ -484,27 +487,22 @@ def exp_fra_sweep(settings, outdir):
     n_periods = _count(settings, "is_mode.n_periods")
     array = build_array(settings, conversion_noise=0.0, one_cell=True)
     networks = _fra_networks()
-    sensors = [ImpedanceSensor(net) for _, net in networks]
-    # frequency-major: each grid point's tables serve both networks
-    results = [[] for _ in networks]
-    for f in freqs:
-        for sensor, res in zip(sensors, results):
-            res += array.run_is((0, 0), sensor, [f], n_periods=n_periods,
-                                amplitude=ism["amplitude"])
+    # one sweep over both networks: every frequency of the first, then the second
+    results = array.run_is((0, 0), [ImpedanceSensor(net) for _, net in networks], freqs,
+                           n_periods=n_periods, amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
-    for (name, net), net_results in zip(networks, results):
-        for res in net_results:
-            z_ref = net.impedance(res.freq)
-            z_est = complex(res.z_real, res.z_imag)
-            mag_err = abs(abs(z_est) - abs(z_ref)) / abs(z_ref)
-            dphase = math.degrees(math.atan2((z_est * z_ref.conjugate()).imag,
-                                             (z_est * z_ref.conjugate()).real))
-            worst_mag = max(worst_mag, mag_err)
-            worst_phase = max(worst_phase, abs(dphase))
-            rows.append((name, res.freq, res.z_real, res.z_imag,
-                         z_ref.real, z_ref.imag, mag_err * 100.0, dphase))
+    for (name, net), res in zip([nw for nw in networks for _ in freqs], results):
+        z_ref = net.impedance(res.freq)
+        z_est = complex(res.z_real, res.z_imag)
+        mag_err = abs(abs(z_est) - abs(z_ref)) / abs(z_ref)
+        dphase = math.degrees(math.atan2((z_est * z_ref.conjugate()).imag,
+                                         (z_est * z_ref.conjugate()).real))
+        worst_mag = max(worst_mag, mag_err)
+        worst_phase = max(worst_phase, abs(dphase))
+        rows.append((name, res.freq, res.z_real, res.z_imag,
+                     z_ref.real, z_ref.imag, mag_err * 100.0, dphase))
     names, *numbers = zip(*rows)
     write_csv(os.path.join(outdir, "fra_sweep.csv"),
               ["network", "freq_hz", "z_real", "z_imag", "z_real_ref",

@@ -1,15 +1,20 @@
 import copy
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tregsim import array_sim
-from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, WaveformSpec, _fra_grid_point, _ranged, _solve_2x2)
+import tregsim
+from tregsim import array_sim, streams
+from tregsim.array_sim import (_FRA_WORK, CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD,
+                               ArrayConfig, TempArray, WaveformSpec, _fra_grid_point,
+                               _fra_point, _fra_tables, _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
                              HeaterParams, ImpedanceSensor, Parallel, PhSensor,
@@ -120,13 +125,25 @@ def test_stream_seeds_match_seed_sequence(entropy, prefix):
     tails = [(i, word) for i in (*range(6), 2**32 - 1) for word in (0, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seeds = array_sim.stream_seeds(entropy, prefix, tails)
-        streams = array_sim._streams(entropy, prefix, tails)
+        seeds = streams.stream_seeds(entropy, prefix, tails)
+        rngs = streams.generators(entropy, prefix, tails)
     assert seeds.dtype == np.uint64 and seeds.shape == (len(tails), 4)
-    for tail, words, rng in zip(tails, seeds, streams):
+    for tail, words, rng in zip(tails, seeds, rngs):
         want_words, want_rng = seed_sequence_stream(entropy, (*prefix, *tail))
         assert np.array_equal(words, want_words)
         assert np.array_equal(rng.standard_normal(100), want_rng.standard_normal(100))
+
+
+def test_streams_load_numpy_random_on_first_use():
+    # importing the package, the CLI included, leaves numpy.random
+    # unloaded: loading it with the stream module raised the benchmark's
+    # peak RSS.  Building an array loads it.
+    code = ("import sys, tregsim.cli; assert 'numpy.random' not in sys.modules; "
+            "tregsim.TempArray(tregsim.ArrayConfig(rows=1, cols=1)); "
+            "assert 'numpy.random' in sys.modules")
+    src = os.path.dirname(os.path.dirname(tregsim.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_given_seed_sequences_stream_as_seed_sequence():
@@ -613,7 +630,7 @@ def test_mode_model_mismatch_rejected():
         arr.run_cpa((0, 0), CvSensor(lambda v, t: 0.0),
                     WaveformSpec(kind="constant", v_low=0.3), 0.2)
     with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), PhSensor(), [10.0])
+        arr.run_is((0, 0), [PhSensor()], [10.0])
     with pytest.raises(ConfigurationError):
         arr.run_cv((0, 0), PhSensor(), WaveformSpec(kind="ramp_cyclic", v_low=-0.7,
                                                     v_high=0.0, scan_rate=0.1))
@@ -656,7 +673,7 @@ def test_cv_network_time_stepping():
 
 def test_is_pure_resistor():
     arr = quiet_array(seed=2)
-    for res in arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(4.7e5),))),
+    for res in arr.run_is((0, 0), [ImpedanceSensor(Series((Resistor(4.7e5),)))],
                           [1.0, 100.0, 5000.0]):
         assert res.z_real == pytest.approx(4.7e5, rel=0.02)
         assert abs(res.z_imag) <= 0.02 * 4.7e5
@@ -665,7 +682,7 @@ def test_is_pure_resistor():
 def test_is_series_rc_against_analytic():
     arr = quiet_array(seed=2)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    for res in arr.run_is((0, 0), ImpedanceSensor(net), [0.1, 1.59, 40.0, 2000.0]):
+    for res in arr.run_is((0, 0), [ImpedanceSensor(net)], [0.1, 1.59, 40.0, 2000.0]):
         z_ref = net.impedance(res.freq)
         z_est = complex(res.z_real, res.z_imag)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
@@ -677,9 +694,9 @@ def test_is_frequency_domain_checked():
     arr = quiet_array(seed=2)
     sensor = ImpedanceSensor(Series((Resistor(1e5),)))
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), sensor, [0.01])
+        arr.run_is((0, 0), [sensor], [0.01])
     with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), sensor, [10.0], n_periods=1.5)
+        arr.run_is((0, 0), [sensor], [10.0], n_periods=1.5)
 
 
 def test_is_noise_variance_halves_with_periods():
@@ -692,7 +709,7 @@ def test_is_noise_variance_halves_with_periods():
         vals = []
         for seed in range(10):
             arr = quiet_array(seed=seed, noise=1.0)
-            res = arr.run_is((0, 0), ImpedanceSensor(net), [50.0], n_periods=n_per)[0]
+            res = arr.run_is((0, 0), [ImpedanceSensor(net)], [50.0], n_periods=n_per)[0]
             vals.append(res.z_real)
         var[n_per] = np.var(vals)
     ratio = var[2] / var[4]
@@ -757,7 +774,7 @@ def test_is_one_period_fold_matches_per_sample(noise, rel):
     start = arr._meas_stream((0, 0))
     ref_rng = copy.deepcopy(start)
     arr._meas_rng[(0, 0)] = copy.deepcopy(start)
-    results = arr.run_is((0, 0), sensor, freqs)
+    results = arr.run_is((0, 0), [sensor], freqs)
     for f_req, res in zip(freqs, results):
         f_act, z_ref = per_sample_fra_point(arr, sensor, f_req, 4, 0.01, ref_rng)
         assert res.freq == f_act
@@ -765,16 +782,29 @@ def test_is_one_period_fold_matches_per_sample(noise, rel):
     assert arr._meas_stream((0, 0)).standard_normal() == ref_rng.standard_normal()
 
 
+def converted(m, noise=0.0):
+    """The phases an IS grid point of m conversions converts."""
+    return m // 2 if m % 2 == 0 and not noise else m
+
+
+def fresh_tables(cfg, m, cycles_per_window, n=None):
+    """A grid point's tables built in a fresh workspace; every phase by default."""
+    return _fra_tables(cfg, m, cycles_per_window, m if n is None else n,
+                       np.empty(_FRA_WORK * m))
+
+
 def test_is_closed_form_solve_matches_linalg():
     # the 2x2 systems of the default sweep, one per (network, grid point),
     # on its 39 projection matrices: the 13 points with m = 64 share one
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    arr = quiet_array()
+    cfg = quiet_array().cfg.madc
     mats, sums = [], []
     for f in default_fra_grid():
+        m, c = _fra_grid_point(cfg, float(f))
+        tables = fresh_tables(cfg, m, c, converted(m))
         for net in nets:
-            _, mat, rhs = arr._fra_point(ImpedanceSensor(net), float(f), 4, 0.01, None)
+            mat, rhs = _fra_point(cfg, ImpedanceSensor(net), tables, 4, 0.01, None)
             mats.append(mat)
             sums.append(rhs)
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
@@ -790,12 +820,11 @@ def test_is_half_cycle_tables_match_direct_evaluation():
     # with it within a few ulp.  The identities that complete the cycle
     # hold bit for bit in conversion order: the antiperiod for even m
     # (m = 64 with an odd cycle count included), the mirror for odd m.
-    arr = quiet_array()
-    cfg = arr.cfg.madc
+    cfg = quiet_array().cfg.madc
     bits = lambda a: a.view(np.int64)
     for f in default_fra_grid():
         m, c = _fra_grid_point(cfg, float(f))
-        tables = arr._fra_tables(m, c)
+        tables = fresh_tables(cfg, m, c)
         theta = 2 * np.pi * ((c * np.arange(m)) % m) / m
         direct = np.stack((np.sin(theta), np.cos(theta)))
         q = np.round(direct * 128)
@@ -819,6 +848,28 @@ def test_is_half_cycle_tables_match_direct_evaluation():
             assert np.array_equal(tables.sign[:, mirror], sign * [[-1], [1]])
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
+    # one workspace, sized for the longest period and left dirty by every
+    # point, serves points from long to short periods that switch parity:
+    # even m 98, odd m 97, then m 64 with 27 and with 67 cycles.  Each
+    # point's tables, built at the workspace's front, equal a build in a
+    # fresh workspace bit for bit, converted phases and projections alike.
+    cfg = MadcConfig(conversion_noise_counts=noise)
+    bits = lambda a: a.view(np.int64)
+    work = np.full(_FRA_WORK * 98, np.nan)
+    for m, c in [(98, 1), (97, 1), (64, 27), (64, 67)]:
+        n = converted(m, noise)
+        got = _fra_tables(cfg, m, c, n, work)
+        want = fresh_tables(cfg, m, c, n)
+        assert (got.f_act, got.m) == (want.f_act, m)
+        for name in ("basis", "charge", "sign", "proj"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape == ((2, 2) if name == "proj" else (2, n))
+            assert np.array_equal(bits(a), bits(b)), (m, c, name)
+        assert np.shares_memory(got.charge, work) and np.shares_memory(got.sign, work)
+
+
 @pytest.mark.parametrize("net", [
     Series((Resistor(100e3), Capacitor(1e-6))),
     Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)),
@@ -827,12 +878,12 @@ def test_is_folded_sums_equal_full_period_conversion(net):
     # a noiseless even period converts only its first half; its sums must
     # equal, exactly, one discharge_counts call over the whole period on
     # the same tables through the ranged config
-    arr = quiet_array()
-    cfg = arr.cfg.madc
+    cfg = quiet_array().cfg.madc
     sensor = ImpedanceSensor(net)
     for f in default_fra_grid():
-        _, _, sums = arr._fra_point(sensor, float(f), 4, 0.01, None)
-        tables = arr._fra_tables(*_fra_grid_point(cfg, float(f)))
+        m, c = _fra_grid_point(cfg, float(f))
+        _, sums = _fra_point(cfg, sensor, fresh_tables(cfg, m, c, converted(m)), 4, 0.01, None)
+        tables = fresh_tables(cfg, m, c)
         i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
         i_t = sensor.response(*tables.basis)
         n2, _ = discharge_counts(_ranged(cfg, i_ref), tables.charge, np.abs(i_t), i_ref)
@@ -855,9 +906,11 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
     ref = copy.deepcopy(arr._meas_stream((0, 0)))
-    arr.run_is((0, 0), ImpedanceSensor(Series((Resistor(100e3),))), [f_req], n_periods=4)
+    arr.run_is((0, 0), [ImpedanceSensor(Series((Resistor(100e3),)))], [f_req], n_periods=4)
     assert sizes == [2 * 4 * m if noise else m]
-    live = np.count_nonzero(arr._fra_memo[1].sign)
+    grid_m, c = _fra_grid_point(arr.cfg.madc, f_req)
+    assert grid_m == m
+    live = np.count_nonzero(fresh_tables(arr.cfg.madc, m, c).sign)
     ref.standard_normal(4 * live if noise else 0)
     assert arr._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
 
@@ -874,29 +927,76 @@ def test_is_period_bound():
         assert key in str(err.value)
 
 
-@pytest.mark.parametrize("f_a, f_b, hit", [
+def frequency_major(arr, index, sensors, freqs):
+    """run_is one sensor and one frequency per call, every sensor at a
+    frequency before the next; the results sensor-major, as one sweep
+    call returns them."""
+    results = [[] for _ in sensors]
+    for f in freqs:
+        for sensor, res in zip(sensors, results):
+            res += arr.run_is(index, [sensor], [f])
+    return [r for res in results for r in res]
+
+
+@pytest.mark.parametrize("f_a, f_b, same_point", [
     (50.0, 50.0, True),
-    # both snap to m = 64, with 27 and 67 cycles: a memo keyed by m alone
+    # both snap to m = 64, with 27 and 67 cycles: tables keyed by m alone
     # would hand the second point the first one's tables
     (2000.0, 5000.0, False),
 ])
-def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, hit):
-    # array x measures network A on cell (0, 0) at f_a, then network B on
-    # cell (0, 1) at f_b; array y, on the same seed, measures only the
-    # latter.  B's result and cell (0, 1)'s stream must not depend on
-    # which tables were kept from A's point.
-    net_a = Series((Resistor(100e3), Capacitor(1e-6)))
-    net_b = Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))
+def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
+    # array x measures networks A and B on cell (0, 1) at f_a and f_b in
+    # one sweep, so B's point at f_b follows the points measured before
+    # it in the same workspace; array y, on the same seed, measures each
+    # network at each frequency in its own call, on fresh tables.  B's
+    # result and cell (0, 1)'s stream must not depend on the points
+    # measured before B.
+    assert (_fra_grid_point(MadcConfig(), f_a) == _fra_grid_point(MadcConfig(), f_b)) is same_point
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     x = quiet_array(cols=2, seed=4, noise=0.3)
     y = quiet_array(cols=2, seed=4, noise=0.3)
-    x.run_is((0, 0), ImpedanceSensor(net_a), [f_a])
-    kept = x._fra_memo[1]
-    results = []
-    for arr in (x, y):
-        results.append(arr.run_is((0, 1), ImpedanceSensor(net_b), [f_b]))
-    assert (x._fra_memo[1] is kept) is hit
-    assert results[0] == results[1]
+    got = x.run_is((0, 1), [ImpedanceSensor(net) for net in nets], [f_a, f_b])
+    want = frequency_major(y, (0, 1), [ImpedanceSensor(net) for net in nets], [f_a, f_b])
+    assert got[-1] == want[-1]
+    assert got == want
     assert x._meas_stream((0, 1)).standard_normal() == y._meas_stream((0, 1)).standard_normal()
+
+
+def test_is_sweep_equals_frequency_major_single_calls():
+    # one call over two networks equals one call per network and
+    # frequency, made frequency-major, under channel noise: every result
+    # and the cell's next draw.  The grid switches parity (m 3071, 98,
+    # 97) and ends on two m = 64 points with different cycle counts.
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    freqs = [1.59, 50.0, 50.34, 2000.0, 5000.0]
+    cfg = MadcConfig()
+    assert [_fra_grid_point(cfg, f)[0] for f in freqs] == [3071, 98, 97, 64, 64]
+    x = quiet_array(seed=7, noise=0.3)
+    y = quiet_array(seed=7, noise=0.3)
+    got = x.run_is((0, 0), [ImpedanceSensor(net) for net in nets], freqs)
+    assert len(got) == 2 * len(freqs)
+    assert got == frequency_major(y, (0, 0), [ImpedanceSensor(net) for net in nets], freqs)
+    assert x._meas_stream((0, 0)).standard_normal() == y._meas_stream((0, 0)).standard_normal()
+
+
+def test_is_sweep_checks_every_frequency_before_converting():
+    # an empty sweep measures nothing; a sweep with one frequency out of
+    # range, or one period too long, is rejected before any point draws
+    # noise
+    sensor = ImpedanceSensor(Series((Resistor(1e5),)))
+    arr = quiet_array(noise=0.3)
+    fast = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(f_clk=1e10)))
+    refs = [copy.deepcopy(a._meas_stream((0, 0))) for a in (arr, fast)]
+    assert arr.run_is((0, 0), [sensor], []) == []
+    with pytest.raises(DomainError):
+        arr.run_is((0, 0), [sensor], [50.0, 0.01])
+    # 0.1 Hz at f_clk = 1e10 is a period of 48.8M conversions
+    with pytest.raises(ConfigurationError, match="is_mode.f_lo"):
+        fast.run_is((0, 0), [sensor], [50.0, 0.1])
+    for a, ref in zip((arr, fast), refs):
+        assert a._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
 
 
 def test_waveform_validation():

@@ -1,14 +1,17 @@
 import copy
 import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tregsim.cli import main
 from tregsim.config import SCHEMA, load_config
 from tregsim.errors import ConfigurationError
-from tregsim.experiments import (EXPERIMENTS, _fra_frequencies,
+from tregsim.experiments import (EXPERIMENTS, MADC_ORACLE_MAX_BITS, _fra_frequencies,
                                  list_experiments)
 
 
@@ -219,6 +222,8 @@ dir = %s
     ("snr_test", {"madc": "n_bits = -1"}, "madc.n_bits"),
     ("madc_oracle", {"madc": "n_bits = 0"}, "madc.n_bits"),
     ("snr_test", {"madc": "f_clk = 0"}, "madc.f_clk"),
+    # above 21 bits float64 cannot resolve the crossing guard exactly
+    ("madc_oracle", {"madc": "n_bits = 22"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -259,6 +264,69 @@ dir = {out}
 """)
     assert main([cfg]) == 0
     assert (out / "madc_oracle_mismatches.csv").read_text().count("\n") == 1
+
+
+def log_uniform(lo_exp, hi_exp):
+    """Positive floats spread evenly over the decades 10**lo_exp .. 10**hi_exp."""
+    return st.builds(lambda e, m: m * 10.0 ** e, st.integers(lo_exp, hi_exp - 1),
+                     st.floats(1.0, 10.0))
+
+
+# the domain on which both oracles must pass (README, "Oracle
+# domains"); n_draws, n_tuples and n_steps are capped here only to keep
+# the test fast
+ORACLE_DOMAIN = {
+    "experiment": {"seed": st.integers(0, 2**63 - 1)},
+    "madc": {
+        "n_bits": st.integers(1, MADC_ORACLE_MAX_BITS),
+        "f_clk": st.one_of(st.sampled_from([1.0, 12.0]), log_uniform(-100, 100)),
+        "c_int": log_uniform(-300, 300),
+        "v_full": log_uniform(-100, 100),
+        "pid_charge_scale": st.integers(1, 1000),
+        "conversion_noise_counts": st.floats(0.0, 100.0),
+    },
+    "oracle": {
+        "n_draws": st.integers(1, 5000),
+        "n_tuples": st.integers(1, 20),
+        "n_steps": st.integers(1, 1000),
+    },
+}
+
+
+def oracle_configs():
+    return st.fixed_dictionaries({section: st.fixed_dictionaries(keys)
+                                  for section, keys in ORACLE_DOMAIN.items()})
+
+
+def oracle_config(name, draw, out):
+    """Config text that runs experiment name on the drawn settings."""
+    sections = {**draw, "experiment": {**draw["experiment"], "name": name},
+                "output": {"dir": out}}
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for section, keys in sections.items())
+
+
+CORNER = {"experiment": {"seed": 0},
+          "madc": {"n_bits": MADC_ORACLE_MAX_BITS, "f_clk": 1.0, "c_int": 1e-300,
+                   "v_full": 1e-100, "pid_charge_scale": 1,
+                   "conversion_noise_counts": 0.0},
+          "oracle": {"n_draws": 2000, "n_tuples": 1, "n_steps": 1}}
+
+
+@settings(max_examples=50, deadline=None)
+@example(CORNER)
+@example({**CORNER, "madc": {**CORNER["madc"], "n_bits": 1, "f_clk": 12.0}})
+@given(oracle_configs())
+def test_oracles_pass_on_their_domain(draw):
+    # both oracles exit 0 on every config drawn from their stated
+    # domain: slow and fast clocks, one-bit to 21-bit converters, tiny
+    # and huge caps and full scales, with any seed
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("madc_oracle", "pid_oracle"):
+            path = os.path.join(tmp, f"{name}.cfg")
+            with open(path, "w") as fh:
+                fh.write(oracle_config(name, draw, os.path.join(tmp, name)))
+            assert main([path]) == 0, (name, draw)
 
 
 def test_schedule_that_returns_to_a_setpoint_checks_each_plateau(tmp_path):

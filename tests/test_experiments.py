@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from tregsim import experiments
 from tregsim.array_sim import ArrayConfig, TempArray, WaveformSpec
 from tregsim.config import SCHEMA
 from tregsim.devices import CvSensor
 from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
-from tregsim.madc import MadcConfig
+from tregsim.madc import MadcConfig, convert
 
 
 FORMAT_CASES = [
@@ -80,12 +81,25 @@ def test_snr_test_runs_the_configured_converter(tmp_path):
     assert 5.5 < checks10[0].value - checks[0].value < 6.5
 
 
-def test_madc_oracle_runs_the_configured_converter(tmp_path):
-    # a one-bit converter leaves most draws without a charge phase
-    checks, _ = run_at(tmp_path, "madc_oracle", {"oracle.n_draws": 1000})
-    assert all(c.passed for c in checks)
-    checks, _ = run_at(tmp_path, "madc_oracle", {"oracle.n_draws": 1000, "madc.n_bits": 1})
-    assert not checks[0].passed
+def test_madc_oracle_runs_the_configured_converter(tmp_path, monkeypatch):
+    # the oracle converts on the configured madc section: a one-bit
+    # converter clamps every count to +-2.  Its calibration draws leave
+    # every draw a charge phase at any n_bits, so every draw is checked
+    # (a one-bit converter once left most draws unchecked, and failed).
+    seen = []
+
+    def spy(cfg, *args, **kwargs):
+        conv = convert(cfg, *args, **kwargs)
+        seen.append((cfg.n_bits, int(np.abs(conv.out_count).max())))
+        return conv
+
+    monkeypatch.setattr(experiments, "convert", spy)
+    for n_bits in (9, 1):
+        checks, _ = run_at(tmp_path, "madc_oracle",
+                           {"oracle.n_draws": 1000, "madc.n_bits": n_bits})
+        assert all(c.passed for c in checks)
+        assert checks[0].value == 1000
+    assert seen == [(9, 512), (1, 2)]
 
 
 def test_reverse_scan_mirrors_needs_a_voltage_only_sensor():
