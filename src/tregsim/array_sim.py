@@ -13,9 +13,7 @@ import numpy as np
 
 from . import thermal
 from .config import SCHEMA, setting
-from .devices import (BjtParams, CurrentSourceParams, CvSensor, HeaterParams,
-                      ImpedanceSensor, PhSensor, i_ctat, i_ptat,
-                      network_transient_currents)
+from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
                    charge_phase, convert, convert_signed, discharge_counts)
@@ -27,32 +25,17 @@ from .streams import generators
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
 
+# CPA and CV sample the channel every SAMPLE_PERIOD seconds; a CV scan
+# holds at most MAX_CV_SAMPLES samples, about 750x the default scan's 1401
+SAMPLE_PERIOD = 0.01
+MAX_CV_SAMPLES = 2 ** 20
+
 # one-point calibration tries the preloads range(*CAL_RANGE), at
 # CAL_TEMPERATURE degC unless the caller names another temperature
 CAL_RANGE = (-64, 64)
 CAL_TEMPERATURE = 50.0
 
 _IS = SCHEMA["is_mode"]
-
-
-@dataclass
-class WaveformSpec:
-    """Interrogation waveform: constant level v_low, or a cyclic ramp
-    between v_low and v_high at scan_rate (V/s)."""
-
-    kind: str = "constant"
-    v_low: float = setting("cv.v_low")
-    v_high: float = setting("cv.v_high")
-    scan_rate: float = setting("cv.scan_rate")
-    cycles: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "ramp_cyclic"):
-            raise ConfigurationError(f"unknown waveform kind {self.kind!r}")
-        if self.kind == "ramp_cyclic":
-            require(self.v_low < self.v_high, "cv.v_low", f"below cv.v_high ({self.v_high!r})",
-                    self.v_low)
-            require(self.scan_rate > 0, "cv.scan_rate", "positive", self.scan_rate)
 
 
 @dataclass(frozen=True)
@@ -458,58 +441,59 @@ class TempArray:
 
     # -- measurement modes -------------------------------------------------
 
-    # Each measurement runs one sensor model on cell index (a (row, col)
-    # tuple), at that cell's plant temperature and on its measurement
-    # stream.
+    # Each measurement runs on cell index (a (row, col) tuple), at that
+    # cell's plant temperature and on its measurement stream.
 
-    def run_cpa(self, index, sensor, wave, duration, sample_period=0.01, i_ref=4e-9):
-        """Constant-potential trace of a PhSensor: counts and reconstructed current vs time."""
-        if wave.kind != "constant":
-            raise ConfigurationError("CPA needs a constant waveform")
-        _check_sensor("CPA", sensor, PhSensor)
-        temp_c = self.temp[index]
-        times = np.arange(int(duration / sample_period)) * sample_period
-        currents = np.array([sensor.current(wave.v_low, t, temp_c) for t in times])
+    def run_cpa(self, index, sensor, duration):
+        """Constant-potential trace of a PhSensor: the reconstructed current
+        of each sample."""
+        # a 4 nA full scale: the front end's current over 2 pH units
+        # either side of its reference is 3.6 nA
+        i_ref = 4e-9
+        currents = np.full(int(duration / SAMPLE_PERIOD), sensor.current(self.temp[index]))
         counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
                                 rng=self._meas_stream(index))
-        return times, counts, counts * (i_ref / self.cfg.madc.n1_counts)
+        return counts * (i_ref / self.cfg.madc.n1_counts)
 
-    def run_cv(self, index, sensor, wave, sample_period=0.01, i_ref=None):
-        """Cyclic voltammogram of a CvSensor or ImpedanceSensor:
-        (applied voltage, reconstructed current) pairs."""
-        if wave.kind != "ramp_cyclic":
-            raise ConfigurationError("CV needs a ramp_cyclic waveform")
-        _check_sensor("CV", sensor, CvSensor, ImpedanceSensor)
-        temp_c = self.temp[index]
-        n_half = max(1, int(round((wave.v_high - wave.v_low)
-                                  / (wave.scan_rate * sample_period))))
-        up = wave.v_low + (wave.v_high - wave.v_low) * np.arange(n_half + 1) / n_half
-        v_cycle = np.concatenate([up, up[-2::-1]])
-        v = np.tile(v_cycle, wave.cycles)
-        times = np.arange(v.size) * sample_period
-        if isinstance(sensor, ImpedanceSensor):
-            currents = network_transient_currents(sensor.network, v, sample_period)
-        else:
-            currents = np.array([sensor.current(vk, t, temp_c) for vk, t in zip(v, times)])
-        if i_ref is None:
-            i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
+    def run_cv(self, index, response, v_low, v_high, scan_rate):
+        """Cyclic voltammogram of a current response(v, t): one ramp from
+        v_low to v_high at scan_rate (V/s) and back.
+
+        Returns the applied voltages, the reconstructed currents and the
+        reference current the channel was ranged to, 1.25x the largest
+        response.
+        """
+        require(v_low < v_high, "cv.v_low", f"below cv.v_high ({v_high!r})", v_low)
+        require(scan_rate > 0, "cv.scan_rate", "positive", scan_rate)
+        # steps per ramp, capped first so that a scan past the budget
+        # still rounds to a finite count
+        step = max(scan_rate * SAMPLE_PERIOD, math.ulp(0.0))
+        n_half = max(1, round(min((v_high - v_low) / step, MAX_CV_SAMPLES)))
+        require(2 * n_half + 1 <= MAX_CV_SAMPLES, "cv.scan_rate",
+                f"fast enough for a scan from cv.v_low ({v_low!r}) to cv.v_high "
+                f"({v_high!r}) of at most {MAX_CV_SAMPLES} samples of {SAMPLE_PERIOD} s",
+                scan_rate)
+        up = v_low + (v_high - v_low) * np.arange(n_half + 1) / n_half
+        v = np.concatenate([up, up[-2::-1]])
+        times = np.arange(v.size) * SAMPLE_PERIOD
+        currents = np.array([response(vk, t) for vk, t in zip(v, times)])
+        i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
         counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
                                 rng=self._meas_stream(index))
-        return v, counts * (i_ref / self.cfg.madc.n1_counts)
+        return v, counts * (i_ref / self.cfg.madc.n1_counts), i_ref
 
-    def run_is(self, index, sensors, freqs, n_periods=_IS["n_periods"],
+    def run_is(self, index, networks, freqs, n_periods=_IS["n_periods"],
                amplitude=_IS["amplitude"]):
-        """Impedance spectra of ImpedanceSensors via the converter's
-        multiply-accumulate; one flat list of FraResult, sensor-major.
+        """Impedance spectra of linear networks (devices.Series and its
+        elements) via the converter's multiply-accumulate; one flat list
+        of FraResult, network-major.
 
         Every frequency snaps onto the conversion grid (integer
         conversions per period) and is checked before any table is
         built.  Each grid point's 7-bit sine/cosine tables are built once,
-        into one reused workspace, and digitize every sensor in turn over
+        into one reused workspace, and digitize every network in turn over
         whole periods; the sums scale into the complex impedance.
         """
-        for sensor in sensors:
-            _check_sensor("IS", sensor, ImpedanceSensor)
         require(int(n_periods) == n_periods and n_periods >= 1, "is_mode.n_periods",
                 "a positive integer", n_periods)
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
@@ -523,12 +507,12 @@ class TempArray:
         noisy = cfg.conversion_noise_counts != 0
         work = np.empty(_FRA_WORK * max((m for m, _ in points), default=0))
         rng = self._meas_stream(index)
-        results = [[] for _ in sensors]
+        results = [[] for _ in networks]
         for m, cycles_per_window in points:
             n = m // 2 if m % 2 == 0 and not noisy else m
             tables = _fra_tables(cfg, m, cycles_per_window, n, work)
-            for sensor, res in zip(sensors, results):
-                mat, sums = _fra_point(cfg, sensor, tables, int(n_periods), amplitude, rng)
+            for network, res in zip(networks, results):
+                mat, sums = _fra_point(cfg, network, tables, int(n_periods), amplitude, rng)
                 i_phasor = complex(*_solve_2x2(mat, sums))
                 z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
                 res.append(FraResult(freq=tables.f_act, z_real=z.real, z_imag=z.imag))
@@ -596,15 +580,18 @@ def _fra_tables(cfg, m, cycles_per_window, n, work):
     return _FraTables(f_act, m, basis, charge, sign, proj)
 
 
-def _fra_point(cfg, sensor, tables, n_periods, amplitude, rng):
-    """One grid point on one sensor: (2x2 matrix, sums).
+def _fra_point(cfg, network, tables, n_periods, amplitude, rng):
+    """One grid point on one network: (2x2 matrix, sums).
 
-    The response projected on the sine and cosine tables solves the
-    2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
+    The network's steady-state current under amplitude*sin(theta) is
+    i_m*sin(theta + phi); projected on the sine and cosine tables it
+    solves the 2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
     """
-    sensor.prepare_sinusoid(tables.f_act, amplitude)
+    z = network.impedance(tables.f_act)
+    i_mag = amplitude / abs(z)
+    phi = -math.atan2(z.imag, z.real)
     # range the reference so peak counts sit well inside the counter
-    i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+    i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
     run_cfg = _ranged(cfg, i_ref)
 
     # theta repeats every m conversions, so the response is computed on
@@ -615,7 +602,11 @@ def _fra_point(cfg, sensor, tables, n_periods, amplitude, rng):
     # antiperiodic tables negate the second half's response and table
     # signs exactly and repeat its counts.
     m, n = tables.m, tables.sign.shape[1]
-    i_t = sensor.response(*tables.basis)
+    # the response at the tables' own sin(theta) and cos(theta), by
+    # angle addition: no further transcendental pass
+    sin_t, cos_t = tables.basis
+    i_t = i_mag * math.cos(phi) * sin_t
+    i_t += i_mag * math.sin(phi) * cos_t
     chan = None
     if run_cfg.conversion_noise_counts != 0:
         chan = np.zeros((2, n_periods, m))
@@ -657,14 +648,6 @@ def _whole_multiple(total, unit, key, unit_name, unit_key):
     require(n >= 1 and abs(ratio - n) <= 1e-9 * ratio, key,
             f"a whole number of {unit_name}s {unit_key} ({unit:g} s)", total)
     return n
-
-
-def _check_sensor(mode, sensor, *models):
-    """Reject a sensor that is not one of the models mode measures."""
-    if not isinstance(sensor, models):
-        raise ConfigurationError(
-            f"{mode} needs a {' or '.join(m.__name__ for m in models)}, "
-            f"got {type(sensor).__name__}")
 
 
 def _ranged(cfg, i_ref):

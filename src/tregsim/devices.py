@@ -2,12 +2,12 @@
 
 Covers the bipolar junctions used for sensing, the CTAT/PTAT current
 sources (per-instance parameters may be arrays), the in-cell
-heater, and the pluggable sensor front-end models used by the measurement
-modes.
+heater, the linear networks impedance spectroscopy measures, and the
+sensor front ends of the other measurement modes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,59 +180,14 @@ class Series:
         return sum(e.impedance(freq) for e in self.elements)
 
 
-def network_transient_currents(network, v_applied, dt):
-    """Current response of a series chain to an arbitrary voltage sequence.
-
-    Supports Series chains of Resistor, Capacitor and Parallel(R, C)
-    blocks with at least one series resistance (the resistance makes the
-    current explicit).  States are the capacitor voltages, advanced with
-    sub-stepped forward Euler.
-    """
-    if not isinstance(network, Series):
-        network = Series((network,))
-    r_series = 0.0
-    states = []  # (kind, param...) with a running cap-voltage state
-    for el in network.elements:
-        if isinstance(el, Resistor):
-            r_series += el.r
-        elif isinstance(el, Capacitor):
-            states.append(["c", el.c, 0.0])
-        elif isinstance(el, Parallel):
-            rs = [e for e in el.elements if isinstance(e, Resistor)]
-            cs = [e for e in el.elements if isinstance(e, Capacitor)]
-            if len(rs) != 1 or len(cs) != 1 or len(el.elements) != 2:
-                raise ConfigurationError("time stepping supports Parallel(R, C) blocks only")
-            states.append(["rc", rs[0].r, cs[0].c, 0.0])
-        else:
-            raise ConfigurationError(f"unsupported element {el!r}")
-    if r_series <= 0:
-        raise ConfigurationError("time stepping needs a series resistance")
-
-    v_applied = np.asarray(v_applied, dtype=float)
-    out = np.empty_like(v_applied)
-    nsub = 8
-    h = dt / nsub
-    for k, v in enumerate(v_applied):
-        i = 0.0
-        for _ in range(nsub):
-            v_states = sum(s[-1] for s in states)
-            i = (v - v_states) / r_series
-            for s in states:
-                if s[0] == "c":
-                    s[-1] += h * i / s[1]
-                else:
-                    s[-1] += h * (i - s[-1] / s[1]) / s[2]
-        out[k] = i
-    return out
-
-
 # --------------------------------------------------------------------------
 # Sensor front ends
 
 @dataclass
 class PhSensor:
     """Linear pH front end: delta current per pH unit away from the
-    reference, derated by 1 %/degC above 25 degC."""
+    reference, derated by 1 %/degC above 25 degC; current(temp_c) reads
+    it at the cell's temperature."""
 
     sensitivity_a_per_ph: float = 1.8e-9
     reference_ph: float = 7.0
@@ -242,51 +197,10 @@ class PhSensor:
         if self.sensitivity_a_per_ph <= 0:
             raise ConfigurationError("pH sensitivity must be positive")
 
-    def current(self, v_applied, t_now, temp_c):
+    def current(self, temp_c):
         delta = self.sensitivity_a_per_ph * (self.ph - self.reference_ph)
         derate = 1.0 - 0.01 * max(temp_c - 25.0, 0.0)
         return delta * derate
-
-
-@dataclass
-class ImpedanceSensor:
-    """Linear-network electrode model for impedance interrogation."""
-
-    network: Series
-    _freq: float = field(default=None, repr=False)
-    _i_mag: float = field(default=0.0, repr=False)
-    _i_phase: float = field(default=0.0, repr=False)
-
-    def prepare_sinusoid(self, freq, amplitude):
-        """Cache the steady-state phasor response for v = amplitude*sin(2*pi*freq*t)."""
-        z = self.network.impedance(freq)
-        self._freq = freq
-        self._i_mag = amplitude / abs(z)
-        self._i_phase = -math.atan2(z.imag, z.real)
-
-    def response(self, sin_t, cos_t):
-        """Current at excitation phases theta, given sin(theta) and cos(theta).
-
-        i_m*sin(theta + phi) by angle addition, so a caller that holds the
-        excitation's samples pays no further transcendental pass.
-        """
-        if self._freq is None:
-            raise ConfigurationError("call prepare_sinusoid before sampling")
-        i_cos = self._i_mag * math.cos(self._i_phase)
-        i_sin = self._i_mag * math.sin(self._i_phase)
-        i = i_cos * sin_t
-        i += i_sin * cos_t
-        return i
-
-
-@dataclass
-class CvSensor:
-    """Pluggable voltammetry model: any current response f(v, t)."""
-
-    response: callable
-
-    def current(self, v_applied, t_now, temp_c):
-        return self.response(v_applied, t_now)
 
 
 def gaussian_peak_response(conductance=2e-7, peak_current=5e-8,

@@ -10,11 +10,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_sim import ArrayConfig, TempArray, WaveformSpec, _ranged
+from .array_sim import SAMPLE_PERIOD, ArrayConfig, TempArray, _ranged
 from .config import from_settings
-from .devices import (BjtParams, Capacitor, CurrentSourceParams, CvSensor,
-                      HeaterParams, ImpedanceSensor, Parallel, PhSensor,
-                      Resistor, Series, gaussian_peak_response)
+from .devices import (BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
+                      Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
 from .errors import ConfigurationError, DomainError, require
 from .madc import MadcConfig, charge_phase, convert, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
@@ -488,7 +487,7 @@ def exp_fra_sweep(settings, outdir):
     array = build_array(settings, conversion_noise=0.0, one_cell=True)
     networks = _fra_networks()
     # one sweep over both networks: every frequency of the first, then the second
-    results = array.run_is((0, 0), [ImpedanceSensor(net) for _, net in networks], freqs,
+    results = array.run_is((0, 0), [net for _, net in networks], freqs,
                            n_periods=n_periods, amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
@@ -516,16 +515,17 @@ def exp_fra_sweep(settings, outdir):
 def exp_cpa_ph(settings, outdir):
     """pH transfer in constant-potential mode, plus thermal derating."""
     cpa = settings["cpa"]
+    require(cpa["ph_lo"] < cpa["ph_hi"], "cpa.ph_lo", f"below cpa.ph_hi ({cpa['ph_hi']!r})",
+            cpa["ph_lo"])
     array = build_array(settings, conversion_noise=0.0, one_cell=True)
     sensor = PhSensor()
     array.force_temperature(25.0)
-    wave = WaveformSpec(kind="constant", v_low=0.3)
     # the slope is a straight-line fit: it needs two points
     phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
-        _, _, i_est = array.run_cpa((0, 0), sensor, wave, duration=0.2)
+        i_est = array.run_cpa((0, 0), sensor, duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
               phs, np.array(currents))
@@ -533,9 +533,9 @@ def exp_cpa_ph(settings, outdir):
 
     sensor.ph = 8.0
     array.force_temperature(25.0)
-    _, _, i25 = array.run_cpa((0, 0), sensor, wave, duration=0.2)
+    i25 = array.run_cpa((0, 0), sensor, duration=0.2)
     array.force_temperature(35.0)
-    _, _, i35 = array.run_cpa((0, 0), sensor, wave, duration=0.2)
+    i35 = array.run_cpa((0, 0), sensor, duration=0.2)
     derate = float(np.mean(i35) / np.mean(i25))
     return [
         check_in("slope_a_per_ph", slope, 1.71e-9, 1.89e-9),
@@ -558,16 +558,14 @@ def exp_cv_scan(settings, outdir):
     """Voltammetry signal chain: ohmic recovery and peak localization."""
     cv = settings["cv"]
     array = build_array(settings, conversion_noise=0.0, one_cell=True)
-    wave = from_settings(WaveformSpec, settings, kind="ramp_cyclic")
+    scan = cv["v_low"], cv["v_high"], cv["scan_rate"]
 
     r_test = 1e6
-    ohmic = CvSensor(lambda v, t: v / r_test)
-    v, i_est = array.run_cv((0, 0), ohmic, wave)
-    i_ref = 1.25 * max(np.abs(v / r_test).max(), 1e-12)
+    v, i_est, i_ref = array.run_cv((0, 0), lambda v, t: v / r_test, *scan)
     lsb = i_ref / array.cfg.madc.n1_counts
     ohmic_err = float(np.abs(i_est - v / r_test).max())
 
-    v2, i2 = array.run_cv((0, 0), CvSensor(gaussian_peak_response()), wave)
+    v2, i2, _ = array.run_cv((0, 0), gaussian_peak_response(), *scan)
     span = cv["v_high"] - cv["v_low"]
     tails = (v2 > cv["v_high"] - 0.15 * span) | (v2 < cv["v_low"] + 0.15 * span)
     baseline = np.polyfit(v2[tails], i2[tails], 1)
@@ -576,7 +574,7 @@ def exp_cv_scan(settings, outdir):
     lo, hi = max(j - 10, 0), min(j + 11, v2.size)
     quad = np.polyfit(v2[lo:hi], excess[lo:hi], 2)
     v_peak = float(-quad[1] / (2 * quad[0]))
-    step_v = cv["scan_rate"] * 0.01
+    step_v = cv["scan_rate"] * SAMPLE_PERIOD
 
     write_csv(os.path.join(outdir, "cv_scan.csv"), ["v", "i_a"], v2, i2)
     return [
@@ -652,6 +650,9 @@ def run_experiment(settings, outdir):
     name = settings["experiment"]["name"]
     if name not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {name!r}")
+    # None draws fresh entropy; numpy's seed sequences take no negative int
+    seed = settings["experiment"]["seed"]
+    require(seed is None or seed >= 0, "experiment.seed", "a non-negative integer", seed)
     created = _outermost_missing_dir(outdir)
     os.makedirs(outdir, exist_ok=True)
     try:

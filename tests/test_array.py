@@ -13,12 +13,11 @@ import pytest
 import tregsim
 from tregsim import array_sim, streams
 from tregsim.array_sim import (_FRA_WORK, CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD,
-                               ArrayConfig, TempArray, WaveformSpec, _fra_grid_point,
-                               _fra_point, _fra_tables, _ranged, _solve_2x2)
+                               ArrayConfig, TempArray, _fra_grid_point, _fra_point,
+                               _fra_tables, _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
-from tregsim.devices import (Capacitor, CurrentSourceParams, CvSensor,
-                             HeaterParams, ImpedanceSensor, Parallel, PhSensor,
-                             Resistor, Series, i_ctat, i_ptat)
+from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
+                             Series, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import _fra_frequencies
 from tregsim.madc import MadcConfig, channel_noise, charge_phase, convert, discharge_counts
@@ -595,7 +594,7 @@ def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
     first = a1.run_regulation(40.0, 20.0)
-    a1.run_cpa((0, 0), PhSensor(), WaveformSpec(kind="constant", v_low=0.3), 0.5)
+    a1.run_cpa((0, 0), PhSensor(), 0.5)
     second = a1.run_regulation(40.0, 20.0)
 
     b = quiet_array(seed=23)
@@ -611,7 +610,7 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr.run_regulation(40.0, 20.0)
     state = arr.pid_state
     cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
-    arr.run_cpa((0, 0), PhSensor(), WaveformSpec(kind="constant", v_low=0.3), 0.2)
+    arr.run_cpa((0, 0), PhSensor(), 0.2)
     assert arr.cal_preload[0, 0] == cal
     assert np.array_equal(arr.pid_state.u_prev, u)
     assert np.array_equal(arr.pid_state.bank, bank)
@@ -624,56 +623,33 @@ def test_thermal_field_csv_format(tmp_path):
     assert path.read_text().splitlines() == ["25.000000,30.123457", "40.500000,55.000000"]
 
 
-def test_mode_model_mismatch_rejected():
-    arr = quiet_array()
-    with pytest.raises(ConfigurationError):
-        arr.run_cpa((0, 0), CvSensor(lambda v, t: 0.0),
-                    WaveformSpec(kind="constant", v_low=0.3), 0.2)
-    with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), [PhSensor()], [10.0])
-    with pytest.raises(ConfigurationError):
-        arr.run_cv((0, 0), PhSensor(), WaveformSpec(kind="ramp_cyclic", v_low=-0.7,
-                                                    v_high=0.0, scan_rate=0.1))
-
-
 # -- measurement modes --------------------------------------------------------
 
 def test_cpa_ph_step_response():
     arr = quiet_array(seed=2)
     sensor = PhSensor()
     arr.force_temperature(25.0)
-    wave = WaveformSpec(kind="constant", v_low=0.3)
     sensor.ph = 7.0
-    _, counts0, _ = arr.run_cpa((0, 0), sensor, wave, 0.2)
-    assert np.all(counts0 == 0)
+    i0 = arr.run_cpa((0, 0), sensor, 0.2)
+    # a whole number of samples, every one counting 0
+    assert i0.shape == (20,) and np.all(i0 == 0)
     sensor.ph = 8.0
-    _, _, i_est = arr.run_cpa((0, 0), sensor, wave, 0.2)
+    i_est = arr.run_cpa((0, 0), sensor, 0.2)
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
 def test_cv_ohmic_line_within_one_lsb():
     arr = quiet_array(seed=2)
     r_test = 1e6
-    wave = WaveformSpec(kind="ramp_cyclic", v_low=-0.7, v_high=0.0,
-                        scan_rate=0.1, cycles=1)
-    v, i_est = arr.run_cv((0, 0), CvSensor(lambda v, t: v / r_test), wave)
-    i_ref = 1.25 * np.abs(v / r_test).max()
+    v, i_est, i_ref = arr.run_cv((0, 0), lambda v, t: v / r_test, -0.7, 0.0, 0.1)
+    assert i_ref == 1.25 * np.abs(v / r_test).max()
     lsb = i_ref / arr.cfg.madc.n1_counts
     assert np.abs(i_est - v / r_test).max() <= lsb * (1 + 1e-9)
 
 
-def test_cv_network_time_stepping():
-    arr = quiet_array(seed=2)
-    net = Series((Resistor(1e6), Capacitor(1e-3)))  # slow RC, nearly ohmic
-    wave = WaveformSpec(kind="ramp_cyclic", v_low=-0.2, v_high=0.0,
-                        scan_rate=0.1, cycles=1)
-    v, i_est = arr.run_cv((0, 0), ImpedanceSensor(net), wave)
-    assert np.isfinite(i_est).all()
-
-
 def test_is_pure_resistor():
     arr = quiet_array(seed=2)
-    for res in arr.run_is((0, 0), [ImpedanceSensor(Series((Resistor(4.7e5),)))],
+    for res in arr.run_is((0, 0), [Series((Resistor(4.7e5),))],
                           [1.0, 100.0, 5000.0]):
         assert res.z_real == pytest.approx(4.7e5, rel=0.02)
         assert abs(res.z_imag) <= 0.02 * 4.7e5
@@ -682,7 +658,7 @@ def test_is_pure_resistor():
 def test_is_series_rc_against_analytic():
     arr = quiet_array(seed=2)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    for res in arr.run_is((0, 0), [ImpedanceSensor(net)], [0.1, 1.59, 40.0, 2000.0]):
+    for res in arr.run_is((0, 0), [net], [0.1, 1.59, 40.0, 2000.0]):
         z_ref = net.impedance(res.freq)
         z_est = complex(res.z_real, res.z_imag)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
@@ -692,11 +668,11 @@ def test_is_series_rc_against_analytic():
 
 def test_is_frequency_domain_checked():
     arr = quiet_array(seed=2)
-    sensor = ImpedanceSensor(Series((Resistor(1e5),)))
+    net = Series((Resistor(1e5),))
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), [sensor], [0.01])
+        arr.run_is((0, 0), [net], [0.01])
     with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), [sensor], [10.0], n_periods=1.5)
+        arr.run_is((0, 0), [net], [10.0], n_periods=1.5)
 
 
 def test_is_noise_variance_halves_with_periods():
@@ -709,14 +685,21 @@ def test_is_noise_variance_halves_with_periods():
         vals = []
         for seed in range(10):
             arr = quiet_array(seed=seed, noise=1.0)
-            res = arr.run_is((0, 0), [ImpedanceSensor(net)], [50.0], n_periods=n_per)[0]
+            res = arr.run_is((0, 0), [net], [50.0], n_periods=n_per)[0]
             vals.append(res.z_real)
         var[n_per] = np.var(vals)
     ratio = var[2] / var[4]
     assert 1.2 <= ratio <= 3.5
 
 
-def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng):
+def phasor(net, f, amplitude):
+    """(i_m, phi): the steady-state current i_m*sin(theta + phi) of net
+    under amplitude*sin(theta) at f."""
+    z = net.impedance(f)
+    return amplitude / abs(z), -math.atan2(z.imag, z.real)
+
+
+def per_sample_fra_point(arr, net, f_req, n_periods, amplitude, rng):
     """Reference FRA point: digitizes every sample of both windows."""
     cfg = arr.cfg.madc
     f_conv = cfg.conversion_rate
@@ -729,8 +712,8 @@ def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng):
         while math.gcd(cycles_per_window, m) != 1:
             cycles_per_window += 1
     f_act = cycles_per_window * f_conv / m
-    sensor.prepare_sinusoid(f_act, amplitude)
-    i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
+    i_mag, i_phase = phasor(net, f_act, amplitude)
+    i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
     run_cfg = replace(cfg, c_int=max(cfg.c_int,
                                      1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
     w = m * n_periods
@@ -742,7 +725,7 @@ def per_sample_fra_point(arr, sensor, f_req, n_periods, amplitude, rng):
         theta = 2.0 * math.pi * f_act * t_k
         table = np.round(table_fn(theta) * 128) / 128.0
         live = table != 0.0
-        i_t = sensor._i_mag * np.sin(theta + sensor._i_phase)
+        i_t = i_mag * np.sin(theta + i_phase)
         counts = np.zeros(w)
         scaled = np.abs(table[live]) * cfg.n1_counts
         n2, _ = discharge_counts(run_cfg, np.round(scaled), np.abs(i_t[live]), i_ref,
@@ -770,13 +753,13 @@ def test_is_one_period_fold_matches_per_sample(noise, rel):
     last_one_cycle = grid[grid <= MadcConfig().conversion_rate / 8.0][-1]
     freqs = [grid[0], 1.59, 50.0, last_one_cycle, 2000.0, 7000.0, grid[-1]]
     arr = quiet_array(seed=5, noise=noise)
-    sensor = ImpedanceSensor(Series((Resistor(100e3), Capacitor(1e-6))))
+    net = Series((Resistor(100e3), Capacitor(1e-6)))
     start = arr._meas_stream((0, 0))
     ref_rng = copy.deepcopy(start)
     arr._meas_rng[(0, 0)] = copy.deepcopy(start)
-    results = arr.run_is((0, 0), [sensor], freqs)
+    results = arr.run_is((0, 0), [net], freqs)
     for f_req, res in zip(freqs, results):
-        f_act, z_ref = per_sample_fra_point(arr, sensor, f_req, 4, 0.01, ref_rng)
+        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 4, 0.01, ref_rng)
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
     assert arr._meas_stream((0, 0)).standard_normal() == ref_rng.standard_normal()
@@ -804,7 +787,7 @@ def test_is_closed_form_solve_matches_linalg():
         m, c = _fra_grid_point(cfg, float(f))
         tables = fresh_tables(cfg, m, c, converted(m))
         for net in nets:
-            mat, rhs = _fra_point(cfg, ImpedanceSensor(net), tables, 4, 0.01, None)
+            mat, rhs = _fra_point(cfg, net, tables, 4, 0.01, None)
             mats.append(mat)
             sums.append(rhs)
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
@@ -879,13 +862,15 @@ def test_is_folded_sums_equal_full_period_conversion(net):
     # equal, exactly, one discharge_counts call over the whole period on
     # the same tables through the ranged config
     cfg = quiet_array().cfg.madc
-    sensor = ImpedanceSensor(net)
     for f in default_fra_grid():
         m, c = _fra_grid_point(cfg, float(f))
-        _, sums = _fra_point(cfg, sensor, fresh_tables(cfg, m, c, converted(m)), 4, 0.01, None)
+        _, sums = _fra_point(cfg, net, fresh_tables(cfg, m, c, converted(m)), 4, 0.01, None)
         tables = fresh_tables(cfg, m, c)
-        i_ref = max(sensor._i_mag, 1e-15) * cfg.n1_counts / 380.0
-        i_t = sensor.response(*tables.basis)
+        i_mag, phi = phasor(net, tables.f_act, 0.01)
+        i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
+        # _fra_point's response: i_m*sin(theta + phi) by angle addition
+        i_t = i_mag * math.cos(phi) * tables.basis[0]
+        i_t += i_mag * math.sin(phi) * tables.basis[1]
         n2, _ = discharge_counts(_ranged(cfg, i_ref), tables.charge, np.abs(i_t), i_ref)
         totals = (np.sign(i_t) * n2 * tables.sign).sum(axis=1).tolist()
         assert sums == [t * 4 * i_ref / cfg.n1_counts for t in totals]
@@ -906,7 +891,7 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
     ref = copy.deepcopy(arr._meas_stream((0, 0)))
-    arr.run_is((0, 0), [ImpedanceSensor(Series((Resistor(100e3),)))], [f_req], n_periods=4)
+    arr.run_is((0, 0), [Series((Resistor(100e3),))], [f_req], n_periods=4)
     assert sizes == [2 * 4 * m if noise else m]
     grid_m, c = _fra_grid_point(arr.cfg.madc, f_req)
     assert grid_m == m
@@ -927,14 +912,14 @@ def test_is_period_bound():
         assert key in str(err.value)
 
 
-def frequency_major(arr, index, sensors, freqs):
-    """run_is one sensor and one frequency per call, every sensor at a
-    frequency before the next; the results sensor-major, as one sweep
+def frequency_major(arr, index, networks, freqs):
+    """run_is one network and one frequency per call, every network at a
+    frequency before the next; the results network-major, as one sweep
     call returns them."""
-    results = [[] for _ in sensors]
+    results = [[] for _ in networks]
     for f in freqs:
-        for sensor, res in zip(sensors, results):
-            res += arr.run_is(index, [sensor], [f])
+        for net, res in zip(networks, results):
+            res += arr.run_is(index, [net], [f])
     return [r for res in results for r in res]
 
 
@@ -956,8 +941,8 @@ def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     x = quiet_array(cols=2, seed=4, noise=0.3)
     y = quiet_array(cols=2, seed=4, noise=0.3)
-    got = x.run_is((0, 1), [ImpedanceSensor(net) for net in nets], [f_a, f_b])
-    want = frequency_major(y, (0, 1), [ImpedanceSensor(net) for net in nets], [f_a, f_b])
+    got = x.run_is((0, 1), nets, [f_a, f_b])
+    want = frequency_major(y, (0, 1), nets, [f_a, f_b])
     assert got[-1] == want[-1]
     assert got == want
     assert x._meas_stream((0, 1)).standard_normal() == y._meas_stream((0, 1)).standard_normal()
@@ -975,9 +960,9 @@ def test_is_sweep_equals_frequency_major_single_calls():
     assert [_fra_grid_point(cfg, f)[0] for f in freqs] == [3071, 98, 97, 64, 64]
     x = quiet_array(seed=7, noise=0.3)
     y = quiet_array(seed=7, noise=0.3)
-    got = x.run_is((0, 0), [ImpedanceSensor(net) for net in nets], freqs)
+    got = x.run_is((0, 0), nets, freqs)
     assert len(got) == 2 * len(freqs)
-    assert got == frequency_major(y, (0, 0), [ImpedanceSensor(net) for net in nets], freqs)
+    assert got == frequency_major(y, (0, 0), nets, freqs)
     assert x._meas_stream((0, 0)).standard_normal() == y._meas_stream((0, 0)).standard_normal()
 
 
@@ -985,24 +970,46 @@ def test_is_sweep_checks_every_frequency_before_converting():
     # an empty sweep measures nothing; a sweep with one frequency out of
     # range, or one period too long, is rejected before any point draws
     # noise
-    sensor = ImpedanceSensor(Series((Resistor(1e5),)))
+    net = Series((Resistor(1e5),))
     arr = quiet_array(noise=0.3)
     fast = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(f_clk=1e10)))
     refs = [copy.deepcopy(a._meas_stream((0, 0))) for a in (arr, fast)]
-    assert arr.run_is((0, 0), [sensor], []) == []
+    assert arr.run_is((0, 0), [net], []) == []
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), [sensor], [50.0, 0.01])
+        arr.run_is((0, 0), [net], [50.0, 0.01])
     # 0.1 Hz at f_clk = 1e10 is a period of 48.8M conversions
     with pytest.raises(ConfigurationError, match="is_mode.f_lo"):
-        fast.run_is((0, 0), [sensor], [50.0, 0.1])
+        fast.run_is((0, 0), [net], [50.0, 0.1])
     for a, ref in zip((arr, fast), refs):
         assert a._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
 
 
 def test_waveform_validation():
-    with pytest.raises(ConfigurationError):
-        WaveformSpec(kind="ramp_cyclic", v_low=0.5, v_high=0.0, scan_rate=0.1)
-    with pytest.raises(ConfigurationError):
-        WaveformSpec(kind="sinusoid")
-    with pytest.raises(ConfigurationError):
-        WaveformSpec(kind="sawtooth")
+    # run_cv checks its ramp before it samples the response, naming the
+    # key that sets each bound
+    arr = quiet_array()
+
+    def response(v, t):
+        raise AssertionError("sampled a rejected scan")
+
+    for scan, key in [((0.5, 0.0, 0.1), "cv.v_low"), ((0.0, 0.0, 0.1), "cv.v_low"),
+                      ((-0.7, 0.0, 0.0), "cv.scan_rate"), ((-0.7, 0.0, -0.1), "cv.scan_rate")]:
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            arr.run_cv((0, 0), response, *scan)
+
+
+def test_cv_scan_budget(monkeypatch):
+    # a scan of 2 * n_half + 1 samples runs up to MAX_CV_SAMPLES and is
+    # rejected one ramp step above it, naming cv.scan_rate, before the
+    # response is sampled; so is a step that underflows to zero
+    monkeypatch.setattr(array_sim, "MAX_CV_SAMPLES", 41)
+    arr = quiet_array()
+    v, _, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, 0.0, 0.2, 1.0)
+    assert v.size == 41
+
+    def response(v, t):
+        raise AssertionError("sampled a rejected scan")
+
+    for scan_rate in (0.2 / 0.21, 1e-323):
+        with pytest.raises(ConfigurationError, match="cv.scan_rate"):
+            arr.run_cv((0, 0), response, 0.0, 0.2, scan_rate)

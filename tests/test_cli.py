@@ -224,6 +224,10 @@ dir = %s
     ("snr_test", {"madc": "f_clk = 0"}, "madc.f_clk"),
     # above 21 bits float64 cannot resolve the crossing guard exactly
     ("madc_oracle", {"madc": "n_bits = 22"}, "madc.n_bits"),
+    # 1.4M samples, over the 2**20 budget of a CV scan
+    ("cv_scan", {"cv": "scan_rate = 1e-4"}, "cv.scan_rate"),
+    # one pH point repeated: the slope fit read 0 and the run exited 1
+    ("cpa_ph", {"cpa": "ph_lo = 7\nph_hi = 7"}, "cpa.ph_lo"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -382,6 +386,20 @@ def test_seed_override(tmp_path):
     cfg = write_config(tmp_path / "c5.cfg", GOOD.format(out=out1))
     assert main([cfg, "--seed", "99", "--out", str(out2)]) == 0
     assert (out2 / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("in_config", [True, False])
+def test_negative_seed_exits_2_without_outputs(tmp_path, capsys, in_config):
+    # numpy's seed sequences take no negative int: the run ended in its
+    # ValueError traceback, exit 1, from the config and from --seed alike
+    out = tmp_path / "out"
+    body = GOOD.format(out=out)
+    if in_config:
+        body = body.replace("seed = 7", "seed = -1")
+    cfg = write_config(tmp_path / "seed.cfg", body)
+    assert main([cfg] if in_config else [cfg, "--seed", "-1"]) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_defaults_complete():

@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tregsim.array_sim import ArrayConfig, TempArray
+from tregsim import array_sim
+from tregsim.array_sim import (_FRA_WORK, ArrayConfig, TempArray, _fra_grid_point,
+                               _fra_point, _fra_tables)
 from tregsim.devices import (BjtParams, Capacitor, CurrentSourceParams,
-                             HeaterParams, ImpedanceSensor, PhSensor,
-                             Resistor, Series, delta_vbe, i_ctat, i_ptat, vbe)
+                             HeaterParams, PhSensor, Resistor, Series,
+                             delta_vbe, i_ctat, i_ptat, vbe)
 from tregsim.errors import ConfigurationError, DomainError
+from tregsim.madc import MadcConfig
 
 BJT = BjtParams()
 CS = CurrentSourceParams()
@@ -103,28 +106,34 @@ def test_param_validation():
 
 def test_ph_sensor_response():
     s = PhSensor()
-    assert s.current(0.3, 0.0, 25.0) == 0.0
+    assert s.current(25.0) == 0.0
     s.ph = 8.0
-    assert s.current(0.3, 0.0, 25.0) == pytest.approx(1.8e-9, rel=1e-12)
+    assert s.current(25.0) == pytest.approx(1.8e-9, rel=1e-12)
     # 10 degC above 25 derates the delta by 10 percent
-    assert s.current(0.3, 0.0, 35.0) == pytest.approx(0.9 * 1.8e-9, rel=1e-12)
+    assert s.current(35.0) == pytest.approx(0.9 * 1.8e-9, rel=1e-12)
     # no derating below 25
-    assert s.current(0.3, 0.0, 20.0) == pytest.approx(1.8e-9, rel=1e-12)
+    assert s.current(20.0) == pytest.approx(1.8e-9, rel=1e-12)
 
 
-def test_impedance_sensor_sinusoid_amplitude():
+def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
     net = Series((Resistor(1e6), Capacitor(1e-6)))
     z = net.impedance(1000.0)
     assert abs(z) == pytest.approx(math.hypot(1e6, 1.0 / (2 * math.pi * 1000 * 1e-6)),
                                    rel=1e-12)
-    s = ImpedanceSensor(net)
-    s.prepare_sinusoid(1000.0, 0.05)
-    theta = 2 * math.pi * 1000.0 * np.linspace(0.0, 5e-3, 20001)
-    i_peak = np.abs(s.response(np.sin(theta), np.cos(theta))).max()
-    assert i_peak == pytest.approx(0.05 / abs(z), rel=1e-4)
+    # the response an IS point converts peaks at amplitude / |z|, read
+    # off every phase of a period of 4883 conversions near 1 Hz
+    responses = []
+    real = array_sim.discharge_counts
 
+    def spy(cfg, charge, i_in, *args):
+        responses.append(i_in.copy())
+        return real(cfg, charge, i_in, *args)
 
-def test_sensor_mode_errors():
-    s = ImpedanceSensor(Series((Resistor(1e3),)))
-    with pytest.raises(ConfigurationError):
-        s.response(0.0, 1.0)  # sinusoid not prepared
+    monkeypatch.setattr(array_sim, "discharge_counts", spy)
+    cfg = MadcConfig(conversion_noise_counts=0.0)
+    m, c = _fra_grid_point(cfg, 1.0)
+    tables = _fra_tables(cfg, m, c, m, np.empty(_FRA_WORK * m))
+    _fra_point(cfg, net, tables, 4, 0.05, None)
+    (i_abs,) = responses
+    assert i_abs.shape == (m,)
+    assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(tables.f_act)), rel=1e-4)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from tregsim import experiments
-from tregsim.array_sim import ArrayConfig, TempArray, WaveformSpec
+from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.config import SCHEMA
-from tregsim.devices import CvSensor
 from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
 from tregsim.madc import MadcConfig, convert
 
@@ -105,12 +104,12 @@ def test_madc_oracle_runs_the_configured_converter(tmp_path, monkeypatch):
 def test_reverse_scan_mirrors_needs_a_voltage_only_sensor():
     # a noiseless channel, as cv_scan builds it
     arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(conversion_noise_counts=0.0)))
-    wave = WaveformSpec(kind="ramp_cyclic")
-    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6), wave)
+    scan = [SCHEMA["cv"][key] for key in ("v_low", "v_high", "scan_rate")]
+    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, *scan)
     assert reverse_scan_mirrors(v, i)
     # a current that drifts with time differs between the sweeps
-    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6 + 1e-8 * t), wave)
+    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6 + 1e-8 * t, *scan)
     assert not reverse_scan_mirrors(v, i)
     # a truncated down-sweep cannot retrace the up-sweep
-    v, i = arr.run_cv((0, 0), CvSensor(lambda v, t: v / 1e6), wave)
+    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, *scan)
     assert not reverse_scan_mirrors(v[:-1], i[:-1])
