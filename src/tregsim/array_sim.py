@@ -15,8 +15,8 @@ from . import thermal
 from .config import SCHEMA, setting
 from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
-from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, channel_noise,
-                   charge_phase, convert, convert_signed, discharge_counts)
+from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, charge_phase, convert,
+                   convert_signed, discharge_counts)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 from .streams import generators
@@ -24,11 +24,17 @@ from .streams import generators
 # Longest IS period, in conversions: a grid point's tables and converter
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
+# IS frequencies (Hz) and regulation setpoints (degC) lie in these ranges
+IS_FREQ_RANGE = (0.1, 10e3)
+SETPOINT_RANGE = (20.0, 90.0)
 
 # CPA and CV sample the channel every SAMPLE_PERIOD seconds; a CV scan
 # holds at most MAX_CV_SAMPLES samples, about 750x the default scan's 1401
 SAMPLE_PERIOD = 0.01
 MAX_CV_SAMPLES = 2 ** 20
+# CPA's full scale: the front end's current over 2 pH units either side
+# of its reference is 3.6 nA
+CPA_I_REF = 4e-9
 
 # one-point calibration tries the preloads range(*CAL_RANGE), at
 # CAL_TEMPERATURE degC unless the caller names another temperature
@@ -132,18 +138,15 @@ class TempArray:
         # cell i's seed key is (entropy, (*spawn_key, i)): the key of the
         # i-th child that ss.spawn gives a fresh sequence, derived without
         # spawning from ss, so one sequence always builds one array.  Its
-        # regulation stream is word 0 of that key; every cell's comes
-        # from one streams.stream_seeds pass over the tails (cell, 0), in
-        # row-major order.
+        # stream is word 0 of that key; every cell's comes from one
+        # streams.stream_seeds pass over the tails (cell, 0), in row-major
+        # order.
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._seed_key = (ss.entropy, ss.spawn_key)
         n_cells = cfg.rows * cfg.cols
         tails = np.zeros((n_cells, 2), dtype=np.uint64)
         tails[:, 0] = np.arange(n_cells)
         self._reg_rng = generators(*self._seed_key, tails)
-        # measurement streams by cell index, built on first use (see
-        # _meas_stream): most arrays never run CPA, CV or IS
-        self._meas_rng = {}
 
         self.temp_map = TemperatureMap(cfg.madc, cfg.bjt, cfg.current_source)
         if cfg.pid_gains is None:
@@ -184,20 +187,6 @@ class TempArray:
 
     # -- helpers ---------------------------------------------------------
 
-    def _meas_stream(self, index):
-        """The measurement stream of cell index: word 1 of its seed key.
-
-        The derivation is stateless, so a late build gives the same
-        stream as an early one.
-        """
-        index = tuple(index)
-        rng = self._meas_rng.get(index)
-        if rng is None:
-            r, c = index
-            rng = self._meas_rng[index] = generators(*self._seed_key,
-                                                     [[r * self.cfg.cols + c, 1]])[0]
-        return rng
-
     def force_temperature(self, t_c):
         """Clamp the whole plant to a uniform temperature (external heater)."""
         self.temp = np.full((self.cfg.rows, self.cfg.cols), float(t_c))
@@ -219,10 +208,9 @@ class TempArray:
         """Channel noise of every cell, shaped shape + (rows, cols).
 
         Each cell draws its whole block in one call on its own stream,
-        in C order over shape, as channel_noise would; None on a
-        noiseless channel.  The result is a view of a cells-first
-        buffer, (rows * cols,) + shape with the cells in row-major
-        order, in which each block is contiguous.
+        in C order over shape; None on a noiseless channel.  The result
+        is a view of a cells-first buffer, (rows * cols,) + shape with
+        the cells in row-major order, in which each block is contiguous.
         """
         sigma = self.cfg.madc.conversion_noise_counts
         if sigma == 0:
@@ -306,8 +294,9 @@ class TempArray:
         sp = np.asarray(setpoint_map, dtype=float)
         if sp.ndim == 0:
             sp = np.full((cfg.rows, cfg.cols), float(sp))
-        if np.any(sp < 20.0) or np.any(sp > 90.0):
-            raise DomainError("setpoints outside [20, 90] degC")
+        lo, hi = SETPOINT_RANGE
+        if np.any(sp < lo) or np.any(sp > hi):
+            raise DomainError(f"setpoints outside [{lo:g}, {hi:g}] degC")
         n_cycles = _whole_multiple(duration, cfg.pid_ts, "regulation.plateau_s",
                                    "PID period", "pid.ts")
         madc = cfg.madc
@@ -441,21 +430,17 @@ class TempArray:
 
     # -- measurement modes -------------------------------------------------
 
-    # Each measurement runs on cell index (a (row, col) tuple), at that
-    # cell's plant temperature and on its measurement stream.
+    # The modes share the channel's settings, self.cfg.madc, and are
+    # noiseless: they draw from no stream.
 
-    def run_cpa(self, index, sensor, duration):
-        """Constant-potential trace of a PhSensor: the reconstructed current
-        of each sample."""
-        # a 4 nA full scale: the front end's current over 2 pH units
-        # either side of its reference is 3.6 nA
-        i_ref = 4e-9
-        currents = np.full(int(duration / SAMPLE_PERIOD), sensor.current(self.temp[index]))
-        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
-                                rng=self._meas_stream(index))
-        return counts * (i_ref / self.cfg.madc.n1_counts)
+    def run_cpa(self, sensor, temp_c, duration):
+        """Constant-potential trace of a PhSensor at temp_c (degC): the
+        reconstructed current of each sample."""
+        currents = np.full(int(duration / SAMPLE_PERIOD), sensor.current(temp_c))
+        counts = convert_signed(_ranged(self.cfg.madc, CPA_I_REF), currents, CPA_I_REF)
+        return counts * (CPA_I_REF / self.cfg.madc.n1_counts)
 
-    def run_cv(self, index, response, v_low, v_high, scan_rate):
+    def run_cv(self, response, v_low, v_high, scan_rate):
         """Cyclic voltammogram of a current response(v, t): one ramp from
         v_low to v_high at scan_rate (V/s) and back.
 
@@ -478,12 +463,10 @@ class TempArray:
         times = np.arange(v.size) * SAMPLE_PERIOD
         currents = np.array([response(vk, t) for vk, t in zip(v, times)])
         i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
-        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref,
-                                rng=self._meas_stream(index))
+        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref)
         return v, counts * (i_ref / self.cfg.madc.n1_counts), i_ref
 
-    def run_is(self, index, networks, freqs, n_periods=_IS["n_periods"],
-               amplitude=_IS["amplitude"]):
+    def run_is(self, networks, freqs, n_periods=_IS["n_periods"], amplitude=_IS["amplitude"]):
         """Impedance spectra of linear networks (devices.Series and its
         elements) via the converter's multiply-accumulate; one flat list
         of FraResult, network-major.
@@ -499,20 +482,18 @@ class TempArray:
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
         cfg = self.cfg.madc
         freqs = np.array(freqs, dtype=float, ndmin=1)
-        if not ((0.1 <= freqs) & (freqs <= 10e3)).all():
-            raise DomainError("frequency outside [0.1 Hz, 10 kHz]")
+        lo, hi = IS_FREQ_RANGE
+        if not ((lo <= freqs) & (freqs <= hi)).all():
+            raise DomainError(f"frequency outside [{lo:g}, {hi:g}] Hz")
         points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
-        # without noise, an even period's first half stands for both
-        # halves (see _fra_point)
-        noisy = cfg.conversion_noise_counts != 0
         work = np.empty(_FRA_WORK * max((m for m, _ in points), default=0))
-        rng = self._meas_stream(index)
         results = [[] for _ in networks]
         for m, cycles_per_window in points:
-            n = m // 2 if m % 2 == 0 and not noisy else m
+            # an even period's first half stands for both halves (see _fra_point)
+            n = m // 2 if m % 2 == 0 else m
             tables = _fra_tables(cfg, m, cycles_per_window, n, work)
             for network, res in zip(networks, results):
-                mat, sums = _fra_point(cfg, network, tables, int(n_periods), amplitude, rng)
+                mat, sums = _fra_point(cfg, network, tables, int(n_periods), amplitude)
                 i_phasor = complex(*_solve_2x2(mat, sums))
                 z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
                 res.append(FraResult(freq=tables.f_act, z_real=z.real, z_imag=z.imag))
@@ -580,7 +561,7 @@ def _fra_tables(cfg, m, cycles_per_window, n, work):
     return _FraTables(f_act, m, basis, charge, sign, proj)
 
 
-def _fra_point(cfg, network, tables, n_periods, amplitude, rng):
+def _fra_point(cfg, network, tables, n_periods, amplitude):
     """One grid point on one network: (2x2 matrix, sums).
 
     The network's steady-state current under amplitude*sin(theta) is
@@ -594,36 +575,24 @@ def _fra_point(cfg, network, tables, n_periods, amplitude, rng):
     i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
     run_cfg = _ranged(cfg, i_ref)
 
-    # theta repeats every m conversions, so the response is computed on
-    # one period.  Channel noise is still drawn per sample, one row per
-    # period in window order, basis by basis, at each basis's live slots
-    # only.  Without noise the one period's counts stand for every
-    # period, and an even period's first half for both halves: the
-    # antiperiodic tables negate the second half's response and table
-    # signs exactly and repeat its counts.
+    # theta repeats every m conversions, so one period's counts stand
+    # for every period, and an even period's first half for both halves:
+    # the antiperiodic tables negate the second half's response and
+    # table signs exactly and repeat its counts.
     m, n = tables.m, tables.sign.shape[1]
     # the response at the tables' own sin(theta) and cos(theta), by
     # angle addition: no further transcendental pass
     sin_t, cos_t = tables.basis
     i_t = i_mag * math.cos(phi) * sin_t
     i_t += i_mag * math.sin(phi) * cos_t
-    chan = None
-    if run_cfg.conversion_noise_counts != 0:
-        chan = np.zeros((2, n_periods, m))
-        for b, sign in enumerate(tables.sign):
-            live = sign != 0
-            draws = channel_noise(run_cfg, rng, (n_periods, np.count_nonzero(live)))
-            # a mask over every row, not a column index: numpy's fast path
-            chan[b][np.broadcast_to(live, (n_periods, m))] = draws.ravel()
     # both bases in one batch: charge rows (2, 1, n) against the
-    # response, (n,), and the noise, if any, (2, n_periods, m)
+    # response, (n,)
     sign_i = np.sign(i_t)
-    n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_t, out=i_t),
-                             i_ref, chan)
-    # whole counts: their signed sum over rows, scaled to n_periods
-    # whole periods, is exact
+    n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_t, out=i_t), i_ref)
+    # whole counts: their signed sum, scaled to n_periods whole periods,
+    # is exact
     counts = sign_i * n2
-    scale = n_periods // counts.shape[1] * (m // n)
+    scale = n_periods * (m // n)
     sums = [total * scale * i_ref / cfg.n1_counts
             for total in (counts @ tables.sign[..., None]).sum(axis=(1, 2)).tolist()]
     return (n_periods * tables.proj).tolist(), sums

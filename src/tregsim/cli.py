@@ -32,12 +32,10 @@ def main(argv=None):
         return 2
 
     try:
-        settings = load_config(args.config)
+        settings = load_config(args.config, seed=args.seed)
     except ConfigurationError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    if args.seed is not None:
-        settings["experiment"]["seed"] = args.seed
     outdir = args.out if args.out else settings["output"]["dir"]
 
     try:

@@ -100,8 +100,11 @@ def _parse_value(raw, default, path):
     return raw
 
 
-def load_config(path):
-    """Parse and validate a config file into a nested dict of settings."""
+def load_config(path, seed=None):
+    """Parse and validate a config file into a nested dict of settings.
+
+    seed, when given, replaces experiment.seed before it is checked.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -125,6 +128,8 @@ def load_config(path):
             else:
                 settings[section][key] = _parse_value(raw, SCHEMA[section][key],
                                                       f"{section}.{key}")
+    if seed is not None:
+        settings["experiment"]["seed"] = seed
     name = settings["experiment"]["name"]
     if not name:
         raise ConfigurationError("experiment.name is required")

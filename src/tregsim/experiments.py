@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .array_sim import SAMPLE_PERIOD, ArrayConfig, TempArray, _ranged
+from .array_sim import (CPA_I_REF, IS_FREQ_RANGE, SAMPLE_PERIOD, SETPOINT_RANGE, ArrayConfig,
+                        TempArray, _ranged)
 from .config import from_settings
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
@@ -95,13 +96,12 @@ def check_true(name, flag):
     return CheckResult(name, 1.0 if flag else 0.0, "== 1", bool(flag))
 
 
-def build_array(settings, seed=None, conversion_noise=None, one_cell=False):
+def build_array(settings, seed=None, one_cell=False):
     """The configured TempArray, built from validated settings.
 
-    seed and conversion_noise, when given, replace the configured ones.
-    one_cell builds cell (0, 0) alone, on the seed key it has in the
-    configured array, after checking the configured shape: for
-    experiments that measure only that cell.
+    seed, when given, replaces the configured one.  one_cell builds
+    cell (0, 0) alone, after checking the configured shape: for the
+    measurement modes, which read only the channel's settings.
     """
     pid = settings["pid"]
     unset = [f"pid.{k}" for k in ("kp", "ki", "kd") if pid[k] is None]
@@ -109,15 +109,12 @@ def build_array(settings, seed=None, conversion_noise=None, one_cell=False):
         raise ConfigurationError(
             f"{', '.join(unset)} unset: give all three of pid.kp, pid.ki and "
             "pid.kd, or none for the default tuning")
-    madc = from_settings(MadcConfig, settings)
-    if conversion_noise is not None:
-        madc = replace(madc, conversion_noise_counts=conversion_noise)
     cfg = from_settings(
         ArrayConfig, settings,
         bjt=from_settings(BjtParams, settings),
         current_source=from_settings(CurrentSourceParams, settings),
         heater=from_settings(HeaterParams, settings),
-        madc=madc, pwm=from_settings(PwmConfig, settings),
+        madc=from_settings(MadcConfig, settings), pwm=from_settings(PwmConfig, settings),
         pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
     if one_cell:
         cfg = replace(cfg, rows=1, cols=1)
@@ -144,8 +141,8 @@ def _in_domain(settings, key, lo, hi, unit):
 
 
 def _temperature(settings, key):
-    """The setting section.key, rejected outside the setpoint domain [20, 90] degC."""
-    return _in_domain(settings, key, 20.0, 90.0, "degC")
+    """The setting section.key, rejected outside the setpoint domain SETPOINT_RANGE."""
+    return _in_domain(settings, key, *SETPOINT_RANGE, "degC")
 
 
 # --------------------------------------------------------------------------
@@ -374,10 +371,10 @@ def exp_madc_oracle(settings, outdir):
     """Randomized equivalence of convert() against the integer oracle."""
     n_draws = _count(settings, "oracle.n_draws")
     rng = np.random.default_rng(settings["experiment"]["seed"])
-    # the configured converter without channel noise (the oracle is
-    # exact), and with an integrator cap above every draw's charge (the
-    # integer oracle models no clip)
-    cfg = from_settings(MadcConfig, settings, c_int=1e-6, conversion_noise_counts=0.0)
+    # the configured converter, which draws no noise unless handed it,
+    # with an integrator cap above every draw's charge (the integer
+    # oracle models no clip)
+    cfg = from_settings(MadcConfig, settings, c_int=1e-6)
     # a draw counts up to 2 * (2**n_bits + 64) in float64, with an error
     # below the 1e-9-count crossing guard only up to 21 bits
     top = MADC_ORACLE_MAX_BITS
@@ -460,7 +457,7 @@ def _fra_networks():
 def _fra_frequencies(settings):
     """The IS sweep from f_lo, points_per_decade per decade (log-spaced), up to f_hi.
 
-    Both ends must lie in the IS range [0.1 Hz, 10 kHz]; no point lies
+    Both ends must lie in the IS range IS_FREQ_RANGE; no point lies
     above f_hi.
     """
     ism = settings["is_mode"]
@@ -470,7 +467,7 @@ def _fra_frequencies(settings):
             f"is_mode.f_lo ({ism['f_lo']!r}) must be positive and not above "
             f"is_mode.f_hi ({ism['f_hi']!r})")
     for key in ("is_mode.f_lo", "is_mode.f_hi"):
-        _in_domain(settings, key, 0.1, 10e3, "Hz")
+        _in_domain(settings, key, *IS_FREQ_RANGE, "Hz")
     # the last whole step at or below f_hi; the tolerance keeps a span of
     # whole decades from losing its end point to rounding
     n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
@@ -484,10 +481,10 @@ def exp_fra_sweep(settings, outdir):
     ism = settings["is_mode"]
     freqs = _fra_frequencies(settings)
     n_periods = _count(settings, "is_mode.n_periods")
-    array = build_array(settings, conversion_noise=0.0, one_cell=True)
+    array = build_array(settings, one_cell=True)
     networks = _fra_networks()
     # one sweep over both networks: every frequency of the first, then the second
-    results = array.run_is((0, 0), [net for _, net in networks], freqs,
+    results = array.run_is([net for _, net in networks], freqs,
                            n_periods=n_periods, amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
@@ -517,25 +514,29 @@ def exp_cpa_ph(settings, outdir):
     cpa = settings["cpa"]
     require(cpa["ph_lo"] < cpa["ph_hi"], "cpa.ph_lo", f"below cpa.ph_hi ({cpa['ph_hi']!r})",
             cpa["ph_lo"])
-    array = build_array(settings, conversion_noise=0.0, one_cell=True)
     sensor = PhSensor()
-    array.force_temperature(25.0)
+    # a current at the full scale saturates the channel: the slope fit
+    # then collapses
+    for key in ("ph_lo", "ph_hi"):
+        sensor.ph = cpa[key]
+        require(abs(sensor.current(25.0)) < CPA_I_REF, f"cpa.{key}",
+                f"a pH whose front-end current stays inside the {CPA_I_REF:g} A full scale",
+                cpa[key])
+    array = build_array(settings, one_cell=True)
     # the slope is a straight-line fit: it needs two points
     phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
-        i_est = array.run_cpa((0, 0), sensor, duration=0.2)
+        i_est = array.run_cpa(sensor, 25.0, duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
               phs, np.array(currents))
     slope = float(np.polyfit(phs, currents, 1)[0])
 
     sensor.ph = 8.0
-    array.force_temperature(25.0)
-    i25 = array.run_cpa((0, 0), sensor, duration=0.2)
-    array.force_temperature(35.0)
-    i35 = array.run_cpa((0, 0), sensor, duration=0.2)
+    i25 = array.run_cpa(sensor, 25.0, duration=0.2)
+    i35 = array.run_cpa(sensor, 35.0, duration=0.2)
     derate = float(np.mean(i35) / np.mean(i25))
     return [
         check_in("slope_a_per_ph", slope, 1.71e-9, 1.89e-9),
@@ -557,15 +558,15 @@ def reverse_scan_mirrors(v, i):
 def exp_cv_scan(settings, outdir):
     """Voltammetry signal chain: ohmic recovery and peak localization."""
     cv = settings["cv"]
-    array = build_array(settings, conversion_noise=0.0, one_cell=True)
+    array = build_array(settings, one_cell=True)
     scan = cv["v_low"], cv["v_high"], cv["scan_rate"]
 
     r_test = 1e6
-    v, i_est, i_ref = array.run_cv((0, 0), lambda v, t: v / r_test, *scan)
+    v, i_est, i_ref = array.run_cv(lambda v, t: v / r_test, *scan)
     lsb = i_ref / array.cfg.madc.n1_counts
     ohmic_err = float(np.abs(i_est - v / r_test).max())
 
-    v2, i2, _ = array.run_cv((0, 0), gaussian_peak_response(), *scan)
+    v2, i2, _ = array.run_cv(gaussian_peak_response(), *scan)
     span = cv["v_high"] - cv["v_low"]
     tails = (v2 > cv["v_high"] - 0.15 * span) | (v2 < cv["v_low"] + 0.15 * span)
     baseline = np.polyfit(v2[tails], i2[tails], 1)
@@ -590,9 +591,9 @@ def exp_snr_test(settings, outdir):
     if not sn["freq"] > 0:
         raise ConfigurationError(f"snr.freq must be positive, got {sn['freq']!r}")
     # the configured converter, with an integrator cap far above a
-    # full-scale charge (2e-11 C at the defaults), so no sample clips, and
-    # without channel noise: the test measures the quantization limit
-    cfg = from_settings(MadcConfig, settings, c_int=3e-9, conversion_noise_counts=0.0)
+    # full-scale charge (2e-11 C at the defaults), so no sample clips.
+    # convert_signed is noiseless: the test measures the quantization limit
+    cfg = from_settings(MadcConfig, settings, c_int=3e-9)
     snr = snr_test(cfg, freq=sn["freq"], amplitude=sn["amplitude"],
                    i_ref=sn["amplitude"], n_samples=_count(settings, "snr.n_samples", 2))
     write_csv(os.path.join(outdir, "snr.csv"),

@@ -89,26 +89,14 @@ class Conversion(NamedTuple):
     saturated: int
 
 
-def channel_noise(cfg, rng, shape):
-    """Input-referred channel noise of a batch of conversions, in counts.
-
-    None without a stream or on a noiseless channel; otherwise one draw
-    of the given shape.  A batch of n draws equals n single draws, so a
-    stream's sequence does not depend on how its conversions are batched.
-    """
-    if rng is None or cfg.conversion_noise_counts == 0:
-        return None
-    return rng.normal(0.0, cfg.conversion_noise_counts, size=shape)
-
-
 def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     """Discharge-phase count for a charge phase of n_charge clocks.
 
     The counter advances while the integrator has not crossed baseline:
     the latched value is floor(n_charge * i_in / i_ref), with boundary-
     exact charges resolving as crossed (see CROSSING_GUARD).  Clips at
-    the integrator full scale.  noise (counts, see channel_noise) is added
-    to the held charge before the floor.  Accepts scalars or arrays.
+    the integrator full scale.  noise (counts), if given, is added to
+    the held charge before the floor.  Accepts scalars or arrays.
     Returns (count, clipped); clipped is False when nothing can clip, and
     otherwise a mask of the inputs' broadcast shape.
     """
@@ -160,7 +148,7 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     The charge phase integrates i_in for charge.n_charge clocks.
     Discharge with i_ref until the comparator crossing; the measured
     count is n_discharge = floor(n_charge*i_in/i_ref), with noise
-    (counts, see channel_noise) added to the held charge.  The counter
+    (counts), if given, added to the held charge.  The counter
     is loaded with target_preload and counts down, so the output is
     target_preload - sign*n_discharge, clamped to the counter range; a
     conversion saturates on clamp or integrator clip.  Plain
@@ -180,18 +168,17 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     return Conversion(int(out), int(n_charge), int(n2), saturated)
 
 
-def convert_signed(cfg, i_in, i_ref, rng=None):
+def convert_signed(cfg, i_in, i_ref):
     """Plain bidirectional digitization: sign(i_in)*floor(n1*|i_in|/i_ref).
 
     The front-end current conveyor sources and sinks, so measurement
     modes see signed counts.  Accepts scalar or array i_in; clamps to the
-    counter range.
+    counter range.  Noiseless.
     """
     if i_ref <= 0:
         raise DomainError("reference current must be positive")
     i_in = np.asarray(i_in, dtype=float)
-    n2, clipped = discharge_counts(cfg, cfg.n1_counts, np.abs(i_in), i_ref,
-                                   channel_noise(cfg, rng, i_in.shape))
+    n2, clipped = discharge_counts(cfg, cfg.n1_counts, np.abs(i_in), i_ref)
     out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max)
     if out.ndim:
         return out

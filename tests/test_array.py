@@ -17,10 +17,10 @@ from tregsim.array_sim import (_FRA_WORK, CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PE
                                _fra_tables, _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
-                             Series, i_ctat, i_ptat)
+                             Series, gaussian_peak_response, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import _fra_frequencies
-from tregsim.madc import MadcConfig, channel_noise, charge_phase, convert, discharge_counts
+from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
 
@@ -36,6 +36,19 @@ def quiet_array(rows=1, cols=1, seed=1, noise=0.0, **kw):
                       sigma_vbe=0.0, sigma_r1=0.0, sigma_r2=0.0,
                       sigma_mirror=0.0, **kw)
     return TempArray(cfg, seed=seed)
+
+
+def cell_noise(cfg, rng, shape):
+    """Reference channel noise of one cell's conversions: one
+    Generator.normal draw of the given shape, None on a noiseless channel."""
+    if cfg.conversion_noise_counts == 0:
+        return None
+    return rng.normal(0.0, cfg.conversion_noise_counts, size=shape)
+
+
+def reg_draws(arr):
+    """Every cell's next regulation draw, read from copies of the streams."""
+    return [copy.deepcopy(rng).standard_normal() for rng in arr._reg_rng]
 
 
 # -- calibration -----------------------------------------------------------
@@ -99,9 +112,7 @@ def test_one_seed_sequence_builds_equal_arrays_without_spawning():
     states = []
     for arr in arrays:
         cs = arr.current_source
-        streams = [(arr._reg_rng[r * 2 + c].standard_normal(),
-                    arr._meas_stream((r, c)).standard_normal())
-                   for r, c in np.ndindex(3, 2)]
+        streams = [rng.standard_normal() for rng in arr._reg_rng]
         states.append((arr.bjt.vbe_offset.tolist(), cs.r1.tolist(), cs.r2.tolist(),
                        cs.mirror_ratio.tolist(), streams))
     assert states[0] == states[1] == states[2]
@@ -146,18 +157,14 @@ def test_streams_load_numpy_random_on_first_use():
 
 
 def test_given_seed_sequences_stream_as_seed_sequence():
-    # on a given sequence, bare or spawned, cell c streams its regulation
-    # draws on word 0 of its key (*spawn_key, c) and its measurements on
-    # word 1
+    # on a given sequence, bare or spawned, cell c streams its draws on
+    # word 0 of its key (*spawn_key, c)
     for ss in (np.random.SeedSequence(5), np.random.SeedSequence(2**32, spawn_key=(1, 2**35, 3))):
         arr = TempArray(ArrayConfig(rows=1, cols=2), seed=ss)
         for c in range(2):
             _, reg = seed_sequence_stream(ss.entropy, (*ss.spawn_key, c, 0))
-            _, meas = seed_sequence_stream(ss.entropy, (*ss.spawn_key, c, 1))
             reg.standard_normal(4)      # the cell's mismatch draws
             assert np.array_equal(arr._reg_rng[c].standard_normal(100), reg.standard_normal(100))
-            assert np.array_equal(arr._meas_stream((0, c)).standard_normal(100),
-                                  meas.standard_normal(100))
 
 
 def test_calibration_failure_reported_when_out_of_range():
@@ -170,7 +177,7 @@ def test_calibration_failure_reported_when_out_of_range():
 
 def per_cell_calibration(arr, t_known, n_avg=8):
     """calibrate_one_point one cell at a time: per cell in row-major order,
-    one channel_noise draw on its own stream and one discharge_counts
+    one cell_noise draw on its own stream and one discharge_counts
     call.  Returns the preloads, cal_ok and the failures."""
     madc = arr.cfg.madc
     target = arr.temp_map.counts_cont(t_known)
@@ -180,7 +187,7 @@ def per_cell_calibration(arr, t_known, n_avg=8):
     ok = np.ones(i_in.shape, dtype=bool)
     failures = []
     for r, c in np.ndindex(i_in.shape):
-        noise = channel_noise(madc, arr._reg_rng[r * i_in.shape[1] + c], (n_avg, cals.size))
+        noise = cell_noise(madc, arr._reg_rng[r * i_in.shape[1] + c], (n_avg, cals.size))
         n2, _ = discharge_counts(madc, (madc.n1_counts - cals)[None, :],
                                  i_in[r, c], i_ref[r, c], noise)
         best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
@@ -521,7 +528,7 @@ def scalar_regulation(arr, sp, duration):
                 charge = charge_phase(madc, mag, round(mag * cal[rc] * scale),
                                       n1_counts=madc.pid_n1_counts)
                 conv = convert(madc, i_in[rc], i_ref[rc], charge, preload,
-                               noise=channel_noise(madc, rng, ()))
+                               noise=cell_noise(madc, rng, ()))
                 trace.append((k, *rc, n, mag, preload, conv.n_charge,
                               conv.n_discharge, -conv.out_count))
                 products[n] = max(-127, min(127, -conv.out_count))
@@ -543,7 +550,7 @@ def scalar_regulation(arr, sp, duration):
             else:
                 since[rc] = None
             n2, _ = discharge_counts(madc, n1 - cal[rc], i_in[rc], i_ref[rc],
-                                     channel_noise(madc, rng, ()))
+                                     cell_noise(madc, rng, ()))
             t_meas[k][rc] = arr.temp_map.read_temperature(min(round(n2), madc.counter_max))
         rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
         temp = cfg.t_ambient + rise.reshape(temp.shape)
@@ -594,7 +601,7 @@ def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
     first = a1.run_regulation(40.0, 20.0)
-    a1.run_cpa((0, 0), PhSensor(), 0.5)
+    a1.run_cpa(PhSensor(), a1.temp[0, 0], 0.5)
     second = a1.run_regulation(40.0, 20.0)
 
     b = quiet_array(seed=23)
@@ -610,7 +617,7 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr.run_regulation(40.0, 20.0)
     state = arr.pid_state
     cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
-    arr.run_cpa((0, 0), PhSensor(), 0.2)
+    arr.run_cpa(PhSensor(), arr.temp[0, 0], 0.2)
     assert arr.cal_preload[0, 0] == cal
     assert np.array_equal(arr.pid_state.u_prev, u)
     assert np.array_equal(arr.pid_state.bank, bank)
@@ -628,20 +635,19 @@ def test_thermal_field_csv_format(tmp_path):
 def test_cpa_ph_step_response():
     arr = quiet_array(seed=2)
     sensor = PhSensor()
-    arr.force_temperature(25.0)
     sensor.ph = 7.0
-    i0 = arr.run_cpa((0, 0), sensor, 0.2)
+    i0 = arr.run_cpa(sensor, 25.0, 0.2)
     # a whole number of samples, every one counting 0
     assert i0.shape == (20,) and np.all(i0 == 0)
     sensor.ph = 8.0
-    i_est = arr.run_cpa((0, 0), sensor, 0.2)
+    i_est = arr.run_cpa(sensor, 25.0, 0.2)
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
 def test_cv_ohmic_line_within_one_lsb():
     arr = quiet_array(seed=2)
     r_test = 1e6
-    v, i_est, i_ref = arr.run_cv((0, 0), lambda v, t: v / r_test, -0.7, 0.0, 0.1)
+    v, i_est, i_ref = arr.run_cv(lambda v, t: v / r_test, -0.7, 0.0, 0.1)
     assert i_ref == 1.25 * np.abs(v / r_test).max()
     lsb = i_ref / arr.cfg.madc.n1_counts
     assert np.abs(i_est - v / r_test).max() <= lsb * (1 + 1e-9)
@@ -649,8 +655,7 @@ def test_cv_ohmic_line_within_one_lsb():
 
 def test_is_pure_resistor():
     arr = quiet_array(seed=2)
-    for res in arr.run_is((0, 0), [Series((Resistor(4.7e5),))],
-                          [1.0, 100.0, 5000.0]):
+    for res in arr.run_is([Series((Resistor(4.7e5),))], [1.0, 100.0, 5000.0]):
         assert res.z_real == pytest.approx(4.7e5, rel=0.02)
         assert abs(res.z_imag) <= 0.02 * 4.7e5
 
@@ -658,7 +663,7 @@ def test_is_pure_resistor():
 def test_is_series_rc_against_analytic():
     arr = quiet_array(seed=2)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    for res in arr.run_is((0, 0), [net], [0.1, 1.59, 40.0, 2000.0]):
+    for res in arr.run_is([net], [0.1, 1.59, 40.0, 2000.0]):
         z_ref = net.impedance(res.freq)
         z_est = complex(res.z_real, res.z_imag)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
@@ -670,26 +675,9 @@ def test_is_frequency_domain_checked():
     arr = quiet_array(seed=2)
     net = Series((Resistor(1e5),))
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), [net], [0.01])
+        arr.run_is([net], [0.01])
     with pytest.raises(ConfigurationError):
-        arr.run_is((0, 0), [net], [10.0], n_periods=1.5)
-
-
-def test_is_noise_variance_halves_with_periods():
-    # doubling the integration periods halves the variance of the
-    # impedance estimate under channel noise of a count rms, which
-    # dithers the quantization
-    net = Series((Resistor(2e5),))
-    var = {}
-    for n_per in (2, 4):
-        vals = []
-        for seed in range(10):
-            arr = quiet_array(seed=seed, noise=1.0)
-            res = arr.run_is((0, 0), [net], [50.0], n_periods=n_per)[0]
-            vals.append(res.z_real)
-        var[n_per] = np.var(vals)
-    ratio = var[2] / var[4]
-    assert 1.2 <= ratio <= 3.5
+        arr.run_is([net], [10.0], n_periods=1.5)
 
 
 def phasor(net, f, amplitude):
@@ -699,7 +687,7 @@ def phasor(net, f, amplitude):
     return amplitude / abs(z), -math.atan2(z.imag, z.real)
 
 
-def per_sample_fra_point(arr, net, f_req, n_periods, amplitude, rng):
+def per_sample_fra_point(arr, net, f_req, n_periods, amplitude):
     """Reference FRA point: digitizes every sample of both windows."""
     cfg = arr.cfg.madc
     f_conv = cfg.conversion_rate
@@ -728,8 +716,7 @@ def per_sample_fra_point(arr, net, f_req, n_periods, amplitude, rng):
         i_t = i_mag * np.sin(theta + i_phase)
         counts = np.zeros(w)
         scaled = np.abs(table[live]) * cfg.n1_counts
-        n2, _ = discharge_counts(run_cfg, np.round(scaled), np.abs(i_t[live]), i_ref,
-                                 channel_noise(run_cfg, rng, scaled.shape))
+        n2, _ = discharge_counts(run_cfg, np.round(scaled), np.abs(i_t[live]), i_ref)
         counts[live] = np.sign(table[live]) * np.sign(i_t[live]) * n2
         sums.append(counts.sum() * i_ref / cfg.n1_counts)
         mats.append((np.dot(table, np.sin(theta)), np.dot(table, np.cos(theta))))
@@ -742,32 +729,28 @@ def default_fra_grid():
     return _fra_frequencies(copy.deepcopy(SCHEMA))
 
 
-@pytest.mark.parametrize("noise, rel", [(0.0, 1e-12), (0.3, 1e-9)])
+# the noiseless case only: the modes draw no channel noise
+@pytest.mark.parametrize("noise, rel", [(0.0, 1e-12)])
 def test_is_one_period_fold_matches_per_sample(noise, rel):
     # low frequencies snap to one sine cycle per period, high ones to
     # several cycles in 64 conversions; both must match the per-sample
-    # computation and consume each stream exactly as it did.  The
-    # default grid's ends are included: 0.1 Hz (m = 48828), its last
-    # one-cycle point below f_conv / 8, and 10 kHz.
+    # computation.  The default grid's ends are included: 0.1 Hz
+    # (m = 48828), its last one-cycle point below f_conv / 8, and 10 kHz.
     grid = default_fra_grid()
     last_one_cycle = grid[grid <= MadcConfig().conversion_rate / 8.0][-1]
     freqs = [grid[0], 1.59, 50.0, last_one_cycle, 2000.0, 7000.0, grid[-1]]
     arr = quiet_array(seed=5, noise=noise)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    start = arr._meas_stream((0, 0))
-    ref_rng = copy.deepcopy(start)
-    arr._meas_rng[(0, 0)] = copy.deepcopy(start)
-    results = arr.run_is((0, 0), [net], freqs)
+    results = arr.run_is([net], freqs)
     for f_req, res in zip(freqs, results):
-        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 4, 0.01, ref_rng)
+        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 4, 0.01)
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
-    assert arr._meas_stream((0, 0)).standard_normal() == ref_rng.standard_normal()
 
 
-def converted(m, noise=0.0):
+def converted(m):
     """The phases an IS grid point of m conversions converts."""
-    return m // 2 if m % 2 == 0 and not noise else m
+    return m // 2 if m % 2 == 0 else m
 
 
 def fresh_tables(cfg, m, cycles_per_window, n=None):
@@ -787,7 +770,7 @@ def test_is_closed_form_solve_matches_linalg():
         m, c = _fra_grid_point(cfg, float(f))
         tables = fresh_tables(cfg, m, c, converted(m))
         for net in nets:
-            mat, rhs = _fra_point(cfg, net, tables, 4, 0.01, None)
+            mat, rhs = _fra_point(cfg, net, tables, 4, 0.01)
             mats.append(mat)
             sums.append(rhs)
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
@@ -831,7 +814,8 @@ def test_is_half_cycle_tables_match_direct_evaluation():
             assert np.array_equal(tables.sign[:, mirror], sign * [[-1], [1]])
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.3])
+# the noiseless case only: the tables do not depend on the channel noise
+@pytest.mark.parametrize("noise", [0.0])
 def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
     # one workspace, sized for the longest period and left dirty by every
     # point, serves points from long to short periods that switch parity:
@@ -842,7 +826,7 @@ def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
     bits = lambda a: a.view(np.int64)
     work = np.full(_FRA_WORK * 98, np.nan)
     for m, c in [(98, 1), (97, 1), (64, 27), (64, 67)]:
-        n = converted(m, noise)
+        n = converted(m)
         got = _fra_tables(cfg, m, c, n, work)
         want = fresh_tables(cfg, m, c, n)
         assert (got.f_act, got.m) == (want.f_act, m)
@@ -864,7 +848,7 @@ def test_is_folded_sums_equal_full_period_conversion(net):
     cfg = quiet_array().cfg.madc
     for f in default_fra_grid():
         m, c = _fra_grid_point(cfg, float(f))
-        _, sums = _fra_point(cfg, net, fresh_tables(cfg, m, c, converted(m)), 4, 0.01, None)
+        _, sums = _fra_point(cfg, net, fresh_tables(cfg, m, c, converted(m)), 4, 0.01)
         tables = fresh_tables(cfg, m, c)
         i_mag, phi = phasor(net, tables.f_act, 0.01)
         i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
@@ -877,10 +861,10 @@ def test_is_folded_sums_equal_full_period_conversion(net):
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
-@pytest.mark.parametrize("noise", [0.0, 0.3])
+# the noiseless case only: the modes draw no channel noise
+@pytest.mark.parametrize("noise", [0.0])
 def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
-    # channel noise converts every sample of every period, and draws for
-    # every live one
+    # an even period converts its first half once, and draws nothing
     sizes = []
 
     def spy(*args, **kwargs):
@@ -890,14 +874,11 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
-    ref = copy.deepcopy(arr._meas_stream((0, 0)))
-    arr.run_is((0, 0), [Series((Resistor(100e3),))], [f_req], n_periods=4)
-    assert sizes == [2 * 4 * m if noise else m]
-    grid_m, c = _fra_grid_point(arr.cfg.madc, f_req)
-    assert grid_m == m
-    live = np.count_nonzero(fresh_tables(arr.cfg.madc, m, c).sign)
-    ref.standard_normal(4 * live if noise else 0)
-    assert arr._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
+    before = reg_draws(arr)
+    arr.run_is([Series((Resistor(100e3),))], [f_req], n_periods=4)
+    assert sizes == [m]
+    assert _fra_grid_point(arr.cfg.madc, f_req)[0] == m
+    assert reg_draws(arr) == before
 
 
 def test_is_period_bound():
@@ -912,14 +893,14 @@ def test_is_period_bound():
         assert key in str(err.value)
 
 
-def frequency_major(arr, index, networks, freqs):
+def frequency_major(arr, networks, freqs):
     """run_is one network and one frequency per call, every network at a
     frequency before the next; the results network-major, as one sweep
     call returns them."""
     results = [[] for _ in networks]
     for f in freqs:
         for net, res in zip(networks, results):
-            res += arr.run_is(index, [net], [f])
+            res += arr.run_is([net], [f])
     return [r for res in results for r in res]
 
 
@@ -930,29 +911,31 @@ def frequency_major(arr, index, networks, freqs):
     (2000.0, 5000.0, False),
 ])
 def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
-    # array x measures networks A and B on cell (0, 1) at f_a and f_b in
-    # one sweep, so B's point at f_b follows the points measured before
-    # it in the same workspace; array y, on the same seed, measures each
-    # network at each frequency in its own call, on fresh tables.  B's
-    # result and cell (0, 1)'s stream must not depend on the points
-    # measured before B.
+    # array x measures networks A and B at f_a and f_b in one sweep, so
+    # B's point at f_b follows the points measured before it in the same
+    # workspace; array y, on the same seed, measures each network at
+    # each frequency in its own call, on fresh tables.  B's result must
+    # not depend on the points measured before B, and neither sweep
+    # moves a cell's stream.
     assert (_fra_grid_point(MadcConfig(), f_a) == _fra_grid_point(MadcConfig(), f_b)) is same_point
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     x = quiet_array(cols=2, seed=4, noise=0.3)
     y = quiet_array(cols=2, seed=4, noise=0.3)
-    got = x.run_is((0, 1), nets, [f_a, f_b])
-    want = frequency_major(y, (0, 1), nets, [f_a, f_b])
+    before = reg_draws(x)
+    got = x.run_is(nets, [f_a, f_b])
+    want = frequency_major(y, nets, [f_a, f_b])
     assert got[-1] == want[-1]
     assert got == want
-    assert x._meas_stream((0, 1)).standard_normal() == y._meas_stream((0, 1)).standard_normal()
+    assert reg_draws(x) == reg_draws(y) == before
 
 
 def test_is_sweep_equals_frequency_major_single_calls():
     # one call over two networks equals one call per network and
-    # frequency, made frequency-major, under channel noise: every result
-    # and the cell's next draw.  The grid switches parity (m 3071, 98,
-    # 97) and ends on two m = 64 points with different cycle counts.
+    # frequency, made frequency-major, on a channel configured with
+    # noise: every result, and no cell's stream moves.  The grid switches
+    # parity (m 3071, 98, 97) and ends on two m = 64 points with
+    # different cycle counts.
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     freqs = [1.59, 50.0, 50.34, 2000.0, 5000.0]
@@ -960,28 +943,51 @@ def test_is_sweep_equals_frequency_major_single_calls():
     assert [_fra_grid_point(cfg, f)[0] for f in freqs] == [3071, 98, 97, 64, 64]
     x = quiet_array(seed=7, noise=0.3)
     y = quiet_array(seed=7, noise=0.3)
-    got = x.run_is((0, 0), nets, freqs)
+    before = reg_draws(x)
+    got = x.run_is(nets, freqs)
     assert len(got) == 2 * len(freqs)
-    assert got == frequency_major(y, (0, 0), nets, freqs)
-    assert x._meas_stream((0, 0)).standard_normal() == y._meas_stream((0, 0)).standard_normal()
+    assert got == frequency_major(y, nets, freqs)
+    assert reg_draws(x) == reg_draws(y) == before
 
 
 def test_is_sweep_checks_every_frequency_before_converting():
     # an empty sweep measures nothing; a sweep with one frequency out of
-    # range, or one period too long, is rejected before any point draws
-    # noise
+    # range, or one period too long, is rejected before any point is
+    # converted
     net = Series((Resistor(1e5),))
     arr = quiet_array(noise=0.3)
     fast = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(f_clk=1e10)))
-    refs = [copy.deepcopy(a._meas_stream((0, 0))) for a in (arr, fast)]
-    assert arr.run_is((0, 0), [net], []) == []
+    refs = [reg_draws(a) for a in (arr, fast)]
+    assert arr.run_is([net], []) == []
     with pytest.raises(DomainError):
-        arr.run_is((0, 0), [net], [50.0, 0.01])
+        arr.run_is([net], [50.0, 0.01])
     # 0.1 Hz at f_clk = 1e10 is a period of 48.8M conversions
     with pytest.raises(ConfigurationError, match="is_mode.f_lo"):
-        fast.run_is((0, 0), [net], [50.0, 0.1])
+        fast.run_is([net], [50.0, 0.1])
     for a, ref in zip((arr, fast), refs):
-        assert a._meas_stream((0, 0)).standard_normal() == ref.standard_normal()
+        assert reg_draws(a) == ref
+
+
+def test_modes_ignore_the_configured_channel_noise():
+    # the measurement modes are noiseless by construction: on a channel
+    # configured with a count of noise they return what a noiseless twin
+    # returns, and leave every cell's regulation stream where the twin's is
+    noisy, quiet = (small_array(seed=12, madc=MadcConfig(conversion_noise_counts=noise))
+                    for noise in (1.0, 0.0))
+    sensor = PhSensor()
+    sensor.ph = 8.3
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    runs = []
+    for arr in (noisy, quiet):
+        cpa = arr.run_cpa(sensor, 31.0, 0.2)
+        cv = arr.run_cv(gaussian_peak_response(), -0.7, 0.0, 0.1)
+        runs.append((cpa, cv, arr.run_is(nets, [0.5, 50.0, 50.34, 5000.0])))
+    (cpa, cv, fra), (cpa_q, cv_q, fra_q) = runs
+    assert np.array_equal(cpa, cpa_q)
+    assert all(np.array_equal(a, b) for a, b in zip(cv, cv_q))
+    assert fra == fra_q
+    assert reg_draws(noisy) == reg_draws(quiet)
 
 
 def test_waveform_validation():
@@ -995,7 +1001,7 @@ def test_waveform_validation():
     for scan, key in [((0.5, 0.0, 0.1), "cv.v_low"), ((0.0, 0.0, 0.1), "cv.v_low"),
                       ((-0.7, 0.0, 0.0), "cv.scan_rate"), ((-0.7, 0.0, -0.1), "cv.scan_rate")]:
         with pytest.raises(ConfigurationError, match=re.escape(key)):
-            arr.run_cv((0, 0), response, *scan)
+            arr.run_cv(response, *scan)
 
 
 def test_cv_scan_budget(monkeypatch):
@@ -1004,7 +1010,7 @@ def test_cv_scan_budget(monkeypatch):
     # response is sampled; so is a step that underflows to zero
     monkeypatch.setattr(array_sim, "MAX_CV_SAMPLES", 41)
     arr = quiet_array()
-    v, _, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, 0.0, 0.2, 1.0)
+    v, _, _ = arr.run_cv(lambda v, t: v / 1e6, 0.0, 0.2, 1.0)
     assert v.size == 41
 
     def response(v, t):
@@ -1012,4 +1018,4 @@ def test_cv_scan_budget(monkeypatch):
 
     for scan_rate in (0.2 / 0.21, 1e-323):
         with pytest.raises(ConfigurationError, match="cv.scan_rate"):
-            arr.run_cv((0, 0), response, 0.0, 0.2, scan_rate)
+            arr.run_cv(response, 0.0, 0.2, scan_rate)

@@ -228,6 +228,9 @@ dir = %s
     ("cv_scan", {"cv": "scan_rate = 1e-4"}, "cv.scan_rate"),
     # one pH point repeated: the slope fit read 0 and the run exited 1
     ("cpa_ph", {"cpa": "ph_lo = 7\nph_hi = 7"}, "cpa.ph_lo"),
+    # pH ends whose currents saturate the CPA full scale: the slope fit
+    # collapsed to -7.5e-26 and the run exited 1
+    ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -386,6 +389,23 @@ def test_seed_override(tmp_path):
     cfg = write_config(tmp_path / "c5.cfg", GOOD.format(out=out1))
     assert main([cfg, "--seed", "99", "--out", str(out2)]) == 0
     assert (out2 / "summary.csv").exists()
+
+
+def test_seed_override_supplies_a_missing_seed(tmp_path, capsys):
+    # a stochastic config without experiment.seed runs on --seed, as on
+    # the same seed in the config; load_config required the seed before
+    # the override was applied, and the run exited 2
+    outs = [tmp_path / name for name in ("config", "missing", "override")]
+    with_seed = write_config(tmp_path / "seed.cfg", GOOD.format(out=outs[0]))
+    without = write_config(tmp_path / "noseed.cfg",
+                           GOOD.format(out=outs[1]).replace("seed = 7\n", ""))
+    assert main([with_seed]) == 0
+    assert main([without]) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+    assert not outs[1].exists()
+    assert main([without, "--seed", "7", "--out", str(outs[2])]) == 0
+    for name in os.listdir(outs[0]):
+        assert (outs[2] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
 @pytest.mark.parametrize("in_config", [True, False])

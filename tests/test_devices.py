@@ -133,7 +133,7 @@ def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
     cfg = MadcConfig(conversion_noise_counts=0.0)
     m, c = _fra_grid_point(cfg, 1.0)
     tables = _fra_tables(cfg, m, c, m, np.empty(_FRA_WORK * m))
-    _fra_point(cfg, net, tables, 4, 0.05, None)
+    _fra_point(cfg, net, tables, 4, 0.05)
     (i_abs,) = responses
     assert i_abs.shape == (m,)
     assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(tables.f_act)), rel=1e-4)

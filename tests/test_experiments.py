@@ -8,7 +8,7 @@ from tregsim import experiments
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.config import SCHEMA
 from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
-from tregsim.madc import MadcConfig, convert
+from tregsim.madc import convert
 
 
 FORMAT_CASES = [
@@ -102,14 +102,13 @@ def test_madc_oracle_runs_the_configured_converter(tmp_path, monkeypatch):
 
 
 def test_reverse_scan_mirrors_needs_a_voltage_only_sensor():
-    # a noiseless channel, as cv_scan builds it
-    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(conversion_noise_counts=0.0)))
+    arr = TempArray(ArrayConfig(rows=1, cols=1))
     scan = [SCHEMA["cv"][key] for key in ("v_low", "v_high", "scan_rate")]
-    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, *scan)
+    v, i, _ = arr.run_cv(lambda v, t: v / 1e6, *scan)
     assert reverse_scan_mirrors(v, i)
     # a current that drifts with time differs between the sweeps
-    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6 + 1e-8 * t, *scan)
+    v, i, _ = arr.run_cv(lambda v, t: v / 1e6 + 1e-8 * t, *scan)
     assert not reverse_scan_mirrors(v, i)
     # a truncated down-sweep cannot retrace the up-sweep
-    v, i, _ = arr.run_cv((0, 0), lambda v, t: v / 1e6, *scan)
+    v, i, _ = arr.run_cv(lambda v, t: v / 1e6, *scan)
     assert not reverse_scan_mirrors(v[:-1], i[:-1])
