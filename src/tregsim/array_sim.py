@@ -149,14 +149,15 @@ class TempArray:
         self._reg_rng = generators(*self._seed_key, tails)
 
         self.temp_map = TemperatureMap(cfg.madc, cfg.bjt, cfg.current_source)
+        # the count slope on the loop's stretched charge phase
+        counts_per_kelvin = self.temp_map.counts_per_kelvin() * cfg.madc.pid_charge_scale
         if cfg.pid_gains is None:
             gains = default_tuning(cfg.c_th, cfg.g_amb, cfg.heater.p_max,
-                                   self.temp_map.pid_counts_per_kelvin(), cfg.pid_ts)
+                                   counts_per_kelvin, cfg.pid_ts)
         else:
             gains = cfg.pid_gains
-        self.pid_coeffs = PidCoefficients.derive(
-            *gains, cfg.pid_ts,
-            counts_per_kelvin=self.temp_map.pid_counts_per_kelvin())
+        self.pid_coeffs = PidCoefficients.derive(*gains, cfg.pid_ts,
+                                                 counts_per_kelvin=counts_per_kelvin)
 
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
@@ -166,14 +167,8 @@ class TempArray:
         # each cell's Gaussian mismatch in one call on its stream, in a
         # fixed draw order: absolute on vbe, relative on r1, r2 and the
         # mirror ratio
-        gauss = np.empty((n_cells, 4))
-        for rng, draws in zip(self._reg_rng, gauss):
-            rng.standard_normal(out=draws)
-        # scaled as Generator.normal(0.0, sigma) scales its draw, so a
-        # zero sigma gives +0.0
         sigmas = np.array([cfg.sigma_vbe, cfg.sigma_r1, cfg.sigma_r2, cfg.sigma_mirror])
-        vbe_offset, d_r1, d_r2, d_mirror = 0.0 + sigmas[:, None, None] * gauss.T.reshape(
-            (4,) + shape)
+        vbe_offset, d_r1, d_r2, d_mirror = self._cell_normal((4,), sigmas).transpose(2, 0, 1)
         self.bjt = replace(cfg.bjt, vbe_offset=vbe_offset)
         # rejects a draw with r1 or r2 <= 0 or a mirror ratio below 1
         self.current_source = replace(cs, r1=cs.r1 * (1.0 + d_r1), r2=cs.r2 * (1.0 + d_r2),
@@ -186,10 +181,6 @@ class TempArray:
         self._time = 0.0
 
     # -- helpers ---------------------------------------------------------
-
-    def force_temperature(self, t_c):
-        """Clamp the whole plant to a uniform temperature (external heater)."""
-        self.temp = np.full((self.cfg.rows, self.cfg.cols), float(t_c))
 
     def front_end_currents(self, t_c):
         """CTAT and PTAT currents of every cell at t_c (Celsius).
@@ -204,41 +195,39 @@ class TempArray:
         t_k = np.asarray(t_c, dtype=float) + 273.15
         return i_ctat(self.current_source, self.bjt, t_k), i_ptat(self.current_source, t_k)
 
-    def _cell_noise(self, shape):
-        """Channel noise of every cell, shaped shape + (rows, cols).
-
-        Each cell draws its whole block in one call on its own stream,
-        in C order over shape; None on a noiseless channel.  The result
-        is a view of a cells-first buffer, (rows * cols,) + shape with
-        the cells in row-major order, in which each block is contiguous.
-        """
-        sigma = self.cfg.madc.conversion_noise_counts
-        if sigma == 0:
-            return None
+    def _cell_normal(self, shape, sigma):
+        """Normal draws of every cell, shaped (rows, cols) + shape: each
+        cell's block in one call on its own stream, in C order, scaled as
+        Generator.normal(0.0, sigma) scales it (a zero sigma gives +0.0).
+        sigma broadcasts against shape."""
         buf = np.empty((len(self._reg_rng),) + shape)
         for rng, block in zip(self._reg_rng, buf):
             rng.standard_normal(out=block)
-        # scaled as Generator.normal(0.0, sigma) scales its draw
         buf *= sigma
         buf += 0.0
-        return np.moveaxis(buf.reshape((self.cfg.rows, self.cfg.cols) + shape),
-                           (0, 1), (-2, -1))
+        return buf.reshape((self.cfg.rows, self.cfg.cols) + shape)
 
-    def read_counts(self, currents=None, n_avg=1):
+    def _cell_noise(self, shape):
+        """Channel noise of every cell's conversions, shaped (rows, cols) +
+        shape (see _cell_normal); None on a noiseless channel."""
+        sigma = self.cfg.madc.conversion_noise_counts
+        return None if sigma == 0 else self._cell_normal(shape, sigma)
+
+    def read_counts(self, t_c, n_avg=1):
         """Plain-mode temperature conversion of every cell at once.
 
-        currents is a (i_ctat, i_ptat) pair from front_end_currents,
-        shaped (..., rows, cols); by default the front end at the plant
-        field.  Each count is the mean of n_avg conversions, rounded and
-        clamped to the counter.  Every cell draws the channel noise of
-        its conversions in one call on its own stream, in the order the
+        t_c (Celsius) broadcasts against (rows, cols), as in
+        front_end_currents: the counts are shaped like the currents.
+        Each count is the mean of n_avg conversions, rounded and clamped
+        to the counter.  Every cell draws the channel noise of its
+        conversions in one call on its own stream, in the order the
         conversions run.
         """
         cfg = self.cfg.madc
-        i_in, i_ref = self.front_end_currents(self.temp) if currents is None else currents
-        noise = self._cell_noise(np.shape(i_in)[:-2] + (n_avg,))
+        i_in, i_ref = self.front_end_currents(t_c)
+        noise = self._cell_noise(i_in.shape[:-2] + (n_avg,))
         if noise is not None:
-            noise = np.moveaxis(noise, -3, -1)
+            noise = np.moveaxis(noise, (0, 1), (-3, -2))
         n_chg = cfg.n1_counts - self.cal_preload
         n2, _ = discharge_counts(cfg, n_chg[..., None], i_in[..., None],
                                  i_ref[..., None], noise)
@@ -261,14 +250,10 @@ class TempArray:
         target = self.temp_map.counts_cont(t_known)
         cals = np.arange(*CAL_RANGE)
         i_in, i_ref = self.front_end_currents(t_known)
-        # (rows, cols, n_avg, candidates), each cell's noise block in the
-        # order one cell's (n_avg, candidates) draw gives it; a noiseless
-        # batch has one conversion per candidate, and averages that
-        noise = self._cell_noise((n_avg, cals.size))
-        if noise is not None:
-            noise = np.moveaxis(noise, (-2, -1), (0, 1))
+        # (rows, cols, n_avg, candidates); a noiseless batch has one
+        # conversion per candidate, and averages that
         n2, _ = discharge_counts(cfg, cfg.n1_counts - cals, i_in[..., None, None],
-                                 i_ref[..., None, None], noise)
+                                 i_ref[..., None, None], self._cell_noise((n_avg, cals.size)))
         best = np.argmin(np.abs(n2.mean(axis=-2) + 0.5 - target), axis=-1)
         self.cal_preload[...] = cals[best]
         # a best fit at the edge of the range means the true optimum
@@ -302,8 +287,6 @@ class TempArray:
         madc = cfg.madc
         coeffs = self.pid_coeffs
         state = self.pid_state
-        state.load_setpoint(sp, coeffs, self.temp_map, self.cal_preload,
-                            madc.pid_charge_scale)
 
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
@@ -324,7 +307,7 @@ class TempArray:
         # conversion with preload 0 and sign -1, so it counts n2.  They
         # and the calibration words are fixed for the run, so the charge
         # phase is checked and derived once.
-        active = state.active
+        active = coeffs.active
         slot_mags = [coeffs.magnitudes[n] for n in active]
         mags = np.array(slot_mags + [1.0])[:, None, None]
         signs = np.array([1] * len(active) + [-1])[:, None, None]
@@ -334,10 +317,16 @@ class TempArray:
         cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
                               .astype(int) for mag in slot_mags] + [self.cal_preload])
         charge = charge_phase(madc, mags, cal_words, signs, n1)
+        # each tap's target: the count expected at the setpoint on its own
+        # charge phase, less half a count so the dithered floor is unbiased
+        r_set = self.temp_map.counts_cont(sp) / (madc.n1_counts - self.cal_preload)
+        state.set_targets(charge.n_charge[:-1] * r_set - 0.5, active)
         targets = np.zeros_like(cal_words)
         # each cell draws the run's noise in one call on its own stream,
         # in the order its conversions run
         noise = self._cell_noise((n_cycles, len(active) + 1))
+        if noise is not None:
+            noise = np.moveaxis(noise, (0, 1), (-2, -1))
         conv = None
         # each cycle's preloads, discharge counts and products of its
         # error conversions
@@ -411,9 +400,7 @@ class TempArray:
         residuals expressed in counts and in Celsius.
         """
         t_values = np.asarray(t_values, dtype=float)
-        sweep = self.front_end_currents(t_values[:, None, None])
-        counts = self.read_counts(sweep, n_avg=n_avg).reshape(t_values.size, -1).T
-        self.force_temperature(t_values[-1])
+        counts = self.read_counts(t_values[:, None, None], n_avg).reshape(t_values.size, -1).T
         t_read = self.temp_map.read_temperature(counts)
         map_error = t_read - t_values[None, :]
         a = np.vstack([t_values, np.ones_like(t_values)]).T

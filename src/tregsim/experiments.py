@@ -148,6 +148,9 @@ def _temperature(settings, key):
 # --------------------------------------------------------------------------
 # sensing characterization
 
+MAX_SWEEP_POINTS = 2 ** 12  # 58x the default sweep's 71 points
+
+
 def _sweep_temperatures(settings):
     """The characterization sweep t_lo..t_hi (inclusive) in steps of t_step."""
     ch = settings["characterize"]
@@ -160,7 +163,12 @@ def _sweep_temperatures(settings):
             f"characterize.t_hi ({ch['t_hi']!r})")
     for key in ("characterize.t_lo", "characterize.t_hi"):
         _temperature(settings, key)
-    t_values = np.arange(ch["t_lo"], ch["t_hi"] + ch["t_step"] / 2, ch["t_step"])
+    stop = ch["t_hi"] + ch["t_step"] / 2
+    # np.arange's own point count, taken before it allocates
+    require(math.ceil((stop - ch["t_lo"]) / ch["t_step"]) <= MAX_SWEEP_POINTS,
+            "characterize.t_step", f"coarse enough for at most {MAX_SWEEP_POINTS} sweep "
+            "points from characterize.t_lo to characterize.t_hi", ch["t_step"])
+    t_values = np.arange(ch["t_lo"], stop, ch["t_step"])
     if t_values.size < 2:
         raise ConfigurationError(
             f"characterize.t_step {ch['t_step']!r} leaves fewer than two sweep "
@@ -228,8 +236,7 @@ def exp_channel_spread(settings, outdir):
     for s, sseed in enumerate(seeds):
         array = build_array(settings, seed=sseed)
         array.calibrate_one_point(t_known=t_force)
-        array.force_temperature(t_force)
-        reads = array.temp_map.read_temperature(array.read_counts()).ravel()
+        reads = array.temp_map.read_temperature(array.read_counts(t_force)).ravel()
         reads_by_seed.append(reads)
         checks.append(check_in(f"seed{s}_mean_c", float(reads.mean()),
                                t_force - 0.3, t_force + 0.3))

@@ -78,13 +78,12 @@ class ChargePhase(NamedTuple):
 class Conversion(NamedTuple):
     """Result of a batch of conversions (see convert).
 
-    out_count, n_charge and n_discharge have the broadcast shape of the
-    inputs (plain ints for scalar inputs); saturated is the number of
+    out_count and n_discharge have the broadcast shape of the inputs
+    (plain ints for scalar inputs); saturated is the number of
     conversions that clamped or clipped.
     """
 
     out_count: object
-    n_charge: object
     n_discharge: object
     saturated: int
 
@@ -157,15 +156,14 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     """
     if least(i_in) <= 0 or least(i_ref) <= 0:
         raise DomainError("currents must be positive (use convert_signed for bipolar)")
-    n_charge = charge.n_charge
-    n2, clipped = discharge_counts(cfg, n_charge, i_in, i_ref, noise)
+    n2, clipped = discharge_counts(cfg, charge.n_charge, i_in, i_ref, noise)
     raw = target_preload - np.multiply(charge.sign, n2)
     bound = cfg.counter_max
     out = np.minimum(np.maximum(raw, -bound), bound)
     saturated = int(np.count_nonzero(clipped | (out != raw)))
     if out.ndim:
-        return Conversion(out, n_charge, n2, saturated)
-    return Conversion(int(out), int(n_charge), int(n2), saturated)
+        return Conversion(out, n2, saturated)
+    return Conversion(int(out), int(n2), saturated)
 
 
 def convert_signed(cfg, i_in, i_ref):
@@ -190,17 +188,13 @@ class TemperatureMap:
 
     Built from the nominal device models at zero calibration preload.
     The readback adds half a count before inverting so quantization is
-    centered.  Also publishes the count slope used for loop tuning and
-    for expressing setpoints in the count domain.
+    centered.  Also publishes the count slope used for loop tuning.
     """
 
     T_LO = 19.0
     T_HI = 91.0
 
     def __init__(self, cfg, bjt, current_source):
-        self.cfg = cfg
-        self.bjt = bjt
-        self.current_source = current_source
         self._t_grid = np.linspace(self.T_LO, self.T_HI, 1441)
         t_k = self._t_grid + 273.15
         ratio = (i_ctat(current_source, bjt, t_k)
@@ -221,9 +215,6 @@ class TemperatureMap:
         """Magnitude of the local count slope of the plain-mode map."""
         dt = 0.5
         return float((self.counts_cont(t_c - dt) - self.counts_cont(t_c + dt)) / (2 * dt))
-
-    def pid_counts_per_kelvin(self, t_c=52.5):
-        return self.counts_per_kelvin(t_c) * self.cfg.pid_charge_scale
 
 
 _SNR = SCHEMA["snr"]

@@ -87,6 +87,11 @@ class PidCoefficients:
         return (self.q0, self.q1, self.q2)
 
     @property
+    def active(self):
+        """The taps with a nonzero mantissa, in slot order."""
+        return [n for n in range(3) if self.mantissas[n]]
+
+    @property
     def signs(self):
         return tuple(1 if q >= 0 else -1 for q in self.mantissas)
 
@@ -106,9 +111,8 @@ class PidState:
 
     u_prev sets the cell shape: () for one cell, (rows, cols) for an
     array.  bank[i, n] holds tap n's products of cycle k - i.
-    set_targets derives what every cycle reuses from the per-tap
-    targets: the active taps (nonzero mantissa), and each active tap's
-    target split into its whole part and the fraction that its
+    set_targets loads what every cycle reuses: the active taps, and each
+    one's target split into its whole part and the fraction that its
     sigma-delta accumulator, a row of sd_accum, sums.  After each cycle
     saturated_cells marks the cells whose actuation clamped or whose
     product saturated, and saturated counts them.
@@ -131,35 +135,15 @@ class PidState:
         if self.saturated_cells is None:
             self.saturated_cells = np.zeros(shape, dtype=bool)
 
-    def set_targets(self, target_x, coeffs):
-        """Load one target value per tap, (3,) + cell shape, and restart the dither."""
-        self.active = [n for n in range(3) if coeffs.mantissas[n] != 0]
-        target = np.asarray(target_x, dtype=float)[self.active]
+    def set_targets(self, target_x, active):
+        """Load one target per active tap (see PidCoefficients.active),
+        (len(active),) + cell shape, and restart the dither."""
+        self.active = active
+        target = np.asarray(target_x, dtype=float)
         whole = np.floor(target)
         self.target_whole = whole.astype(int)
         self.target_frac = target - whole
         self.sd_accum = np.zeros_like(target)
-
-    def load_setpoint(self, t_set_c, coeffs, temp_map, cal_preload, charge_scale):
-        """Express Celsius setpoints as per-tap target values.
-
-        t_set_c and cal_preload hold one value per cell.  The target must
-        live on each tap's own charge scale: the loaded calibration word
-        scales with the coefficient (a relative gain trim), so the
-        expected discharge count at the setpoint is
-        (round(|c_n|*n1_pid) - round(|c_n|*cal*scale)) * r_set with r_set
-        estimated from the design curve and the cell's stored
-        calibration.  Half a count is subtracted so the floor of the
-        dithered conversion is unbiased; the sub-count fraction is
-        sigma-delta dithered across cycles by pid_cycle.
-        """
-        n1 = temp_map.cfg.n1_counts
-        cal_preload = np.asarray(cal_preload)
-        r_set = temp_map.counts_cont(t_set_c) / (n1 - cal_preload)
-        self.set_targets([
-            (round(mag * n1 * charge_scale) - np.round(mag * cal_preload * charge_scale))
-            * r_set - 0.5
-            for mag in coeffs.magnitudes], coeffs)
 
 
 def pid_cycle(state, coeffs, measure):
@@ -176,7 +160,7 @@ def pid_cycle(state, coeffs, measure):
     positive products), saturating at the 8-bit store.  Accumulation
     applies coefficient signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
-    state must hold targets loaded by set_targets for coeffs.
+    state must hold targets loaded by set_targets for coeffs.active.
     """
     sd_accum = state.sd_accum
     sd_accum += state.target_frac

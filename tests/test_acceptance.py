@@ -9,10 +9,8 @@ import filecmp
 import os
 import time
 
-import pytest
-
 from tregsim.config import SCHEMA
-from tregsim.experiments import EXPERIMENTS, run_experiment
+from tregsim.experiments import run_experiment
 
 SEED = 20260809
 

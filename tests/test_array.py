@@ -67,8 +67,7 @@ def test_r1_mismatch_restores_nominal_count():
     arr.current_source.r1[0, 0] *= 1.01
     arr.calibrate_one_point(t_known=50.0)
     assert arr.cal_preload[0, 0] < 0
-    arr.force_temperature(50.0)
-    count = arr.read_counts()[0, 0]
+    count = arr.read_counts(50.0)[0, 0]
     assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 1.0
 
 
@@ -221,8 +220,7 @@ def test_calibration_matches_per_cell_reference(noise):
 def test_channel_spread_after_calibration():
     arr = TempArray(ArrayConfig(), seed=42)
     arr.calibrate_one_point(t_known=50.0)
-    arr.force_temperature(50.0)
-    reads = arr.temp_map.read_temperature(arr.read_counts()).ravel()
+    reads = arr.temp_map.read_temperature(arr.read_counts(50.0)).ravel()
     assert abs(reads.mean() - 50.0) <= 0.3
     assert reads.std() <= 0.25
 
@@ -269,17 +267,17 @@ def test_characterize_matches_per_cell_scalar_readout():
                                      i_ctat(cs, bjt, t_k), i_ptat(cs, t_k), noise)
             expect[i, j] = min(int(round(n2.mean())), cfg.counter_max)
     assert np.array_equal(res.counts, expect)
-    assert np.all(arr.temp == t_values[-1])
+    # the sweep reads at its temperatures: the plant stays where it was
+    assert np.all(arr.temp == arr.cfg.t_ambient)
 
 
 def test_replaced_current_source_changes_readout():
     # the readout uses the array-held devices as they are at the call:
     # changing one cell's r1 moves that cell's count and no other
     arr = quiet_array(rows=2, cols=1)
-    arr.force_temperature(50.0)
-    before = arr.read_counts()
+    before = arr.read_counts(50.0)
     arr.current_source.r1[0, 0] *= 1.05
-    after = arr.read_counts()
+    after = arr.read_counts(50.0)
     assert after[0, 0] < before[0, 0]
     assert after[1, 0] == before[1, 0]
 
@@ -434,17 +432,14 @@ def test_quantized_products_track_float_shadow():
     arr = quiet_array(seed=21)
     arr.calibrate_one_point()
     res = arr.run_regulation(45.0, 40.0, trace_conversions=True)
-    coeffs = arr.pid_coeffs
     tm = arr.temp_map
-    scale = arr.cfg.madc.pid_charge_scale
-    r_set = tm.counts_cont(45.0) / tm.cfg.n1_counts
+    n1 = arr.cfg.madc.n1_counts
     n_cycles = res.time.size
     for (cycle, r, c, slot, mag, preload, n_chg, n2, product) in zip(*res.conv_trace.values()):
         if cycle >= n_cycles - 1:
             break
         t_cycle_start = res.t_true[cycle - 1, r, c] if cycle else arr.cfg.t_ambient
-        t_k = t_cycle_start + 273.15
-        ratio = (tm.counts_cont(t_cycle_start) / tm.cfg.n1_counts)
+        ratio = tm.counts_cont(t_cycle_start) / n1
         exact = n_chg * ratio - (preload + 0.5)
         # product = floor-quantized measurement minus dithered preload
         assert abs(product - exact) <= 2.0
@@ -529,7 +524,7 @@ def scalar_regulation(arr, sp, duration):
                                       n1_counts=madc.pid_n1_counts)
                 conv = convert(madc, i_in[rc], i_ref[rc], charge, preload,
                                noise=cell_noise(madc, rng, ()))
-                trace.append((k, *rc, n, mag, preload, conv.n_charge,
+                trace.append((k, *rc, n, mag, preload, charge.n_charge,
                               conv.n_discharge, -conv.out_count))
                 products[n] = max(-127, min(127, -conv.out_count))
             s0, s1, s2 = coeffs.signs

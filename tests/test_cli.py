@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tregsim import experiments
 from tregsim.cli import main
 from tregsim.config import SCHEMA, load_config
 from tregsim.errors import ConfigurationError
@@ -231,6 +232,8 @@ dir = %s
     # pH ends whose currents saturate the CPA full scale: the slope fit
     # collapsed to -7.5e-26 and the run exited 1
     ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
+    # 70000001 sweep points: the run died in an allocation error, exit 1
+    ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -247,6 +250,37 @@ dir = %s
     assert main([cfg]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_characterize_sweep_budget(tmp_path, capsys, monkeypatch):
+    # a sweep of MAX_SWEEP_POINTS points runs, and one a point longer
+    # exits 2 naming characterize.t_step, without outputs
+    monkeypatch.setattr(experiments, "MAX_SWEEP_POINTS", 11)
+    for t_hi, code in ((30, 0), (31, 2)):
+        out = tmp_path / f"out{t_hi}"
+        cfg = write_config(tmp_path / f"sweep{t_hi}.cfg", f"""
+[experiment]
+name = characterize_sensor
+seed = 1
+
+[array]
+rows = 1
+cols = 2
+
+[characterize]
+t_lo = 20
+t_hi = {t_hi}
+t_step = 1
+
+[output]
+dir = {out}
+""")
+        assert main([cfg]) == code
+        if code:
+            assert "characterize.t_step" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len((out / "transfer.csv").read_text().splitlines()) == 1 + 2 * 11
 
 
 @pytest.mark.parametrize("f_clk", [1, 12])

@@ -143,7 +143,8 @@ def test_linearity_versus_input():
 def test_integrator_clip_sets_flags():
     cfg = MadcConfig(c_int=1e-12, conversion_noise_counts=0.0)
     conv = run(4e-7, 4e-7, cfg=cfg)
-    _, clipped = discharge_counts(cfg, conv.n_charge, 4e-7, 4e-7)
+    # the charge phase that run builds: unit coefficient, no calibration
+    _, clipped = discharge_counts(cfg, charge_phase(cfg, 1.0, 0).n_charge, 4e-7, 4e-7)
     assert clipped and conv.saturated
     # clip holds the charge at c_int*v_full
     assert conv.out_count == math.floor(1e-12 * 1.0 * 1e7 / 4e-7 + 1e-9)
@@ -246,8 +247,7 @@ def nominal_counts(t_c):
     arr = TempArray(ArrayConfig(rows=1, cols=1, bjt=BJT, current_source=CS,
                                 madc=QUIET, sigma_vbe=0.0, sigma_r1=0.0,
                                 sigma_r2=0.0, sigma_mirror=0.0))
-    sweep = np.asarray(t_c, dtype=float)[:, None, None]
-    return arr.read_counts(arr.front_end_currents(sweep))[:, 0, 0]
+    return arr.read_counts(np.asarray(t_c, dtype=float)[:, None, None])[:, 0, 0]
 
 
 def test_digitize_temperature_monotone():

@@ -81,8 +81,9 @@ class StubMeasure:
 
 
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
+    """A state at u = 1000 holding x[n] as the target of each active tap n."""
     st = PidState(u_prev=1000)
-    st.set_targets(x, coeffs)
+    st.set_targets([x[n] for n in coeffs.active], coeffs.active)
     return st
 
 
@@ -137,7 +138,8 @@ def test_idle_tap_banks_zero_products():
     # a zero-mantissa tap converts nothing and banks 0, whatever the bank held
     coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 127, -127, 0)
     st = PidState(u_prev=100, bank=np.full((3, 3), 5))
-    st.set_targets((1000.0, 800.0, 60.0), coeffs)
+    assert coeffs.active == [0, 1]
+    st.set_targets((1000.0, 800.0), coeffs.active)
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 3)
     for _ in range(3):
         pid_cycle(st, coeffs, measure)
@@ -195,7 +197,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
     measure = StubMeasure(coeffs, n2_of)
     st = PidState(u_prev=2000)
     target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
-    st.set_targets(target_x, coeffs)
+    st.set_targets([target_x[n] for n in active], active)
     n_cycles = 400
     u = 2000
     p1 = p2 = [0, 0, 0]                 # products of cycles k-1 and k-2
