@@ -7,6 +7,7 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,10 @@ from .streams import generators
 # Longest IS period, in conversions: a grid point's tables and converter
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
+# IS ranges each response's peak to this fraction of the converter's full
+# scale, clear of the counter and the integrator cap at any width: 380
+# counts at 9 bits
+IS_PEAK = 380 / 512
 # IS frequencies (Hz) and regulation setpoints (degC) lie in these ranges
 IS_FREQ_RANGE = (0.1, 10e3)
 SETPOINT_RANGE = (20.0, 90.0)
@@ -459,10 +464,11 @@ class TempArray:
         of FraResult, network-major.
 
         Every frequency snaps onto the conversion grid (integer
-        conversions per period) and is checked before any table is
-        built.  Each grid point's 7-bit sine/cosine tables are built once,
-        into one reused workspace, and digitize every network in turn over
-        whole periods; the sums scale into the complex impedance.
+        conversions per period) and is checked before any table is built.
+        Consecutive grid points convert in packs that fit in the longest
+        point's conversions, each pack's tables built once into one reused
+        workspace (see _fra_tables), and one converter call per pack and
+        network (see _fra_sums).
         """
         require(int(n_periods) == n_periods and n_periods >= 1, "is_mode.n_periods",
                 "a positive integer", n_periods)
@@ -473,116 +479,115 @@ class TempArray:
         if not ((lo <= freqs) & (freqs <= hi)).all():
             raise DomainError(f"frequency outside [{lo:g}, {hi:g}] Hz")
         points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
-        work = np.empty(_FRA_WORK * max((m for m, _ in points), default=0))
+        # each point's converted samples: an even period converts its first half
+        sizes = [m // (2 - m % 2) for m, _ in points]
+        front, room = 4 * max((m for m, _ in points), default=0), max(sizes, default=0)
+        work = np.empty(front + 8 * room)
+        # a point whose running fill restarts at its own size begins a pack
+        fill = accumulate(sizes, lambda size, n: size + n if size + n <= room else n)
+        firsts = [i for i, (size, n) in enumerate(zip(fill, sizes)) if size == n]
         results = [[] for _ in networks]
-        for m, cycles_per_window in points:
-            # an even period's first half stands for both halves (see _fra_point)
-            n = m // 2 if m % 2 == 0 else m
-            tables = _fra_tables(cfg, m, cycles_per_window, n, work)
+        for a, b in zip(firsts, firsts[1:] + [len(points)]):
+            tables = _fra_tables(cfg, points[a:b], int(n_periods), work, front)
             for network, res in zip(networks, results):
-                mat, sums = _fra_point(cfg, network, tables, int(n_periods), amplitude)
-                i_phasor = complex(*_solve_2x2(mat, sums))
-                z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
-                res.append(FraResult(freq=tables.f_act, z_real=z.real, z_imag=z.imag))
+                sums = _fra_sums(cfg, network, tables, amplitude)
+                for f_act, mat, rhs in zip(tables.f_act, tables.mats, sums):
+                    i_phasor = complex(*_solve_2x2(mat, rhs))
+                    z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
+                    res.append(FraResult(freq=f_act, z_real=z.real, z_imag=z.imag))
         return [r for res in results for r in res]
 
 
-# IS workspace floats per conversion of the longest period (see _fra_tables)
-_FRA_WORK = 8
-
-
 class _FraTables(NamedTuple):
-    """Tables of one FRA grid point (see _fra_tables)."""
+    """Tables of a pack of IS grid points (see _fra_tables)."""
 
-    f_act: float
-    m: int                        # conversions per period
+    f_act: list                   # each point's frequency
+    mats: list                    # each point's 2x2 system: rows tables, columns sine, cosine
+    scale: np.ndarray             # each point's periods per converted sum
+    bounds: list                  # each point's first column, then the column count
     basis: np.ndarray             # rows: sin(theta), cos(theta) at the converted phases
     charge: np.ndarray            # rows: sine, cosine table; 0 at a dead slot
     sign: np.ndarray              # rows: sine, cosine table; 0 at a dead slot
-    proj: np.ndarray              # rows: tables; columns: sine, cosine
+    resp: np.ndarray              # (2, columns) scratch for the response
 
 
-def _fra_tables(cfg, m, cycles_per_window, n, work):
-    """The _FraTables of a grid point of m conversions per period holding
-    cycles_per_window sine cycles, of which the first n are converted.
+def _fra_tables(cfg, pack, n_periods, work, front):
+    """The _FraTables of grid points (m, cycles_per_window) over n_periods.
 
-    They are built into four (2, m) slots at the front of work, a flat
-    float buffer of at least _FRA_WORK * m values, and stay valid until
-    the next build.  A slot whose coefficient rounds to zero has zero
-    charge, so it counts 0.  The projections span the whole period.
+    A point converts one cycle's phases 2*pi*j/m in phase order, j < m/2
+    (even m) or j < m: the pair {j, j + m/2} negates response and table
+    sign alike, so one phase of each pair counts for both, whatever the
+    cycle count.  The cycle and its table are built once per run of equal
+    m at work's front; the pack's columns sit behind its first front values.
     """
-    f_act = cycles_per_window * cfg.conversion_rate / m
-    slots = work[:_FRA_WORK * m].reshape(4, 2 * m)
-    cycle, q = (slot.reshape(2, m) for slot in slots[:2])
-    # one sine cycle of m phases 2*pi*j/m, evaluated for j < ceil(m/2)
-    # and completed by the antiperiod x[j + m/2] = -x[j] (even m) or
-    # the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd m).  The
-    # phases sit in the cosine row until the cosine overwrites them.
-    h = (m + 1) // 2
-    theta = np.multiply(np.arange(h), 2.0 * math.pi, out=cycle[1, :h])
-    theta /= m
-    np.sin(theta, out=cycle[0, :h])
-    np.cos(theta, out=theta)
-    if m % 2:
-        np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
-        cycle[1, h:] = cycle[1, h - 1:0:-1]
-    else:
-        np.negative(cycle[:, :h], out=cycle[:, h:])
-    # both 7-bit tables are q / COEFF_LEVELS, rounded once from the
-    # samples.  Scaling by a power of two commutes with rounding, so
-    # the projections and charges taken from q scale exactly, and
-    # rounding half to even keeps the antiperiod and the mirror.
-    np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
-    # a period's projections do not depend on the order of its phases
-    proj = q @ cycle.T
-    proj /= COEFF_LEVELS
-    # conversion k sits at phase (cycles_per_window * k) % m; a point of
-    # several cycles has m = 64, so its reordered copies are small
-    phase = slice(n) if cycles_per_window == 1 else np.arange(n) * cycles_per_window % m
-    basis, q = cycle[:, phase], q[:, phase]
-    charge, sign = (slot[:2 * n].reshape(2, n) for slot in slots[2:])
-    np.abs(q, out=charge)
-    charge *= cfg.n1_counts / COEFF_LEVELS
-    np.round(charge, out=charge)
+    fold = [2 - m % 2 for m, _ in pack]
+    bounds = np.cumsum([0] + [m // k for (m, _), k in zip(pack, fold)]).tolist()
+    basis, charge, sign, resp = work[front:front + 8 * bounds[-1]].reshape(4, 2, bounds[-1])
+    mats, built = [], None
+    for (m, _), a, b in zip(pack, bounds, bounds[1:]):
+        if m != built:
+            built, (cycle, q) = m, work[:4 * m].reshape(2, 2, m)
+            # j < ceil(m/2), completed by the antiperiod x[j + m/2] = -x[j] (even
+            # m) or the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd
+            # m); theta sits in the cosine row until the cosine overwrites it
+            h = (m + 1) // 2
+            theta = np.multiply(np.arange(h), 2.0 * math.pi, out=cycle[1, :h])
+            theta /= m
+            np.sin(theta, out=cycle[0, :h])
+            np.cos(theta, out=theta)
+            if m % 2:
+                np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
+                cycle[1, h:] = cycle[1, h - 1:0:-1]
+            else:
+                np.negative(cycle[:, :h], out=cycle[:, h:])
+            # the 7-bit tables are q / COEFF_LEVELS; rounding half to even
+            # keeps the antiperiod and the mirror
+            np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
+            mat = (n_periods * (q @ cycle.T / COEFF_LEVELS)).tolist()
+        mats.append(mat)
+        if len(pack) > 1:
+            basis[:, a:b], charge[:, a:b] = cycle[:, :b - a], q[:, :b - a]
+    # a pack of one point reads its basis and table in place
+    basis, q = (cycle[:, :b], q[:, :b]) if len(pack) == 1 else (basis, charge)
     np.sign(q, out=sign)
-    return _FraTables(f_act, m, basis, charge, sign, proj)
+    # a slot whose coefficient rounds to zero has zero charge: it counts 0
+    np.round(np.multiply(np.abs(q, out=charge), cfg.n1_counts / COEFF_LEVELS, out=charge),
+             out=charge)
+    return _FraTables([c * cfg.conversion_rate / m for m, c in pack], mats,
+                      np.multiply(fold, n_periods), bounds, basis, charge, sign, resp)
 
 
-def _fra_point(cfg, network, tables, n_periods, amplitude):
-    """One grid point on one network: (2x2 matrix, sums).
-
-    The network's steady-state current under amplitude*sin(theta) is
-    i_m*sin(theta + phi); projected on the sine and cosine tables it
-    solves the 2x2 system matrix @ [i_m cos(phi), i_m sin(phi)] = sums.
+def _fra_sums(cfg, network, tables, amplitude):
+    """Each pack point's [sine, cosine] sums on one network, from one
+    discharge_counts call: the network's current i_m*sin(theta + phi)
+    under amplitude*sin(theta) solves mat @ [i_m cos(phi), i_m sin(phi)] = sums.
     """
-    z = network.impedance(tables.f_act)
-    i_mag = amplitude / abs(z)
-    phi = -math.atan2(z.imag, z.real)
-    # range the reference so peak counts sit well inside the counter
-    i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
-    run_cfg = _ranged(cfg, i_ref)
-
-    # theta repeats every m conversions, so one period's counts stand
-    # for every period, and an even period's first half for both halves:
-    # the antiperiodic tables negate the second half's response and
-    # table signs exactly and repeat its counts.
-    m, n = tables.m, tables.sign.shape[1]
-    # the response at the tables' own sin(theta) and cos(theta), by
-    # angle addition: no further transcendental pass
-    sin_t, cos_t = tables.basis
-    i_t = i_mag * math.cos(phi) * sin_t
-    i_t += i_mag * math.sin(phi) * cos_t
-    # both bases in one batch: charge rows (2, 1, n) against the
-    # response, (n,)
-    sign_i = np.sign(i_t)
-    n2, _ = discharge_counts(run_cfg, tables.charge[:, None], np.abs(i_t, out=i_t), i_ref)
-    # whole counts: their signed sum, scaled to n_periods whole periods,
-    # is exact
-    counts = sign_i * n2
-    scale = n_periods * (m // n)
-    sums = [total * scale * i_ref / cfg.n1_counts
-            for total in (counts @ tables.sign[..., None]).sum(axis=(1, 2)).tolist()]
-    return (n_periods * tables.proj).tolist(), sums
+    i_cos, i_sin, refs = [], [], []
+    for f_act in tables.f_act:
+        z = network.impedance(f_act)
+        i_mag, phi = amplitude / abs(z), -math.atan2(z.imag, z.real)
+        i_cos.append(i_mag * math.cos(phi))
+        i_sin.append(i_mag * math.sin(phi))
+        # range the reference so the response peaks at IS_PEAK of full scale
+        refs.append(max(i_mag, 1e-15) * cfg.n1_counts / (IS_PEAK * cfg.n1_counts))
+    # each column's scalars, made as they are used; scalars for one point
+    cols = (v[0] if len(v) == 1 else np.repeat(v, np.diff(tables.bounds))
+            for v in (i_cos, i_sin, refs))
+    # one period's counts stand for every period, and an even period's
+    # first half for both halves (see _fra_tables).  The response comes
+    # from the tables' own sin(theta) and cos(theta) by angle addition.
+    i_t, sign_i = tables.resp
+    np.multiply(next(cols), tables.basis[0], out=i_t)
+    i_t += np.multiply(next(cols), tables.basis[1], out=sign_i)
+    np.sign(i_t, out=sign_i)
+    # both tables in one batch, through the cap of the largest reference;
+    # whole counts, so the signed sums in any order are exact
+    counts, _ = discharge_counts(_ranged(cfg, max(refs)), tables.charge,
+                                 np.abs(i_t, out=i_t), next(cols))
+    counts *= sign_i
+    counts *= tables.sign
+    totals = np.add.reduceat(counts, tables.bounds[:-1], axis=1)
+    return (totals * tables.scale * refs / cfg.n1_counts).T.tolist()
 
 
 def _solve_2x2(mat, rhs):

@@ -22,6 +22,9 @@ from .pid import (PidCoefficients, quantization_deviation_bound,
 from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
                   sample_tap_delays)
 
+# write_csv formats and writes this many rows at a time
+CSV_CHUNK_ROWS = 2 ** 16
+
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
@@ -65,12 +68,13 @@ def _column_text(column):
 
 def write_csv(path, header, *columns):
     """Write equal-length columns under a header that names each once."""
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
+    if len(header) != len(columns) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{len(header)} names for columns of {[len(c) for c in columns]} rows")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
+            chunk = (c[i:i + CSV_CHUNK_ROWS] for c in columns)
+            fh.write("\n".join(map(",".join, zip(*map(_column_text, chunk)))) + "\n")
 
 
 def write_field(path, temp):
@@ -125,8 +129,7 @@ def _count(settings, key, least=1):
     """The integer setting section.key, rejected below least."""
     section, name = key.split(".")
     n = int(settings[section][name])
-    if n < least:
-        raise ConfigurationError(f"{key} must be >= {least}, got {n}")
+    require(n >= least, key, f">= {least}", n)
     return n
 
 
@@ -154,9 +157,7 @@ MAX_SWEEP_POINTS = 2 ** 12  # 58x the default sweep's 71 points
 def _sweep_temperatures(settings):
     """The characterization sweep t_lo..t_hi (inclusive) in steps of t_step."""
     ch = settings["characterize"]
-    if not ch["t_step"] > 0:
-        raise ConfigurationError(
-            f"characterize.t_step must be positive, got {ch['t_step']!r}")
+    require(ch["t_step"] > 0, "characterize.t_step", "positive", ch["t_step"])
     if not ch["t_lo"] < ch["t_hi"]:
         raise ConfigurationError(
             f"characterize.t_lo ({ch['t_lo']!r}) must be below "
@@ -595,8 +596,7 @@ def exp_cv_scan(settings, outdir):
 def exp_snr_test(settings, outdir):
     """Quantization-limited SNR of a full-scale digitized sine."""
     sn = settings["snr"]
-    if not sn["freq"] > 0:
-        raise ConfigurationError(f"snr.freq must be positive, got {sn['freq']!r}")
+    require(sn["freq"] > 0, "snr.freq", "positive", sn["freq"])
     # the configured converter, with an integrator cap far above a
     # full-scale charge (2e-11 C at the defaults), so no sample clips.
     # convert_signed is noiseless: the test measures the quantization limit

@@ -96,27 +96,28 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     exact charges resolving as crossed (see CROSSING_GUARD).  Clips at
     the integrator full scale.  noise (counts), if given, is added to
     the held charge before the floor.  Accepts scalars or arrays.
-    Returns (count, clipped); clipped is False when nothing can clip, and
-    otherwise a mask of the inputs' broadcast shape.
+    Returns (count, clipped): whole counts as float64 (a float for scalar
+    inputs), and False when nothing can clip, else a mask of that shape.
     """
     n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
     x = n_charge * (i_in / i_ref)
     # integrator clip: the held charge cannot exceed c_int*v_full.  Rounding
-    # is monotone, so no element clips when the largest magnitudes do not,
-    # and the element-wise test runs only when they would
+    # is monotone, so no element clips when the largest magnitudes (taken
+    # without a temporary) do not, and the element-wise test runs only then
     q_max = cfg.c_int * cfg.v_full
     clipped = False
-    if x.size and abs(n_charge).max() * abs(i_in).max() / cfg.f_clk > q_max:
+    if x.size and (max(n_charge.max(), -n_charge.min()) * max(i_in.max(), -i_in.min())
+                   / cfg.f_clk > q_max):
         clipped = n_charge * i_in / cfg.f_clk > q_max
         if clipped.any():
             x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
     if noise is not None:
         x = x + noise
     if not x.ndim:
-        return int(np.floor(x + CROSSING_GUARD)), bool(clipped)
+        return float(np.floor(x + CROSSING_GUARD)), bool(clipped)
     # x is this call's own temporary: guard and floor it in place
     x += CROSSING_GUARD
-    return np.floor(x, out=x).astype(int), clipped
+    return np.floor(x, out=x), clipped
 
 
 def charge_phase(cfg, coeff_mag, cal_preload, coeff_sign=1, n1_counts=None):
@@ -157,6 +158,7 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     if least(i_in) <= 0 or least(i_ref) <= 0:
         raise DomainError("currents must be positive (use convert_signed for bipolar)")
     n2, clipped = discharge_counts(cfg, charge.n_charge, i_in, i_ref, noise)
+    n2 = np.asarray(n2).astype(int)
     raw = target_preload - np.multiply(charge.sign, n2)
     bound = cfg.counter_max
     out = np.minimum(np.maximum(raw, -bound), bound)
@@ -177,7 +179,7 @@ def convert_signed(cfg, i_in, i_ref):
         raise DomainError("reference current must be positive")
     i_in = np.asarray(i_in, dtype=float)
     n2, clipped = discharge_counts(cfg, cfg.n1_counts, np.abs(i_in), i_ref)
-    out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max)
+    out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max).astype(int)
     if out.ndim:
         return out
     return int(out)

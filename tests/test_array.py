@@ -12,9 +12,9 @@ import pytest
 
 import tregsim
 from tregsim import array_sim, streams
-from tregsim.array_sim import (_FRA_WORK, CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD,
-                               ArrayConfig, TempArray, _fra_grid_point, _fra_point,
-                               _fra_tables, _ranged, _solve_2x2)
+from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
+                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _ranged,
+                               _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
@@ -30,9 +30,9 @@ def small_array(rows=2, cols=2, seed=1, **kw):
     return TempArray(cfg, seed=seed)
 
 
-def quiet_array(rows=1, cols=1, seed=1, noise=0.0, **kw):
+def quiet_array(rows=1, cols=1, seed=1, noise=0.0, n_bits=9, **kw):
     cfg = ArrayConfig(rows=rows, cols=cols,
-                      madc=MadcConfig(conversion_noise_counts=noise),
+                      madc=MadcConfig(n_bits=n_bits, conversion_noise_counts=noise),
                       sigma_vbe=0.0, sigma_r1=0.0, sigma_r2=0.0,
                       sigma_mirror=0.0, **kw)
     return TempArray(cfg, seed=seed)
@@ -696,7 +696,8 @@ def per_sample_fra_point(arr, net, f_req, n_periods, amplitude):
             cycles_per_window += 1
     f_act = cycles_per_window * f_conv / m
     i_mag, i_phase = phasor(net, f_act, amplitude)
-    i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
+    # the response peaks at 380/512 of full scale: 380 counts at 9 bits
+    i_ref = max(i_mag, 1e-15) * cfg.n1_counts / (380.0 * cfg.n1_counts / 512)
     run_cfg = replace(cfg, c_int=max(cfg.c_int,
                                      1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full))
     w = m * n_periods
@@ -748,88 +749,127 @@ def converted(m):
     return m // 2 if m % 2 == 0 else m
 
 
-def fresh_tables(cfg, m, cycles_per_window, n=None):
-    """A grid point's tables built in a fresh workspace; every phase by default."""
-    return _fra_tables(cfg, m, cycles_per_window, m if n is None else n,
-                       np.empty(_FRA_WORK * m))
+def default_packs(cfg):
+    """The default grid's points in run_is's packs: each takes points
+    while their converted phases fit in the longest point's."""
+    points = [_fra_grid_point(cfg, float(f)) for f in default_fra_grid()]
+    room = max(converted(m) for m, _ in points)
+    packs = []
+    for point in points:
+        if not packs or sum(converted(m) for m, _ in packs[-1] + [point]) > room:
+            packs.append([])
+        packs[-1].append(point)
+    return packs
 
 
-def test_is_closed_form_solve_matches_linalg():
+def build(cfg, pack, work=None):
+    """(tables, cycle, q): a pack's tables over 4 periods, built in a fresh
+    workspace unless work is given, and the full cycle and 7-bit table of
+    its last point, which the build leaves at the workspace's front."""
+    front = 4 * max(m for m, _ in pack)
+    if work is None:
+        work = np.empty(front + 8 * sum(converted(m) for m, _ in pack))
+    m = pack[-1][0]
+    tables = _fra_tables(cfg, pack, 4, work, front)
+    cycle, q = work[:4 * m].reshape(2, 2, m)
+    return tables, cycle, q
+
+
+def test_is_closed_form_solve_matches_linalg(monkeypatch):
     # the 2x2 systems of the default sweep, one per (network, grid point),
     # on its 39 projection matrices: the 13 points with m = 64 share one
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    cfg = quiet_array().cfg.madc
-    mats, sums = [], []
-    for f in default_fra_grid():
-        m, c = _fra_grid_point(cfg, float(f))
-        tables = fresh_tables(cfg, m, c, converted(m))
-        for net in nets:
-            mat, rhs = _fra_point(cfg, net, tables, 4, 0.01)
-            mats.append(mat)
-            sums.append(rhs)
+    systems = []
+
+    def spy(mat, rhs):
+        systems.append((mat, rhs))
+        return _solve_2x2(mat, rhs)
+
+    monkeypatch.setattr(array_sim, "_solve_2x2", spy)
+    quiet_array().run_is(nets, default_fra_grid())
+    mats, sums = zip(*systems)
+    assert len(mats) == 2 * len(default_fra_grid())
     assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
     want = np.linalg.solve(np.array(mats), np.array(sums)[..., None])[..., 0]
-    got = np.array([_solve_2x2(mat, rhs) for mat, rhs in zip(mats, sums)])
+    got = np.array([_solve_2x2(mat, rhs) for mat, rhs in systems])
     err = np.linalg.norm(got - want, axis=-1)
     assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
 
 
 def test_is_half_cycle_tables_match_direct_evaluation():
-    # every default grid point: the charge and sign tables equal those
-    # rounded from a direct full-period evaluation, and the basis agrees
-    # with it within a few ulp.  The identities that complete the cycle
-    # hold bit for bit in conversion order: the antiperiod for even m
-    # (m = 64 with an odd cycle count included), the mirror for odd m.
+    # every default grid point, in phase order: its converted phases
+    # 2*pi*j/m, j < m/2 (even m) or j < m, carry the charge and sign
+    # tables rounded from a direct evaluation, and a basis within a few
+    # ulp of it.  The full cycle left at the workspace's front agrees with
+    # the direct one, and the identities that complete it hold bit for
+    # bit: the antiperiod for even m, the mirror for odd m.  A point of
+    # several odd cycles in m = 64 conversions meets, in conversion order
+    # (cycles * k) % 64 for k < 32, one phase of each antiperiod pair
+    # {j, j + 32}: the same counts as the phases j < 32.
     cfg = quiet_array().cfg.madc
     bits = lambda a: a.view(np.int64)
     for f in default_fra_grid():
         m, c = _fra_grid_point(cfg, float(f))
-        tables = fresh_tables(cfg, m, c)
-        theta = 2 * np.pi * ((c * np.arange(m)) % m) / m
+        tables, cycle, q = build(cfg, [(m, c)])
+        n = converted(m)
+        theta = 2 * np.pi * np.arange(m) / m
         direct = np.stack((np.sin(theta), np.cos(theta)))
-        q = np.round(direct * 128)
-        assert np.array_equal(tables.sign, np.sign(q))
-        assert np.array_equal(tables.charge, np.round(np.abs(q) * cfg.n1_counts / 128))
+        q_direct = np.round(direct * 128)
+        assert np.array_equal(q, q_direct)
+        assert np.array_equal(tables.sign, np.sign(q_direct[:, :n]))
+        assert np.array_equal(tables.charge,
+                              np.round(np.abs(q_direct[:, :n]) * cfg.n1_counts / 128))
         # a direct phase near 2*pi carries that angle's rounding
-        np.testing.assert_allclose(tables.basis, direct, rtol=0,
-                                   atol=4 * np.spacing(2 * np.pi))
+        np.testing.assert_allclose(cycle, direct, rtol=0, atol=4 * np.spacing(2 * np.pi))
+        assert np.array_equal(bits(tables.basis), bits(cycle[:, :n]))
+        if c > 1:
+            assert m == 64 and c % 2
+            assert sorted(c * np.arange(32) % 64 % 32) == list(range(32))
         if m % 2 == 0:
             h = m // 2
-            assert np.array_equal(bits(tables.basis[:, h:]), bits(-tables.basis[:, :h]))
-            assert np.array_equal(tables.charge[:, h:], tables.charge[:, :h])
-            assert np.array_equal(tables.sign[:, h:], -tables.sign[:, :h])
+            assert np.array_equal(bits(cycle[:, h:]), bits(-cycle[:, :h]))
+            assert np.array_equal(q[:, h:], -q[:, :h])
         else:
-            # conversion m - j mirrors conversion j, for j = 1 .. m - 1
+            # phase m - j mirrors phase j, for j = 1 .. m - 1
             mirror = m - np.arange(1, m)
-            basis, charge, sign = (t[:, 1:] for t in (tables.basis, tables.charge, tables.sign))
-            assert np.array_equal(bits(tables.basis[0, mirror]), bits(-basis[0]))
-            assert np.array_equal(bits(tables.basis[1, mirror]), bits(basis[1]))
-            assert np.array_equal(tables.charge[:, mirror], charge)
-            assert np.array_equal(tables.sign[:, mirror], sign * [[-1], [1]])
+            assert np.array_equal(bits(cycle[0, mirror]), bits(-cycle[0, 1:]))
+            assert np.array_equal(bits(cycle[1, mirror]), bits(cycle[1, 1:]))
+            assert np.array_equal(q[:, mirror], q[:, 1:] * [[-1], [1]])
 
 
 # the noiseless case only: the tables do not depend on the channel noise
 @pytest.mark.parametrize("noise", [0.0])
 def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
     # one workspace, sized for the longest period and left dirty by every
-    # point, serves points from long to short periods that switch parity:
-    # even m 98, odd m 97, then m 64 with 27 and with 67 cycles.  Each
-    # point's tables, built at the workspace's front, equal a build in a
-    # fresh workspace bit for bit, converted phases and projections alike.
+    # build, serves points from long to short periods that switch parity:
+    # even m 98, odd m 97, then m 64 with 27 and with 67 cycles, first one
+    # point per pack and then all four in one pack.  Every build equals a
+    # build in a fresh workspace bit for bit, and each point's columns of
+    # the four-point pack equal its own one-point tables.
     cfg = MadcConfig(conversion_noise_counts=noise)
     bits = lambda a: a.view(np.int64)
-    work = np.full(_FRA_WORK * 98, np.nan)
-    for m, c in [(98, 1), (97, 1), (64, 27), (64, 67)]:
-        n = converted(m)
-        got = _fra_tables(cfg, m, c, n, work)
-        want = fresh_tables(cfg, m, c, n)
-        assert (got.f_act, got.m) == (want.f_act, m)
-        for name in ("basis", "charge", "sign", "proj"):
+    points = [(98, 1), (97, 1), (64, 27), (64, 67)]
+    work = np.full(4 * 98 + 8 * sum(converted(m) for m, _ in points), np.nan)
+    alone = []
+    for pack in [[point] for point in points] + [points]:
+        got, _, _ = build(cfg, pack, work)
+        want, _, _ = build(cfg, pack)
+        n = sum(converted(m) for m, _ in pack)
+        assert (got.f_act, got.mats, got.bounds) == (want.f_act, want.mats, want.bounds)
+        assert np.array_equal(got.scale, want.scale)
+        for name in ("basis", "charge", "sign"):
             a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape == ((2, 2) if name == "proj" else (2, n))
-            assert np.array_equal(bits(a), bits(b)), (m, c, name)
+            assert a.shape == b.shape == (2, n)
+            assert np.array_equal(bits(a), bits(b)), (pack, name)
         assert np.shares_memory(got.charge, work) and np.shares_memory(got.sign, work)
+        if len(pack) == 1:
+            alone.append(want)
+    for i, (one, a, b) in enumerate(zip(alone, want.bounds, want.bounds[1:])):
+        assert one.mats == [want.mats[i]]
+        for name in ("basis", "charge", "sign"):
+            assert np.array_equal(bits(getattr(one, name)),
+                                  bits(np.ascontiguousarray(getattr(want, name)[:, a:b])))
 
 
 @pytest.mark.parametrize("net", [
@@ -837,22 +877,28 @@ def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
     Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)),
 ])
 def test_is_folded_sums_equal_full_period_conversion(net):
-    # a noiseless even period converts only its first half; its sums must
-    # equal, exactly, one discharge_counts call over the whole period on
-    # the same tables through the ranged config
+    # the default sweep's packs convert an even period's first half and
+    # an m = 64 point's phases in phase order, several points per call;
+    # each point's sums must equal, exactly, one discharge_counts call over
+    # its whole period in phase order, through its own ranged config
     cfg = quiet_array().cfg.madc
-    for f in default_fra_grid():
-        m, c = _fra_grid_point(cfg, float(f))
-        _, sums = _fra_point(cfg, net, fresh_tables(cfg, m, c, converted(m)), 4, 0.01)
-        tables = fresh_tables(cfg, m, c)
-        i_mag, phi = phasor(net, tables.f_act, 0.01)
-        i_ref = max(i_mag, 1e-15) * cfg.n1_counts / 380.0
-        # _fra_point's response: i_m*sin(theta + phi) by angle addition
-        i_t = i_mag * math.cos(phi) * tables.basis[0]
-        i_t += i_mag * math.sin(phi) * tables.basis[1]
-        n2, _ = discharge_counts(_ranged(cfg, i_ref), tables.charge, np.abs(i_t), i_ref)
-        totals = (np.sign(i_t) * n2 * tables.sign).sum(axis=1).tolist()
-        assert sums == [t * 4 * i_ref / cfg.n1_counts for t in totals]
+    n1 = cfg.n1_counts
+    packs = default_packs(cfg)
+    assert [len(pack) for pack in packs] == [1, 1, 1, 1, 1, 1, 2, 4, 39]
+    for pack in packs:
+        tables, _, _ = build(cfg, pack)
+        for (m, c), f_act, sums in zip(pack, tables.f_act, _fra_sums(cfg, net, tables, 0.01)):
+            _, cycle, q = build(cfg, [(m, c)])
+            i_mag, phi = phasor(net, f_act, 0.01)
+            i_ref = max(i_mag, 1e-15) * n1 / (380.0 * n1 / 512)
+            # run_is's response: i_m*sin(theta + phi) by angle addition
+            i_t = i_mag * math.cos(phi) * cycle[0]
+            i_t += i_mag * math.sin(phi) * cycle[1]
+            charge = np.round(np.abs(q) * (n1 / 128))
+            n2, clipped = discharge_counts(_ranged(cfg, i_ref), charge, np.abs(i_t), i_ref)
+            assert clipped is False
+            totals = (np.sign(i_t) * n2 * np.sign(q)).sum(axis=1).tolist()
+            assert sums == [t * 4 * i_ref / n1 for t in totals]
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
@@ -901,8 +947,9 @@ def frequency_major(arr, networks, freqs):
 
 @pytest.mark.parametrize("f_a, f_b, same_point", [
     (50.0, 50.0, True),
-    # both snap to m = 64, with 27 and 67 cycles: tables keyed by m alone
-    # would hand the second point the first one's tables
+    # both snap to m = 64, with 27 and 67 cycles: converted in phase
+    # order, their tables depend on m alone, and the second point may
+    # read the first one's
     (2000.0, 5000.0, False),
 ])
 def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
@@ -925,24 +972,82 @@ def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
     assert reg_draws(x) == reg_draws(y) == before
 
 
-def test_is_sweep_equals_frequency_major_single_calls():
+def test_is_sweep_equals_frequency_major_single_calls(monkeypatch):
     # one call over two networks equals one call per network and
     # frequency, made frequency-major, on a channel configured with
-    # noise: every result, and no cell's stream moves.  The grid switches
-    # parity (m 3071, 98, 97) and ends on two m = 64 points with
-    # different cycle counts.
+    # noise, at 8 and 9 bits: every result, and no cell's stream moves.
+    # The first grid switches parity (m 3071, 98, 97) and ends on two
+    # m = 64 points with different cycle counts; the second interleaves
+    # both parities with m = 64 points, one of them repeated, around the
+    # longest period.  Each sweep converts several points per call.
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    freqs = [1.59, 50.0, 50.34, 2000.0, 5000.0]
+    grids = [[1.59, 50.0, 50.34, 2000.0, 5000.0],
+             [50.34, 2000.0, 50.0, 5000.0, 9000.0, 1.0, 2000.0, 20.0, 7000.0]]
     cfg = MadcConfig()
-    assert [_fra_grid_point(cfg, f)[0] for f in freqs] == [3071, 98, 97, 64, 64]
-    x = quiet_array(seed=7, noise=0.3)
-    y = quiet_array(seed=7, noise=0.3)
-    before = reg_draws(x)
-    got = x.run_is(nets, freqs)
-    assert len(got) == 2 * len(freqs)
-    assert got == frequency_major(y, nets, freqs)
-    assert reg_draws(x) == reg_draws(y) == before
+    assert [_fra_grid_point(cfg, f)[0] for f in grids[0]] == [3071, 98, 97, 64, 64]
+    assert [_fra_grid_point(cfg, f)[0] for f in grids[1]] == [97, 64, 98, 64, 64, 4883, 64,
+                                                              244, 64]
+    calls = []
+
+    def spy(*args):
+        calls.append(None)
+        return discharge_counts(*args)
+
+    for n_bits in (8, 9):
+        for freqs in grids:
+            x = quiet_array(seed=7, noise=0.3, n_bits=n_bits)
+            y = quiet_array(seed=7, noise=0.3, n_bits=n_bits)
+            before = reg_draws(x)
+            calls.clear()
+            monkeypatch.setattr(array_sim, "discharge_counts", spy)
+            got = x.run_is(nets, freqs)
+            monkeypatch.undo()
+            assert len(got) == 2 * len(freqs)
+            assert len(calls) < len(got)
+            assert got == frequency_major(y, nets, freqs)
+            assert reg_draws(x) == reg_draws(y) == before
+
+
+def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
+    # the default sweep's 51 points convert in 9 packs: 18 discharge_counts
+    # calls over both networks, none over the longest point's two tables
+    sizes = []
+
+    def spy(*args):
+        n2, clipped = discharge_counts(*args)
+        sizes.append(n2.size)
+        return n2, clipped
+
+    monkeypatch.setattr(array_sim, "discharge_counts", spy)
+    arr = quiet_array()
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    assert len(arr.run_is(nets, default_fra_grid())) == 102
+    longest = max(converted(m) for m, _ in sum(default_packs(arr.cfg.madc), []))
+    assert len(sizes) == 18
+    assert max(sizes) <= 2 * longest == 48828
+
+
+@pytest.mark.parametrize("n_bits", [7, 8, 9, 10, 11, 12])
+def test_is_conversions_never_clip(monkeypatch, n_bits):
+    # IS ranges each response to 380/512 of full scale: over the default
+    # grid, no conversion clips at the integrator or passes the counter,
+    # at any width
+    seen = []
+
+    def spy(cfg, *args):
+        n2, clipped = discharge_counts(cfg, *args)
+        seen.append((np.any(clipped), n2.max(), cfg.counter_max))
+        return n2, clipped
+
+    monkeypatch.setattr(array_sim, "discharge_counts", spy)
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    quiet_array(n_bits=n_bits).run_is(nets, default_fra_grid())
+    assert seen
+    for clipped, peak, counter_max in seen:
+        assert not clipped and peak <= counter_max
 
 
 def test_is_sweep_checks_every_frequency_before_converting():

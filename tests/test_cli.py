@@ -56,6 +56,25 @@ def test_run_experiment_writes_outputs(tmp_path, capsys):
         assert sum(1 for _ in fh) == 4097  # header + 4096 codes
 
 
+@pytest.mark.parametrize("n_bits", [7, 8])
+def test_fra_sweep_passes_on_a_narrow_converter(tmp_path, n_bits):
+    # IS ranges its responses to a fraction of the counter, so a 7- or
+    # 8-bit converter neither clips nor overflows and meets the 2 % bounds
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "narrow.cfg", f"""
+[experiment]
+name = fra_sweep
+
+[output]
+dir = {out}
+
+[madc]
+n_bits = {n_bits}
+""")
+    assert main([cfg]) == 0
+    assert (out / "fra_sweep.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("pwm.dooty_min", "0.04"),
     # keys that once existed but changed no output

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tregsim import array_sim
-from tregsim.array_sim import (_FRA_WORK, ArrayConfig, TempArray, _fra_grid_point,
-                               _fra_point, _fra_tables)
+from tregsim.array_sim import ArrayConfig, TempArray, _fra_grid_point
 from tregsim.devices import (BjtParams, Capacitor, CurrentSourceParams,
                              HeaterParams, PhSensor, Resistor, Series,
                              delta_vbe, i_ctat, i_ptat, vbe)
@@ -130,10 +129,9 @@ def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
         return real(cfg, charge, i_in, *args)
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    cfg = MadcConfig(conversion_noise_counts=0.0)
-    m, c = _fra_grid_point(cfg, 1.0)
-    tables = _fra_tables(cfg, m, c, m, np.empty(_FRA_WORK * m))
-    _fra_point(cfg, net, tables, 4, 0.05)
+    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(conversion_noise_counts=0.0)))
+    m, _ = _fra_grid_point(arr.cfg.madc, 1.0)
+    (res,) = arr.run_is([net], [1.0], amplitude=0.05)
     (i_abs,) = responses
     assert i_abs.shape == (m,)
-    assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(tables.f_act)), rel=1e-4)
+    assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(res.freq)), rel=1e-4)

@@ -49,6 +49,24 @@ def test_write_csv_writes_fmt_cells(tmp_path):
     assert path.read_text() == want
 
 
+def test_write_csv_chunks_write_the_same_bytes(tmp_path, monkeypatch):
+    # rows are formatted and written CSV_CHUNK_ROWS at a time; chunks of 3
+    # rows, with a short last chunk, give the bytes of one unchunked write
+    n = 3 * 4 + 2
+    columns = [[FORMAT_CASES[i % len(FORMAT_CASES)][0] for i in range(n)],
+               np.arange(n) - 5, np.linspace(-1.0, 1.0, n), np.arange(n) % 3 == 0]
+    texts = []
+    for rows in (n, 3):
+        monkeypatch.setattr(experiments, "CSV_CHUNK_ROWS", rows)
+        path = tmp_path / f"chunks{rows}.csv"
+        write_csv(path, ["a", "b", "c", "d"], *columns)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") == n + 1
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [], np.array([]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
 def test_write_csv_rejects_mismatched_columns(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError):

@@ -189,6 +189,26 @@ def test_clip_bound_matches_elementwise_rule(n_charge, i_in, n_clipped):
     assert np.array_equal(n2, np.floor(x + CROSSING_GUARD))
 
 
+def test_discharge_counts_returns_whole_float_counts():
+    # the kernel's counts are whole float64 values, a float for scalar
+    # inputs; convert and convert_signed, which need integers, cast them
+    n2, _ = discharge_counts(POW2, np.array([512.0, 300.0]), AT_CLIP / 4, AT_CLIP)
+    assert n2.dtype == np.float64 and n2.tolist() == [128.0, 75.0]
+    n2, clipped = discharge_counts(POW2, 300.0, AT_CLIP / 4, AT_CLIP)
+    assert type(n2) is float and n2 == 75.0 and clipped is False
+    # plain digitization: preload 0, sign -1
+    charge = charge_phase(POW2, 1.0, 0, -1)
+    conv = convert(POW2, np.array([AT_CLIP / 4, AT_CLIP / 2]), AT_CLIP, charge, 0)
+    assert conv.out_count.dtype.kind == conv.n_discharge.dtype.kind == "i"
+    assert conv.n_discharge.tolist() == [128, 256] and conv.out_count.tolist() == [128, 256]
+    conv = convert(POW2, AT_CLIP / 4, AT_CLIP, charge, 0)
+    assert (type(conv.out_count), type(conv.n_discharge)) == (int, int)
+    signed = convert_signed(POW2, np.array([-AT_CLIP / 4, AT_CLIP / 2]), AT_CLIP)
+    assert signed.dtype.kind == "i" and signed.tolist() == [-128, 256]
+    assert convert_signed(POW2, -AT_CLIP / 4, AT_CLIP) == -128
+    assert type(convert_signed(POW2, -AT_CLIP / 4, AT_CLIP)) is int
+
+
 def test_counter_saturation_clamps():
     conv = run(3e-7, 1e-9)  # ratio far beyond the counter range
     assert conv.saturated
