@@ -12,7 +12,7 @@ from .array_sim import ArrayConfig, FraResult, TempArray
 from .devices import (BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, delta_vbe, i_ctat,
                       i_ptat, vbe)
-from .errors import ConfigurationError, DomainError, FitError
+from .errors import ConfigurationError, DomainError
 from .madc import (MadcConfig, TemperatureMap, convert, convert_signed,
                    snr_test)
 from .pid import (PidCoefficients, PidState, default_tuning, pid_cycle,

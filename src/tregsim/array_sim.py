@@ -25,6 +25,9 @@ from .streams import generators
 # Longest IS period, in conversions: a grid point's tables and converter
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
+# An IS pack holds the longest point's converted phases, and at least
+# MIN_PACK, so that short periods pack too: a 256 KB workspace
+MIN_PACK = 4096
 # IS ranges each response's peak to this fraction of the converter's full
 # scale, clear of the counter and the integrator cap at any width: 380
 # counts at 9 bits
@@ -89,9 +92,7 @@ class ArrayConfig:
             require(getattr(self, key) >= 1, f"array.{key}", ">= 1", getattr(self, key))
         for key in ("sigma_vbe", "sigma_r1", "sigma_r2", "sigma_mirror"):
             require(getattr(self, key) >= 0, f"mismatch.{key}", ">= 0", getattr(self, key))
-        fit = thermal.fit_defaults(target_rise=65.0, p_at_target=self.heater.p_max,
-                                   step_time=10.0)
-        for key, value in zip(("c_th", "g_amb", "g_lat"), fit):
+        for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
             if getattr(self, key) is None:
                 setattr(self, key, value)
         thermal.check_plant(self.c_th, self.g_amb, self.g_lat, self.thermal_dt)
@@ -458,20 +459,18 @@ class TempArray:
         counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref)
         return v, counts * (i_ref / self.cfg.madc.n1_counts), i_ref
 
-    def run_is(self, networks, freqs, n_periods=_IS["n_periods"], amplitude=_IS["amplitude"]):
+    def run_is(self, networks, freqs, amplitude=_IS["amplitude"]):
         """Impedance spectra of linear networks (devices.Series and its
         elements) via the converter's multiply-accumulate; one flat list
         of FraResult, network-major.
 
         Every frequency snaps onto the conversion grid (integer
-        conversions per period) and is checked before any table is built.
+        conversions per period) and is checked before any table is made.
         Consecutive grid points convert in packs that fit in the longest
-        point's conversions, each pack's tables built once into one reused
-        workspace (see _fra_tables), and one converter call per pack and
-        network (see _fra_sums).
+        point's converted phases, or in MIN_PACK, each pack's tables made
+        in one reused workspace (see _fra_tables), and one converter call
+        per pack and network (see _fra_sums).
         """
-        require(int(n_periods) == n_periods and n_periods >= 1, "is_mode.n_periods",
-                "a positive integer", n_periods)
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
         cfg = self.cfg.madc
         freqs = np.array(freqs, dtype=float, ndmin=1)
@@ -481,14 +480,14 @@ class TempArray:
         points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
         # each point's converted samples: an even period converts its first half
         sizes = [m // (2 - m % 2) for m, _ in points]
-        front, room = 4 * max((m for m, _ in points), default=0), max(sizes, default=0)
-        work = np.empty(front + 8 * room)
+        room = max(sizes + [MIN_PACK])
+        work = np.empty(8 * room)
         # a point whose running fill restarts at its own size begins a pack
         fill = accumulate(sizes, lambda size, n: size + n if size + n <= room else n)
         firsts = [i for i, (size, n) in enumerate(zip(fill, sizes)) if size == n]
         results = [[] for _ in networks]
         for a, b in zip(firsts, firsts[1:] + [len(points)]):
-            tables = _fra_tables(cfg, points[a:b], int(n_periods), work, front)
+            tables = _fra_tables(cfg, points[a:b], work)
             for network, res in zip(networks, results):
                 sums = _fra_sums(cfg, network, tables, amplitude)
                 for f_act, mat, rhs in zip(tables.f_act, tables.mats, sums):
@@ -503,7 +502,6 @@ class _FraTables(NamedTuple):
 
     f_act: list                   # each point's frequency
     mats: list                    # each point's 2x2 system: rows tables, columns sine, cosine
-    scale: np.ndarray             # each point's periods per converted sum
     bounds: list                  # each point's first column, then the column count
     basis: np.ndarray             # rows: sin(theta), cos(theta) at the converted phases
     charge: np.ndarray            # rows: sine, cosine table; 0 at a dead slot
@@ -511,50 +509,42 @@ class _FraTables(NamedTuple):
     resp: np.ndarray              # (2, columns) scratch for the response
 
 
-def _fra_tables(cfg, pack, n_periods, work, front):
-    """The _FraTables of grid points (m, cycles_per_window) over n_periods.
+def _fra_tables(cfg, pack, work):
+    """The _FraTables of grid points (m, cycles_per_window), in work.
 
     A point converts one cycle's phases 2*pi*j/m in phase order, j < m/2
     (even m) or j < m: the pair {j, j + m/2} negates response and table
     sign alike, so one phase of each pair counts for both, whatever the
-    cycle count.  The cycle and its table are built once per run of equal
-    m at work's front; the pack's columns sit behind its first front values.
+    cycle count.  Each point's cycle and table are made in its own
+    columns, and its system spans the phases its sums do, so the fold
+    and the period count multiply both sides alike and drop out.
     """
-    fold = [2 - m % 2 for m, _ in pack]
-    bounds = np.cumsum([0] + [m // k for (m, _), k in zip(pack, fold)]).tolist()
-    basis, charge, sign, resp = work[front:front + 8 * bounds[-1]].reshape(4, 2, bounds[-1])
-    mats, built = [], None
+    bounds = np.cumsum([0] + [m // (2 - m % 2) for m, _ in pack]).tolist()
+    basis, charge, sign, resp = work[:8 * bounds[-1]].reshape(4, 2, bounds[-1])
+    mats = []
     for (m, _), a, b in zip(pack, bounds, bounds[1:]):
-        if m != built:
-            built, (cycle, q) = m, work[:4 * m].reshape(2, 2, m)
-            # j < ceil(m/2), completed by the antiperiod x[j + m/2] = -x[j] (even
-            # m) or the mirror sin[m - j] = -sin[j], cos[m - j] = cos[j] (odd
-            # m); theta sits in the cosine row until the cosine overwrites it
-            h = (m + 1) // 2
-            theta = np.multiply(np.arange(h), 2.0 * math.pi, out=cycle[1, :h])
-            theta /= m
-            np.sin(theta, out=cycle[0, :h])
-            np.cos(theta, out=theta)
-            if m % 2:
-                np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
-                cycle[1, h:] = cycle[1, h - 1:0:-1]
-            else:
-                np.negative(cycle[:, :h], out=cycle[:, h:])
-            # the 7-bit tables are q / COEFF_LEVELS; rounding half to even
-            # keeps the antiperiod and the mirror
-            np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
-            mat = (n_periods * (q @ cycle.T / COEFF_LEVELS)).tolist()
-        mats.append(mat)
-        if len(pack) > 1:
-            basis[:, a:b], charge[:, a:b] = cycle[:, :b - a], q[:, :b - a]
-    # a pack of one point reads its basis and table in place
-    basis, q = (cycle[:, :b], q[:, :b]) if len(pack) == 1 else (basis, charge)
-    np.sign(q, out=sign)
+        cycle, q = basis[:, a:b], charge[:, a:b]
+        # j < ceil(m/2), completed by the mirror sin[m - j] = -sin[j],
+        # cos[m - j] = cos[j] (odd m); theta sits in the cosine row until
+        # the cosine overwrites it
+        h = (m + 1) // 2
+        theta = np.multiply(np.arange(h), 2.0 * math.pi, out=cycle[1, :h])
+        theta /= m
+        np.sin(theta, out=cycle[0, :h])
+        np.cos(theta, out=theta)
+        if m % 2:
+            np.negative(cycle[0, h - 1:0:-1], out=cycle[0, h:])
+            cycle[1, h:] = cycle[1, h - 1:0:-1]
+        # the 7-bit tables are q / COEFF_LEVELS; rounding half to even
+        # keeps the mirror
+        np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
+        mats.append((q @ cycle.T / COEFF_LEVELS).tolist())
+    np.sign(charge, out=sign)
     # a slot whose coefficient rounds to zero has zero charge: it counts 0
-    np.round(np.multiply(np.abs(q, out=charge), cfg.n1_counts / COEFF_LEVELS, out=charge),
+    np.round(np.multiply(np.abs(charge, out=charge), cfg.n1_counts / COEFF_LEVELS, out=charge),
              out=charge)
-    return _FraTables([c * cfg.conversion_rate / m for m, c in pack], mats,
-                      np.multiply(fold, n_periods), bounds, basis, charge, sign, resp)
+    return _FraTables([c * cfg.conversion_rate / m for m, c in pack], mats, bounds,
+                      basis, charge, sign, resp)
 
 
 def _fra_sums(cfg, network, tables, amplitude):
@@ -568,14 +558,13 @@ def _fra_sums(cfg, network, tables, amplitude):
         i_mag, phi = amplitude / abs(z), -math.atan2(z.imag, z.real)
         i_cos.append(i_mag * math.cos(phi))
         i_sin.append(i_mag * math.sin(phi))
-        # range the reference so the response peaks at IS_PEAK of full scale
+        # range the reference so the response peaks at IS_PEAK * n1_counts
         refs.append(max(i_mag, 1e-15) * cfg.n1_counts / (IS_PEAK * cfg.n1_counts))
     # each column's scalars, made as they are used; scalars for one point
     cols = (v[0] if len(v) == 1 else np.repeat(v, np.diff(tables.bounds))
             for v in (i_cos, i_sin, refs))
-    # one period's counts stand for every period, and an even period's
-    # first half for both halves (see _fra_tables).  The response comes
-    # from the tables' own sin(theta) and cos(theta) by angle addition.
+    # the response comes from the tables' own sin(theta) and cos(theta)
+    # by angle addition
     i_t, sign_i = tables.resp
     np.multiply(next(cols), tables.basis[0], out=i_t)
     i_t += np.multiply(next(cols), tables.basis[1], out=sign_i)
@@ -587,7 +576,7 @@ def _fra_sums(cfg, network, tables, amplitude):
     counts *= sign_i
     counts *= tables.sign
     totals = np.add.reduceat(counts, tables.bounds[:-1], axis=1)
-    return (totals * tables.scale * refs / cfg.n1_counts).T.tolist()
+    return (totals * refs / cfg.n1_counts).T.tolist()
 
 
 def _solve_2x2(mat, rhs):

@@ -183,34 +183,36 @@ class Series:
 # --------------------------------------------------------------------------
 # Sensor front ends
 
+# the pH front end: PH_SENSITIVITY (A) per pH unit away from PH_REFERENCE
+PH_SENSITIVITY = 1.8e-9
+PH_REFERENCE = 7.0
+# the bundled CV model: a conductance (S) and a Gaussian peak (A, at V, V wide)
+CV_CONDUCTANCE = 2e-7
+PEAK_CURRENT = 5e-8
+PEAK_V = -0.35
+PEAK_WIDTH = 0.06
+
+
 @dataclass
 class PhSensor:
-    """Linear pH front end: delta current per pH unit away from the
-    reference, derated by 1 %/degC above 25 degC; current(temp_c) reads
-    it at the cell's temperature."""
+    """Linear pH front end: PH_SENSITIVITY per pH unit away from
+    PH_REFERENCE, derated by 1 %/degC above 25 degC; current(temp_c)
+    reads it at the cell's temperature."""
 
-    sensitivity_a_per_ph: float = 1.8e-9
-    reference_ph: float = 7.0
-    ph: float = 7.0
-
-    def __post_init__(self):
-        if self.sensitivity_a_per_ph <= 0:
-            raise ConfigurationError("pH sensitivity must be positive")
+    ph: float = PH_REFERENCE
 
     def current(self, temp_c):
-        delta = self.sensitivity_a_per_ph * (self.ph - self.reference_ph)
+        delta = PH_SENSITIVITY * (self.ph - PH_REFERENCE)
         derate = 1.0 - 0.01 * max(temp_c - 25.0, 0.0)
         return delta * derate
 
 
-def gaussian_peak_response(conductance=2e-7, peak_current=5e-8,
-                           peak_v=-0.35, peak_width=0.06):
-    """Bundled test model: ohmic conductance plus a Gaussian redox peak.
+def gaussian_peak_response(v, t):
+    """Bundled test model, a CV response(v, t): ohmic conductance plus a
+    Gaussian redox peak at PEAK_V.
 
     Exists to exercise the voltammetry signal chain, not to model real
     electrode kinetics.
     """
-    def response(v, t):
-        return conductance * v + peak_current * math.exp(-((v - peak_v) ** 2)
-                                                         / (2.0 * peak_width ** 2))
-    return response
+    return CV_CONDUCTANCE * v + PEAK_CURRENT * math.exp(-((v - PEAK_V) ** 2)
+                                                        / (2.0 * PEAK_WIDTH ** 2))

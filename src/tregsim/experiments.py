@@ -13,7 +13,7 @@ import numpy as np
 from .array_sim import (CPA_I_REF, IS_FREQ_RANGE, SAMPLE_PERIOD, SETPOINT_RANGE, ArrayConfig,
                         TempArray, _ranged)
 from .config import from_settings
-from .devices import (BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
+from .devices import (PEAK_V, BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
 from .errors import ConfigurationError, DomainError, require
 from .madc import MadcConfig, charge_phase, convert, snr_test
@@ -488,12 +488,12 @@ def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
     ism = settings["is_mode"]
     freqs = _fra_frequencies(settings)
-    n_periods = _count(settings, "is_mode.n_periods")
+    # checked, though the noiseless channel's results do not depend on it
+    _count(settings, "is_mode.n_periods")
     array = build_array(settings, one_cell=True)
     networks = _fra_networks()
     # one sweep over both networks: every frequency of the first, then the second
-    results = array.run_is([net for _, net in networks], freqs,
-                           n_periods=n_periods, amplitude=ism["amplitude"])
+    results = array.run_is([net for _, net in networks], freqs, amplitude=ism["amplitude"])
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
@@ -574,7 +574,7 @@ def exp_cv_scan(settings, outdir):
     lsb = i_ref / array.cfg.madc.n1_counts
     ohmic_err = float(np.abs(i_est - v / r_test).max())
 
-    v2, i2, _ = array.run_cv(gaussian_peak_response(), *scan)
+    v2, i2, _ = array.run_cv(gaussian_peak_response, *scan)
     span = cv["v_high"] - cv["v_low"]
     tails = (v2 > cv["v_high"] - 0.15 * span) | (v2 < cv["v_low"] + 0.15 * span)
     baseline = np.polyfit(v2[tails], i2[tails], 1)
@@ -588,7 +588,7 @@ def exp_cv_scan(settings, outdir):
     write_csv(os.path.join(outdir, "cv_scan.csv"), ["v", "i_a"], v2, i2)
     return [
         check_le("ohmic_error_a", ohmic_err, lsb * (1 + 1e-9)),
-        check_le("peak_position_error_v", abs(v_peak - (-0.35)), step_v),
+        check_le("peak_position_error_v", abs(v_peak - PEAK_V), step_v),
         check_true("reverse_scan_mirrors", reverse_scan_mirrors(v, i_est)),
     ]
 
@@ -602,7 +602,7 @@ def exp_snr_test(settings, outdir):
     # convert_signed is noiseless: the test measures the quantization limit
     cfg = from_settings(MadcConfig, settings, c_int=3e-9)
     snr = snr_test(cfg, freq=sn["freq"], amplitude=sn["amplitude"],
-                   i_ref=sn["amplitude"], n_samples=_count(settings, "snr.n_samples", 2))
+                   n_samples=_count(settings, "snr.n_samples", 2))
     write_csv(os.path.join(outdir, "snr.csv"),
               ["freq_hz", "amplitude_a", "snr_db"], [sn["freq"]], [sn["amplitude"]], [snr])
     return [check_ge("snr_db", snr, 56.0)]

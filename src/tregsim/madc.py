@@ -222,16 +222,16 @@ class TemperatureMap:
 _SNR = SCHEMA["snr"]
 
 
-def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], i_ref=_SNR["amplitude"],
-             n_samples=_SNR["n_samples"]):
+def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], n_samples=_SNR["n_samples"]):
     """SNR of a digitized full-scale sine, in dB.
 
     Samples the sine at the conversion-slot rate, digitizes with unit
-    coefficient, and estimates SNR from a Hann-windowed DFT.  The tone
-    snaps to the nearest coherent bin with an odd cycle count so leakage
-    does not masquerade as noise.  DC and harmonic bins are excluded
-    from the noise estimate.  No noise is added to the samples or the
-    conversions: quantization sets the noise floor.
+    coefficient against its amplitude as the reference, and estimates
+    SNR from a Hann-windowed DFT.  The tone snaps to the nearest
+    coherent bin with an odd cycle count so leakage does not masquerade
+    as noise.  DC and harmonic bins are excluded from the noise
+    estimate.  No noise is added to the samples or the conversions:
+    quantization sets the noise floor.
     """
     if amplitude <= 0:
         raise DomainError(f"snr.amplitude must be positive, got {amplitude!r}: "
@@ -243,7 +243,7 @@ def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], i_ref=_SNR["am
     freq = cycles * fs / n_samples
     t = np.arange(n_samples) / fs
     i_sig = amplitude * np.sin(2 * np.pi * freq * t)
-    codes = convert_signed(cfg, i_sig, i_ref).astype(float)
+    codes = convert_signed(cfg, i_sig, amplitude).astype(float)
 
     window = np.hanning(n_samples)
     spec = np.abs(np.fft.rfft((codes - codes.mean()) * window)) ** 2

@@ -15,7 +15,11 @@ import math
 import numpy as np
 
 from .config import SCHEMA
-from .errors import FitError, require
+from .errors import require
+
+# the plant fit's targets, in degC and s (see fit_defaults)
+TARGET_RISE = 65.0
+STEP_TIME = 10.0
 
 
 def check_plant(c_th, g_amb, g_lat, dt):
@@ -85,19 +89,17 @@ def cycle_map(shape, c_th, g_lat, g_amb, dt, n_steps):
     return a, b
 
 
-def fit_defaults(target_rise=65.0, p_at_target=SCHEMA["devices"]["p_max"], step_time=10.0):
+def fit_defaults(p_max=SCHEMA["devices"]["p_max"]):
     """Fit (c_th, g_amb, g_lat) to the observed plant behavior.
 
-    g_amb follows from the steady-state rise of an isolated node at full
-    heater power.  c_th is chosen so the default-tuned closed loop walks
-    the last 5 degC of a step into the +-0.5 degC band in about
-    step_time seconds: with the loop pole at lam = tau/3 that entry
-    takes lam*ln(10), giving tau = 3*step_time/ln(10) and
+    g_amb follows from the steady-state rise TARGET_RISE of an isolated
+    node at full heater power p_max.  c_th is chosen so the default-tuned
+    closed loop walks the last 5 degC of a step into the +-0.5 degC band
+    in about STEP_TIME seconds: with the loop pole at lam = tau/3 that
+    entry takes lam*ln(10), giving tau = 3*STEP_TIME/ln(10) and
     c_th = g_amb*tau.  Lateral conductance defaults to twice g_amb.
     """
-    if target_rise <= 0 or p_at_target <= 0 or step_time <= 0:
-        raise FitError("fit inputs must be positive")
-    g_amb = p_at_target / target_rise
-    c_th = g_amb * 3.0 * step_time / math.log(10.0)
+    g_amb = p_max / TARGET_RISE
+    c_th = g_amb * 3.0 * STEP_TIME / math.log(10.0)
     g_lat = 2.0 * g_amb
     return c_th, g_amb, g_lat

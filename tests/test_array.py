@@ -12,9 +12,9 @@ import pytest
 
 import tregsim
 from tregsim import array_sim, streams
-from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _ranged,
-                               _solve_2x2)
+from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, MIN_PACK,
+                               ArrayConfig, TempArray, _fra_grid_point, _fra_sums, _fra_tables,
+                               _ranged, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
@@ -671,8 +671,6 @@ def test_is_frequency_domain_checked():
     net = Series((Resistor(1e5),))
     with pytest.raises(DomainError):
         arr.run_is([net], [0.01])
-    with pytest.raises(ConfigurationError):
-        arr.run_is([net], [10.0], n_periods=1.5)
 
 
 def phasor(net, f, amplitude):
@@ -751,9 +749,9 @@ def converted(m):
 
 def default_packs(cfg):
     """The default grid's points in run_is's packs: each takes points
-    while their converted phases fit in the longest point's."""
+    while their converted phases fit in the longest point's, or in MIN_PACK."""
     points = [_fra_grid_point(cfg, float(f)) for f in default_fra_grid()]
-    room = max(converted(m) for m, _ in points)
+    room = max([converted(m) for m, _ in points] + [MIN_PACK])
     packs = []
     for point in points:
         if not packs or sum(converted(m) for m, _ in packs[-1] + [point]) > room:
@@ -763,21 +761,15 @@ def default_packs(cfg):
 
 
 def build(cfg, pack, work=None):
-    """(tables, cycle, q): a pack's tables over 4 periods, built in a fresh
-    workspace unless work is given, and the full cycle and 7-bit table of
-    its last point, which the build leaves at the workspace's front."""
-    front = 4 * max(m for m, _ in pack)
+    """A pack's tables, built in a fresh workspace unless work is given."""
     if work is None:
-        work = np.empty(front + 8 * sum(converted(m) for m, _ in pack))
-    m = pack[-1][0]
-    tables = _fra_tables(cfg, pack, 4, work, front)
-    cycle, q = work[:4 * m].reshape(2, 2, m)
-    return tables, cycle, q
+        work = np.empty(8 * sum(converted(m) for m, _ in pack))
+    return _fra_tables(cfg, pack, work)
 
 
 def test_is_closed_form_solve_matches_linalg(monkeypatch):
     # the 2x2 systems of the default sweep, one per (network, grid point),
-    # on its 39 projection matrices: the 13 points with m = 64 share one
+    # on its 39 projection matrices: the 13 points with m = 64 build equal ones
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     systems = []
@@ -800,48 +792,50 @@ def test_is_closed_form_solve_matches_linalg(monkeypatch):
 def test_is_half_cycle_tables_match_direct_evaluation():
     # every default grid point, in phase order: its converted phases
     # 2*pi*j/m, j < m/2 (even m) or j < m, carry the charge and sign
-    # tables rounded from a direct evaluation, and a basis within a few
-    # ulp of it.  The full cycle left at the workspace's front agrees with
-    # the direct one, and the identities that complete it hold bit for
-    # bit: the antiperiod for even m, the mirror for odd m.  A point of
-    # several odd cycles in m = 64 conversions meets, in conversion order
-    # (cycles * k) % 64 for k < 32, one phase of each antiperiod pair
-    # {j, j + 32}: the same counts as the phases j < 32.
+    # tables rounded from a direct evaluation, a basis within a few ulp
+    # of it, and the system of those tables over that basis.  The
+    # identities that let the converted phases stand for the period hold
+    # bit for bit: the antiperiod of the direct tables for even m, the
+    # mirror of the built cycle for odd m.  A point of several odd cycles
+    # in m = 64 conversions meets, in conversion order (cycles * k) % 64
+    # for k < 32, one phase of each antiperiod pair {j, j + 32}: the same
+    # counts as the phases j < 32.
     cfg = quiet_array().cfg.madc
     bits = lambda a: a.view(np.int64)
     for f in default_fra_grid():
         m, c = _fra_grid_point(cfg, float(f))
-        tables, cycle, q = build(cfg, [(m, c)])
+        tables = build(cfg, [(m, c)])
         n = converted(m)
         theta = 2 * np.pi * np.arange(m) / m
         direct = np.stack((np.sin(theta), np.cos(theta)))
         q_direct = np.round(direct * 128)
-        assert np.array_equal(q, q_direct)
-        assert np.array_equal(tables.sign, np.sign(q_direct[:, :n]))
-        assert np.array_equal(tables.charge,
-                              np.round(np.abs(q_direct[:, :n]) * cfg.n1_counts / 128))
+        q = np.ascontiguousarray(q_direct[:, :n])
+        assert np.array_equal(tables.sign, np.sign(q))
+        assert np.array_equal(tables.charge, np.round(np.abs(q) * cfg.n1_counts / 128))
         # a direct phase near 2*pi carries that angle's rounding
-        np.testing.assert_allclose(cycle, direct, rtol=0, atol=4 * np.spacing(2 * np.pi))
-        assert np.array_equal(bits(tables.basis), bits(cycle[:, :n]))
+        np.testing.assert_allclose(tables.basis, direct[:, :n], rtol=0,
+                                   atol=4 * np.spacing(2 * np.pi))
+        assert tables.mats == [(q @ tables.basis.T / 128).tolist()]
         if c > 1:
             assert m == 64 and c % 2
             assert sorted(c * np.arange(32) % 64 % 32) == list(range(32))
         if m % 2 == 0:
             h = m // 2
-            assert np.array_equal(bits(cycle[:, h:]), bits(-cycle[:, :h]))
-            assert np.array_equal(q[:, h:], -q[:, :h])
+            assert np.array_equal(q_direct[:, h:], -q_direct[:, :h])
         else:
             # phase m - j mirrors phase j, for j = 1 .. m - 1
             mirror = m - np.arange(1, m)
+            cycle = tables.basis
             assert np.array_equal(bits(cycle[0, mirror]), bits(-cycle[0, 1:]))
             assert np.array_equal(bits(cycle[1, mirror]), bits(cycle[1, 1:]))
-            assert np.array_equal(q[:, mirror], q[:, 1:] * [[-1], [1]])
+            assert np.array_equal(tables.sign[:, mirror], tables.sign[:, 1:] * [[-1], [1]])
+            assert np.array_equal(tables.charge[:, mirror], tables.charge[:, 1:])
 
 
 # the noiseless case only: the tables do not depend on the channel noise
 @pytest.mark.parametrize("noise", [0.0])
 def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
-    # one workspace, sized for the longest period and left dirty by every
+    # one workspace, sized for the four points and left dirty by every
     # build, serves points from long to short periods that switch parity:
     # even m 98, odd m 97, then m 64 with 27 and with 67 cycles, first one
     # point per pack and then all four in one pack.  Every build equals a
@@ -850,14 +844,12 @@ def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
     cfg = MadcConfig(conversion_noise_counts=noise)
     bits = lambda a: a.view(np.int64)
     points = [(98, 1), (97, 1), (64, 27), (64, 67)]
-    work = np.full(4 * 98 + 8 * sum(converted(m) for m, _ in points), np.nan)
+    work = np.full(8 * sum(converted(m) for m, _ in points), np.nan)
     alone = []
     for pack in [[point] for point in points] + [points]:
-        got, _, _ = build(cfg, pack, work)
-        want, _, _ = build(cfg, pack)
+        got, want = build(cfg, pack, work), build(cfg, pack)
         n = sum(converted(m) for m, _ in pack)
         assert (got.f_act, got.mats, got.bounds) == (want.f_act, want.mats, want.bounds)
-        assert np.array_equal(got.scale, want.scale)
         for name in ("basis", "charge", "sign"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape == (2, n)
@@ -878,27 +870,34 @@ def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
 ])
 def test_is_folded_sums_equal_full_period_conversion(net):
     # the default sweep's packs convert an even period's first half and
-    # an m = 64 point's phases in phase order, several points per call;
-    # each point's sums must equal, exactly, one discharge_counts call over
-    # its whole period in phase order, through its own ranged config
+    # an m = 64 point's phases in phase order, several points per call.
+    # One discharge_counts call over a point's whole period in phase
+    # order, through its own ranged config, counts exactly the fold times
+    # its converted phases' totals, and the pack's sums are those totals
     cfg = quiet_array().cfg.madc
     n1 = cfg.n1_counts
     packs = default_packs(cfg)
     assert [len(pack) for pack in packs] == [1, 1, 1, 1, 1, 1, 2, 4, 39]
     for pack in packs:
-        tables, _, _ = build(cfg, pack)
+        tables = build(cfg, pack)
         for (m, c), f_act, sums in zip(pack, tables.f_act, _fra_sums(cfg, net, tables, 0.01)):
-            _, cycle, q = build(cfg, [(m, c)])
+            one = build(cfg, [(m, c)])
+            n, fold = converted(m), m // converted(m)
+            # the whole period: an even one's second half negates its first
+            cycle = np.concatenate([one.basis, -one.basis][:fold], axis=1)
+            q = np.concatenate([one.sign, -one.sign][:fold], axis=1)
+            q *= np.tile(one.charge, fold)
             i_mag, phi = phasor(net, f_act, 0.01)
             i_ref = max(i_mag, 1e-15) * n1 / (380.0 * n1 / 512)
             # run_is's response: i_m*sin(theta + phi) by angle addition
             i_t = i_mag * math.cos(phi) * cycle[0]
             i_t += i_mag * math.sin(phi) * cycle[1]
-            charge = np.round(np.abs(q) * (n1 / 128))
-            n2, clipped = discharge_counts(_ranged(cfg, i_ref), charge, np.abs(i_t), i_ref)
+            n2, clipped = discharge_counts(_ranged(cfg, i_ref), np.abs(q), np.abs(i_t), i_ref)
             assert clipped is False
-            totals = (np.sign(i_t) * n2 * np.sign(q)).sum(axis=1).tolist()
-            assert sums == [t * 4 * i_ref / n1 for t in totals]
+            counts = np.sign(i_t) * n2 * np.sign(q)
+            totals = counts[:, :n].sum(axis=1).tolist()
+            assert counts.sum(axis=1).tolist() == [fold * t for t in totals]
+            assert sums == [t * i_ref / n1 for t in totals]
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
@@ -916,7 +915,7 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     arr = quiet_array(noise=noise)
     before = reg_draws(arr)
-    arr.run_is([Series((Resistor(100e3),))], [f_req], n_periods=4)
+    arr.run_is([Series((Resistor(100e3),))], [f_req])
     assert sizes == [m]
     assert _fra_grid_point(arr.cfg.madc, f_req)[0] == m
     assert reg_draws(arr) == before
@@ -948,8 +947,8 @@ def frequency_major(arr, networks, freqs):
 @pytest.mark.parametrize("f_a, f_b, same_point", [
     (50.0, 50.0, True),
     # both snap to m = 64, with 27 and 67 cycles: converted in phase
-    # order, their tables depend on m alone, and the second point may
-    # read the first one's
+    # order, their tables depend on m alone, and each point builds its
+    # own into its pack's columns
     (2000.0, 5000.0, False),
 ])
 def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
@@ -1029,6 +1028,29 @@ def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
     assert max(sizes) <= 2 * longest == 48828
 
 
+def test_is_high_frequency_sweep_makes_one_call_per_network(monkeypatch):
+    # every point of a 700 Hz - 10 kHz sweep lies above f_conv / 8 and
+    # converts 32 phases of m = 64; the pack room's MIN_PACK floor packs
+    # them all, one discharge_counts call per network
+    calls = []
+
+    def spy(*args):
+        calls.append(None)
+        return discharge_counts(*args)
+
+    settings = copy.deepcopy(SCHEMA)
+    settings["is_mode"].update(f_lo=700.0, f_hi=10000.0)
+    freqs = _fra_frequencies(settings)
+    arr = quiet_array()
+    assert len(freqs) > 1
+    assert {_fra_grid_point(arr.cfg.madc, float(f))[0] for f in freqs} == {64}
+    monkeypatch.setattr(array_sim, "discharge_counts", spy)
+    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
+            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    assert len(arr.run_is(nets, freqs)) == 2 * len(freqs)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("n_bits", [7, 8, 9, 10, 11, 12])
 def test_is_conversions_never_clip(monkeypatch, n_bits):
     # IS ranges each response to 380/512 of full scale: over the default
@@ -1081,7 +1103,7 @@ def test_modes_ignore_the_configured_channel_noise():
     runs = []
     for arr in (noisy, quiet):
         cpa = arr.run_cpa(sensor, 31.0, 0.2)
-        cv = arr.run_cv(gaussian_peak_response(), -0.7, 0.0, 0.1)
+        cv = arr.run_cv(gaussian_peak_response, -0.7, 0.0, 0.1)
         runs.append((cpa, cv, arr.run_is(nets, [0.5, 50.0, 50.34, 5000.0])))
     (cpa, cv, fra), (cpa_q, cv_q, fra_q) = runs
     assert np.array_equal(cpa, cpa_q)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from tregsim import thermal
 from tregsim.array_sim import ArrayConfig, TempArray
-from tregsim.errors import ConfigurationError, FitError
+from tregsim.errors import ConfigurationError
 from tregsim.thermal import (_lateral_flux, check_plant, cycle_map,
                              fit_defaults, step_temps)
 
@@ -155,14 +156,12 @@ def test_plant_parameters_checked():
                               g_lat=G_LAT))
 
 
-def test_fit_defaults_values():
-    c_th, g_amb, g_lat = fit_defaults(target_rise=65.0, p_at_target=0.27,
-                                      step_time=10.0)
+def test_fit_defaults_values(monkeypatch):
+    c_th, g_amb, g_lat = fit_defaults(0.27)
     assert g_amb == pytest.approx(0.27 / 65.0, rel=1e-12)      # ~4.15 mW/K
     assert g_lat == pytest.approx(2 * g_amb, rel=1e-12)
     # longer step time grows only the heat capacity
-    c2, g2, _ = fit_defaults(step_time=20.0)
+    monkeypatch.setattr(thermal, "STEP_TIME", 2 * thermal.STEP_TIME)
+    c2, g2, _ = fit_defaults(0.27)
     assert g2 == g_amb
     assert c2 == pytest.approx(2 * c_th, rel=1e-12)
-    with pytest.raises(FitError):
-        fit_defaults(target_rise=-1.0)
