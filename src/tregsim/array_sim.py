@@ -25,9 +25,6 @@ from .streams import generators
 # Longest IS period, in conversions: a grid point's tables and converter
 # batch grow with it.  About 21x the default grid's longest, 48828 at 0.1 Hz.
 MAX_FRA_PERIOD = 2 ** 20
-# An IS pack holds the longest point's converted phases, and at least
-# MIN_PACK, so that short periods pack too: a 256 KB workspace
-MIN_PACK = 4096
 # IS ranges each response's peak to this fraction of the converter's full
 # scale, clear of the counter and the integrator cap at any width: 380
 # counts at 9 bits
@@ -467,9 +464,9 @@ class TempArray:
         Every frequency snaps onto the conversion grid (integer
         conversions per period) and is checked before any table is made.
         Consecutive grid points convert in packs that fit in the longest
-        point's converted phases, or in MIN_PACK, each pack's tables made
-        in one reused workspace (see _fra_tables), and one converter call
-        per pack and network (see _fra_sums).
+        point's converted phases, each pack's tables made in one reused
+        workspace (see _fra_tables), and one converter call per pack and
+        network (see _fra_sums).
         """
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
         cfg = self.cfg.madc
@@ -480,7 +477,7 @@ class TempArray:
         points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
         # each point's converted samples: an even period converts its first half
         sizes = [m // (2 - m % 2) for m, _ in points]
-        room = max(sizes + [MIN_PACK])
+        room = max(sizes, default=0)
         work = np.empty(8 * room)
         # a point whose running fill restarts at its own size begins a pack
         fill = accumulate(sizes, lambda size, n: size + n if size + n <= room else n)
@@ -560,9 +557,8 @@ def _fra_sums(cfg, network, tables, amplitude):
         i_sin.append(i_mag * math.sin(phi))
         # range the reference so the response peaks at IS_PEAK * n1_counts
         refs.append(max(i_mag, 1e-15) * cfg.n1_counts / (IS_PEAK * cfg.n1_counts))
-    # each column's scalars, made as they are used; scalars for one point
-    cols = (v[0] if len(v) == 1 else np.repeat(v, np.diff(tables.bounds))
-            for v in (i_cos, i_sin, refs))
+    # each column's scalars, made as they are used
+    cols = (np.repeat(v, np.diff(tables.bounds)) for v in (i_cos, i_sin, refs))
     # the response comes from the tables' own sin(theta) and cos(theta)
     # by angle addition
     i_t, sign_i = tables.resp

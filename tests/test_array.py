@@ -12,9 +12,9 @@ import pytest
 
 import tregsim
 from tregsim import array_sim, streams
-from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, MIN_PACK,
-                               ArrayConfig, TempArray, _fra_grid_point, _fra_sums, _fra_tables,
-                               _ranged, _solve_2x2)
+from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
+                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _ranged,
+                               _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
@@ -749,9 +749,9 @@ def converted(m):
 
 def default_packs(cfg):
     """The default grid's points in run_is's packs: each takes points
-    while their converted phases fit in the longest point's, or in MIN_PACK."""
+    while their converted phases fit in the longest point's."""
     points = [_fra_grid_point(cfg, float(f)) for f in default_fra_grid()]
-    room = max([converted(m) for m, _ in points] + [MIN_PACK])
+    room = max(converted(m) for m, _ in points)
     packs = []
     for point in points:
         if not packs or sum(converted(m) for m, _ in packs[-1] + [point]) > room:
@@ -1026,29 +1026,6 @@ def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
     longest = max(converted(m) for m, _ in sum(default_packs(arr.cfg.madc), []))
     assert len(sizes) == 18
     assert max(sizes) <= 2 * longest == 48828
-
-
-def test_is_high_frequency_sweep_makes_one_call_per_network(monkeypatch):
-    # every point of a 700 Hz - 10 kHz sweep lies above f_conv / 8 and
-    # converts 32 phases of m = 64; the pack room's MIN_PACK floor packs
-    # them all, one discharge_counts call per network
-    calls = []
-
-    def spy(*args):
-        calls.append(None)
-        return discharge_counts(*args)
-
-    settings = copy.deepcopy(SCHEMA)
-    settings["is_mode"].update(f_lo=700.0, f_hi=10000.0)
-    freqs = _fra_frequencies(settings)
-    arr = quiet_array()
-    assert len(freqs) > 1
-    assert {_fra_grid_point(arr.cfg.madc, float(f))[0] for f in freqs} == {64}
-    monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    assert len(arr.run_is(nets, freqs)) == 2 * len(freqs)
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n_bits", [7, 8, 9, 10, 11, 12])

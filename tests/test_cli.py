@@ -253,8 +253,6 @@ dir = %s
     ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
     # 70000001 sweep points: the run died in an allocation error, exit 1
     ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
-    # a period count that is not a whole number
-    ("fra_sweep", {"is_mode": "n_periods = 1.5"}, "is_mode.n_periods"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

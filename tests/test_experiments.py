@@ -90,17 +90,6 @@ def run_at(tmp_path, name, keys=None):
     return run_experiment(settings, str(outdir)), outdir
 
 
-def test_fra_sweep_does_not_depend_on_the_period_count(tmp_path):
-    # is_mode.n_periods is checked, but a noiseless channel's period
-    # counts the same every time: its CSVs keep their bytes
-    outputs = []
-    for n in (1, 3, 4):
-        checks, outdir = run_at(tmp_path, "fra_sweep", {"is_mode.n_periods": n})
-        assert all(c.passed for c in checks)
-        outputs.append({p.name: p.read_bytes() for p in outdir.glob("*.csv")})
-    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
-
-
 def test_snr_test_runs_the_configured_converter(tmp_path):
     # a bit more resolution is about 6 dB more quantization-limited SNR
     checks, base = run_at(tmp_path, "snr_test")
