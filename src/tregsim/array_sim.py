@@ -17,7 +17,7 @@ from .config import SCHEMA, setting
 from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, charge_phase, convert,
-                   convert_signed, discharge_counts)
+                   convert_signed, discharge_counts, ranged)
 from .pid import PidCoefficients, PidState, default_tuning, pid_cycle
 from .pwm import PwmConfig, duty_of_code
 from .streams import generators
@@ -106,26 +106,12 @@ class ArrayConfig:
 @dataclass
 class RegulationResult:
     time: np.ndarray              # cycle end times
-    setpoint: np.ndarray          # (cycles, rows, cols)
-    t_true: np.ndarray
+    t_true: np.ndarray            # (cycles, rows, cols)
     t_meas: np.ndarray
     u: np.ndarray
     duty: np.ndarray
     warnings: list
     conv_trace: dict              # None, or named 1-D columns (see run_regulation)
-
-
-@dataclass
-class CharacterizeResult:
-    t_values: np.ndarray
-    counts: np.ndarray            # (cells, nT)
-    t_read: np.ndarray
-    map_error: np.ndarray         # t_read - t_true per cell
-    die_mean_error: np.ndarray    # mean over cells per sweep point
-    fit_slope: np.ndarray
-    fit_intercept: np.ndarray
-    fit_resid_counts: np.ndarray  # max |residual| per cell
-    fit_resid_celsius: np.ndarray
 
 
 class TempArray:
@@ -166,7 +152,6 @@ class TempArray:
         shape = (cfg.rows, cfg.cols)
         cs = cfg.current_source
         self.cal_preload = np.zeros(shape, dtype=int)
-        self.cal_ok = np.ones(shape, dtype=bool)
         # each cell's Gaussian mismatch in one call on its stream, in a
         # fixed draw order: absolute on vbe, relative on r1, r2 and the
         # mirror ratio
@@ -261,8 +246,8 @@ class TempArray:
         self.cal_preload[...] = cals[best]
         # a best fit at the edge of the range means the true optimum
         # may lie outside: report it
-        self.cal_ok[...] = (0 < best) & (best < cals.size - 1)
-        return [tuple(index) for index in np.argwhere(~self.cal_ok).tolist()]
+        edge = (best == 0) | (best == cals.size - 1)
+        return [tuple(index) for index in np.argwhere(edge).tolist()]
 
     # -- temperature regulation ------------------------------------------
 
@@ -280,8 +265,6 @@ class TempArray:
         """
         cfg = self.cfg
         sp = np.asarray(setpoint_map, dtype=float)
-        if sp.ndim == 0:
-            sp = np.full((cfg.rows, cfg.cols), float(sp))
         lo, hi = SETPOINT_RANGE
         if np.any(sp < lo) or np.any(sp > hi):
             raise DomainError(f"setpoints outside [{lo:g}, {hi:g}] degC")
@@ -292,11 +275,9 @@ class TempArray:
         state = self.pid_state
 
         shape = (n_cycles, cfg.rows, cfg.cols)
-        out = RegulationResult(time=np.empty(n_cycles), setpoint=np.empty(shape),
-                               t_true=np.empty(shape), t_meas=np.empty(shape),
-                               u=np.empty(shape, dtype=int), duty=np.zeros(shape),
-                               warnings=[], conv_trace=None)
-        out.setpoint[...] = sp
+        out = RegulationResult(time=np.empty(n_cycles), t_true=np.empty(shape),
+                               t_meas=np.empty(shape), u=np.empty(shape, dtype=int),
+                               duty=np.zeros(shape), warnings=[], conv_trace=None)
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(
                 self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
@@ -330,20 +311,10 @@ class TempArray:
         noise = self._cell_noise((n_cycles, len(active) + 1))
         if noise is not None:
             noise = np.moveaxis(noise, (0, 1), (-2, -1))
-        conv = None
         # each cycle's preloads, discharge counts and products of its
         # error conversions
-        traced = (np.empty((n_cycles, 3, len(active)) + sp.shape, dtype=int)
+        traced = (np.empty((n_cycles, 3, len(active)) + shape[1:], dtype=int)
                   if trace_conversions else None)
-
-        def measure(preloads):
-            # every conversion of every cell in cycle k, on the cycle's
-            # front-end currents
-            nonlocal conv
-            targets[:-1] = preloads
-            conv = convert(madc, i_in, i_ref, charge, targets,
-                           None if noise is None else noise[k])
-            return conv.out_count[:-1]
 
         since = self._sat_since
         temp, now = self.temp, self._time
@@ -352,7 +323,10 @@ class TempArray:
                 # the field is constant within a cycle: one front-end
                 # evaluation serves the whole batch
                 i_in, i_ref = self.front_end_currents(temp)
-                u = out.u[k] = pid_cycle(state, coeffs, measure)
+                targets[:-1] = state.dither()
+                conv = convert(madc, i_in, i_ref, charge, targets,
+                               None if noise is None else noise[k])
+                u = out.u[k] = pid_cycle(state, coeffs, conv.out_count[:-1])
                 if traced is not None:
                     traced[k] = targets[:-1], conv.n_discharge[:-1], -conv.out_count[:-1]
                 # code 0 is the heater off, not the PWM's minimum duty
@@ -383,7 +357,7 @@ class TempArray:
             self.temp, self._time = temp, now
         if traced is not None:
             # one row per error conversion; j indexes the active slots
-            cycle, row, col, j = np.indices((n_cycles,) + sp.shape + (len(active),)).reshape(4, -1)
+            cycle, row, col, j = np.indices(shape + (len(active),)).reshape(4, -1)
             preload, n2, product = traced[cycle, :, j, row, col].T
             out.conv_trace = {
                 "cycle": cycle, "row": row, "col": col,
@@ -395,28 +369,10 @@ class TempArray:
     # -- characterization --------------------------------------------------
 
     def characterize_sensor(self, t_values, n_avg=4):
-        """Transfer table over a forced temperature sweep, per cell.
-
-        Static characterization averages a few conversions per point.
-        Returns counts, design-map readbacks and their errors, plus the
-        per-cell straight-line fit of counts versus temperature with its
-        residuals expressed in counts and in Celsius.
-        """
+        """Counts of every cell, row-major, at each of t_values (Celsius),
+        shaped (cells, points); each averages n_avg conversions (see read_counts)."""
         t_values = np.asarray(t_values, dtype=float)
-        counts = self.read_counts(t_values[:, None, None], n_avg).reshape(t_values.size, -1).T
-        t_read = self.temp_map.read_temperature(counts)
-        map_error = t_read - t_values[None, :]
-        a = np.vstack([t_values, np.ones_like(t_values)]).T
-        coef, *_ = np.linalg.lstsq(a, counts.T, rcond=None)
-        resid = counts.T - a @ coef
-        slope_local = np.gradient(self.temp_map.counts_cont(t_values), t_values)
-        resid_c = resid / np.abs(slope_local)[:, None]
-        return CharacterizeResult(
-            t_values=t_values, counts=counts, t_read=t_read, map_error=map_error,
-            die_mean_error=map_error.mean(axis=0),
-            fit_slope=coef[0], fit_intercept=coef[1],
-            fit_resid_counts=np.abs(resid).max(axis=0),
-            fit_resid_celsius=np.abs(resid_c).max(axis=0))
+        return self.read_counts(t_values[:, None, None], n_avg).reshape(t_values.size, -1).T
 
     # -- measurement modes -------------------------------------------------
 
@@ -427,7 +383,7 @@ class TempArray:
         """Constant-potential trace of a PhSensor at temp_c (degC): the
         reconstructed current of each sample."""
         currents = np.full(int(duration / SAMPLE_PERIOD), sensor.current(temp_c))
-        counts = convert_signed(_ranged(self.cfg.madc, CPA_I_REF), currents, CPA_I_REF)
+        counts = convert_signed(ranged(self.cfg.madc, CPA_I_REF), currents, CPA_I_REF)
         return counts * (CPA_I_REF / self.cfg.madc.n1_counts)
 
     def run_cv(self, response, v_low, v_high, scan_rate):
@@ -453,7 +409,7 @@ class TempArray:
         times = np.arange(v.size) * SAMPLE_PERIOD
         currents = np.array([response(vk, t) for vk, t in zip(v, times)])
         i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
-        counts = convert_signed(_ranged(self.cfg.madc, i_ref), currents, i_ref)
+        counts = convert_signed(ranged(self.cfg.madc, i_ref), currents, i_ref)
         return v, counts * (i_ref / self.cfg.madc.n1_counts), i_ref
 
     def run_is(self, networks, freqs, amplitude=_IS["amplitude"]):
@@ -567,7 +523,7 @@ def _fra_sums(cfg, network, tables, amplitude):
     np.sign(i_t, out=sign_i)
     # both tables in one batch, through the cap of the largest reference;
     # whole counts, so the signed sums in any order are exact
-    counts, _ = discharge_counts(_ranged(cfg, max(refs)), tables.charge,
+    counts, _ = discharge_counts(ranged(cfg, max(refs)), tables.charge,
                                  np.abs(i_t, out=i_t), next(cols))
     counts *= sign_i
     counts *= tables.sign
@@ -594,15 +550,6 @@ def _whole_multiple(total, unit, key, unit_name, unit_key):
     require(n >= 1 and abs(ratio - n) <= 1e-9 * ratio, key,
             f"a whole number of {unit_name}s {unit_key} ({unit:g} s)", total)
     return n
-
-
-def _ranged(cfg, i_ref):
-    """cfg with the integration cap ranged so full-scale inputs do not clip.
-
-    cfg itself when its cap already suffices.
-    """
-    c_int = 1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full
-    return cfg if cfg.c_int >= c_int else replace(cfg, c_int=c_int)
 
 
 def _fra_grid_point(cfg, f_req):

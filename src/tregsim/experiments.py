@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .array_sim import (CPA_I_REF, IS_FREQ_RANGE, SAMPLE_PERIOD, SETPOINT_RANGE, ArrayConfig,
-                        TempArray, _ranged)
+                        TempArray)
 from .config import from_settings
 from .devices import (PEAK_V, BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
 from .errors import ConfigurationError, DomainError, require
-from .madc import MadcConfig, charge_phase, convert, snr_test
+from .madc import MadcConfig, charge_phase, convert, ranged, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
 from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
@@ -126,11 +126,14 @@ def build_array(settings, seed=None, one_cell=False):
 
 
 def _count(settings, key, least=1):
-    """The integer setting section.key, rejected below least."""
+    """The integer setting section.key, rejected unless a whole number >= least."""
     section, name = key.split(".")
-    n = int(settings[section][name])
-    require(n >= least, key, f">= {least}", n)
-    return n
+    value = settings[section][name]
+    # a settings dict, unlike a config file, may hold any number here
+    require(isinstance(value, int) or (math.isfinite(value) and value == int(value)), key,
+            "a whole number", value)
+    require(value >= least, key, f">= {least}", value)
+    return int(value)
 
 
 def _in_domain(settings, key, lo, hi, unit):
@@ -182,25 +185,32 @@ def exp_characterize_sensor(settings, outdir):
     t_values = _sweep_temperatures(settings)
     array = build_array(settings)
     array.calibrate_one_point()
-    res = array.characterize_sensor(t_values)
+    counts = array.characterize_sensor(t_values)
+    t_read = array.temp_map.read_temperature(counts)
+    map_error = t_read - t_values
+    # each cell's straight-line fit, its residuals in counts and in Celsius
+    a = np.vstack([t_values, np.ones_like(t_values)]).T
+    coef, *_ = np.linalg.lstsq(a, counts.T, rcond=None)
+    resid = counts.T - a @ coef
+    slope_local = np.gradient(array.temp_map.counts_cont(t_values), t_values)
+    resid_c = resid / np.abs(slope_local)[:, None]
 
     # one row per cell and sweep point, cell-major
-    cells = np.arange(res.counts.shape[0])
+    cells = np.arange(counts.shape[0])
     cell = np.repeat(cells, t_values.size)
     write_csv(os.path.join(outdir, "transfer.csv"),
               ["cell", "row", "col", "t_true_c", "count", "t_read_c", "error_c"],
               cell, *np.divmod(cell, array.cfg.cols), np.tile(t_values, cells.size),
-              res.counts.ravel(), res.t_read.ravel(), res.map_error.ravel())
+              counts.ravel(), t_read.ravel(), map_error.ravel())
     write_csv(os.path.join(outdir, "linear_fit.csv"),
               ["cell", "slope_counts_per_c", "intercept_counts",
                "max_resid_counts", "max_resid_c"],
-              cells, res.fit_slope, res.fit_intercept, res.fit_resid_counts,
-              res.fit_resid_celsius)
+              cells, coef[0], coef[1], np.abs(resid).max(axis=0), np.abs(resid_c).max(axis=0))
 
-    mono = bool(np.all(np.diff(res.counts, axis=1) < 0))
+    mono = bool(np.all(np.diff(counts, axis=1) < 0))
     checks = [
         check_true("counts_monotone_decreasing_all_cells", mono),
-        check_le("die_mean_abs_error_c", float(np.abs(res.die_mean_error).max()), 0.5),
+        check_le("die_mean_abs_error_c", float(np.abs(map_error.mean(axis=0)).max()), 0.5),
     ]
     return checks
 
@@ -216,10 +226,10 @@ def exp_die_error_sweep(settings, outdir):
     for d, dseed in enumerate(die_seeds):
         array = build_array(settings, seed=dseed)
         failures = array.calibrate_one_point()
-        res = array.characterize_sensor(t_values)
-        errors.append(res.die_mean_error)
-        checks.append(check_le(f"die{d}_max_abs_error_c",
-                               float(np.abs(res.die_mean_error).max()), 0.5))
+        counts = array.characterize_sensor(t_values)
+        error = (array.temp_map.read_temperature(counts) - t_values).mean(axis=0)
+        errors.append(error)
+        checks.append(check_le(f"die{d}_max_abs_error_c", float(np.abs(error).max()), 0.5))
         checks.append(check_true(f"die{d}_all_cells_calibrated", not failures))
     write_csv(os.path.join(outdir, "die_errors.csv"),
               ["die", "t_true_c", "mean_error_c"], np.repeat(np.arange(n_dies), t_values.size),
@@ -322,7 +332,7 @@ def exp_regulation_steps(settings, outdir):
         results.append(array.run_regulation(sp, reg["plateau_s"],
                                             trace_conversions=trace_on))
     time = np.concatenate([r.time for r in results])
-    spt = np.concatenate([r.setpoint[:, 0, 0] for r in results])
+    spt = np.repeat(np.array(reg["setpoints"], dtype=float), [r.time.size for r in results])
     t_true = np.concatenate([r.t_true for r in results])
     t_meas = np.concatenate([r.t_meas for r in results])
     u = np.concatenate([r.u for r in results])
@@ -404,9 +414,9 @@ def exp_madc_oracle(settings, outdir):
     n_charge = n_full - cal
     i_in = p_in * scale
     # 1e-6 F holds every draw's charge at the default clock.  A slower
-    # clock integrates longer: _ranged raises the cap then, as for the
+    # clock integrates longer: ranged raises the cap then, as for the
     # measurement modes, with the largest draw's charge as full scale
-    cfg = _ranged(cfg, np.max(n_charge * i_in) / cfg.n1_counts)
+    cfg = ranged(cfg, np.max(n_charge * i_in) / cfg.n1_counts)
     got = convert(cfg, i_in, p_ref * scale, charge_phase(cfg, coeff, cal, sign),
                   preload).out_count
     expect = madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, cfg.counter_max)

@@ -7,7 +7,7 @@ One instance is shared by the temperature loop and all measurement modes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -168,6 +168,15 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     return Conversion(int(out), int(n2), saturated)
 
 
+def ranged(cfg, i_ref):
+    """cfg with the integration cap ranged so full-scale inputs do not clip.
+
+    cfg itself when its cap already suffices.
+    """
+    c_int = 1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full
+    return cfg if cfg.c_int >= c_int else replace(cfg, c_int=c_int)
+
+
 def convert_signed(cfg, i_in, i_ref):
     """Plain bidirectional digitization: sign(i_in)*floor(n1*|i_in|/i_ref).
 
@@ -195,6 +204,8 @@ class TemperatureMap:
 
     T_LO = 19.0
     T_HI = 91.0
+    # the loop's tuning reads the count slope here (degC)
+    T_SLOPE = 52.5
 
     def __init__(self, cfg, bjt, current_source):
         self._t_grid = np.linspace(self.T_LO, self.T_HI, 1441)
@@ -213,9 +224,9 @@ class TemperatureMap:
         """Invert the design map with half-count centering."""
         return np.interp(np.asarray(count, dtype=float) + 0.5, self._c_asc, self._t_asc)
 
-    def counts_per_kelvin(self, t_c=52.5):
-        """Magnitude of the local count slope of the plain-mode map."""
-        dt = 0.5
+    def counts_per_kelvin(self):
+        """Magnitude of the local count slope of the plain-mode map at T_SLOPE."""
+        t_c, dt = self.T_SLOPE, 0.5
         return float((self.counts_cont(t_c - dt) - self.counts_cont(t_c + dt)) / (2 * dt))
 
 

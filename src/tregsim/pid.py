@@ -145,28 +145,32 @@ class PidState:
         self.target_frac = target - whole
         self.sd_accum = np.zeros_like(target)
 
+    def dither(self):
+        """The sigma-delta preloads of the active taps for one cycle, in
+        slot order, shaped like the targets: each tap's whole part, plus
+        one when its accumulator carries."""
+        sd_accum = self.sd_accum
+        sd_accum += self.target_frac
+        carry = sd_accum >= 1.0
+        sd_accum -= carry
+        return self.target_whole + carry
 
-def pid_cycle(state, coeffs, measure):
-    """Run one controller cycle of every cell: conversions, bank, accumulate.
 
-    The sigma-delta preloads of the active taps (nonzero mantissa) go to
-    one call measure(preloads) per cycle, stacked in slot order and
-    shaped (n_active,) + state.u_prev.shape, empty with no active tap.
-    It must perform one dual-slope conversion per tap and cell, with the
-    tap's coefficient magnitude, against the temperature-sensing
-    currents, and return the output counts, preloads - n_discharge, in
-    the same shape.  The banked product is the measured count minus the
-    target preload (counts fall with temperature, so a cold cell yields
-    positive products), saturating at the 8-bit store.  Accumulation
-    applies coefficient signs and the shared exponent:
+def pid_cycle(state, coeffs, counts):
+    """Run one controller cycle of every cell: bank the products, accumulate.
+
+    counts are the cycle's conversion outputs, preload - n_discharge,
+    at the preloads of state.dither(): one per active tap and cell, with
+    the tap's coefficient magnitude, against the temperature-sensing
+    currents, shaped (n_active,) + state.u_prev.shape.  The banked
+    product is the measured count minus the target preload (counts fall
+    with temperature, so a cold cell yields positive products),
+    saturating at the 8-bit store.  Accumulation applies coefficient
+    signs and the shared exponent:
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
     state must hold targets loaded by set_targets for coeffs.active.
     """
-    sd_accum = state.sd_accum
-    sd_accum += state.target_frac
-    carry = sd_accum >= 1.0
-    sd_accum -= carry
-    p = -measure(state.target_whole + carry)  # measured-minus-target ordering
+    p = -counts  # measured-minus-target ordering
     # the bank moves one cycle on: row i takes the products of cycle k - i
     bank = state.bank
     bank[1:] = bank[:-1]

@@ -68,15 +68,15 @@ def duty_of_code(cfg, code, tap_delays=None):
     return float(duty)
 
 
-def pulse_train(cfg, code, horizon, tap_delays=None):
-    """Rising/falling edge times over a horizon; period is code-independent.
+def pulse_train(cfg, code, horizon):
+    """Nominal rising/falling edge times over a horizon; period is code-independent.
 
     Returns an (n, 2) array of (rise, fall) pairs.  High times are
     quantized to the ring-cell resolution.
     """
     if horizon < PERIOD:
         raise ConfigurationError("horizon shorter than one PWM period")
-    duty = duty_of_code(cfg, code, tap_delays)
+    duty = duty_of_code(cfg, code)
     high = round(duty * CODES) * CELL_TIME
     n = int(horizon / PERIOD)
     rises = np.arange(n) * PERIOD

@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 import os
 import re
@@ -13,14 +14,13 @@ import pytest
 import tregsim
 from tregsim import array_sim, streams
 from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _ranged,
-                               _solve_2x2)
+                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _solve_2x2)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.experiments import _fra_frequencies
-from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts
+from tregsim.experiments import _fra_frequencies, run_experiment
+from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts, ranged
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
 
@@ -171,19 +171,18 @@ def test_calibration_failure_reported_when_out_of_range():
     arr.current_source.r1[0, 0] *= 1.5
     failures = arr.calibrate_one_point()
     assert (0, 0) in failures
-    assert not arr.cal_ok[0, 0]
+    assert failures == [(0, 0)]
 
 
 def per_cell_calibration(arr, t_known, n_avg=8):
     """calibrate_one_point one cell at a time: per cell in row-major order,
     one cell_noise draw on its own stream and one discharge_counts
-    call.  Returns the preloads, cal_ok and the failures."""
+    call.  Returns the preloads and the failures."""
     madc = arr.cfg.madc
     target = arr.temp_map.counts_cont(t_known)
     cals = np.arange(*CAL_RANGE)
     i_in, i_ref = arr.front_end_currents(t_known)
     preload = np.zeros(i_in.shape, dtype=int)
-    ok = np.ones(i_in.shape, dtype=bool)
     failures = []
     for r, c in np.ndindex(i_in.shape):
         noise = cell_noise(madc, arr._reg_rng[r * i_in.shape[1] + c], (n_avg, cals.size))
@@ -191,10 +190,9 @@ def per_cell_calibration(arr, t_known, n_avg=8):
                                  i_in[r, c], i_ref[r, c], noise)
         best = int(np.argmin(np.abs(n2.mean(axis=0) + 0.5 - target)))
         preload[r, c] = cals[best]
-        ok[r, c] = 0 < best < cals.size - 1
-        if not ok[r, c]:
+        if not 0 < best < cals.size - 1:
             failures.append((r, c))
-    return preload, ok, failures
+    return preload, failures
 
 
 @pytest.mark.parametrize("noise", [0.3, 0.0])
@@ -208,11 +206,10 @@ def test_calibration_matches_per_cell_reference(noise):
     arr.current_source.r1[2, 0] *= 0.7      # and one above it
     ref = copy.deepcopy(arr)
     failures = arr.calibrate_one_point()
-    preload, ok, ref_failures = per_cell_calibration(ref, CAL_TEMPERATURE)
+    preload, ref_failures = per_cell_calibration(ref, CAL_TEMPERATURE)
     assert ref_failures == [(0, 1), (2, 0)]
     assert failures == ref_failures
     assert np.array_equal(arr.cal_preload, preload)
-    assert np.array_equal(arr.cal_ok, ok)
     for r, c in np.ndindex(3, 2):
         assert arr._reg_rng[r * 2 + c].standard_normal() == ref._reg_rng[r * 2 + c].standard_normal()
 
@@ -227,14 +224,24 @@ def test_channel_spread_after_calibration():
 
 # -- characterization --------------------------------------------------------
 
-def test_characterize_monotone_and_accurate():
+def test_characterize_monotone_and_accurate(tmp_path):
     arr = small_array(rows=3, cols=2, seed=5)
     arr.calibrate_one_point()
-    res = arr.characterize_sensor(np.arange(20.0, 91.0, 5.0))
-    assert np.all(np.diff(res.counts, axis=1) < 0)
-    assert np.abs(res.die_mean_error).max() <= 0.5
-    # the straight-line fit shows the curvature honestly
-    assert res.fit_resid_celsius.max() > 1.0
+    t_values = np.arange(20.0, 91.0, 5.0)
+    counts = arr.characterize_sensor(t_values)
+    assert np.all(np.diff(counts, axis=1) < 0)
+    die_mean_error = (arr.temp_map.read_temperature(counts) - t_values).mean(axis=0)
+    assert np.abs(die_mean_error).max() <= 0.5
+    # the straight-line fit of the same die and sweep shows the curvature honestly
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"].update(name="characterize_sensor", seed=5)
+    settings["array"].update(rows=3, cols=2)
+    settings["characterize"].update(t_lo=20.0, t_hi=90.0, t_step=5.0)
+    run_experiment(settings, str(tmp_path))
+    with open(tmp_path / "linear_fit.csv") as fh:
+        fit = list(csv.DictReader(fh))
+    assert len(fit) == 6
+    assert max(float(row["max_resid_c"]) for row in fit) > 1.0
 
 
 def test_characterize_matches_per_cell_scalar_readout():
@@ -249,7 +256,7 @@ def test_characterize_matches_per_cell_scalar_readout():
             for i, index in enumerate(np.ndindex(3, 2))}
     t_values = np.arange(20.0, 91.0, 7.0)
     n_avg = 4
-    res = arr.characterize_sensor(t_values, n_avg=n_avg)
+    counts = arr.characterize_sensor(t_values, n_avg=n_avg)
 
     expect = np.empty((6, t_values.size))
     for i, index in enumerate(np.ndindex(3, 2)):
@@ -266,7 +273,7 @@ def test_characterize_matches_per_cell_scalar_readout():
                                                   - arr.cal_preload[index]),
                                      i_ctat(cs, bjt, t_k), i_ptat(cs, t_k), noise)
             expect[i, j] = min(int(round(n2.mean())), cfg.counter_max)
-    assert np.array_equal(res.counts, expect)
+    assert np.array_equal(counts, expect)
     # the sweep reads at its temperatures: the plant stays where it was
     assert np.all(arr.temp == arr.cfg.t_ambient)
 
@@ -355,8 +362,8 @@ def test_saturation_timer_restarts_after_a_cycle_with_no_saturated_cell(monkeypa
     script = iter([True, True, False, True, True, True, True, True])
     real = array_sim.pid_cycle
 
-    def scripted(state, coeffs, measure):
-        u = real(state, coeffs, measure)
+    def scripted(state, coeffs, counts):
+        u = real(state, coeffs, counts)
         state.saturated_cells = np.full(u.shape, next(script))
         state.saturated = int(np.count_nonzero(state.saturated_cells))
         return u
@@ -487,8 +494,7 @@ def scalar_regulation(arr, sp, duration):
     Each cell runs the count-domain PID on Python scalars: sigma-delta
     preloads, one convert call and one noise draw per active slot, then
     its plain measurement conversion, all on its own stream.  Returns
-    u, t_meas, t_true, duty, time, setpoint, warnings and the conversion
-    trace.
+    u, t_meas, t_true, duty, time, warnings and the conversion trace.
     """
     cfg, madc, coeffs = arr.cfg, arr.cfg.madc, arr.pid_coeffs
     n1, scale = madc.n1_counts, madc.pid_charge_scale
@@ -504,7 +510,7 @@ def scalar_regulation(arr, sp, duration):
     a, b = cycle_map(sp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb, cfg.thermal_dt,
                      int(round(cfg.pid_ts / cfg.thermal_dt)))
     temp, now = arr.temp.copy(), 0.0
-    u, t_meas, t_true, duty, setpoint = (np.empty((n_cycles,) + sp.shape) for _ in range(5))
+    u, t_meas, t_true, duty = (np.empty((n_cycles,) + sp.shape) for _ in range(4))
     time = np.empty(n_cycles)
     warnings, trace = [], []
     for k in range(n_cycles):
@@ -550,8 +556,8 @@ def scalar_regulation(arr, sp, duration):
         rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
         temp = cfg.t_ambient + rise.reshape(temp.shape)
         now += cfg.pid_ts
-        t_true[k], time[k], setpoint[k] = temp, now, sp
-    return u, t_meas, t_true, duty, time, setpoint, warnings, trace
+        t_true[k], time[k] = temp, now
+    return u, t_meas, t_true, duty, time, warnings, trace
 
 
 def test_regulation_matches_per_cell_scalar_loop():
@@ -569,13 +575,12 @@ def test_regulation_matches_per_cell_scalar_loop():
     sp[1, 0] = 90.0
     ref = copy.deepcopy(arr)
     res = arr.run_regulation(sp, 48.0, trace_conversions=True)
-    u, t_meas, t_true, duty, time, setpoint, warnings, trace = scalar_regulation(ref, sp, 48.0)
+    u, t_meas, t_true, duty, time, warnings, trace = scalar_regulation(ref, sp, 48.0)
     assert np.array_equal(res.u, u)
     assert np.array_equal(res.t_meas, t_meas)
     assert np.array_equal(res.t_true, t_true)
     assert np.array_equal(res.duty, duty)
     assert np.array_equal(res.time, time)
-    assert np.array_equal(res.setpoint, setpoint)
     assert res.warnings == warnings and len(warnings) >= 2
     rows = list(zip(*res.conv_trace.values()))
     assert len(rows) == 12 * 6 * 2
@@ -892,7 +897,7 @@ def test_is_folded_sums_equal_full_period_conversion(net):
             # run_is's response: i_m*sin(theta + phi) by angle addition
             i_t = i_mag * math.cos(phi) * cycle[0]
             i_t += i_mag * math.sin(phi) * cycle[1]
-            n2, clipped = discharge_counts(_ranged(cfg, i_ref), np.abs(q), np.abs(i_t), i_ref)
+            n2, clipped = discharge_counts(ranged(cfg, i_ref), np.abs(q), np.abs(i_t), i_ref)
             assert clipped is False
             counts = np.sign(i_t) * n2 * np.sign(q)
             totals = counts[:, :n].sum(axis=1).tolist()

@@ -7,6 +7,7 @@ import pytest
 from tregsim import experiments
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.config import SCHEMA
+from tregsim.errors import ConfigurationError
 from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
 from tregsim.madc import convert
 
@@ -88,6 +89,16 @@ def run_at(tmp_path, name, keys=None):
         settings[section][field] = value
     outdir = tmp_path / f"{name}{len(list(tmp_path.iterdir()))}"
     return run_experiment(settings, str(outdir)), outdir
+
+
+@pytest.mark.parametrize("value", [4096.7, math.nan, math.inf])
+def test_count_setting_must_be_a_whole_number(tmp_path, value):
+    # a settings dict can hold a count that a config file would not
+    # parse: it is rejected, not truncated, and the error names its key
+    with pytest.raises(ConfigurationError, match="snr.n_samples must be a whole number"):
+        run_at(tmp_path, "snr_test", {"snr.n_samples": value})
+    checks, _ = run_at(tmp_path, "snr_test", {"snr.n_samples": 4096.0})
+    assert all(c.passed for c in checks)
 
 
 def test_snr_test_runs_the_configured_converter(tmp_path):

@@ -1,4 +1,5 @@
-"""No module imports a name that it never reads."""
+"""No module imports a name that it never reads, and no simulator
+module imports another module's private name."""
 
 import ast
 import pathlib
@@ -6,7 +7,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([p for p in (ROOT / "src" / "tregsim").glob("*.py") if p.name != "__init__.py"]
+SOURCES = sorted((ROOT / "src" / "tregsim").glob("*.py"))
+MODULES = sorted([p for p in SOURCES if p.name != "__init__.py"]
                  + list((ROOT / "tests").glob("*.py")))
 
 
@@ -35,3 +37,22 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source):
+    """The underscore names that source's from-imports take from other modules."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_detects_a_private_import():
+    assert private_imports("from a import b, _c\nfrom .d import _e as f\nimport _g\n") == [
+        (1, "_c"), (2, "_e")]
+
+
+# tests may reach into a module's private names; the simulator's modules
+# share only public ones
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text()) == []

@@ -65,7 +65,8 @@ def test_coefficient_normalization():
 
 class StubMeasure:
     """A cycle's batched error conversions, with a programmable measured
-    count per tap: row j of the preloads belongs to the j-th active slot."""
+    count per tap: row j of the preloads belongs to the j-th active slot.
+    Returns the output counts, preloads - n_discharge."""
 
     def __init__(self, coeffs, n2_of_preload):
         self.slots = [n for n in range(3) if coeffs.mantissas[n] != 0]
@@ -78,6 +79,11 @@ class StubMeasure:
         rows = list(zip(self.slots, self.mags, preloads.tolist()))
         self.calls.append(rows)
         return preloads - np.array([self.n2_of_preload(*row) for row in rows], dtype=int)
+
+
+def run_cycle(st, coeffs, measure):
+    """One loop cycle: dither, convert at the preloads, then pid_cycle on the counts."""
+    return pid_cycle(st, coeffs, measure(st.dither()))
 
 
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
@@ -93,7 +99,7 @@ def test_zero_error_leaves_actuation_unchanged():
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload)
     st = make_state(coeffs, x=(1000.0, 800.0, 60.0))
     for _ in range(3):
-        u = pid_cycle(st, coeffs, measure)
+        u = run_cycle(st, coeffs, measure)
         assert u == 1000
     assert not st.saturated
 
@@ -105,7 +111,7 @@ def test_cold_start_increases_actuation():
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 20)
     st = make_state(coeffs)
     st.u_prev = 0
-    u = pid_cycle(st, coeffs, measure)
+    u = run_cycle(st, coeffs, measure)
     assert u > 0
 
 
@@ -114,7 +120,7 @@ def test_actuation_clamps_and_flags():
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 10000)
     st = make_state(coeffs)
     st.u_prev = 4000
-    u = pid_cycle(st, coeffs, measure)
+    u = run_cycle(st, coeffs, measure)
     assert u == 4095
     assert st.saturated
     measure2 = StubMeasure(coeffs, lambda slot, mag, preload: max(preload - 10000, 0))
@@ -122,7 +128,7 @@ def test_actuation_clamps_and_flags():
     st2.u_prev = 10
     # drain the bank with three cold cycles
     for _ in range(3):
-        u2 = pid_cycle(st2, coeffs, measure2)
+        u2 = run_cycle(st2, coeffs, measure2)
     assert u2 == 0
 
 
@@ -130,7 +136,7 @@ def test_bank_products_saturate_at_8bit_range():
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 100000)
     st = make_state(coeffs)
-    pid_cycle(st, coeffs, measure)
+    run_cycle(st, coeffs, measure)
     assert all(p <= 127 for p in st.bank[0])
 
 
@@ -142,17 +148,17 @@ def test_idle_tap_banks_zero_products():
     st.set_targets((1000.0, 800.0), coeffs.active)
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 3)
     for _ in range(3):
-        pid_cycle(st, coeffs, measure)
+        run_cycle(st, coeffs, measure)
     assert not st.bank[:, 2].any()
 
 
 def test_three_conversions_per_cycle_in_slot_order():
-    # one measure call per cycle, its preloads stacked in slot order:
+    # one dither per cycle, its preloads stacked in slot order:
     # each row is its own tap's target, floor(x_n) on a fresh accumulator
     coeffs = PidCoefficients.derive(10.0, 1.0, 0.5, 2.0)
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload)
     st = make_state(coeffs, x=(1000.0, 800.0, 60.0))
-    pid_cycle(st, coeffs, measure)
+    run_cycle(st, coeffs, measure)
     (call,) = measure.calls
     assert [c[0] for c in call] == [0, 1, 2]
     assert [c[1] for c in call] == list(coeffs.magnitudes)
@@ -205,7 +211,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
     saturated = 0
     for _ in range(n_cycles):
         measured.clear()
-        got = pid_cycle(st, coeffs, measure)
+        got = run_cycle(st, coeffs, measure)
         assert sorted(measured) == active
         p = [0, 0, 0]
         for n, (preload, n2) in measured.items():
