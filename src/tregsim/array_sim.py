@@ -32,6 +32,9 @@ IS_PEAK = 380 / 512
 # IS frequencies (Hz) and regulation setpoints (degC) lie in these ranges
 IS_FREQ_RANGE = (0.1, 10e3)
 SETPOINT_RANGE = (20.0, 90.0)
+# shortest PID period (s): the default tuning divides by zero on a
+# degenerate one
+MIN_PID_PERIOD = 1e-3
 
 # CPA and CV sample the channel every SAMPLE_PERIOD seconds; a CV scan
 # holds at most MAX_CV_SAMPLES samples, about 750x the default scan's 1401
@@ -60,8 +63,7 @@ class FraResult:
 class ArrayConfig:
     """The array's settings, checked when built.
 
-    A plant parameter left None is fitted by thermal.fit_defaults;
-    substeps is the number of thermal steps per PID period.
+    A plant parameter left None is fitted by thermal.fit_defaults.
     """
 
     rows: int = setting("array.rows")
@@ -75,14 +77,12 @@ class ArrayConfig:
     c_th: float = setting("thermal.c_th")
     g_amb: float = setting("thermal.g_amb")
     g_lat: float = setting("thermal.g_lat")
-    thermal_dt: float = setting("thermal.dt")
     pid_ts: float = setting("pid.ts")
     pid_gains: tuple = None       # (kp, ki, kd); None: default_tuning
     sigma_vbe: float = setting("mismatch.sigma_vbe")
     sigma_r1: float = setting("mismatch.sigma_r1")
     sigma_r2: float = setting("mismatch.sigma_r2")
     sigma_mirror: float = setting("mismatch.sigma_mirror")
-    substeps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         for key in ("rows", "cols"):
@@ -92,15 +92,15 @@ class ArrayConfig:
         for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
             if getattr(self, key) is None:
                 setattr(self, key, value)
-        thermal.check_plant(self.c_th, self.g_amb, self.g_lat, self.thermal_dt)
+        thermal.check_plant(self.c_th, self.g_amb, self.g_lat)
+        require(self.pid_ts >= MIN_PID_PERIOD, "pid.ts", f">= {MIN_PID_PERIOD:g} s",
+                self.pid_ts)
         # the calibration word is a counter preload: a full scale at or
         # below the largest one leaves calibration no charge phase
         largest = CAL_RANGE[1] - 1
         require(self.madc.counter_max > largest, "madc.n_bits",
                 f">= {largest.bit_length()}, for a full scale 2**n_bits above the "
                 f"largest calibration preload {largest}", self.madc.n_bits)
-        self.substeps = _whole_multiple(self.pid_ts, self.thermal_dt, "pid.ts",
-                                        "thermal step", "thermal.dt")
 
 
 @dataclass
@@ -268,8 +268,11 @@ class TempArray:
         lo, hi = SETPOINT_RANGE
         if np.any(sp < lo) or np.any(sp > hi):
             raise DomainError(f"setpoints outside [{lo:g}, {hi:g}] degC")
-        n_cycles = _whole_multiple(duration, cfg.pid_ts, "regulation.plateau_s",
-                                   "PID period", "pid.ts")
+        ratio = duration / cfg.pid_ts
+        n_cycles = int(round(ratio))
+        # relative tolerance for the representation error of the two floats
+        require(n_cycles >= 1 and abs(ratio - n_cycles) <= 1e-9 * ratio, "regulation.plateau_s",
+                f"a whole number of PID periods pid.ts ({cfg.pid_ts:g} s)", duration)
         madc = cfg.madc
         coeffs = self.pid_coeffs
         state = self.pid_state
@@ -279,9 +282,8 @@ class TempArray:
                                t_meas=np.empty(shape), u=np.empty(shape, dtype=int),
                                duty=np.zeros(shape), warnings=[], conv_trace=None)
         if self._cycle_map is None:
-            self._cycle_map = thermal.cycle_map(
-                self.temp.shape, cfg.c_th, cfg.g_lat, cfg.g_amb,
-                cfg.thermal_dt, cfg.substeps)
+            self._cycle_map = thermal.cycle_map(self.temp.shape, cfg.c_th, cfg.g_lat,
+                                                cfg.g_amb, cfg.pid_ts)
         a, b = self._cycle_map
 
         # every cell's cycle is one converter batch: its active slots,
@@ -346,8 +348,8 @@ class TempArray:
                     since.fill(np.nan)
                 out.t_meas[k] = self.temp_map.read_temperature(conv.out_count[-1])
 
-                # the duty is held over the cycle, so its thermal.dt substeps
-                # compose exactly into one affine map
+                # the duty is held over the cycle: the plant's exact map
+                # over one period
                 rise = (a @ (temp - cfg.t_ambient).ravel()
                         + b @ (duties * cfg.heater.p_max).ravel())
                 temp = out.t_true[k] = cfg.t_ambient + rise.reshape(temp.shape)
@@ -537,19 +539,6 @@ def _solve_2x2(mat, rhs):
     s, t = rhs
     det = a * d - b * c
     return (d * s - b * t) / det, (a * t - c * s) / det
-
-
-def _whole_multiple(total, unit, key, unit_name, unit_key):
-    """total/unit as an int; rejects a ratio that is not a whole number >= 1.
-
-    key and unit_key name the settings of total and unit.
-    """
-    ratio = total / unit
-    n = int(round(ratio))
-    # relative tolerance for the representation error of the two floats
-    require(n >= 1 and abs(ratio - n) <= 1e-9 * ratio, key,
-            f"a whole number of {unit_name}s {unit_key} ({unit:g} s)", total)
-    return n
 
 
 def _fra_grid_point(cfg, f_req):

@@ -27,7 +27,7 @@ SCHEMA = {
         "sigma_vbe": 1e-3, "sigma_r1": 0.01, "sigma_r2": 0.01,
         "sigma_mirror": 0.005,
     },
-    "thermal": {"c_th": None, "g_amb": None, "g_lat": None, "dt": 1e-3},
+    "thermal": {"c_th": None, "g_amb": None, "g_lat": None},
     "madc": {
         "n_bits": 9, "f_clk": 10e6, "c_int": 30e-12,
         "v_full": 1.0, "pid_charge_scale": 8, "conversion_noise_counts": 0.3,

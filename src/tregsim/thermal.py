@@ -2,12 +2,13 @@
 
 Each cell is one node with heat capacity c_th, conductance g_amb to the
 ambient/solution bath, lateral conductance g_lat to its orthogonal
-neighbors, and heater power injection.  `step_temps` is the one stepper:
-a forward-Euler step on a plain temperature array.  It does no checking;
-`check_plant` validates the parameters and the step against the explicit
-stability bound once, when the array is built.  `cycle_map` composes the
-stepper over a held-power PID cycle into one affine map, which the array
-applies once per cycle.
+neighbors, and heater power injection.  The heater power is held over
+each PID period, so `cycle_map` gives the plant's exact affine map over
+one period, built in the closed-form modes of the grid; the array applies
+it once per cycle.  `check_plant` validates the parameters once, when the
+array is built.  `step_temps` is a forward-Euler step of the same plant
+that the model does not run: it is the reference the map is tested
+against.
 """
 
 import math
@@ -22,15 +23,12 @@ TARGET_RISE = 65.0
 STEP_TIME = 10.0
 
 
-def check_plant(c_th, g_amb, g_lat, dt):
-    """Reject plant parameters the forward-Euler stepper cannot integrate."""
+def check_plant(c_th, g_amb, g_lat):
+    """Reject non-physical plant parameters."""
     require(c_th > 0, "thermal.c_th", "positive", c_th)
     require(g_amb > 0, "thermal.g_amb", "positive", g_amb)
     # g_lat may be zero: decoupled cells are a supported configuration
     require(g_lat >= 0, "thermal.g_lat", ">= 0", g_lat)
-    limit = c_th / (4.0 * g_lat + g_amb)
-    require(0 < dt <= limit, "thermal.dt",
-            f"within the stability bound (0, {limit:.6g}] s", dt)
 
 
 def _lateral_flux(temp, g_lat):
@@ -59,34 +57,34 @@ def step_temps(temp, heater_powers, c_th, g_lat, g_amb, t_ambient, dt):
                                  + _lateral_flux(temp, g_lat))
 
 
-def cycle_map(shape, c_th, g_lat, g_amb, dt, n_steps):
-    """Exact n-step map of `step_temps` under held heater power.
+def _axis_modes(n):
+    """Orthonormal modes of the reflecting-edge Laplacian on an n-node
+    axis, as columns, and their eigenvalues; mode 0 is uniform."""
+    k = np.arange(n)
+    v = np.cos(np.pi * np.outer(k + 0.5, k) / n)
+    return v / np.linalg.norm(v, axis=0), 2.0 - 2.0 * np.cos(np.pi * k / n)
+
+
+def cycle_map(shape, c_th, g_lat, g_amb, period):
+    """Exact map of the plant over `period` seconds of held heater power.
 
     Returns matrices (a, b) over the row-major flattened field such that
-    n_steps forward-Euler steps with power P held take T_0 to T_n with
-        T_n - T_amb = a @ (T_0 - T_amb) + b @ P
-    up to rounding.  One step is affine in (T - T_amb, P), so its two
-    matrices are read off the stepper itself by stepping unit fields at
-    zero ambient.  The n-step map is composed from them by repeated
-    squaring, with matrix products only: with g_lat = 0 every product
-    then stays diagonal and exact, so decoupled cells advance
-    bit-identically to single-cell arrays.
+        T(period) - T_amb = a @ (T(0) - T_amb) + b @ P
+    The lateral term is diagonal in the Kronecker product V of the axis
+    modes, so mode m relaxes at rate R_m = (g_amb + g_lat*lam_m) / c_th:
+        a = V exp(-R T) V^T,    b = V (1 - exp(-R T)) / (R c_th) V^T
+    Each matrix is built as its uniform mode's value times the identity
+    plus V diag(mode - mode_0) V^T: with g_lat = 0 every difference is
+    exactly 0, so decoupled cells advance bit-identically to single-cell
+    arrays.
     """
-    n = math.prod(shape)
-    unit = np.eye(n).reshape(n, *shape)
-    # (pa, pb) maps the next 2**k steps, (a, b) the steps taken so far;
-    # running (a, b) and then (pa, pb) is (pa @ a, pa @ b + pb)
-    pa = step_temps(unit, 0.0, c_th, g_lat, g_amb, 0.0, dt).reshape(n, n).T
-    pb = step_temps(np.zeros_like(unit), unit, c_th, g_lat, g_amb, 0.0,
-                    dt).reshape(n, n).T
-    a, b = np.eye(n), np.zeros((n, n))
-    while n_steps:
-        if n_steps & 1:
-            a, b = pa @ a, pa @ b + pb
-        n_steps >>= 1
-        if n_steps:
-            pa, pb = pa @ pa, pa @ pb + pb
-    return a, b
+    (vr, lr), (vc, lc) = (_axis_modes(n) for n in shape)
+    v = np.kron(vr, vc)
+    rate = (g_amb + g_lat * np.add.outer(lr, lc).ravel()) / c_th
+    decay = np.exp(-rate * period)
+    gain = -np.expm1(-rate * period) / (rate * c_th)
+    eye = np.eye(v.shape[0])
+    return tuple(m[0] * eye + (v * (m - m[0])) @ v.T for m in (decay, gain))
 
 
 def fit_defaults(p_max=SCHEMA["devices"]["p_max"]):

@@ -9,7 +9,9 @@ files change only through this script; a change that moves them lists
 each changed file with its largest deviation.  --compare prints that
 list for DIR, laid out as write_all writes it (one directory per
 experiment): each file whose bytes differ from the golden one, with its
-largest relative deviation, and nothing when every file matches.
+largest relative deviation, then one indented line per differing column
+with that column's largest absolute and relative deviation; nothing when
+every file matches.
 """
 
 import argparse
@@ -84,29 +86,39 @@ def compare_file(got_path, want_path):
     return diffs
 
 
-def max_deviation(got_path, want_path):
-    """Largest relative deviation of a CSV file's cells from the golden file's.
+def _deviation(got, want):
+    """(absolute, relative) deviation of a differing cell from the golden one.
 
-    Differing numbers deviate by |got - want| / |want|, or by |got| where
-    the golden value is 0.  A different line or cell count, a differing
-    cell that is not a number on both sides, or a nan against a number
-    deviates by inf.
+    Numbers deviate by |got - want|, and relatively by that over |want|,
+    or by |got| where the golden value is 0.  A cell that is not a number
+    on both sides, or a nan against a number, deviates by inf.
+    """
+    if not (_parses(got, float) and _parses(want, float)):
+        return math.inf, math.inf
+    g, w = float(got), float(want)
+    dev = abs(g - w)
+    rel = dev / abs(w) if w else abs(g)
+    return tuple(math.inf if math.isnan(x) else x for x in (dev, rel))
+
+
+def column_deviations(got_path, want_path):
+    """Largest (absolute, relative) deviation of each column where a CSV
+    file differs from the golden one, keyed by the golden header's name
+    ("column j", from 1, in a file without a header).  None when the line
+    or cell counts differ.
     """
     got, want = _cells(got_path), _cells(want_path)
-    if len(got) != len(want):
-        return math.inf
-    worst = 0.0
+    if len(got) != len(want) or any(len(g) != len(w) for g, w in zip(got, want)):
+        return None
+    header = want[0] if want else []
+    if all(_parses(cell, float) for cell in header):
+        header = [f"column {j}" for j in range(1, len(header) + 1)]
+    worst = {}
     for g_row, w_row in zip(got, want):
-        if len(g_row) != len(w_row):
-            return math.inf
-        for g, w in zip(g_row, w_row):
-            if g == w:
-                continue
-            if not (_parses(g, float) and _parses(w, float)):
-                return math.inf
-            g, w = float(g), float(w)
-            dev = abs(g - w) / abs(w) if w else abs(g)
-            worst = max(worst, math.inf if math.isnan(dev) else dev)
+        for name, g, w in zip(header, g_row, w_row):
+            if g != w:
+                old = worst.get(name, (0.0, 0.0))
+                worst[name] = tuple(map(max, old, _deviation(g, w)))
     return worst
 
 
@@ -129,8 +141,12 @@ def compare_dir(outdir):
             with open(got_path, "rb") as g, open(want_path, "rb") as w:
                 if g.read() == w.read():
                     continue
-            lines.append(f"{rel}: largest relative deviation "
-                         f"{max_deviation(got_path, want_path):.3g}")
+            columns = column_deviations(got_path, want_path)
+            worst = (math.inf if columns is None
+                     else max((r for _, r in columns.values()), default=0.0))
+            lines.append(f"{rel}: largest relative deviation {worst:.3g}")
+            lines.extend(f"  {name}: largest absolute deviation {dev:.3g}, relative {r:.3g}"
+                         for name, (dev, r) in (columns or {}).items())
     return lines
 
 

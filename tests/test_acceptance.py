@@ -64,7 +64,7 @@ def test_criterion_3_pwm(tmp_path):
 def test_criterion_4_regulation_transient(tmp_path):
     # 35/45/55/65 degC schedule: plateau steady-state error <= 0.5 degC,
     # instantaneous error <= 0.75 degC after settling, the last 5 degC of
-    # each step covered in 10 s +- 30%; wall runtime < 60 s at 1 ms steps
+    # each step covered in 10 s +- 30%; wall runtime < 60 s
     run_and_report("criterion-4 regulation transient", "regulation_steps",
                    tmp_path, max_runtime=60.0)
 

@@ -253,6 +253,10 @@ dir = %s
     ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
     # 70000001 sweep points: the run died in an allocation error, exit 1
     ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
+    # a PID period below the 1 ms floor; at 1e-21 s the tuning divided by
+    # zero and the run exited 1 with a traceback
+    ("cpa_ph", {"pid": "ts = 0.0005"}, "pid.ts"),
+    ("cpa_ph", {"pid": "ts = 1e-21"}, "pid.ts"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

@@ -47,12 +47,19 @@ def test_compare_reports_each_differing_file(tmp_path, capsys):
     path = copy_dir / "fra_sweep" / "fra_sweep.csv"
     lines = path.read_text().splitlines(keepends=True)
     cells = lines[1].split(",")
-    cells[2] = repr(float(cells[2]) * (1.0 + 1e-6))
+    z_real = float(cells[2])
+    cells[2] = repr(z_real * (1.0 + 1e-6))
     lines[1] = ",".join(cells)
     path.write_text("".join(lines))
     assert main(["--compare", str(copy_dir)]) == 1
     report = capsys.readouterr().out.splitlines()
-    assert len(report) == 1
+    assert len(report) == 2
     name, deviation = report[0].split(": largest relative deviation ")
     assert name == os.path.join("fra_sweep", "fra_sweep.csv")
     assert float(deviation) == pytest.approx(1e-6, rel=1e-3)
+    # one indented line per differing column, by its header name
+    column, deviations = report[1].split(": largest absolute deviation ")
+    assert column == "  z_real"
+    absolute, relative = (float(x) for x in deviations.split(", relative "))
+    assert absolute == pytest.approx(z_real * 1e-6, rel=1e-2)  # printed to 3 digits
+    assert relative == pytest.approx(1e-6, rel=1e-3)

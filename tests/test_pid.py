@@ -165,6 +165,14 @@ def test_three_conversions_per_cycle_in_slot_order():
     assert [c[2] for c in call] == [1000, 800, 60]
 
 
+def test_dither_carries_when_the_accumulator_reaches_one():
+    # a target fraction of exactly 0.5 fills the accumulator to exactly
+    # 1.0 on every second cycle, which carries
+    st = PidState()
+    st.set_targets([100.5], [0])
+    assert [int(st.dither()[0]) for _ in range(4)] == [100, 101, 100, 101]
+
+
 def test_default_tuning_properties():
     c_th, g_amb, _ = fit_defaults()
     kp, ki, kd = default_tuning(c_th, g_amb, 0.27, 19.2, 4.0)

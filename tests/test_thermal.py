@@ -11,7 +11,7 @@ from tregsim.thermal import (_lateral_flux, check_plant, cycle_map,
 
 C_TH, G_AMB, G_LAT = fit_defaults()
 DT = 1e-3
-STABILITY_LIMIT = C_TH / (4 * G_LAT + G_AMB)
+PERIOD = 4.0
 
 
 def advance(temp, p, n=1):
@@ -31,11 +31,10 @@ def test_equilibrium_at_ambient():
 
 
 def test_single_node_converges_to_power_over_conductance():
-    # 12 time constants of steps, composed by cycle_map, which
-    # test_cycle_map_matches_stepper ties to the stepper
+    # one map over 12 time constants
     p = np.array([[0.27]])
-    n = int(12 * (C_TH / G_AMB) / DT)
-    temp = apply_map(cycle_map((1, 1), C_TH, G_LAT, G_AMB, DT, n), ambient(1, 1), p)
+    temp = apply_map(cycle_map((1, 1), C_TH, G_LAT, G_AMB, 12 * C_TH / G_AMB),
+                     ambient(1, 1), p)
     assert temp[0, 0] == pytest.approx(25.0 + 0.27 / G_AMB, abs=0.01)
 
 
@@ -104,21 +103,68 @@ def apply_map(cmap, temp, p, t_ambient=25.0):
     return t_ambient + rise.reshape(temp.shape)
 
 
+def euler_map(shape, dt, n_steps):
+    """The affine map (a, b) of n_steps `step_temps` steps of dt under held
+    power, read off the stepper by stepping unit fields at zero ambient
+    and composed by repeated squaring."""
+    n = math.prod(shape)
+    unit = np.eye(n).reshape(n, *shape)
+    # (pa, pb) maps the next 2**k steps, (a, b) the steps taken so far;
+    # running (a, b) and then (pa, pb) is (pa @ a, pa @ b + pb)
+    pa = step_temps(unit, 0.0, C_TH, G_LAT, G_AMB, 0.0, dt).reshape(n, n).T
+    pb = step_temps(np.zeros_like(unit), unit, C_TH, G_LAT, G_AMB, 0.0,
+                    dt).reshape(n, n).T
+    a, b = np.eye(n), np.zeros((n, n))
+    while n_steps:
+        if n_steps & 1:
+            a, b = pa @ a, pa @ b + pb
+        n_steps >>= 1
+        if n_steps:
+            pa, pb = pa @ pa, pa @ pb + pb
+    return a, b
+
+
 @pytest.mark.parametrize("n", [1, 7, 4000])
 def test_cycle_map_matches_stepper(n):
     rng = np.random.default_rng(10)
     temp = 25.0 + 40.0 * rng.random((9, 6))
     p = 0.27 * rng.random((9, 6))
-    mapped = apply_map(cycle_map((9, 6), C_TH, G_LAT, G_AMB, DT, n), temp, p)
+    mapped = apply_map(euler_map((9, 6), DT, n), temp, p)
     assert np.abs(mapped - advance(temp, p, n=n)).max() <= 1e-9
+    # over the same n * DT, the error of Euler's map against the exact
+    # one falls 10x with its step: first-order convergence
+    exact = cycle_map((9, 6), C_TH, G_LAT, G_AMB, n * DT)
+    errors = [[np.abs(e - x).max() for e, x in zip(euler_map((9, 6), dt, n * k), exact)]
+              for dt, k in ((DT, 1), (DT / 10, 10))]
+    for coarse, fine in zip(*errors):
+        assert coarse / fine == pytest.approx(10.0, rel=0.01)
+
+
+def test_cycle_map_is_a_semigroup():
+    # the map over t1 + t2 is the map over t1 followed by the map over t2
+    t1, t2 = 1.2345, 2.7183
+    a1, b1 = cycle_map((9, 6), C_TH, G_LAT, G_AMB, t1)
+    a2, b2 = cycle_map((9, 6), C_TH, G_LAT, G_AMB, t2)
+    a, b = cycle_map((9, 6), C_TH, G_LAT, G_AMB, t1 + t2)
+    assert np.abs(a2 @ a1 - a).max() <= 1e-12
+    assert np.abs(a2 @ b1 + b2 - b).max() <= 1e-12
+
+
+def test_cycle_map_of_uniform_power_is_the_single_node_rise():
+    # uniform power drives no lateral flux: every cell rises as a lone node
+    p = np.full((9, 6), 0.27)
+    rise = apply_map(cycle_map((9, 6), C_TH, G_LAT, G_AMB, PERIOD),
+                     ambient(9, 6), p) - 25.0
+    want = 0.27 / G_AMB * -math.expm1(-G_AMB * PERIOD / C_TH)
+    assert np.allclose(rise, want, rtol=1e-12, atol=0.0)
 
 
 def test_cycle_map_decoupled_cells_match_single_cell():
     rng = np.random.default_rng(11)
     temp = 25.0 + 40.0 * rng.random((2, 3))
     p = 0.27 * rng.random((2, 3))
-    full = apply_map(cycle_map((2, 3), C_TH, 0.0, G_AMB, DT, 4000), temp, p)
-    solo_map = cycle_map((1, 1), C_TH, 0.0, G_AMB, DT, 4000)
+    full = apply_map(cycle_map((2, 3), C_TH, 0.0, G_AMB, PERIOD), temp, p)
+    solo_map = cycle_map((1, 1), C_TH, 0.0, G_AMB, PERIOD)
     for r in range(2):
         for c in range(3):
             solo = apply_map(solo_map, temp[r:r + 1, c:c + 1],
@@ -127,30 +173,17 @@ def test_cycle_map_decoupled_cells_match_single_cell():
 
 
 def test_cycle_map_keeps_ambient_at_zero_power():
-    cmap = cycle_map((9, 6), C_TH, G_LAT, G_AMB, DT, 4000)
+    cmap = cycle_map((9, 6), C_TH, G_LAT, G_AMB, PERIOD)
     out = apply_map(cmap, ambient(9, 6), np.zeros((9, 6)))
     assert np.array_equal(out, ambient(9, 6))
 
 
-def test_stability_bound_enforced():
-    check_plant(C_TH, G_AMB, G_LAT, STABILITY_LIMIT)
-    with pytest.raises(ConfigurationError, match="stability"):
-        check_plant(C_TH, G_AMB, G_LAT, 2.0 * STABILITY_LIMIT)
-    # the array runs the check when it is built; 2 s divides the 4 s PID
-    # period, so only the stability bound rejects it
-    assert 2.0 > STABILITY_LIMIT
-    with pytest.raises(ConfigurationError, match="stability"):
-        TempArray(ArrayConfig(rows=2, cols=2, thermal_dt=2.0))
-
-
 def test_plant_parameters_checked():
-    check_plant(C_TH, G_AMB, 0.0, DT)  # decoupled cells are supported
-    for c_th, g_amb, g_lat, dt in ((0.0, G_AMB, G_LAT, DT),
-                                   (C_TH, 0.0, G_LAT, DT),
-                                   (C_TH, G_AMB, -G_LAT, DT),
-                                   (C_TH, G_AMB, G_LAT, 0.0)):
+    check_plant(C_TH, G_AMB, 0.0)  # decoupled cells are supported
+    for c_th, g_amb, g_lat in ((0.0, G_AMB, G_LAT), (C_TH, 0.0, G_LAT),
+                               (C_TH, G_AMB, -G_LAT)):
         with pytest.raises(ConfigurationError):
-            check_plant(c_th, g_amb, g_lat, dt)
+            check_plant(c_th, g_amb, g_lat)
     with pytest.raises(ConfigurationError):
         TempArray(ArrayConfig(rows=1, cols=1, c_th=-C_TH, g_amb=G_AMB,
                               g_lat=G_LAT))
