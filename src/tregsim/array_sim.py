@@ -8,7 +8,6 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -383,8 +382,13 @@ class TempArray:
 
     def run_cpa(self, sensor, temp_c, duration):
         """Constant-potential trace of a PhSensor at temp_c (degC): the
-        reconstructed current of each sample."""
-        currents = np.full(int(duration / SAMPLE_PERIOD), sensor.current(temp_c))
+        reconstructed current of each sample; duration (s) must be a whole
+        number of samples, at least one, within a relative 1e-9."""
+        n_samples = int(round(duration / SAMPLE_PERIOD))
+        if n_samples < 1 or abs(duration / SAMPLE_PERIOD - n_samples) > 1e-9 * n_samples:
+            raise DomainError(f"CPA duration {duration!r} s is not a whole number, at least 1, "
+                              f"of SAMPLE_PERIOD ({SAMPLE_PERIOD:g} s)")
+        currents = np.full(n_samples, sensor.current(temp_c))
         counts = convert_signed(ranged(self.cfg.madc, CPA_I_REF), currents, CPA_I_REF)
         return counts * (CPA_I_REF / self.cfg.madc.n1_counts)
 
@@ -423,8 +427,8 @@ class TempArray:
         conversions per period) and is checked before any table is made.
         Consecutive grid points convert in packs that fit in the longest
         point's converted phases, each pack's tables made in one reused
-        workspace (see _fra_tables), and one converter call per pack and
-        network (see _fra_sums).
+        workspace, with one converter call and one array solve per pack
+        and network (see _fra_pack).
         """
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
         cfg = self.cfg.madc
@@ -440,32 +444,18 @@ class TempArray:
         # a point whose running fill restarts at its own size begins a pack
         fill = accumulate(sizes, lambda size, n: size + n if size + n <= room else n)
         firsts = [i for i, (size, n) in enumerate(zip(fill, sizes)) if size == n]
-        results = [[] for _ in networks]
+        f_act = [c * cfg.conversion_rate / m for m, c in points]
+        z = np.empty((len(networks), len(points)), dtype=complex)
         for a, b in zip(firsts, firsts[1:] + [len(points)]):
-            tables = _fra_tables(cfg, points[a:b], work)
-            for network, res in zip(networks, results):
-                sums = _fra_sums(cfg, network, tables, amplitude)
-                for f_act, mat, rhs in zip(tables.f_act, tables.mats, sums):
-                    i_phasor = complex(*_solve_2x2(mat, rhs))
-                    z = amplitude * i_phasor.conjugate() / abs(i_phasor) ** 2
-                    res.append(FraResult(freq=f_act, z_real=z.real, z_imag=z.imag))
-        return [r for res in results for r in res]
+            z[:, a:b] = _fra_pack(cfg, points[a:b], f_act[a:b], networks, amplitude, work)
+        return [FraResult(freq=f, z_real=zk.real, z_imag=zk.imag)
+                for z_net in z.tolist() for f, zk in zip(f_act, z_net)]
 
 
-class _FraTables(NamedTuple):
-    """Tables of a pack of IS grid points (see _fra_tables)."""
-
-    f_act: list                   # each point's frequency
-    mats: list                    # each point's 2x2 system: rows tables, columns sine, cosine
-    bounds: list                  # each point's first column, then the column count
-    basis: np.ndarray             # rows: sin(theta), cos(theta) at the converted phases
-    charge: np.ndarray            # rows: sine, cosine table; 0 at a dead slot
-    sign: np.ndarray              # rows: sine, cosine table; 0 at a dead slot
-    resp: np.ndarray              # (2, columns) scratch for the response
-
-
-def _fra_tables(cfg, pack, work):
-    """The _FraTables of grid points (m, cycles_per_window), in work.
+def _fra_pack(cfg, pack, f_act, networks, amplitude, work):
+    """Impedances of networks at a pack of IS grid points (m, cycles_per_window)
+    of frequencies f_act, as a complex (networks, points) array; the tables
+    are made in work.
 
     A point converts one cycle's phases 2*pi*j/m in phase order, j < m/2
     (even m) or j < m: the pair {j, j + m/2} negates response and table
@@ -474,10 +464,12 @@ def _fra_tables(cfg, pack, work):
     columns, and its system spans the phases its sums do, so the fold
     and the period count multiply both sides alike and drop out.
     """
-    bounds = np.cumsum([0] + [m // (2 - m % 2) for m, _ in pack]).tolist()
-    basis, charge, sign, resp = work[:8 * bounds[-1]].reshape(4, 2, bounds[-1])
-    mats = []
-    for (m, _), a, b in zip(pack, bounds, bounds[1:]):
+    sizes = [m // (2 - m % 2) for m, _ in pack]
+    bounds = np.cumsum([0] + sizes).tolist()
+    basis, charge, sign, (i_t, sign_i) = work[:8 * bounds[-1]].reshape(4, 2, bounds[-1])
+    # each point's 2x2 system: rows tables, columns sine, cosine
+    mats = np.empty((2, 2, len(pack)))
+    for k, ((m, _), a, b) in enumerate(zip(pack, bounds, bounds[1:])):
         cycle, q = basis[:, a:b], charge[:, a:b]
         # j < ceil(m/2), completed by the mirror sin[m - j] = -sin[j],
         # cos[m - j] = cos[j] (odd m); theta sits in the cosine row until
@@ -493,52 +485,43 @@ def _fra_tables(cfg, pack, work):
         # the 7-bit tables are q / COEFF_LEVELS; rounding half to even
         # keeps the mirror
         np.round(np.multiply(cycle, COEFF_LEVELS, out=q), out=q)
-        mats.append((q @ cycle.T / COEFF_LEVELS).tolist())
+        mats[..., k] = q @ cycle.T / COEFF_LEVELS
     np.sign(charge, out=sign)
     # a slot whose coefficient rounds to zero has zero charge: it counts 0
     np.round(np.multiply(np.abs(charge, out=charge), cfg.n1_counts / COEFF_LEVELS, out=charge),
              out=charge)
-    return _FraTables([c * cfg.conversion_rate / m for m, c in pack], mats, bounds,
-                      basis, charge, sign, resp)
-
-
-def _fra_sums(cfg, network, tables, amplitude):
-    """Each pack point's [sine, cosine] sums on one network, from one
-    discharge_counts call: the network's current i_m*sin(theta + phi)
-    under amplitude*sin(theta) solves mat @ [i_m cos(phi), i_m sin(phi)] = sums.
-    """
-    i_cos, i_sin, refs = [], [], []
-    for f_act in tables.f_act:
-        z = network.impedance(f_act)
-        i_mag, phi = amplitude / abs(z), -math.atan2(z.imag, z.real)
-        i_cos.append(i_mag * math.cos(phi))
-        i_sin.append(i_mag * math.sin(phi))
-        # range the reference so the response peaks at IS_PEAK * n1_counts
-        refs.append(max(i_mag, 1e-15) * cfg.n1_counts / (IS_PEAK * cfg.n1_counts))
-    # each column's scalars, made as they are used
-    cols = (np.repeat(v, np.diff(tables.bounds)) for v in (i_cos, i_sin, refs))
-    # the response comes from the tables' own sin(theta) and cos(theta)
-    # by angle addition
-    i_t, sign_i = tables.resp
-    np.multiply(next(cols), tables.basis[0], out=i_t)
-    i_t += np.multiply(next(cols), tables.basis[1], out=sign_i)
-    np.sign(i_t, out=sign_i)
-    # both tables in one batch, through the cap of the largest reference;
-    # whole counts, so the signed sums in any order are exact
-    counts, _ = discharge_counts(ranged(cfg, max(refs)), tables.charge,
-                                 np.abs(i_t, out=i_t), next(cols))
-    counts *= sign_i
-    counts *= tables.sign
-    totals = np.add.reduceat(counts, tables.bounds[:-1], axis=1)
-    return (totals * refs / cfg.n1_counts).T.tolist()
-
-
-def _solve_2x2(mat, rhs):
-    """x with mat @ x = rhs for one 2x2 system, by Cramer's rule."""
-    (a, b), (c, d) = mat
-    s, t = rhs
+    (a, b), (c, d) = mats
     det = a * d - b * c
-    return (d * s - b * t) / det, (a * t - c * s) / det
+    z = np.empty((len(networks), len(pack)), dtype=complex)
+    for network, z_net in zip(networks, z):
+        # the network's current i_m*sin(theta + phi) under
+        # amplitude*sin(theta) solves mat @ [i_m cos(phi), i_m sin(phi)] = sums
+        i_cos, i_sin, refs = [], [], []
+        for f in f_act:
+            z_f = network.impedance(f)
+            i_mag, phi = amplitude / abs(z_f), -math.atan2(z_f.imag, z_f.real)
+            i_cos.append(i_mag * math.cos(phi))
+            i_sin.append(i_mag * math.sin(phi))
+            # range the reference so the response peaks at IS_PEAK of full scale
+            refs.append(max(i_mag, 1e-15) / IS_PEAK)
+        # the response comes from the tables' own sin(theta) and cos(theta)
+        # by angle addition
+        np.multiply(np.repeat(i_cos, sizes), basis[0], out=i_t)
+        i_t += np.multiply(np.repeat(i_sin, sizes), basis[1], out=sign_i)
+        np.sign(i_t, out=sign_i)
+        # both tables in one batch, through the cap of the largest reference;
+        # whole counts, so the signed sums in any order are exact
+        counts, _ = discharge_counts(ranged(cfg, max(refs)), charge, np.abs(i_t, out=i_t),
+                                     np.repeat(refs, sizes))
+        counts *= sign_i
+        counts *= sign
+        s, t = np.add.reduceat(counts, bounds[:-1], axis=1) * refs / cfg.n1_counts
+        del counts                # freed before the next network converts
+        # Cramer's rule, then z = amplitude / i
+        x, y = (d * s - b * t) / det, (a * t - c * s) / det
+        i_sq = np.hypot(x, y) ** 2
+        z_net.real, z_net.imag = amplitude * x / i_sq, -amplitude * y / i_sq
+    return z
 
 
 def _fra_grid_point(cfg, f_req):

@@ -14,13 +14,13 @@ import pytest
 import tregsim
 from tregsim import array_sim, streams
 from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, _fra_grid_point, _fra_sums, _fra_tables, _solve_2x2)
+                               TempArray, _fra_grid_point)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import _fra_frequencies, run_experiment
-from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts, ranged
+from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
 
@@ -637,6 +637,15 @@ def test_cpa_ph_step_response():
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
+def test_cpa_duration_is_a_whole_number_of_samples():
+    # 0.29 s is 28.999999999999996 sample periods in floats: 29 samples
+    arr = quiet_array()
+    assert arr.run_cpa(PhSensor(), 25.0, 0.29).shape == (29,)
+    for duration in (0.0, -0.1, 0.015):
+        with pytest.raises(DomainError, match="SAMPLE_PERIOD"):
+            arr.run_cpa(PhSensor(), 25.0, duration)
+
+
 def test_cv_ohmic_line_within_one_lsb():
     arr = quiet_array(seed=2)
     r_test = 1e6
@@ -721,187 +730,30 @@ def default_fra_grid():
     return _fra_frequencies(copy.deepcopy(SCHEMA))
 
 
-# the noiseless case only: the modes draw no channel noise
-@pytest.mark.parametrize("noise, rel", [(0.0, 1e-12)])
-def test_is_one_period_fold_matches_per_sample(noise, rel):
-    # low frequencies snap to one sine cycle per period, high ones to
-    # several cycles in 64 conversions; both must match the per-sample
-    # computation.  The default grid's ends are included: 0.1 Hz
-    # (m = 48828), its last one-cycle point below f_conv / 8, and 10 kHz.
-    grid = default_fra_grid()
-    last_one_cycle = grid[grid <= MadcConfig().conversion_rate / 8.0][-1]
-    freqs = [grid[0], 1.59, 50.0, last_one_cycle, 2000.0, 7000.0, grid[-1]]
-    arr = quiet_array(seed=5, noise=noise)
-    net = Series((Resistor(100e3), Capacitor(1e-6)))
-    results = arr.run_is([net], freqs)
-    for f_req, res in zip(freqs, results):
-        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 4, 0.01)
-        assert res.freq == f_act
-        assert abs(complex(res.z_real, res.z_imag) - z_ref) <= rel * abs(z_ref)
-
-
-def converted(m):
-    """The phases an IS grid point of m conversions converts."""
-    return m // 2 if m % 2 == 0 else m
-
-
-def default_packs(cfg):
-    """The default grid's points in run_is's packs: each takes points
-    while their converted phases fit in the longest point's."""
-    points = [_fra_grid_point(cfg, float(f)) for f in default_fra_grid()]
-    room = max(converted(m) for m, _ in points)
-    packs = []
-    for point in points:
-        if not packs or sum(converted(m) for m, _ in packs[-1] + [point]) > room:
-            packs.append([])
-        packs[-1].append(point)
-    return packs
-
-
-def build(cfg, pack, work=None):
-    """A pack's tables, built in a fresh workspace unless work is given."""
-    if work is None:
-        work = np.empty(8 * sum(converted(m) for m, _ in pack))
-    return _fra_tables(cfg, pack, work)
-
-
-def test_is_closed_form_solve_matches_linalg(monkeypatch):
-    # the 2x2 systems of the default sweep, one per (network, grid point),
-    # on its 39 projection matrices: the 13 points with m = 64 build equal ones
+@pytest.mark.parametrize("n_bits", [8, 9])
+def test_is_one_period_fold_matches_per_sample(n_bits):
+    # the whole default grid over fra_sweep's two networks, in one call,
+    # against one period per point converted sample by sample and solved
+    # by np.linalg.solve.  Low frequencies snap to one sine cycle per
+    # period, with even and odd m, high ones to several cycles in 64
+    # conversions; the reference evaluates every sample's tables directly,
+    # so it checks the mirror, the half period of an even m, each pack's
+    # columns and its sums.  The grid's 0.1 Hz point is its longest,
+    # m = 48828.
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    systems = []
-
-    def spy(mat, rhs):
-        systems.append((mat, rhs))
-        return _solve_2x2(mat, rhs)
-
-    monkeypatch.setattr(array_sim, "_solve_2x2", spy)
-    quiet_array().run_is(nets, default_fra_grid())
-    mats, sums = zip(*systems)
-    assert len(mats) == 2 * len(default_fra_grid())
-    assert len({tuple(map(tuple, mat)) for mat in mats}) == 39
-    want = np.linalg.solve(np.array(mats), np.array(sums)[..., None])[..., 0]
-    got = np.array([_solve_2x2(mat, rhs) for mat, rhs in systems])
-    err = np.linalg.norm(got - want, axis=-1)
-    assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
-
-
-def test_is_half_cycle_tables_match_direct_evaluation():
-    # every default grid point, in phase order: its converted phases
-    # 2*pi*j/m, j < m/2 (even m) or j < m, carry the charge and sign
-    # tables rounded from a direct evaluation, a basis within a few ulp
-    # of it, and the system of those tables over that basis.  The
-    # identities that let the converted phases stand for the period hold
-    # bit for bit: the antiperiod of the direct tables for even m, the
-    # mirror of the built cycle for odd m.  A point of several odd cycles
-    # in m = 64 conversions meets, in conversion order (cycles * k) % 64
-    # for k < 32, one phase of each antiperiod pair {j, j + 32}: the same
-    # counts as the phases j < 32.
-    cfg = quiet_array().cfg.madc
-    bits = lambda a: a.view(np.int64)
-    for f in default_fra_grid():
-        m, c = _fra_grid_point(cfg, float(f))
-        tables = build(cfg, [(m, c)])
-        n = converted(m)
-        theta = 2 * np.pi * np.arange(m) / m
-        direct = np.stack((np.sin(theta), np.cos(theta)))
-        q_direct = np.round(direct * 128)
-        q = np.ascontiguousarray(q_direct[:, :n])
-        assert np.array_equal(tables.sign, np.sign(q))
-        assert np.array_equal(tables.charge, np.round(np.abs(q) * cfg.n1_counts / 128))
-        # a direct phase near 2*pi carries that angle's rounding
-        np.testing.assert_allclose(tables.basis, direct[:, :n], rtol=0,
-                                   atol=4 * np.spacing(2 * np.pi))
-        assert tables.mats == [(q @ tables.basis.T / 128).tolist()]
-        if c > 1:
-            assert m == 64 and c % 2
-            assert sorted(c * np.arange(32) % 64 % 32) == list(range(32))
-        if m % 2 == 0:
-            h = m // 2
-            assert np.array_equal(q_direct[:, h:], -q_direct[:, :h])
-        else:
-            # phase m - j mirrors phase j, for j = 1 .. m - 1
-            mirror = m - np.arange(1, m)
-            cycle = tables.basis
-            assert np.array_equal(bits(cycle[0, mirror]), bits(-cycle[0, 1:]))
-            assert np.array_equal(bits(cycle[1, mirror]), bits(cycle[1, 1:]))
-            assert np.array_equal(tables.sign[:, mirror], tables.sign[:, 1:] * [[-1], [1]])
-            assert np.array_equal(tables.charge[:, mirror], tables.charge[:, 1:])
-
-
-# the noiseless case only: the tables do not depend on the channel noise
-@pytest.mark.parametrize("noise", [0.0])
-def test_is_tables_in_a_dirty_workspace_equal_a_fresh_build(noise):
-    # one workspace, sized for the four points and left dirty by every
-    # build, serves points from long to short periods that switch parity:
-    # even m 98, odd m 97, then m 64 with 27 and with 67 cycles, first one
-    # point per pack and then all four in one pack.  Every build equals a
-    # build in a fresh workspace bit for bit, and each point's columns of
-    # the four-point pack equal its own one-point tables.
-    cfg = MadcConfig(conversion_noise_counts=noise)
-    bits = lambda a: a.view(np.int64)
-    points = [(98, 1), (97, 1), (64, 27), (64, 67)]
-    work = np.full(8 * sum(converted(m) for m, _ in points), np.nan)
-    alone = []
-    for pack in [[point] for point in points] + [points]:
-        got, want = build(cfg, pack, work), build(cfg, pack)
-        n = sum(converted(m) for m, _ in pack)
-        assert (got.f_act, got.mats, got.bounds) == (want.f_act, want.mats, want.bounds)
-        for name in ("basis", "charge", "sign"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape == (2, n)
-            assert np.array_equal(bits(a), bits(b)), (pack, name)
-        assert np.shares_memory(got.charge, work) and np.shares_memory(got.sign, work)
-        if len(pack) == 1:
-            alone.append(want)
-    for i, (one, a, b) in enumerate(zip(alone, want.bounds, want.bounds[1:])):
-        assert one.mats == [want.mats[i]]
-        for name in ("basis", "charge", "sign"):
-            assert np.array_equal(bits(getattr(one, name)),
-                                  bits(np.ascontiguousarray(getattr(want, name)[:, a:b])))
-
-
-@pytest.mark.parametrize("net", [
-    Series((Resistor(100e3), Capacitor(1e-6))),
-    Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)),
-])
-def test_is_folded_sums_equal_full_period_conversion(net):
-    # the default sweep's packs convert an even period's first half and
-    # an m = 64 point's phases in phase order, several points per call.
-    # One discharge_counts call over a point's whole period in phase
-    # order, through its own ranged config, counts exactly the fold times
-    # its converted phases' totals, and the pack's sums are those totals
-    cfg = quiet_array().cfg.madc
-    n1 = cfg.n1_counts
-    packs = default_packs(cfg)
-    assert [len(pack) for pack in packs] == [1, 1, 1, 1, 1, 1, 2, 4, 39]
-    for pack in packs:
-        tables = build(cfg, pack)
-        for (m, c), f_act, sums in zip(pack, tables.f_act, _fra_sums(cfg, net, tables, 0.01)):
-            one = build(cfg, [(m, c)])
-            n, fold = converted(m), m // converted(m)
-            # the whole period: an even one's second half negates its first
-            cycle = np.concatenate([one.basis, -one.basis][:fold], axis=1)
-            q = np.concatenate([one.sign, -one.sign][:fold], axis=1)
-            q *= np.tile(one.charge, fold)
-            i_mag, phi = phasor(net, f_act, 0.01)
-            i_ref = max(i_mag, 1e-15) * n1 / (380.0 * n1 / 512)
-            # run_is's response: i_m*sin(theta + phi) by angle addition
-            i_t = i_mag * math.cos(phi) * cycle[0]
-            i_t += i_mag * math.sin(phi) * cycle[1]
-            n2, clipped = discharge_counts(ranged(cfg, i_ref), np.abs(q), np.abs(i_t), i_ref)
-            assert clipped is False
-            counts = np.sign(i_t) * n2 * np.sign(q)
-            totals = counts[:, :n].sum(axis=1).tolist()
-            assert counts.sum(axis=1).tolist() == [fold * t for t in totals]
-            assert sums == [t * i_ref / n1 for t in totals]
+    grid = default_fra_grid()
+    arr = quiet_array(seed=5, n_bits=n_bits)
+    results = arr.run_is(nets, grid)
+    assert len(results) == 2 * len(grid)
+    for res, (net, f_req) in zip(results, [(net, f) for net in nets for f in grid]):
+        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 1, 0.01)
+        assert res.freq == f_act
+        assert abs(complex(res.z_real, res.z_imag) - z_ref) <= 1e-12 * abs(z_ref)
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
-# the noiseless case only: the modes draw no channel noise
-@pytest.mark.parametrize("noise", [0.0])
-def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
+def test_is_even_period_converts_its_first_half_once(monkeypatch, f_req, m):
     # an even period converts its first half once, and draws nothing
     sizes = []
 
@@ -911,7 +763,7 @@ def test_is_noise_turns_the_fold_off(monkeypatch, f_req, m, noise):
         return n2, clipped
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    arr = quiet_array(noise=noise)
+    arr = quiet_array()
     before = reg_draws(arr)
     arr.run_is([Series((Resistor(100e3),))], [f_req])
     assert sizes == [m]
@@ -949,11 +801,11 @@ def frequency_major(arr, networks, freqs):
     # own into its pack's columns
     (2000.0, 5000.0, False),
 ])
-def test_is_table_memo_hit_matches_fresh_build(f_a, f_b, same_point):
+def test_is_point_does_not_depend_on_earlier_points(f_a, f_b, same_point):
     # array x measures networks A and B at f_a and f_b in one sweep, so
     # B's point at f_b follows the points measured before it in the same
     # workspace; array y, on the same seed, measures each network at
-    # each frequency in its own call, on fresh tables.  B's result must
+    # each frequency in its own call, in a fresh workspace.  B's result must
     # not depend on the points measured before B, and neither sweep
     # moves a cell's stream.
     assert (_fra_grid_point(MadcConfig(), f_a) == _fra_grid_point(MadcConfig(), f_b)) is same_point
@@ -976,7 +828,8 @@ def test_is_sweep_equals_frequency_major_single_calls(monkeypatch):
     # The first grid switches parity (m 3071, 98, 97) and ends on two
     # m = 64 points with different cycle counts; the second interleaves
     # both parities with m = 64 points, one of them repeated, around the
-    # longest period.  Each sweep converts several points per call.
+    # longest period.  Each sweep converts several points per call, in
+    # one workspace that every earlier pack leaves dirty.
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     grids = [[1.59, 50.0, 50.34, 2000.0, 5000.0],
@@ -1021,9 +874,9 @@ def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     assert len(arr.run_is(nets, default_fra_grid())) == 102
-    longest = max(converted(m) for m, _ in sum(default_packs(arr.cfg.madc), []))
     assert len(sizes) == 18
-    assert max(sizes) <= 2 * longest == 48828
+    # the longest point, 0.1 Hz at m = 48828, converts two tables of half a period
+    assert max(sizes) <= 48828
 
 
 @pytest.mark.parametrize("n_bits", [7, 8, 9, 10, 11, 12])
