@@ -196,7 +196,8 @@ class TempArray:
 
     def _cell_noise(self, shape):
         """Channel noise of every cell's conversions, shaped (rows, cols) +
-        shape (see _cell_normal); None on a noiseless channel."""
+        shape (see _cell_normal); None on a noiseless channel.  A fresh
+        block, for discharge_counts to use up."""
         sigma = self.cfg.madc.conversion_noise_counts
         return None if sigma == 0 else self._cell_normal(shape, sigma)
 
@@ -208,7 +209,8 @@ class TempArray:
         Each count is the mean of n_avg conversions, rounded and clamped
         to the counter.  Every cell draws the channel noise of its
         conversions in one call on its own stream, in the order the
-        conversions run.
+        conversions run; the conversion floors its counts in that noise
+        block (see discharge_counts), so the batch keeps one array live.
         """
         cfg = self.cfg.madc
         i_in, i_ref = self.front_end_currents(t_c)
@@ -308,7 +310,8 @@ class TempArray:
         state.set_targets(charge.n_charge[:-1] * r_set - 0.5, active)
         targets = np.zeros_like(cal_words)
         # each cell draws the run's noise in one call on its own stream,
-        # in the order its conversions run
+        # in the order its conversions run; each cycle's conversions use
+        # up its slice
         noise = self._cell_noise((n_cycles, len(active) + 1))
         if noise is not None:
             noise = np.moveaxis(noise, (0, 1), (-2, -1))

@@ -325,6 +325,11 @@ def exp_regulation_steps(settings, outdir):
     if not reg["setpoints"]:
         raise ConfigurationError("regulation.setpoints must list at least one setpoint")
     _temperature(settings, "regulation.setpoints")
+    # the heater cannot cool: a plateau below the ambient never settles
+    t_ambient = settings["array"]["t_ambient"]
+    require(min(reg["setpoints"]) >= t_ambient, "regulation.setpoints",
+            f"at or above array.t_ambient ({t_ambient!r} degC): the heater cannot cool",
+            reg["setpoints"])
     array = build_array(settings)
     array.calibrate_one_point()
     results = []

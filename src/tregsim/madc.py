@@ -94,10 +94,18 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     The counter advances while the integrator has not crossed baseline:
     the latched value is floor(n_charge * i_in / i_ref), with boundary-
     exact charges resolving as crossed (see CROSSING_GUARD).  Clips at
-    the integrator full scale.  noise (counts), if given, is added to
-    the held charge before the floor.  Accepts scalars or arrays.
-    Returns (count, clipped): whole counts as float64 (a float for scalar
-    inputs), and False when nothing can clip, else a mask of that shape.
+    the integrator full scale.  Accepts scalars or arrays.
+
+    noise (counts), if given, is added to the held charge before the
+    floor.  It must be a writable float64 array that already has the
+    batch's full broadcast shape, and the call uses it up: the counts
+    are floored in place in it, so the batch keeps one array live.  A
+    noise of another shape (ValueError) or dtype (TypeError), or a
+    read-only one, raises before anything is written.
+
+    Returns (count, clipped): whole counts as float64, in the noise array
+    when noise is given (a float for scalar inputs), and False when
+    nothing can clip, else a mask of that shape.
     """
     n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
     x = n_charge * (i_in / i_ref)
@@ -112,10 +120,13 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
         if clipped.any():
             x = np.where(clipped, q_max * cfg.f_clk / i_ref, x)
     if noise is not None:
-        x = x + noise
+        # the caller's block becomes the output: the sum lands in it.
+        # numpy checks the block's shape, dtype and writability first
+        x = np.add(noise, x, out=noise, casting="no")
     if not x.ndim:
         return float(np.floor(x + CROSSING_GUARD)), bool(clipped)
-    # x is this call's own temporary: guard and floor it in place
+    # x is this call's own array or the caller's noise block: guard and
+    # floor it in place
     x += CROSSING_GUARD
     return np.floor(x, out=x), clipped
 
@@ -152,8 +163,9 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     is loaded with target_preload and counts down, so the output is
     target_preload - sign*n_discharge, clamped to the counter range; a
     conversion saturates on clamp or integrator clip.  Plain
-    digitization is target_preload=0, sign -1.  i_in, i_ref,
-    target_preload and noise may be arrays.
+    digitization is target_preload=0, sign -1.  i_in, i_ref and
+    target_preload may be arrays; noise is a float64 array of the
+    batch's full shape, used up as in discharge_counts.
     """
     if least(i_in) <= 0 or least(i_ref) <= 0:
         raise DomainError("currents must be positive (use convert_signed for bipolar)")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -212,6 +213,34 @@ def test_calibration_matches_per_cell_reference(noise):
     assert np.array_equal(arr.cal_preload, preload)
     for r, c in np.ndindex(3, 2):
         assert arr._reg_rng[r * 2 + c].standard_normal() == ref._reg_rng[r * 2 + c].standard_normal()
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated during run(), after one
+    untraced warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_noisy_batches_keep_one_noise_block_live():
+    # calibration and the readout floor their counts in their noise
+    # block, so a batch keeps one block live, not the block and a sum.
+    # The default sweep converts 4 times per point, which makes a block
+    # smaller than numpy's fixed broadcast buffers; 32 lets the block
+    # dominate the readout's peak, as it does calibration's
+    arr = TempArray(ArrayConfig(), seed=3)
+    assert arr.cfg.madc.conversion_noise_counts > 0
+    cal_block = 9 * 6 * 8 * (CAL_RANGE[1] - CAL_RANGE[0]) * 8
+    assert cal_block == 442_368
+    assert traced_peak(arr.calibrate_one_point) <= 1.5 * cal_block
+    t_values = np.arange(20.0, 90.5, 1.0)
+    sweep_block = t_values.size * 9 * 6 * 32 * 8
+    assert traced_peak(lambda: arr.characterize_sensor(t_values, 32)) <= 1.5 * sweep_block
 
 
 def test_channel_spread_after_calibration():

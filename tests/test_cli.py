@@ -257,6 +257,9 @@ dir = %s
     # zero and the run exited 1 with a traceback
     ("cpa_ph", {"pid": "ts = 0.0005"}, "pid.ts"),
     ("cpa_ph", {"pid": "ts = 1e-21"}, "pid.ts"),
+    # setpoints below the 25 degC ambient, which the heater cannot cool
+    # to: the run read steady-state errors of 5.0 and 4.0 degC and exited 1
+    ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

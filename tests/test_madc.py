@@ -209,6 +209,73 @@ def test_discharge_counts_returns_whole_float_counts():
     assert type(convert_signed(POW2, -AT_CLIP / 4, AT_CLIP)) is int
 
 
+def noise_layout(name, rng):
+    """(n_charge, i_in, i_ref, block, noise) laid out as one caller lays
+    out its batch on a 3x2 array, with one cell's input clipping at the
+    largest charge phase: noise is the fresh float64 block the cells drew,
+    or a view of it."""
+    rows, cols = 3, 2
+    i_ref = np.full((rows, cols), AT_CLIP / 2)
+    i_in = AT_CLIP / 4 * (1.0 + 0.1 * rng.random((rows, cols)))
+    i_in[1, 0] = AT_CLIP * 2
+    if name == "calibration":
+        # (rows, cols, n_avg, candidates): one contiguous block
+        n_charge = 512.0 - np.arange(-4, 4)
+        block = rng.normal(0.0, 0.3, (rows, cols, 4, n_charge.size))
+        return n_charge, i_in[..., None, None], i_ref[..., None, None], block, block
+    if name == "readout":
+        # (temperatures, rows, cols, n_avg): a strided view of the
+        # (rows, cols, temperatures, n_avg) block the cells draw
+        n_charge = np.full((rows, cols, 1), 500.0)
+        block = rng.normal(0.0, 0.3, (rows, cols, 5, 4))
+        scale = np.linspace(0.5, 1.0, 5)[:, None, None, None]
+        return (n_charge, scale * i_in[..., None], i_ref[..., None], block,
+                np.moveaxis(block, (0, 1), (-3, -2)))
+    # the loop: cycle 2's (slots, rows, cols) slice of the strided
+    # (cycles, slots, rows, cols) view of the run's block
+    n_charge = np.array([512.0, 256.0, 64.0])[:, None, None] * np.ones((rows, cols))
+    block = rng.normal(0.0, 0.3, (rows, cols, 6, 3))
+    return n_charge, i_in, i_ref, block, np.moveaxis(block, (0, 1), (-2, -1))[2]
+
+
+@pytest.mark.parametrize("layout", ["calibration", "readout", "loop"])
+def test_discharge_counts_floors_in_the_callers_noise_block(layout):
+    # a noisy batch uses up its noise: the counts are floored in the
+    # caller's block, bit-equal to adding the noise out of place
+    n_charge, i_in, i_ref, block, noise = noise_layout(layout, np.random.default_rng(5))
+    q_max = POW2.c_int * POW2.v_full
+    want = n_charge * i_in / POW2.f_clk > q_max
+    assert want.any() and not want.all()
+    x = np.where(want, q_max * POW2.f_clk / i_ref, n_charge * (i_in / i_ref))
+    expect = np.floor(x + noise.copy() + CROSSING_GUARD)
+    n2, clipped = discharge_counts(POW2, n_charge, i_in, i_ref, noise)
+    assert n2 is noise and np.shares_memory(n2, block)
+    assert n2.tobytes() == expect.tobytes()
+    assert np.array_equal(*np.broadcast_arrays(clipped, want, n2)[:2])
+
+    # without noise, the counts are a new array and the inputs stay as they were
+    inputs = [np.copy(v) for v in (n_charge, i_in, i_ref)]
+    quiet, _ = discharge_counts(POW2, n_charge, i_in, i_ref)
+    assert not any(np.shares_memory(quiet, v) for v in (n_charge, i_in, i_ref))
+    assert quiet.tobytes() == np.floor(x + CROSSING_GUARD).tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (n_charge, i_in, i_ref)))
+
+
+@pytest.mark.parametrize("layout", ["calibration", "readout", "loop"])
+def test_discharge_counts_rejects_noise_before_writing(layout):
+    # noise that does not span the whole batch, does not broadcast, is
+    # not float64 or is read-only raises, and the block keeps its values
+    n_charge, i_in, i_ref, _, noise = noise_layout(layout, np.random.default_rng(6))
+    before = noise.copy()
+    readonly = noise.view()
+    readonly.flags.writeable = False
+    for bad in (noise[:1], noise[:, :1], noise[..., None], noise.astype(np.float32),
+                readonly):
+        with pytest.raises((ValueError, TypeError)):
+            discharge_counts(POW2, n_charge, i_in, i_ref, bad)
+        assert np.array_equal(noise, before)
+
+
 def test_counter_saturation_clamps():
     conv = run(3e-7, 1e-9)  # ratio far beyond the counter range
     assert conv.saturated
