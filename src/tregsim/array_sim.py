@@ -12,7 +12,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import thermal
-from .config import SCHEMA, setting
+from .config import setting
 from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, charge_phase, convert,
@@ -47,9 +47,6 @@ CPA_I_REF = 4e-9
 # CAL_TEMPERATURE degC unless the caller names another temperature
 CAL_RANGE = (-64, 64)
 CAL_TEMPERATURE = 50.0
-
-_IS = SCHEMA["is_mode"]
-
 
 @dataclass(frozen=True)
 class FraResult:
@@ -380,51 +377,14 @@ class TempArray:
 
     # -- measurement modes -------------------------------------------------
 
-    # The modes share the channel's settings, self.cfg.madc, and are
-    # noiseless: they draw from no stream.
+    # The modes are noiseless functions of a channel (a MadcConfig) and their inputs; run_is
+    # stays on the class, called through it, as the benchmark's tracer patches it by name.
 
-    def run_cpa(self, sensor, temp_c, duration):
-        """Constant-potential trace of a PhSensor at temp_c (degC): the
-        reconstructed current of each sample; duration (s) must be a whole
-        number of samples, at least one, within a relative 1e-9."""
-        n_samples = int(round(duration / SAMPLE_PERIOD))
-        if n_samples < 1 or abs(duration / SAMPLE_PERIOD - n_samples) > 1e-9 * n_samples:
-            raise DomainError(f"CPA duration {duration!r} s is not a whole number, at least 1, "
-                              f"of SAMPLE_PERIOD ({SAMPLE_PERIOD:g} s)")
-        currents = np.full(n_samples, sensor.current(temp_c))
-        counts = convert_signed(ranged(self.cfg.madc, CPA_I_REF), currents, CPA_I_REF)
-        return counts * (CPA_I_REF / self.cfg.madc.n1_counts)
-
-    def run_cv(self, response, v_low, v_high, scan_rate):
-        """Cyclic voltammogram of a current response(v, t): one ramp from
-        v_low to v_high at scan_rate (V/s) and back.
-
-        Returns the applied voltages, the reconstructed currents and the
-        reference current the channel was ranged to, 1.25x the largest
-        response.
-        """
-        require(v_low < v_high, "cv.v_low", f"below cv.v_high ({v_high!r})", v_low)
-        require(scan_rate > 0, "cv.scan_rate", "positive", scan_rate)
-        # steps per ramp, capped first so that a scan past the budget
-        # still rounds to a finite count
-        step = max(scan_rate * SAMPLE_PERIOD, math.ulp(0.0))
-        n_half = max(1, round(min((v_high - v_low) / step, MAX_CV_SAMPLES)))
-        require(2 * n_half + 1 <= MAX_CV_SAMPLES, "cv.scan_rate",
-                f"fast enough for a scan from cv.v_low ({v_low!r}) to cv.v_high "
-                f"({v_high!r}) of at most {MAX_CV_SAMPLES} samples of {SAMPLE_PERIOD} s",
-                scan_rate)
-        up = v_low + (v_high - v_low) * np.arange(n_half + 1) / n_half
-        v = np.concatenate([up, up[-2::-1]])
-        times = np.arange(v.size) * SAMPLE_PERIOD
-        currents = np.array([response(vk, t) for vk, t in zip(v, times)])
-        i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
-        counts = convert_signed(ranged(self.cfg.madc, i_ref), currents, i_ref)
-        return v, counts * (i_ref / self.cfg.madc.n1_counts), i_ref
-
-    def run_is(self, networks, freqs, amplitude=_IS["amplitude"]):
+    @staticmethod
+    def run_is(madc, networks, freqs, amplitude):
         """Impedance spectra of linear networks (devices.Series and its
-        elements) via the converter's multiply-accumulate; one flat list
-        of FraResult, network-major.
+        elements) via the converter's multiply-accumulate, on the channel
+        madc; one flat list of FraResult, network-major.
 
         Every frequency snaps onto the conversion grid (integer
         conversions per period) and is checked before any table is made.
@@ -434,12 +394,11 @@ class TempArray:
         and network (see _fra_pack).
         """
         require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
-        cfg = self.cfg.madc
         freqs = np.array(freqs, dtype=float, ndmin=1)
         lo, hi = IS_FREQ_RANGE
         if not ((lo <= freqs) & (freqs <= hi)).all():
             raise DomainError(f"frequency outside [{lo:g}, {hi:g}] Hz")
-        points = [_fra_grid_point(cfg, f) for f in freqs.tolist()]
+        points = [_fra_grid_point(madc, f) for f in freqs.tolist()]
         # each point's converted samples: an even period converts its first half
         sizes = [m // (2 - m % 2) for m, _ in points]
         room = max(sizes, default=0)
@@ -447,12 +406,52 @@ class TempArray:
         # a point whose running fill restarts at its own size begins a pack
         fill = accumulate(sizes, lambda size, n: size + n if size + n <= room else n)
         firsts = [i for i, (size, n) in enumerate(zip(fill, sizes)) if size == n]
-        f_act = [c * cfg.conversion_rate / m for m, c in points]
+        f_act = [c * madc.conversion_rate / m for m, c in points]
         z = np.empty((len(networks), len(points)), dtype=complex)
         for a, b in zip(firsts, firsts[1:] + [len(points)]):
-            z[:, a:b] = _fra_pack(cfg, points[a:b], f_act[a:b], networks, amplitude, work)
+            z[:, a:b] = _fra_pack(madc, points[a:b], f_act[a:b], networks, amplitude, work)
         return [FraResult(freq=f, z_real=zk.real, z_imag=zk.imag)
                 for z_net in z.tolist() for f, zk in zip(f_act, z_net)]
+
+
+def run_cpa(madc, sensor, temp_c, duration):
+    """Constant-potential trace of a PhSensor at temp_c (degC) on the
+    channel madc: the reconstructed current of each sample; duration (s)
+    must be a whole number of samples, at least one, within a relative 1e-9."""
+    n_samples = int(round(duration / SAMPLE_PERIOD))
+    if n_samples < 1 or abs(duration / SAMPLE_PERIOD - n_samples) > 1e-9 * n_samples:
+        raise DomainError(f"CPA duration {duration!r} s is not a whole number, at least 1, "
+                          f"of SAMPLE_PERIOD ({SAMPLE_PERIOD:g} s)")
+    currents = np.full(n_samples, sensor.current(temp_c))
+    counts = convert_signed(ranged(madc, CPA_I_REF), currents, CPA_I_REF)
+    return counts * (CPA_I_REF / madc.n1_counts)
+
+
+def run_cv(madc, response, v_low, v_high, scan_rate):
+    """Cyclic voltammogram of a current response(v, t) on the channel
+    madc: one ramp from v_low to v_high at scan_rate (V/s) and back.
+
+    Returns the applied voltages, the reconstructed currents and the
+    reference current the channel was ranged to, 1.25x the largest
+    response.
+    """
+    require(v_low < v_high, "cv.v_low", f"below cv.v_high ({v_high!r})", v_low)
+    require(scan_rate > 0, "cv.scan_rate", "positive", scan_rate)
+    # steps per ramp, capped first so that a scan past the budget
+    # still rounds to a finite count
+    step = max(scan_rate * SAMPLE_PERIOD, math.ulp(0.0))
+    n_half = max(1, round(min((v_high - v_low) / step, MAX_CV_SAMPLES)))
+    require(2 * n_half + 1 <= MAX_CV_SAMPLES, "cv.scan_rate",
+            f"fast enough for a scan from cv.v_low ({v_low!r}) to cv.v_high "
+            f"({v_high!r}) of at most {MAX_CV_SAMPLES} samples of {SAMPLE_PERIOD} s",
+            scan_rate)
+    up = v_low + (v_high - v_low) * np.arange(n_half + 1) / n_half
+    v = np.concatenate([up, up[-2::-1]])
+    times = np.arange(v.size) * SAMPLE_PERIOD
+    currents = np.array([response(vk, t) for vk, t in zip(v, times)])
+    i_ref = 1.25 * max(np.abs(currents).max(), 1e-12)
+    counts = convert_signed(ranged(madc, i_ref), currents, i_ref)
+    return v, counts * (i_ref / madc.n1_counts), i_ref
 
 
 def _fra_pack(cfg, pack, f_act, networks, amplitude, work):

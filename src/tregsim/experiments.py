@@ -6,12 +6,12 @@ import os
 import shutil
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .array_sim import (CPA_I_REF, IS_FREQ_RANGE, SAMPLE_PERIOD, SETPOINT_RANGE, ArrayConfig,
-                        TempArray)
+                        TempArray, run_cpa, run_cv)
 from .config import from_settings
 from .devices import (PEAK_V, BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
@@ -100,13 +100,8 @@ def check_true(name, flag):
     return CheckResult(name, 1.0 if flag else 0.0, "== 1", bool(flag))
 
 
-def build_array(settings, seed=None, one_cell=False):
-    """The configured TempArray, built from validated settings.
-
-    seed, when given, replaces the configured one.  one_cell builds
-    cell (0, 0) alone, after checking the configured shape: for the
-    measurement modes, which read only the channel's settings.
-    """
+def build_array(settings, seed=None):
+    """The configured TempArray; seed, when given, replaces the configured one."""
     pid = settings["pid"]
     unset = [f"pid.{k}" for k in ("kp", "ki", "kd") if pid[k] is None]
     if 0 < len(unset) < 3:
@@ -120,8 +115,6 @@ def build_array(settings, seed=None, one_cell=False):
         heater=from_settings(HeaterParams, settings),
         madc=from_settings(MadcConfig, settings), pwm=from_settings(PwmConfig, settings),
         pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
-    if one_cell:
-        cfg = replace(cfg, rows=1, cols=1)
     return TempArray(cfg, seed=settings["experiment"]["seed"] if seed is None else seed)
 
 
@@ -470,11 +463,17 @@ def exp_pid_oracle(settings, outdir):
 # --------------------------------------------------------------------------
 # measurement modes
 
-def _fra_networks():
-    return [
-        ("series_rc", Series((Resistor(100e3), Capacitor(1e-6)))),
-        ("parallel_rc", Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))),
-    ]
+# the narrowest converter the measurement modes run on: at 5 bits each mode's
+# experiment fails a check (fra_sweep reads a 6.41 % magnitude error, bound 2 %)
+MODE_MIN_BITS = 6
+
+
+def _mode_channel(settings):
+    """The configured channel of the measurement modes, checked against MODE_MIN_BITS."""
+    madc = from_settings(MadcConfig, settings)
+    require(madc.n_bits >= MODE_MIN_BITS, "madc.n_bits",
+            f">= {MODE_MIN_BITS} for the measurement modes", madc.n_bits)
+    return madc
 
 
 def _fra_frequencies(settings):
@@ -501,14 +500,14 @@ def _fra_frequencies(settings):
 
 def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
-    ism = settings["is_mode"]
     freqs = _fra_frequencies(settings)
     # checked, though the noiseless channel's results do not depend on it
     _count(settings, "is_mode.n_periods")
-    array = build_array(settings, one_cell=True)
-    networks = _fra_networks()
+    networks = [("series_rc", Series((Resistor(100e3), Capacitor(1e-6)))),
+                ("parallel_rc", Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)))]
     # one sweep over both networks: every frequency of the first, then the second
-    results = array.run_is([net for _, net in networks], freqs, amplitude=ism["amplitude"])
+    results = TempArray.run_is(_mode_channel(settings), [net for _, net in networks], freqs,
+                               settings["is_mode"]["amplitude"])
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
@@ -545,21 +544,21 @@ def exp_cpa_ph(settings, outdir):
         require(abs(sensor.current(25.0)) < CPA_I_REF, f"cpa.{key}",
                 f"a pH whose front-end current stays inside the {CPA_I_REF:g} A full scale",
                 cpa[key])
-    array = build_array(settings, one_cell=True)
+    madc = _mode_channel(settings)
     # the slope is a straight-line fit: it needs two points
     phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
-        i_est = array.run_cpa(sensor, 25.0, duration=0.2)
+        i_est = run_cpa(madc, sensor, 25.0, duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
               phs, np.array(currents))
     slope = float(np.polyfit(phs, currents, 1)[0])
 
     sensor.ph = 8.0
-    i25 = array.run_cpa(sensor, 25.0, duration=0.2)
-    i35 = array.run_cpa(sensor, 35.0, duration=0.2)
+    i25 = run_cpa(madc, sensor, 25.0, duration=0.2)
+    i35 = run_cpa(madc, sensor, 35.0, duration=0.2)
     derate = float(np.mean(i35) / np.mean(i25))
     return [
         check_in("slope_a_per_ph", slope, 1.71e-9, 1.89e-9),
@@ -581,15 +580,15 @@ def reverse_scan_mirrors(v, i):
 def exp_cv_scan(settings, outdir):
     """Voltammetry signal chain: ohmic recovery and peak localization."""
     cv = settings["cv"]
-    array = build_array(settings, one_cell=True)
+    madc = _mode_channel(settings)
     scan = cv["v_low"], cv["v_high"], cv["scan_rate"]
 
     r_test = 1e6
-    v, i_est, i_ref = array.run_cv(lambda v, t: v / r_test, *scan)
-    lsb = i_ref / array.cfg.madc.n1_counts
+    v, i_est, i_ref = run_cv(madc, lambda v, t: v / r_test, *scan)
+    lsb = i_ref / madc.n1_counts
     ohmic_err = float(np.abs(i_est - v / r_test).max())
 
-    v2, i2, _ = array.run_cv(gaussian_peak_response, *scan)
+    v2, i2, _ = run_cv(madc, gaussian_peak_response, *scan)
     span = cv["v_high"] - cv["v_low"]
     tails = (v2 > cv["v_high"] - 0.15 * span) | (v2 < cv["v_low"] + 0.15 * span)
     baseline = np.polyfit(v2[tails], i2[tails], 1)

@@ -15,7 +15,7 @@ import pytest
 import tregsim
 from tregsim import array_sim, streams
 from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, _fra_grid_point)
+                               TempArray, _fra_grid_point, run_cpa, run_cv)
 from tregsim.config import SCHEMA
 from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
                              Series, gaussian_peak_response, i_ctat, i_ptat)
@@ -31,9 +31,12 @@ def small_array(rows=2, cols=2, seed=1, **kw):
     return TempArray(cfg, seed=seed)
 
 
+def quiet_madc(noise=0.0, n_bits=9):
+    return MadcConfig(n_bits=n_bits, conversion_noise_counts=noise)
+
+
 def quiet_array(rows=1, cols=1, seed=1, noise=0.0, n_bits=9, **kw):
-    cfg = ArrayConfig(rows=rows, cols=cols,
-                      madc=MadcConfig(n_bits=n_bits, conversion_noise_counts=noise),
+    cfg = ArrayConfig(rows=rows, cols=cols, madc=quiet_madc(noise, n_bits),
                       sigma_vbe=0.0, sigma_r1=0.0, sigma_r2=0.0,
                       sigma_mirror=0.0, **kw)
     return TempArray(cfg, seed=seed)
@@ -45,11 +48,6 @@ def cell_noise(cfg, rng, shape):
     if cfg.conversion_noise_counts == 0:
         return None
     return rng.normal(0.0, cfg.conversion_noise_counts, size=shape)
-
-
-def reg_draws(arr):
-    """Every cell's next regulation draw, read from copies of the streams."""
-    return [copy.deepcopy(rng).standard_normal() for rng in arr._reg_rng]
 
 
 # -- calibration -----------------------------------------------------------
@@ -623,7 +621,7 @@ def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
     first = a1.run_regulation(40.0, 20.0)
-    a1.run_cpa(PhSensor(), a1.temp[0, 0], 0.5)
+    run_cpa(a1.cfg.madc, PhSensor(), a1.temp[0, 0], 0.5)
     second = a1.run_regulation(40.0, 20.0)
 
     b = quiet_array(seed=23)
@@ -639,7 +637,7 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr.run_regulation(40.0, 20.0)
     state = arr.pid_state
     cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
-    arr.run_cpa(PhSensor(), arr.temp[0, 0], 0.2)
+    run_cpa(arr.cfg.madc, PhSensor(), arr.temp[0, 0], 0.2)
     assert arr.cal_preload[0, 0] == cal
     assert np.array_equal(arr.pid_state.u_prev, u)
     assert np.array_equal(arr.pid_state.bank, bank)
@@ -655,46 +653,45 @@ def test_thermal_field_csv_format(tmp_path):
 # -- measurement modes --------------------------------------------------------
 
 def test_cpa_ph_step_response():
-    arr = quiet_array(seed=2)
+    madc = quiet_madc()
     sensor = PhSensor()
     sensor.ph = 7.0
-    i0 = arr.run_cpa(sensor, 25.0, 0.2)
+    i0 = run_cpa(madc, sensor, 25.0, 0.2)
     # a whole number of samples, every one counting 0
     assert i0.shape == (20,) and np.all(i0 == 0)
     sensor.ph = 8.0
-    i_est = arr.run_cpa(sensor, 25.0, 0.2)
+    i_est = run_cpa(madc, sensor, 25.0, 0.2)
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
 def test_cpa_duration_is_a_whole_number_of_samples():
     # 0.29 s is 28.999999999999996 sample periods in floats: 29 samples
-    arr = quiet_array()
-    assert arr.run_cpa(PhSensor(), 25.0, 0.29).shape == (29,)
+    madc = quiet_madc()
+    assert run_cpa(madc, PhSensor(), 25.0, 0.29).shape == (29,)
     for duration in (0.0, -0.1, 0.015):
         with pytest.raises(DomainError, match="SAMPLE_PERIOD"):
-            arr.run_cpa(PhSensor(), 25.0, duration)
+            run_cpa(madc, PhSensor(), 25.0, duration)
 
 
 def test_cv_ohmic_line_within_one_lsb():
-    arr = quiet_array(seed=2)
+    madc = quiet_madc()
     r_test = 1e6
-    v, i_est, i_ref = arr.run_cv(lambda v, t: v / r_test, -0.7, 0.0, 0.1)
+    v, i_est, i_ref = run_cv(madc, lambda v, t: v / r_test, -0.7, 0.0, 0.1)
     assert i_ref == 1.25 * np.abs(v / r_test).max()
-    lsb = i_ref / arr.cfg.madc.n1_counts
+    lsb = i_ref / madc.n1_counts
     assert np.abs(i_est - v / r_test).max() <= lsb * (1 + 1e-9)
 
 
 def test_is_pure_resistor():
-    arr = quiet_array(seed=2)
-    for res in arr.run_is([Series((Resistor(4.7e5),))], [1.0, 100.0, 5000.0]):
+    for res in TempArray.run_is(quiet_madc(), [Series((Resistor(4.7e5),))],
+                                [1.0, 100.0, 5000.0], 0.01):
         assert res.z_real == pytest.approx(4.7e5, rel=0.02)
         assert abs(res.z_imag) <= 0.02 * 4.7e5
 
 
 def test_is_series_rc_against_analytic():
-    arr = quiet_array(seed=2)
     net = Series((Resistor(100e3), Capacitor(1e-6)))
-    for res in arr.run_is([net], [0.1, 1.59, 40.0, 2000.0]):
+    for res in TempArray.run_is(quiet_madc(), [net], [0.1, 1.59, 40.0, 2000.0], 0.01):
         z_ref = net.impedance(res.freq)
         z_est = complex(res.z_real, res.z_imag)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
@@ -703,10 +700,9 @@ def test_is_series_rc_against_analytic():
 
 
 def test_is_frequency_domain_checked():
-    arr = quiet_array(seed=2)
     net = Series((Resistor(1e5),))
     with pytest.raises(DomainError):
-        arr.run_is([net], [0.01])
+        TempArray.run_is(quiet_madc(), [net], [0.01], 0.01)
 
 
 def phasor(net, f, amplitude):
@@ -716,9 +712,9 @@ def phasor(net, f, amplitude):
     return amplitude / abs(z), -math.atan2(z.imag, z.real)
 
 
-def per_sample_fra_point(arr, net, f_req, n_periods, amplitude):
-    """Reference FRA point: digitizes every sample of both windows."""
-    cfg = arr.cfg.madc
+def per_sample_fra_point(cfg, net, f_req, n_periods, amplitude):
+    """Reference FRA point on the channel cfg: digitizes every sample of
+    both windows."""
     f_conv = cfg.conversion_rate
     if f_req <= f_conv / 8.0:
         m = int(round(f_conv / f_req))
@@ -772,18 +768,18 @@ def test_is_one_period_fold_matches_per_sample(n_bits):
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     grid = default_fra_grid()
-    arr = quiet_array(seed=5, n_bits=n_bits)
-    results = arr.run_is(nets, grid)
+    madc = quiet_madc(n_bits=n_bits)
+    results = TempArray.run_is(madc, nets, grid, 0.01)
     assert len(results) == 2 * len(grid)
     for res, (net, f_req) in zip(results, [(net, f) for net in nets for f in grid]):
-        f_act, z_ref = per_sample_fra_point(arr, net, f_req, 1, 0.01)
+        f_act, z_ref = per_sample_fra_point(madc, net, f_req, 1, 0.01)
         assert res.freq == f_act
         assert abs(complex(res.z_real, res.z_imag) - z_ref) <= 1e-12 * abs(z_ref)
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
 def test_is_even_period_converts_its_first_half_once(monkeypatch, f_req, m):
-    # an even period converts its first half once, and draws nothing
+    # an even period converts its first half once
     sizes = []
 
     def spy(*args, **kwargs):
@@ -792,12 +788,10 @@ def test_is_even_period_converts_its_first_half_once(monkeypatch, f_req, m):
         return n2, clipped
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    arr = quiet_array()
-    before = reg_draws(arr)
-    arr.run_is([Series((Resistor(100e3),))], [f_req])
+    madc = quiet_madc()
+    TempArray.run_is(madc, [Series((Resistor(100e3),))], [f_req], 0.01)
     assert sizes == [m]
-    assert _fra_grid_point(arr.cfg.madc, f_req)[0] == m
-    assert reg_draws(arr) == before
+    assert _fra_grid_point(madc, f_req)[0] == m
 
 
 def test_is_period_bound():
@@ -812,14 +806,14 @@ def test_is_period_bound():
         assert key in str(err.value)
 
 
-def frequency_major(arr, networks, freqs):
+def frequency_major(madc, networks, freqs):
     """run_is one network and one frequency per call, every network at a
     frequency before the next; the results network-major, as one sweep
     call returns them."""
     results = [[] for _ in networks]
     for f in freqs:
         for net, res in zip(networks, results):
-            res += arr.run_is([net], [f])
+            res += TempArray.run_is(madc, [net], [f], 0.01)
     return [r for res in results for r in res]
 
 
@@ -831,29 +825,25 @@ def frequency_major(arr, networks, freqs):
     (2000.0, 5000.0, False),
 ])
 def test_is_point_does_not_depend_on_earlier_points(f_a, f_b, same_point):
-    # array x measures networks A and B at f_a and f_b in one sweep, so
-    # B's point at f_b follows the points measured before it in the same
-    # workspace; array y, on the same seed, measures each network at
-    # each frequency in its own call, in a fresh workspace.  B's result must
-    # not depend on the points measured before B, and neither sweep
-    # moves a cell's stream.
+    # one sweep measures networks A and B at f_a and f_b, so B's point at
+    # f_b follows the points measured before it in the same workspace;
+    # the reference measures each network at each frequency in its own
+    # call, in a fresh workspace.  B's result must not depend on the
+    # points measured before B.
     assert (_fra_grid_point(MadcConfig(), f_a) == _fra_grid_point(MadcConfig(), f_b)) is same_point
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    x = quiet_array(cols=2, seed=4, noise=0.3)
-    y = quiet_array(cols=2, seed=4, noise=0.3)
-    before = reg_draws(x)
-    got = x.run_is(nets, [f_a, f_b])
-    want = frequency_major(y, nets, [f_a, f_b])
+    madc = quiet_madc(noise=0.3)
+    got = TempArray.run_is(madc, nets, [f_a, f_b], 0.01)
+    want = frequency_major(madc, nets, [f_a, f_b])
     assert got[-1] == want[-1]
     assert got == want
-    assert reg_draws(x) == reg_draws(y) == before
 
 
 def test_is_sweep_equals_frequency_major_single_calls(monkeypatch):
     # one call over two networks equals one call per network and
     # frequency, made frequency-major, on a channel configured with
-    # noise, at 8 and 9 bits: every result, and no cell's stream moves.
+    # noise, at 8 and 9 bits: every result.
     # The first grid switches parity (m 3071, 98, 97) and ends on two
     # m = 64 points with different cycle counts; the second interleaves
     # both parities with m = 64 points, one of them repeated, around the
@@ -875,17 +865,14 @@ def test_is_sweep_equals_frequency_major_single_calls(monkeypatch):
 
     for n_bits in (8, 9):
         for freqs in grids:
-            x = quiet_array(seed=7, noise=0.3, n_bits=n_bits)
-            y = quiet_array(seed=7, noise=0.3, n_bits=n_bits)
-            before = reg_draws(x)
+            madc = quiet_madc(noise=0.3, n_bits=n_bits)
             calls.clear()
             monkeypatch.setattr(array_sim, "discharge_counts", spy)
-            got = x.run_is(nets, freqs)
+            got = TempArray.run_is(madc, nets, freqs, 0.01)
             monkeypatch.undo()
             assert len(got) == 2 * len(freqs)
             assert len(calls) < len(got)
-            assert got == frequency_major(y, nets, freqs)
-            assert reg_draws(x) == reg_draws(y) == before
+            assert got == frequency_major(madc, nets, freqs)
 
 
 def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
@@ -899,10 +886,9 @@ def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
         return n2, clipped
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    arr = quiet_array()
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    assert len(arr.run_is(nets, default_fra_grid())) == 102
+    assert len(TempArray.run_is(quiet_madc(), nets, default_fra_grid(), 0.01)) == 102
     assert len(sizes) == 18
     # the longest point, 0.1 Hz at m = 48828, converts two tables of half a period
     assert max(sizes) <= 48828
@@ -923,7 +909,7 @@ def test_is_conversions_never_clip(monkeypatch, n_bits):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
-    quiet_array(n_bits=n_bits).run_is(nets, default_fra_grid())
+    TempArray.run_is(quiet_madc(n_bits=n_bits), nets, default_fra_grid(), 0.01)
     assert seen
     for clipped, peak, counter_max in seen:
         assert not clipped and peak <= counter_max
@@ -934,45 +920,38 @@ def test_is_sweep_checks_every_frequency_before_converting():
     # range, or one period too long, is rejected before any point is
     # converted
     net = Series((Resistor(1e5),))
-    arr = quiet_array(noise=0.3)
-    fast = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(f_clk=1e10)))
-    refs = [reg_draws(a) for a in (arr, fast)]
-    assert arr.run_is([net], []) == []
+    madc = quiet_madc(noise=0.3)
+    assert TempArray.run_is(madc, [net], [], 0.01) == []
     with pytest.raises(DomainError):
-        arr.run_is([net], [50.0, 0.01])
+        TempArray.run_is(madc, [net], [50.0, 0.01], 0.01)
     # 0.1 Hz at f_clk = 1e10 is a period of 48.8M conversions
     with pytest.raises(ConfigurationError, match="is_mode.f_lo"):
-        fast.run_is([net], [50.0, 0.1])
-    for a, ref in zip((arr, fast), refs):
-        assert reg_draws(a) == ref
+        TempArray.run_is(MadcConfig(f_clk=1e10), [net], [50.0, 0.1], 0.01)
 
 
 def test_modes_ignore_the_configured_channel_noise():
     # the measurement modes are noiseless by construction: on a channel
     # configured with a count of noise they return what a noiseless twin
-    # returns, and leave every cell's regulation stream where the twin's is
-    noisy, quiet = (small_array(seed=12, madc=MadcConfig(conversion_noise_counts=noise))
-                    for noise in (1.0, 0.0))
+    # returns
     sensor = PhSensor()
     sensor.ph = 8.3
     nets = [Series((Resistor(100e3), Capacitor(1e-6))),
             Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
     runs = []
-    for arr in (noisy, quiet):
-        cpa = arr.run_cpa(sensor, 31.0, 0.2)
-        cv = arr.run_cv(gaussian_peak_response, -0.7, 0.0, 0.1)
-        runs.append((cpa, cv, arr.run_is(nets, [0.5, 50.0, 50.34, 5000.0])))
+    for madc in (MadcConfig(conversion_noise_counts=1.0), MadcConfig(conversion_noise_counts=0.0)):
+        cpa = run_cpa(madc, sensor, 31.0, 0.2)
+        cv = run_cv(madc, gaussian_peak_response, -0.7, 0.0, 0.1)
+        runs.append((cpa, cv, TempArray.run_is(madc, nets, [0.5, 50.0, 50.34, 5000.0], 0.01)))
     (cpa, cv, fra), (cpa_q, cv_q, fra_q) = runs
     assert np.array_equal(cpa, cpa_q)
     assert all(np.array_equal(a, b) for a, b in zip(cv, cv_q))
     assert fra == fra_q
-    assert reg_draws(noisy) == reg_draws(quiet)
 
 
 def test_waveform_validation():
     # run_cv checks its ramp before it samples the response, naming the
     # key that sets each bound
-    arr = quiet_array()
+    madc = quiet_madc()
 
     def response(v, t):
         raise AssertionError("sampled a rejected scan")
@@ -980,7 +959,7 @@ def test_waveform_validation():
     for scan, key in [((0.5, 0.0, 0.1), "cv.v_low"), ((0.0, 0.0, 0.1), "cv.v_low"),
                       ((-0.7, 0.0, 0.0), "cv.scan_rate"), ((-0.7, 0.0, -0.1), "cv.scan_rate")]:
         with pytest.raises(ConfigurationError, match=re.escape(key)):
-            arr.run_cv(response, *scan)
+            run_cv(madc, response, *scan)
 
 
 def test_cv_scan_budget(monkeypatch):
@@ -988,8 +967,8 @@ def test_cv_scan_budget(monkeypatch):
     # rejected one ramp step above it, naming cv.scan_rate, before the
     # response is sampled; so is a step that underflows to zero
     monkeypatch.setattr(array_sim, "MAX_CV_SAMPLES", 41)
-    arr = quiet_array()
-    v, _, _ = arr.run_cv(lambda v, t: v / 1e6, 0.0, 0.2, 1.0)
+    madc = quiet_madc()
+    v, _, _ = run_cv(madc, lambda v, t: v / 1e6, 0.0, 0.2, 1.0)
     assert v.size == 41
 
     def response(v, t):
@@ -997,4 +976,4 @@ def test_cv_scan_budget(monkeypatch):
 
     for scan_rate in (0.2 / 0.21, 1e-323):
         with pytest.raises(ConfigurationError, match="cv.scan_rate"):
-            arr.run_cv(response, 0.0, 0.2, scan_rate)
+            run_cv(madc, response, 0.0, 0.2, scan_rate)

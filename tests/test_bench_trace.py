@@ -95,3 +95,22 @@ def test_tracer_counts_every_csv_row(tmp_path):
                for name in ("regulation.csv", "pid_trace.csv", "summary.csv")}
     assert written == {"regulation.csv": 40, "pid_trace.csv": 6480, "summary.csv": 17}
     assert metrics["experiments.csv_rows"] == sum(written.values()) == 6537
+
+
+def test_tracer_counts_the_impedance_sweep(tmp_path):
+    # the default sweep measures 51 points of each of two networks in 9
+    # packs, one converter call per pack and network.  The tracer restores
+    # run_is as a plain function, not a staticmethod, so the untraced run
+    # after it works only if the experiment calls it through the class;
+    # it writes the same bytes.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"]["name"] = "fra_sweep"
+    with tracing.instrument(tracer):
+        run_experiment(settings, str(tmp_path / "traced"))
+    metrics = tracer.layer_metrics(tracer.run_id, 0.0)
+    assert (metrics["array.fra_points"], metrics["madc.batches"]) == (102, 18)
+    run_experiment(settings, str(tmp_path / "plain"))
+    for name in ("fra_sweep.csv", "summary.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()

@@ -75,6 +75,24 @@ n_bits = {n_bits}
     assert (out / "fra_sweep.csv").exists()
 
 
+def test_cpa_ph_runs_at_the_mode_floor(tmp_path):
+    # the measurement modes' floor admits a 6-bit channel: cpa_ph passes
+    # on it, as it did on the one-cell array
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "floor.cfg", f"""
+[experiment]
+name = cpa_ph
+
+[output]
+dir = {out}
+
+[madc]
+n_bits = 6
+""")
+    assert main([cfg]) == 0
+    assert (out / "cpa_ph.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("pwm.dooty_min", "0.04"),
     # keys that once existed but changed no output
@@ -255,11 +273,17 @@ dir = %s
     ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
     # a PID period below the 1 ms floor; at 1e-21 s the tuning divided by
     # zero and the run exited 1 with a traceback
-    ("cpa_ph", {"pid": "ts = 0.0005"}, "pid.ts"),
-    ("cpa_ph", {"pid": "ts = 1e-21"}, "pid.ts"),
+    ("characterize_sensor", {"pid": "ts = 0.0005"}, "pid.ts"),
+    ("characterize_sensor", {"pid": "ts = 1e-21"}, "pid.ts"),
     # setpoints below the 25 degC ambient, which the heater cannot cool
     # to: the run read steady-state errors of 5.0 and 4.0 degC and exited 1
     ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
+    # a converter narrower than the measurement modes' floor
+    # (experiments.MODE_MIN_BITS): without it, each exited 1 at 5 bits
+    # (fra_sweep read a 6.41 % magnitude error against 2 %)
+    ("fra_sweep", {"madc": "n_bits = 5"}, "madc.n_bits"),
+    ("cpa_ph", {"madc": "n_bits = 5"}, "madc.n_bits"),
+    ("cv_scan", {"madc": "n_bits = 5"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -493,16 +517,19 @@ def test_defaults_complete():
 
 
 # the experiment that checks each numeric key: a cheap one that reads it,
-# by section.key or else by section.  cpa_ph builds the array, so it reads
-# every key that build_array reads.
+# by section.key or else by section.  characterize_sensor builds the
+# array, so it reads every key that build_array reads; it runs a sweep
+# of three points (COARSE_SWEEP) for a key of another section.
 KEY_EXPERIMENTS = {
-    "array": "cpa_ph", "devices": "cpa_ph", "mismatch": "cpa_ph",
-    "thermal": "cpa_ph", "madc": "cpa_ph", "pid": "cpa_ph", "pwm": "cpa_ph",
+    "array": "characterize_sensor", "devices": "characterize_sensor",
+    "mismatch": "characterize_sensor", "thermal": "characterize_sensor",
+    "madc": "cpa_ph", "pid": "characterize_sensor", "pwm": "characterize_sensor",
     "regulation": "regulation_steps", "is_mode": "fra_sweep", "cpa": "cpa_ph",
     "cv": "cv_scan", "snr": "snr_test", "oracle.n_draws": "madc_oracle",
     "oracle": "pid_oracle", "spread": "channel_spread",
     "characterize.n_dies": "die_error_sweep", "characterize": "characterize_sensor",
 }
+COARSE_SWEEP = "[characterize]\nt_step = 35\n"
 NUMERIC_KEYS = [f"{section}.{name}" for section, keys in SCHEMA.items()
                 if section != "experiment" for name, default in keys.items()
                 if default is None or type(default) in (int, float)]
@@ -514,6 +541,8 @@ def test_numeric_key_at_zero_and_minus_one_exits_cleanly(tmp_path, capsys, key):
     # key and no output directory left; never a traceback
     section, name = key.split(".")
     experiment = KEY_EXPERIMENTS.get(key, KEY_EXPERIMENTS[section])
+    coarse = (COARSE_SWEEP if experiment == "characterize_sensor" and section != "characterize"
+              else "")
     for value in ("0", "-1"):
         out = tmp_path / value / "out"
         cfg = write_config(tmp_path / "key.cfg", """
@@ -524,9 +553,10 @@ seed = 1
 [%s]
 %s = %s
 
+%s
 [output]
 dir = %s
-""" % (experiment, section, name, value, out))
+""" % (experiment, section, name, value, coarse, out))
         code = main([cfg])
         err = capsys.readouterr().err
         assert code in (0, 1, 2)

@@ -129,9 +129,9 @@ def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
         return real(cfg, charge, i_in, *args)
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(conversion_noise_counts=0.0)))
-    m, _ = _fra_grid_point(arr.cfg.madc, 1.0)
-    (res,) = arr.run_is([net], [1.0], amplitude=0.05)
+    madc = MadcConfig(conversion_noise_counts=0.0)
+    m, _ = _fra_grid_point(madc, 1.0)
+    (res,) = TempArray.run_is(madc, [net], [1.0], amplitude=0.05)
     (i_abs,) = responses
     assert i_abs.shape == (m,)
     assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(res.freq)), rel=1e-4)

@@ -1,15 +1,19 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tregsim
 from tregsim import experiments
-from tregsim.array_sim import ArrayConfig, TempArray
+from tregsim.array_sim import run_cv
 from tregsim.config import SCHEMA
 from tregsim.errors import ConfigurationError
 from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
-from tregsim.madc import convert
+from tregsim.madc import MadcConfig, convert
 
 
 FORMAT_CASES = [
@@ -131,13 +135,43 @@ def test_madc_oracle_runs_the_configured_converter(tmp_path, monkeypatch):
 
 
 def test_reverse_scan_mirrors_needs_a_voltage_only_sensor():
-    arr = TempArray(ArrayConfig(rows=1, cols=1))
+    madc = MadcConfig()
     scan = [SCHEMA["cv"][key] for key in ("v_low", "v_high", "scan_rate")]
-    v, i, _ = arr.run_cv(lambda v, t: v / 1e6, *scan)
+    v, i, _ = run_cv(madc, lambda v, t: v / 1e6, *scan)
     assert reverse_scan_mirrors(v, i)
     # a current that drifts with time differs between the sweeps
-    v, i, _ = arr.run_cv(lambda v, t: v / 1e6 + 1e-8 * t, *scan)
+    v, i, _ = run_cv(madc, lambda v, t: v / 1e6 + 1e-8 * t, *scan)
     assert not reverse_scan_mirrors(v, i)
     # a truncated down-sweep cannot retrace the up-sweep
-    v, i, _ = arr.run_cv(lambda v, t: v / 1e6, *scan)
+    v, i, _ = run_cv(madc, lambda v, t: v / 1e6, *scan)
     assert not reverse_scan_mirrors(v[:-1], i[:-1])
+
+
+# runs each experiment named on its command line at the defaults, then
+# prints whether numpy.random was loaded
+RANDOM_PROBE = """
+import copy, os, sys
+from tregsim.config import SCHEMA
+from tregsim.experiments import run_experiment
+for name in sys.argv[2:]:
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"].update(name=name, seed=1)
+    run_experiment(settings, os.path.join(sys.argv[1], name))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_measurement_modes_never_load_numpy_random(tmp_path):
+    # fra_sweep, cpa_ph and cv_scan run on the channel's settings alone,
+    # so a fresh process that runs them never loads numpy.random;
+    # regulation_steps, which draws the array's mismatch, does
+    src = os.path.dirname(os.path.dirname(tregsim.__file__))
+
+    def loads_random(*names):
+        out = subprocess.run([sys.executable, "-c", RANDOM_PROBE, str(tmp_path), *names],
+                             check=True, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        return out.stdout.strip()
+
+    assert loads_random("fra_sweep", "cpa_ph", "cv_scan") == "False"
+    assert loads_random("regulation_steps") == "True"
