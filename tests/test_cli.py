@@ -271,22 +271,32 @@ dir = %s
     ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
     # 70000001 sweep points: the run died in an allocation error, exit 1
     ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
-    # a PID period below the 1 ms floor; at 1e-21 s the tuning divided by
-    # zero and the run exited 1 with a traceback
-    ("characterize_sensor", {"pid": "ts = 0.0005"}, "pid.ts"),
-    ("characterize_sensor", {"pid": "ts = 1e-21"}, "pid.ts"),
-    # setpoints below the 25 degC ambient, which the heater cannot cool
-    # to: the run read steady-state errors of 5.0 and 4.0 degC and exited 1
-    ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
     # a converter narrower than the measurement modes' floor
     # (experiments.MODE_MIN_BITS): without it, each exited 1 at 5 bits
     # (fra_sweep read a 6.41 % magnitude error against 2 %)
     ("fra_sweep", {"madc": "n_bits = 5"}, "madc.n_bits"),
     ("cpa_ph", {"madc": "n_bits = 5"}, "madc.n_bits"),
+    # setpoints below the 25 degC ambient, which the heater cannot cool
+    # to: the run read steady-state errors of 5.0 and 4.0 degC and exited 1
+    ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
+    # the measurement modes' floor, as for fra_sweep and cpa_ph above
     ("cv_scan", {"madc": "n_bits = 5"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
+    assert_exits_2_without_outputs(tmp_path, capsys, experiment, settings, key)
+
+
+@pytest.mark.parametrize("ts", ["0.0005", "1e-21"])
+def test_pid_period_below_floor_exits_2(tmp_path, capsys, ts):
+    # a PID period below the 1 ms floor; at 1e-21 s the tuning divided by
+    # zero and the run exited 1 with a traceback.  characterize_sensor
+    # builds the array, which reads pid.ts.
+    assert_exits_2_without_outputs(tmp_path, capsys, "characterize_sensor",
+                                   {"pid": f"ts = {ts}"}, "pid.ts")
+
+
+def assert_exits_2_without_outputs(tmp_path, capsys, experiment, settings, key):
     out = tmp_path / "out"
     sections = "".join(f"\n[{sec}]\n{body}\n" for sec, body in settings.items())
     cfg = write_config(tmp_path / "degenerate.cfg", """
