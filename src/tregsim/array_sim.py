@@ -55,11 +55,12 @@ class FraResult:
     z_imag: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayConfig:
     """The array's settings, checked when built.
 
-    A plant parameter left None is fitted by thermal.fit_defaults.
+    A plant parameter left None is fitted by thermal.fit_defaults.  The design map and
+    the loop coefficients are derived here, once: every array built on the config shares them.
     """
 
     rows: int = setting("array.rows")
@@ -79,6 +80,8 @@ class ArrayConfig:
     sigma_r1: float = setting("mismatch.sigma_r1")
     sigma_r2: float = setting("mismatch.sigma_r2")
     sigma_mirror: float = setting("mismatch.sigma_mirror")
+    temp_map: TemperatureMap = field(init=False, compare=False, repr=False)
+    pid_coeffs: PidCoefficients = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in ("rows", "cols"):
@@ -87,7 +90,7 @@ class ArrayConfig:
             require(getattr(self, key) >= 0, f"mismatch.{key}", ">= 0", getattr(self, key))
         for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
             if getattr(self, key) is None:
-                setattr(self, key, value)
+                object.__setattr__(self, key, value)
         thermal.check_plant(self.c_th, self.g_amb, self.g_lat)
         require(self.pid_ts >= MIN_PID_PERIOD, "pid.ts", f">= {MIN_PID_PERIOD:g} s",
                 self.pid_ts)
@@ -97,6 +100,14 @@ class ArrayConfig:
         require(self.madc.counter_max > largest, "madc.n_bits",
                 f">= {largest.bit_length()}, for a full scale 2**n_bits above the "
                 f"largest calibration preload {largest}", self.madc.n_bits)
+        object.__setattr__(self, "temp_map", TemperatureMap(self.madc, self.bjt,
+                                                            self.current_source))
+        # the loop's coefficients, on the count slope of its stretched charge phase
+        slope = self.temp_map.counts_per_kelvin() * self.madc.pid_charge_scale
+        gains = (default_tuning(self.c_th, self.g_amb, self.heater.p_max, slope, self.pid_ts)
+                 if self.pid_gains is None else self.pid_gains)
+        object.__setattr__(self, "pid_coeffs", PidCoefficients.derive(
+            *gains, self.pid_ts, counts_per_kelvin=slope))
 
 
 @dataclass
@@ -114,10 +125,9 @@ class TempArray:
     """A rows x cols array of regulated cells on a shared thermal grid."""
 
     def __init__(self, cfg=None, seed=0):
-        self.cfg = cfg if cfg is not None else ArrayConfig()
-        cfg = self.cfg
-        # per-cycle plant map, built on the first regulation run: most
-        # arrays (sensing, calibration sweeps) never regulate
+        self.cfg = cfg = ArrayConfig() if cfg is None else cfg
+        self.temp_map, self.pid_coeffs = cfg.temp_map, cfg.pid_coeffs
+        # per-cycle plant map, built on the first regulation run: most arrays never regulate
         self._cycle_map = None
 
         # cell i's seed key is (entropy, (*spawn_key, i)): the key of the
@@ -132,17 +142,6 @@ class TempArray:
         tails = np.zeros((n_cells, 2), dtype=np.uint64)
         tails[:, 0] = np.arange(n_cells)
         self._reg_rng = generators(*self._seed_key, tails)
-
-        self.temp_map = TemperatureMap(cfg.madc, cfg.bjt, cfg.current_source)
-        # the count slope on the loop's stretched charge phase
-        counts_per_kelvin = self.temp_map.counts_per_kelvin() * cfg.madc.pid_charge_scale
-        if cfg.pid_gains is None:
-            gains = default_tuning(cfg.c_th, cfg.g_amb, cfg.heater.p_max,
-                                   counts_per_kelvin, cfg.pid_ts)
-        else:
-            gains = cfg.pid_gains
-        self.pid_coeffs = PidCoefficients.derive(*gains, cfg.pid_ts,
-                                                 counts_per_kelvin=counts_per_kelvin)
 
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
@@ -210,14 +209,16 @@ class TempArray:
         block (see discharge_counts), so the batch keeps one array live.
         """
         cfg = self.cfg.madc
-        i_in, i_ref = self.front_end_currents(t_c)
-        noise = self._cell_noise(i_in.shape[:-2] + (n_avg,))
-        if noise is not None:
-            noise = np.moveaxis(noise, (0, 1), (-3, -2))
-        n_chg = cfg.n1_counts - self.cal_preload
-        n2, _ = discharge_counts(cfg, n_chg[..., None], i_in[..., None],
-                                 i_ref[..., None], noise)
-        return np.minimum(np.round(n2.mean(axis=-1)), cfg.counter_max).astype(int)
+        # the held charge is shaped (rows, cols, ..., 1), in the noise
+        # block's cell-major order, so the noise adds in place without a
+        # buffer; the counts move back to the currents' order at the end
+        i_in, i_ref = (np.moveaxis(i, (-2, -1), (0, 1))[..., None]
+                       for i in self.front_end_currents(t_c))
+        n_chg = (cfg.n1_counts - self.cal_preload)[(...,) + (None,) * (i_in.ndim - 2)]
+        n2, _ = discharge_counts(cfg, n_chg, i_in, i_ref,
+                                 self._cell_noise(i_in.shape[2:-1] + (n_avg,)))
+        counts = np.minimum(np.round(n2.mean(axis=-1)), cfg.counter_max).astype(int)
+        return np.moveaxis(counts, (0, 1), (-2, -1))
 
     # -- calibration -----------------------------------------------------
 

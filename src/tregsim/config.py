@@ -100,13 +100,31 @@ def _parse_value(raw, default, path):
     return raw
 
 
+def _syntax_error(exc):
+    """The line of a configparser error, what is wrong there and, where
+    configparser names one, its section.key."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: duplicate key {exc.section}.{exc.option}"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: expected key = value"
+    return exc.message
+
+
 def load_config(path, seed=None):
     """Parse and validate a config file into a nested dict of settings.
 
-    seed, when given, replaces experiment.seed before it is checked.
+    A % in a value is literal.  seed, when given, replaces experiment.seed
+    before it is checked.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}, {_syntax_error(exc)}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     settings = {sec: dict(keys) for sec, keys in SCHEMA.items()}

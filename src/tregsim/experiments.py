@@ -102,20 +102,25 @@ def check_true(name, flag):
 
 def build_array(settings, seed=None):
     """The configured TempArray; seed, when given, replaces the configured one."""
+    return TempArray(array_config(settings),
+                     seed=settings["experiment"]["seed"] if seed is None else seed)
+
+
+def array_config(settings):
+    """The configured ArrayConfig: one serves every die built on the settings."""
     pid = settings["pid"]
     unset = [f"pid.{k}" for k in ("kp", "ki", "kd") if pid[k] is None]
     if 0 < len(unset) < 3:
         raise ConfigurationError(
             f"{', '.join(unset)} unset: give all three of pid.kp, pid.ki and "
             "pid.kd, or none for the default tuning")
-    cfg = from_settings(
+    return from_settings(
         ArrayConfig, settings,
         bjt=from_settings(BjtParams, settings),
         current_source=from_settings(CurrentSourceParams, settings),
         heater=from_settings(HeaterParams, settings),
         madc=from_settings(MadcConfig, settings), pwm=from_settings(PwmConfig, settings),
         pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
-    return TempArray(cfg, seed=settings["experiment"]["seed"] if seed is None else seed)
 
 
 def _count(settings, key, least=1):
@@ -212,12 +217,12 @@ def exp_die_error_sweep(settings, outdir):
     """Seven fresh-mismatch dies, one-point calibrated, swept 20-90 degC."""
     t_values = _sweep_temperatures(settings)
     n_dies = _count(settings, "characterize.n_dies")
-    seed = settings["experiment"]["seed"]
-    die_seeds = np.random.SeedSequence(seed).spawn(n_dies)
+    die_seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_dies)
+    cfg = array_config(settings)
     errors = []
     checks = []
     for d, dseed in enumerate(die_seeds):
-        array = build_array(settings, seed=dseed)
+        array = TempArray(cfg, seed=dseed)
         failures = array.calibrate_one_point()
         counts = array.characterize_sensor(t_values)
         error = (array.temp_map.read_temperature(counts) - t_values).mean(axis=0)
@@ -235,10 +240,11 @@ def exp_channel_spread(settings, outdir):
     t_force = _temperature(settings, "spread.t_force")
     n_seeds = _count(settings, "spread.n_seeds")
     seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_seeds)
+    cfg = array_config(settings)
     reads_by_seed = []
     checks = []
     for s, sseed in enumerate(seeds):
-        array = build_array(settings, seed=sseed)
+        array = TempArray(cfg, seed=sseed)
         array.calibrate_one_point(t_known=t_force)
         reads = array.temp_map.read_temperature(array.read_counts(t_force)).ravel()
         reads_by_seed.append(reads)
@@ -463,16 +469,19 @@ def exp_pid_oracle(settings, outdir):
 # --------------------------------------------------------------------------
 # measurement modes
 
-# the narrowest converter the measurement modes run on: at 5 bits each mode's
-# experiment fails a check (fra_sweep reads a 6.41 % magnitude error, bound 2 %)
-MODE_MIN_BITS = 6
+# the narrowest converter each measurement mode's experiment runs on: one bit
+# narrower, it fails a check at the defaults (cpa_ph reads a derating of 0.857
+# at 5 bits, bound [0.88, 0.92]; fra_sweep a 2.48 % magnitude error at 6 bits,
+# bound 2 %; cv_scan a 1.022 mV peak error at 7 bits, bound 1 mV)
+MODE_MIN_BITS = {"cpa_ph": 6, "fra_sweep": 7, "cv_scan": 8}
 
 
-def _mode_channel(settings):
-    """The configured channel of the measurement modes, checked against MODE_MIN_BITS."""
+def _mode_channel(settings, experiment):
+    """The configured channel of a measurement mode's experiment, checked
+    against its MODE_MIN_BITS."""
     madc = from_settings(MadcConfig, settings)
-    require(madc.n_bits >= MODE_MIN_BITS, "madc.n_bits",
-            f">= {MODE_MIN_BITS} for the measurement modes", madc.n_bits)
+    least = MODE_MIN_BITS[experiment]
+    require(madc.n_bits >= least, "madc.n_bits", f">= {least} for {experiment}", madc.n_bits)
     return madc
 
 
@@ -505,8 +514,9 @@ def exp_fra_sweep(settings, outdir):
     _count(settings, "is_mode.n_periods")
     networks = [("series_rc", Series((Resistor(100e3), Capacitor(1e-6)))),
                 ("parallel_rc", Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)))]
+    madc = _mode_channel(settings, "fra_sweep")
     # one sweep over both networks: every frequency of the first, then the second
-    results = TempArray.run_is(_mode_channel(settings), [net for _, net in networks], freqs,
+    results = TempArray.run_is(madc, [net for _, net in networks], freqs,
                                settings["is_mode"]["amplitude"])
     rows = []
     worst_mag = 0.0
@@ -544,7 +554,7 @@ def exp_cpa_ph(settings, outdir):
         require(abs(sensor.current(25.0)) < CPA_I_REF, f"cpa.{key}",
                 f"a pH whose front-end current stays inside the {CPA_I_REF:g} A full scale",
                 cpa[key])
-    madc = _mode_channel(settings)
+    madc = _mode_channel(settings, "cpa_ph")
     # the slope is a straight-line fit: it needs two points
     phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
     currents = []
@@ -580,7 +590,7 @@ def reverse_scan_mirrors(v, i):
 def exp_cv_scan(settings, outdir):
     """Voltammetry signal chain: ohmic recovery and peak localization."""
     cv = settings["cv"]
-    madc = _mode_channel(settings)
+    madc = _mode_channel(settings, "cv_scan")
     scan = cv["v_low"], cv["v_high"], cv["scan_rate"]
 
     r_test = 1e6

@@ -76,8 +76,8 @@ n_bits = {n_bits}
 
 
 def test_cpa_ph_runs_at_the_mode_floor(tmp_path):
-    # the measurement modes' floor admits a 6-bit channel: cpa_ph passes
-    # on it, as it did on the one-cell array
+    # cpa_ph's floor admits a 6-bit channel: cpa_ph passes on it, as it
+    # did on the one-cell array
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "floor.cfg", f"""
 [experiment]
@@ -91,6 +91,26 @@ n_bits = 6
 """)
     assert main([cfg]) == 0
     assert (out / "cpa_ph.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, n_bits", [("fra_sweep", 7), ("cv_scan", 8)])
+def test_mode_passes_at_its_own_floor(tmp_path, experiment, n_bits):
+    # fra_sweep and cv_scan pass every check at their floors in
+    # experiments.MODE_MIN_BITS; a bit narrower, each exits 2
+    assert experiments.MODE_MIN_BITS[experiment] == n_bits
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "floor.cfg", f"""
+[experiment]
+name = {experiment}
+
+[output]
+dir = {out}
+
+[madc]
+n_bits = {n_bits}
+""")
+    assert main([cfg]) == 0
+    assert (out / f"{experiment}.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -271,8 +291,8 @@ dir = %s
     ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
     # 70000001 sweep points: the run died in an allocation error, exit 1
     ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
-    # a converter narrower than the measurement modes' floor
-    # (experiments.MODE_MIN_BITS): without it, each exited 1 at 5 bits
+    # a converter narrower than the measurement modes' floors
+    # (experiments.MODE_MIN_BITS): without them, each exited 1 at 5 bits
     # (fra_sweep read a 6.41 % magnitude error against 2 %)
     ("fra_sweep", {"madc": "n_bits = 5"}, "madc.n_bits"),
     ("cpa_ph", {"madc": "n_bits = 5"}, "madc.n_bits"),
@@ -281,6 +301,10 @@ dir = %s
     ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
     # the measurement modes' floor, as for fra_sweep and cpa_ph above
     ("cv_scan", {"madc": "n_bits = 5"}, "madc.n_bits"),
+    # one bit under each mode's own floor: fra_sweep read a 2.48 % magnitude
+    # error (bound 2 %) and cv_scan a 1.022 mV peak error (bound 1 mV), exit 1
+    ("fra_sweep", {"madc": "n_bits = 6"}, "madc.n_bits"),
+    ("cv_scan", {"madc": "n_bits = 7"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -465,6 +489,32 @@ n_bits = nine
 """)
     with pytest.raises(ConfigurationError, match="madc.n_bits"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("body, message", [
+    # a % began an interpolation, which configparser rejected
+    ("[experiment]\nname = pwm_sweep\nseed = 7%\n", "experiment.seed: expected an "
+     "integer, got '7%'"),
+    ("[experiment]\nname = pwm_sweep\nseed = 7\nseed = 8\n",
+     "{cfg}, line 4: duplicate key experiment.seed"),
+    ("[experiment]\nname = pwm_sweep\nseed = 7\n[experiment]\nseed = 8\n",
+     "{cfg}, line 4: duplicate section [experiment]"),
+    ("name = pwm_sweep\n[experiment]\nseed = 7\n", "{cfg}, line 1: 'name = pwm_sweep'"),
+    ("[experiment]\nname = pwm_sweep\nseed 7\n", "{cfg}, line 3: expected key = value"),
+], ids=["percent", "duplicate_key", "duplicate_section", "no_section_header", "no_equals"])
+def test_malformed_file_exits_2_without_outputs(tmp_path, capsys, body, message):
+    # each exited 1 with a configparser traceback
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "bad.cfg", f"{body}\n[output]\ndir = {out}\n")
+    assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message.format(cfg=cfg) in err
+    assert not out.exists()
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    cfg = write_config(tmp_path / "pct.cfg", GOOD.format(out="out%(x)s%"))
+    assert load_config(cfg)["output"]["dir"] == "out%(x)s%"
 
 
 def test_unknown_experiment_exits_2(tmp_path):

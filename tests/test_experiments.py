@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,10 +10,11 @@ import pytest
 
 import tregsim
 from tregsim import experiments
-from tregsim.array_sim import run_cv
+from tregsim.array_sim import TempArray, run_cv
 from tregsim.config import SCHEMA
 from tregsim.errors import ConfigurationError
-from tregsim.experiments import _fmt, reverse_scan_mirrors, run_experiment, write_csv
+from tregsim.experiments import (_fmt, array_config, build_array, reverse_scan_mirrors,
+                                 run_experiment, write_csv)
 from tregsim.madc import MadcConfig, convert
 
 
@@ -175,3 +177,30 @@ def test_measurement_modes_never_load_numpy_random(tmp_path):
 
     assert loads_random("fra_sweep", "cpa_ph", "cv_scan") == "False"
     assert loads_random("regulation_steps") == "True"
+
+
+def test_arrays_on_one_config_share_its_derivations():
+    # a die sweep derives its channel once: every array built on one
+    # config holds the config's design map and loop coefficients, and
+    # reads what a die built from the settings alone reads
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"].update(name="die_error_sweep", seed=5)
+    cfg = array_config(settings)
+    seeds = np.random.SeedSequence(5).spawn(2)
+    dies = [TempArray(cfg, seed=s) for s in seeds]
+    assert dies[0].temp_map is dies[1].temp_map is cfg.temp_map
+    assert dies[0].pid_coeffs is dies[1].pid_coeffs is cfg.pid_coeffs
+    t_values = np.arange(20.0, 91.0, 10.0)
+    for die, s in zip(dies, seeds):
+        alone = build_array(settings, seed=s)
+        assert die.calibrate_one_point() == alone.calibrate_one_point()
+        assert np.array_equal(die.cal_preload, alone.cal_preload)
+        assert np.array_equal(die.characterize_sensor(t_values),
+                              alone.characterize_sensor(t_values))
+        assert np.array_equal(die.read_counts(50.0), alone.read_counts(50.0))
+    # the derivations are neither settings nor compared, and the settings
+    # they follow from cannot change under them
+    assert cfg == alone.cfg and repr(cfg) == repr(alone.cfg)
+    assert "temp_map" not in repr(cfg) and "pid_coeffs" not in repr(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.c_th = 1.0
