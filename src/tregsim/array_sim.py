@@ -12,7 +12,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import thermal
-from .config import setting
+from .config import IS_FREQ_RANGE, SETPOINT_RANGE, check, check_fields, setting
 from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, charge_phase, convert,
@@ -28,12 +28,6 @@ MAX_FRA_PERIOD = 2 ** 20
 # scale, clear of the counter and the integrator cap at any width: 380
 # counts at 9 bits
 IS_PEAK = 380 / 512
-# IS frequencies (Hz) and regulation setpoints (degC) lie in these ranges
-IS_FREQ_RANGE = (0.1, 10e3)
-SETPOINT_RANGE = (20.0, 90.0)
-# shortest PID period (s): the default tuning divides by zero on a
-# degenerate one
-MIN_PID_PERIOD = 1e-3
 
 # CPA and CV sample the channel every SAMPLE_PERIOD seconds; a CV scan
 # holds at most MAX_CV_SAMPLES samples, about 750x the default scan's 1401
@@ -84,16 +78,10 @@ class ArrayConfig:
     pid_coeffs: PidCoefficients = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for key in ("rows", "cols"):
-            require(getattr(self, key) >= 1, f"array.{key}", ">= 1", getattr(self, key))
-        for key in ("sigma_vbe", "sigma_r1", "sigma_r2", "sigma_mirror"):
-            require(getattr(self, key) >= 0, f"mismatch.{key}", ">= 0", getattr(self, key))
+        check_fields(self)
         for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-        thermal.check_plant(self.c_th, self.g_amb, self.g_lat)
-        require(self.pid_ts >= MIN_PID_PERIOD, "pid.ts", f">= {MIN_PID_PERIOD:g} s",
-                self.pid_ts)
         # the calibration word is a counter preload: a full scale at or
         # below the largest one leaves calibration no charge phase
         largest = CAL_RANGE[1] - 1
@@ -394,7 +382,7 @@ class TempArray:
         workspace, with one converter call and one array solve per pack
         and network (see _fra_pack).
         """
-        require(amplitude > 0, "is_mode.amplitude", "positive", amplitude)
+        check("is_mode.amplitude", amplitude)
         freqs = np.array(freqs, dtype=float, ndmin=1)
         lo, hi = IS_FREQ_RANGE
         if not ((lo <= freqs) & (freqs <= hi)).all():
@@ -437,7 +425,7 @@ def run_cv(madc, response, v_low, v_high, scan_rate):
     response.
     """
     require(v_low < v_high, "cv.v_low", f"below cv.v_high ({v_high!r})", v_low)
-    require(scan_rate > 0, "cv.scan_rate", "positive", scan_rate)
+    check("cv.scan_rate", scan_rate)
     # steps per ramp, capped first so that a scan past the budget
     # still rounds to a finite count
     step = max(scan_rate * SAMPLE_PERIOD, math.ulp(0.0))

@@ -33,13 +33,7 @@ def main(argv=None):
 
     try:
         settings = load_config(args.config, seed=args.seed)
-    except ConfigurationError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    outdir = args.out if args.out else settings["output"]["dir"]
-
-    try:
-        checks = run_experiment(settings, outdir)
+        checks = run_experiment(settings, args.out if args.out else settings["output"]["dir"])
     except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -2,49 +2,119 @@
 
 INI-style sections with a strict schema: any key not listed below is
 rejected with its full path.  Values keep the types of their defaults.
-SCHEMA is the only place a default is written: a model dataclass field
+One table is the only place a key's default and its own rule are
+written; SCHEMA and RULES read them from it.  A model dataclass field
 that a key sets is declared with `setting`, which takes its default from
-here, and `from_settings` builds the dataclass from loaded settings.
+here, `from_settings` builds the dataclass from loaded settings, and
+`check_fields` applies its fields' rules whenever it is built.
 """
 
 import configparser
+import io
 import math
 from dataclasses import field, fields
+from functools import cache, partial
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError
 
-# section -> key -> default (None where the experiment computes a value)
-SCHEMA = {
-    "experiment": {"name": "", "seed": None},
+# the bounds that the model also reads: the shortest PID period (s), on which the default
+# tuning does not divide by zero, and the ranges of the setpoints (degC) and IS (Hz)
+MIN_PID_PERIOD = 1e-3
+SETPOINT_RANGE = (20.0, 90.0)
+IS_FREQ_RANGE = (0.1, 10e3)
+INF = math.inf
+
+
+class Rule(NamedTuple):
+    """A key's own rule: its kind, the interval lo..hi with each end "["
+    "]" closed or "(" ")" open, and its unit.  A "whole" value is a whole
+    number in the interval, a "real" one any number in it, and a "list"
+    one or more numbers, each in it.  None, a value the model computes,
+    keeps every rule."""
+
+    kind: str
+    lo: float
+    hi: float = INF
+    ends: str = "[)"
+    unit: str = ""
+
+    def __str__(self):
+        """The rule as a message states it, e.g. "a whole number in [1, inf)"."""
+        kind = {"whole": "a whole number ", "list": "one or more values, each "}.get(self.kind, "")
+        return f"{kind}in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]} {self.unit}".rstrip()
+
+    def admits(self, value):
+        """Whether value keeps the rule: NaN fails every comparison, and an
+        infinite end is open."""
+        if self.kind == "list":
+            return len(value) > 0 and all(map(self._inside, value))
+        return (self.kind != "whole" or isinstance(value, (int, np.integer))
+                or isinstance(value, float) and value.is_integer()) and self._inside(value)
+
+    def _inside(self, x):
+        return ((self.lo < x if self.ends[0] == "(" else self.lo <= x)
+                and (x < self.hi if self.ends[1] == ")" else x <= self.hi))
+
+
+_whole = partial(Rule, "whole")                  # _whole(1): a whole number >= 1
+_positive = partial(Rule, "real", 0, INF, "()")  # _positive("Hz"): above 0 Hz
+_setpoint = Rule("real", *SETPOINT_RANGE, "[]", "degC")
+
+# section -> key -> its default (None where the model computes a value),
+# or (default, rule) for a key with a rule of its own; the rules that tie
+# keys together stay where the keys meet
+_TABLE = {
+    "experiment": {"name": "", "seed": (None, _whole(0))},
     "output": {"dir": "out"},
-    "array": {"rows": 9, "cols": 6, "t_ambient": 25.0},
+    "array": {"rows": (9, _whole(1)), "cols": (6, _whole(1)), "t_ambient": 25.0},
     "devices": {
-        "vg0": 1.156, "n_proc": 4.0, "t_ref": 300.0, "vbe_at_tref": 0.7,
-        "r1": 1.5e6, "r2": 1.0e5, "mirror_ratio": 10.0,
-        "bias_current_ratio": 3.0, "alpha": 0.18, "p_max": 0.27,
-    },
-    "mismatch": {
-        "sigma_vbe": 1e-3, "sigma_r1": 0.01, "sigma_r2": 0.01,
-        "sigma_mirror": 0.005,
-    },
-    "thermal": {"c_th": None, "g_amb": None, "g_lat": None},
+        "vg0": 1.156, "n_proc": (4.0, _positive()),
+        "t_ref": (300.0, Rule("real", 200, 400, "[]", "K")),
+        "vbe_at_tref": (0.7, _positive("V")), "r1": (1.5e6, _positive("ohm")),
+        "r2": (1.0e5, _positive("ohm")), "mirror_ratio": (10.0, Rule("real", 1)),
+        "bias_current_ratio": (3.0, Rule("real", 1, INF, "()")), "alpha": (0.18, _positive()),
+        "p_max": (0.27, _positive("W"))},
+    "mismatch": {"sigma_vbe": (1e-3, Rule("real", 0, INF, "[)", "V")),
+                 "sigma_r1": (0.01, Rule("real", 0)), "sigma_r2": (0.01, Rule("real", 0)),
+                 "sigma_mirror": (0.005, Rule("real", 0))},
+    # a zero g_lat decouples the cells
+    "thermal": {"c_th": (None, _positive("J/K")), "g_amb": (None, _positive("W/K")),
+                "g_lat": (None, Rule("real", 0, INF, "[)", "W/K"))},
     "madc": {
-        "n_bits": 9, "f_clk": 10e6, "c_int": 30e-12,
-        "v_full": 1.0, "pid_charge_scale": 8, "conversion_noise_counts": 0.3,
-    },
-    "pid": {"ts": 4.0, "kp": None, "ki": None, "kd": None},
-    "pwm": {"duty_min": 0.04, "duty_max": 0.96, "tap_mismatch_sigma": 0.018},
-    "regulation": {"setpoints": [35.0, 45.0, 55.0, 65.0], "plateau_s": 40.0,
-                   "trace_conversions": False},
-    "is_mode": {"f_lo": 0.1, "f_hi": 1e4, "points_per_decade": 10,
-                "n_periods": 4, "amplitude": 0.01},
-    "cpa": {"ph_lo": 5.0, "ph_hi": 9.0, "ph_steps": 9},
-    "cv": {"v_low": -0.7, "v_high": 0.0, "scan_rate": 0.1},
-    "snr": {"freq": 15.0, "amplitude": 400e-9, "n_samples": 16384},
-    "oracle": {"n_draws": 100000, "n_tuples": 20, "n_steps": 1000},
-    "spread": {"n_seeds": 10, "t_force": 50.0},
-    "characterize": {"n_dies": 7, "t_lo": 20.0, "t_hi": 90.0, "t_step": 1.0},
+        # 2**52: the widest counter whose every count float64 holds exactly
+        "n_bits": (9, _whole(1, 52, "[]")), "f_clk": (10e6, _positive("Hz")),
+        "c_int": (30e-12, _positive("F")), "v_full": (1.0, _positive("V")),
+        "pid_charge_scale": (8, _whole(1)),
+        "conversion_noise_counts": (0.3, Rule("real", 0, INF, "[)", "counts"))},
+    "pid": {"ts": (4.0, Rule("real", MIN_PID_PERIOD, INF, "[)", "s")),
+            "kp": None, "ki": None, "kd": None},
+    "pwm": {"duty_min": (0.04, Rule("real", 0)), "duty_max": (0.96, Rule("real", 0, 1, "(]")),
+            "tap_mismatch_sigma": (0.018, Rule("real", 0))},
+    "regulation": {"setpoints": ([35.0, 45.0, 55.0, 65.0], _setpoint._replace(kind="list")),
+                   "plateau_s": (40.0, _positive("s")), "trace_conversions": False},
+    "is_mode": {"f_lo": (0.1, Rule("real", *IS_FREQ_RANGE, "[]", "Hz")),
+                "f_hi": (1e4, Rule("real", *IS_FREQ_RANGE, "[]", "Hz")),
+                "points_per_decade": (10, _whole(1)), "n_periods": (4, _whole(1)),
+                "amplitude": (0.01, _positive("V"))},
+    # a straight-line fit needs two points
+    "cpa": {"ph_lo": 5.0, "ph_hi": 9.0, "ph_steps": (9, _whole(2))},
+    "cv": {"v_low": -0.7, "v_high": 0.0, "scan_rate": (0.1, _positive("V/s"))},
+    "snr": {"freq": (15.0, _positive("Hz")), "amplitude": (400e-9, _positive("A")),
+            "n_samples": (16384, _whole(2))},
+    "oracle": {"n_draws": (100000, _whole(1)), "n_tuples": (20, _whole(1)),
+               "n_steps": (1000, _whole(1))},
+    "spread": {"n_seeds": (10, _whole(1)), "t_force": (50.0, _setpoint)},
+    "characterize": {"n_dies": (7, _whole(1)), "t_lo": (20.0, _setpoint),
+                     "t_hi": (90.0, _setpoint), "t_step": (1.0, _positive("degC"))},
 }
+SCHEMA = {section: {key: entry[0] if isinstance(entry, tuple) else entry
+                    for key, entry in keys.items()} for section, keys in _TABLE.items()}
+# section.key -> its own rule
+RULES = {f"{section}.{key}": entry[1] for section, keys in _TABLE.items()
+         for key, entry in keys.items() if isinstance(entry, tuple)}
 
 # experiments whose results depend on random draws: a seed is mandatory
 STOCHASTIC_EXPERIMENTS = {
@@ -53,10 +123,50 @@ STOCHASTIC_EXPERIMENTS = {
 }
 
 
+def check(key, value):
+    """Reject value unless it keeps the rule of key ("section.name"): "key must
+    be <rule>, got value".  A per-cell array is checked by its worst cell."""
+    rule = RULES[key]
+    if isinstance(value, np.ndarray):
+        low = float(value.min())
+        value = low if rule.hi == INF or not rule.admits(low) else float(value.max())
+    if value is not None and not rule.admits(value):
+        raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
+
+
+def checked(settings):
+    """A copy of settings whose every key has kept its rule, whole numbers as ints."""
+    out = {section: dict(keys) for section, keys in settings.items()}
+    for key, rule in RULES.items():
+        section, name = key.split(".")
+        check(key, out[section][name])
+        if rule.kind == "whole" and out[section][name] is not None:
+            out[section][name] = int(out[section][name])
+    return out
+
+
 def setting(key):
     """A dataclass field set by the config key "section.name", with its default."""
     section, name = key.split(".")
     return field(default=SCHEMA[section][name], metadata={"key": (section, name)})
+
+
+@cache
+def _ruled_fields(cls):
+    """(name, key, types, lo, hi) of each field of cls that a key with a rule
+    sets: a value of one of the types strictly between lo and hi keeps it."""
+    keys = ((f.name, ".".join(f.metadata.get("key", ()))) for f in fields(cls))
+    return [(name, key, (int,) if RULES[key].kind == "whole" else (int, float), *RULES[key][1:3])
+            for name, key in keys if key in RULES]
+
+
+def check_fields(obj):
+    """Apply its key's rule to each `setting` field of obj, a model dataclass."""
+    for name, key, types, lo, hi in _ruled_fields(type(obj)):
+        value = getattr(obj, name)
+        # such values pass at once; check decides the rest
+        if type(value) not in types or not lo < value < hi:
+            check(key, value)
 
 
 def from_settings(cls, settings, **given):
@@ -69,6 +179,8 @@ def from_settings(cls, settings, **given):
 
 
 def _parse_value(raw, default, path):
+    if isinstance(default, str):
+        return raw.strip()
     if isinstance(default, bool):
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
@@ -77,27 +189,16 @@ def _parse_value(raw, default, path):
             return False
         raise ConfigurationError(f"{path}: expected a boolean, got {raw!r}")
     if isinstance(default, list):
-        try:
-            values = [float(x) for x in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigurationError(f"{path}: expected numbers, got {raw!r}")
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigurationError(f"{path}: expected finite numbers, got {raw!r}")
-        return values
-    if isinstance(default, int) and not isinstance(default, bool):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{path}: expected an integer, got {raw!r}")
-    if isinstance(default, float) or default is None:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigurationError(f"{path}: expected a number, got {raw!r}")
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{path}: expected a finite number, got {raw!r}")
-        return value
-    return raw
+        return [_parse_value(x, 0.0, path) for x in raw.replace(",", " ").split()]
+    whole = isinstance(default, int) or path in RULES and RULES[path].kind == "whole"
+    try:
+        value = int(raw) if whole else float(raw)
+    except ValueError:
+        raise ConfigurationError(f"{path}: expected {'an integer' if whole else 'a number'}, "
+                                 f"got {raw!r}")
+    if not whole and not math.isfinite(value):
+        raise ConfigurationError(f"{path}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _syntax_error(exc):
@@ -117,16 +218,22 @@ def _syntax_error(exc):
 def load_config(path, seed=None):
     """Parse and validate a config file into a nested dict of settings.
 
-    A % in a value is literal.  seed, when given, replaces experiment.seed
-    before it is checked.
+    The file is UTF-8 text, and a % in a value is literal.  seed, when
+    given, replaces experiment.seed before it is checked.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except OSError:
+        raise ConfigurationError(f"cannot read config file {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}, byte {exc.start}: not UTF-8 text") from exc
+    try:
+        # universal newlines, as a file opened in text mode reads them
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}, {_syntax_error(exc)}") from exc
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
     settings = {sec: dict(keys) for sec, keys in SCHEMA.items()}
     for section in parser.sections():
         if section not in SCHEMA:
@@ -134,18 +241,8 @@ def load_config(path, seed=None):
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigurationError(f"unknown key {section}.{key}")
-            if section == "experiment" and key == "name":
-                settings[section][key] = raw.strip()
-            elif section == "experiment" and key == "seed":
-                try:
-                    settings[section][key] = int(raw)
-                except ValueError:
-                    raise ConfigurationError(f"experiment.seed: expected an integer, got {raw!r}")
-            elif section == "output" and key == "dir":
-                settings[section][key] = raw.strip()
-            else:
-                settings[section][key] = _parse_value(raw, SCHEMA[section][key],
-                                                      f"{section}.{key}")
+            settings[section][key] = _parse_value(raw, SCHEMA[section][key],
+                                                  f"{section}.{key}")
     if seed is not None:
         settings["experiment"]["seed"] = seed
     name = settings["experiment"]["name"]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import setting
+from .config import check_fields, setting
 from .errors import ConfigurationError, DomainError, greatest, least, require
 
 K_BOLTZMANN = 1.380649e-23    # J/K
@@ -40,11 +40,9 @@ class BjtParams:
     vbe_offset: float = 0.0
 
     def __post_init__(self):
-        require(self.vbe_at_tref > 0, "devices.vbe_at_tref", "positive", self.vbe_at_tref)
+        check_fields(self)
         require(self.vg0 > self.vbe_at_tref, "devices.vg0",
                 f"above devices.vbe_at_tref ({self.vbe_at_tref!r})", self.vg0)
-        require(200.0 <= self.t_ref <= 400.0, "devices.t_ref", "in [200 K, 400 K]", self.t_ref)
-        require(self.n_proc > 0, "devices.n_proc", "positive", self.n_proc)
 
 
 @dataclass(frozen=True)
@@ -63,24 +61,14 @@ class CurrentSourceParams:
     bias_current_ratio: float = setting("devices.bias_current_ratio")
     alpha: float = setting("devices.alpha")
 
-    def __post_init__(self):
-        # per-cell values include the drawn mismatch: report the worst cell
-        for key in ("r1", "r2"):
-            worst = float(np.min(getattr(self, key)))
-            require(worst > 0, f"devices.{key}", "positive", worst)
-        worst = float(np.min(self.mirror_ratio))
-        require(worst >= 1.0, "devices.mirror_ratio", ">= 1", worst)
-        require(self.bias_current_ratio > 1.0, "devices.bias_current_ratio", "> 1",
-                self.bias_current_ratio)
-        require(self.alpha > 0, "devices.alpha", "positive", self.alpha)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class HeaterParams:
     p_max: float = setting("devices.p_max")  # W at duty = 1
 
-    def __post_init__(self):
-        require(self.p_max > 0, "devices.p_max", "positive", self.p_max)
+    __post_init__ = check_fields
 
 
 def vbe(params, t):

@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_sim import (CPA_I_REF, IS_FREQ_RANGE, SAMPLE_PERIOD, SETPOINT_RANGE, ArrayConfig,
-                        TempArray, run_cpa, run_cv)
-from .config import from_settings
+from .array_sim import CPA_I_REF, SAMPLE_PERIOD, ArrayConfig, TempArray, run_cpa, run_cv
+from .config import checked, from_settings
 from .devices import (PEAK_V, BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
                       Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
-from .errors import ConfigurationError, DomainError, require
+from .errors import ConfigurationError, require
 from .madc import MadcConfig, charge_phase, convert, ranged, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
@@ -123,32 +122,6 @@ def array_config(settings):
         pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
 
 
-def _count(settings, key, least=1):
-    """The integer setting section.key, rejected unless a whole number >= least."""
-    section, name = key.split(".")
-    value = settings[section][name]
-    # a settings dict, unlike a config file, may hold any number here
-    require(isinstance(value, int) or (math.isfinite(value) and value == int(value)), key,
-            "a whole number", value)
-    require(value >= least, key, f">= {least}", value)
-    return int(value)
-
-
-def _in_domain(settings, key, lo, hi, unit):
-    """The setting section.key, rejected if it, or any item of a list, lies outside [lo, hi]."""
-    section, name = key.split(".")
-    value = settings[section][name]
-    for v in value if isinstance(value, list) else [value]:
-        if not lo <= v <= hi:
-            raise DomainError(f"{key} {v!r} outside [{lo:g}, {hi:g}] {unit}")
-    return value
-
-
-def _temperature(settings, key):
-    """The setting section.key, rejected outside the setpoint domain SETPOINT_RANGE."""
-    return _in_domain(settings, key, *SETPOINT_RANGE, "degC")
-
-
 # --------------------------------------------------------------------------
 # sensing characterization
 
@@ -158,23 +131,16 @@ MAX_SWEEP_POINTS = 2 ** 12  # 58x the default sweep's 71 points
 def _sweep_temperatures(settings):
     """The characterization sweep t_lo..t_hi (inclusive) in steps of t_step."""
     ch = settings["characterize"]
-    require(ch["t_step"] > 0, "characterize.t_step", "positive", ch["t_step"])
-    if not ch["t_lo"] < ch["t_hi"]:
-        raise ConfigurationError(
-            f"characterize.t_lo ({ch['t_lo']!r}) must be below "
-            f"characterize.t_hi ({ch['t_hi']!r})")
-    for key in ("characterize.t_lo", "characterize.t_hi"):
-        _temperature(settings, key)
+    require(ch["t_lo"] < ch["t_hi"], "characterize.t_lo", f"below characterize.t_hi "
+            f"({ch['t_hi']!r})", ch["t_lo"])
     stop = ch["t_hi"] + ch["t_step"] / 2
     # np.arange's own point count, taken before it allocates
     require(math.ceil((stop - ch["t_lo"]) / ch["t_step"]) <= MAX_SWEEP_POINTS,
             "characterize.t_step", f"coarse enough for at most {MAX_SWEEP_POINTS} sweep "
             "points from characterize.t_lo to characterize.t_hi", ch["t_step"])
     t_values = np.arange(ch["t_lo"], stop, ch["t_step"])
-    if t_values.size < 2:
-        raise ConfigurationError(
-            f"characterize.t_step {ch['t_step']!r} leaves fewer than two sweep "
-            f"points between characterize.t_lo and characterize.t_hi")
+    require(t_values.size >= 2, "characterize.t_step", "fine enough for two sweep points "
+            "from characterize.t_lo to characterize.t_hi", ch["t_step"])
     return t_values
 
 
@@ -216,7 +182,7 @@ def exp_characterize_sensor(settings, outdir):
 def exp_die_error_sweep(settings, outdir):
     """Seven fresh-mismatch dies, one-point calibrated, swept 20-90 degC."""
     t_values = _sweep_temperatures(settings)
-    n_dies = _count(settings, "characterize.n_dies")
+    n_dies = settings["characterize"]["n_dies"]
     die_seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_dies)
     cfg = array_config(settings)
     errors = []
@@ -237,8 +203,7 @@ def exp_die_error_sweep(settings, outdir):
 
 def exp_channel_spread(settings, outdir):
     """54 calibrated channels forced to one temperature, over several seeds."""
-    t_force = _temperature(settings, "spread.t_force")
-    n_seeds = _count(settings, "spread.n_seeds")
+    t_force, n_seeds = settings["spread"]["t_force"], settings["spread"]["n_seeds"]
     seeds = np.random.SeedSequence(settings["experiment"]["seed"]).spawn(n_seeds)
     cfg = array_config(settings)
     reads_by_seed = []
@@ -321,9 +286,6 @@ def exp_regulation_steps(settings, outdir):
     """Closed-loop setpoint schedule on the fitted plant."""
     reg = settings["regulation"]
     trace_on = bool(reg["trace_conversions"])
-    if not reg["setpoints"]:
-        raise ConfigurationError("regulation.setpoints must list at least one setpoint")
-    _temperature(settings, "regulation.setpoints")
     # the heater cannot cool: a plateau below the ambient never settles
     t_ambient = settings["array"]["t_ambient"]
     require(min(reg["setpoints"]) >= t_ambient, "regulation.setpoints",
@@ -391,7 +353,7 @@ def madc_oracle_reference(n_charge, p_in, p_ref, sign, preload, counter_max):
 
 def exp_madc_oracle(settings, outdir):
     """Randomized equivalence of convert() against the integer oracle."""
-    n_draws = _count(settings, "oracle.n_draws")
+    n_draws = settings["oracle"]["n_draws"]
     rng = np.random.default_rng(settings["experiment"]["seed"])
     # the configured converter, which draws no noise unless handed it,
     # with an integrator cap above every draw's charge (the integer
@@ -437,8 +399,7 @@ def exp_madc_oracle(settings, outdir):
 
 def exp_pid_oracle(settings, outdir):
     """Velocity recurrence vs direct transfer-function simulation."""
-    n_tuples = _count(settings, "oracle.n_tuples")
-    n_steps = _count(settings, "oracle.n_steps")
+    n_tuples, n_steps = settings["oracle"]["n_tuples"], settings["oracle"]["n_steps"]
     rng = np.random.default_rng(settings["experiment"]["seed"])
     rows = []
     checks = []
@@ -486,19 +447,11 @@ def _mode_channel(settings, experiment):
 
 
 def _fra_frequencies(settings):
-    """The IS sweep from f_lo, points_per_decade per decade (log-spaced), up to f_hi.
-
-    Both ends must lie in the IS range IS_FREQ_RANGE; no point lies
-    above f_hi.
-    """
+    """The IS sweep from f_lo, points_per_decade per decade (log-spaced), none above f_hi."""
     ism = settings["is_mode"]
-    per_decade = _count(settings, "is_mode.points_per_decade")
-    if not 0.0 < ism["f_lo"] <= ism["f_hi"]:
-        raise ConfigurationError(
-            f"is_mode.f_lo ({ism['f_lo']!r}) must be positive and not above "
-            f"is_mode.f_hi ({ism['f_hi']!r})")
-    for key in ("is_mode.f_lo", "is_mode.f_hi"):
-        _in_domain(settings, key, *IS_FREQ_RANGE, "Hz")
+    per_decade = ism["points_per_decade"]
+    require(ism["f_lo"] <= ism["f_hi"], "is_mode.f_lo",
+            f"at most is_mode.f_hi ({ism['f_hi']!r})", ism["f_lo"])
     # the last whole step at or below f_hi; the tolerance keeps a span of
     # whole decades from losing its end point to rounding
     n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
@@ -510,8 +463,6 @@ def _fra_frequencies(settings):
 def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
     freqs = _fra_frequencies(settings)
-    # checked, though the noiseless channel's results do not depend on it
-    _count(settings, "is_mode.n_periods")
     networks = [("series_rc", Series((Resistor(100e3), Capacitor(1e-6)))),
                 ("parallel_rc", Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)))]
     madc = _mode_channel(settings, "fra_sweep")
@@ -555,8 +506,7 @@ def exp_cpa_ph(settings, outdir):
                 f"a pH whose front-end current stays inside the {CPA_I_REF:g} A full scale",
                 cpa[key])
     madc = _mode_channel(settings, "cpa_ph")
-    # the slope is a straight-line fit: it needs two points
-    phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], _count(settings, "cpa.ph_steps", 2))
+    phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], cpa["ph_steps"])
     currents = []
     for ph in phs:
         sensor.ph = float(ph)
@@ -620,13 +570,12 @@ def exp_cv_scan(settings, outdir):
 def exp_snr_test(settings, outdir):
     """Quantization-limited SNR of a full-scale digitized sine."""
     sn = settings["snr"]
-    require(sn["freq"] > 0, "snr.freq", "positive", sn["freq"])
     # the configured converter, with an integrator cap far above a
     # full-scale charge (2e-11 C at the defaults), so no sample clips.
     # convert_signed is noiseless: the test measures the quantization limit
     cfg = from_settings(MadcConfig, settings, c_int=3e-9)
     snr = snr_test(cfg, freq=sn["freq"], amplitude=sn["amplitude"],
-                   n_samples=_count(settings, "snr.n_samples", 2))
+                   n_samples=sn["n_samples"])
     write_csv(os.path.join(outdir, "snr.csv"),
               ["freq_hz", "amplitude_a", "snr_db"], [sn["freq"]], [sn["amplitude"]], [snr])
     return [check_ge("snr_db", snr, 56.0)]
@@ -677,14 +626,13 @@ def _outermost_missing_dir(path):
 def run_experiment(settings, outdir):
     """Run the configured experiment; write its CSVs plus summary.csv.
 
-    A run that raises removes the directories it created for its outputs.
+    Every key's rule (config.RULES) holds before the experiment runs.  A
+    run that raises removes the directories it created for its outputs.
     """
     name = settings["experiment"]["name"]
     if name not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {name!r}")
-    # None draws fresh entropy; numpy's seed sequences take no negative int
-    seed = settings["experiment"]["seed"]
-    require(seed is None or seed >= 0, "experiment.seed", "a non-negative integer", seed)
+    settings = checked(settings)
     created = _outermost_missing_dir(outdir)
     os.makedirs(outdir, exist_ok=True)
     try:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SCHEMA, setting
+from .config import SCHEMA, check_fields, setting
 from .devices import i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, least, require
 
@@ -35,14 +35,7 @@ class MadcConfig:
     # input-referred channel noise per conversion
     conversion_noise_counts: float = setting("madc.conversion_noise_counts")
 
-    def __post_init__(self):
-        require(self.n_bits >= 1, "madc.n_bits", ">= 1", self.n_bits)
-        for key in ("f_clk", "c_int", "v_full"):
-            require(getattr(self, key) > 0, f"madc.{key}", "positive", getattr(self, key))
-        require(self.pid_charge_scale >= 1, "madc.pid_charge_scale", ">= 1",
-                self.pid_charge_scale)
-        require(self.conversion_noise_counts >= 0, "madc.conversion_noise_counts", ">= 0",
-                self.conversion_noise_counts)
+    __post_init__ = check_fields
 
     @property
     def n1_counts(self):

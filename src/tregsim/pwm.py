@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import setting
+from .config import check_fields, setting
 from .errors import ConfigurationError, DomainError, greatest, least, require
 
 # the PWM geometry: 2**COUNTER_BITS laps of a RING_TAPS-cell ring make
@@ -30,11 +30,9 @@ class PwmConfig:
     tap_mismatch_sigma: float = setting("pwm.tap_mismatch_sigma")
 
     def __post_init__(self):
-        require(self.duty_min >= 0.0, "pwm.duty_min", ">= 0", self.duty_min)
-        require(self.duty_min < self.duty_max <= 1.0, "pwm.duty_max",
-                f"in (pwm.duty_min ({self.duty_min!r}), 1]", self.duty_max)
-        require(self.tap_mismatch_sigma >= 0, "pwm.tap_mismatch_sigma", ">= 0",
-                self.tap_mismatch_sigma)
+        check_fields(self)
+        require(self.duty_min < self.duty_max, "pwm.duty_max",
+                f"above pwm.duty_min ({self.duty_min!r})", self.duty_max)
 
 
 def sample_tap_delays(cfg, rng):

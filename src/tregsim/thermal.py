@@ -5,9 +5,8 @@ ambient/solution bath, lateral conductance g_lat to its orthogonal
 neighbors, and heater power injection.  The heater power is held over
 each PID period, so `cycle_map` gives the plant's exact affine map over
 one period, built in the closed-form modes of the grid; the array applies
-it once per cycle.  `check_plant` validates the parameters once, when the
-array is built.  `step_temps` is a forward-Euler step of the same plant
-that the model does not run: it is the reference the map is tested
+it once per cycle.  `step_temps` is a forward-Euler step of the same
+plant that the model does not run: it is the reference the map is tested
 against.
 """
 
@@ -16,19 +15,10 @@ import math
 import numpy as np
 
 from .config import SCHEMA
-from .errors import require
 
 # the plant fit's targets, in degC and s (see fit_defaults)
 TARGET_RISE = 65.0
 STEP_TIME = 10.0
-
-
-def check_plant(c_th, g_amb, g_lat):
-    """Reject non-physical plant parameters."""
-    require(c_th > 0, "thermal.c_th", "positive", c_th)
-    require(g_amb > 0, "thermal.g_amb", "positive", g_amb)
-    # g_lat may be zero: decoupled cells are a supported configuration
-    require(g_lat >= 0, "thermal.g_lat", ">= 0", g_lat)
 
 
 def _lateral_flux(temp, g_lat):

@@ -305,6 +305,11 @@ dir = %s
     # error (bound 2 %) and cv_scan a 1.022 mV peak error (bound 1 mV), exit 1
     ("fra_sweep", {"madc": "n_bits = 6"}, "madc.n_bits"),
     ("cv_scan", {"madc": "n_bits = 7"}, "madc.n_bits"),
+    # a counter wider than 52 bits, whose counts float64 cannot all hold:
+    # regulation_steps exited 1 with a TypeError at 61 and 62 bits and an
+    # OverflowError at 63, characterize_sensor with an OverflowError
+    ("regulation_steps", {"madc": "n_bits = 63"}, "madc.n_bits"),
+    ("characterize_sensor", {"madc": "n_bits = 63"}, "madc.n_bits"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -501,11 +506,16 @@ n_bits = nine
      "{cfg}, line 4: duplicate section [experiment]"),
     ("name = pwm_sweep\n[experiment]\nseed = 7\n", "{cfg}, line 1: 'name = pwm_sweep'"),
     ("[experiment]\nname = pwm_sweep\nseed 7\n", "{cfg}, line 3: expected key = value"),
-], ids=["percent", "duplicate_key", "duplicate_section", "no_section_header", "no_equals"])
+    # bytes 0xff 0xfe in a comment: a UnicodeDecodeError traceback
+    ("[experiment]\nname = pwm_sweep\nseed = 7\n# \xff\xfe\n", "{cfg}, byte 41: not UTF-8 text"),
+], ids=["percent", "duplicate_key", "duplicate_section", "no_section_header", "no_equals",
+        "invalid_utf8"])
 def test_malformed_file_exits_2_without_outputs(tmp_path, capsys, body, message):
     # each exited 1 with a configparser traceback
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "bad.cfg", f"{body}\n[output]\ndir = {out}\n")
+    cfg = str(tmp_path / "bad.cfg")
+    # one byte per character, so a body can hold bytes that are not UTF-8
+    (tmp_path / "bad.cfg").write_bytes(f"{body}\n[output]\ndir = {out}\n".encode("latin-1"))
     assert main([cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message.format(cfg=cfg) in err

@@ -6,8 +6,7 @@ import pytest
 from tregsim import thermal
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.errors import ConfigurationError
-from tregsim.thermal import (_lateral_flux, check_plant, cycle_map,
-                             fit_defaults, step_temps)
+from tregsim.thermal import _lateral_flux, cycle_map, fit_defaults, step_temps
 
 C_TH, G_AMB, G_LAT = fit_defaults()
 DT = 1e-3
@@ -179,11 +178,12 @@ def test_cycle_map_keeps_ambient_at_zero_power():
 
 
 def test_plant_parameters_checked():
-    check_plant(C_TH, G_AMB, 0.0)  # decoupled cells are supported
-    for c_th, g_amb, g_lat in ((0.0, G_AMB, G_LAT), (C_TH, 0.0, G_LAT),
-                               (C_TH, G_AMB, -G_LAT)):
-        with pytest.raises(ConfigurationError):
-            check_plant(c_th, g_amb, g_lat)
+    ArrayConfig(c_th=C_TH, g_amb=G_AMB, g_lat=0.0)  # decoupled cells are supported
+    for c_th, g_amb, g_lat, key in ((0.0, G_AMB, G_LAT, "thermal.c_th"),
+                                    (C_TH, 0.0, G_LAT, "thermal.g_amb"),
+                                    (C_TH, G_AMB, -G_LAT, "thermal.g_lat")):
+        with pytest.raises(ConfigurationError, match=key):
+            ArrayConfig(c_th=c_th, g_amb=g_amb, g_lat=g_lat)
     with pytest.raises(ConfigurationError):
         TempArray(ArrayConfig(rows=1, cols=1, c_th=-C_TH, g_amb=G_AMB,
                               g_lat=G_LAT))
