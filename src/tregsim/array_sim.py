@@ -78,10 +78,11 @@ class ArrayConfig:
     pid_coeffs: PidCoefficients = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        check_fields(self)
         for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        # after the fill, so a fitted plant parameter keeps its rule too
+        check_fields(self)
         # the calibration word is a counter preload: a full scale at or
         # below the largest one leaves calibration no charge phase
         largest = CAL_RANGE[1] - 1

@@ -153,20 +153,15 @@ def setting(key):
 
 @cache
 def _ruled_fields(cls):
-    """(name, key, types, lo, hi) of each field of cls that a key with a rule
-    sets: a value of one of the types strictly between lo and hi keeps it."""
+    """(name, key) of each field of cls that a key with a rule sets."""
     keys = ((f.name, ".".join(f.metadata.get("key", ()))) for f in fields(cls))
-    return [(name, key, (int,) if RULES[key].kind == "whole" else (int, float), *RULES[key][1:3])
-            for name, key in keys if key in RULES]
+    return [(name, key) for name, key in keys if key in RULES]
 
 
 def check_fields(obj):
     """Apply its key's rule to each `setting` field of obj, a model dataclass."""
-    for name, key, types, lo, hi in _ruled_fields(type(obj)):
-        value = getattr(obj, name)
-        # such values pass at once; check decides the rest
-        if type(value) not in types or not lo < value < hi:
-            check(key, value)
+    for name, key in _ruled_fields(type(obj)):
+        check(key, getattr(obj, name))
 
 
 def from_settings(cls, settings, **given):

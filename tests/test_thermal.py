@@ -5,6 +5,7 @@ import pytest
 
 from tregsim import thermal
 from tregsim.array_sim import ArrayConfig, TempArray
+from tregsim.devices import HeaterParams
 from tregsim.errors import ConfigurationError
 from tregsim.thermal import _lateral_flux, cycle_map, fit_defaults, step_temps
 
@@ -187,6 +188,12 @@ def test_plant_parameters_checked():
     with pytest.raises(ConfigurationError):
         TempArray(ArrayConfig(rows=1, cols=1, c_th=-C_TH, g_amb=G_AMB,
                               g_lat=G_LAT))
+
+
+def test_fitted_plant_parameters_checked():
+    # a p_max this small fits g_amb and c_th that round to 0
+    with pytest.raises(ConfigurationError, match="thermal.c_th"):
+        ArrayConfig(heater=HeaterParams(p_max=1e-323))
 
 
 def test_fit_defaults_values(monkeypatch):
