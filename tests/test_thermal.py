@@ -188,10 +188,7 @@ def test_plant_parameters_checked():
     with pytest.raises(ConfigurationError):
         TempArray(ArrayConfig(rows=1, cols=1, c_th=-C_TH, g_amb=G_AMB,
                               g_lat=G_LAT))
-
-
-def test_fitted_plant_parameters_checked():
-    # a p_max this small fits g_amb and c_th that round to 0
+    # fitted values keep the rules too: this p_max fits c_th and g_amb that round to 0
     with pytest.raises(ConfigurationError, match="thermal.c_th"):
         ArrayConfig(heater=HeaterParams(p_max=1e-323))
 
