@@ -118,6 +118,9 @@ class TempArray:
         self.temp_map, self.pid_coeffs = cfg.temp_map, cfg.pid_coeffs
         # per-cycle plant map, built on the first regulation run: most arrays never regulate
         self._cycle_map = None
+        # the loop's converter batch and the calibration words it was built
+        # on (see run_regulation), built on the first regulation run on them
+        self._loop = None
 
         # cell i's seed key is (entropy, (*spawn_key, i)): the key of the
         # i-th child that ss.spawn gives a fresh sequence, derived without
@@ -135,7 +138,10 @@ class TempArray:
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
         cs = cfg.current_source
+        # read-only: calibrate_one_point sets new words by replacing the
+        # array, so a loop batch built on the old one cannot go stale
         self.cal_preload = np.zeros(shape, dtype=int)
+        self.cal_preload.flags.writeable = False
         # each cell's Gaussian mismatch in one call on its stream, in a
         # fixed draw order: absolute on vbe, relative on r1, r2 and the
         # mirror ratio
@@ -206,7 +212,12 @@ class TempArray:
         n_chg = (cfg.n1_counts - self.cal_preload)[(...,) + (None,) * (i_in.ndim - 2)]
         n2, _ = discharge_counts(cfg, n_chg, i_in, i_ref,
                                  self._cell_noise(i_in.shape[2:-1] + (n_avg,)))
-        counts = np.minimum(np.round(n2.mean(axis=-1)), cfg.counter_max).astype(int)
+        # the mean of each cell's n_avg counts, summed left to right as
+        # numpy's mean sums so short an axis, without its slow reduction
+        total = n2[..., 0]
+        for i in range(1, n_avg):
+            total = total + n2[..., i]
+        counts = np.minimum(np.round(total / n_avg), cfg.counter_max).astype(int)
         return np.moveaxis(counts, (0, 1), (-2, -1))
 
     # -- calibration -----------------------------------------------------
@@ -215,11 +226,11 @@ class TempArray:
         """One-point calibration of every cell at a known temperature.
 
         Converts every preload candidate n_avg times per cell through the
-        shared converter, all cells in one batch, and stores in
-        self.cal_preload the preload whose mean centered count best
-        matches the nominal design-map count at t_known.  Returns the
-        list of cells, in row-major order, whose required preload fell
-        outside the range.
+        shared converter, all cells in one batch, and replaces
+        self.cal_preload, read-only, with the preloads whose mean
+        centered counts best match the nominal design-map count at
+        t_known.  Returns the list of cells, in row-major order, whose
+        required preload fell outside the range.
         """
         cfg = self.cfg.madc
         t_known = CAL_TEMPERATURE if t_known is None else t_known
@@ -231,7 +242,8 @@ class TempArray:
         n2, _ = discharge_counts(cfg, cfg.n1_counts - cals, i_in[..., None, None],
                                  i_ref[..., None, None], self._cell_noise((n_avg, cals.size)))
         best = np.argmin(np.abs(n2.mean(axis=-2) + 0.5 - target), axis=-1)
-        self.cal_preload[...] = cals[best]
+        self.cal_preload = cals[best]
+        self.cal_preload.flags.writeable = False
         # a best fit at the edge of the range means the true optimum
         # may lie outside: report it
         edge = (best == 0) | (best == cals.size - 1)
@@ -267,7 +279,7 @@ class TempArray:
 
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), t_true=np.empty(shape),
-                               t_meas=np.empty(shape), u=np.empty(shape, dtype=int),
+                               t_meas=None, u=np.empty(shape, dtype=int),
                                duty=np.zeros(shape), warnings=[], conv_trace=None)
         if self._cycle_map is None:
             self._cycle_map = thermal.cycle_map(self.temp.shape, cfg.c_th, cfg.g_lat,
@@ -279,29 +291,37 @@ class TempArray:
         # columns give each row's coefficient magnitude, sign and
         # full-scale charge count; the measurement is a unit-coefficient
         # conversion with preload 0 and sign -1, so it counts n2.  They
-        # and the calibration words are fixed for the run, so the charge
-        # phase is checked and derived once.
+        # and the calibration words fix the charge phase, so it is checked
+        # and derived on the first run on each cal_preload array, which
+        # calibration replaces.
         active = coeffs.active
-        slot_mags = [coeffs.magnitudes[n] for n in active]
-        mags = np.array(slot_mags + [1.0])[:, None, None]
-        signs = np.array([1] * len(active) + [-1])[:, None, None]
-        n1 = np.array([madc.pid_n1_counts] * len(active) + [madc.n1_counts])[:, None, None]
-        # the loaded calibration word scales with the coefficient: the
-        # trim is a relative gain correction of the charge phase
-        cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
-                              .astype(int) for mag in slot_mags] + [self.cal_preload])
-        charge = charge_phase(madc, mags, cal_words, signs, n1)
+        if self._loop is None or self._loop[0] is not self.cal_preload:
+            slot_mags = [coeffs.magnitudes[n] for n in active]
+            mags = np.array(slot_mags + [1.0])[:, None, None]
+            signs = np.array([1] * len(active) + [-1])[:, None, None]
+            n1 = np.array([madc.pid_n1_counts] * len(active) + [madc.n1_counts])[:, None, None]
+            # the loaded calibration word scales with the coefficient: the
+            # trim is a relative gain correction of the charge phase
+            cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
+                                  .astype(int) for mag in slot_mags] + [self.cal_preload])
+            charge = charge_phase(madc, mags, cal_words, signs, n1)
+            # discharge_counts reads the counts as floats: one copy serves every cycle
+            self._loop = (self.cal_preload, mags,
+                          charge._replace(n_charge=charge.n_charge.astype(float)))
+        _, mags, charge = self._loop
         # each tap's target: the count expected at the setpoint on its own
         # charge phase, less half a count so the dithered floor is unbiased
         r_set = self.temp_map.counts_cont(sp) / (madc.n1_counts - self.cal_preload)
         state.set_targets(charge.n_charge[:-1] * r_set - 0.5, active)
-        targets = np.zeros_like(cal_words)
+        targets = np.zeros(charge.n_charge.shape, dtype=int)
         # each cell draws the run's noise in one call on its own stream,
         # in the order its conversions run; each cycle's conversions use
         # up its slice
         noise = self._cell_noise((n_cycles, len(active) + 1))
         if noise is not None:
             noise = np.moveaxis(noise, (0, 1), (-2, -1))
+        # each cycle's measurement count, read back as temperatures when the run ends
+        meas = np.empty(shape, dtype=int)
         # each cycle's preloads, discharge counts and products of its
         # error conversions
         traced = (np.empty((n_cycles, 3, len(active)) + shape[1:], dtype=int)
@@ -335,7 +355,7 @@ class TempArray:
                     since[~saturated] = np.nan
                 else:
                     since.fill(np.nan)
-                out.t_meas[k] = self.temp_map.read_temperature(conv.out_count[-1])
+                meas[k] = conv.out_count[-1]
 
                 # the duty is held over the cycle: the plant's exact map
                 # over one period
@@ -346,6 +366,7 @@ class TempArray:
                 out.time[k] = now
         finally:
             self.temp, self._time = temp, now
+        out.t_meas = self.temp_map.read_temperature(meas)
         if traced is not None:
             # one row per error conversion; j indexes the active slots
             cycle, row, col, j = np.indices(shape + (len(active),)).reshape(4, -1)
@@ -353,7 +374,8 @@ class TempArray:
             out.conv_trace = {
                 "cycle": cycle, "row": row, "col": col,
                 "slot": np.array(active, dtype=int)[j], "coeff_mag": mags[j, 0, 0],
-                "target_preload": preload, "n_charge": charge.n_charge[j, row, col],
+                "target_preload": preload,
+                "n_charge": charge.n_charge.astype(int)[j, row, col],
                 "n_discharge": n2, "product": product}
         return out
 

@@ -127,6 +127,8 @@ def check(key, value):
     """Reject value unless it keeps the rule of key ("section.name"): "key must
     be <rule>, got value".  A per-cell array is checked by its worst cell."""
     rule = RULES[key]
+    if isinstance(value, np.generic):
+        value = value.item()     # a numpy scalar prints as the plain number
     if isinstance(value, np.ndarray):
         low = float(value.min())
         value = low if rule.hi == INF or not rule.admits(low) else float(value.max())

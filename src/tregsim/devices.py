@@ -83,9 +83,10 @@ def vbe(params, t):
     if least(t) < 250.0 or greatest(t) > 400.0:
         raise DomainError("temperature outside [250 K, 400 K]")
     vt = thermal_voltage(t)
-    v = (params.vg0 * (1.0 - t / params.t_ref)
-         + (t / params.t_ref) * params.vbe_at_tref
-         - params.n_proc * vt * np.log(t / params.t_ref)
+    r = t / params.t_ref
+    v = (params.vg0 * (1.0 - r)
+         + r * params.vbe_at_tref
+         - params.n_proc * vt * np.log(r)
          + params.vbe_offset)
     return v if v.ndim else float(v)
 

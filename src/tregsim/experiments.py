@@ -134,8 +134,10 @@ def _sweep_temperatures(settings):
     require(ch["t_lo"] < ch["t_hi"], "characterize.t_lo", f"below characterize.t_hi "
             f"({ch['t_hi']!r})", ch["t_lo"])
     stop = ch["t_hi"] + ch["t_step"] / 2
-    # np.arange's own point count, taken before it allocates
-    require(math.ceil((stop - ch["t_lo"]) / ch["t_step"]) <= MAX_SWEEP_POINTS,
+    # np.arange makes ceil(q) points of this quotient q, at most the budget
+    # exactly when q is; q is compared as it is, as a subnormal t_step
+    # makes it inf, on which ceil overflows
+    require((stop - ch["t_lo"]) / ch["t_step"] <= MAX_SWEEP_POINTS,
             "characterize.t_step", f"coarse enough for at most {MAX_SWEEP_POINTS} sweep "
             "points from characterize.t_lo to characterize.t_hi", ch["t_step"])
     t_values = np.arange(ch["t_lo"], stop, ch["t_step"])

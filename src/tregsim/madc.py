@@ -62,7 +62,9 @@ class MadcConfig:
 
 class ChargePhase(NamedTuple):
     """A batch's checked charge phase (see charge_phase): n_charge > 0
-    clocks per conversion, and sign, +1 or -1, the counter's direction."""
+    clocks per conversion, whole numbers as ints (or as floats, which
+    discharge_counts takes without a copy), and sign, +1 or -1, the
+    counter's direction."""
 
     n_charge: object
     sign: object
@@ -176,9 +178,15 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
 def ranged(cfg, i_ref):
     """cfg with the integration cap ranged so full-scale inputs do not clip.
 
-    cfg itself when its cap already suffices.
+    cfg itself when its cap already suffices.  Rejects a clock and full
+    scale so small that the cap they need is not finite.
     """
-    c_int = 1.2 * i_ref * cfg.n1_counts / cfg.f_clk / cfg.v_full
+    # in Python floats: a cap past the float range is inf, without a numpy overflow warning
+    c_int = 1.2 * float(i_ref) * cfg.n1_counts / cfg.f_clk / cfg.v_full
+    if not math.isfinite(c_int):
+        raise ConfigurationError(
+            f"madc.f_clk ({cfg.f_clk!r} Hz) and madc.v_full ({cfg.v_full!r} V) leave no "
+            f"finite integration cap for a {i_ref:g} A reference: raise either")
     return cfg if cfg.c_int >= c_int else replace(cfg, c_int=c_int)
 
 

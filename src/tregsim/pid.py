@@ -175,7 +175,9 @@ def pid_cycle(state, coeffs, counts):
     bank = state.bank
     bank[1:] = bank[:-1]
     products = bank[0]
-    products[...] = 0
+    # the active rows are overwritten; an idle tap banks 0 whatever the bank held
+    if len(state.active) < len(products):
+        products[...] = 0
     products[state.active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
 
     signs, exp = coeffs.signs, coeffs.exponent

@@ -60,7 +60,7 @@ def duty_of_code(cfg, code, tap_delays=None):
         n_d = code & (RING_TAPS - 1)
         high = n_c * lap + partial[n_d]
         duty = high / PERIOD
-    duty = np.clip(duty, cfg.duty_min, cfg.duty_max)
+    duty = np.minimum(np.maximum(duty, cfg.duty_min), cfg.duty_max)
     if duty.ndim:
         return duty
     return float(duty)

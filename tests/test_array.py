@@ -649,6 +649,32 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     assert np.array_equal(arr.pid_state.bank, bank)
 
 
+def test_recalibration_rebuilds_the_loop_batch():
+    # the loop derives its charge phase once per calibration: a run after a
+    # second calibration, at another temperature, converts on the new words
+    arr = small_array(rows=2, cols=3, seed=3)
+    madc = arr.cfg.madc
+    arr.calibrate_one_point()
+    first = arr.cal_preload
+    arr.run_regulation(40.0, arr.cfg.pid_ts)
+    arr.calibrate_one_point(t_known=25.0)
+    assert not np.array_equal(arr.cal_preload, first)
+
+    def assert_charge_on_current_words():
+        trace = arr.run_regulation(40.0, arr.cfg.pid_ts, trace_conversions=True).conv_trace
+        mag, cal = trace["coeff_mag"], arr.cal_preload[trace["row"], trace["col"]]
+        expected = (np.round(mag * madc.pid_n1_counts)
+                    - np.round(mag * cal * madc.pid_charge_scale)).astype(int)
+        assert np.array_equal(trace["n_charge"], expected)
+
+    assert_charge_on_current_words()
+    # the words cannot change in place, and new ones bound to the array count too
+    with pytest.raises(ValueError, match="read-only"):
+        arr.cal_preload[0, 0] = 0
+    arr.cal_preload = first
+    assert_charge_on_current_words()
+
+
 def test_thermal_field_csv_format(tmp_path):
     from tregsim.experiments import write_field
     path = tmp_path / "final_field.csv"

@@ -310,6 +310,15 @@ dir = %s
     # OverflowError at 63, characterize_sensor with an OverflowError
     ("regulation_steps", {"madc": "n_bits = 63"}, "madc.n_bits"),
     ("characterize_sensor", {"madc": "n_bits = 63"}, "madc.n_bits"),
+    # a step in the subnormals makes the sweep's point count inf: both
+    # sweeps exited 1 with an OverflowError from its ceiling
+    ("die_error_sweep", {"characterize": "t_step = 1e-320"}, "characterize.t_step"),
+    ("characterize_sensor", {"characterize": "t_step = 1e-320"}, "characterize.t_step"),
+    # a clock or full scale so small that a mode's ranged integration cap is
+    # inf: each exited 2 naming madc.c_int, a key the config did not set
+    ("cpa_ph", {"madc": "f_clk = 5e-324"}, "madc.f_clk"),
+    ("cv_scan", {"madc": "v_full = 5e-324"}, "madc.v_full"),
+    ("madc_oracle", {"madc": "v_full = 5e-324"}, "madc.v_full"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

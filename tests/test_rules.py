@@ -1,12 +1,17 @@
 """config.RULES, the table of each key's own rule: every bound is enforced
-through the CLI, and README's "Key rules" table states the same rules."""
+through the CLI, README's "Key rules" table states the same rules, and a
+rejection states the value as a plain number."""
 
 import itertools
 import math
 import pathlib
 
+import numpy as np
+import pytest
+
 from tregsim.cli import main
-from tregsim.config import RULES
+from tregsim.config import RULES, check
+from tregsim.errors import ConfigurationError
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +68,9 @@ def readme_key_rules():
 def test_readme_key_rules_table_is_config_rules():
     assert readme_key_rules() == {key: (rule.kind, interval(rule), rule.unit)
                                   for key, rule in RULES.items()}
+
+
+def test_check_prints_a_numpy_scalar_as_a_number():
+    # a value computed in numpy is stated as the config would write it
+    with pytest.raises(ConfigurationError, match=r"madc\.c_int .*, got inf$"):
+        check("madc.c_int", np.float64(np.inf))
