@@ -8,10 +8,8 @@ hybrid PWM.  The same channel serves the amperometric measurement modes
 (constant-potential, voltammetry, impedance spectroscopy).
 """
 
-from .array_sim import ArrayConfig, FraResult, TempArray
-from .devices import (BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
-                      Parallel, PhSensor, Resistor, Series, delta_vbe, i_ctat,
-                      i_ptat, vbe)
+from .array_sim import ArrayConfig, TempArray
+from .devices import BjtParams, CurrentSourceParams, HeaterParams, delta_vbe, i_ctat, i_ptat, vbe
 from .errors import ConfigurationError, DomainError
 from .madc import (MadcConfig, TemperatureMap, convert, convert_signed,
                    snr_test)

@@ -43,13 +43,6 @@ CAL_RANGE = (-64, 64)
 CAL_TEMPERATURE = 50.0
 
 @dataclass(frozen=True)
-class FraResult:
-    freq: float
-    z_real: float
-    z_imag: float
-
-
-@dataclass(frozen=True)
 class ArrayConfig:
     """The array's settings, checked when built.
 
@@ -389,14 +382,16 @@ class TempArray:
 
     # -- measurement modes -------------------------------------------------
 
-    # The modes are noiseless functions of a channel (a MadcConfig) and their inputs; run_is
-    # stays on the class, called through it, as the benchmark's tracer patches it by name.
+    # The modes are noiseless functions of a channel (a MadcConfig) and plain values: a
+    # current, a response(v, t), impedances z(f).  run_is stays on the class, called
+    # through it, as the benchmark's tracer patches it by name.
 
     @staticmethod
     def run_is(madc, networks, freqs, amplitude):
-        """Impedance spectra of linear networks (devices.Series and its
-        elements) via the converter's multiply-accumulate, on the channel
-        madc; one flat list of FraResult, network-major.
+        """Impedance spectra of linear networks, each a function z(f) of
+        the frequency (Hz), via the converter's multiply-accumulate, on the
+        channel madc; one flat list of (frequency, impedance) pairs,
+        network-major, each frequency the grid point it snapped to.
 
         Every frequency snaps onto the conversion grid (integer
         conversions per period) and is checked before any table is made.
@@ -422,19 +417,18 @@ class TempArray:
         z = np.empty((len(networks), len(points)), dtype=complex)
         for a, b in zip(firsts, firsts[1:] + [len(points)]):
             z[:, a:b] = _fra_pack(madc, points[a:b], f_act[a:b], networks, amplitude, work)
-        return [FraResult(freq=f, z_real=zk.real, z_imag=zk.imag)
-                for z_net in z.tolist() for f, zk in zip(f_act, z_net)]
+        return [(f, zk) for z_net in z.tolist() for f, zk in zip(f_act, z_net)]
 
 
-def run_cpa(madc, sensor, temp_c, duration):
-    """Constant-potential trace of a PhSensor at temp_c (degC) on the
-    channel madc: the reconstructed current of each sample; duration (s)
-    must be a whole number of samples, at least one, within a relative 1e-9."""
+def run_cpa(madc, current, duration):
+    """Constant-potential trace of a steady current (A) on the channel
+    madc: the reconstructed current of each sample; duration (s) must be
+    a whole number of samples, at least one, within a relative 1e-9."""
     n_samples = int(round(duration / SAMPLE_PERIOD))
     if n_samples < 1 or abs(duration / SAMPLE_PERIOD - n_samples) > 1e-9 * n_samples:
         raise DomainError(f"CPA duration {duration!r} s is not a whole number, at least 1, "
                           f"of SAMPLE_PERIOD ({SAMPLE_PERIOD:g} s)")
-    currents = np.full(n_samples, sensor.current(temp_c))
+    currents = np.full(n_samples, current)
     counts = convert_signed(ranged(madc, CPA_I_REF), currents, CPA_I_REF)
     return counts * (CPA_I_REF / madc.n1_counts)
 
@@ -512,7 +506,7 @@ def _fra_pack(cfg, pack, f_act, networks, amplitude, work):
         # amplitude*sin(theta) solves mat @ [i_m cos(phi), i_m sin(phi)] = sums
         i_cos, i_sin, refs = [], [], []
         for f in f_act:
-            z_f = network.impedance(f)
+            z_f = network(f)
             i_mag, phi = amplitude / abs(z_f), -math.atan2(z_f.imag, z_f.real)
             i_cos.append(i_mag * math.cos(phi))
             i_sin.append(i_mag * math.sin(phi))
@@ -543,12 +537,20 @@ def _fra_grid_point(cfg, f_req):
 
     Up to an eighth of the conversion rate, a period is m conversions
     holding one sine cycle; above, 64 conversions hold an odd number of
-    cycles.  Rejects a period longer than MAX_FRA_PERIOD conversions.
+    cycles.  Rejects a period longer than MAX_FRA_PERIOD conversions, and
+    a cycle count that is not finite.
     """
     f_conv = cfg.conversion_rate
     if f_req > f_conv / 8.0:
         m = 64
-        cycles_per_window = max(1, int(round(f_req * m / f_conv)))
+        # a subnormal conversion rate makes the count inf; one that underflows to 0 divides by 0
+        cycles = f_req * m / f_conv if f_conv else math.inf
+        if not math.isfinite(cycles):
+            raise ConfigurationError(
+                f"an IS point at {f_req:g} Hz holds {cycles:g} cycles in {m} conversions: "
+                f"madc.f_clk ({cfg.f_clk:g}) and madc.n_bits ({cfg.n_bits}) set "
+                f"{f_conv:g} conversions/s; raise madc.f_clk or lower madc.n_bits")
+        cycles_per_window = max(1, int(round(cycles)))
         while math.gcd(cycles_per_window, m) != 1:
             cycles_per_window += 1
         return m, cycles_per_window

@@ -1,9 +1,8 @@
 """Temperature-dependent device models.
 
 Covers the bipolar junctions used for sensing, the CTAT/PTAT current
-sources (per-instance parameters may be arrays), the in-cell
-heater, the linear networks impedance spectroscopy measures, and the
-sensor front ends of the other measurement modes.
+sources (per-instance parameters may be arrays), the in-cell heater,
+and the sensor front ends of the CPA and CV modes as plain functions.
 """
 
 import math
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, setting
-from .errors import ConfigurationError, DomainError, greatest, least, require
+from .errors import DomainError, greatest, least, require
 
 K_BOLTZMANN = 1.380649e-23    # J/K
 Q_ELECTRON = 1.602176634e-19  # C
@@ -116,60 +115,6 @@ def i_ptat(params, t):
 
 
 # --------------------------------------------------------------------------
-# Linear impedance networks (for the IS mode and its oracle)
-
-@dataclass(frozen=True)
-class Resistor:
-    r: float
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ConfigurationError("resistance must be positive")
-
-    def impedance(self, freq):
-        return complex(self.r, 0.0)
-
-
-@dataclass(frozen=True)
-class Capacitor:
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigurationError("capacitance must be positive")
-
-    def impedance(self, freq):
-        if freq <= 0:
-            raise DomainError("capacitor impedance needs freq > 0")
-        return 1.0 / (2j * math.pi * freq * self.c)
-
-
-@dataclass(frozen=True)
-class Parallel:
-    elements: tuple
-
-    def __post_init__(self):
-        if len(self.elements) == 0:
-            raise ConfigurationError("parallel combination needs >= 1 element")
-
-    def impedance(self, freq):
-        y = sum(1.0 / e.impedance(freq) for e in self.elements)
-        return 1.0 / y
-
-
-@dataclass(frozen=True)
-class Series:
-    elements: tuple
-
-    def __post_init__(self):
-        if len(self.elements) == 0:
-            raise ConfigurationError("series network needs >= 1 element")
-
-    def impedance(self, freq):
-        return sum(e.impedance(freq) for e in self.elements)
-
-
-# --------------------------------------------------------------------------
 # Sensor front ends
 
 # the pH front end: PH_SENSITIVITY (A) per pH unit away from PH_REFERENCE
@@ -182,18 +127,12 @@ PEAK_V = -0.35
 PEAK_WIDTH = 0.06
 
 
-@dataclass
-class PhSensor:
-    """Linear pH front end: PH_SENSITIVITY per pH unit away from
-    PH_REFERENCE, derated by 1 %/degC above 25 degC; current(temp_c)
-    reads it at the cell's temperature."""
-
-    ph: float = PH_REFERENCE
-
-    def current(self, temp_c):
-        delta = PH_SENSITIVITY * (self.ph - PH_REFERENCE)
-        derate = 1.0 - 0.01 * max(temp_c - 25.0, 0.0)
-        return delta * derate
+def ph_current(ph, temp_c):
+    """The pH front end's current (A) at ph and temp_c (degC), derated by
+    1 %/degC above 25 degC."""
+    delta = PH_SENSITIVITY * (ph - PH_REFERENCE)
+    derate = 1.0 - 0.01 * max(temp_c - 25.0, 0.0)
+    return delta * derate
 
 
 def gaussian_peak_response(v, t):

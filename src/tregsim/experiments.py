@@ -12,8 +12,8 @@ import numpy as np
 
 from .array_sim import CPA_I_REF, SAMPLE_PERIOD, ArrayConfig, TempArray, run_cpa, run_cv
 from .config import checked, from_settings
-from .devices import (PEAK_V, BjtParams, Capacitor, CurrentSourceParams, HeaterParams,
-                      Parallel, PhSensor, Resistor, Series, gaussian_peak_response)
+from .devices import (PEAK_V, BjtParams, CurrentSourceParams, HeaterParams,
+                      gaussian_peak_response, ph_current)
 from .errors import ConfigurationError, require
 from .madc import MadcConfig, charge_phase, convert, ranged, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
@@ -448,6 +448,23 @@ def _mode_channel(settings, experiment):
     return madc
 
 
+# An IS sweep holds at most MAX_FRA_POINTS points, 80x the default sweep's
+# 51.  At the budget a `fra_sweep` run over the default 0.1 Hz to 10 kHz
+# took 0.85 s and 42 MB RSS, and one crowded into 0.1-0.2 Hz, where every
+# period is longest, 5.6 s and 42 MB (33 MB at the defaults; 2 cores,
+# Python 3.11, numpy 2.4)
+MAX_FRA_POINTS = 2 ** 12
+
+# fra_sweep's networks, each its impedance (ohm) as a function of the
+# frequency (Hz): a series network sums its elements' impedances, a
+# parallel one takes the reciprocal of the sum of their reciprocals, and a
+# capacitor C is 1 / (2j*pi*f*C)
+FRA_NETWORKS = {
+    "series_rc": lambda f: 100e3 + 1.0 / (2j * math.pi * f * 1e-6),
+    "parallel_rc": lambda f: 1.0 / (1.0 / 1e6 + 1.0 / (1.0 / (2j * math.pi * f * 10e-9))),
+}
+
+
 def _fra_frequencies(settings):
     """The IS sweep from f_lo, points_per_decade per decade (log-spaced), none above f_hi."""
     ism = settings["is_mode"]
@@ -457,7 +474,13 @@ def _fra_frequencies(settings):
     # the last whole step at or below f_hi; the tolerance keeps a span of
     # whole decades from losing its end point to rounding
     n_dec = math.log10(ism["f_hi"] / ism["f_lo"])
-    n_pts = math.floor(n_dec * per_decade + 1e-9) + 1
+    steps = n_dec * per_decade + 1e-9
+    # floor(steps) + 1 points, at most the budget exactly when steps is
+    # below it; compared before the floor, so no array is made first
+    require(steps < MAX_FRA_POINTS, "is_mode.points_per_decade",
+            f"coarse enough for at most {MAX_FRA_POINTS} IS points from is_mode.f_lo "
+            "to is_mode.f_hi", per_decade)
+    n_pts = math.floor(steps) + 1
     freqs = ism["f_lo"] * 10.0 ** (np.arange(n_pts) / per_decade)
     return np.minimum(freqs, ism["f_hi"])
 
@@ -465,24 +488,21 @@ def _fra_frequencies(settings):
 def exp_fra_sweep(settings, outdir):
     """Impedance extraction vs the closed-form network impedance."""
     freqs = _fra_frequencies(settings)
-    networks = [("series_rc", Series((Resistor(100e3), Capacitor(1e-6)))),
-                ("parallel_rc", Series((Parallel((Resistor(1e6), Capacitor(10e-9))),)))]
     madc = _mode_channel(settings, "fra_sweep")
     # one sweep over both networks: every frequency of the first, then the second
-    results = TempArray.run_is(madc, [net for _, net in networks], freqs,
+    results = TempArray.run_is(madc, list(FRA_NETWORKS.values()), freqs,
                                settings["is_mode"]["amplitude"])
     rows = []
     worst_mag = 0.0
     worst_phase = 0.0
-    for (name, net), res in zip([nw for nw in networks for _ in freqs], results):
-        z_ref = net.impedance(res.freq)
-        z_est = complex(res.z_real, res.z_imag)
+    for name, (f, z_est) in zip([name for name in FRA_NETWORKS for _ in freqs], results):
+        z_ref = FRA_NETWORKS[name](f)
         mag_err = abs(abs(z_est) - abs(z_ref)) / abs(z_ref)
         dphase = math.degrees(math.atan2((z_est * z_ref.conjugate()).imag,
                                          (z_est * z_ref.conjugate()).real))
         worst_mag = max(worst_mag, mag_err)
         worst_phase = max(worst_phase, abs(dphase))
-        rows.append((name, res.freq, res.z_real, res.z_imag,
+        rows.append((name, f, z_est.real, z_est.imag,
                      z_ref.real, z_ref.imag, mag_err * 100.0, dphase))
     names, *numbers = zip(*rows)
     write_csv(os.path.join(outdir, "fra_sweep.csv"),
@@ -499,28 +519,24 @@ def exp_cpa_ph(settings, outdir):
     cpa = settings["cpa"]
     require(cpa["ph_lo"] < cpa["ph_hi"], "cpa.ph_lo", f"below cpa.ph_hi ({cpa['ph_hi']!r})",
             cpa["ph_lo"])
-    sensor = PhSensor()
     # a current at the full scale saturates the channel: the slope fit
     # then collapses
     for key in ("ph_lo", "ph_hi"):
-        sensor.ph = cpa[key]
-        require(abs(sensor.current(25.0)) < CPA_I_REF, f"cpa.{key}",
+        require(abs(ph_current(cpa[key], 25.0)) < CPA_I_REF, f"cpa.{key}",
                 f"a pH whose front-end current stays inside the {CPA_I_REF:g} A full scale",
                 cpa[key])
     madc = _mode_channel(settings, "cpa_ph")
     phs = np.linspace(cpa["ph_lo"], cpa["ph_hi"], cpa["ph_steps"])
     currents = []
-    for ph in phs:
-        sensor.ph = float(ph)
-        i_est = run_cpa(madc, sensor, 25.0, duration=0.2)
+    for ph in phs.tolist():
+        i_est = run_cpa(madc, ph_current(ph, 25.0), duration=0.2)
         currents.append(float(np.mean(i_est)))
     write_csv(os.path.join(outdir, "cpa_ph.csv"), ["ph", "mean_current_a"],
               phs, np.array(currents))
     slope = float(np.polyfit(phs, currents, 1)[0])
 
-    sensor.ph = 8.0
-    i25 = run_cpa(madc, sensor, 25.0, duration=0.2)
-    i35 = run_cpa(madc, sensor, 35.0, duration=0.2)
+    i25 = run_cpa(madc, ph_current(8.0, 25.0), duration=0.2)
+    i35 = run_cpa(madc, ph_current(8.0, 35.0), duration=0.2)
     derate = float(np.mean(i35) / np.mean(i25))
     return [
         check_in("slope_a_per_ph", slope, 1.71e-9, 1.89e-9),

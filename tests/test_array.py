@@ -17,10 +17,9 @@ from tregsim import array_sim, streams
 from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
                                TempArray, _fra_grid_point, run_cpa, run_cv)
 from tregsim.config import SCHEMA
-from tregsim.devices import (Capacitor, HeaterParams, Parallel, PhSensor, Resistor,
-                             Series, gaussian_peak_response, i_ctat, i_ptat)
+from tregsim.devices import HeaterParams, gaussian_peak_response, i_ctat, i_ptat, ph_current
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.experiments import _fra_frequencies, run_experiment
+from tregsim.experiments import FRA_NETWORKS, _fra_frequencies, run_experiment
 from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts
 from tregsim.pwm import duty_of_code
 from tregsim.thermal import cycle_map
@@ -627,7 +626,7 @@ def test_measurement_does_not_perturb_regulation():
     a1 = quiet_array(seed=23)
     a1.calibrate_one_point()
     first = a1.run_regulation(40.0, 20.0)
-    run_cpa(a1.cfg.madc, PhSensor(), a1.temp[0, 0], 0.5)
+    run_cpa(a1.cfg.madc, ph_current(7.0, a1.temp[0, 0]), 0.5)
     second = a1.run_regulation(40.0, 20.0)
 
     b = quiet_array(seed=23)
@@ -643,7 +642,7 @@ def test_mode_switch_preserves_calibration_and_loop_state():
     arr.run_regulation(40.0, 20.0)
     state = arr.pid_state
     cal, u, bank = arr.cal_preload[0, 0], state.u_prev.copy(), state.bank.copy()
-    run_cpa(arr.cfg.madc, PhSensor(), arr.temp[0, 0], 0.2)
+    run_cpa(arr.cfg.madc, ph_current(7.0, arr.temp[0, 0]), 0.2)
     assert arr.cal_preload[0, 0] == cal
     assert np.array_equal(arr.pid_state.u_prev, u)
     assert np.array_equal(arr.pid_state.bank, bank)
@@ -686,23 +685,20 @@ def test_thermal_field_csv_format(tmp_path):
 
 def test_cpa_ph_step_response():
     madc = quiet_madc()
-    sensor = PhSensor()
-    sensor.ph = 7.0
-    i0 = run_cpa(madc, sensor, 25.0, 0.2)
+    i0 = run_cpa(madc, ph_current(7.0, 25.0), 0.2)
     # a whole number of samples, every one counting 0
     assert i0.shape == (20,) and np.all(i0 == 0)
-    sensor.ph = 8.0
-    i_est = run_cpa(madc, sensor, 25.0, 0.2)
+    i_est = run_cpa(madc, ph_current(8.0, 25.0), 0.2)
     assert np.mean(i_est) == pytest.approx(1.8e-9, rel=0.02)
 
 
 def test_cpa_duration_is_a_whole_number_of_samples():
     # 0.29 s is 28.999999999999996 sample periods in floats: 29 samples
     madc = quiet_madc()
-    assert run_cpa(madc, PhSensor(), 25.0, 0.29).shape == (29,)
+    assert run_cpa(madc, 0.0, 0.29).shape == (29,)
     for duration in (0.0, -0.1, 0.015):
         with pytest.raises(DomainError, match="SAMPLE_PERIOD"):
-            run_cpa(madc, PhSensor(), 25.0, duration)
+            run_cpa(madc, 0.0, duration)
 
 
 def test_cv_ohmic_line_within_one_lsb():
@@ -715,32 +711,29 @@ def test_cv_ohmic_line_within_one_lsb():
 
 
 def test_is_pure_resistor():
-    for res in TempArray.run_is(quiet_madc(), [Series((Resistor(4.7e5),))],
-                                [1.0, 100.0, 5000.0], 0.01):
-        assert res.z_real == pytest.approx(4.7e5, rel=0.02)
-        assert abs(res.z_imag) <= 0.02 * 4.7e5
+    for _, z in TempArray.run_is(quiet_madc(), [lambda f: 4.7e5], [1.0, 100.0, 5000.0], 0.01):
+        assert z.real == pytest.approx(4.7e5, rel=0.02)
+        assert abs(z.imag) <= 0.02 * 4.7e5
 
 
 def test_is_series_rc_against_analytic():
-    net = Series((Resistor(100e3), Capacitor(1e-6)))
-    for res in TempArray.run_is(quiet_madc(), [net], [0.1, 1.59, 40.0, 2000.0], 0.01):
-        z_ref = net.impedance(res.freq)
-        z_est = complex(res.z_real, res.z_imag)
+    net = FRA_NETWORKS["series_rc"]
+    for f, z_est in TempArray.run_is(quiet_madc(), [net], [0.1, 1.59, 40.0, 2000.0], 0.01):
+        z_ref = net(f)
         assert abs(abs(z_est) - abs(z_ref)) / abs(z_ref) <= 0.02
         rot = z_est * z_ref.conjugate()
         assert abs(math.degrees(math.atan2(rot.imag, rot.real))) <= 2.0
 
 
 def test_is_frequency_domain_checked():
-    net = Series((Resistor(1e5),))
     with pytest.raises(DomainError):
-        TempArray.run_is(quiet_madc(), [net], [0.01], 0.01)
+        TempArray.run_is(quiet_madc(), [lambda f: 1e5], [0.01], 0.01)
 
 
 def phasor(net, f, amplitude):
     """(i_m, phi): the steady-state current i_m*sin(theta + phi) of net
     under amplitude*sin(theta) at f."""
-    z = net.impedance(f)
+    z = net(f)
     return amplitude / abs(z), -math.atan2(z.imag, z.real)
 
 
@@ -797,16 +790,15 @@ def test_is_one_period_fold_matches_per_sample(n_bits):
     # so it checks the mirror, the half period of an even m, each pack's
     # columns and its sums.  The grid's 0.1 Hz point is its longest,
     # m = 48828.
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     grid = default_fra_grid()
     madc = quiet_madc(n_bits=n_bits)
     results = TempArray.run_is(madc, nets, grid, 0.01)
     assert len(results) == 2 * len(grid)
-    for res, (net, f_req) in zip(results, [(net, f) for net in nets for f in grid]):
+    for (f, z), (net, f_req) in zip(results, [(net, f) for net in nets for f in grid]):
         f_act, z_ref = per_sample_fra_point(madc, net, f_req, 1, 0.01)
-        assert res.freq == f_act
-        assert abs(complex(res.z_real, res.z_imag) - z_ref) <= 1e-12 * abs(z_ref)
+        assert f == f_act
+        assert abs(z - z_ref) <= 1e-12 * abs(z_ref)
 
 
 @pytest.mark.parametrize("f_req, m", [(50.0, 98), (2000.0, 64)])
@@ -821,7 +813,7 @@ def test_is_even_period_converts_its_first_half_once(monkeypatch, f_req, m):
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     madc = quiet_madc()
-    TempArray.run_is(madc, [Series((Resistor(100e3),))], [f_req], 0.01)
+    TempArray.run_is(madc, [lambda f: 100e3], [f_req], 0.01)
     assert sizes == [m]
     assert _fra_grid_point(madc, f_req)[0] == m
 
@@ -863,8 +855,7 @@ def test_is_point_does_not_depend_on_earlier_points(f_a, f_b, same_point):
     # call, in a fresh workspace.  B's result must not depend on the
     # points measured before B.
     assert (_fra_grid_point(MadcConfig(), f_a) == _fra_grid_point(MadcConfig(), f_b)) is same_point
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     madc = quiet_madc(noise=0.3)
     got = TempArray.run_is(madc, nets, [f_a, f_b], 0.01)
     want = frequency_major(madc, nets, [f_a, f_b])
@@ -881,8 +872,7 @@ def test_is_sweep_equals_frequency_major_single_calls(monkeypatch):
     # both parities with m = 64 points, one of them repeated, around the
     # longest period.  Each sweep converts several points per call, in
     # one workspace that every earlier pack leaves dirty.
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     grids = [[1.59, 50.0, 50.34, 2000.0, 5000.0],
              [50.34, 2000.0, 50.0, 5000.0, 9000.0, 1.0, 2000.0, 20.0, 7000.0]]
     cfg = MadcConfig()
@@ -918,8 +908,7 @@ def test_is_default_sweep_makes_one_call_per_pack_and_network(monkeypatch):
         return n2, clipped
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     assert len(TempArray.run_is(quiet_madc(), nets, default_fra_grid(), 0.01)) == 102
     assert len(sizes) == 18
     # the longest point, 0.1 Hz at m = 48828, converts two tables of half a period
@@ -939,8 +928,7 @@ def test_is_conversions_never_clip(monkeypatch, n_bits):
         return n2, clipped
 
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     TempArray.run_is(quiet_madc(n_bits=n_bits), nets, default_fra_grid(), 0.01)
     assert seen
     for clipped, peak, counter_max in seen:
@@ -951,27 +939,24 @@ def test_is_sweep_checks_every_frequency_before_converting():
     # an empty sweep measures nothing; a sweep with one frequency out of
     # range, or one period too long, is rejected before any point is
     # converted
-    net = Series((Resistor(1e5),))
+    nets = [lambda f: 1e5]
     madc = quiet_madc(noise=0.3)
-    assert TempArray.run_is(madc, [net], [], 0.01) == []
+    assert TempArray.run_is(madc, nets, [], 0.01) == []
     with pytest.raises(DomainError):
-        TempArray.run_is(madc, [net], [50.0, 0.01], 0.01)
+        TempArray.run_is(madc, nets, [50.0, 0.01], 0.01)
     # 0.1 Hz at f_clk = 1e10 is a period of 48.8M conversions
     with pytest.raises(ConfigurationError, match="is_mode.f_lo"):
-        TempArray.run_is(MadcConfig(f_clk=1e10), [net], [50.0, 0.1], 0.01)
+        TempArray.run_is(MadcConfig(f_clk=1e10), nets, [50.0, 0.1], 0.01)
 
 
 def test_modes_ignore_the_configured_channel_noise():
     # the measurement modes are noiseless by construction: on a channel
     # configured with a count of noise they return what a noiseless twin
     # returns
-    sensor = PhSensor()
-    sensor.ph = 8.3
-    nets = [Series((Resistor(100e3), Capacitor(1e-6))),
-            Series((Parallel((Resistor(1e6), Capacitor(10e-9))),))]
+    nets = list(FRA_NETWORKS.values())
     runs = []
     for madc in (MadcConfig(conversion_noise_counts=1.0), MadcConfig(conversion_noise_counts=0.0)):
-        cpa = run_cpa(madc, sensor, 31.0, 0.2)
+        cpa = run_cpa(madc, ph_current(8.3, 31.0), 0.2)
         cv = run_cv(madc, gaussian_peak_response, -0.7, 0.0, 0.1)
         runs.append((cpa, cv, TempArray.run_is(madc, nets, [0.5, 50.0, 50.34, 5000.0], 0.01)))
     (cpa, cv, fra), (cpa_q, cv_q, fra_q) = runs

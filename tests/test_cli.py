@@ -319,6 +319,15 @@ dir = %s
     ("cpa_ph", {"madc": "f_clk = 5e-324"}, "madc.f_clk"),
     ("cv_scan", {"madc": "v_full = 5e-324"}, "madc.v_full"),
     ("madc_oracle", {"madc": "v_full = 5e-324"}, "madc.v_full"),
+    # a clock so small that an IS point's cycle count in 64 conversions is
+    # not finite: fra_sweep exited 1 with a ZeroDivisionError at 5e-324 and
+    # an OverflowError at 1e-300
+    ("fra_sweep", {"madc": "f_clk = 5e-324"}, "madc.f_clk"),
+    ("fra_sweep", {"madc": "f_clk = 1e-300"}, "madc.f_clk"),
+    # 5e12 IS points, over the 2**12 budget: the run died in an allocation
+    # error, exit 1
+    ("fra_sweep", {"is_mode": "points_per_decade = 1000000000000"},
+     "is_mode.points_per_decade"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -379,6 +388,33 @@ dir = {out}
             assert not out.exists()
         else:
             assert len((out / "transfer.csv").read_text().splitlines()) == 1 + 2 * 11
+
+
+def test_is_sweep_budget(tmp_path, capsys, monkeypatch):
+    # a sweep of MAX_FRA_POINTS points runs, and one a point longer exits 2
+    # naming is_mode.points_per_decade, without outputs
+    monkeypatch.setattr(experiments, "MAX_FRA_POINTS", 11)
+    for per_decade, code in ((10, 0), (11, 2)):
+        out = tmp_path / f"out{per_decade}"
+        cfg = write_config(tmp_path / f"sweep{per_decade}.cfg", f"""
+[experiment]
+name = fra_sweep
+seed = 1
+
+[is_mode]
+f_lo = 1
+f_hi = 10
+points_per_decade = {per_decade}
+
+[output]
+dir = {out}
+""")
+        assert main([cfg]) == code
+        if code:
+            assert "is_mode.points_per_decade" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len((out / "fra_sweep.csv").read_text().splitlines()) == 1 + 2 * 11
 
 
 @pytest.mark.parametrize("f_clk", [1, 12])

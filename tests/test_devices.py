@@ -7,10 +7,10 @@ import pytest
 
 from tregsim import array_sim
 from tregsim.array_sim import ArrayConfig, TempArray, _fra_grid_point
-from tregsim.devices import (BjtParams, Capacitor, CurrentSourceParams,
-                             HeaterParams, PhSensor, Resistor, Series,
-                             delta_vbe, i_ctat, i_ptat, vbe)
+from tregsim.devices import (BjtParams, CurrentSourceParams, HeaterParams, delta_vbe, i_ctat,
+                             i_ptat, ph_current, vbe)
 from tregsim.errors import ConfigurationError, DomainError
+from tregsim.experiments import FRA_NETWORKS
 from tregsim.madc import MadcConfig
 
 BJT = BjtParams()
@@ -103,22 +103,24 @@ def test_param_validation():
         HeaterParams(p_max=0.0)
 
 
-def test_ph_sensor_response():
-    s = PhSensor()
-    assert s.current(25.0) == 0.0
-    s.ph = 8.0
-    assert s.current(25.0) == pytest.approx(1.8e-9, rel=1e-12)
+def test_ph_current_response():
+    assert ph_current(7.0, 25.0) == 0.0
+    assert ph_current(8.0, 25.0) == pytest.approx(1.8e-9, rel=1e-12)
     # 10 degC above 25 derates the delta by 10 percent
-    assert s.current(35.0) == pytest.approx(0.9 * 1.8e-9, rel=1e-12)
+    assert ph_current(8.0, 35.0) == pytest.approx(0.9 * 1.8e-9, rel=1e-12)
     # no derating below 25
-    assert s.current(20.0) == pytest.approx(1.8e-9, rel=1e-12)
+    assert ph_current(8.0, 20.0) == pytest.approx(1.8e-9, rel=1e-12)
 
 
-def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
-    net = Series((Resistor(1e6), Capacitor(1e-6)))
-    z = net.impedance(1000.0)
-    assert abs(z) == pytest.approx(math.hypot(1e6, 1.0 / (2 * math.pi * 1000 * 1e-6)),
-                                   rel=1e-12)
+def test_is_response_peaks_at_amplitude_over_impedance(monkeypatch):
+    # fra_sweep's networks against their closed forms: 100 kOhm in
+    # series with 1 uF, 1 MOhm in parallel with 10 nF
+    w = 2 * math.pi * 1000.0
+    assert FRA_NETWORKS["series_rc"](1000.0) == pytest.approx(complex(1e5, -1.0 / (w * 1e-6)),
+                                                              rel=1e-12)
+    assert FRA_NETWORKS["parallel_rc"](1000.0) == pytest.approx(1.0 / (1e-6 + 1j * w * 10e-9),
+                                                                rel=1e-12)
+    net = FRA_NETWORKS["series_rc"]
     # the response an IS point converts peaks at amplitude / |z|, read
     # off every phase of a period of 4883 conversions near 1 Hz
     responses = []
@@ -131,7 +133,7 @@ def test_impedance_sensor_sinusoid_amplitude(monkeypatch):
     monkeypatch.setattr(array_sim, "discharge_counts", spy)
     madc = MadcConfig(conversion_noise_counts=0.0)
     m, _ = _fra_grid_point(madc, 1.0)
-    (res,) = TempArray.run_is(madc, [net], [1.0], amplitude=0.05)
+    ((f, _),) = TempArray.run_is(madc, [net], [1.0], amplitude=0.05)
     (i_abs,) = responses
     assert i_abs.shape == (m,)
-    assert i_abs.max() == pytest.approx(0.05 / abs(net.impedance(res.freq)), rel=1e-4)
+    assert i_abs.max() == pytest.approx(0.05 / abs(net(f)), rel=1e-4)

@@ -337,7 +337,7 @@ def nominal_counts(t_c):
     return arr.read_counts(np.asarray(t_c, dtype=float)[:, None, None])[:, 0, 0]
 
 
-def test_digitize_temperature_monotone():
+def test_nominal_count_falls_with_temperature():
     prev = None
     for count in nominal_counts(range(20, 95, 5)):
         if prev is not None:
