@@ -9,13 +9,6 @@ hybrid PWM.  The same channel serves the amperometric measurement modes
 """
 
 from .array_sim import ArrayConfig, TempArray
-from .devices import BjtParams, CurrentSourceParams, HeaterParams, delta_vbe, i_ctat, i_ptat, vbe
 from .errors import ConfigurationError, DomainError
-from .madc import (MadcConfig, TemperatureMap, convert, convert_signed,
-                   snr_test)
-from .pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
-                  transfer_function_response, velocity_response)
-from .pwm import PwmConfig, duty_of_code, pulse_train, sample_tap_delays
-from .thermal import fit_defaults
 
 __version__ = "0.1.0"

@@ -37,10 +37,14 @@ MAX_CV_SAMPLES = 2 ** 20
 # of its reference is 3.6 nA
 CPA_I_REF = 4e-9
 
-# one-point calibration tries the preloads range(*CAL_RANGE), at
-# CAL_TEMPERATURE degC unless the caller names another temperature
+# one-point calibration tries the preloads range(*CAL_RANGE), each
+# converted CAL_AVG times, at CAL_TEMPERATURE degC unless the caller names
+# another temperature
 CAL_RANGE = (-64, 64)
+CAL_AVG = 8
 CAL_TEMPERATURE = 50.0
+# characterize_sensor averages SWEEP_AVG conversions per cell and point
+SWEEP_AVG = 4
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -106,8 +110,8 @@ class RegulationResult:
 class TempArray:
     """A rows x cols array of regulated cells on a shared thermal grid."""
 
-    def __init__(self, cfg=None, seed=0):
-        self.cfg = cfg = ArrayConfig() if cfg is None else cfg
+    def __init__(self, cfg, seed):
+        self.cfg = cfg
         self.temp_map, self.pid_coeffs = cfg.temp_map, cfg.pid_coeffs
         # per-cycle plant map, built on the first regulation run: most arrays never regulate
         self._cycle_map = None
@@ -122,11 +126,10 @@ class TempArray:
         # streams.stream_seeds pass over the tails (cell, 0), in row-major
         # order.
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._seed_key = (ss.entropy, ss.spawn_key)
         n_cells = cfg.rows * cfg.cols
         tails = np.zeros((n_cells, 2), dtype=np.uint64)
         tails[:, 0] = np.arange(n_cells)
-        self._reg_rng = generators(*self._seed_key, tails)
+        self._reg_rng = generators(ss.entropy, ss.spawn_key, tails)
 
         # realized devices and calibration words, one value per cell
         shape = (cfg.rows, cfg.cols)
@@ -215,10 +218,10 @@ class TempArray:
 
     # -- calibration -----------------------------------------------------
 
-    def calibrate_one_point(self, t_known=None, n_avg=8):
+    def calibrate_one_point(self, t_known=CAL_TEMPERATURE):
         """One-point calibration of every cell at a known temperature.
 
-        Converts every preload candidate n_avg times per cell through the
+        Converts every preload candidate CAL_AVG times per cell through the
         shared converter, all cells in one batch, and replaces
         self.cal_preload, read-only, with the preloads whose mean
         centered counts best match the nominal design-map count at
@@ -226,14 +229,13 @@ class TempArray:
         required preload fell outside the range.
         """
         cfg = self.cfg.madc
-        t_known = CAL_TEMPERATURE if t_known is None else t_known
         target = self.temp_map.counts_cont(t_known)
         cals = np.arange(*CAL_RANGE)
         i_in, i_ref = self.front_end_currents(t_known)
-        # (rows, cols, n_avg, candidates); a noiseless batch has one
+        # (rows, cols, CAL_AVG, candidates); a noiseless batch has one
         # conversion per candidate, and averages that
         n2, _ = discharge_counts(cfg, cfg.n1_counts - cals, i_in[..., None, None],
-                                 i_ref[..., None, None], self._cell_noise((n_avg, cals.size)))
+                                 i_ref[..., None, None], self._cell_noise((CAL_AVG, cals.size)))
         best = np.argmin(np.abs(n2.mean(axis=-2) + 0.5 - target), axis=-1)
         self.cal_preload = cals[best]
         self.cal_preload.flags.writeable = False
@@ -299,13 +301,13 @@ class TempArray:
                                   .astype(int) for mag in slot_mags] + [self.cal_preload])
             charge = charge_phase(madc, mags, cal_words, signs, n1)
             # discharge_counts reads the counts as floats: one copy serves every cycle
-            self._loop = (self.cal_preload, mags,
+            self._loop = (self.cal_preload,
                           charge._replace(n_charge=charge.n_charge.astype(float)))
-        _, mags, charge = self._loop
+        charge = self._loop[1]
         # each tap's target: the count expected at the setpoint on its own
         # charge phase, less half a count so the dithered floor is unbiased
         r_set = self.temp_map.counts_cont(sp) / (madc.n1_counts - self.cal_preload)
-        state.set_targets(charge.n_charge[:-1] * r_set - 0.5, active)
+        state.set_targets(charge.n_charge[:-1] * r_set - 0.5)
         targets = np.zeros(charge.n_charge.shape, dtype=int)
         # each cell draws the run's noise in one call on its own stream,
         # in the order its conversions run; each cycle's conversions use
@@ -364,9 +366,10 @@ class TempArray:
             # one row per error conversion; j indexes the active slots
             cycle, row, col, j = np.indices(shape + (len(active),)).reshape(4, -1)
             preload, n2, product = traced[cycle, :, j, row, col].T
+            slot = np.array(active, dtype=int)[j]
             out.conv_trace = {
                 "cycle": cycle, "row": row, "col": col,
-                "slot": np.array(active, dtype=int)[j], "coeff_mag": mags[j, 0, 0],
+                "slot": slot, "coeff_mag": np.array(coeffs.magnitudes)[slot],
                 "target_preload": preload,
                 "n_charge": charge.n_charge.astype(int)[j, row, col],
                 "n_discharge": n2, "product": product}
@@ -374,11 +377,11 @@ class TempArray:
 
     # -- characterization --------------------------------------------------
 
-    def characterize_sensor(self, t_values, n_avg=4):
+    def characterize_sensor(self, t_values):
         """Counts of every cell, row-major, at each of t_values (Celsius),
-        shaped (cells, points); each averages n_avg conversions (see read_counts)."""
+        shaped (cells, points); each averages SWEEP_AVG conversions (see read_counts)."""
         t_values = np.asarray(t_values, dtype=float)
-        return self.read_counts(t_values[:, None, None], n_avg).reshape(t_values.size, -1).T
+        return self.read_counts(t_values[:, None, None], SWEEP_AVG).reshape(t_values.size, -1).T
 
     # -- measurement modes -------------------------------------------------
 

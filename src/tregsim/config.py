@@ -116,12 +116,6 @@ SCHEMA = {section: {key: entry[0] if isinstance(entry, tuple) else entry
 RULES = {f"{section}.{key}": entry[1] for section, keys in _TABLE.items()
          for key, entry in keys.items() if isinstance(entry, tuple)}
 
-# experiments whose results depend on random draws: a seed is mandatory
-STOCHASTIC_EXPERIMENTS = {
-    "characterize_sensor", "die_error_sweep", "channel_spread", "pwm_sweep",
-    "madc_oracle", "pid_oracle", "regulation_steps",
-}
-
 
 def check(key, value):
     """Reject value unless it keeps the rule of key ("section.name"): "key must
@@ -242,11 +236,6 @@ def load_config(path, seed=None):
                                                   f"{section}.{key}")
     if seed is not None:
         settings["experiment"]["seed"] = seed
-    name = settings["experiment"]["name"]
-    if not name:
+    if not settings["experiment"]["name"]:
         raise ConfigurationError("experiment.name is required")
-    if name in STOCHASTIC_EXPERIMENTS and settings["experiment"]["seed"] is None:
-        raise ConfigurationError(f"experiment.seed is required for {name}")
-    if settings["experiment"]["seed"] is None:
-        settings["experiment"]["seed"] = 0
     return settings

@@ -87,7 +87,7 @@ def vbe(params, t):
          + r * params.vbe_at_tref
          - params.n_proc * vt * np.log(r)
          + params.vbe_offset)
-    return v if v.ndim else float(v)
+    return v
 
 
 def delta_vbe(params, t):
@@ -96,8 +96,7 @@ def delta_vbe(params, t):
     t = np.asarray(t, dtype=float)
     if least(t) <= 0:
         raise DomainError("temperature must be positive")
-    v = thermal_voltage(t) * math.log(params.bias_current_ratio)
-    return v if v.ndim else float(v)
+    return thermal_voltage(t) * math.log(params.bias_current_ratio)
 
 
 def i_ctat(params, bjt, t):

@@ -18,8 +18,7 @@ from .errors import ConfigurationError, require
 from .madc import MadcConfig, charge_phase, convert, ranged, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
                   transfer_function_response, velocity_response)
-from .pwm import (CELL_TIME, CODES, PERIOD, PwmConfig, duty_of_code, pulse_train,
-                  sample_tap_delays)
+from .pwm import CELL_TIME, CODES, PwmConfig, duty_of_code, high_time, sample_tap_delays
 
 # write_csv formats and writes this many rows at a time
 CSV_CHUNK_ROWS = 2 ** 16
@@ -99,10 +98,9 @@ def check_true(name, flag):
     return CheckResult(name, 1.0 if flag else 0.0, "== 1", bool(flag))
 
 
-def build_array(settings, seed=None):
-    """The configured TempArray; seed, when given, replaces the configured one."""
-    return TempArray(array_config(settings),
-                     seed=settings["experiment"]["seed"] if seed is None else seed)
+def build_array(settings):
+    """The configured TempArray, on the configured seed."""
+    return TempArray(array_config(settings), settings["experiment"]["seed"])
 
 
 def array_config(settings):
@@ -241,9 +239,7 @@ def exp_pwm_sweep(settings, outdir):
     in_band = (codes / CODES >= cfg.duty_min) & (codes / CODES <= cfg.duty_max)
     lin_err = np.abs(nominal[in_band] - codes[in_band] / CODES)
     mis_err = np.abs(mismatched - nominal)
-    train_lo = pulse_train(cfg, 2048, PERIOD)
-    train_hi = pulse_train(cfg, 2049, PERIOD)
-    step = (train_hi[0, 1] - train_hi[0, 0]) - (train_lo[0, 1] - train_lo[0, 0])
+    step = high_time(cfg, 2049) - high_time(cfg, 2048)
     checks = [
         check_le("nominal_linearity_error_lsb", float(lin_err.max() * CODES), 1.0),
         check_true("all_codes_swept", nominal.size == CODES),
@@ -624,6 +620,12 @@ EXPERIMENTS = {
                  "digitized full-scale 15 Hz sine: quantization-limited SNR"),
 }
 
+# experiments whose results depend on random draws: a seed is mandatory
+STOCHASTIC_EXPERIMENTS = {
+    "characterize_sensor", "die_error_sweep", "channel_spread", "pwm_sweep",
+    "madc_oracle", "pid_oracle", "regulation_steps",
+}
+
 
 def list_experiments():
     lines = ["available experiments:"]
@@ -644,12 +646,15 @@ def _outermost_missing_dir(path):
 def run_experiment(settings, outdir):
     """Run the configured experiment; write its CSVs plus summary.csv.
 
-    Every key's rule (config.RULES) holds before the experiment runs.  A
-    run that raises removes the directories it created for its outputs.
+    Every key's rule (config.RULES) holds before the experiment runs, and
+    a stochastic one has its seed.  A run that raises removes the
+    directories it created for its outputs.
     """
     name = settings["experiment"]["name"]
     if name not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {name!r}")
+    if name in STOCHASTIC_EXPERIMENTS and settings["experiment"]["seed"] is None:
+        raise ConfigurationError(f"experiment.seed is required for {name}")
     settings = checked(settings)
     created = _outermost_missing_dir(outdir)
     os.makedirs(outdir, exist_ok=True)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SCHEMA, check_fields, setting
+from .config import check_fields, setting
 from .devices import i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, least, require
 
@@ -73,9 +73,8 @@ class ChargePhase(NamedTuple):
 class Conversion(NamedTuple):
     """Result of a batch of conversions (see convert).
 
-    out_count and n_discharge have the broadcast shape of the inputs
-    (plain ints for scalar inputs); saturated is the number of
-    conversions that clamped or clipped.
+    out_count and n_discharge have the broadcast shape of the inputs;
+    saturated is the number of conversions that clamped or clipped.
     """
 
     out_count: object
@@ -98,12 +97,13 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
     noise of another shape (ValueError) or dtype (TypeError), or a
     read-only one, raises before anything is written.
 
-    Returns (count, clipped): whole counts as float64, in the noise array
-    when noise is given (a float for scalar inputs), and False when
-    nothing can clip, else a mask of that shape.
+    Returns (count, clipped): whole counts as a float64 array, the noise
+    array when noise is given, and False when nothing can clip, else a
+    mask of that shape.
     """
     n_charge, i_in, i_ref = (np.asarray(v, dtype=float) for v in (n_charge, i_in, i_ref))
-    x = n_charge * (i_in / i_ref)
+    # an array even for scalar inputs, so the floor below can run in place
+    x = np.asarray(n_charge * (i_in / i_ref))
     # integrator clip: the held charge cannot exceed c_int*v_full.  Rounding
     # is monotone, so no element clips when the largest magnitudes (taken
     # without a temporary) do not, and the element-wise test runs only then
@@ -118,15 +118,13 @@ def discharge_counts(cfg, n_charge, i_in, i_ref, noise=None):
         # the caller's block becomes the output: the sum lands in it.
         # numpy checks the block's shape, dtype and writability first
         x = np.add(noise, x, out=noise, casting="no")
-    if not x.ndim:
-        return float(np.floor(x + CROSSING_GUARD)), bool(clipped)
     # x is this call's own array or the caller's noise block: guard and
     # floor it in place
     x += CROSSING_GUARD
     return np.floor(x, out=x), clipped
 
 
-def charge_phase(cfg, coeff_mag, cal_preload, coeff_sign=1, n1_counts=None):
+def charge_phase(cfg, coeff_mag, cal_preload, coeff_sign, n1_counts=None):
     """The checked charge phase of conversions: round(coeff_mag*n1) - cal_preload clocks.
 
     coeff_mag must sit on the 7-bit grid in (0, 1], coeff_sign be +1 or
@@ -165,14 +163,11 @@ def convert(cfg, i_in, i_ref, charge, target_preload, noise=None):
     if least(i_in) <= 0 or least(i_ref) <= 0:
         raise DomainError("currents must be positive (use convert_signed for bipolar)")
     n2, clipped = discharge_counts(cfg, charge.n_charge, i_in, i_ref, noise)
-    n2 = np.asarray(n2).astype(int)
+    n2 = n2.astype(int)
     raw = target_preload - np.multiply(charge.sign, n2)
     bound = cfg.counter_max
     out = np.minimum(np.maximum(raw, -bound), bound)
-    saturated = int(np.count_nonzero(clipped | (out != raw)))
-    if out.ndim:
-        return Conversion(out, n2, saturated)
-    return Conversion(int(out), int(n2), saturated)
+    return Conversion(out, n2, int(np.count_nonzero(clipped | (out != raw))))
 
 
 def ranged(cfg, i_ref):
@@ -201,10 +196,7 @@ def convert_signed(cfg, i_in, i_ref):
         raise DomainError("reference current must be positive")
     i_in = np.asarray(i_in, dtype=float)
     n2, clipped = discharge_counts(cfg, cfg.n1_counts, np.abs(i_in), i_ref)
-    out = np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max).astype(int)
-    if out.ndim:
-        return out
-    return int(out)
+    return np.sign(i_in).astype(int) * np.minimum(n2, cfg.counter_max).astype(int)
 
 
 class TemperatureMap:
@@ -243,10 +235,7 @@ class TemperatureMap:
         return float((self.counts_cont(t_c - dt) - self.counts_cont(t_c + dt)) / (2 * dt))
 
 
-_SNR = SCHEMA["snr"]
-
-
-def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], n_samples=_SNR["n_samples"]):
+def snr_test(cfg, freq, amplitude, n_samples):
     """SNR of a digitized full-scale sine, in dB.
 
     Samples the sine at the conversion-slot rate, digitizes with unit
@@ -263,7 +252,12 @@ def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], n_samples=_SNR
     fs = cfg.conversion_rate
     require(fs >= 10 * freq, "snr.freq", f"at most a tenth of the conversion rate {fs:g} Hz",
             freq)
+    # the tone's bin is its cycle count; bins 0 to guard are DC's, where a
+    # tone has no peak of its own
+    guard = 3
     cycles = int(round(freq / fs * n_samples)) | 1
+    require(cycles > guard, "snr.freq", f"at least {(guard + 0.5) * fs / n_samples:.4g} Hz, "
+            f"so that the tone snaps above the DC bins 0-{guard} of {n_samples} samples", freq)
     freq = cycles * fs / n_samples
     t = np.arange(n_samples) / fs
     i_sig = amplitude * np.sin(2 * np.pi * freq * t)
@@ -272,9 +266,8 @@ def snr_test(cfg, freq=_SNR["freq"], amplitude=_SNR["amplitude"], n_samples=_SNR
     window = np.hanning(n_samples)
     spec = np.abs(np.fft.rfft((codes - codes.mean()) * window)) ** 2
     nbins = spec.size
-    guard = 3
-    b0 = int(round(freq / fs * n_samples))
-    peak = b0 - guard + int(np.argmax(spec[max(b0 - guard, 1):b0 + guard + 1]))
+    # the largest bin within guard of the tone's
+    peak = cycles - guard + int(np.argmax(spec[cycles - guard:cycles + guard + 1]))
     signal_bins = np.arange(max(peak - guard, 1), min(peak + guard + 1, nbins))
     p_signal = spec[signal_bins].sum()
 

@@ -111,34 +111,30 @@ class PidState:
 
     u_prev sets the cell shape: () for one cell, (rows, cols) for an
     array.  bank[i, n] holds tap n's products of cycle k - i.
-    set_targets loads what every cycle reuses: the active taps, and each
-    one's target split into its whole part and the fraction that its
-    sigma-delta accumulator, a row of sd_accum, sums.  After each cycle
+    set_targets loads what every cycle reuses: each active tap's target
+    split into its whole part and the fraction that its sigma-delta
+    accumulator, a row of sd_accum, sums.  After each cycle
     saturated_cells marks the cells whose actuation clamped or whose
     product saturated, and saturated counts them.
     """
 
-    u_prev: np.ndarray = 0
-    bank: np.ndarray = None
-    sd_accum: np.ndarray = None
-    saturated_cells: np.ndarray = None
-    saturated: int = 0
-    active: list = field(default=None, init=False, repr=False)
+    u_prev: np.ndarray
+    bank: np.ndarray = field(init=False)
+    sd_accum: np.ndarray = field(default=None, init=False)
+    saturated_cells: np.ndarray = field(init=False)
+    saturated: int = field(default=0, init=False)
     target_whole: np.ndarray = field(default=None, init=False, repr=False)
     target_frac: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.u_prev = np.array(self.u_prev, dtype=int)
         shape = self.u_prev.shape
-        if self.bank is None:
-            self.bank = np.zeros((3, 3) + shape, dtype=int)
-        if self.saturated_cells is None:
-            self.saturated_cells = np.zeros(shape, dtype=bool)
+        self.bank = np.zeros((3, 3) + shape, dtype=int)
+        self.saturated_cells = np.zeros(shape, dtype=bool)
 
-    def set_targets(self, target_x, active):
+    def set_targets(self, target_x):
         """Load one target per active tap (see PidCoefficients.active),
-        (len(active),) + cell shape, and restart the dither."""
-        self.active = active
+        (n_active,) + cell shape, and restart the dither."""
         target = np.asarray(target_x, dtype=float)
         whole = np.floor(target)
         self.target_whole = whole.astype(int)
@@ -170,15 +166,16 @@ def pid_cycle(state, coeffs, counts):
         u(k) = clamp(u(k-1) + 2**exp * (s0*p0(k) + s1*p1(k-1) + s2*p2(k-2)))
     state must hold targets loaded by set_targets for coeffs.active.
     """
+    active = coeffs.active
     p = -counts  # measured-minus-target ordering
     # the bank moves one cycle on: row i takes the products of cycle k - i
     bank = state.bank
     bank[1:] = bank[:-1]
     products = bank[0]
     # the active rows are overwritten; an idle tap banks 0 whatever the bank held
-    if len(state.active) < len(products):
+    if len(active) < len(products):
         products[...] = 0
-    products[state.active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
+    products[active] = np.minimum(np.maximum(p, -PRODUCT_LIMIT), PRODUCT_LIMIT)
 
     signs, exp = coeffs.signs, coeffs.exponent
     increment = signs[0] * products[0] + signs[1] * bank[1, 1] + signs[2] * bank[2, 2]
@@ -217,11 +214,11 @@ def default_tuning(c_th, g_amb, p_max, counts_per_kelvin, ts):
     return kp, ki, kd
 
 
-def velocity_response(c0, c1, c2, errors, u0=0.0):
-    """Reference float recurrence u(k) = u(k-1) + c0 e(k) + c1 e(k-1) + c2 e(k-2)."""
+def velocity_response(c0, c1, c2, errors):
+    """Reference float recurrence u(k) = u(k-1) + c0 e(k) + c1 e(k-1) + c2 e(k-2),
+    from rest: u and e are 0 before the first error."""
     u = np.empty(len(errors))
-    e1 = e2 = 0.0
-    prev = u0
+    e1 = e2 = prev = 0.0
     # Python floats: the same double arithmetic as numpy scalars, faster
     for k, e in enumerate(np.asarray(errors, dtype=float).tolist()):
         prev = prev + c0 * e + c1 * e1 + c2 * e2

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, setting
-from .errors import ConfigurationError, DomainError, greatest, least, require
+from .errors import DomainError, greatest, least, require
 
 # the PWM geometry: 2**COUNTER_BITS laps of a RING_TAPS-cell ring make
 # CODES duty steps of CELL_TIME each, over a PERIOD fixed by the code width
@@ -60,22 +60,11 @@ def duty_of_code(cfg, code, tap_delays=None):
         n_d = code & (RING_TAPS - 1)
         high = n_c * lap + partial[n_d]
         duty = high / PERIOD
-    duty = np.minimum(np.maximum(duty, cfg.duty_min), cfg.duty_max)
-    if duty.ndim:
-        return duty
-    return float(duty)
+    return np.minimum(np.maximum(duty, cfg.duty_min), cfg.duty_max)
 
 
-def pulse_train(cfg, code, horizon):
-    """Nominal rising/falling edge times over a horizon; period is code-independent.
-
-    Returns an (n, 2) array of (rise, fall) pairs.  High times are
-    quantized to the ring-cell resolution.
-    """
-    if horizon < PERIOD:
-        raise ConfigurationError("horizon shorter than one PWM period")
-    duty = duty_of_code(cfg, code)
-    high = round(duty * CODES) * CELL_TIME
-    n = int(horizon / PERIOD)
-    rises = np.arange(n) * PERIOD
-    return np.column_stack((rises, rises + high))
+def high_time(cfg, code):
+    """Nominal high time (s) of each PWM period at a 12-bit code: its
+    duty quantized to the ring-cell resolution.  Every period lasts
+    PERIOD, whatever the code."""
+    return np.round(duty_of_code(cfg, code) * CODES) * CELL_TIME

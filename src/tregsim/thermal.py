@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .config import SCHEMA
-
 # the plant fit's targets, in degC and s (see fit_defaults)
 TARGET_RISE = 65.0
 STEP_TIME = 10.0
@@ -77,7 +75,7 @@ def cycle_map(shape, c_th, g_lat, g_amb, period):
     return tuple(m[0] * eye + (v * (m - m[0])) @ v.T for m in (decay, gain))
 
 
-def fit_defaults(p_max=SCHEMA["devices"]["p_max"]):
+def fit_defaults(p_max):
     """Fit (c_th, g_amb, g_lat) to the observed plant behavior.
 
     g_amb follows from the steady-state rise TARGET_RISE of an isolated

@@ -14,8 +14,8 @@ import pytest
 
 import tregsim
 from tregsim import array_sim, streams
-from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, ArrayConfig,
-                               TempArray, _fra_grid_point, run_cpa, run_cv)
+from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, SWEEP_AVG,
+                               ArrayConfig, TempArray, _fra_grid_point, run_cpa, run_cv)
 from tregsim.config import SCHEMA
 from tregsim.devices import HeaterParams, gaussian_peak_response, i_ctat, i_ptat, ph_current
 from tregsim.errors import ConfigurationError, DomainError
@@ -72,8 +72,8 @@ def test_r1_mismatch_restores_nominal_count():
 def test_full_scale_must_exceed_largest_calibration_preload():
     # the largest preload of cal_range (-64, 64) is 63
     with pytest.raises(ConfigurationError, match="madc.n_bits"):
-        TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=5)))
-    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=6)))
+        TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=5)), 0)
+    arr = TempArray(ArrayConfig(rows=1, cols=1, madc=MadcConfig(n_bits=6)), 0)
     assert arr.cfg.madc.counter_max == 64
 
 
@@ -87,9 +87,8 @@ def test_mismatch_matches_four_scalar_draws_per_cell(sigmas):
     arr = TempArray(cfg, seed=11)
     cs = cfg.current_source
     for r, c in np.ndindex(3, 2):
-        entropy, spawn_key = arr._seed_key
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=entropy, spawn_key=(*spawn_key, r * 2 + c, 0)))
+            entropy=11, spawn_key=(r * 2 + c, 0)))
         vbe, d1, d2, dm = (rng.normal(0.0, s) for s in sigmas)
         got = (arr.bjt.vbe_offset[r, c], arr.current_source.r1[r, c],
                arr.current_source.r2[r, c], arr.current_source.mirror_ratio[r, c])
@@ -146,7 +145,7 @@ def test_streams_load_numpy_random_on_first_use():
     # unloaded: loading it with the stream module raised the benchmark's
     # peak RSS.  Building an array loads it.
     code = ("import sys, tregsim.cli; assert 'numpy.random' not in sys.modules; "
-            "tregsim.TempArray(tregsim.ArrayConfig(rows=1, cols=1)); "
+            "tregsim.TempArray(tregsim.ArrayConfig(rows=1, cols=1), 0); "
             "assert 'numpy.random' in sys.modules")
     src = os.path.dirname(os.path.dirname(tregsim.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
@@ -236,11 +235,13 @@ def test_noisy_batches_keep_one_noise_block_live():
     assert traced_peak(arr.calibrate_one_point) <= 1.5 * cal_block
     t_values = np.arange(20.0, 90.5, 1.0)
     sweep_block = t_values.size * 9 * 6 * 32 * 8
-    assert traced_peak(lambda: arr.characterize_sensor(t_values, 32)) <= 1.5 * sweep_block
-    # the default 4 makes a 122,688 B block, smaller than the currents and
-    # their temporaries; the held charge shares the block's cell-major
-    # order, so the in-place add needs no buffer of its own (2.3x today;
-    # 3.3x when the charge is in the temperatures' order)
+    sweep = t_values[:, None, None]
+    assert traced_peak(lambda: arr.read_counts(sweep, 32)) <= 1.5 * sweep_block
+    # characterize_sensor's SWEEP_AVG of 4 makes a 122,688 B block,
+    # smaller than the currents and their temporaries; the held charge
+    # shares the block's cell-major order, so the in-place add needs no
+    # buffer of its own (2.3x today; 3.3x when the charge is in the
+    # temperatures' order)
     default_block = sweep_block // 8
     assert default_block == 122_688
     assert traced_peak(lambda: arr.characterize_sensor(t_values)) <= 2.5 * default_block
@@ -287,8 +288,8 @@ def test_characterize_matches_per_cell_scalar_readout():
     rngs = {index: copy.deepcopy(arr._reg_rng[i])
             for i, index in enumerate(np.ndindex(3, 2))}
     t_values = np.arange(20.0, 91.0, 7.0)
-    n_avg = 4
-    counts = arr.characterize_sensor(t_values, n_avg=n_avg)
+    n_avg = SWEEP_AVG
+    counts = arr.characterize_sensor(t_values)
 
     expect = np.empty((6, t_values.size))
     for i, index in enumerate(np.ndindex(3, 2)):
@@ -492,7 +493,7 @@ def test_determinism_same_seed_same_u():
 def single_cell_array(full, r, c):
     """A 1x1 array running cell (r, c) of a freshly built full: that
     cell's realized devices and a copy of its regulation stream."""
-    solo = TempArray(replace(full.cfg, rows=1, cols=1))
+    solo = TempArray(replace(full.cfg, rows=1, cols=1), 0)
     at = np.s_[r:r + 1, c:c + 1]
     cs = full.current_source
     solo.bjt = replace(full.bjt, vbe_offset=full.bjt.vbe_offset[at])
@@ -551,7 +552,7 @@ def scalar_regulation(arr, sp, duration):
                 sd[rc][n] += target[rc][n] - base
                 preload = base + (sd[rc][n] >= 1.0)
                 sd[rc][n] -= sd[rc][n] >= 1.0
-                charge = charge_phase(madc, mag, round(mag * cal[rc] * scale),
+                charge = charge_phase(madc, mag, round(mag * cal[rc] * scale), 1,
                                       n1_counts=madc.pid_n1_counts)
                 conv = convert(madc, i_in[rc], i_ref[rc], charge, preload,
                                noise=cell_noise(madc, rng, ()))
@@ -577,7 +578,7 @@ def scalar_regulation(arr, sp, duration):
                 since[rc] = None
             n2, _ = discharge_counts(madc, n1 - cal[rc], i_in[rc], i_ref[rc],
                                      cell_noise(madc, rng, ()))
-            t_meas[k][rc] = arr.temp_map.read_temperature(min(round(n2), madc.counter_max))
+            t_meas[k][rc] = arr.temp_map.read_temperature(min(int(n2), madc.counter_max))
         rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
         temp = cfg.t_ambient + rise.reshape(temp.shape)
         now += cfg.pid_ts

@@ -85,7 +85,7 @@ def test_tracer_counts_every_csv_row(tmp_path):
     tracing = load_tracing()
     tracer = tracing.Tracer()
     settings = copy.deepcopy(SCHEMA)
-    settings["experiment"]["name"] = "regulation_steps"
+    settings["experiment"].update(name="regulation_steps", seed=20260809)
     settings["regulation"]["trace_conversions"] = True
     with tracing.instrument(tracer):
         run_experiment(settings, str(tmp_path))

@@ -12,8 +12,8 @@ from tregsim import experiments
 from tregsim.cli import main
 from tregsim.config import SCHEMA, load_config
 from tregsim.errors import ConfigurationError
-from tregsim.experiments import (EXPERIMENTS, MADC_ORACLE_MAX_BITS, _fra_frequencies,
-                                 list_experiments)
+from tregsim.experiments import (EXPERIMENTS, MADC_ORACLE_MAX_BITS, STOCHASTIC_EXPERIMENTS,
+                                 _fra_frequencies, list_experiments, run_experiment)
 
 
 def write_config(path, body):
@@ -328,6 +328,11 @@ dir = %s
     # error, exit 1
     ("fra_sweep", {"is_mode": "points_per_decade = 1000000000000"},
      "is_mode.points_per_decade"),
+    # a tone that snaps into the DC guard bins 0-3: at 1 cycle the run read
+    # 112.5 dB with nearly every noise bin masked, at 3 cycles 60.74 dB with
+    # its harmonic bins misplaced, and both exited 0
+    ("snr_test", {"snr": "freq = 0.3"}, "snr.freq"),
+    ("snr_test", {"snr": "freq = 0.9"}, "snr.freq"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):
@@ -522,10 +527,18 @@ def test_unknown_section_and_missing_seed(tmp_path):
     cfg = write_config(tmp_path / "c1.cfg", "[wat]\nx = 1\n")
     with pytest.raises(ConfigurationError, match=r"\[wat\]"):
         load_config(cfg)
+    # the seed is the experiment's to demand: a config loads without one,
+    # and run_experiment rejects a stochastic experiment that has none
+    # before it makes any directory (it ran on fresh OS entropy)
     cfg2 = write_config(tmp_path / "c2.cfg",
                         "[experiment]\nname = madc_oracle\n")
-    with pytest.raises(ConfigurationError, match="seed"):
-        load_config(cfg2)
+    settings = load_config(cfg2)
+    assert settings["experiment"]["seed"] is None
+    for name in sorted(STOCHASTIC_EXPERIMENTS):
+        settings["experiment"]["name"] = name
+        with pytest.raises(ConfigurationError, match=f"^experiment.seed is required for {name}$"):
+            run_experiment(settings, str(tmp_path / "out" / name))
+        assert not (tmp_path / "out").exists()
 
 
 def test_key_path_in_diagnostic(tmp_path):

@@ -192,7 +192,8 @@ def test_arrays_on_one_config_share_its_derivations():
     assert dies[0].pid_coeffs is dies[1].pid_coeffs is cfg.pid_coeffs
     t_values = np.arange(20.0, 91.0, 10.0)
     for die, s in zip(dies, seeds):
-        alone = build_array(settings, seed=s)
+        settings["experiment"]["seed"] = s
+        alone = build_array(settings)
         assert die.calibrate_one_point() == alone.calibrate_one_point()
         assert np.array_equal(die.cal_preload, alone.cal_preload)
         assert np.array_equal(die.characterize_sensor(t_values),

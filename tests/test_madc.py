@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tregsim.array_sim import ArrayConfig, TempArray
-from tregsim.devices import BjtParams, CurrentSourceParams
+from tregsim.devices import BjtParams, CurrentSourceParams, delta_vbe, vbe
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import madc_oracle_reference
 from tregsim.madc import (CROSSING_GUARD, MadcConfig, TemperatureMap, charge_phase,
                           convert, convert_signed, discharge_counts, snr_test)
+from tregsim.pwm import PwmConfig, duty_of_code
 
 CFG = MadcConfig(conversion_noise_counts=0.0)
 QUIET = CFG
@@ -144,7 +145,7 @@ def test_integrator_clip_sets_flags():
     cfg = MadcConfig(c_int=1e-12, conversion_noise_counts=0.0)
     conv = run(4e-7, 4e-7, cfg=cfg)
     # the charge phase that run builds: unit coefficient, no calibration
-    _, clipped = discharge_counts(cfg, charge_phase(cfg, 1.0, 0).n_charge, 4e-7, 4e-7)
+    _, clipped = discharge_counts(cfg, charge_phase(cfg, 1.0, 0, -1).n_charge, 4e-7, 4e-7)
     assert clipped and conv.saturated
     # clip holds the charge at c_int*v_full
     assert conv.out_count == math.floor(1e-12 * 1.0 * 1e7 / 4e-7 + 1e-9)
@@ -190,23 +191,46 @@ def test_clip_bound_matches_elementwise_rule(n_charge, i_in, n_clipped):
 
 
 def test_discharge_counts_returns_whole_float_counts():
-    # the kernel's counts are whole float64 values, a float for scalar
-    # inputs; convert and convert_signed, which need integers, cast them
+    # the kernel's counts are whole float64 values; convert and
+    # convert_signed, which need integers, cast them
     n2, _ = discharge_counts(POW2, np.array([512.0, 300.0]), AT_CLIP / 4, AT_CLIP)
     assert n2.dtype == np.float64 and n2.tolist() == [128.0, 75.0]
     n2, clipped = discharge_counts(POW2, 300.0, AT_CLIP / 4, AT_CLIP)
-    assert type(n2) is float and n2 == 75.0 and clipped is False
+    assert n2.dtype == np.float64 and n2 == 75.0 and not clipped
     # plain digitization: preload 0, sign -1
     charge = charge_phase(POW2, 1.0, 0, -1)
     conv = convert(POW2, np.array([AT_CLIP / 4, AT_CLIP / 2]), AT_CLIP, charge, 0)
     assert conv.out_count.dtype.kind == conv.n_discharge.dtype.kind == "i"
     assert conv.n_discharge.tolist() == [128, 256] and conv.out_count.tolist() == [128, 256]
-    conv = convert(POW2, AT_CLIP / 4, AT_CLIP, charge, 0)
-    assert (type(conv.out_count), type(conv.n_discharge)) == (int, int)
     signed = convert_signed(POW2, np.array([-AT_CLIP / 4, AT_CLIP / 2]), AT_CLIP)
     assert signed.dtype.kind == "i" and signed.tolist() == [-128, 256]
     assert convert_signed(POW2, -AT_CLIP / 4, AT_CLIP) == -128
-    assert type(convert_signed(POW2, -AT_CLIP / 4, AT_CLIP)) is int
+
+
+# each function of one batch input, and a scalar value of that input
+SCALAR_CALLS = {
+    "vbe": (lambda t: vbe(BjtParams(), t), 310.0),
+    "delta_vbe": (lambda t: delta_vbe(CurrentSourceParams(), t), 310.0),
+    # the clipped mask too: the charge at 2 * AT_CLIP clips
+    "discharge_counts": (lambda i: discharge_counts(POW2, 512.0, i, AT_CLIP), 2 * AT_CLIP),
+    "convert": (lambda i: convert(POW2, i, AT_CLIP, charge_phase(POW2, 1.0, 0, -1), 0),
+                AT_CLIP / 4),
+    "convert_signed": (lambda i: convert_signed(POW2, i, AT_CLIP), -AT_CLIP / 4),
+    "duty_of_code": (lambda code: duty_of_code(PwmConfig(), code), 731),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_scalar_input_gives_the_one_element_batch_value(name):
+    # a scalar input is a batch of one: each result, or each item of a
+    # result tuple, has shape () and the value of the one-element batch's
+    # single element
+    fn, x = SCALAR_CALLS[name]
+    scalar, batch = fn(x), fn(np.array([x]))
+    if not isinstance(scalar, tuple):
+        scalar, batch = (scalar,), (batch,)
+    for got, want in zip(scalar, batch):
+        assert np.shape(got) == () and got == np.ravel(want)[0]
 
 
 def noise_layout(name, rng):
@@ -333,7 +357,7 @@ def nominal_counts(t_c):
     """Plain-mode counts of a noiseless, mismatch-free 1x1 array at each t_c."""
     arr = TempArray(ArrayConfig(rows=1, cols=1, bjt=BJT, current_source=CS,
                                 madc=QUIET, sigma_vbe=0.0, sigma_r1=0.0,
-                                sigma_r2=0.0, sigma_mirror=0.0))
+                                sigma_r2=0.0, sigma_mirror=0.0), 0)
     return arr.read_counts(np.asarray(t_c, dtype=float)[:, None, None])[:, 0, 0]
 
 
@@ -369,9 +393,9 @@ def test_design_map_linear_fit_residual_reported():
 
 def test_snr_quantization_limited():
     cfg = MadcConfig(c_int=3e-9, conversion_noise_counts=0.0)
-    assert snr_test(cfg) >= 56.0
+    assert snr_test(cfg, 15.0, 400e-9, 16384) >= 56.0
 
 
 def test_snr_zero_amplitude_rejected():
     with pytest.raises(DomainError):
-        snr_test(QUIET, amplitude=0.0)
+        snr_test(QUIET, 15.0, 0.0, 16384)

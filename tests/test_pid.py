@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tregsim.devices import HeaterParams
 from tregsim.madc import COEFF_LEVELS
 from tregsim.pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                          quantization_deviation_bound,
@@ -21,8 +22,8 @@ def test_pure_proportional_expansion():
 def test_null_controller():
     coeffs = PidCoefficients.derive(0.0, 0.0, 0.0, 1.0)
     assert coeffs.mantissas == (0, 0, 0)
-    u = velocity_response(*coeffs.quantized, np.ones(10), u0=5.0)
-    assert np.all(u == 5.0)
+    u = velocity_response(*coeffs.quantized, np.ones(10))
+    assert np.all(u == 0.0)
 
 
 def test_velocity_form_matches_transfer_function_exactly():
@@ -89,7 +90,7 @@ def run_cycle(st, coeffs, measure):
 def make_state(coeffs, x=(1000.0, 800.0, 60.0)):
     """A state at u = 1000 holding x[n] as the target of each active tap n."""
     st = PidState(u_prev=1000)
-    st.set_targets([x[n] for n in coeffs.active], coeffs.active)
+    st.set_targets([x[n] for n in coeffs.active])
     return st
 
 
@@ -143,9 +144,10 @@ def test_bank_products_saturate_at_8bit_range():
 def test_idle_tap_banks_zero_products():
     # a zero-mantissa tap converts nothing and banks 0, whatever the bank held
     coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 127, -127, 0)
-    st = PidState(u_prev=100, bank=np.full((3, 3), 5))
+    st = PidState(u_prev=100)
+    st.bank[...] = 5
     assert coeffs.active == [0, 1]
-    st.set_targets((1000.0, 800.0), coeffs.active)
+    st.set_targets((1000.0, 800.0))
     measure = StubMeasure(coeffs, lambda slot, mag, preload: preload + 3)
     for _ in range(3):
         run_cycle(st, coeffs, measure)
@@ -168,13 +170,13 @@ def test_three_conversions_per_cycle_in_slot_order():
 def test_dither_carries_when_the_accumulator_reaches_one():
     # a target fraction of exactly 0.5 fills the accumulator to exactly
     # 1.0 on every second cycle, which carries
-    st = PidState()
-    st.set_targets([100.5], [0])
+    st = PidState(0)
+    st.set_targets([100.5])
     assert [int(st.dither()[0]) for _ in range(4)] == [100, 101, 100, 101]
 
 
 def test_default_tuning_properties():
-    c_th, g_amb, _ = fit_defaults()
+    c_th, g_amb, _ = fit_defaults(HeaterParams().p_max)
     kp, ki, kd = default_tuning(c_th, g_amb, 0.27, 19.2, 4.0)
     assert ki > 0  # integral action present: no steady-state offset
     assert kp > 0 and kd > 0
@@ -211,7 +213,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
     measure = StubMeasure(coeffs, n2_of)
     st = PidState(u_prev=2000)
     target_x = [float(x) for x in rng.uniform(50.0, 900.0, 3)]
-    st.set_targets([target_x[n] for n in active], active)
+    st.set_targets([target_x[n] for n in active])
     n_cycles = 400
     u = 2000
     p1 = p2 = [0, 0, 0]                 # products of cycles k-1 and k-2

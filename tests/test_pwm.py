@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tregsim.errors import ConfigurationError, DomainError
-from tregsim.pwm import PERIOD, PwmConfig, duty_of_code, pulse_train, sample_tap_delays
+from tregsim.pwm import CELL_TIME, PERIOD, PwmConfig, duty_of_code, high_time, sample_tap_delays
 
 CFG = PwmConfig()
 
@@ -45,35 +45,20 @@ def test_code_range_check_on_empty_and_nan_codes():
             duty_of_code(CFG, np.array([np.nan, bad]))
 
 
-def test_pulse_train_midscale():
-    train = pulse_train(CFG, 2048, 10 * PERIOD)
-    assert train.shape == (10, 2)
-    high = train[0, 1] - train[0, 0]
-    assert high == pytest.approx(204.8e-6, rel=1e-12)
-    # period constant and independent of code
-    assert np.allclose(np.diff(train[:, 0]), PERIOD)
-    train2 = pulse_train(CFG, 731, 10 * PERIOD)
-    assert np.allclose(np.diff(train2[:, 0]), PERIOD)
+def test_high_time_midscale():
+    assert high_time(CFG, 2048) == pytest.approx(204.8e-6, rel=1e-12)
+    # the period is fixed by the code width: 4096 ring cells, whatever the code
+    assert PERIOD == 4096 * CELL_TIME == pytest.approx(409.6e-6, rel=1e-12)
 
 
 def test_adjacent_code_step_is_cell_time():
-    a = pulse_train(CFG, 2048, PERIOD)
-    b = pulse_train(CFG, 2049, PERIOD)
-    step = (b[0, 1] - b[0, 0]) - (a[0, 1] - a[0, 0])
+    step = high_time(CFG, 2049) - high_time(CFG, 2048)
     assert step == pytest.approx(0.1e-6, rel=1e-9)
 
 
 def test_cycle_average_equals_duty():
     for code in (300, 2048, 3900):
-        duty = duty_of_code(CFG, code)
-        train = pulse_train(CFG, code, 5 * PERIOD)
-        avg = (train[:, 1] - train[:, 0]).sum() / (5 * PERIOD)
-        assert avg == pytest.approx(duty, abs=1e-12)
-
-
-def test_horizon_shorter_than_period():
-    with pytest.raises(ConfigurationError):
-        pulse_train(CFG, 100, PERIOD / 2)
+        assert high_time(CFG, code) / PERIOD == pytest.approx(duty_of_code(CFG, code), abs=1e-12)
 
 
 def test_mismatch_bounded_for_default_sigma():

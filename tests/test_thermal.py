@@ -9,7 +9,7 @@ from tregsim.devices import HeaterParams
 from tregsim.errors import ConfigurationError
 from tregsim.thermal import _lateral_flux, cycle_map, fit_defaults, step_temps
 
-C_TH, G_AMB, G_LAT = fit_defaults()
+C_TH, G_AMB, G_LAT = fit_defaults(HeaterParams().p_max)
 DT = 1e-3
 PERIOD = 4.0
 
@@ -187,7 +187,7 @@ def test_plant_parameters_checked():
             ArrayConfig(c_th=c_th, g_amb=g_amb, g_lat=g_lat)
     with pytest.raises(ConfigurationError):
         TempArray(ArrayConfig(rows=1, cols=1, c_th=-C_TH, g_amb=G_AMB,
-                              g_lat=G_LAT))
+                              g_lat=G_LAT), 0)
     # fitted values keep the rules too: this p_max fits c_th and g_amb that round to 0
     with pytest.raises(ConfigurationError, match="thermal.c_th"):
         ArrayConfig(heater=HeaterParams(p_max=1e-323))
