@@ -7,13 +7,14 @@ PID loop, the PWM, and the thermal grid; provides the measurement modes
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from . import thermal
 from .config import IS_FREQ_RANGE, SETPOINT_RANGE, check, check_fields, setting
-from .devices import BjtParams, CurrentSourceParams, HeaterParams, i_ctat, i_ptat
+from .devices import BjtParams, CurrentSourceParams, i_ctat, i_ptat
 from .errors import ConfigurationError, DomainError, require
 from .madc import (COEFF_LEVELS, MadcConfig, TemperatureMap, charge_phase, convert,
                    convert_signed, discharge_counts, ranged)
@@ -50,8 +51,9 @@ SWEEP_AVG = 4
 class ArrayConfig:
     """The array's settings, checked when built.
 
-    A plant parameter left None is fitted by thermal.fit_defaults.  The design map and
-    the loop coefficients are derived here, once: every array built on the config shares them.
+    A plant parameter left None is fitted by thermal.fit_defaults.  Every array built on
+    the config shares what the settings alone fix: the design map and loop coefficients,
+    derived here once, and the plant map, built on first use, as most configs never regulate.
     """
 
     rows: int = setting("array.rows")
@@ -59,9 +61,9 @@ class ArrayConfig:
     t_ambient: float = setting("array.t_ambient")
     bjt: BjtParams = field(default_factory=BjtParams)
     current_source: CurrentSourceParams = field(default_factory=CurrentSourceParams)
-    heater: HeaterParams = field(default_factory=HeaterParams)
     madc: MadcConfig = field(default_factory=MadcConfig)
     pwm: PwmConfig = field(default_factory=PwmConfig)
+    p_max: float = setting("devices.p_max")     # heater power (W) at duty 1
     c_th: float = setting("thermal.c_th")
     g_amb: float = setting("thermal.g_amb")
     g_lat: float = setting("thermal.g_lat")
@@ -75,7 +77,7 @@ class ArrayConfig:
     pid_coeffs: PidCoefficients = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.heater.p_max)):
+        for key, value in zip(("c_th", "g_amb", "g_lat"), thermal.fit_defaults(self.p_max)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
         # after the fill, so a fitted plant parameter keeps its rule too
@@ -86,14 +88,27 @@ class ArrayConfig:
         require(self.madc.counter_max > largest, "madc.n_bits",
                 f">= {largest.bit_length()}, for a full scale 2**n_bits above the "
                 f"largest calibration preload {largest}", self.madc.n_bits)
-        object.__setattr__(self, "temp_map", TemperatureMap(self.madc, self.bjt,
-                                                            self.current_source))
         # the loop's coefficients, on the count slope of its stretched charge phase
-        slope = self.temp_map.counts_per_kelvin() * self.madc.pid_charge_scale
-        gains = (default_tuning(self.c_th, self.g_amb, self.heater.p_max, slope, self.pid_ts)
+        with np.errstate(all="ignore"):     # a map that overflows fails the check below
+            object.__setattr__(self, "temp_map", TemperatureMap(self.madc, self.bjt,
+                                                                self.current_source))
+            slope = self.temp_map.counts_per_kelvin() * self.madc.pid_charge_scale
+        if not 0 < slope < math.inf:
+            cs = self.current_source
+            raise ConfigurationError(
+                f"devices.r1 ({cs.r1!r}), devices.r2 ({cs.r2!r}), devices.alpha "
+                f"({cs.alpha!r}) and devices.mirror_ratio ({cs.mirror_ratio!r}) leave the "
+                f"design map a count slope of {slope:g} counts/K: it must be finite and positive")
+        gains = (default_tuning(self.c_th, self.g_amb, self.p_max, slope, self.pid_ts)
                  if self.pid_gains is None else self.pid_gains)
         object.__setattr__(self, "pid_coeffs", PidCoefficients.derive(
             *gains, self.pid_ts, counts_per_kelvin=slope))
+
+    @cached_property
+    def cycle_map(self):
+        """The plant's exact map (a, b) over one PID period (see thermal.cycle_map)."""
+        return thermal.cycle_map((self.rows, self.cols), self.c_th, self.g_lat, self.g_amb,
+                                 self.pid_ts)
 
 
 @dataclass
@@ -102,7 +117,6 @@ class RegulationResult:
     t_true: np.ndarray            # (cycles, rows, cols)
     t_meas: np.ndarray
     u: np.ndarray
-    duty: np.ndarray
     warnings: list
     conv_trace: dict              # None, or named 1-D columns (see run_regulation)
 
@@ -112,9 +126,6 @@ class TempArray:
 
     def __init__(self, cfg, seed):
         self.cfg = cfg
-        self.temp_map, self.pid_coeffs = cfg.temp_map, cfg.pid_coeffs
-        # per-cycle plant map, built on the first regulation run: most arrays never regulate
-        self._cycle_map = None
         # the loop's converter batch and the calibration words it was built
         # on (see run_regulation), built on the first regulation run on them
         self._loop = None
@@ -229,7 +240,7 @@ class TempArray:
         required preload fell outside the range.
         """
         cfg = self.cfg.madc
-        target = self.temp_map.counts_cont(t_known)
+        target = self.cfg.temp_map.counts_cont(t_known)
         cals = np.arange(*CAL_RANGE)
         i_in, i_ref = self.front_end_currents(t_known)
         # (rows, cols, CAL_AVG, candidates); a noiseless batch has one
@@ -269,17 +280,14 @@ class TempArray:
         require(n_cycles >= 1 and abs(ratio - n_cycles) <= 1e-9 * ratio, "regulation.plateau_s",
                 f"a whole number of PID periods pid.ts ({cfg.pid_ts:g} s)", duration)
         madc = cfg.madc
-        coeffs = self.pid_coeffs
+        coeffs = cfg.pid_coeffs
         state = self.pid_state
 
         shape = (n_cycles, cfg.rows, cfg.cols)
         out = RegulationResult(time=np.empty(n_cycles), t_true=np.empty(shape),
                                t_meas=None, u=np.empty(shape, dtype=int),
-                               duty=np.zeros(shape), warnings=[], conv_trace=None)
-        if self._cycle_map is None:
-            self._cycle_map = thermal.cycle_map(self.temp.shape, cfg.c_th, cfg.g_lat,
-                                                cfg.g_amb, cfg.pid_ts)
-        a, b = self._cycle_map
+                               warnings=[], conv_trace=None)
+        a, b = cfg.cycle_map
 
         # every cell's cycle is one converter batch: its active slots,
         # then its plain measurement, one row each in that order.  The
@@ -299,14 +307,11 @@ class TempArray:
             # trim is a relative gain correction of the charge phase
             cal_words = np.stack([np.round(mag * self.cal_preload * madc.pid_charge_scale)
                                   .astype(int) for mag in slot_mags] + [self.cal_preload])
-            charge = charge_phase(madc, mags, cal_words, signs, n1)
-            # discharge_counts reads the counts as floats: one copy serves every cycle
-            self._loop = (self.cal_preload,
-                          charge._replace(n_charge=charge.n_charge.astype(float)))
+            self._loop = (self.cal_preload, charge_phase(madc, mags, cal_words, signs, n1))
         charge = self._loop[1]
         # each tap's target: the count expected at the setpoint on its own
         # charge phase, less half a count so the dithered floor is unbiased
-        r_set = self.temp_map.counts_cont(sp) / (madc.n1_counts - self.cal_preload)
+        r_set = cfg.temp_map.counts_cont(sp) / (madc.n1_counts - self.cal_preload)
         state.set_targets(charge.n_charge[:-1] * r_set - 0.5)
         targets = np.zeros(charge.n_charge.shape, dtype=int)
         # each cell draws the run's noise in one call on its own stream,
@@ -317,6 +322,8 @@ class TempArray:
             noise = np.moveaxis(noise, (0, 1), (-2, -1))
         # each cycle's measurement count, read back as temperatures when the run ends
         meas = np.empty(shape, dtype=int)
+        # the cycle's heater duties, held while the plant advances
+        duties = np.empty(shape[1:])
         # each cycle's preloads, discharge counts and products of its
         # error conversions
         traced = (np.empty((n_cycles, 3, len(active)) + shape[1:], dtype=int)
@@ -337,7 +344,7 @@ class TempArray:
                     traced[k] = targets[:-1], conv.n_discharge[:-1], -conv.out_count[:-1]
                 # code 0 is the heater off, not the PWM's minimum duty
                 on = u > 0
-                duties = out.duty[k]
+                duties.fill(0.0)
                 duties[on] = duty_of_code(cfg.pwm, u[on])
                 # persistent-saturation warning: a cell saturated for more
                 # than 10 s warns, and its saturated run restarts
@@ -355,13 +362,13 @@ class TempArray:
                 # the duty is held over the cycle: the plant's exact map
                 # over one period
                 rise = (a @ (temp - cfg.t_ambient).ravel()
-                        + b @ (duties * cfg.heater.p_max).ravel())
+                        + b @ (duties * cfg.p_max).ravel())
                 temp = out.t_true[k] = cfg.t_ambient + rise.reshape(temp.shape)
                 now += cfg.pid_ts
                 out.time[k] = now
         finally:
             self.temp, self._time = temp, now
-        out.t_meas = self.temp_map.read_temperature(meas)
+        out.t_meas = cfg.temp_map.read_temperature(meas)
         if traced is not None:
             # one row per error conversion; j indexes the active slots
             cycle, row, col, j = np.indices(shape + (len(active),)).reshape(4, -1)

@@ -1,8 +1,8 @@
 """Temperature-dependent device models.
 
 Covers the bipolar junctions used for sensing, the CTAT/PTAT current
-sources (per-instance parameters may be arrays), the in-cell heater,
-and the sensor front ends of the CPA and CV modes as plain functions.
+sources (per-instance parameters may be arrays), and the sensor front
+ends of the CPA and CV modes as plain functions.
 """
 
 import math
@@ -59,13 +59,6 @@ class CurrentSourceParams:
     mirror_ratio: float = setting("devices.mirror_ratio")
     bias_current_ratio: float = setting("devices.bias_current_ratio")
     alpha: float = setting("devices.alpha")
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class HeaterParams:
-    p_max: float = setting("devices.p_max")  # W at duty = 1
 
     __post_init__ = check_fields
 

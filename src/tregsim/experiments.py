@@ -12,8 +12,7 @@ import numpy as np
 
 from .array_sim import CPA_I_REF, SAMPLE_PERIOD, ArrayConfig, TempArray, run_cpa, run_cv
 from .config import checked, from_settings
-from .devices import (PEAK_V, BjtParams, CurrentSourceParams, HeaterParams,
-                      gaussian_peak_response, ph_current)
+from .devices import PEAK_V, BjtParams, CurrentSourceParams, gaussian_peak_response, ph_current
 from .errors import ConfigurationError, require
 from .madc import MadcConfig, charge_phase, convert, ranged, snr_test
 from .pid import (PidCoefficients, quantization_deviation_bound,
@@ -115,7 +114,6 @@ def array_config(settings):
         ArrayConfig, settings,
         bjt=from_settings(BjtParams, settings),
         current_source=from_settings(CurrentSourceParams, settings),
-        heater=from_settings(HeaterParams, settings),
         madc=from_settings(MadcConfig, settings), pwm=from_settings(PwmConfig, settings),
         pid_gains=None if unset else (pid["kp"], pid["ki"], pid["kd"]))
 
@@ -150,13 +148,13 @@ def exp_characterize_sensor(settings, outdir):
     array = build_array(settings)
     array.calibrate_one_point()
     counts = array.characterize_sensor(t_values)
-    t_read = array.temp_map.read_temperature(counts)
+    t_read = array.cfg.temp_map.read_temperature(counts)
     map_error = t_read - t_values
     # each cell's straight-line fit, its residuals in counts and in Celsius
     a = np.vstack([t_values, np.ones_like(t_values)]).T
     coef, *_ = np.linalg.lstsq(a, counts.T, rcond=None)
     resid = counts.T - a @ coef
-    slope_local = np.gradient(array.temp_map.counts_cont(t_values), t_values)
+    slope_local = np.gradient(array.cfg.temp_map.counts_cont(t_values), t_values)
     resid_c = resid / np.abs(slope_local)[:, None]
 
     # one row per cell and sweep point, cell-major
@@ -191,7 +189,7 @@ def exp_die_error_sweep(settings, outdir):
         array = TempArray(cfg, seed=dseed)
         failures = array.calibrate_one_point()
         counts = array.characterize_sensor(t_values)
-        error = (array.temp_map.read_temperature(counts) - t_values).mean(axis=0)
+        error = (cfg.temp_map.read_temperature(counts) - t_values).mean(axis=0)
         errors.append(error)
         checks.append(check_le(f"die{d}_max_abs_error_c", float(np.abs(error).max()), 0.5))
         checks.append(check_true(f"die{d}_all_cells_calibrated", not failures))
@@ -211,7 +209,7 @@ def exp_channel_spread(settings, outdir):
     for s, sseed in enumerate(seeds):
         array = TempArray(cfg, seed=sseed)
         array.calibrate_one_point(t_known=t_force)
-        reads = array.temp_map.read_temperature(array.read_counts(t_force)).ravel()
+        reads = cfg.temp_map.read_temperature(array.read_counts(t_force)).ravel()
         reads_by_seed.append(reads)
         checks.append(check_in(f"seed{s}_mean_c", float(reads.mean()),
                                t_force - 0.3, t_force + 0.3))

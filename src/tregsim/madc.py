@@ -62,8 +62,8 @@ class MadcConfig:
 
 class ChargePhase(NamedTuple):
     """A batch's checked charge phase (see charge_phase): n_charge > 0
-    clocks per conversion, whole numbers as ints (or as floats, which
-    discharge_counts takes without a copy), and sign, +1 or -1, the
+    clocks per conversion, whole numbers as floats, the form
+    discharge_counts reads without a copy, and sign, +1 or -1, the
     counter's direction."""
 
     n_charge: object
@@ -140,7 +140,7 @@ def charge_phase(cfg, coeff_mag, cal_preload, coeff_sign, n1_counts=None):
     if (np.abs(coeff_sign) != 1).any():
         raise ConfigurationError("coeff_sign must be +1 or -1")
     n1 = cfg.n1_counts if n1_counts is None else n1_counts
-    n_charge = np.round(np.multiply(coeff_mag, n1)).astype(int) - cal_preload
+    n_charge = np.round(np.multiply(coeff_mag, n1, dtype=float)) - cal_preload
     if (n_charge <= 0).any():
         raise ConfigurationError("calibration preload leaves no charge phase")
     return ChargePhase(n_charge, coeff_sign)

@@ -38,8 +38,9 @@ def _shared_exponent(c_values, counts_per_kelvin=None):
 class PidCoefficients:
     """Gain set plus its fixed-point encoding.
 
-    c0/c1/c2 are the exact velocity-form coefficients; q0/q1/q2 are the
-    signed 7-bit mantissas sharing the power-of-two exponent.
+    c0/c1/c2 are the exact velocity-form coefficients; mantissas holds
+    their signed 7-bit mantissas, in tap order, which share the
+    power-of-two exponent.
     """
 
     kp: float
@@ -50,9 +51,7 @@ class PidCoefficients:
     c1: float
     c2: float
     exponent: int
-    q0: int
-    q1: int
-    q2: int
+    mantissas: tuple
 
     @classmethod
     def derive(cls, kp, ki, kd, ts, counts_per_kelvin=None):
@@ -73,18 +72,14 @@ class PidCoefficients:
         c2 = kd / ts
         exp = _shared_exponent((c0, c1, c2), counts_per_kelvin)
         scale = 2.0 ** exp
-        q0, q1, q2 = (int(round(c / scale * COEFF_LEVELS)) for c in (c0, c1, c2))
-        return cls(kp, ki, kd, ts, c0, c1, c2, exp, q0, q1, q2)
+        mantissas = tuple(int(round(c / scale * COEFF_LEVELS)) for c in (c0, c1, c2))
+        return cls(kp, ki, kd, ts, c0, c1, c2, exp, mantissas)
 
     @property
     def quantized(self):
         """The coefficients actually realized after 7-bit quantization."""
         scale = 2.0 ** self.exponent
-        return tuple(q / COEFF_LEVELS * scale for q in (self.q0, self.q1, self.q2))
-
-    @property
-    def mantissas(self):
-        return (self.q0, self.q1, self.q2)
+        return tuple(q / COEFF_LEVELS * scale for q in self.mantissas)
 
     @property
     def active(self):
@@ -204,6 +199,11 @@ def default_tuning(c_th, g_amb, p_max, counts_per_kelvin, ts):
     a = math.exp(-ts / tau)
     p = math.exp(-ts / lam)
     b = (p_max / ((DUTY_CODE_MAX + 1) * g_amb)) * (1.0 - a) * counts_per_kelvin
+    if not 0 < b < math.inf:
+        raise ConfigurationError(
+            f"thermal.c_th ({c_th!r}) and thermal.g_amb ({g_amb!r}) leave the default "
+            f"tuning a per-cycle count gain of {b:g} counts per code: it must be finite "
+            "and positive")
     c0 = (1.0 - p) / b
     c1 = -a * c0
     exp = _shared_exponent((c0, c1, 0.0), counts_per_kelvin)

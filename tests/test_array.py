@@ -17,7 +17,7 @@ from tregsim import array_sim, streams
 from tregsim.array_sim import (CAL_RANGE, CAL_TEMPERATURE, MAX_FRA_PERIOD, SWEEP_AVG,
                                ArrayConfig, TempArray, _fra_grid_point, run_cpa, run_cv)
 from tregsim.config import SCHEMA
-from tregsim.devices import HeaterParams, gaussian_peak_response, i_ctat, i_ptat, ph_current
+from tregsim.devices import gaussian_peak_response, i_ctat, i_ptat, ph_current
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import FRA_NETWORKS, _fra_frequencies, run_experiment
 from tregsim.madc import MadcConfig, charge_phase, convert, discharge_counts
@@ -28,6 +28,11 @@ from tregsim.thermal import cycle_map
 def small_array(rows=2, cols=2, seed=1, **kw):
     cfg = ArrayConfig(rows=rows, cols=cols, **kw)
     return TempArray(cfg, seed=seed)
+
+
+def duty_of_run(arr, u):
+    """The duty each of a run's codes u drives on arr: code 0 is the heater off."""
+    return np.where(u > 0, duty_of_code(arr.cfg.pwm, u), 0.0)
 
 
 def quiet_madc(noise=0.0, n_bits=9):
@@ -66,7 +71,7 @@ def test_r1_mismatch_restores_nominal_count():
     arr.calibrate_one_point(t_known=50.0)
     assert arr.cal_preload[0, 0] < 0
     count = arr.read_counts(50.0)[0, 0]
-    assert abs(count + 0.5 - arr.temp_map.counts_cont(50.0)) <= 1.0
+    assert abs(count + 0.5 - arr.cfg.temp_map.counts_cont(50.0)) <= 1.0
 
 
 def test_full_scale_must_exceed_largest_calibration_preload():
@@ -176,7 +181,7 @@ def per_cell_calibration(arr, t_known, n_avg=8):
     one cell_noise draw on its own stream and one discharge_counts
     call.  Returns the preloads and the failures."""
     madc = arr.cfg.madc
-    target = arr.temp_map.counts_cont(t_known)
+    target = arr.cfg.temp_map.counts_cont(t_known)
     cals = np.arange(*CAL_RANGE)
     i_in, i_ref = arr.front_end_currents(t_known)
     preload = np.zeros(i_in.shape, dtype=int)
@@ -250,7 +255,7 @@ def test_noisy_batches_keep_one_noise_block_live():
 def test_channel_spread_after_calibration():
     arr = TempArray(ArrayConfig(), seed=42)
     arr.calibrate_one_point(t_known=50.0)
-    reads = arr.temp_map.read_temperature(arr.read_counts(50.0)).ravel()
+    reads = arr.cfg.temp_map.read_temperature(arr.read_counts(50.0)).ravel()
     assert abs(reads.mean() - 50.0) <= 0.3
     assert reads.std() <= 0.25
 
@@ -263,7 +268,7 @@ def test_characterize_monotone_and_accurate(tmp_path):
     t_values = np.arange(20.0, 91.0, 5.0)
     counts = arr.characterize_sensor(t_values)
     assert np.all(np.diff(counts, axis=1) < 0)
-    die_mean_error = (arr.temp_map.read_temperature(counts) - t_values).mean(axis=0)
+    die_mean_error = (arr.cfg.temp_map.read_temperature(counts) - t_values).mean(axis=0)
     assert np.abs(die_mean_error).max() <= 0.5
     # the straight-line fit of the same die and sweep shows the curvature honestly
     settings = copy.deepcopy(SCHEMA)
@@ -333,7 +338,7 @@ def test_regulation_at_ambient_settles_dark():
     tail = res.t_true[-10:, 0, 0]
     assert tail.mean() - 25.0 <= 0.5
     assert np.abs(tail - 25.0).max() <= 0.85
-    assert res.duty[-10:].mean() <= 0.02
+    assert duty_of_run(arr, res.u[-10:]).mean() <= 0.02
 
 
 def test_regulation_setpoint_domain():
@@ -346,7 +351,7 @@ def test_plant_leaving_the_sensor_range_mid_run_raises():
     # inverted gains on a weak ambient path heat cells set below ambient
     # without bound: the cycle after the field passes 400 K raises, and
     # the array keeps the field and clock of its last whole cycle
-    gains = small_array(rows=1, cols=2, g_amb=1e-3).pid_coeffs
+    gains = small_array(rows=1, cols=2, g_amb=1e-3).cfg.pid_coeffs
     arr = small_array(rows=1, cols=2, g_amb=1e-3,
                       pid_gains=(-gains.kp, -gains.ki, -gains.kd))
     arr.calibrate_one_point()
@@ -370,7 +375,7 @@ def test_persistent_saturation_warnings():
     # saturated and warn every 12 s, the first 4 s cycle past the 10 s
     # limit; two neighbours saturate later, and saturation carries on
     # into the next call.  Each cycle's warnings are in row-major order.
-    arr = small_array(rows=2, cols=3, seed=3, heater=HeaterParams(p_max=0.1))
+    arr = small_array(rows=2, cols=3, seed=3, p_max=0.1)
     arr.calibrate_one_point()
     sp = np.full((2, 3), 40.0)
     sp[0, 1], sp[1, 2] = 90.0, 85.0
@@ -428,7 +433,7 @@ def test_small_step_overshoot_within_one_degree():
 
 def test_doubled_kp_still_stable():
     base = quiet_array(seed=31, noise=0.3)
-    kp, ki, kd = (base.pid_coeffs.kp, base.pid_coeffs.ki, base.pid_coeffs.kd)
+    kp, ki, kd = (base.cfg.pid_coeffs.kp, base.cfg.pid_coeffs.ki, base.cfg.pid_coeffs.kd)
     arr = quiet_array(seed=31, noise=0.3, pid_gains=(2 * kp, ki, kd))
     arr.calibrate_one_point()
     arr.run_regulation(45.0, 80.0)
@@ -466,7 +471,7 @@ def test_quantized_products_track_float_shadow():
     arr = quiet_array(seed=21)
     arr.calibrate_one_point()
     res = arr.run_regulation(45.0, 40.0, trace_conversions=True)
-    tm = arr.temp_map
+    tm = arr.cfg.temp_map
     n1 = arr.cfg.madc.n1_counts
     n_cycles = res.time.size
     for (cycle, r, c, slot, mag, preload, n_chg, n2, product) in zip(*res.conv_trace.values()):
@@ -523,14 +528,14 @@ def scalar_regulation(arr, sp, duration):
     its plain measurement conversion, all on its own stream.  Returns
     u, t_meas, t_true, duty, time, warnings and the conversion trace.
     """
-    cfg, madc, coeffs = arr.cfg, arr.cfg.madc, arr.pid_coeffs
+    cfg, madc, coeffs = arr.cfg, arr.cfg.madc, arr.cfg.pid_coeffs
     n1, scale = madc.n1_counts, madc.pid_charge_scale
     n_cycles = int(round(duration / cfg.pid_ts))
     cells = list(np.ndindex(sp.shape))
     cal = {rc: int(arr.cal_preload[rc]) for rc in cells}
     target, sd, bank, u_prev, since = {}, {}, {}, {}, {}
     for rc in cells:
-        r_set = arr.temp_map.counts_cont(sp[rc]) / (n1 - cal[rc])
+        r_set = arr.cfg.temp_map.counts_cont(sp[rc]) / (n1 - cal[rc])
         target[rc] = [(round(m * n1 * scale) - round(m * cal[rc] * scale)) * r_set - 0.5
                       for m in coeffs.magnitudes]
         sd[rc], bank[rc], u_prev[rc], since[rc] = [0.0] * 3, [[0] * 3] * 3, 0, None
@@ -567,7 +572,7 @@ def scalar_regulation(arr, sp, duration):
             u[k][rc] = u_prev[rc] = max(0, min(4095, raw))
             bank[rc] = [products, bank[rc][0], bank[rc][1]]
             duty[k][rc] = duty_of_code(cfg.pwm, u_prev[rc]) if u_prev[rc] > 0 else 0.0
-            powers[rc] = duty[k][rc] * cfg.heater.p_max
+            powers[rc] = duty[k][rc] * cfg.p_max
             if u_prev[rc] != raw or any(abs(p) >= 127 for p in products):
                 if since[rc] is None:
                     since[rc] = now
@@ -578,7 +583,7 @@ def scalar_regulation(arr, sp, duration):
                 since[rc] = None
             n2, _ = discharge_counts(madc, n1 - cal[rc], i_in[rc], i_ref[rc],
                                      cell_noise(madc, rng, ()))
-            t_meas[k][rc] = arr.temp_map.read_temperature(min(int(n2), madc.counter_max))
+            t_meas[k][rc] = arr.cfg.temp_map.read_temperature(min(int(n2), madc.counter_max))
         rise = a @ (temp - cfg.t_ambient).ravel() + b @ powers.ravel()
         temp = cfg.t_ambient + rise.reshape(temp.shape)
         now += cfg.pid_ts
@@ -591,10 +596,10 @@ def test_regulation_matches_per_cell_scalar_loop():
     # array-valued PID cycle; it must match a per-cell scalar loop under
     # mismatch and noise, with a zero tap (kd = 0) and a saturating cell
     base = small_array(rows=3, cols=2, seed=6)
-    gains = (base.pid_coeffs.kp, base.pid_coeffs.ki, 0.0)
+    gains = (base.cfg.pid_coeffs.kp, base.cfg.pid_coeffs.ki, 0.0)
     arr = small_array(rows=3, cols=2, seed=6, pid_gains=gains,
-                      heater=HeaterParams(p_max=0.1))
-    assert arr.pid_coeffs.mantissas[2] == 0 and 0 not in arr.pid_coeffs.mantissas[:2]
+                      p_max=0.1)
+    assert arr.cfg.pid_coeffs.mantissas[2] == 0 and 0 not in arr.cfg.pid_coeffs.mantissas[:2]
     assert arr.cfg.madc.conversion_noise_counts > 0 and arr.cfg.sigma_r1 > 0
     arr.calibrate_one_point()
     sp = np.full((3, 2), 40.0)
@@ -605,7 +610,7 @@ def test_regulation_matches_per_cell_scalar_loop():
     assert np.array_equal(res.u, u)
     assert np.array_equal(res.t_meas, t_meas)
     assert np.array_equal(res.t_true, t_true)
-    assert np.array_equal(res.duty, duty)
+    assert np.array_equal(duty_of_run(arr, res.u), duty)
     assert np.array_equal(res.time, time)
     assert res.warnings == warnings and len(warnings) >= 2
     rows = list(zip(*res.conv_trace.values()))
@@ -616,7 +621,7 @@ def test_regulation_matches_per_cell_scalar_loop():
 def test_null_controller_still_measures_every_cycle():
     # with no active tap a cycle's batch is the plain measurement alone
     arr = quiet_array(seed=3, pid_gains=(0.0, 0.0, 0.0))
-    assert arr.pid_coeffs.mantissas == (0, 0, 0)
+    assert arr.cfg.pid_coeffs.mantissas == (0, 0, 0)
     arr.calibrate_one_point()
     res = arr.run_regulation(40.0, 20.0, trace_conversions=True)
     assert np.all(res.u == 0) and list(zip(*res.conv_trace.values())) == []

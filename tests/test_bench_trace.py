@@ -13,8 +13,8 @@ import numpy as np
 
 from tregsim.array_sim import ArrayConfig, TempArray
 from tregsim.config import SCHEMA
-from tregsim.devices import HeaterParams
 from tregsim.experiments import run_experiment
+from tregsim.pwm import duty_of_code
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,7 +49,7 @@ def test_tracer_counts_equal_model_totals():
     # the schedule of test_array::test_persistent_saturation_warnings
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    arr = TempArray(ArrayConfig(rows=2, cols=3, heater=HeaterParams(p_max=0.1)), seed=3)
+    arr = TempArray(ArrayConfig(rows=2, cols=3, p_max=0.1), seed=3)
     with tracing.instrument(tracer):
         arr.calibrate_one_point()
         sp = np.full((2, 3), 40.0)
@@ -63,7 +63,7 @@ def test_tracer_counts_equal_model_totals():
     assert metrics["pid.cycles"] == n_cycles
     assert metrics["madc.conversions"] == n_cycles
 
-    assert metrics["pid.saturated_cycles"] == saturated_cycles(results, arr.pid_coeffs)
+    assert metrics["pid.saturated_cycles"] == saturated_cycles(results, arr.cfg.pid_coeffs)
     # calibration and measurement stay in range and nothing clips at the
     # integrator here: the converter saturates only where a loop
     # conversion's counter clamps, output != preload - n2
@@ -71,7 +71,8 @@ def test_tracer_counts_equal_model_totals():
     assert metrics["madc.saturated"] == np.count_nonzero(-trace[:, 8] != trace[:, 5] - trace[:, 7])
     pwm = arr.cfg.pwm
     u = np.concatenate([r.u for r in results])
-    duty = np.concatenate([r.duty for r in results])
+    # code 0 is the heater off
+    duty = np.where(u > 0, duty_of_code(pwm, u), 0.0)
     assert metrics["pwm.clamp_hits"] == np.count_nonzero(
         (u > 0) & ((duty <= pwm.duty_min) | (duty >= pwm.duty_max)))
     # the counts the per-cell loop gave on this schedule

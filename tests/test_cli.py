@@ -333,6 +333,19 @@ dir = %s
     # its harmonic bins misplaced, and both exited 0
     ("snr_test", {"snr": "freq = 0.3"}, "snr.freq"),
     ("snr_test", {"snr": "freq = 0.9"}, "snr.freq"),
+    # a design map whose count slope is nan (r1, alpha) or 0 (r2): the
+    # default tuning exited 1 with a ValueError or a ZeroDivisionError
+    ("regulation_steps", {"devices": "r1 = 1e-320"}, "devices.r1"),
+    ("characterize_sensor", {"devices": "r1 = 1e-320"}, "devices.r1"),
+    ("die_error_sweep", {"devices": "alpha = 1e-320"}, "devices.alpha"),
+    ("channel_spread", {"devices": "alpha = 1e-320"}, "devices.alpha"),
+    ("characterize_sensor", {"devices": "r2 = 1e-320"}, "devices.r2"),
+    ("die_error_sweep", {"devices": "r2 = 1e-320"}, "devices.r2"),
+    # a plant so slow against the PID period that the tuning's per-cycle
+    # count gain is nan (g_amb) or 0 (c_th): the same two tracebacks
+    ("regulation_steps", {"thermal": "g_amb = 1e-320"}, "thermal.g_amb"),
+    ("channel_spread", {"thermal": "g_amb = 1e-320"}, "thermal.g_amb"),
+    ("regulation_steps", {"thermal": "c_th = 1e300"}, "thermal.c_th"),
 ])
 def test_degenerate_sweep_or_count_exits_2_without_outputs(
         tmp_path, capsys, experiment, settings, key):

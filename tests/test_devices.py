@@ -7,8 +7,8 @@ import pytest
 
 from tregsim import array_sim
 from tregsim.array_sim import ArrayConfig, TempArray, _fra_grid_point
-from tregsim.devices import (BjtParams, CurrentSourceParams, HeaterParams, delta_vbe, i_ctat,
-                             i_ptat, ph_current, vbe)
+from tregsim.devices import (BjtParams, CurrentSourceParams, delta_vbe, i_ctat, i_ptat,
+                             ph_current, vbe)
 from tregsim.errors import ConfigurationError, DomainError
 from tregsim.experiments import FRA_NETWORKS
 from tregsim.madc import MadcConfig
@@ -100,7 +100,7 @@ def test_param_validation():
     with pytest.raises(ConfigurationError):
         CurrentSourceParams(bias_current_ratio=1.0)
     with pytest.raises(ConfigurationError):
-        HeaterParams(p_max=0.0)
+        ArrayConfig(p_max=0.0)
 
 
 def test_ph_current_response():

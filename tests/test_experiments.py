@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tregsim
-from tregsim import experiments
+from tregsim import experiments, thermal
 from tregsim.array_sim import TempArray, run_cv
 from tregsim.config import SCHEMA
 from tregsim.errors import ConfigurationError
@@ -179,17 +179,16 @@ def test_measurement_modes_never_load_numpy_random(tmp_path):
     assert loads_random("regulation_steps") == "True"
 
 
-def test_arrays_on_one_config_share_its_derivations():
+def test_arrays_on_one_config_share_its_derivations(monkeypatch):
     # a die sweep derives its channel once: every array built on one
-    # config holds the config's design map and loop coefficients, and
-    # reads what a die built from the settings alone reads
+    # config reads the config's design map, loop coefficients and plant
+    # map, and reads what a die built from the settings alone reads
     settings = copy.deepcopy(SCHEMA)
     settings["experiment"].update(name="die_error_sweep", seed=5)
     cfg = array_config(settings)
     seeds = np.random.SeedSequence(5).spawn(2)
     dies = [TempArray(cfg, seed=s) for s in seeds]
-    assert dies[0].temp_map is dies[1].temp_map is cfg.temp_map
-    assert dies[0].pid_coeffs is dies[1].pid_coeffs is cfg.pid_coeffs
+    assert all(die.cfg is cfg for die in dies)
     t_values = np.arange(20.0, 91.0, 10.0)
     for die, s in zip(dies, seeds):
         settings["experiment"]["seed"] = s
@@ -205,3 +204,24 @@ def test_arrays_on_one_config_share_its_derivations():
     assert "temp_map" not in repr(cfg) and "pid_coeffs" not in repr(cfg)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.c_th = 1.0
+    # the plant map is built once, on the first regulation run, and both dies regulate on it
+    maps = []
+    build = thermal.cycle_map
+    monkeypatch.setattr(thermal, "cycle_map", lambda *args: maps.append(build(*args)) or maps[-1])
+    for die in dies:
+        die.run_regulation(40.0, cfg.pid_ts)
+    assert len(maps) == 1 and cfg.cycle_map is maps[0]
+
+
+@pytest.mark.parametrize("name", ["characterize_sensor", "die_error_sweep", "channel_spread"])
+def test_calibration_and_sweeps_never_build_the_plant_map(tmp_path, monkeypatch, name):
+    # the plant map is built on a config's first regulation run: the
+    # sensing experiments only calibrate and sweep, so they leave it unbuilt
+    configs = []
+    monkeypatch.setattr(experiments, "array_config",
+                        lambda settings: configs.append(array_config(settings)) or configs[-1])
+    settings = copy.deepcopy(SCHEMA)
+    settings["experiment"].update(name=name, seed=5)
+    settings["characterize"]["n_dies"] = settings["spread"]["n_seeds"] = 2
+    run_experiment(settings, str(tmp_path))
+    assert configs and all("cycle_map" not in vars(cfg) for cfg in configs)

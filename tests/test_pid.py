@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tregsim.devices import HeaterParams
+from tregsim.array_sim import ArrayConfig
 from tregsim.madc import COEFF_LEVELS
 from tregsim.pid import (PidCoefficients, PidState, default_tuning, pid_cycle,
                          quantization_deviation_bound,
@@ -143,7 +143,7 @@ def test_bank_products_saturate_at_8bit_range():
 
 def test_idle_tap_banks_zero_products():
     # a zero-mantissa tap converts nothing and banks 0, whatever the bank held
-    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 127, -127, 0)
+    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, (127, -127, 0))
     st = PidState(u_prev=100)
     st.bank[...] = 5
     assert coeffs.active == [0, 1]
@@ -176,7 +176,7 @@ def test_dither_carries_when_the_accumulator_reaches_one():
 
 
 def test_default_tuning_properties():
-    c_th, g_amb, _ = fit_defaults(HeaterParams().p_max)
+    c_th, g_amb, _ = fit_defaults(ArrayConfig.p_max)
     kp, ki, kd = default_tuning(c_th, g_amb, 0.27, 19.2, 4.0)
     assert ki > 0  # integral action present: no steady-state offset
     assert kp > 0 and kd > 0
@@ -199,7 +199,7 @@ def test_pid_cycle_matches_integer_model(exponent, mantissas):
     #   u(k) = clamp(u(k-1) + 2**e * (s0 p0(k) + s1 p1(k-1) + s2 p2(k-2)))
     # with the floor taken for e < 0 and each product clamped to +-127
     rng = np.random.default_rng(31 + exponent)
-    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, exponent, *mantissas)
+    coeffs = PidCoefficients(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, exponent, mantissas)
     signs = [1 if q >= 0 else -1 for q in mantissas]
     active = [n for n in range(3) if mantissas[n] != 0]
     measured = {}

@@ -5,11 +5,10 @@ import pytest
 
 from tregsim import thermal
 from tregsim.array_sim import ArrayConfig, TempArray
-from tregsim.devices import HeaterParams
 from tregsim.errors import ConfigurationError
 from tregsim.thermal import _lateral_flux, cycle_map, fit_defaults, step_temps
 
-C_TH, G_AMB, G_LAT = fit_defaults(HeaterParams().p_max)
+C_TH, G_AMB, G_LAT = fit_defaults(ArrayConfig.p_max)
 DT = 1e-3
 PERIOD = 4.0
 
@@ -190,7 +189,7 @@ def test_plant_parameters_checked():
                               g_lat=G_LAT), 0)
     # fitted values keep the rules too: this p_max fits c_th and g_amb that round to 0
     with pytest.raises(ConfigurationError, match="thermal.c_th"):
-        ArrayConfig(heater=HeaterParams(p_max=1e-323))
+        ArrayConfig(p_max=1e-323)
 
 
 def test_fit_defaults_values(monkeypatch):
