@@ -88,6 +88,11 @@ class ArrayConfig:
         require(self.madc.counter_max > largest, "madc.n_bits",
                 f">= {largest.bit_length()}, for a full scale 2**n_bits above the "
                 f"largest calibration preload {largest}", self.madc.n_bits)
+        # the loop's stretched charge counts, 2**n_bits * pid_charge_scale at
+        # full scale, are floats: above 2**52 float64 cannot hold them all
+        require(self.madc.pid_n1_counts <= 2 ** 52, "madc.pid_charge_scale",
+                f"at most 2**(52 - madc.n_bits) = {2 ** 52 // self.madc.n1_counts} at "
+                f"madc.n_bits = {self.madc.n_bits}", self.madc.pid_charge_scale)
         # the loop's coefficients, on the count slope of its stretched charge phase
         with np.errstate(all="ignore"):     # a map that overflows fails the check below
             object.__setattr__(self, "temp_map", TemperatureMap(self.madc, self.bjt,

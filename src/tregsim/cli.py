@@ -3,7 +3,8 @@
 Usage: sim CONFIG [--out DIR] [--seed N] [--list]
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 usage or configuration error, including a config value outside the
-model's domain.
+model's domain.  README's "Rejected configs" table, read from
+tests/rejections.py, lists every exit-2 case that the tests and CI run.
 """
 
 import argparse

@@ -121,7 +121,10 @@ def array_config(settings):
 # --------------------------------------------------------------------------
 # sensing characterization
 
-MAX_SWEEP_POINTS = 2 ** 12  # 58x the default sweep's 71 points
+# A characterization sweep holds at most MAX_SWEEP_POINTS points, 58x the
+# default sweep's 71.  At the budget a `characterize_sensor` run peaked at
+# about 52 MB under tracemalloc (99 MB RSS untraced)
+MAX_SWEEP_POINTS = 2 ** 12
 
 
 def _sweep_temperatures(settings):
@@ -428,8 +431,9 @@ def exp_pid_oracle(settings, outdir):
 
 # the narrowest converter each measurement mode's experiment runs on: one bit
 # narrower, it fails a check at the defaults (cpa_ph reads a derating of 0.857
-# at 5 bits, bound [0.88, 0.92]; fra_sweep a 2.48 % magnitude error at 6 bits,
-# bound 2 %; cv_scan a 1.022 mV peak error at 7 bits, bound 1 mV)
+# at 5 bits, bound [0.88, 0.92]; fra_sweep a magnitude error of 2.48 / 1.65 /
+# 0.68 % at 6 / 7 / 8 bits, bound 2 %; cv_scan a peak error of 4.96 / 1.022 /
+# 0.342 mV at 6 / 7 / 8 bits, bound 1 mV)
 MODE_MIN_BITS = {"cpa_ph": 6, "fra_sweep": 7, "cv_scan": 8}
 
 
@@ -633,11 +637,15 @@ def list_experiments():
 
 
 def _outermost_missing_dir(path):
-    """The outermost directory on `path` that does not exist yet, or None."""
+    """The outermost directory on `path` that does not exist yet, or None.
+    Rejects a path whose longest existing prefix is not a directory."""
     path = os.path.abspath(path)
     missing = None
     while not os.path.exists(path):
         missing, path = path, os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"output.dir must be a directory path, but {path} "
+                                 "is not a directory")
     return missing
 
 
@@ -655,7 +663,10 @@ def run_experiment(settings, outdir):
         raise ConfigurationError(f"experiment.seed is required for {name}")
     settings = checked(settings)
     created = _outermost_missing_dir(outdir)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output.dir {outdir}: {exc.strerror}") from exc
     try:
         checks = EXPERIMENTS[name][0](settings, outdir)
         write_csv(os.path.join(outdir, "summary.csv"),

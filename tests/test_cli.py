@@ -1,5 +1,7 @@
 import copy
+import itertools
 import os
+import pathlib
 import tempfile
 import time
 
@@ -8,12 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rejections import BY_ID, CASES, CONFIG, OUTPUT, Case, problems, write
 from tregsim import experiments
 from tregsim.cli import main
 from tregsim.config import SCHEMA, load_config
 from tregsim.errors import ConfigurationError
 from tregsim.experiments import (EXPERIMENTS, MADC_ORACLE_MAX_BITS, STOCHASTIC_EXPERIMENTS,
                                  _fra_frequencies, list_experiments, run_experiment)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, body):
@@ -113,79 +119,46 @@ n_bits = {n_bits}
     assert (out / f"{experiment}.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("pwm.dooty_min", "0.04"),
-    # keys that once existed but changed no output
-    ("madc.t_rd_counts", "16"),
-    ("devices.chopper_on", "true"),
-])
-def test_malformed_key_rejected_without_outputs(tmp_path, key, value):
-    out = tmp_path / "out"
-    section, name = key.split(".")
-    cfg = write_config(tmp_path / "bad.cfg", """
-[experiment]
-name = pwm_sweep
-seed = 1
-
-[%s]
-%s = %s
-
-[output]
-dir = %s
-""" % (section, name, value, out))
-    assert main([cfg]) == 2
-    assert not out.exists()
+def run_case(case, directory, monkeypatch, *args):
+    """The exit code of sim, run in directory on case's config and args."""
+    monkeypatch.chdir(directory)
+    write(case, directory)
+    return main([CONFIG, *args])
 
 
-@pytest.mark.parametrize("experiment, key, value", [
-    ("regulation_steps", "regulation.setpoints", "95"),
-    ("fra_sweep", "is_mode.f_hi", "20000"),
-    ("fra_sweep", "is_mode.f_lo", "0.05"),
-])
-def test_domain_error_exits_2_without_outputs(tmp_path, capsys, experiment,
-                                              key, value):
-    out = tmp_path / "out"
-    section, name = key.split(".")
-    cfg = write_config(tmp_path / "domain.cfg", """
-[experiment]
-name = %s
-seed = 1
-
-[%s]
-%s = %s
-
-[output]
-dir = %s
-""" % (experiment, section, name, value, out / "run"))
-    assert main([cfg]) == 2
-    err = capsys.readouterr().err
-    assert "config error:" in err
-    assert key in err
-    assert not out.exists()
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_rejected_config_exits_2(tmp_path, monkeypatch, capsys, case):
+    # each exits 2 with a one-line message that names its keys, and no
+    # output directory left; rejections.py says why each is rejected
+    code = run_case(case, tmp_path, monkeypatch)
+    assert problems(case, code, capsys.readouterr().err, tmp_path) == []
 
 
-def test_over_long_is_period_exits_2_quickly_without_outputs(tmp_path, capsys):
+def test_over_long_is_period_exits_2_quickly_without_outputs(tmp_path, monkeypatch, capsys):
     # at f_clk = 1e10 the 0.1 Hz point would take one 48.8M-conversion
     # period; it is rejected before any table is built
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "long.cfg", """
-[experiment]
-name = fra_sweep
-seed = 1
-
-[madc]
-f_clk = 1e10
-
-[output]
-dir = %s
-""" % (out / "run"))
+    case = BY_ID["is_period_too_long"]
     start = time.perf_counter()
-    assert main([cfg]) == 2
+    code = run_case(case, tmp_path, monkeypatch)
     assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    for key in ("madc.f_clk", "madc.n_bits", "is_mode.f_lo"):
-        assert key in err
-    assert not out.exists()
+    assert problems(case, code, capsys.readouterr().err, tmp_path) == []
+
+
+def test_negative_seed_flag_exits_2(tmp_path, monkeypatch, capsys):
+    # --seed -1 on a config whose own seed runs is rejected as seed = -1
+    # in the config is
+    case = BY_ID["negative_seed"]
+    code = run_case(case._replace(config={}), tmp_path, monkeypatch, "--seed", "-1")
+    assert problems(case, code, capsys.readouterr().err, tmp_path) == []
+
+
+def test_readme_rejection_table_is_the_cases():
+    text = README.read_text().split("### Rejected configs\n", 1)[1]
+    rows = text[text.index("| id | experiment | keys | reason |"):].splitlines()[2:]
+    assert list(itertools.takewhile(lambda row: row.startswith("|"), rows)) == [
+        f"| `{case.id}` | `{case.experiment}` | {', '.join(f'`{key}`' for key in case.keys)} "
+        f"| {case.reason} |" for case in CASES]
+    assert len(BY_ID) == len(CASES)
 
 
 @pytest.mark.parametrize("f_lo, f_hi, per_decade, n_pts", [
@@ -210,229 +183,34 @@ def test_fra_grid_stays_inside_f_lo_f_hi(f_lo, f_hi, per_decade, n_pts):
     assert f_lo * 10.0 ** (n_pts / per_decade) > f_hi
 
 
-@pytest.mark.parametrize("key, value", [
-    ("regulation.plateau_s", "nan"),
-    ("regulation.plateau_s", "inf"),
-    ("regulation.setpoints", "nan 45"),
-])
-def test_non_finite_number_exits_2_without_outputs(tmp_path, capsys, key,
-                                                   value):
-    out = tmp_path / "out"
-    section, name = key.split(".")
-    cfg = write_config(tmp_path / "nonfinite.cfg", """
-[experiment]
-name = regulation_steps
-seed = 1
-
-[%s]
-%s = %s
-
-[output]
-dir = %s
-""" % (section, name, value, out))
-    assert main([cfg]) == 2
-    assert key in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("experiment, settings, key", [
-    ("characterize_sensor", {"characterize": "t_step = 0"}, "characterize.t_step"),
-    ("characterize_sensor", {"characterize": "t_step = -1"}, "characterize.t_step"),
-    ("die_error_sweep", {"characterize": "t_lo = 90\nt_hi = 20"},
-     "characterize.t_lo"),
-    ("characterize_sensor", {"characterize": "t_hi = 21\nt_step = 5"},
-     "characterize.t_step"),
-    ("die_error_sweep", {"characterize": "n_dies = 0"}, "characterize.n_dies"),
-    ("channel_spread", {"spread": "n_seeds = 0"}, "spread.n_seeds"),
-    ("characterize_sensor", {"array": "rows = 0"}, "array.rows"),
-    ("channel_spread", {"array": "cols = 0"}, "array.cols"),
-    ("characterize_sensor", {"madc": "conversion_noise_counts = -1"},
-     "madc.conversion_noise_counts"),
-    ("fra_sweep", {"is_mode": "f_lo = 100\nf_hi = 10"}, "is_mode.f_lo"),
-    ("fra_sweep", {"is_mode": "f_lo = 0"}, "is_mode.f_lo"),
-    ("fra_sweep", {"is_mode": "amplitude = 0"}, "is_mode.amplitude"),
-    ("fra_sweep", {"is_mode": "amplitude = -0.01"}, "is_mode.amplitude"),
-    ("fra_sweep", {"is_mode": "points_per_decade = 0"},
-     "is_mode.points_per_decade"),
-    ("fra_sweep", {"is_mode": "n_periods = 0"}, "is_mode.n_periods"),
-    ("characterize_sensor", {"characterize": "t_hi = 94.5"},
-     "characterize.t_hi"),
-    ("die_error_sweep", {"characterize": "t_lo = 15"}, "characterize.t_lo"),
-    # a partial PID tuning was silently replaced by the default one
-    ("regulation_steps", {"pid": "ki = 50\nkd = 30"}, "pid.kp"),
-    ("regulation_steps", {"pid": "kp = 20"}, "pid.ki"),
-    # a straight-line fit needs two pH points
-    ("cpa_ph", {"cpa": "ph_steps = 1"}, "cpa.ph_steps"),
-    ("snr_test", {"snr": "n_samples = 1"}, "snr.n_samples"),
-    ("snr_test", {"snr": "freq = -15"}, "snr.freq"),
-    ("madc_oracle", {"oracle": "n_draws = 0"}, "oracle.n_draws"),
-    ("pid_oracle", {"oracle": "n_tuples = 0"}, "oracle.n_tuples"),
-    ("pid_oracle", {"oracle": "n_steps = 0"}, "oracle.n_steps"),
-    ("regulation_steps", {"regulation": "setpoints ="}, "regulation.setpoints"),
-    ("pwm_sweep", {"pwm": "tap_mismatch_sigma = -1"}, "pwm.tap_mismatch_sigma"),
-    ("channel_spread", {"spread": "t_force = 95"}, "spread.t_force"),
-    ("die_error_sweep", {"mismatch": "sigma_r1 = -0.01"}, "mismatch.sigma_r1"),
-    # a full scale at or below the largest calibration preload (63)
-    ("characterize_sensor", {"madc": "n_bits = 0"}, "madc.n_bits"),
-    ("regulation_steps", {"madc": "n_bits = 3"}, "madc.n_bits"),
-    ("regulation_steps", {"madc": "n_bits = 5"}, "madc.n_bits"),
-    # the experiments that convert without an array read the madc section
-    ("snr_test", {"madc": "n_bits = -1"}, "madc.n_bits"),
-    ("madc_oracle", {"madc": "n_bits = 0"}, "madc.n_bits"),
-    ("snr_test", {"madc": "f_clk = 0"}, "madc.f_clk"),
-    # above 21 bits float64 cannot resolve the crossing guard exactly
-    ("madc_oracle", {"madc": "n_bits = 22"}, "madc.n_bits"),
-    # 1.4M samples, over the 2**20 budget of a CV scan
-    ("cv_scan", {"cv": "scan_rate = 1e-4"}, "cv.scan_rate"),
-    # one pH point repeated: the slope fit read 0 and the run exited 1
-    ("cpa_ph", {"cpa": "ph_lo = 7\nph_hi = 7"}, "cpa.ph_lo"),
-    # pH ends whose currents saturate the CPA full scale: the slope fit
-    # collapsed to -7.5e-26 and the run exited 1
-    ("cpa_ph", {"cpa": "ph_lo = 20\nph_hi = 30"}, "cpa.ph_lo"),
-    # 70000001 sweep points: the run died in an allocation error, exit 1
-    ("characterize_sensor", {"characterize": "t_step = 1e-6"}, "characterize.t_step"),
-    # a converter narrower than the measurement modes' floors
-    # (experiments.MODE_MIN_BITS): without them, each exited 1 at 5 bits
-    # (fra_sweep read a 6.41 % magnitude error against 2 %)
-    ("fra_sweep", {"madc": "n_bits = 5"}, "madc.n_bits"),
-    ("cpa_ph", {"madc": "n_bits = 5"}, "madc.n_bits"),
-    # setpoints below the 25 degC ambient, which the heater cannot cool
-    # to: the run read steady-state errors of 5.0 and 4.0 degC and exited 1
-    ("regulation_steps", {"regulation": "setpoints = 20 21"}, "regulation.setpoints"),
-    # the measurement modes' floor, as for fra_sweep and cpa_ph above
-    ("cv_scan", {"madc": "n_bits = 5"}, "madc.n_bits"),
-    # one bit under each mode's own floor: fra_sweep read a 2.48 % magnitude
-    # error (bound 2 %) and cv_scan a 1.022 mV peak error (bound 1 mV), exit 1
-    ("fra_sweep", {"madc": "n_bits = 6"}, "madc.n_bits"),
-    ("cv_scan", {"madc": "n_bits = 7"}, "madc.n_bits"),
-    # a counter wider than 52 bits, whose counts float64 cannot all hold:
-    # regulation_steps exited 1 with a TypeError at 61 and 62 bits and an
-    # OverflowError at 63, characterize_sensor with an OverflowError
-    ("regulation_steps", {"madc": "n_bits = 63"}, "madc.n_bits"),
-    ("characterize_sensor", {"madc": "n_bits = 63"}, "madc.n_bits"),
-    # a step in the subnormals makes the sweep's point count inf: both
-    # sweeps exited 1 with an OverflowError from its ceiling
-    ("die_error_sweep", {"characterize": "t_step = 1e-320"}, "characterize.t_step"),
-    ("characterize_sensor", {"characterize": "t_step = 1e-320"}, "characterize.t_step"),
-    # a clock or full scale so small that a mode's ranged integration cap is
-    # inf: each exited 2 naming madc.c_int, a key the config did not set
-    ("cpa_ph", {"madc": "f_clk = 5e-324"}, "madc.f_clk"),
-    ("cv_scan", {"madc": "v_full = 5e-324"}, "madc.v_full"),
-    ("madc_oracle", {"madc": "v_full = 5e-324"}, "madc.v_full"),
-    # a clock so small that an IS point's cycle count in 64 conversions is
-    # not finite: fra_sweep exited 1 with a ZeroDivisionError at 5e-324 and
-    # an OverflowError at 1e-300
-    ("fra_sweep", {"madc": "f_clk = 5e-324"}, "madc.f_clk"),
-    ("fra_sweep", {"madc": "f_clk = 1e-300"}, "madc.f_clk"),
-    # 5e12 IS points, over the 2**12 budget: the run died in an allocation
-    # error, exit 1
-    ("fra_sweep", {"is_mode": "points_per_decade = 1000000000000"},
-     "is_mode.points_per_decade"),
-    # a tone that snaps into the DC guard bins 0-3: at 1 cycle the run read
-    # 112.5 dB with nearly every noise bin masked, at 3 cycles 60.74 dB with
-    # its harmonic bins misplaced, and both exited 0
-    ("snr_test", {"snr": "freq = 0.3"}, "snr.freq"),
-    ("snr_test", {"snr": "freq = 0.9"}, "snr.freq"),
-    # a design map whose count slope is nan (r1, alpha) or 0 (r2): the
-    # default tuning exited 1 with a ValueError or a ZeroDivisionError
-    ("regulation_steps", {"devices": "r1 = 1e-320"}, "devices.r1"),
-    ("characterize_sensor", {"devices": "r1 = 1e-320"}, "devices.r1"),
-    ("die_error_sweep", {"devices": "alpha = 1e-320"}, "devices.alpha"),
-    ("channel_spread", {"devices": "alpha = 1e-320"}, "devices.alpha"),
-    ("characterize_sensor", {"devices": "r2 = 1e-320"}, "devices.r2"),
-    ("die_error_sweep", {"devices": "r2 = 1e-320"}, "devices.r2"),
-    # a plant so slow against the PID period that the tuning's per-cycle
-    # count gain is nan (g_amb) or 0 (c_th): the same two tracebacks
-    ("regulation_steps", {"thermal": "g_amb = 1e-320"}, "thermal.g_amb"),
-    ("channel_spread", {"thermal": "g_amb = 1e-320"}, "thermal.g_amb"),
-    ("regulation_steps", {"thermal": "c_th = 1e300"}, "thermal.c_th"),
-])
-def test_degenerate_sweep_or_count_exits_2_without_outputs(
-        tmp_path, capsys, experiment, settings, key):
-    assert_exits_2_without_outputs(tmp_path, capsys, experiment, settings, key)
-
-
-@pytest.mark.parametrize("ts", ["0.0005", "1e-21"])
-def test_pid_period_below_floor_exits_2(tmp_path, capsys, ts):
-    # a PID period below the 1 ms floor; at 1e-21 s the tuning divided by
-    # zero and the run exited 1 with a traceback.  characterize_sensor
-    # builds the array, which reads pid.ts.
-    assert_exits_2_without_outputs(tmp_path, capsys, "characterize_sensor",
-                                   {"pid": f"ts = {ts}"}, "pid.ts")
-
-
-def assert_exits_2_without_outputs(tmp_path, capsys, experiment, settings, key):
-    out = tmp_path / "out"
-    sections = "".join(f"\n[{sec}]\n{body}\n" for sec, body in settings.items())
-    cfg = write_config(tmp_path / "degenerate.cfg", """
-[experiment]
-name = %s
-seed = 1
-%s
-[output]
-dir = %s
-""" % (experiment, sections, out))
-    assert main([cfg]) == 2
-    assert key in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_characterize_sweep_budget(tmp_path, capsys, monkeypatch):
+def test_characterize_sweep_budget(tmp_path, monkeypatch, capsys):
     # a sweep of MAX_SWEEP_POINTS points runs, and one a point longer
     # exits 2 naming characterize.t_step, without outputs
     monkeypatch.setattr(experiments, "MAX_SWEEP_POINTS", 11)
-    for t_hi, code in ((30, 0), (31, 2)):
-        out = tmp_path / f"out{t_hi}"
-        cfg = write_config(tmp_path / f"sweep{t_hi}.cfg", f"""
-[experiment]
-name = characterize_sensor
-seed = 1
-
-[array]
-rows = 1
-cols = 2
-
-[characterize]
-t_lo = 20
-t_hi = {t_hi}
-t_step = 1
-
-[output]
-dir = {out}
-""")
-        assert main([cfg]) == code
-        if code:
-            assert "characterize.t_step" in capsys.readouterr().err
-            assert not out.exists()
-        else:
-            assert len((out / "transfer.csv").read_text().splitlines()) == 1 + 2 * 11
+    fits, over = (Case("budget", "characterize_sensor", {
+        "array.rows": 1, "array.cols": 2, "characterize.t_lo": 20, "characterize.t_hi": t_hi,
+        "characterize.t_step": 1}, ("characterize.t_step",), "") for t_hi in (30, 31))
+    assert_budget(tmp_path, monkeypatch, capsys, fits, over, "transfer.csv")
 
 
-def test_is_sweep_budget(tmp_path, capsys, monkeypatch):
+def test_is_sweep_budget(tmp_path, monkeypatch, capsys):
     # a sweep of MAX_FRA_POINTS points runs, and one a point longer exits 2
     # naming is_mode.points_per_decade, without outputs
     monkeypatch.setattr(experiments, "MAX_FRA_POINTS", 11)
-    for per_decade, code in ((10, 0), (11, 2)):
-        out = tmp_path / f"out{per_decade}"
-        cfg = write_config(tmp_path / f"sweep{per_decade}.cfg", f"""
-[experiment]
-name = fra_sweep
-seed = 1
+    fits, over = (Case("budget", "fra_sweep", {
+        "is_mode.f_lo": 1, "is_mode.f_hi": 10, "is_mode.points_per_decade": per_decade},
+        ("is_mode.points_per_decade",), "") for per_decade in (10, 11))
+    assert_budget(tmp_path, monkeypatch, capsys, fits, over, "fra_sweep.csv")
 
-[is_mode]
-f_lo = 1
-f_hi = 10
-points_per_decade = {per_decade}
 
-[output]
-dir = {out}
-""")
-        assert main([cfg]) == code
-        if code:
-            assert "is_mode.points_per_decade" in capsys.readouterr().err
-            assert not out.exists()
-        else:
-            assert len((out / "fra_sweep.csv").read_text().splitlines()) == 1 + 2 * 11
+def assert_budget(tmp_path, monkeypatch, capsys, fits, over, csv):
+    """fits writes 11 points to csv; over, a point longer, is rejected."""
+    (tmp_path / "fits").mkdir()
+    assert run_case(fits, tmp_path / "fits", monkeypatch) == 0
+    assert len((tmp_path / "fits" / OUTPUT / csv).read_text().splitlines()) == 1 + 2 * 11
+    (tmp_path / "over").mkdir()
+    code = run_case(over, tmp_path / "over", monkeypatch)
+    assert problems(over, code, capsys.readouterr().err, tmp_path / "over") == []
 
 
 @pytest.mark.parametrize("f_clk", [1, 12])
@@ -567,41 +345,9 @@ n_bits = nine
         load_config(cfg)
 
 
-@pytest.mark.parametrize("body, message", [
-    # a % began an interpolation, which configparser rejected
-    ("[experiment]\nname = pwm_sweep\nseed = 7%\n", "experiment.seed: expected an "
-     "integer, got '7%'"),
-    ("[experiment]\nname = pwm_sweep\nseed = 7\nseed = 8\n",
-     "{cfg}, line 4: duplicate key experiment.seed"),
-    ("[experiment]\nname = pwm_sweep\nseed = 7\n[experiment]\nseed = 8\n",
-     "{cfg}, line 4: duplicate section [experiment]"),
-    ("name = pwm_sweep\n[experiment]\nseed = 7\n", "{cfg}, line 1: 'name = pwm_sweep'"),
-    ("[experiment]\nname = pwm_sweep\nseed 7\n", "{cfg}, line 3: expected key = value"),
-    # bytes 0xff 0xfe in a comment: a UnicodeDecodeError traceback
-    ("[experiment]\nname = pwm_sweep\nseed = 7\n# \xff\xfe\n", "{cfg}, byte 41: not UTF-8 text"),
-], ids=["percent", "duplicate_key", "duplicate_section", "no_section_header", "no_equals",
-        "invalid_utf8"])
-def test_malformed_file_exits_2_without_outputs(tmp_path, capsys, body, message):
-    # each exited 1 with a configparser traceback
-    out = tmp_path / "out"
-    cfg = str(tmp_path / "bad.cfg")
-    # one byte per character, so a body can hold bytes that are not UTF-8
-    (tmp_path / "bad.cfg").write_bytes(f"{body}\n[output]\ndir = {out}\n".encode("latin-1"))
-    assert main([cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message.format(cfg=cfg) in err
-    assert not out.exists()
-
-
 def test_percent_in_a_value_is_literal(tmp_path):
     cfg = write_config(tmp_path / "pct.cfg", GOOD.format(out="out%(x)s%"))
     assert load_config(cfg)["output"]["dir"] == "out%(x)s%"
-
-
-def test_unknown_experiment_exits_2(tmp_path):
-    cfg = write_config(tmp_path / "c4.cfg",
-                       "[experiment]\nname = not_a_thing\n")
-    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_missing_config_usage_error():
@@ -616,40 +362,22 @@ def test_seed_override(tmp_path):
     assert (out2 / "summary.csv").exists()
 
 
-def test_seed_override_supplies_a_missing_seed(tmp_path, capsys):
+def test_seed_override_supplies_a_missing_seed(tmp_path, monkeypatch, capsys):
     # a stochastic config without experiment.seed runs on --seed, as on
     # the same seed in the config; load_config required the seed before
     # the override was applied, and the run exited 2
-    outs = [tmp_path / name for name in ("config", "missing", "override")]
-    with_seed = write_config(tmp_path / "seed.cfg", GOOD.format(out=outs[0]))
-    without = write_config(tmp_path / "noseed.cfg",
-                           GOOD.format(out=outs[1]).replace("seed = 7\n", ""))
-    assert main([with_seed]) == 0
-    assert main([without]) == 2
-    assert "experiment.seed" in capsys.readouterr().err
-    assert not outs[1].exists()
-    assert main([without, "--seed", "7", "--out", str(outs[2])]) == 0
-    for name in os.listdir(outs[0]):
-        assert (outs[2] / name).read_bytes() == (outs[0] / name).read_bytes()
-
-
-@pytest.mark.parametrize("in_config", [True, False])
-def test_negative_seed_exits_2_without_outputs(tmp_path, capsys, in_config):
-    # numpy's seed sequences take no negative int: the run ended in its
-    # ValueError traceback, exit 1, from the config and from --seed alike
-    out = tmp_path / "out"
-    body = GOOD.format(out=out)
-    if in_config:
-        body = body.replace("seed = 7", "seed = -1")
-    cfg = write_config(tmp_path / "seed.cfg", body)
-    assert main([cfg] if in_config else [cfg, "--seed", "-1"]) == 2
-    assert "experiment.seed" in capsys.readouterr().err
-    assert not out.exists()
+    case = BY_ID["no_seed"]
+    code = run_case(case, tmp_path, monkeypatch)
+    assert problems(case, code, capsys.readouterr().err, tmp_path) == []
+    assert main([CONFIG, "--seed", "1", "--out", "override"]) == 0
+    assert run_case(case._replace(config={}), tmp_path, monkeypatch) == 0
+    run, override = tmp_path / OUTPUT, tmp_path / "override"
+    for name in os.listdir(run):
+        assert (override / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_defaults_complete():
     # every experiment can run off schema defaults plus a seed
-    settings = {sec: dict(keys) for sec, keys in SCHEMA.items()}
     assert set(SCHEMA["experiment"]) == {"name", "seed"}
     assert all(name in EXPERIMENTS for name in
                ("characterize_sensor", "die_error_sweep", "pwm_sweep",
@@ -670,37 +398,25 @@ KEY_EXPERIMENTS = {
     "oracle": "pid_oracle", "spread": "channel_spread",
     "characterize.n_dies": "die_error_sweep", "characterize": "characterize_sensor",
 }
-COARSE_SWEEP = "[characterize]\nt_step = 35\n"
+COARSE_SWEEP = {"characterize.t_step": 35}
 NUMERIC_KEYS = [f"{section}.{name}" for section, keys in SCHEMA.items()
                 if section != "experiment" for name, default in keys.items()
                 if default is None or type(default) in (int, float)]
 
 
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
-def test_numeric_key_at_zero_and_minus_one_exits_cleanly(tmp_path, capsys, key):
+def test_numeric_key_at_zero_and_minus_one_exits_cleanly(tmp_path, monkeypatch, capsys, key):
     # 0 and -1 run, fail a check, or exit 2 with a message that names the
     # key and no output directory left; never a traceback
-    section, name = key.split(".")
+    section = key.split(".")[0]
     experiment = KEY_EXPERIMENTS.get(key, KEY_EXPERIMENTS[section])
     coarse = (COARSE_SWEEP if experiment == "characterize_sensor" and section != "characterize"
-              else "")
-    for value in ("0", "-1"):
-        out = tmp_path / value / "out"
-        cfg = write_config(tmp_path / "key.cfg", """
-[experiment]
-name = %s
-seed = 1
-
-[%s]
-%s = %s
-
-%s
-[output]
-dir = %s
-""" % (experiment, section, name, value, coarse, out))
-        code = main([cfg])
+              else {})
+    for value in (0, -1):
+        case = Case(key, experiment, {key: value, **coarse}, (key,), "")
+        (tmp_path / str(value)).mkdir()
+        code = run_case(case, tmp_path / str(value), monkeypatch)
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         if code == 2:
-            assert key in err, (value, err)
-            assert not out.exists()
+            assert problems(case, code, err, tmp_path / str(value)) == []

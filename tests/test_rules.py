@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from rejections import CONFIG, Case, problems, write
 from tregsim.cli import main
 from tregsim.config import RULES, check
 from tregsim.errors import ConfigurationError
@@ -34,23 +35,19 @@ def just_outside(rule):
             yield math.nextafter(bound, step * math.inf)
 
 
-def test_every_bound_exits_2_naming_its_key(tmp_path, capsys):
+def test_every_bound_exits_2_naming_its_key(tmp_path, monkeypatch, capsys):
     # a pwm_sweep config reads none of most keys: each rule holds anyway
-    out = tmp_path / "out"
-    cfg = tmp_path / "bound.cfg"
+    monkeypatch.chdir(tmp_path)
     cases = 0
     for key, rule in RULES.items():
-        section, name = key.split(".")
         for value in just_outside(rule):
-            sections = {"experiment": {"name": "pwm_sweep", "seed": 7}, "output": {"dir": out}}
-            sections.setdefault(section, {})[name] = (
-                int(value) if rule.kind == "whole" else repr(float(value)))
-            cfg.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                                   for sec, keys in sections.items()))
-            assert main([str(cfg)]) == 2, (key, value)
+            case = Case(key, "pwm_sweep", {key: int(value) if rule.kind == "whole"
+                                           else repr(float(value))}, (key,), "")
+            write(case, tmp_path)
+            code = main([CONFIG])
             err = capsys.readouterr().err
+            assert problems(case, code, err, tmp_path) == [], (value, err)
             assert err.startswith(f"config error: {key} must be "), (key, value, err)
-            assert not out.exists()
             cases += 1
     assert cases >= len(RULES)
 
