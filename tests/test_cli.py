@@ -126,12 +126,38 @@ def run_case(case, directory, monkeypatch, *args):
     return main([CONFIG, *args])
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+# the rows of the degenerate-value test that came before the table, in its
+# order, so that each keeps its test ID `experiment-settingsN-key`
+DEGENERATE = [BY_ID[id] for id in """
+    sweep_step_zero sweep_step_negative sweep_reversed sweep_one_point no_dies no_seeds no_rows
+    no_cols negative_noise is_span_reversed is_f_lo_zero is_amplitude_zero
+    is_amplitude_negative is_no_points is_no_periods sweep_above_90 sweep_below_20
+    partial_gains_no_kp partial_gains_kp_only one_ph_step snr_one_sample snr_negative_freq
+    no_draws no_tuples no_steps no_setpoints negative_tap_sigma force_above_90
+    negative_sigma_r1 array_zero_bits array_3_bits array_5_bits snr_negative_bits
+    oracle_zero_bits snr_zero_clock oracle_22_bits cv_scan_too_long ph_span_empty ph_saturates
+    sweep_over_budget fra_5_bits cpa_5_bits setpoints_below_ambient cv_5_bits fra_6_bits
+    cv_7_bits wide_counter wide_counter_sweep subnormal_step subnormal_step_sweep
+    cpa_tiny_clock cv_tiny_full_scale oracle_tiny_full_scale is_tiny_clock tiny_clock is_budget
+    snr_near_dc snr_near_dc_3_cycles flat_map_regulation flat_map flat_map_alpha
+    flat_map_alpha_spread zero_slope_r2 zero_slope_r2_dies slow_plant_g_amb
+    slow_plant_g_amb_spread slow_plant
+""".split()]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case not in DEGENERATE],
+                         ids=lambda case: case.id)
 def test_rejected_config_exits_2(tmp_path, monkeypatch, capsys, case):
     # each exits 2 with a one-line message that names its keys, and no
     # output directory left; rejections.py says why each is rejected
     code = run_case(case, tmp_path, monkeypatch)
     assert problems(case, code, capsys.readouterr().err, tmp_path) == []
+
+
+@pytest.mark.parametrize("case", DEGENERATE, ids=[
+    f"{case.experiment}-settings{n}-{case.keys[0]}" for n, case in enumerate(DEGENERATE)])
+def test_degenerate_sweep_or_count_exits_2_without_outputs(tmp_path, monkeypatch, capsys, case):
+    test_rejected_config_exits_2(tmp_path, monkeypatch, capsys, case)
 
 
 def test_over_long_is_period_exits_2_quickly_without_outputs(tmp_path, monkeypatch, capsys):
